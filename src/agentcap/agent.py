@@ -65,13 +65,24 @@ class AgentFocResidual:
         return float(np.max(np.abs(self.residual)))
 
 
-def feasible_lattice(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Enumeration points inside D with their costs.
-
-    Raises EmptyFeasibleSetError when capacity excludes every point.
-    """
+def priced_points(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Every enumeration point with its cost; nothing here depends on the
+    capacity."""
     points = enumeration_points(s)
-    costs = np.asarray(s.cost.value_many(points), dtype=float)
+    return points, np.asarray(s.cost.value_many(points), dtype=float)
+
+
+def feasible_lattice(
+    s: Scenario, priced: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumeration points inside D with their costs, in lattice order.
+
+    ``priced`` is ``priced_points(s)`` computed beforehand, possibly for a
+    scenario differing from ``s`` only in its capacity; by default it is
+    computed here. Raises EmptyFeasibleSetError when capacity excludes every
+    point.
+    """
+    points, costs = priced_points(s) if priced is None else priced
     mask = costs <= s.capacity + FEASIBILITY_SLACK
     if not mask.any():
         raise EmptyFeasibleSetError("capacity excludes every enumeration point")

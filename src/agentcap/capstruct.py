@@ -10,14 +10,19 @@ debt/equity mix) moves.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateScalingError, ValidationError
+from .errors import (
+    ConfigurationError,
+    DegenerateScalingError,
+    EmptyFeasibleSetError,
+    ValidationError,
+)
 from .model import Contract, OutputFunction, Scenario, validate_scenario
+from .pareto import PricedLattice
 from .scaling import alpha_star
 
 
@@ -102,34 +107,31 @@ def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> Liv
     )
 
 
-def _workers() -> int:
-    env = os.environ.get("AGENTCAP_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"AGENTCAP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
-def sweep_alpha_star(s: Scenario, k_grid) -> list[tuple[float, float]]:
+def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tuple[float, float]]:
     """alpha* as a function of capacity, sorted by k.
 
-    Each k is solved on its own copy of the scenario with its own base level.
-    Distinct capacities are independent, so the sweep runs on a thread pool
-    capped by AGENTCAP_THREADS.
+    Only the feasibility mask depends on k, so the lattice with its costs and
+    the contracts with their payments and utilities are built once, and the
+    capacities are solved serially against them, each with its own base
+    level. Each k is validated as its own scenario would be: the
+    capacity-independent checks run once, finiteness and a nonempty feasible
+    set per k, and the first failing k raises ValidationError naming it.
+    ``budget`` caps each k's contracts times feasible points.
     """
     ks = sorted(float(k) for k in k_grid)
-
-    def one(k: float) -> tuple[float, float]:
-        sk = dataclasses.replace(s, capacity=k)
-        report = validate_scenario(sk)
-        if not report:
-            raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
-        return k, alpha_star(sk).alpha_star
-
-    workers = min(_workers(), max(1, len(ks)))
-    if workers == 1 or len(ks) == 1:
-        return [one(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, ks))
+    if not ks:
+        return []
+    report = validate_scenario(dataclasses.replace(s, capacity=ks[0]))
+    if not report:
+        raise ValidationError(f"capacity {ks[0]:g}: " + "; ".join(report.failures))
+    lattice = PricedLattice(s)
+    out = []
+    for k in ks:
+        if not math.isfinite(k):
+            raise ValidationError(f"capacity {k:g}: capacity must be finite")
+        try:
+            res = alpha_star(dataclasses.replace(s, capacity=k), budget=budget, lattice=lattice)
+        except EmptyFeasibleSetError:
+            raise ValidationError(f"capacity {k:g}: feasible distribution set empty") from None
+        out.append((k, res.alpha_star))
+    return out

@@ -425,7 +425,7 @@ def cmd_sweep(args) -> int:
     s = load_scenario(args.scenario)
     outdir = _outdir(args)
     ks = _float_list(args.k_grid, "--k-grid")
-    pairs = capstruct.sweep_alpha_star(s, ks)
+    pairs = capstruct.sweep_alpha_star(s, ks, args.budget)
     _write_csv(outdir / "sweep.csv", ["k", "alpha_star"], pairs)
     stars = [a for _, a in pairs]
     _write_summary(

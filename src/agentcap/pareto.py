@@ -10,10 +10,11 @@ Pareto filter is a sort-based skyline scan, which keeps repeated filtering
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .agent import best_response_from_values, feasible_lattice, scan_values
+from .agent import feasible_lattice, priced_points
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
 from .model import Contract, Distribution, Profile, Scenario
 
@@ -47,16 +48,29 @@ class Selection:
 
 
 def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending distinct levels; a value joins the current cluster when it is
-    within tol of the cluster's first (lowest) member."""
+    """Ascending distinct levels of finite values; a value joins the current
+    cluster when it is within tol of the cluster's first (lowest) member,
+    i.e. when ``v - first <= tol``.
+
+    A gap wider than tol between sorted neighbours always opens a cluster,
+    and a run of narrow gaps whose last member is within tol of its first is
+    a single cluster. The greedy walk runs only inside the remaining runs, one
+    searchsorted per cluster.
+    """
     if values.size == 0:
         return values
     s = np.sort(values)
-    reps = [s[0]]
-    for v in s[1:]:
-        if v - reps[-1] > tol:
-            reps.append(v)
-    return np.array(reps)
+    is_first = np.empty(s.size, dtype=bool)
+    is_first[0] = True
+    np.greater(np.diff(s), tol, out=is_first[1:])
+    starts = np.flatnonzero(is_first)
+    ends = np.append(starts[1:], s.size)
+    walk = s[ends - 1] - s[starts] > tol
+    for a, b in zip(starts[walk], ends[walk]):
+        j = a
+        while (j := j + int(np.searchsorted(s[j:b] - s[j], tol, side="right"))) < b:
+            is_first[j] = True
+    return s[is_first]
 
 
 def _pareto_keep_mask(agent: np.ndarray, principal: np.ndarray, tol: float) -> np.ndarray:
@@ -83,19 +97,62 @@ def _pareto_keep_mask(agent: np.ndarray, principal: np.ndarray, tol: float) -> n
     return ~dominated
 
 
+class PricedLattice:
+    """The capacity-independent half of an enumeration.
+
+    Every enumeration point with its cost, and every family contract with its
+    payments and the agent's utility of them. Only the feasibility mask
+    depends on the capacity, so one instance serves every capacity of a
+    sweep. Contracts and utilities are built on first use, so an
+    ``Enumeration`` raises its errors in the same order whether it builds the
+    lattice itself or is handed one.
+    """
+
+    def __init__(self, s: Scenario):
+        self.scenario = s
+        self.points, self.costs = priced_points(s)
+
+    @cached_property
+    def contracts(self) -> tuple[list[str], np.ndarray]:
+        return self.scenario.family.payment_matrix(self.scenario.y.as_array())
+
+    @cached_property
+    def util(self) -> np.ndarray:
+        return np.asarray(self.scenario.utility.apply(self.contracts[1]), dtype=float)
+
+    def serves(self, s: Scenario) -> bool:
+        """True when ``s`` differs from the lattice's scenario at most in
+        capacity, reservation and tolerance."""
+        a, b = self.scenario, s
+        return (a.states, a.y, a.cost, a.family, a.utility, a.m) == (
+            b.states, b.y, b.cost, b.family, b.utility, b.m
+        )
+
+
 class Enumeration:
     """Shared engine: contracts x best responses with cached payoff pieces.
 
     Built once per scenario; ``pareto_at`` and ``select_at`` answer Pareto and
     selection queries for any alpha against the same profile arrays, so exact
     (contract, point) identities are comparable across alpha.
+
+    ``lattice`` is the capacity-independent half, built from ``s`` when
+    omitted; a capacity sweep passes one lattice to every capacity. The
+    feasible points keep lattice order, so profile ids are those a fresh
+    enumeration at the same capacity gives.
     """
 
-    def __init__(self, s: Scenario, budget: int | None = None):
+    def __init__(
+        self, s: Scenario, budget: int | None = None, lattice: PricedLattice | None = None
+    ):
         budget = DEFAULT_BUDGET if budget is None else int(budget)
-        points, costs = feasible_lattice(s)
+        if lattice is None:
+            lattice = PricedLattice(s)
+        elif not lattice.serves(s):
+            raise ConfigurationError("priced lattice was built for another scenario")
+        points, costs = feasible_lattice(s, (lattice.points, lattice.costs))
         y = s.y.as_array()
-        labels, payments = s.family.payment_matrix(y)
+        labels, payments = lattice.contracts
         n_c, n_p = len(labels), len(points)
         if n_c * n_p > budget:
             raise BudgetExceededError(
@@ -110,7 +167,7 @@ class Enumeration:
         self.points = points
         self.point_costs = costs
 
-        util = np.asarray(s.utility.apply(payments), dtype=float)
+        util = lattice.util
         c_ids: list[np.ndarray] = []
         p_ids: list[np.ndarray] = []
         values: list[np.ndarray] = []

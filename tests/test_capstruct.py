@@ -11,7 +11,12 @@ from agentcap.capstruct import (
     scaled_debt_contract,
     sweep_alpha_star,
 )
-from agentcap.errors import ConfigurationError, DegenerateScalingError, ValidationError
+from agentcap.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    DegenerateScalingError,
+    ValidationError,
+)
 from agentcap.model import OutputFunction
 from agentcap.scaling import alpha_star
 
@@ -117,13 +122,21 @@ def test_sweep_validates_each_capacity():
         sweep_alpha_star(s, [0.04, -1.0])
 
 
-def test_sweep_thread_env(monkeypatch):
+def test_sweep_off_lattice_capacities_match_single_solves():
+    # tangency capacities (0.01, 0.04) mixed with generic ones, and a
+    # scenario capacity that is not the largest k of the grid
+    s = tangent_scenario(0.02, m=400)
+    ks = [0.07, 0.0399, 0.01, 0.05, 0.04]
+    got = sweep_alpha_star(s, ks)
+    assert [k for k, _ in got] == sorted(ks)
+    for k, a in got:
+        assert a == alpha_star(dataclasses.replace(s, capacity=k)).alpha_star
+
+
+def test_sweep_budget_applies_to_each_capacity():
     s = tangent_scenario(0.04, m=400)
-    monkeypatch.setenv("AGENTCAP_THREADS", "1")
-    serial = sweep_alpha_star(s, [0.01, 0.04])
-    monkeypatch.setenv("AGENTCAP_THREADS", "2")
-    pooled = sweep_alpha_star(s, [0.01, 0.04])
-    assert serial == pooled
-    monkeypatch.setenv("AGENTCAP_THREADS", "four")
-    with pytest.raises(ConfigurationError):
-        sweep_alpha_star(s, [0.01, 0.04])
+    contracts = len(s.family.payment_matrix(s.y.as_array())[0])
+    # c(p) = p_H^2 on the 1/400 lattice: 41 points at k = 0.01, 81 at 0.04
+    assert sweep_alpha_star(s, [0.01], budget=contracts * 41) == sweep_alpha_star(s, [0.01])
+    with pytest.raises(BudgetExceededError, match=str(contracts * 81)):
+        sweep_alpha_star(s, [0.01, 0.04], budget=contracts * 41)

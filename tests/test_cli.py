@@ -1,6 +1,7 @@
 """Scenario file round trips, command outputs, determinism, and exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from agentcap.cli import (
+    _write_csv,
     load_scenario,
     main,
     save_scenario,
@@ -253,6 +255,15 @@ def test_exit_code_budget(ladder_file, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
+    rc = main([
+        "sweep", "--scenario", str(tangent_file), "--out", str(tmp_path / "out"),
+        "--k-grid", "0.01,0.04", "--budget", "10",
+    ])
+    assert rc == 4
+    assert "budget" in capsys.readouterr().err
+
+
 def test_exit_code_empty_selection(tmp_path, capsys):
     d = scenario_to_dict(ladder_scenario())
     d["reservation"] = 99.0
@@ -329,6 +340,24 @@ def test_sweep_command(tangent_file, tmp_path):
     stars = [float(r[1]) for r in rows]
     assert stars == sorted(stars)
     assert read_summary(out)["nondecreasing"] is True
+
+
+def test_sweep_csv_equals_single_alpha_star_runs(tmp_path):
+    s = tangent_scenario(0.02, m=400)
+    f = tmp_path / "tangent.json"
+    save_scenario(s, f)
+    ks = [0.07, 0.0399, 0.01, 0.05, 0.04]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(f), "--out", str(out), "--k-grid", ",".join(map(repr, ks))]) == 0
+    pairs = []
+    for k in sorted(ks):
+        fk = tmp_path / f"k{k!r}.json"
+        save_scenario(dataclasses.replace(s, capacity=k), fk)
+        outk = tmp_path / f"alpha{k!r}"
+        assert main(["alpha-star", "--scenario", str(fk), "--out", str(outk)]) == 0
+        pairs.append((k, read_summary(outk)["alpha_star"]))
+    _write_csv(tmp_path / "expected.csv", ["k", "alpha_star"], pairs)
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_capstruct_debt_with_override(tmp_path):

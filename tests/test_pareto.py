@@ -1,5 +1,7 @@
 """Profile enumeration, the Pareto filter, and reservation-level selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from agentcap.model import (
 )
 from agentcap.pareto import (
     Enumeration,
+    PricedLattice,
+    _cluster_levels,
     feasible_profiles,
     pareto_filter,
     pareto_set,
@@ -69,6 +73,24 @@ def test_budget_guard():
     assert exc.value.budget == 10
     assert exc.value.required > 10
     assert "evaluations" in str(exc.value)
+
+
+def test_shared_lattice_enumeration_equals_fresh():
+    base = tangent_scenario(0.09, m=400)
+    lattice = PricedLattice(base)
+    for k in (0.0399, 0.04, 0.05):
+        s = dataclasses.replace(base, capacity=k)
+        shared, fresh = Enumeration(s, lattice=lattice), Enumeration(s)
+        for name in ("points", "point_costs", "contract_id", "point_id", "agent_u", "binding",
+                     "exp_output", "exp_payment"):
+            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+        assert shared.labels == fresh.labels
+
+
+def test_shared_lattice_rejects_another_scenario():
+    lattice = PricedLattice(tangent_scenario(0.04, m=400))
+    with pytest.raises(ConfigurationError):
+        Enumeration(tangent_scenario(0.04, m=200), lattice=lattice)
 
 
 def test_alpha_range_guard():
@@ -199,6 +221,34 @@ def test_filter_matches_brute_oracle_on_synthetic(payoffs):
     mask = brute_pareto_keep([a for a, _ in payoffs], [b for _, b in payoffs], 1e-9)
     want = {i for i in range(len(payoffs)) if mask[i]}
     assert got == want
+
+
+def _cluster_levels_loop(values, tol):
+    """Reference: the greedy walk over every sorted value."""
+    if values.size == 0:
+        return values
+    s = np.sort(values)
+    reps = [s[0]]
+    for v in s[1:]:
+        if v - reps[-1] > tol:
+            reps.append(v)
+    return np.array(reps)
+
+
+def test_cluster_levels_match_greedy_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(12000):
+        tol = float(rng.choice([1e-9, 1e-3, 0.01, 0.1, 0.3]))
+        n = int(rng.integers(0, 40))
+        x = [rng.uniform(-1, 1, n), np.round(rng.uniform(-1, 1, n), 2), rng.integers(-5, 5, n) * 0.1][trial % 3]
+        if trial % 2:
+            # copies shifted by tol and tol/2 sit on the boundary of the rule
+            values = np.concatenate([x, x[: n // 2] + tol, x[: n // 3] + tol / 2])
+        else:
+            values = x[:1].sum() + np.cumsum(rng.choice([0.0, tol, tol / 2, 2 * tol], size=n))
+        got = _cluster_levels(values, tol)
+        want = _cluster_levels_loop(values, tol)
+        assert np.array_equal(got, want), (values.tolist(), tol)
 
 
 # -- selection --------------------------------------------------------------
