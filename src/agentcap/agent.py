@@ -28,12 +28,14 @@ from .model import (
     enumeration_points,
 )
 
+_CHUNK = 1 << 21  # cap on rows x points handled per value block
+
 
 @dataclass(frozen=True)
 class BestResponseSet:
     """All grid maximizers within tol_u of the best value (the convex solver
-    returns a single one). ``any_binding`` is true when some maximizer has
-    cost within tol_u of capacity."""
+    returns a single one). ``any_binding`` is true when some maximizer is
+    capacity-binding (see ``capacity_binding``)."""
 
     maximizers: tuple[Distribution, ...]
     value: float
@@ -89,24 +91,50 @@ def feasible_lattice(
     return points[mask], costs[mask]
 
 
-def scan_values(points: np.ndarray, costs: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """Objective values payoff . p - c(p) per row; shared by every grid scan
-    so reduced and dated problems reuse the identical arithmetic."""
-    return points @ payoff - costs
+def capacity_binding(cost, capacity: float, tol_u: float):
+    """The capacity-binding rule: a cost within tol_u of the capacity.
+
+    Elementwise over arrays; every binding flag in the package comes from
+    here.
+    """
+    return np.abs(cost - capacity) <= tol_u
 
 
-def best_response_from_values(
-    points: np.ndarray,
-    costs: np.ndarray,
-    values: np.ndarray,
-    tol_u: float,
-    capacity: float,
-) -> BestResponseSet:
-    best = float(values.max())
-    idx = np.flatnonzero(values >= best - tol_u)
-    binding = bool(np.any(np.abs(costs[idx] - capacity) <= tol_u))
-    maxs = tuple(Distribution(tuple(points[i])) for i in idx)
-    return BestResponseSet(maximizers=maxs, value=best, any_binding=binding)
+def scan_grid(
+    payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray, tol_u: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid best responses of every payoff row, ties kept.
+
+    Row r scores ``payoffs[r] . p - c(p)`` at every point; the result is
+    (row ids, point ids, values) of each point within tol_u of its row's
+    best, rows ascending and points in lattice order within a row. Values
+    are computed in blocks of at most ``_CHUNK`` rows x points, so only one
+    block's full value matrix is alive at a time.
+    """
+    rows_per_block = max(1, _CHUNK // max(1, len(points)))
+    r_ids: list[np.ndarray] = []
+    p_ids: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    for start in range(0, len(payoffs), rows_per_block):
+        vals = payoffs[start : start + rows_per_block] @ points.T - costs[None, :]
+        best = vals.max(axis=1)
+        ri, pi = np.nonzero(vals >= best[:, None] - tol_u)
+        r_ids.append(ri + start)
+        p_ids.append(pi)
+        values.append(vals[ri, pi])
+    return np.concatenate(r_ids), np.concatenate(p_ids), np.concatenate(values)
+
+
+def grid_best_response(s: Scenario, payoff: np.ndarray) -> BestResponseSet:
+    """Best responses over the feasible grid to a per-state payoff vector
+    (the agent's utility of each state's payment)."""
+    points, costs = feasible_lattice(s)
+    _, idx, values = scan_grid(payoff[None, :], points, costs, s.tol_u)
+    return BestResponseSet(
+        maximizers=tuple(Distribution(tuple(points[i])) for i in idx),
+        value=float(values.max()),
+        any_binding=bool(capacity_binding(costs[idx], s.capacity, s.tol_u).any()),
+    )
 
 
 def best_response_grid(s: Scenario, b) -> BestResponseSet:
@@ -114,10 +142,7 @@ def best_response_grid(s: Scenario, b) -> BestResponseSet:
 
     Maximizers come back in the grid's lexicographic order.
     """
-    points, costs = feasible_lattice(s)
-    payoff = s.utility.apply(_as_payments(b))
-    values = scan_values(points, costs, payoff)
-    return best_response_from_values(points, costs, values, s.tol_u, s.capacity)
+    return grid_best_response(s, s.utility.apply(_as_payments(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +231,7 @@ def best_response_convex(s: Scenario, b, max_iter: int = 2000, tol: float = 1e-1
         p = inner(hi)
 
     value = float(payoff @ p - s.cost.value(p))
-    binding = bool(abs(s.cost.value(p) - k) <= s.tol_u)
+    binding = bool(capacity_binding(s.cost.value(p), k, s.tol_u))
     return BestResponseSet(maximizers=(Distribution(tuple(p)),), value=value, any_binding=binding)
 
 

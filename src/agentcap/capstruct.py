@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DegenerateScalingError,
     EmptyFeasibleSetError,
     ValidationError,
 )
-from .model import Contract, OutputFunction, Scenario, validate_scenario
+from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
 from .pareto import PricedLattice
 from .scaling import alpha_star
 
@@ -55,8 +54,7 @@ class LiveOrDieDecomposition:
 
 
 def _check_scale(alpha: float, F: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     if F < 0.0:
         raise ValidationError("face value must be nonnegative")
 
@@ -95,8 +93,7 @@ def debt_equity_decompose(y: OutputFunction, F: float, alpha_star: float) -> Deb
 def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> LiveOrDieDecomposition:
     """Split y at the threshold l: below it the principal keeps everything,
     at or above it the agent takes the fraction alpha*."""
-    if not 0.0 <= alpha_star <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha_star)
     arr = y.as_array()
     alive = arr >= l
     return LiveOrDieDecomposition(

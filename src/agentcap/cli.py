@@ -50,6 +50,7 @@ from .model import (
     Scenario,
     StateSpace,
     TableCost,
+    check_alpha,
     grid_values,
     validate_scenario,
 )
@@ -291,19 +292,13 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0 or not math.isfinite(alpha):
-        raise ConfigurationError("alpha out of [0,1]")
-    return float(alpha)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_solve(args) -> int:
     s = load_scenario(args.scenario)
-    alpha = _check_alpha(args.alpha)
+    alpha = check_alpha(args.alpha)
     outdir = _outdir(args)
     enum = Enumeration(s, budget=args.budget)
     ps = enum.pareto_at(alpha)
@@ -357,7 +352,7 @@ def cmd_verify(args) -> int:
     outdir = _outdir(args)
     alphas = None
     if args.alpha_grid is not None:
-        alphas = [_check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
+        alphas = [check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
     rep = scaling.verify_theorem(s, alphas=alphas, eps=args.eps, budget=args.budget)
     header = [
         "alpha",
@@ -446,7 +441,7 @@ def cmd_capstruct(args) -> int:
     s = load_scenario(args.scenario)
     outdir = _outdir(args)
     if args.alpha_star_override is not None:
-        astar = _check_alpha(args.alpha_star_override)
+        astar = check_alpha(args.alpha_star_override)
     else:
         astar = scaling.alpha_star(s, budget=args.budget).alpha_star
     labels = s.states.labels

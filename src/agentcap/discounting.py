@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import BestResponseSet, best_response_from_values, feasible_lattice, scan_values
+from .agent import BestResponseSet, grid_best_response
 from .errors import ConfigurationError, DegenerateDiscountError, ValidationError
-from .model import Distribution, Scenario, cost
+from .model import Distribution, Scenario, check_alpha, cost
+from .scaling import InequalitySlacks
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class DatedProfile:
 
 
 @dataclass(frozen=True)
-class DiscountedSlacks:
+class DiscountedSlacks(InequalitySlacks):
     """The discounted comparison chain between a base and a candidate.
 
     Differences are base minus candidate. The output difference discounts
@@ -83,21 +84,7 @@ class DiscountedSlacks:
     negative slacks are informative rather than errors.
     """
 
-    output_payment: float
-    payment_scaled_output: float
-    scaled_output: float
-    participation: float
-    d_output: float
-    d_payment: float
     sign_guaranteed: bool
-
-    def min_slack(self) -> float:
-        return min(
-            self.output_payment,
-            self.payment_scaled_output,
-            self.scaled_output,
-            self.participation,
-        )
 
 
 def discounted_values(
@@ -131,10 +118,7 @@ def dated_best_response(s: Scenario, d: DiscountPair, b2: DatedSchedule) -> Best
         raise ValidationError("schedule width must match the state count")
     u0 = np.asarray(s.utility.apply(b[0]), dtype=float)
     u1 = np.asarray(s.utility.apply(b[1]), dtype=float)
-    payoff = u0 + d.delta_A * u1
-    points, costs = feasible_lattice(s)
-    values = scan_values(points, costs, payoff)
-    return best_response_from_values(points, costs, values, s.tol_u, s.capacity)
+    return grid_best_response(s, u0 + d.delta_A * u1)
 
 
 def reduce_single_date(s: Scenario, d: DiscountPair, date: int) -> Scenario:
@@ -169,8 +153,7 @@ def discounted_inequality_diagnostic(
     alpha: float,
 ) -> DiscountedSlacks:
     """Evaluate the four discounted chain slacks for one base/candidate pair."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     y = y2.as_array()
     p0 = base.dist.as_array()
     p1 = candidate.dist.as_array()
@@ -184,12 +167,6 @@ def discounted_inequality_diagnostic(
     some_date0 = bool(np.any(b0[0] != 0.0) or np.any(b1[0] != 0.0))
     some_date1 = bool(np.any(b0[1] != 0.0) or np.any(b1[1] != 0.0))
     spans = some_date0 and some_date1
-    return DiscountedSlacks(
-        output_payment=d_out - d_pay,
-        payment_scaled_output=d_pay - alpha * d_out,
-        scaled_output=alpha * d_out,
-        participation=(c0 - c1) - d_pay,
-        d_output=d_out,
-        d_payment=d_pay,
-        sign_guaranteed=not (spans and d.delta_P != d.delta_A),
+    return DiscountedSlacks.chain(
+        alpha, d_out, d_pay, c0 - c1, sign_guaranteed=not (spans and d.delta_P != d.delta_A)
     )

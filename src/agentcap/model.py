@@ -501,23 +501,24 @@ class GridFamily(ContractFamily):
 
     grids: tuple[tuple[float, ...], ...]
     kind: str = field(default="grid", init=False)
+    _name = "grid family"  # subject of the error texts
 
     def __post_init__(self):
         object.__setattr__(self, "grids", tuple(tuple(float(v) for v in g) for g in self.grids))
         if not self.grids or any(len(g) == 0 for g in self.grids):
-            raise ValidationError("grid family needs a nonempty grid per state")
+            raise ValidationError(f"{self._name} needs a nonempty grid per state")
 
-    @staticmethod
-    def uniform(n_states: int, b_min: float, b_max: float, step: float) -> "GridFamily":
+    @classmethod
+    def uniform(cls, n_states: int, b_min: float, b_max: float, step: float) -> "GridFamily":
         g = grid_values({"min": b_min, "max": b_max, "step": step})
-        return GridFamily(tuple(g for _ in range(n_states)))
+        return cls(tuple(g for _ in range(n_states)))
 
     def size(self) -> int:
         return int(np.prod([len(g) for g in self.grids]))
 
     def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
         if len(self.grids) != len(y):
-            raise ValidationError("grid family arity must match the state count")
+            raise ValidationError(f"{self._name} arity must match the state count")
         for combo in itertools.product(*self.grids):
             yield "b=(" + ",".join(format(v, "g") for v in combo) + ")", np.array(combo, dtype=float)
 
@@ -602,25 +603,17 @@ class LiveOrDieFamily(ContractFamily):
 
 
 @dataclass(frozen=True)
-class MonotoneBoundedSlopeFamily(ContractFamily):
+class MonotoneBoundedSlopeFamily(GridFamily):
     """Grid contracts that are nondecreasing in output with slope at most one.
 
     Enumerates the per-state grid and keeps contracts whose payments, read in
     increasing-output order, never decrease and never rise faster than output.
+    ``size`` is that of the underlying grid; the filtered count requires
+    enumeration.
     """
 
-    grids: tuple[tuple[float, ...], ...]
     kind: str = field(default="monotone-bounded-slope", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "grids", tuple(tuple(float(v) for v in g) for g in self.grids))
-        if not self.grids or any(len(g) == 0 for g in self.grids):
-            raise ValidationError("monotone family needs a nonempty grid per state")
-
-    @staticmethod
-    def uniform(n_states: int, b_min: float, b_max: float, step: float) -> "MonotoneBoundedSlopeFamily":
-        g = grid_values({"min": b_min, "max": b_max, "step": step})
-        return MonotoneBoundedSlopeFamily(tuple(g for _ in range(n_states)))
+    _name = "monotone family"
 
     @staticmethod
     def admits(b: np.ndarray, y: np.ndarray) -> bool:
@@ -629,20 +622,10 @@ class MonotoneBoundedSlopeFamily(ContractFamily):
         db, dy = np.diff(bo), np.diff(yo)
         return bool(np.all(db >= -1e-12) and np.all(db <= dy + 1e-12))
 
-    def size(self) -> int:
-        # size of the underlying grid; the filtered count requires enumeration
-        return int(np.prod([len(g) for g in self.grids]))
-
     def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        if len(self.grids) != len(y):
-            raise ValidationError("monotone family arity must match the state count")
-        for combo in itertools.product(*self.grids):
-            b = np.array(combo, dtype=float)
+        for label, b in super().members(y):
             if self.admits(b, y):
-                yield "b=(" + ",".join(format(v, "g") for v in combo) + ")", b
-
-    def params_dict(self) -> dict:
-        return {"values": [list(g) for g in self.grids]}
+                yield label, b
 
 
 # ---------------------------------------------------------------------------
@@ -761,10 +744,17 @@ def agent_value(s: Scenario, b, p) -> float:
     return float(pb @ s.utility.apply(_as_payments(b)) - s.cost.value(pb))
 
 
-def principal_value(s: Scenario, alpha: float, b, p) -> float:
-    """E_p[alpha * y - b]."""
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; raises ConfigurationError unless it lies in
+    [0, 1]. NaN and infinities fail the comparison too."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError("alpha out of [0,1]")
+    return float(alpha)
+
+
+def principal_value(s: Scenario, alpha: float, b, p) -> float:
+    """E_p[alpha * y - b]."""
+    check_alpha(alpha)
     pb = _as_probs(p)
     return float(pb @ (alpha * s.y.as_array() - _as_payments(b)))
 

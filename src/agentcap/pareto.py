@@ -14,13 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .agent import feasible_lattice, priced_points
+from .agent import capacity_binding, feasible_lattice, priced_points, scan_grid
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario
+from .model import Contract, Distribution, Profile, Scenario, check_alpha
 
 DEFAULT_BUDGET = 10**7
-
-_CHUNK = 1 << 21  # cap on contracts x points handled per value block
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,37 @@ def _pareto_keep_mask(agent: np.ndarray, principal: np.ndarray, tol: float) -> n
     return ~dominated
 
 
+def _frontier(
+    agent: np.ndarray, principal: np.ndarray, tol: float, tiebreak: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, levels) of the undominated rows.
+
+    Indices run by agent utility, then principal payoff, both descending,
+    then by the ``tiebreak`` columns ascending, first column first. Levels
+    are the clustered agent utilities of those rows, ascending.
+    """
+    keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol))
+    keys = tuple(col[keep] for col in reversed(tiebreak))
+    order = keep[np.lexsort((*keys, -principal[keep], -agent[keep]))]
+    return order, _cluster_levels(agent[keep], tol)
+
+
+def _selection_level(
+    levels: np.ndarray, agent: np.ndarray, r: float, tol: float
+) -> tuple[float, np.ndarray]:
+    """The selection rule: the lowest level >= r - tol, and the mask of the
+    agent utilities within tol of it.
+
+    Raises EmptySelectionError when no level qualifies; the underlying theory
+    leaves that case undefined, so it is signalled rather than guessed.
+    """
+    qualifying = levels[levels >= r - tol]
+    if qualifying.size == 0:
+        raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
+    chosen = float(qualifying[0])
+    return chosen, np.abs(agent - chosen) <= tol
+
+
 class PricedLattice:
     """The capacity-independent half of an enumeration.
 
@@ -167,25 +196,11 @@ class Enumeration:
         self.points = points
         self.point_costs = costs
 
-        util = lattice.util
-        c_ids: list[np.ndarray] = []
-        p_ids: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        rows_per_block = max(1, _CHUNK // max(1, n_p))
-        for start in range(0, n_c, rows_per_block):
-            block = util[start : start + rows_per_block]
-            vals = block @ points.T - costs[None, :]
-            best = vals.max(axis=1)
-            tie = vals >= best[:, None] - s.tol_u
-            ci, pi = np.nonzero(tie)
-            c_ids.append(ci + start)
-            p_ids.append(pi)
-            values.append(vals[ci, pi])
-        self.contract_id = np.concatenate(c_ids)
-        self.point_id = np.concatenate(p_ids)
-        self.agent_u = np.concatenate(values)
+        self.contract_id, self.point_id, self.agent_u = scan_grid(
+            lattice.util, points, costs, s.tol_u
+        )
         self.cost = costs[self.point_id]
-        self.binding = np.abs(self.cost - s.capacity) <= s.tol_u
+        self.binding = capacity_binding(self.cost, s.capacity, s.tol_u)
         self.exp_output = points[self.point_id] @ y
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
@@ -222,18 +237,15 @@ class Enumeration:
 
     def pareto_at(self, alpha: float) -> ParetoSet:
         principal = self.principal_at(alpha)
-        keep = np.flatnonzero(_pareto_keep_mask(self.agent_u, principal, self.scenario.tol_u))
-        order = sorted(
-            keep,
-            key=lambda i: (-self.agent_u[i], -principal[i], self.contract_id[i], self.point_id[i]),
+        tol = self.scenario.tol_u
+        order, levels = _frontier(
+            self.agent_u, principal, tol, (self.contract_id, self.point_id)
         )
-        profiles = tuple(self._profile(int(i), principal) for i in order)
-        levels = _cluster_levels(self.agent_u[keep], self.scenario.tol_u)
         return ParetoSet(
             alpha=float(alpha),
-            profiles=profiles,
+            profiles=tuple(self._profile(int(i), principal) for i in order),
             agent_utility_levels=tuple(float(v) for v in levels),
-            tol_u=self.scenario.tol_u,
+            tol_u=tol,
         )
 
     def selection_ids(self, alpha: float, r: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -243,13 +255,10 @@ class Enumeration:
         predicate, which only needs ids and binding flags.
         """
         keep = np.flatnonzero(self.pareto_mask(alpha))
-        levels = _cluster_levels(self.agent_u[keep], self.scenario.tol_u)
+        agent = self.agent_u[keep]
         tol = self.scenario.tol_u
-        qualifying = levels[levels >= r - tol]
-        if qualifying.size == 0:
-            raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
-        chosen = float(qualifying[0])
-        at_level = keep[np.abs(self.agent_u[keep] - chosen) <= tol]
+        chosen, at = _selection_level(_cluster_levels(agent, tol), agent, r, tol)
+        at_level = keep[at]
         return chosen, at_level, self.binding[at_level]
 
     def select_at(self, alpha: float, r: float) -> Selection:
@@ -264,8 +273,7 @@ class Enumeration:
 def feasible_profiles(s: Scenario, alpha: float, budget: int | None = None) -> list[Profile]:
     """One Profile per (family contract, best-response maximizer) pair, with
     payoffs cached against alpha * y."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     return Enumeration(s, budget).profiles_at(alpha)
 
 
@@ -281,17 +289,9 @@ def pareto_filter(profiles: list[Profile], tol_u: float = 1e-9, alpha: float = f
         raise ConfigurationError("pareto_filter needs a nonempty profile list")
     agent = np.array([p.agent_utility for p in profiles])
     principal = np.array([p.principal_payoff for p in profiles])
-    keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol_u))
-    order = sorted(
-        keep,
-        key=lambda i: (
-            -agent[i],
-            -principal[i],
-            profiles[i].contract.payments,
-            profiles[i].dist.probs,
-        ),
-    )
-    levels = _cluster_levels(agent[keep], tol_u)
+    payments = np.array([p.contract.payments for p in profiles])
+    probs = np.array([p.dist.probs for p in profiles])
+    order, levels = _frontier(agent, principal, tol_u, (*payments.T, *probs.T))
     return ParetoSet(
         alpha=float(alpha),
         profiles=tuple(profiles[int(i)] for i in order),
@@ -306,18 +306,13 @@ def select(ps: ParetoSet, r: float) -> Selection:
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    tol = ps.tol_u
-    levels = np.array(ps.agent_utility_levels)
-    qualifying = levels[levels >= r - tol]
-    if qualifying.size == 0:
-        raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
-    chosen = float(qualifying[0])
-    chosen_profiles = tuple(p for p in ps.profiles if abs(p.agent_utility - chosen) <= tol)
+    agent = np.array([p.agent_utility for p in ps.profiles])
+    chosen, at = _selection_level(np.array(ps.agent_utility_levels), agent, r, ps.tol_u)
+    chosen_profiles = tuple(p for p, keep in zip(ps.profiles, at) if keep)
     return Selection(parent=ps, r=float(r), chosen_level=chosen, profiles=chosen_profiles)
 
 
 def pareto_set(s: Scenario, alpha: float, budget: int | None = None) -> ParetoSet:
     """Enumerate and filter in one step."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     return Enumeration(s, budget).pareto_at(alpha)

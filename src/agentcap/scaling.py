@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import ConfigurationError, EmptySelectionError
-from .model import Profile, Scenario
+from .model import Profile, Scenario, check_alpha
 from .pareto import Enumeration, PricedLattice
 
 DEFAULT_EPS_ALPHA = 1e-4
@@ -62,6 +62,20 @@ class InequalitySlacks:
     participation: float
     d_output: float
     d_payment: float
+
+    @classmethod
+    def chain(cls, alpha: float, d_output: float, d_payment: float, d_cost: float, **extra):
+        """The four slacks from the output, payment and cost differences;
+        ``extra`` fills the fields a subclass adds."""
+        return cls(
+            output_payment=d_output - d_payment,
+            payment_scaled_output=d_payment - alpha * d_output,
+            scaled_output=alpha * d_output,
+            participation=d_cost - d_payment,
+            d_output=d_output,
+            d_payment=d_payment,
+            **extra,
+        )
 
     def min_slack(self) -> float:
         return min(
@@ -125,12 +139,22 @@ def _witness(enum: Enumeration, alpha: float, u_bar: float) -> Profile:
     return enum.profile(j, alpha)
 
 
+def _all_slack(enum: Enumeration, alpha: float, u_bar: float) -> bool:
+    """True when no profile selected at (alpha, u_bar) is capacity-binding."""
+    _, _, binding = enum.selection_ids(alpha, u_bar)
+    return not bool(binding.any())
+
+
+def _keys(enum: Enumeration, ids: np.ndarray) -> set[tuple[int, int]]:
+    """The (contract_id, point_id) identities of the given profile rows."""
+    return {(int(c), int(p)) for c, p in zip(enum.contract_id[ids], enum.point_id[ids])}
+
+
 def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     trace: list[tuple[float, bool]] = []
 
     def pred(alpha: float) -> bool:
-        _, _, binding = enum.selection_ids(alpha, u_bar)
-        ok = not bool(binding.any())
+        ok = _all_slack(enum, alpha, u_bar)
         trace.append((float(alpha), ok))
         return ok
 
@@ -176,13 +200,11 @@ def capacity_slack_predicate(
     s: Scenario, alpha: float, u_bar: float | None = None, budget: int | None = None
 ) -> bool:
     """True when no profile selected at (alpha, u_bar) pins the capacity."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     enum = Enumeration(s, budget)
     if u_bar is None:
         u_bar = _default_u_bar(enum, s.reservation)
-    _, _, binding = enum.selection_ids(alpha, u_bar)
-    return not bool(binding.any())
+    return _all_slack(enum, alpha, u_bar)
 
 
 def alpha_star(
@@ -213,8 +235,7 @@ def verify_inequalities(s: Scenario, alpha: float, base: Profile, candidate: Pro
     Differences are base minus candidate with each side's expectation taken
     under its own distribution.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha out of [0,1]")
+    check_alpha(alpha)
     y = s.y.as_array()
     p0, b0 = base.dist.as_array(), base.contract.as_array()
     p1, b1 = candidate.dist.as_array(), candidate.contract.as_array()
@@ -222,14 +243,7 @@ def verify_inequalities(s: Scenario, alpha: float, base: Profile, candidate: Pro
     d_pay = float(p0 @ b0 - p1 @ b1)
     c0 = base.cost if math.isfinite(base.cost) else model.cost(s, p0)
     c1 = candidate.cost if math.isfinite(candidate.cost) else model.cost(s, p1)
-    return InequalitySlacks(
-        output_payment=d_out - d_pay,
-        payment_scaled_output=d_pay - alpha * d_out,
-        scaled_output=alpha * d_out,
-        participation=(c0 - c1) - d_pay,
-        d_output=d_out,
-        d_payment=d_pay,
-    )
+    return InequalitySlacks.chain(alpha, d_out, d_pay, c0 - c1)
 
 
 def _min_slacks(a: InequalitySlacks | None, b: InequalitySlacks) -> InequalitySlacks:
@@ -288,19 +302,14 @@ def verify_theorem(
     result = _alpha_impl(enum, u_bar, eps)
 
     _, base_ids, _ = enum.selection_ids(1.0, r)
-    base_keys = {
-        (int(c), int(p))
-        for c, p in zip(enum.contract_id[base_ids], enum.point_id[base_ids])
-    }
+    base_keys = _keys(enum, base_ids)
 
     if alphas is None:
         alphas = np.round(np.linspace(0.0, 1.0, 11), 12)
 
     checks: list[AlphaCheck] = []
     for alpha in alphas:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigurationError("alpha out of [0,1]")
+        alpha = check_alpha(float(alpha))
         if alpha < result.bracket[1]:
             checks.append(_skipped(alpha, "below the capacity-slack threshold bracket"))
             continue
@@ -313,16 +322,8 @@ def verify_theorem(
             checks.append(_skipped(alpha, "selection has no capacity-binding member"))
             continue
 
-        cand_keys = {
-            (int(c), int(p))
-            for c, p in zip(enum.contract_id[ids], enum.point_id[ids])
-        }
-        bind_keys = {
-            (int(c), int(p))
-            for c, p in zip(enum.contract_id[ids[binding]], enum.point_id[ids[binding]])
-        }
-        inclusion = base_keys <= cand_keys
-        converse = bind_keys <= base_keys
+        inclusion = base_keys <= _keys(enum, ids)
+        converse = _keys(enum, ids[binding]) <= base_keys
 
         worst: InequalitySlacks | None = None
         step2 = 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from agentcap import agent
 from agentcap.agent import (
     agent_foc_residual,
     best_response_convex,
@@ -30,8 +31,9 @@ from agentcap.model import (
     TableCost,
     simplex_lattice,
 )
+from agentcap.pareto import Enumeration
 
-from conftest import smooth_scenario, tangent_scenario
+from conftest import ladder_scenario, smooth_scenario, tangent_scenario
 
 
 def two_state(cost, k, m=10, utility=None):
@@ -113,6 +115,58 @@ def test_grid_best_response_value_monotone_in_capacity():
         v = best_response_grid(tangent_scenario(k), b).value
         assert v >= prev - 1e-12
         prev = v
+
+
+def entropy_cara3():
+    """Three states, relative-entropy cost, CARA agent; the capacity is a
+    lattice point's cost so that some best responses bind."""
+    cost = RelativeEntropyCost(0.8, (0.3, 0.4, 0.3))
+    k = float(np.sort(cost.value_many(simplex_lattice(3, 30)))[5])
+    return Scenario(
+        states=StateSpace(("L", "M", "H")),
+        y=OutputFunction((0.0, 0.5, 1.0)),
+        cost=cost,
+        capacity=k,
+        family=GridFamily(((0.0, 0.1), (0.0, 0.15, 0.3), (0.0, 0.25, 0.5))),
+        utility=AgentUtility("cara", a=2.0),
+        reservation=0.0,
+        m=30,
+    )
+
+
+SCAN_CASES = {
+    "ladder": ladder_scenario,
+    "tangent": lambda: tangent_scenario(0.04),
+    "entropy-cara": entropy_cara3,
+}
+
+
+def assert_enumeration_rows_match_grid_responses(s):
+    enum = Enumeration(s)
+    flags = set()
+    for c, b in enumerate(enum.payments):
+        rows = np.flatnonzero(enum.contract_id == c)
+        br = best_response_grid(s, b)
+        assert np.all(np.diff(enum.point_id[rows]) > 0)
+        assert np.array_equal(enum.points[enum.point_id[rows]], br.points())
+        assert enum.agent_u[rows].max() == pytest.approx(br.value, abs=1e-12)
+        assert bool(enum.binding[rows].any()) == br.any_binding
+        flags.add(br.any_binding)
+    return flags
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_enumeration_rows_match_single_contract_scans(case, monkeypatch):
+    # the enumeration scans all contracts in blocks, the grid best response
+    # one contract at a time; both go through agent.scan_grid
+    s = SCAN_CASES[case]()
+    assert assert_enumeration_rows_match_grid_responses(s) == {False, True}
+    # split the contracts into blocks whose last one holds a single row
+    n_c = len(s.family.payment_matrix(s.y.as_array())[0])
+    n_p = len(feasible_lattice(s)[0])
+    per_block = min(d for d in range(2, n_c) if (n_c - 1) % d == 0)
+    monkeypatch.setattr(agent, "_CHUNK", per_block * n_p)
+    assert assert_enumeration_rows_match_grid_responses(s) == {False, True}
 
 
 # -- convex route -----------------------------------------------------------

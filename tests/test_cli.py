@@ -240,6 +240,19 @@ def test_exit_code_configuration(ladder_file, tmp_path, capsys):
     assert "--alpha-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exit_code_nonfinite_alpha(ladder_file, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    for flags in (
+        ["solve", f"--alpha={value}"],
+        ["verify", f"--alpha-grid=0.5,{value}"],
+        ["capstruct", "--face", "0.1", f"--alpha-star={value}"],
+    ):
+        rc = main([flags[0], "--scenario", str(ladder_file), "--out", str(out), *flags[1:]])
+        assert rc == 3
+        assert "alpha out of [0,1]" in capsys.readouterr().err
+
+
 def test_exit_code_validation(tmp_path, capsys):
     d = scenario_to_dict(ladder_scenario())
     d["output"] = [0.0, 1.0, 2.0]

@@ -1,11 +1,14 @@
 """Two-date payoffs, single-date reduction, and the discounted slack chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from agentcap.agent import best_response_grid
 from agentcap.discounting import (
     DatedProfile,
+    DiscountedSlacks,
     DatedSchedule,
     DiscountPair,
     dated_best_response,
@@ -15,7 +18,7 @@ from agentcap.discounting import (
 )
 from agentcap.errors import ConfigurationError, DegenerateDiscountError, ValidationError
 from agentcap.model import Distribution
-from agentcap.scaling import verify_inequalities
+from agentcap.scaling import InequalitySlacks, verify_inequalities
 
 from conftest import dated_case, tangent_scenario
 from test_scaling import tangent_profile
@@ -198,3 +201,21 @@ def test_diagnostic_sign_guarantee_rules():
     assert not discounted_inequality_diagnostic(s, unequal, y2, both_dates, both_dates, 0.5).sign_guaranteed
     with pytest.raises(ConfigurationError):
         discounted_inequality_diagnostic(s, equal, y2, both_dates, both_dates, 1.5)
+
+
+def test_discounted_slacks_extend_the_static_chain():
+    names = [f.name for f in dataclasses.fields(DiscountedSlacks)]
+    assert names == [
+        "output_payment",
+        "payment_scaled_output",
+        "scaled_output",
+        "participation",
+        "d_output",
+        "d_payment",
+        "sign_guaranteed",
+    ]
+    assert names[:-1] == [f.name for f in dataclasses.fields(InequalitySlacks)]
+    sl = DiscountedSlacks.chain(0.5, 2.0, 1.5, 1.0, sign_guaranteed=False)
+    assert isinstance(sl, InequalitySlacks)
+    assert sl == DiscountedSlacks(0.5, 0.5, 1.0, -0.5, 2.0, 1.5, False)
+    assert sl.min_slack() == -0.5

@@ -242,6 +242,33 @@ def test_monotone_family_filters_members():
     assert not MonotoneBoundedSlopeFamily.admits(np.array([0.0, 1.1]), y)
 
 
+def test_monotone_family_is_a_filtered_grid_family():
+    grids = ((0.0, 0.5, 1.0), (0.0, 0.5, 2.0), (0.25, 1.0, 1.5))
+    y = np.array([0.0, 1.0, 1.5])
+    grid = GridFamily(grids)
+    mono = MonotoneBoundedSlopeFamily(grids)
+    g_labels, g_payments = grid.payment_matrix(y)
+    keep = np.array([MonotoneBoundedSlopeFamily.admits(b, y) for b in g_payments])
+    labels, payments = mono.payment_matrix(y)
+    assert 0 < len(labels) < len(g_labels)
+    assert labels == [lab for lab, k in zip(g_labels, keep) if k]
+    assert np.array_equal(payments, g_payments[keep])
+    assert mono.size() == grid.size() and mono.params_dict() == grid.params_dict()
+    assert mono != grid
+    with pytest.raises(ValidationError, match="^monotone family needs a nonempty grid per state$"):
+        MonotoneBoundedSlopeFamily(((0.0,), ()))
+    with pytest.raises(ValidationError, match="^grid family needs a nonempty grid per state$"):
+        GridFamily(((0.0,), ()))
+    with pytest.raises(ValidationError, match="^monotone family arity must match the state count$"):
+        mono.payment_matrix(y[:2])
+    with pytest.raises(ValidationError, match="^grid family arity must match the state count$"):
+        grid.payment_matrix(y[:2])
+    uni = MonotoneBoundedSlopeFamily.uniform(2, 0.0, 1.0, 0.5)
+    assert type(uni) is MonotoneBoundedSlopeFamily and uni.kind == "monotone-bounded-slope"
+    assert uni.grids == ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    assert type(GridFamily.uniform(2, 0.0, 1.0, 0.5)) is GridFamily
+
+
 # -- lattice ----------------------------------------------------------------
 
 
