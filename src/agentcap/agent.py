@@ -109,19 +109,25 @@ def scan_grid(
     (row ids, point ids, values) of each point within tol_u of its row's
     best, rows ascending and points in lattice order within a row. Values
     are computed in blocks of at most ``_CHUNK`` rows x points, so only one
-    block's full value matrix is alive at a time.
+    block's value matrix is alive at a time; the costs are subtracted in
+    place, and ties are found as flat indices into the block, split into
+    (row, point) pairs in row-major order. The block height is part of the
+    result: BLAS may round a matmul differently for another height.
     """
     rows_per_block = max(1, _CHUNK // max(1, len(points)))
     r_ids: list[np.ndarray] = []
     p_ids: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for start in range(0, len(payoffs), rows_per_block):
-        vals = payoffs[start : start + rows_per_block] @ points.T - costs[None, :]
-        best = vals.max(axis=1)
-        ri, pi = np.nonzero(vals >= best[:, None] - tol_u)
+        vals = payoffs[start : start + rows_per_block] @ points.T
+        np.subtract(vals, costs, out=vals)
+        floor = vals.max(axis=1)
+        floor -= tol_u
+        flat = np.flatnonzero(vals >= floor[:, None])
+        ri, pi = np.divmod(flat, vals.shape[1])
         r_ids.append(ri + start)
         p_ids.append(pi)
-        values.append(vals[ri, pi])
+        values.append(vals.ravel()[flat])
     return np.concatenate(r_ids), np.concatenate(p_ids), np.concatenate(values)
 
 

@@ -478,18 +478,20 @@ class ContractFamily:
     def size(self) -> int:
         raise NotImplementedError
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield (label, payments) in a deterministic lexicographic order."""
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """Each member's label and payment row, in lexicographic order."""
         raise NotImplementedError
 
+    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+        """Yield (label, payments) in a deterministic lexicographic order."""
+        return zip(*self._rows(y))
+
     def payment_matrix(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        labels, rows = [], []
-        for label, b in self.members(y):
-            labels.append(label)
-            rows.append(b)
-        if not rows:
+        """Member labels and the (members x states) payment matrix."""
+        labels, rows = self._rows(y)
+        if not labels:
             raise ConfigurationError("contract family enumeration is empty")
-        return labels, np.array(rows, dtype=float)
+        return labels, rows
 
     def params_dict(self) -> dict:
         raise NotImplementedError
@@ -516,11 +518,13 @@ class GridFamily(ContractFamily):
     def size(self) -> int:
         return int(np.prod([len(g) for g in self.grids]))
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
         if len(self.grids) != len(y):
             raise ValidationError(f"{self._name} arity must match the state count")
-        for combo in itertools.product(*self.grids):
-            yield "b=(" + ",".join(format(v, "g") for v in combo) + ")", np.array(combo, dtype=float)
+        texts = [[format(v, "g") for v in g] for g in self.grids]
+        labels = ["b=(" + ",".join(combo) + ")" for combo in itertools.product(*texts)]
+        axes = np.meshgrid(*self.grids, indexing="ij", copy=False)
+        return labels, np.stack(axes, axis=-1).reshape(len(labels), len(self.grids))
 
     def params_dict(self) -> dict:
         return {"values": [list(g) for g in self.grids]}
@@ -545,10 +549,9 @@ class LinearShareFamily(ContractFamily):
     def size(self) -> int:
         return len(self.betas) * len(self.ws)
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        for beta in self.betas:
-            for w in self.ws:
-                yield f"beta={beta:g},w={w:g}", beta * y + w
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+        labels = [f"beta={beta:g},w={w:g}" for beta in self.betas for w in self.ws]
+        return labels, np.array([beta * y + w for beta in self.betas for w in self.ws], dtype=float)
 
     def params_dict(self) -> dict:
         return {"betas": list(self.betas), "ws": list(self.ws)}
@@ -571,9 +574,9 @@ class DebtFamily(ContractFamily):
     def size(self) -> int:
         return len(self.faces)
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        for f in self.faces:
-            yield f"F={f:g}", np.maximum(0.0, y - f)
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+        labels = [f"F={f:g}" for f in self.faces]
+        return labels, np.array([np.maximum(0.0, y - f) for f in self.faces], dtype=float)
 
     def params_dict(self) -> dict:
         return {"faces": list(self.faces)}
@@ -594,9 +597,9 @@ class LiveOrDieFamily(ContractFamily):
     def size(self) -> int:
         return len(self.thresholds)
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        for l in self.thresholds:
-            yield f"l={l:g}", np.where(y >= l, y, 0.0)
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+        labels = [f"l={l:g}" for l in self.thresholds]
+        return labels, np.array([np.where(y >= l, y, 0.0) for l in self.thresholds], dtype=float)
 
     def params_dict(self) -> dict:
         return {"thresholds": list(self.thresholds)}
@@ -616,16 +619,18 @@ class MonotoneBoundedSlopeFamily(GridFamily):
     _name = "monotone family"
 
     @staticmethod
-    def admits(b: np.ndarray, y: np.ndarray) -> bool:
+    def admits(b: np.ndarray, y: np.ndarray) -> np.ndarray | np.bool_:
+        """Whether the payments ``b`` (a vector, or one contract per row)
+        never decrease and never rise faster than output; a bool per row."""
         order = np.argsort(y, kind="stable")
-        bo, yo = np.asarray(b, dtype=float)[order], np.asarray(y, dtype=float)[order]
-        db, dy = np.diff(bo), np.diff(yo)
-        return bool(np.all(db >= -1e-12) and np.all(db <= dy + 1e-12))
+        bo, yo = np.asarray(b, dtype=float)[..., order], np.asarray(y, dtype=float)[order]
+        db, dy = np.diff(bo, axis=-1), np.diff(yo)
+        return np.all((db >= -1e-12) & (db <= dy + 1e-12), axis=-1)
 
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        for label, b in super().members(y):
-            if self.admits(b, y):
-                yield label, b
+    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+        labels, payments = super()._rows(y)
+        keep = self.admits(payments, y)
+        return list(itertools.compress(labels, keep)), payments[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -701,24 +706,26 @@ class Profile:
 
 @lru_cache(maxsize=64)
 def _lattice_cached(n: int, m: int) -> np.ndarray:
-    counts = np.array(list(_compositions(m, n)), dtype=float)
-    arr = counts / m
+    # Compositions of m into n parts, one coordinate at a time: a prefix with
+    # `left` units to place expands into heads 0..left, so rows stay sorted.
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m], dtype=np.int64)
+    for _ in range(n - 1):
+        width = left + 1
+        parent = np.repeat(np.arange(len(left)), width)
+        head = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack((counts[parent], head))
+        left = left[parent] - head
+    arr = np.column_stack((counts, left)) / m
     arr.setflags(write=False)
     return arr
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def simplex_lattice(n: int, m: int) -> np.ndarray:
     """All distributions with coordinates in multiples of 1/m, in
-    lexicographic order by coordinates. Read-only array of shape (L, n)."""
+    lexicographic order by coordinates. Read-only array of shape (L, n),
+    built with one vectorised expansion per coordinate and cached per
+    (n, m); every caller shares the cached array."""
     if n < 1 or m < 1:
         raise ValidationError("lattice needs n >= 1 and m >= 1")
     return _lattice_cached(n, m)

@@ -169,6 +169,60 @@ def test_enumeration_rows_match_single_contract_scans(case, monkeypatch):
     assert assert_enumeration_rows_match_grid_responses(s) == {False, True}
 
 
+def scan_whole_matrix(payoffs, points, costs, tol_u):
+    """Reference scan: one value matrix, ties by 2-D nonzero."""
+    vals = payoffs @ points.T - costs[None, :]
+    best = vals.max(axis=1)
+    ri, pi = np.nonzero(vals >= best[:, None] - tol_u)
+    return ri, pi, vals[ri, pi], best
+
+
+def dyadic_scan_case(rows, n, m=8, seed=0):
+    # payoffs and coordinates in multiples of 1/8 and costs in multiples of
+    # 1/64: every value is a small multiple of 1/64, so each matmul is exact
+    # whatever the block height and the scan must match the reference bit
+    # for bit
+    rng = np.random.default_rng(seed)
+    points = simplex_lattice(n, m)
+    payoffs = rng.integers(-8, 9, size=(rows, n)) / 8.0
+    costs = rng.integers(0, 16, size=len(points)) / 64.0
+    return payoffs, points, costs
+
+
+def flat_scan_case():
+    payoffs, points, _ = dyadic_scan_case(9, 3)
+    payoffs[[0, 4, 8]] = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [-1.0, -1.0, -1.0]]
+    return payoffs, points, np.zeros(len(points))
+
+
+SCAN_REFERENCE_CASES = {
+    "dyadic": lambda: dyadic_scan_case(37, 3),
+    "flat-rows": flat_scan_case,
+    "one-point": lambda: (np.arange(-2, 3)[:, None] / 8.0, simplex_lattice(1, 8), np.array([0.25])),
+    "one-row": lambda: dyadic_scan_case(1, 4, seed=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_REFERENCE_CASES))
+def test_scan_grid_equals_whole_matrix_reference(case, monkeypatch):
+    payoffs, points, costs = SCAN_REFERENCE_CASES[case]()
+    tol_u = 1.0 / 64
+    ri, pi, values, best = scan_whole_matrix(payoffs, points, costs, tol_u)
+    if case == "dyadic":
+        assert np.any(values == best[ri] - tol_u)  # a tie exactly at tol_u
+    if case == "flat-rows":
+        assert all(np.count_nonzero(ri == r) == len(points) for r in (0, 4, 8))
+    # the default block holds every row; then blocks of two rows, the last
+    # one holding a single row
+    assert len(payoffs) % 2 == 1
+    for chunk in (agent._CHUNK, 2 * len(points)):
+        monkeypatch.setattr(agent, "_CHUNK", chunk)
+        got = agent.scan_grid(payoffs, points, costs, tol_u)
+        assert [a.dtype for a in got] == [ri.dtype, pi.dtype, values.dtype]
+        assert np.array_equal(got[0], ri) and np.array_equal(got[1], pi)
+        assert got[2].tobytes() == values.tobytes()
+
+
 # -- convex route -----------------------------------------------------------
 
 

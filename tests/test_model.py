@@ -1,5 +1,6 @@
 """Core types: costs, utilities, contract families, lattices, validation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentcap import model
 from agentcap.errors import (
     DifferentiabilityError,
     InteriorityError,
@@ -16,6 +18,7 @@ from agentcap.errors import (
 from agentcap.model import (
     AgentUtility,
     Contract,
+    ContractFamily,
     DebtFamily,
     Distribution,
     EffortCost,
@@ -269,6 +272,57 @@ def test_monotone_family_is_a_filtered_grid_family():
     assert type(GridFamily.uniform(2, 0.0, 1.0, 0.5)) is GridFamily
 
 
+def grid_reference(grids, y, monotone):
+    """Labels and payments from one itertools.product loop; the monotone
+    filter reads each contract in increasing-output order."""
+    order = sorted(range(len(y)), key=lambda i: y[i])
+    labels, rows = [], []
+    for combo in itertools.product(*grids):
+        steps = [(combo[j] - combo[i], y[j] - y[i]) for i, j in zip(order, order[1:])]
+        if not monotone or all(-1e-12 <= db <= dy + 1e-12 for db, dy in steps):
+            labels.append("b=(" + ",".join(format(v, "g") for v in combo) + ")")
+            rows.append(combo)
+    return labels, np.array(rows, dtype=float)
+
+
+def test_grid_payment_matrices_match_product_reference():
+    grids = ((-1.5, -0.0, 0.0, 1e-05), (0.5, -0.0, 1e-05, 1.0), (0.25, 1e20, -2.0))
+    y = np.array([1.0, 0.0, 2e20])  # not sorted, so the filter reorders states
+    for fam, monotone in ((GridFamily(grids), False), (MonotoneBoundedSlopeFamily(grids), True)):
+        labels, payments = fam.payment_matrix(y)
+        ref_labels, ref_payments = grid_reference(grids, y, monotone)
+        assert labels == ref_labels
+        # bytes, so that -0.0 and 0.0 count as different payments
+        assert payments.shape == ref_payments.shape
+        assert payments.tobytes() == ref_payments.tobytes()
+        assert [(lab, b.tobytes()) for lab, b in fam.members(y)] == [
+            (lab, b.tobytes()) for lab, b in zip(ref_labels, ref_payments)
+        ]
+    rows = GridFamily(grids).payment_matrix(y)[1]
+    assert 0 < len(labels) < len(rows)
+    assert any("-0," in lab for lab in labels) and any("1e+20" in lab for lab in labels)
+    assert any("1e-05" in lab for lab in labels)
+    kept = MonotoneBoundedSlopeFamily.admits(rows, y)
+    assert kept.tolist() == [bool(MonotoneBoundedSlopeFamily.admits(b, y)) for b in rows]
+
+
+def test_every_family_shares_the_base_payment_matrix():
+    # the benchmark's tracer wraps ContractFamily.payment_matrix, so no
+    # family may override it
+    y = np.array([0.0, 1.0])
+    families = (
+        GridFamily(((0.0, 1.0), (0.0,))),
+        MonotoneBoundedSlopeFamily(((0.0, 1.0), (0.0, 1.0))),
+        LinearShareFamily((0.5,), (0.0,)),
+        DebtFamily((0.5,)),
+        LiveOrDieFamily((0.5,)),
+    )
+    for fam in families:
+        assert type(fam).payment_matrix is ContractFamily.payment_matrix
+        labels, payments = fam.payment_matrix(y)
+        assert payments.shape == (len(labels), 2) and payments.dtype == float
+
+
 # -- lattice ----------------------------------------------------------------
 
 
@@ -287,6 +341,30 @@ def test_simplex_lattice_counts_and_sums(n, m):
     assert pts.shape[0] == math.comb(m + n - 1, n - 1)
     assert np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-12
     assert len({tuple(r) for r in np.round(pts * m).astype(int)}) == pts.shape[0]
+
+
+def lattice_reference(n, m):
+    """Lexicographic compositions of m into n parts, divided by m; the last
+    part is fixed by the others, so only n - 1 of them are enumerated."""
+    heads = itertools.product(range(m + 1), repeat=n - 1)
+    return np.array([(*h, m - sum(h)) for h in heads if sum(h) <= m], dtype=float) / m
+
+
+def test_simplex_lattice_matches_product_reference():
+    shapes = [(n, m) for n in range(1, 6) for m in range(1, 13)] + [(3, 400)]
+    for n, m in shapes:
+        pts, ref = simplex_lattice(n, m), lattice_reference(n, m)
+        assert pts.shape == ref.shape and pts.dtype == ref.dtype
+        assert pts.tobytes() == ref.tobytes(), (n, m)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+    # the benchmark empties and reads the cache between operations
+    model._lattice_cached.cache_clear()
+    simplex_lattice(2, 4)
+    simplex_lattice(2, 4)
+    info = model._lattice_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_enumeration_points_prefers_intrinsic_grid():
