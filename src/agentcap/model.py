@@ -550,8 +550,12 @@ class LinearShareFamily(ContractFamily):
         return len(self.betas) * len(self.ws)
 
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        labels = [f"beta={beta:g},w={w:g}" for beta in self.betas for w in self.ws]
-        return labels, np.array([beta * y + w for beta in self.betas for w in self.ws], dtype=float)
+        beta_texts = ["beta=" + format(beta, "g") for beta in self.betas]
+        w_texts = [",w=" + format(w, "g") for w in self.ws]
+        labels = [bt + wt for bt in beta_texts for wt in w_texts]
+        betas, ws = np.array(self.betas), np.array(self.ws)
+        payments = betas[:, None, None] * y + ws[None, :, None]
+        return labels, payments.reshape(len(labels), len(y))
 
     def params_dict(self) -> dict:
         return {"betas": list(self.betas), "ws": list(self.ws)}
@@ -575,8 +579,8 @@ class DebtFamily(ContractFamily):
         return len(self.faces)
 
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        labels = [f"F={f:g}" for f in self.faces]
-        return labels, np.array([np.maximum(0.0, y - f) for f in self.faces], dtype=float)
+        labels = ["F=" + format(f, "g") for f in self.faces]
+        return labels, np.maximum(0.0, y - np.array(self.faces)[:, None])
 
     def params_dict(self) -> dict:
         return {"faces": list(self.faces)}
@@ -598,8 +602,8 @@ class LiveOrDieFamily(ContractFamily):
         return len(self.thresholds)
 
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        labels = [f"l={l:g}" for l in self.thresholds]
-        return labels, np.array([np.where(y >= l, y, 0.0) for l in self.thresholds], dtype=float)
+        labels = ["l=" + format(l, "g") for l in self.thresholds]
+        return labels, np.where(y >= np.array(self.thresholds)[:, None], y, 0.0)
 
     def params_dict(self) -> dict:
         return {"thresholds": list(self.thresholds)}
@@ -828,15 +832,12 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                 failures.append("feasible distribution set empty")
 
     try:
-        labels, payments = s.family.payment_matrix(s.y.as_array())
+        _, payments = s.family.payment_matrix(s.y.as_array())
     except (ValidationError, ConfigurationError) as exc:
         failures.append(f"contract family: {exc}")
     else:
-        if len(labels) == 0:
-            failures.append("contract family enumeration is empty")
-        else:
-            violation = s.utility.domain_violation(payments)
-            if violation:
-                failures.append(violation)
+        violation = s.utility.domain_violation(payments)
+        if violation:
+            failures.append(violation)
 
     return ValidationReport(passed=not failures, failures=tuple(failures))

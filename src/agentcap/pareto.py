@@ -2,9 +2,11 @@
 
 The enumeration pairs every family contract with every agent best response;
 best responses do not depend on the output scale alpha, so one enumeration
-serves all alpha. Per-alpha principal payoffs are then linear updates and the
-Pareto filter is a sort-based skyline scan, which keeps repeated filtering
-(bisection on alpha) cheap.
+serves all alpha. Per-alpha principal payoffs are then linear updates. The
+agent utilities do not move with alpha either, so the enumeration sorts them
+once, with the two tolerance cut positions of every profile; the Pareto
+filter at each alpha is then one linear pass over the principal payoffs in
+that order, which keeps repeated filtering (bisection on alpha) cheap.
 """
 
 from __future__ import annotations
@@ -71,40 +73,64 @@ def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
     return s[is_first]
 
 
-def _pareto_keep_mask(agent: np.ndarray, principal: np.ndarray, tol: float) -> np.ndarray:
+class _AgentOrder:
+    """The alpha-invariant half of the dominance test.
+
+    ``order`` sorts the agent utilities ascending (stable). In that order,
+    profile x's weak set {q: q.a >= x.a - tol} is the suffix from
+    ``weak[x]`` and its strict set {q: q.a > x.a + tol} the suffix from
+    ``strict[x]``.
+    """
+
+    __slots__ = ("order", "weak", "strict")
+
+    def __init__(self, agent: np.ndarray, tol: float):
+        self.order = np.argsort(agent, kind="stable")
+        a_s = agent[self.order]
+        self.weak = np.searchsorted(a_s, agent - tol, side="left")
+        self.strict = np.searchsorted(a_s, agent + tol, side="right")
+
+
+def _pareto_keep_mask(
+    agent: np.ndarray, principal: np.ndarray, tol: float, order: _AgentOrder | None = None
+) -> np.ndarray:
     """Mask of profiles not dominated under the tolerance rule: q dominates x
     when q is weakly better in both coordinates (within tol) and strictly
-    better than tol in at least one."""
+    better than tol in at least one.
+
+    With ``best`` the largest principal payoff over a suffix of the agent
+    order, x is dominated when best over its strict set is >= x.p - tol, or
+    best over its weak set is > x.p + tol. ``order`` is the agent order of
+    ``(agent, tol)``, built here when not given; a caller filtering the same
+    agent utilities at many alpha builds it once, and each call is then one
+    linear pass.
+    """
+    if order is None:
+        order = _AgentOrder(agent, tol)
     n = agent.size
-    keep = np.ones(n, dtype=bool)
-    if n <= 1:
-        return keep
-
-    def strict_dom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # exists q: q.a > x.a + tol and q.b >= x.b - tol
-        order = np.argsort(a, kind="stable")
-        a_s, b_s = a[order], b[order]
-        suffix = np.empty(n + 1)
-        suffix[n] = -np.inf
-        np.maximum.accumulate(b_s[::-1], out=suffix[:n][::-1])
-        pos = np.searchsorted(a_s, a + tol, side="right")
-        best = suffix[pos]
-        return best >= b - tol
-
-    dominated = strict_dom(agent, principal) | strict_dom(principal, agent)
+    best = np.empty(n + 1)
+    best[n] = -np.inf
+    np.maximum.accumulate(principal[order.order][::-1], out=best[:n][::-1])
+    dominated = best[order.strict] >= principal - tol
+    dominated |= best[order.weak] > principal + tol
     return ~dominated
 
 
 def _frontier(
-    agent: np.ndarray, principal: np.ndarray, tol: float, tiebreak: tuple[np.ndarray, ...]
+    agent: np.ndarray,
+    principal: np.ndarray,
+    tol: float,
+    tiebreak: tuple[np.ndarray, ...],
+    agent_order: _AgentOrder | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, levels) of the undominated rows.
 
     Indices run by agent utility, then principal payoff, both descending,
     then by the ``tiebreak`` columns ascending, first column first. Levels
     are the clustered agent utilities of those rows, ascending.
+    ``agent_order`` is passed on to ``_pareto_keep_mask``.
     """
-    keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol))
+    keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol, agent_order))
     keys = tuple(col[keep] for col in reversed(tiebreak))
     order = keep[np.lexsort((*keys, -principal[keep], -agent[keep]))]
     return order, _cluster_levels(agent[keep], tol)
@@ -211,8 +237,15 @@ class Enumeration:
     def principal_at(self, alpha: float) -> np.ndarray:
         return alpha * self.exp_output - self.exp_payment
 
+    @cached_property
+    def agent_order(self) -> _AgentOrder:
+        """The agent-utility order every alpha's Pareto mask reuses."""
+        return _AgentOrder(self.agent_u, self.scenario.tol_u)
+
     def pareto_mask(self, alpha: float) -> np.ndarray:
-        return _pareto_keep_mask(self.agent_u, self.principal_at(alpha), self.scenario.tol_u)
+        return _pareto_keep_mask(
+            self.agent_u, self.principal_at(alpha), self.scenario.tol_u, self.agent_order
+        )
 
     def _profile(self, i: int, principal: np.ndarray) -> Profile:
         ci, pi = int(self.contract_id[i]), int(self.point_id[i])
@@ -239,7 +272,7 @@ class Enumeration:
         principal = self.principal_at(alpha)
         tol = self.scenario.tol_u
         order, levels = _frontier(
-            self.agent_u, principal, tol, (self.contract_id, self.point_id)
+            self.agent_u, principal, tol, (self.contract_id, self.point_id), self.agent_order
         )
         return ParetoSet(
             alpha=float(alpha),

@@ -276,10 +276,11 @@ def dated_case(seed):
 
 def brute_pareto_keep(agent, principal, tol):
     """Quadratic-time dominance scan: q beats x when q is strictly better
-    than tol in one payoff and no worse than tol in the other."""
-    agent = np.asarray(agent, dtype=float)
-    principal = np.asarray(principal, dtype=float)
-    n = agent.size
+    than tol in one payoff and no worse than tol in the other. Python floats
+    compare as the float64 values they hold, and are faster to index."""
+    agent = np.asarray(agent, dtype=float).tolist()
+    principal = np.asarray(principal, dtype=float).tolist()
+    n = len(agent)
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         for j in range(n):

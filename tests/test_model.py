@@ -306,6 +306,43 @@ def test_grid_payment_matrices_match_product_reference():
     assert kept.tolist() == [bool(MonotoneBoundedSlopeFamily.admits(b, y)) for b in rows]
 
 
+def test_share_debt_and_live_or_die_match_member_loop_reference():
+    values = (-2.5, -0.0, 0.0, 1e-05, 1e20, 0.3)
+    y = np.array([1.0, 0.0, -3.0, 1e-05, 1e20, 2.5])  # unsorted, with -0.0 payments
+    share = LinearShareFamily((0.0, 1e-05, 0.5, 1.0, -0.0), values)
+    cases = (
+        (share, [
+            (f"beta={b:g},w={w:g}", b * y + w) for b in share.betas for w in share.ws
+        ]),
+        (DebtFamily((0.0, -0.0, 1e-05, 1e20, 0.3)), [
+            (f"F={f:g}", np.maximum(0.0, y - f)) for f in (0.0, -0.0, 1e-05, 1e20, 0.3)
+        ]),
+        (LiveOrDieFamily(values), [(f"l={v:g}", np.where(y >= v, y, 0.0)) for v in values]),
+    )
+    for fam, reference in cases:
+        labels, payments = fam.payment_matrix(y)
+        assert labels == [lab for lab, _ in reference]
+        assert payments.shape == (len(reference), y.size) and payments.dtype == float
+        # bytes, so that -0.0 and 0.0 count as different payments
+        assert payments.tobytes() == np.array([b for _, b in reference]).tobytes()
+    labels = share.payment_matrix(y)[0]
+    assert "beta=1e-05,w=-2.5" in labels and "beta=-0,w=1e+20" in labels
+    assert "beta=0.5,w=-0" in labels
+
+
+def test_validate_scenario_empty_family_reports_once():
+    s = tangent_scenario(0.04)
+    # payments fall as output rises, so the monotone filter keeps no row
+    empty = MonotoneBoundedSlopeFamily(((1.0,), (0.0,)))
+    rep = validate_scenario(
+        Scenario(
+            states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
+            family=empty, utility=s.utility, reservation=0.0, m=s.m,
+        )
+    )
+    assert rep.failures == ("contract family: contract family enumeration is empty",)
+
+
 def test_every_family_shares_the_base_payment_matrix():
     # the benchmark's tracer wraps ContractFamily.payment_matrix, so no
     # family may override it

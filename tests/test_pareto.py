@@ -1,6 +1,7 @@
 """Profile enumeration, the Pareto filter, and reservation-level selection."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from agentcap.model import (
 from agentcap.pareto import (
     Enumeration,
     PricedLattice,
+    _AgentOrder,
     _cluster_levels,
+    _pareto_keep_mask,
     feasible_profiles,
     pareto_filter,
     pareto_set,
     select,
 )
+from agentcap.scaling import alpha_star
 
 from conftest import (
     brute_pareto_keep,
@@ -183,6 +187,73 @@ def test_filter_matches_brute_oracle_on_enumerations():
                 enum.agent_u, enum.principal_at(alpha), enum.scenario.tol_u
             )
             assert np.array_equal(got, want)
+
+
+def test_cached_agent_order_matches_brute_oracle_at_every_alpha():
+    cases = [ladder_scenario(), *(smooth_scenario(seed)[0] for seed in range(5))]
+    cases.append(tangent_scenario(0.04, m=1000))
+    for sc in cases:
+        enum = Enumeration(sc)
+        order = enum.agent_order
+        trace = [a for a, _ in alpha_star(sc).predicate_trace]
+        for alpha in [*np.linspace(0.0, 1.0, 41), *trace]:
+            got = enum.pareto_mask(alpha)
+            want = brute_pareto_keep(enum.agent_u, enum.principal_at(alpha), sc.tol_u)
+            assert np.array_equal(got, want), (sc.family.kind, alpha)
+        assert enum.agent_order is order
+    assert len(trace) > 2  # the tangent fixture, last, bisects
+
+
+DYADIC_TOL = 2.0**-10  # values are multiples of it, so every +-tol is exact
+
+
+def test_keep_mask_matches_brute_oracle_on_dyadic_pairs():
+    # every pair on a 5x5 grid: duplicates and gaps of exactly tol and 2 tol
+    # on both axes
+    grid = DYADIC_TOL * np.arange(-2, 3)
+    for a0, p0, a1, p1 in itertools.product(grid, repeat=4):
+        agent, principal = np.array([a0, a1]), np.array([p0, p1])
+        want = brute_pareto_keep(agent, principal, DYADIC_TOL)
+        assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL), want)
+    t = DYADIC_TOL
+    assert _pareto_keep_mask(np.array([0.0, t]), np.array([0.0, 0.0]), t).all()
+    assert _pareto_keep_mask(np.array([0.0, 0.0]), np.array([0.0, t]), t).all()
+    assert _pareto_keep_mask(np.array([0.0, 2 * t]), np.array([t, 0.0]), t).tolist() == [
+        False, True
+    ]
+    assert _pareto_keep_mask(np.array([t, 0.0]), np.array([0.0, 2 * t]), t).tolist() == [
+        False, True
+    ]
+    assert _pareto_keep_mask(np.array([0.0]), np.array([5.0]), t).tolist() == [True]
+    assert _pareto_keep_mask(np.array([]), np.array([]), t).shape == (0,)
+
+
+def test_one_agent_order_serves_every_principal_vector():
+    rng = np.random.default_rng(5)
+    for n in range(13):
+        for _ in range(40):
+            # few distinct values, so duplicates and exact tol gaps are common
+            agent = DYADIC_TOL * rng.integers(-4, 5, n)
+            order = _AgentOrder(agent, DYADIC_TOL)
+            for _ in range(5):
+                principal = DYADIC_TOL * rng.integers(-4, 5, n)
+                want = brute_pareto_keep(agent, principal, DYADIC_TOL)
+                assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL, order), want)
+                assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL), want)
+
+
+def test_filter_on_dyadic_profiles_matches_brute_oracle_and_order():
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        agent = DYADIC_TOL * rng.integers(-3, 4, n)
+        principal = DYADIC_TOL * rng.integers(-3, 4, n)
+        profiles = [make_profile(a, p, i) for i, (a, p) in enumerate(zip(agent, principal))]
+        kept = pareto_filter(profiles, tol_u=DYADIC_TOL)
+        mask = brute_pareto_keep(agent, principal, DYADIC_TOL)
+        want = sorted(
+            (i for i in range(n) if mask[i]), key=lambda i: (-agent[i], -principal[i], i)
+        )
+        assert [int(p.contract.payments[0]) for p in kept.profiles] == want
 
 
 def test_translation_by_constant_payment():
