@@ -85,10 +85,15 @@ def feasible_lattice(
     point.
     """
     points, costs = priced_points(s) if priced is None else priced
-    mask = costs <= s.capacity + FEASIBILITY_SLACK
+    mask = feasible_mask(costs, s.capacity)
     if not mask.any():
         raise EmptyFeasibleSetError("capacity excludes every enumeration point")
     return points[mask], costs[mask]
+
+
+def feasible_mask(costs: np.ndarray, capacity: float) -> np.ndarray:
+    """The feasibility rule c(p) <= k + FEASIBILITY_SLACK, elementwise."""
+    return costs <= capacity + FEASIBILITY_SLACK
 
 
 def capacity_binding(cost, capacity: float, tol_u: float):
@@ -101,7 +106,11 @@ def capacity_binding(cost, capacity: float, tol_u: float):
 
 
 def scan_grid(
-    payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray, tol_u: float
+    payoffs: np.ndarray,
+    points: np.ndarray,
+    costs: np.ndarray,
+    tol_u: float,
+    running: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid best responses of every payoff row, ties kept.
 
@@ -113,15 +122,25 @@ def scan_grid(
     place, and ties are found as flat indices into the block, split into
     (row, point) pairs in row-major order. The block height is part of the
     result: BLAS may round a matmul differently for another height.
+
+    ``running``, when given, holds one best value per row found over other
+    points, and is updated in place to the best over those and these: a
+    row's floor is then max(running, best here) - tol_u. Scanning a set of
+    points in parts this way finds the ties of the whole set among the last
+    part; a caller keeps the earlier parts' ties that reach the final floor.
     """
     rows_per_block = max(1, _CHUNK // max(1, len(points)))
     r_ids: list[np.ndarray] = []
     p_ids: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for start in range(0, len(payoffs), rows_per_block):
-        vals = payoffs[start : start + rows_per_block] @ points.T
+        stop = start + rows_per_block
+        vals = payoffs[start:stop] @ points.T
         np.subtract(vals, costs, out=vals)
         floor = vals.max(axis=1)
+        if running is not None:
+            np.maximum(floor, running[start:stop], out=floor)
+            running[start:stop] = floor
         floor -= tol_u
         flat = np.flatnonzero(vals >= floor[:, None])
         ri, pi = np.divmod(flat, vals.shape[1])

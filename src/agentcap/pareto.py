@@ -7,6 +7,12 @@ agent utilities do not move with alpha either, so the enumeration sorts them
 once, with the two tolerance cut positions of every profile; the Pareto
 filter at each alpha is then one linear pass over the principal payoffs in
 that order, which keeps repeated filtering (bisection on alpha) cheap.
+
+Best responses do depend on the capacity, but only through the feasible set,
+which grows with it. An enumeration built on the one at the next lower
+capacity scans only the points that became feasible, against each contract's
+best value carried up from below, and keeps the lower ties that still reach
+the new floor; a capacity sweep scores each lattice point once.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agent import capacity_binding, feasible_lattice, priced_points, scan_grid
+from .agent import capacity_binding, feasible_lattice, feasible_mask, priced_points, scan_grid
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
 from .model import Contract, Distribution, Profile, Scenario, check_alpha
 
@@ -195,16 +201,36 @@ class Enumeration:
     omitted; a capacity sweep passes one lattice to every capacity. The
     feasible points keep lattice order, so profile ids are those a fresh
     enumeration at the same capacity gives.
+
+    ``below`` is an enumeration at a capacity no higher than ``s``'s on the
+    same lattice (its lattice is the default). Feasible sets are nested in
+    the capacity, so only the points feasible here but not there are
+    scanned, against each contract's best value carried up from ``below``;
+    ``below``'s ties that still reach the new floor are kept. Ties, binding
+    flags and ids are those of a fresh enumeration; agent utilities of the
+    newly scanned points come from a narrower matmul and may differ from a
+    fresh scan's in the last bit.
     """
 
     def __init__(
-        self, s: Scenario, budget: int | None = None, lattice: PricedLattice | None = None
+        self,
+        s: Scenario,
+        budget: int | None = None,
+        lattice: PricedLattice | None = None,
+        below: Enumeration | None = None,
     ):
         budget = DEFAULT_BUDGET if budget is None else int(budget)
         if lattice is None:
-            lattice = PricedLattice(s)
-        elif not lattice.serves(s):
+            lattice = PricedLattice(s) if below is None else below.lattice
+        if not lattice.serves(s):
             raise ConfigurationError("priced lattice was built for another scenario")
+        if below is not None:
+            if below.lattice is not lattice:
+                raise ConfigurationError("lower enumeration was built on another lattice")
+            if below.scenario.tol_u != s.tol_u:
+                raise ConfigurationError("lower enumeration has another tolerance")
+            if below.scenario.capacity > s.capacity:
+                raise ConfigurationError("lower enumeration has a higher capacity")
         points, costs = feasible_lattice(s, (lattice.points, lattice.costs))
         y = s.y.as_array()
         labels, payments = lattice.contracts
@@ -217,20 +243,49 @@ class Enumeration:
             )
 
         self.scenario = s
+        self.lattice = lattice
         self.labels = labels
         self.payments = payments
         self.points = points
         self.point_costs = costs
 
-        self.contract_id, self.point_id, self.agent_u = scan_grid(
-            lattice.util, points, costs, s.tol_u
-        )
+        # row_max: each contract's best value over the feasible points
+        if below is None:
+            self.row_max = np.full(n_c, -np.inf)
+            self.contract_id, self.point_id, self.agent_u = scan_grid(
+                lattice.util, points, costs, s.tol_u, self.row_max
+            )
+        else:
+            self._scan_above(below)
         self.cost = costs[self.point_id]
         self.binding = capacity_binding(self.cost, s.capacity, s.tol_u)
         self.exp_output = points[self.point_id] @ y
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
         )
+
+    def _scan_above(self, below: Enumeration) -> None:
+        """Ties at this capacity from ``below``'s and a scan of the points
+        feasible here only, ordered by contract, then point."""
+        added = ~feasible_mask(self.point_costs, below.scenario.capacity)
+        # below's feasible points, in order, are the rest of these
+        cid, pid, val = below.contract_id, np.flatnonzero(~added)[below.point_id], below.agent_u
+        if not added.any():
+            self.row_max = below.row_max
+            self.contract_id, self.point_id, self.agent_u = cid, pid, val
+            return
+        new = np.flatnonzero(added)
+        self.row_max = below.row_max.copy()
+        c_new, p_new, v_new = scan_grid(
+            self.lattice.util, self.points[new], self.point_costs[new], self.scenario.tol_u, self.row_max
+        )
+        floor = self.row_max - self.scenario.tol_u
+        keep = val >= floor[cid]
+        cid = np.concatenate((cid[keep], c_new))
+        pid = np.concatenate((pid[keep], new[p_new]))
+        order = np.argsort(cid * len(self.points) + pid, kind="stable")
+        self.contract_id, self.point_id = cid[order], pid[order]
+        self.agent_u = np.concatenate((val[keep], v_new))[order]
 
     # -- queries ----------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .errors import ConfigurationError, EmptySelectionError
 from .model import Profile, Scenario, check_alpha
-from .pareto import Enumeration, PricedLattice
+from .pareto import Enumeration
 
 DEFAULT_EPS_ALPHA = 1e-4
 STEP2_TOL = 1e-6
@@ -212,18 +212,22 @@ def alpha_star(
     u_bar: float | None = None,
     eps: float = DEFAULT_EPS_ALPHA,
     budget: int | None = None,
-    lattice: PricedLattice | None = None,
+    enum: Enumeration | None = None,
 ) -> AlphaStarResult:
     """Bisect for the largest alpha whose selection is capacity slack.
 
     When ``u_bar`` is omitted it is the risk-neutral utility of the base
     profile, the selection of the unscaled problem at the scenario's
-    reservation level. ``lattice`` is handed to the enumeration (see
-    ``Enumeration``).
+    reservation level. ``enum`` is an enumeration of ``s`` built beforehand
+    (a capacity sweep chains them); ``budget`` applies only when it is
+    built here.
     """
     if not eps > 0.0:
         raise ConfigurationError("bisection width must be positive")
-    enum = Enumeration(s, budget, lattice)
+    if enum is None:
+        enum = Enumeration(s, budget)
+    elif enum.scenario != s:
+        raise ConfigurationError("enumeration was built for another scenario")
     if u_bar is None:
         u_bar = _default_u_bar(enum, s.reservation)
     return _alpha_impl(enum, float(u_bar), eps)

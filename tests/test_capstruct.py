@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from agentcap import agent, capstruct
 from agentcap.capstruct import (
     debt_equity_decompose,
     live_or_die_decompose,
@@ -18,9 +19,10 @@ from agentcap.errors import (
     ValidationError,
 )
 from agentcap.model import OutputFunction
+from agentcap.pareto import Enumeration
 from agentcap.scaling import alpha_star
 
-from conftest import tangent_scenario
+from conftest import smooth_scenario, tangent_scenario
 
 Y3 = OutputFunction((0.0, 1.0, 2.0))
 
@@ -140,3 +142,48 @@ def test_sweep_budget_applies_to_each_capacity():
     assert sweep_alpha_star(s, [0.01], budget=contracts * 41) == sweep_alpha_star(s, [0.01])
     with pytest.raises(BudgetExceededError, match=str(contracts * 81)):
         sweep_alpha_star(s, [0.01, 0.04], budget=contracts * 41)
+
+
+def _between_costs(s, q):
+    """Two capacities strictly between the same two neighbouring lattice
+    costs, near the q-quantile of the costs."""
+    costs = np.unique(agent.priced_points(s)[1])
+    j = int(q * (costs.size - 2))
+    lo, gap = costs[j], costs[j + 1] - costs[j]
+    return [float(lo + gap / 3), float(lo + 2 * gap / 3)]
+
+
+def _sweep_cases():
+    tangent = tangent_scenario(0.02, m=400)
+    smooth, _ = smooth_scenario(0)  # three states, relative-entropy cost
+    costs = np.unique(agent.priced_points(smooth)[1])
+    quantiles = [float(k) for k in np.quantile(costs, [0.05, 0.3, 0.6, 0.9])]
+    return {
+        "tangent-generic": (tangent, [0.07, 0.0399, 0.05, 0.0401, 0.2], None),
+        "smooth-entropy": (smooth, quantiles, None),
+        "repeated-k": (tangent, [0.05, 0.01, 0.05, 0.05], None),
+        "between-same-costs": (smooth, [*_between_costs(smooth, 0.5), quantiles[0]], None),
+        "small-blocks": (smooth, [*quantiles, *_between_costs(smooth, 0.7)], 64),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sweep_cases()))
+def test_sweep_enumerations_match_fresh_ones(case, monkeypatch):
+    s, ks, chunk = _sweep_cases()[case]
+    if chunk is not None:
+        monkeypatch.setattr(agent, "_CHUNK", chunk)
+    seen = []
+    solve = capstruct.alpha_star
+
+    def spy(sk, **kwargs):
+        seen.append(kwargs["enum"])
+        return solve(sk, **kwargs)
+
+    monkeypatch.setattr(capstruct, "alpha_star", spy)
+    got = sweep_alpha_star(s, ks)
+    assert [e.scenario.capacity for e in seen] == [k for k, _ in got] == sorted(ks)
+    for chained in seen:
+        fresh = Enumeration(chained.scenario)
+        for name in ("contract_id", "point_id", "binding"):
+            assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
+        assert np.abs(chained.agent_u - fresh.agent_u).max() <= 1e-12

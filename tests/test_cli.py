@@ -373,6 +373,24 @@ def test_sweep_csv_equals_single_alpha_star_runs(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+def test_sweep_csv_rows_equal_alpha_star_runs_on_uneven_grid(tmp_path):
+    # unsorted, with a repeated k and two k between the lattice costs
+    # (81/400)^2 and (82/400)^2, which add no feasible point to each other
+    s = tangent_scenario(0.02, m=400)
+    f = tmp_path / "tangent.json"
+    save_scenario(s, f)
+    ks = [0.05, 0.0412, 0.01, 0.05, 0.0418, 0.0399]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(f), "--out", str(out), "--k-grid", ",".join(map(repr, ks))]) == 0
+    for k, row in zip(sorted(ks), (out / "sweep.csv").read_bytes().splitlines(keepends=True)[1:]):
+        fk = tmp_path / f"k{k!r}.json"
+        save_scenario(dataclasses.replace(s, capacity=k), fk)
+        outk = tmp_path / f"alpha{k!r}"
+        assert main(["alpha-star", "--scenario", str(fk), "--out", str(outk)]) == 0
+        _write_csv(tmp_path / "one.csv", ["k", "alpha_star"], [(k, read_summary(outk)["alpha_star"])])
+        assert row == (tmp_path / "one.csv").read_bytes().splitlines(keepends=True)[1]
+
+
 def test_capstruct_debt_with_override(tmp_path):
     f = tmp_path / "three.json"
     save_scenario(three_state_scenario(), f)

@@ -97,6 +97,20 @@ def test_shared_lattice_rejects_another_scenario():
         Enumeration(tangent_scenario(0.04, m=200), lattice=lattice)
 
 
+def test_enumeration_below_guards():
+    base = tangent_scenario(0.04, m=400)
+    lattice = PricedLattice(base)
+    below = Enumeration(base, lattice=lattice)
+    with pytest.raises(ConfigurationError, match="higher capacity"):
+        Enumeration(dataclasses.replace(base, capacity=0.01), lattice=lattice, below=below)
+    with pytest.raises(ConfigurationError, match="another lattice"):
+        Enumeration(base, lattice=PricedLattice(base), below=below)
+    with pytest.raises(ConfigurationError, match="another tolerance"):
+        Enumeration(dataclasses.replace(base, tol_u=1e-6), below=below)
+    with pytest.raises(ConfigurationError, match="another scenario"):
+        Enumeration(tangent_scenario(0.04, m=200), below=below)
+
+
 def test_alpha_range_guard():
     s = ladder_scenario()
     with pytest.raises(ConfigurationError):

@@ -8,6 +8,7 @@ import pytest
 
 from agentcap.errors import ConfigurationError, EmptySelectionError
 from agentcap.model import Contract, Distribution, Profile, agent_value, principal_value
+from agentcap.pareto import Enumeration
 from agentcap.scaling import (
     alpha_star,
     capacity_slack_predicate,
@@ -83,6 +84,13 @@ def test_alpha_star_guards():
         alpha_star(s, eps=0.0)
     with pytest.raises(EmptySelectionError):
         alpha_star(dataclasses.replace(s, reservation=99.0))
+
+
+def test_alpha_star_on_a_prebuilt_enumeration():
+    s = tangent_scenario(0.04, m=400)
+    assert alpha_star(s, enum=Enumeration(s)) == alpha_star(s)
+    with pytest.raises(ConfigurationError, match="another scenario"):
+        alpha_star(dataclasses.replace(s, capacity=0.09), enum=Enumeration(s))
 
 
 def test_predicate_trace_is_recorded():
