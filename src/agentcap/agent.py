@@ -19,13 +19,13 @@ from .errors import (
     UnsupportedCostError,
 )
 from .model import (
-    FEASIBILITY_SLACK,
     Contract,
     Distribution,
+    PricedLattice,
     Scenario,
     _as_payments,
     _as_probs,
-    enumeration_points,
+    feasible_mask,
 )
 
 _CHUNK = 1 << 21  # cap on rows x points handled per value block
@@ -67,33 +67,20 @@ class AgentFocResidual:
         return float(np.max(np.abs(self.residual)))
 
 
-def priced_points(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Every enumeration point with its cost; nothing here depends on the
-    capacity."""
-    points = enumeration_points(s)
-    return points, np.asarray(s.cost.value_many(points), dtype=float)
-
-
 def feasible_lattice(
-    s: Scenario, priced: tuple[np.ndarray, np.ndarray] | None = None
+    s: Scenario, lattice: PricedLattice | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Enumeration points inside D with their costs, in lattice order.
 
-    ``priced`` is ``priced_points(s)`` computed beforehand, possibly for a
-    scenario differing from ``s`` only in its capacity; by default it is
-    computed here. Raises EmptyFeasibleSetError when capacity excludes every
-    point.
+    ``lattice`` is ``s.lattice`` by default, or another lattice that serves
+    ``s`` (an enumeration built on a lower one reads that one's). Raises
+    EmptyFeasibleSetError when capacity excludes every point.
     """
-    points, costs = priced_points(s) if priced is None else priced
-    mask = feasible_mask(costs, s.capacity)
+    lattice = s.lattice if lattice is None else lattice
+    mask = feasible_mask(lattice.costs, s.capacity)
     if not mask.any():
         raise EmptyFeasibleSetError("capacity excludes every enumeration point")
-    return points[mask], costs[mask]
-
-
-def feasible_mask(costs: np.ndarray, capacity: float) -> np.ndarray:
-    """The feasibility rule c(p) <= k + FEASIBILITY_SLACK, elementwise."""
-    return costs <= capacity + FEASIBILITY_SLACK
+    return lattice.points[mask], lattice.costs[mask]
 
 
 def capacity_binding(cost, capacity: float, tol_u: float):
@@ -237,17 +224,17 @@ def best_response_convex(s: Scenario, b, max_iter: int = 2000, tol: float = 1e-1
 
     k = s.capacity
     p = inner(0.0)
-    if s.cost.value(p) > k + FEASIBILITY_SLACK:
+    if not feasible_mask(s.cost.value(p), k):
         lo, hi = 0.0, 1.0
         for _ in range(70):
-            if s.cost.value(inner(hi)) <= k + FEASIBILITY_SLACK:
+            if feasible_mask(s.cost.value(inner(hi)), k):
                 break
             lo, hi = hi, 2.0 * hi
         else:
             raise EmptyFeasibleSetError("capacity below the attainable cost range")
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if s.cost.value(inner(mid)) > k + FEASIBILITY_SLACK:
+            if not feasible_mask(s.cost.value(inner(mid)), k):
                 lo = mid
             else:
                 hi = mid

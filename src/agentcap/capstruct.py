@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
-from .pareto import Enumeration, PricedLattice
+from .pareto import Enumeration
 from .scaling import alpha_star
 
 
@@ -108,30 +108,32 @@ def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tup
     """alpha* as a function of capacity, sorted by k.
 
     Only the feasibility mask depends on k, so the lattice with its costs and
-    the contracts with their payments and utilities are built once. Feasible
-    sets grow with k, so each capacity's enumeration is built on the one
-    below it and scans only the points that became feasible (see
-    ``Enumeration``); the capacities are then solved serially, each with its
-    own base level. Each k is validated as its own scenario would be: the
-    capacity-independent checks run once, finiteness and a nonempty feasible
-    set per k, and the first failing k raises ValidationError naming it.
+    the contracts with their payments and utilities are built once, when the
+    scenario at the smallest k is validated. Feasible sets grow with k, so
+    each capacity's enumeration is built on the one below it and scans only
+    the points that became feasible (see ``Enumeration``); the capacities
+    are then solved serially, each with its own base level. Each k is
+    validated as its own scenario would be: the capacity-independent checks
+    run once, finiteness and a nonempty feasible set per k, and the first
+    failing k raises ValidationError naming it.
     ``budget`` caps each k's contracts times feasible points.
     """
     ks = sorted(float(k) for k in k_grid)
     if not ks:
         return []
-    report = validate_scenario(dataclasses.replace(s, capacity=ks[0]))
+    sk = dataclasses.replace(s, capacity=ks[0])
+    report = validate_scenario(sk)
     if not report:
         raise ValidationError(f"capacity {ks[0]:g}: " + "; ".join(report.failures))
-    lattice = PricedLattice(s)
     enum = None
     out = []
     for k in ks:
         if not math.isfinite(k):
             raise ValidationError(f"capacity {k:g}: capacity must be finite")
-        sk = dataclasses.replace(s, capacity=k)
+        if k != sk.capacity:
+            sk = dataclasses.replace(s, capacity=k)
         try:
-            enum = Enumeration(sk, budget, lattice, below=enum)
+            enum = Enumeration(sk, budget, below=enum)
         except EmptyFeasibleSetError:
             raise ValidationError(f"capacity {k:g}: feasible distribution set empty") from None
         out.append((k, alpha_star(sk, enum=enum).alpha_star))

@@ -2,8 +2,8 @@
 
 Holds the problem data (states, output, cost, capacity, contract family,
 utility, reservation), the cost-function and utility kinds, the contract
-family enumerations, lattice generation, and scenario validation. Everything
-downstream consumes these types.
+family enumerations, lattice generation and pricing, and scenario
+validation. Everything downstream consumes these types.
 
 Conventions used throughout the package:
   * distributions are dense length-n probability vectors,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -269,8 +269,29 @@ class RelativeEntropyCost(CostFunction):
         return {"theta": self.theta, "q0": list(self.q0)}
 
 
+class _LookupCost(CostFunction):
+    """Base for the kinds defined only at the points of their ``_lookup``
+    table, matched by ``_key``. ``value_many`` builds the table once per
+    call; ``value`` prices a one-row matrix. ``_undefined`` is the error
+    text for any other point, formatted with that point rounded."""
+
+    def value(self, p: np.ndarray) -> float:
+        return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
+
+    def value_many(self, points: np.ndarray) -> np.ndarray:
+        table = self._lookup()
+        out = np.empty(len(points))
+        for i, row in enumerate(points):
+            try:
+                out[i] = table[_key(row)]
+            except KeyError:
+                text = self._undefined.format(tuple(np.round(row, 6)))
+                raise UndefinedCostPointError(text) from None
+        return out
+
+
 @dataclass(frozen=True)
-class TableCost(CostFunction):
+class TableCost(_LookupCost):
     """Explicit cost per listed point; undefined elsewhere.
 
     Points are matched exactly up to 1e-12 per coordinate. The table is
@@ -281,6 +302,7 @@ class TableCost(CostFunction):
     points: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     kind: str = field(default="table", init=False)
+    _undefined = "cost undefined at grid point {}"
 
     def __post_init__(self):
         pts = tuple(_astuple(p) for p in self.points)
@@ -294,26 +316,6 @@ class TableCost(CostFunction):
     def _lookup(self) -> dict:
         return {_key(p): v for p, v in zip(self.points, self.values)}
 
-    def value(self, p: np.ndarray) -> float:
-        try:
-            return self._lookup()[_key(p)]
-        except KeyError:
-            raise UndefinedCostPointError(f"cost undefined at grid point {tuple(np.round(p, 6))}") from None
-
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        table = self._lookup()
-        out = np.empty(len(points))
-        for i, row in enumerate(points):
-            key = _key(row)
-            if key not in table:
-                raise UndefinedCostPointError(f"cost undefined at grid point {tuple(np.round(row, 6))}")
-            out[i] = table[key]
-        return out
-
-    def covers(self, points: np.ndarray) -> bool:
-        table = self._lookup()
-        return all(_key(row) in table for row in points)
-
     def scaled(self, factor: float) -> "TableCost":
         return TableCost(self.points, tuple(factor * v for v in self.values))
 
@@ -322,7 +324,7 @@ class TableCost(CostFunction):
 
 
 @dataclass(frozen=True)
-class EffortCost(CostFunction):
+class EffortCost(_LookupCost):
     """Scalar effort grid mapped to induced distributions and costs.
 
     The cost is defined exactly at the induced distributions; enumeration
@@ -333,6 +335,7 @@ class EffortCost(CostFunction):
     distributions: tuple[tuple[float, ...], ...]
     costs: tuple[float, ...]
     kind: str = field(default="effort", init=False)
+    _undefined = "cost undefined off the induced-effort grid"
 
     def __post_init__(self):
         object.__setattr__(self, "efforts", _astuple(self.efforts))
@@ -351,12 +354,6 @@ class EffortCost(CostFunction):
         for d, c in zip(self.distributions, self.costs):
             table.setdefault(_key(d), c)
         return table
-
-    def value(self, p: np.ndarray) -> float:
-        try:
-            return self._lookup()[_key(p)]
-        except KeyError:
-            raise UndefinedCostPointError("cost undefined off the induced-effort grid") from None
 
     def enumerable_points(self) -> np.ndarray:
         seen: dict = {}
@@ -678,6 +675,12 @@ class Scenario:
     def n(self) -> int:
         return self.states.n
 
+    @cached_property
+    def lattice(self) -> PricedLattice:
+        """The capacity-independent data, built on first use and kept for
+        the life of this scenario."""
+        return PricedLattice(self)
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -738,10 +741,55 @@ def simplex_lattice(n: int, m: int) -> np.ndarray:
 def enumeration_points(s: Scenario) -> np.ndarray:
     """Candidate distributions for exhaustive scans: the cost's intrinsic
     grid for effort kinds, otherwise the scenario's simplex lattice."""
-    intrinsic = s.cost.enumerable_points()
-    if intrinsic is not None:
-        return intrinsic
-    return simplex_lattice(s.n, s.m)
+    return s.lattice.points
+
+
+def feasible_mask(costs, capacity: float):
+    """The feasibility rule c(p) <= k + FEASIBILITY_SLACK, elementwise."""
+    return costs <= capacity + FEASIBILITY_SLACK
+
+
+class PricedLattice:
+    """The capacity-independent data of a scenario.
+
+    Every enumeration point with its cost, and every family contract with its
+    payments and the agent's utility of them. Only the feasible set depends
+    on the capacity, so one instance serves every capacity of a sweep. Each
+    piece is built on first use, so errors come in the order the callers
+    ask for them. The lattice keeps the scenario's capacity-independent
+    fields rather than the scenario, which holds the lattice.
+    """
+
+    def __init__(self, s: Scenario):
+        self.states, self.y, self.cost = s.states, s.y, s.cost
+        self.family, self.utility, self.m = s.family, s.utility, s.m
+
+    def serves(self, s: Scenario) -> bool:
+        """True when ``s`` differs from the lattice's scenario at most in
+        capacity, reservation and tolerance."""
+        return (self.states, self.y, self.cost, self.family, self.utility, self.m) == (
+            s.states, s.y, s.cost, s.family, s.utility, s.m
+        )
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        intrinsic = self.cost.enumerable_points()
+        if intrinsic is not None:
+            return intrinsic
+        return simplex_lattice(self.states.n, self.m)
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        return np.asarray(self.cost.value_many(self.points), dtype=float)
+
+    @cached_property
+    def contracts(self) -> tuple[list[str], np.ndarray]:
+        """Member labels and the (members x states) payment matrix."""
+        return self.family.payment_matrix(self.y.as_array())
+
+    @cached_property
+    def util(self) -> np.ndarray:
+        return np.asarray(self.utility.apply(self.contracts[1]), dtype=float)
 
 
 def cost(s: Scenario, p) -> float:
@@ -816,23 +864,19 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     if dim is not None and dim != n:
         failures.append("cost dimension must equal the state count")
 
-    points = None
     if not failures:
         try:
-            points = enumeration_points(s)
+            costs = s.lattice.costs
+        except UndefinedCostPointError:
+            failures.append("cost undefined at grid point")
         except ValidationError as exc:
             failures.append(str(exc))
-
-    if points is not None:
-        if isinstance(s.cost, TableCost) and not s.cost.covers(points):
-            failures.append("cost undefined at grid point")
         else:
-            costs = s.cost.value_many(points)
-            if not (costs <= s.capacity + FEASIBILITY_SLACK).any():
+            if not feasible_mask(costs, s.capacity).any():
                 failures.append("feasible distribution set empty")
 
     try:
-        _, payments = s.family.payment_matrix(s.y.as_array())
+        _, payments = s.lattice.contracts
     except (ValidationError, ConfigurationError) as exc:
         failures.append(f"contract family: {exc}")
     else:

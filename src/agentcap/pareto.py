@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .agent import capacity_binding, feasible_lattice, feasible_mask, priced_points, scan_grid
+from .agent import capacity_binding, feasible_lattice, scan_grid
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario, check_alpha
+from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasible_mask
 
 DEFAULT_BUDGET = 10**7
 
@@ -158,38 +158,6 @@ def _selection_level(
     return chosen, np.abs(agent - chosen) <= tol
 
 
-class PricedLattice:
-    """The capacity-independent half of an enumeration.
-
-    Every enumeration point with its cost, and every family contract with its
-    payments and the agent's utility of them. Only the feasibility mask
-    depends on the capacity, so one instance serves every capacity of a
-    sweep. Contracts and utilities are built on first use, so an
-    ``Enumeration`` raises its errors in the same order whether it builds the
-    lattice itself or is handed one.
-    """
-
-    def __init__(self, s: Scenario):
-        self.scenario = s
-        self.points, self.costs = priced_points(s)
-
-    @cached_property
-    def contracts(self) -> tuple[list[str], np.ndarray]:
-        return self.scenario.family.payment_matrix(self.scenario.y.as_array())
-
-    @cached_property
-    def util(self) -> np.ndarray:
-        return np.asarray(self.scenario.utility.apply(self.contracts[1]), dtype=float)
-
-    def serves(self, s: Scenario) -> bool:
-        """True when ``s`` differs from the lattice's scenario at most in
-        capacity, reservation and tolerance."""
-        a, b = self.scenario, s
-        return (a.states, a.y, a.cost, a.family, a.utility, a.m) == (
-            b.states, b.y, b.cost, b.family, b.utility, b.m
-        )
-
-
 class Enumeration:
     """Shared engine: contracts x best responses with cached payoff pieces.
 
@@ -197,13 +165,13 @@ class Enumeration:
     selection queries for any alpha against the same profile arrays, so exact
     (contract, point) identities are comparable across alpha.
 
-    ``lattice`` is the capacity-independent half, built from ``s`` when
-    omitted; a capacity sweep passes one lattice to every capacity. The
-    feasible points keep lattice order, so profile ids are those a fresh
-    enumeration at the same capacity gives.
+    The points, their costs, and the contracts with their payments and
+    utilities come from ``s.lattice``; the feasible points keep lattice
+    order.
 
-    ``below`` is an enumeration at a capacity no higher than ``s``'s on the
-    same lattice (its lattice is the default). Feasible sets are nested in
+    ``below`` is an enumeration at a capacity no higher than ``s``'s of a
+    scenario differing from ``s`` at most in capacity and reservation; this
+    enumeration then reads ``below``'s lattice. Feasible sets are nested in
     the capacity, so only the points feasible here but not there are
     scanned, against each contract's best value carried up from ``below``;
     ``below``'s ties that still reach the new floor are kept. Ties, binding
@@ -212,26 +180,19 @@ class Enumeration:
     fresh scan's in the last bit.
     """
 
-    def __init__(
-        self,
-        s: Scenario,
-        budget: int | None = None,
-        lattice: PricedLattice | None = None,
-        below: Enumeration | None = None,
-    ):
+    def __init__(self, s: Scenario, budget: int | None = None, below: Enumeration | None = None):
         budget = DEFAULT_BUDGET if budget is None else int(budget)
-        if lattice is None:
-            lattice = PricedLattice(s) if below is None else below.lattice
-        if not lattice.serves(s):
-            raise ConfigurationError("priced lattice was built for another scenario")
-        if below is not None:
-            if below.lattice is not lattice:
-                raise ConfigurationError("lower enumeration was built on another lattice")
+        if below is None:
+            lattice = s.lattice
+        else:
+            lattice = below.lattice
+            if not lattice.serves(s):
+                raise ConfigurationError("lower enumeration was built for another scenario")
             if below.scenario.tol_u != s.tol_u:
                 raise ConfigurationError("lower enumeration has another tolerance")
             if below.scenario.capacity > s.capacity:
                 raise ConfigurationError("lower enumeration has a higher capacity")
-        points, costs = feasible_lattice(s, (lattice.points, lattice.costs))
+        points, costs = feasible_lattice(s, lattice)
         y = s.y.as_array()
         labels, payments = lattice.contracts
         n_c, n_p = len(labels), len(points)

@@ -9,7 +9,7 @@ scaled problem relates to the unscaled one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,13 +115,14 @@ class TheoremReport:
     slack_witness_ok: bool
 
 
-def _base_index(enum: Enumeration, r: float) -> tuple[int, float]:
+def _base_index(enum: Enumeration, r: float) -> tuple[int, float, np.ndarray]:
     """Deterministic base pick: highest principal payoff in the unscaled
-    selection, ties broken by contract then point id."""
+    selection, ties broken by contract then point id. Returns the pick, the
+    selection's level and its profile indices."""
     chosen, ids, _ = enum.selection_ids(1.0, r)
     pr = enum.principal_at(1.0)[ids]
     order = np.lexsort((enum.point_id[ids], enum.contract_id[ids], -pr))
-    return int(ids[order[0]]), chosen
+    return int(ids[order[0]]), chosen, ids
 
 
 def _risk_neutral_level(enum: Enumeration, i: int) -> float:
@@ -129,8 +130,7 @@ def _risk_neutral_level(enum: Enumeration, i: int) -> float:
 
 
 def _default_u_bar(enum: Enumeration, r: float) -> float:
-    i, _ = _base_index(enum, r)
-    return _risk_neutral_level(enum, i)
+    return _risk_neutral_level(enum, _base_index(enum, r)[0])
 
 
 def _witness(enum: Enumeration, alpha: float, u_bar: float) -> Profile:
@@ -250,16 +250,12 @@ def verify_inequalities(s: Scenario, alpha: float, base: Profile, candidate: Pro
     return InequalitySlacks.chain(alpha, d_out, d_pay, c0 - c1)
 
 
-def _min_slacks(a: InequalitySlacks | None, b: InequalitySlacks) -> InequalitySlacks:
-    if a is None:
-        return b
+def _fieldwise_min(slacks: list[InequalitySlacks]) -> InequalitySlacks:
+    """Each field's minimum over the given slacks, whose fields may be
+    arrays (one entry per candidate)."""
+    names = [f.name for f in fields(InequalitySlacks)]
     return InequalitySlacks(
-        output_payment=min(a.output_payment, b.output_payment),
-        payment_scaled_output=min(a.payment_scaled_output, b.payment_scaled_output),
-        scaled_output=min(a.scaled_output, b.scaled_output),
-        participation=min(a.participation, b.participation),
-        d_output=min(a.d_output, b.d_output),
-        d_payment=min(a.d_payment, b.d_payment),
+        **{name: float(min(np.min(getattr(sl, name)) for sl in slacks)) for name in names}
     )
 
 
@@ -300,12 +296,10 @@ def verify_theorem(
     enum = Enumeration(s, budget)
     if r is None:
         r = s.reservation
-    i_base, base_level = _base_index(enum, r)
+    i_base, base_level, base_ids = _base_index(enum, r)
     u_bar = _risk_neutral_level(enum, i_base)
     base = enum.profile(i_base, 1.0)
     result = _alpha_impl(enum, u_bar, eps)
-
-    _, base_ids, _ = enum.selection_ids(1.0, r)
     base_keys = _keys(enum, base_ids)
 
     if alphas is None:
@@ -329,20 +323,18 @@ def verify_theorem(
         inclusion = base_keys <= _keys(enum, ids)
         converse = _keys(enum, ids[binding]) <= base_keys
 
-        worst: InequalitySlacks | None = None
-        step2 = 0.0
-        for j, is_binding in zip(ids, binding):
-            cand = enum.profile(int(j), alpha)
-            slacks = verify_inequalities(s, alpha, base, cand)
-            worst = _min_slacks(worst, slacks)
-            if is_binding:
-                dev = max(
-                    abs(base.cost - s.capacity),
-                    abs(slacks.d_payment),
-                    abs(slacks.d_output),
-                )
-                step2 = max(step2, dev)
-
+        # base minus each candidate, as in verify_inequalities
+        slacks = InequalitySlacks.chain(
+            alpha,
+            enum.exp_output[i_base] - enum.exp_output[ids],
+            enum.exp_payment[i_base] - enum.exp_payment[ids],
+            enum.cost[i_base] - enum.cost[ids],
+        )
+        step2 = max(
+            abs(base.cost - s.capacity),
+            float(np.abs(slacks.d_payment[binding]).max()),
+            float(np.abs(slacks.d_output[binding]).max()),
+        )
         checks.append(
             AlphaCheck(
                 alpha=alpha,
@@ -352,17 +344,12 @@ def verify_theorem(
                 converse_ok=converse,
                 n_candidates=len(ids),
                 n_binding=int(binding.sum()),
-                worst=worst,
+                worst=_fieldwise_min([slacks]),
                 step2_dev=step2,
             )
         )
 
     tested = [c for c in checks if c.tested]
-    worst_all: InequalitySlacks | None = None
-    for c in tested:
-        if c.worst is not None:
-            worst_all = _min_slacks(worst_all, c.worst)
-
     witness_ok = (
         result.slack_witness is not None and result.slack_witness.cost < s.capacity
     )
@@ -375,7 +362,7 @@ def verify_theorem(
         checks=tuple(checks),
         inclusion_ok=all(c.inclusion_ok for c in tested),
         converse_ok=all(c.converse_ok for c in tested),
-        worst_slacks=worst_all,
+        worst_slacks=_fieldwise_min([c.worst for c in tested]) if tested else None,
         step2_max_dev=max((c.step2_dev for c in tested), default=0.0),
         slack_witness_ok=witness_ok,
     )

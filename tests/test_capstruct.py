@@ -147,7 +147,7 @@ def test_sweep_budget_applies_to_each_capacity():
 def _between_costs(s, q):
     """Two capacities strictly between the same two neighbouring lattice
     costs, near the q-quantile of the costs."""
-    costs = np.unique(agent.priced_points(s)[1])
+    costs = np.unique(s.lattice.costs)
     j = int(q * (costs.size - 2))
     lo, gap = costs[j], costs[j + 1] - costs[j]
     return [float(lo + gap / 3), float(lo + 2 * gap / 3)]
@@ -156,7 +156,7 @@ def _between_costs(s, q):
 def _sweep_cases():
     tangent = tangent_scenario(0.02, m=400)
     smooth, _ = smooth_scenario(0)  # three states, relative-entropy cost
-    costs = np.unique(agent.priced_points(smooth)[1])
+    costs = np.unique(smooth.lattice.costs)
     quantiles = [float(k) for k in np.quantile(costs, [0.05, 0.3, 0.6, 0.9])]
     return {
         "tangent-generic": (tangent, [0.07, 0.0399, 0.05, 0.0401, 0.2], None),

@@ -19,6 +19,7 @@ from agentcap.cli import (
 from agentcap.errors import ScenarioParseError, ValidationError
 from agentcap.model import (
     AgentUtility,
+    ContractFamily,
     DebtFamily,
     EffortCost,
     GridFamily,
@@ -389,6 +390,27 @@ def test_sweep_csv_rows_equal_alpha_star_runs_on_uneven_grid(tmp_path):
         assert main(["alpha-star", "--scenario", str(fk), "--out", str(outk)]) == 0
         _write_csv(tmp_path / "one.csv", ["k", "alpha_star"], [(k, read_summary(outk)["alpha_star"])])
         assert row == (tmp_path / "one.csv").read_bytes().splitlines(keepends=True)[1]
+
+
+@pytest.mark.parametrize("command,flags,most", [
+    ("solve", [], 1),
+    ("alpha-star", [], 1),
+    ("verify", [], 1),
+    ("capstruct", ["--face", "0.1"], 1),
+    ("kkt", [], 1),
+    # one lattice for the file's capacity at load, one for the grid
+    ("sweep", ["--k-grid", "0.09,0.01,0.04"], 2),
+])
+def test_each_command_prices_the_lattice_once(tangent_file, tmp_path, monkeypatch, command, flags, most):
+    calls = {"payment_matrix": 0, "value_many": 0}
+    for owner, name in ((ContractFamily, "payment_matrix"), (QuadraticCost, "value_many")):
+        def counted(*args, _inner=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert main([command, "--scenario", str(tangent_file), "--out", str(tmp_path / "out"), *flags]) == 0
+    assert 1 <= calls["payment_matrix"] <= most and 1 <= calls["value_many"] <= most, calls
 
 
 def test_capstruct_debt_with_override(tmp_path):

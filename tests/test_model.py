@@ -134,7 +134,41 @@ def test_table_cost_lookup():
         c.value(np.array([0.25, 0.75]))
     with pytest.raises(DifferentiabilityError):
         c.gradient(np.array([0.5, 0.5]))
-    assert c.covers(pts) and not c.covers(np.array([[0.1, 0.9]]))
+    with pytest.raises(UndefinedCostPointError, match="cost undefined at grid point"):
+        c.value_many(np.array([[0.0, 1.0], [0.1, 0.9]]))
+
+
+def _lookup_kinds():
+    pts = simplex_lattice(3, 6)
+    values = tuple(float(v) for v in np.arange(len(pts)) / 7.0)
+    # a repeated distribution keeps its first cost
+    dists = (*map(tuple, pts), tuple(pts[2]))
+    effort = EffortCost(tuple(range(len(dists))), dists, (*values, 99.0))
+    return [(TableCost(tuple(map(tuple, pts)), values), pts, values,
+             "cost undefined at grid point"),
+            (effort, pts, values, "cost undefined off the induced-effort grid")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["table", "effort"])
+def test_lookup_costs_build_one_table_per_call(case, monkeypatch):
+    c, pts, values, text = _lookup_kinds()[case]
+    kind = type(c)
+    calls = []
+    build = kind._lookup
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(kind, "_lookup", counted)
+    assert list(c.value_many(pts)) == list(values)
+    assert len(calls) == 1
+    assert [c.value(p) for p in pts] == list(values)
+    assert len(calls) == 1 + len(pts)
+    off = np.array([0.1, 0.2, 0.7])
+    for price in (c.value, lambda p: c.value_many(p[None, :])):
+        with pytest.raises(UndefinedCostPointError, match=text):
+            price(off)
 
 
 def test_effort_cost_points():

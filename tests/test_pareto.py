@@ -1,7 +1,9 @@
 """Profile enumeration, the Pareto filter, and reservation-level selection."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from agentcap.model import (
 )
 from agentcap.pareto import (
     Enumeration,
-    PricedLattice,
     _AgentOrder,
     _cluster_levels,
     _pareto_keep_mask,
@@ -79,36 +80,36 @@ def test_budget_guard():
     assert "evaluations" in str(exc.value)
 
 
-def test_shared_lattice_enumeration_equals_fresh():
-    base = tangent_scenario(0.09, m=400)
-    lattice = PricedLattice(base)
-    for k in (0.0399, 0.04, 0.05):
-        s = dataclasses.replace(base, capacity=k)
-        shared, fresh = Enumeration(s, lattice=lattice), Enumeration(s)
-        for name in ("points", "point_costs", "contract_id", "point_id", "agent_u", "binding",
-                     "exp_output", "exp_payment"):
-            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
-        assert shared.labels == fresh.labels
-
-
-def test_shared_lattice_rejects_another_scenario():
-    lattice = PricedLattice(tangent_scenario(0.04, m=400))
-    with pytest.raises(ConfigurationError):
-        Enumeration(tangent_scenario(0.04, m=200), lattice=lattice)
-
-
 def test_enumeration_below_guards():
     base = tangent_scenario(0.04, m=400)
-    lattice = PricedLattice(base)
-    below = Enumeration(base, lattice=lattice)
+    below = Enumeration(base)
     with pytest.raises(ConfigurationError, match="higher capacity"):
-        Enumeration(dataclasses.replace(base, capacity=0.01), lattice=lattice, below=below)
-    with pytest.raises(ConfigurationError, match="another lattice"):
-        Enumeration(base, lattice=PricedLattice(base), below=below)
+        Enumeration(dataclasses.replace(base, capacity=0.01), below=below)
     with pytest.raises(ConfigurationError, match="another tolerance"):
         Enumeration(dataclasses.replace(base, tol_u=1e-6), below=below)
     with pytest.raises(ConfigurationError, match="another scenario"):
         Enumeration(tangent_scenario(0.04, m=200), below=below)
+    # a chained enumeration reads the lower one's lattice, not its own
+    above = Enumeration(dataclasses.replace(base, capacity=0.09), below=below)
+    assert above.lattice is below.lattice is base.lattice
+
+
+def test_lattice_is_freed_with_its_scenario():
+    # the lattice holds no reference back to its scenario, so reference
+    # counting alone frees it once the scenario and its enumerations go
+    gc.disable()
+    try:
+        s = tangent_scenario(0.04, m=400)
+        enum = Enumeration(s)
+        above = Enumeration(dataclasses.replace(s, capacity=0.09), below=enum)
+        above.selection_ids(0.5, 0.0)
+        ref = weakref.ref(s.lattice)
+        del s, enum
+        assert ref() is not None
+        del above
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_alpha_range_guard():

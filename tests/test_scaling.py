@@ -10,13 +10,14 @@ from agentcap.errors import ConfigurationError, EmptySelectionError
 from agentcap.model import Contract, Distribution, Profile, agent_value, principal_value
 from agentcap.pareto import Enumeration
 from agentcap.scaling import (
+    InequalitySlacks,
     alpha_star,
     capacity_slack_predicate,
     verify_inequalities,
     verify_theorem,
 )
 
-from conftest import tangent_scenario
+from conftest import ladder_scenario, tangent_scenario
 
 
 def tangent_profile(s, slope, alpha):
@@ -185,3 +186,56 @@ def test_verify_theorem_always_binding_capacity():
 def test_verify_theorem_alpha_guard():
     with pytest.raises(ConfigurationError):
         verify_theorem(tangent_scenario(0.04), alphas=[0.5, 1.2])
+
+
+def _per_candidate_reference(s, rep):
+    """The per-alpha worst slacks and step2 deviations from one
+    verify_inequalities call per selected candidate, folded pairwise."""
+    enum = Enumeration(s)
+    base = rep.base_profile
+    out = []
+    for chk in rep.checks:
+        if not chk.tested:
+            out.append((None, 0.0))
+            continue
+        _, ids, binding = enum.selection_ids(chk.alpha, rep.u_bar)
+        worst, step2 = None, 0.0
+        for j, is_binding in zip(ids, binding):
+            sl = verify_inequalities(s, chk.alpha, base, enum.profile(int(j), chk.alpha))
+            if worst is None:
+                worst = sl
+            else:
+                worst = dataclasses.replace(worst, **{
+                    f.name: min(getattr(worst, f.name), getattr(sl, f.name))
+                    for f in dataclasses.fields(sl)
+                })
+            if is_binding:
+                step2 = max(step2, abs(base.cost - s.capacity), abs(sl.d_payment), abs(sl.d_output))
+        out.append((worst, step2))
+    return out
+
+
+def _assert_matches_reference(s):
+    # the alpha grid of acceptance test 04
+    rep = verify_theorem(s, alphas=np.round(np.arange(0.0, 1.0001, 0.05), 12))
+    ref = _per_candidate_reference(s, rep)
+    tested = 0
+    for chk, (worst, step2) in zip(rep.checks, ref):
+        assert chk.worst == worst, chk.alpha
+        assert chk.step2_dev == step2, chk.alpha
+        tested += chk.tested
+    worsts = [w for w, _ in ref if w is not None]
+    if worsts:
+        assert rep.worst_slacks == InequalitySlacks(*(
+            min(getattr(w, f.name) for w in worsts) for f in dataclasses.fields(InequalitySlacks)
+        ))
+    return tested
+
+
+@pytest.mark.parametrize("make", [ladder_scenario, lambda: tangent_scenario(0.04)], ids=["ladder", "tangent"])
+def test_verify_theorem_slacks_equal_per_candidate_loop(make):
+    assert _assert_matches_reference(make()) > 0
+
+
+def test_verify_theorem_slacks_equal_per_candidate_loop_on_random_panel(random_scenario_panel):
+    assert sum(_assert_matches_reference(s) for _, s in random_scenario_panel) > 0
