@@ -21,7 +21,6 @@ from .errors import (
 from .model import (
     Contract,
     Distribution,
-    PricedLattice,
     Scenario,
     _as_payments,
     _as_probs,
@@ -67,16 +66,14 @@ class AgentFocResidual:
         return float(np.max(np.abs(self.residual)))
 
 
-def feasible_lattice(
-    s: Scenario, lattice: PricedLattice | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def feasible_lattice(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Enumeration points inside D with their costs, in lattice order.
 
-    ``lattice`` is ``s.lattice`` by default, or another lattice that serves
-    ``s`` (an enumeration built on a lower one reads that one's). Raises
-    EmptyFeasibleSetError when capacity excludes every point.
+    Reads ``s.lattice``, which ``Scenario.at_capacity`` shares across
+    capacities. Raises EmptyFeasibleSetError when capacity excludes every
+    point.
     """
-    lattice = s.lattice if lattice is None else lattice
+    lattice = s.lattice
     mask = feasible_mask(lattice.costs, s.capacity)
     if not mask.any():
         raise EmptyFeasibleSetError("capacity excludes every enumeration point")

@@ -9,17 +9,11 @@ debt/equity mix) moves.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateScalingError,
-    EmptyFeasibleSetError,
-    ValidationError,
-)
+from .errors import DegenerateScalingError, ValidationError
 from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
 from .pareto import Enumeration
 from .scaling import alpha_star
@@ -55,7 +49,7 @@ class LiveOrDieDecomposition:
 
 def _check_scale(alpha: float, F: float) -> None:
     check_alpha(alpha)
-    if F < 0.0:
+    if not F >= 0.0:
         raise ValidationError("face value must be nonnegative")
 
 
@@ -94,6 +88,8 @@ def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> Liv
     """Split y at the threshold l: below it the principal keeps everything,
     at or above it the agent takes the fraction alpha*."""
     check_alpha(alpha_star)
+    if np.isnan(l):
+        raise ValidationError("threshold must be a number")
     arr = y.as_array()
     alive = arr >= l
     return LiveOrDieDecomposition(
@@ -107,34 +103,23 @@ def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> Liv
 def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tuple[float, float]]:
     """alpha* as a function of capacity, sorted by k.
 
-    Only the feasibility mask depends on k, so the lattice with its costs and
-    the contracts with their payments and utilities are built once, when the
-    scenario at the smallest k is validated. Feasible sets grow with k, so
-    each capacity's enumeration is built on the one below it and scans only
-    the points that became feasible (see ``Enumeration``); the capacities
-    are then solved serially, each with its own base level. Each k is
-    validated as its own scenario would be: the capacity-independent checks
-    run once, finiteness and a nonempty feasible set per k, and the first
-    failing k raises ValidationError naming it.
+    Only the feasibility mask depends on k, so every capacity's scenario is
+    ``s.at_capacity(k)``, and they all share ``s``'s lattice: the points
+    with their costs and the contracts with their payments and utilities
+    are priced once. Each k is validated as its own scenario would be, and
+    the first failing k raises ValidationError naming it. Feasible sets
+    grow with k, so each capacity's enumeration is built on the one below
+    it and scans only the points that became feasible (see
+    ``Enumeration``); each capacity is then solved with its own base level.
     ``budget`` caps each k's contracts times feasible points.
     """
-    ks = sorted(float(k) for k in k_grid)
-    if not ks:
-        return []
-    sk = dataclasses.replace(s, capacity=ks[0])
-    report = validate_scenario(sk)
-    if not report:
-        raise ValidationError(f"capacity {ks[0]:g}: " + "; ".join(report.failures))
     enum = None
     out = []
-    for k in ks:
-        if not math.isfinite(k):
-            raise ValidationError(f"capacity {k:g}: capacity must be finite")
-        if k != sk.capacity:
-            sk = dataclasses.replace(s, capacity=k)
-        try:
-            enum = Enumeration(sk, budget, below=enum)
-        except EmptyFeasibleSetError:
-            raise ValidationError(f"capacity {k:g}: feasible distribution set empty") from None
+    for k in sorted(float(k) for k in k_grid):
+        sk = s.at_capacity(k)
+        report = validate_scenario(sk)
+        if not report:
+            raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
+        enum = Enumeration(sk, budget, below=enum)
         out.append((k, alpha_star(sk, enum=enum).alpha_star))
     return out

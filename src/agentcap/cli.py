@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -269,19 +270,6 @@ def _profile_dict(pf: Profile | None) -> dict | None:
     }
 
 
-def _slacks_dict(sl: scaling.InequalitySlacks | None) -> dict | None:
-    if sl is None:
-        return None
-    return {
-        "output_payment": sl.output_payment,
-        "payment_scaled_output": sl.payment_scaled_output,
-        "scaled_output": sl.scaled_output,
-        "participation": sl.participation,
-        "d_output": sl.d_output,
-        "d_payment": sl.d_payment,
-    }
-
-
 def _float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -370,9 +358,9 @@ def cmd_verify(args) -> int:
         "d_payment",
         "step2_dev",
     ]
+    no_slacks = (None,) * len(dataclasses.fields(scaling.InequalitySlacks))
     rows = []
     for chk in rep.checks:
-        w = chk.worst
         rows.append(
             [
                 chk.alpha,
@@ -382,12 +370,7 @@ def cmd_verify(args) -> int:
                 chk.converse_ok,
                 chk.n_candidates,
                 chk.n_binding,
-                w.output_payment if w else None,
-                w.payment_scaled_output if w else None,
-                w.scaled_output if w else None,
-                w.participation if w else None,
-                w.d_output if w else None,
-                w.d_payment if w else None,
+                *(dataclasses.astuple(chk.worst) if chk.worst else no_slacks),
                 chk.step2_dev,
             ]
         )
@@ -408,7 +391,7 @@ def cmd_verify(args) -> int:
             "n_tested": sum(1 for c in rep.checks if c.tested),
             "inclusion_ok": rep.inclusion_ok,
             "converse_ok": rep.converse_ok,
-            "worst_slacks": _slacks_dict(rep.worst_slacks),
+            "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
             "step2_max_dev": rep.step2_max_dev,
             "slack_witness_ok": rep.slack_witness_ok,
         },

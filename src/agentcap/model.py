@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -285,7 +285,7 @@ class _LookupCost(CostFunction):
             try:
                 out[i] = table[_key(row)]
             except KeyError:
-                text = self._undefined.format(tuple(np.round(row, 6)))
+                text = self._undefined.format(_astuple(np.round(row, 6)))
                 raise UndefinedCostPointError(text) from None
         return out
 
@@ -681,6 +681,17 @@ class Scenario:
         the life of this scenario."""
         return PricedLattice(self)
 
+    def at_capacity(self, k: float) -> Scenario:
+        """This scenario with capacity ``k``, sharing this one's lattice.
+
+        The lattice's pieces are still built on first use, by whichever
+        scenario asks first, so errors come in the same order as on a fresh
+        scenario.
+        """
+        s = replace(self, capacity=k)
+        s.__dict__["lattice"] = self.lattice
+        return s
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -754,22 +765,16 @@ class PricedLattice:
 
     Every enumeration point with its cost, and every family contract with its
     payments and the agent's utility of them. Only the feasible set depends
-    on the capacity, so one instance serves every capacity of a sweep. Each
-    piece is built on first use, so errors come in the order the callers
-    ask for them. The lattice keeps the scenario's capacity-independent
-    fields rather than the scenario, which holds the lattice.
+    on the capacity, so one instance serves every capacity of a sweep, each
+    capacity's scenario made by ``Scenario.at_capacity``. Each piece is
+    built on first use, so errors come in the order the callers ask for
+    them. The lattice keeps the scenario's capacity-independent fields
+    rather than the scenario, which holds the lattice.
     """
 
     def __init__(self, s: Scenario):
         self.states, self.y, self.cost = s.states, s.y, s.cost
         self.family, self.utility, self.m = s.family, s.utility, s.m
-
-    def serves(self, s: Scenario) -> bool:
-        """True when ``s`` differs from the lattice's scenario at most in
-        capacity, reservation and tolerance."""
-        return (self.states, self.y, self.cost, self.family, self.utility, self.m) == (
-            s.states, s.y, s.cost, s.family, s.utility, s.m
-        )
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -17,7 +17,7 @@ the new floor; a capacity sweep scores each lattice point once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -169,32 +169,27 @@ class Enumeration:
     utilities come from ``s.lattice``; the feasible points keep lattice
     order.
 
-    ``below`` is an enumeration at a capacity no higher than ``s``'s of a
-    scenario differing from ``s`` at most in capacity and reservation; this
-    enumeration then reads ``below``'s lattice. Feasible sets are nested in
-    the capacity, so only the points feasible here but not there are
-    scanned, against each contract's best value carried up from ``below``;
-    ``below``'s ties that still reach the new floor are kept. Ties, binding
-    flags and ids are those of a fresh enumeration; agent utilities of the
-    newly scanned points come from a narrower matmul and may differ from a
-    fresh scan's in the last bit.
+    ``below`` is an enumeration, at a capacity no higher than ``s``'s, of a
+    scenario differing from ``s`` only in capacity; building ``s`` with
+    ``below.scenario.at_capacity`` shares the lattice, so it is priced once.
+    Feasible sets are nested in the capacity, so only the points feasible
+    here but not there are scanned, against each contract's best value
+    carried up from ``below``; ``below``'s ties that still reach the new
+    floor are kept. Ties, binding flags and ids are those of a fresh
+    enumeration; agent utilities of the newly scanned points come from a
+    narrower matmul and may differ from a fresh scan's in the last bit.
     """
 
     def __init__(self, s: Scenario, budget: int | None = None, below: Enumeration | None = None):
         budget = DEFAULT_BUDGET if budget is None else int(budget)
-        if below is None:
-            lattice = s.lattice
-        else:
-            lattice = below.lattice
-            if not lattice.serves(s):
+        if below is not None:
+            if replace(below.scenario, capacity=s.capacity) != s:
                 raise ConfigurationError("lower enumeration was built for another scenario")
-            if below.scenario.tol_u != s.tol_u:
-                raise ConfigurationError("lower enumeration has another tolerance")
             if below.scenario.capacity > s.capacity:
                 raise ConfigurationError("lower enumeration has a higher capacity")
-        points, costs = feasible_lattice(s, lattice)
+        points, costs = feasible_lattice(s)
         y = s.y.as_array()
-        labels, payments = lattice.contracts
+        labels, payments = s.lattice.contracts
         n_c, n_p = len(labels), len(points)
         if n_c * n_p > budget:
             raise BudgetExceededError(
@@ -204,7 +199,6 @@ class Enumeration:
             )
 
         self.scenario = s
-        self.lattice = lattice
         self.labels = labels
         self.payments = payments
         self.points = points
@@ -214,7 +208,7 @@ class Enumeration:
         if below is None:
             self.row_max = np.full(n_c, -np.inf)
             self.contract_id, self.point_id, self.agent_u = scan_grid(
-                lattice.util, points, costs, s.tol_u, self.row_max
+                s.lattice.util, points, costs, s.tol_u, self.row_max
             )
         else:
             self._scan_above(below)
@@ -238,7 +232,8 @@ class Enumeration:
         new = np.flatnonzero(added)
         self.row_max = below.row_max.copy()
         c_new, p_new, v_new = scan_grid(
-            self.lattice.util, self.points[new], self.point_costs[new], self.scenario.tol_u, self.row_max
+            self.scenario.lattice.util, self.points[new], self.point_costs[new],
+            self.scenario.tol_u, self.row_max,
         )
         floor = self.row_max - self.scenario.tol_u
         keep = val >= floor[cid]

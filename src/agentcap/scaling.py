@@ -196,6 +196,13 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     )
 
 
+def _check_eps(eps: float) -> None:
+    """Raises ConfigurationError unless the bisection width is positive;
+    NaN fails the comparison too."""
+    if not eps > 0.0:
+        raise ConfigurationError("bisection width must be positive")
+
+
 def capacity_slack_predicate(
     s: Scenario, alpha: float, u_bar: float | None = None, budget: int | None = None
 ) -> bool:
@@ -222,8 +229,7 @@ def alpha_star(
     (a capacity sweep chains them); ``budget`` applies only when it is
     built here.
     """
-    if not eps > 0.0:
-        raise ConfigurationError("bisection width must be positive")
+    _check_eps(eps)
     if enum is None:
         enum = Enumeration(s, budget)
     elif enum.scenario != s:
@@ -293,6 +299,7 @@ def verify_theorem(
     member, is reported untested with the reason; the comparisons are only
     meaningful past the threshold.
     """
+    _check_eps(eps)
     enum = Enumeration(s, budget)
     if r is None:
         r = s.reservation

@@ -1,6 +1,7 @@
 """Debt and live-or-die decompositions of scaled output, and capacity sweeps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ def test_scaled_debt_contract_guards():
         scaled_debt_contract(Y3, 0.5, 0.0)
     with pytest.raises(ValidationError):
         scaled_debt_contract(Y3, -0.5, 1.0)
+    with pytest.raises(ValidationError, match="face value must be nonnegative"):
+        scaled_debt_contract(Y3, math.nan, 1.0)
     with pytest.raises(ConfigurationError):
         scaled_debt_contract(Y3, 0.5, 1.5)
 
@@ -63,6 +66,8 @@ def test_debt_equity_decompose_edge_cases():
     assert underwater.debt_leg == (0.0, 1.0, 2.0)
     with pytest.raises(DegenerateScalingError):
         debt_equity_decompose(Y3, 0.5, 0.0)
+    with pytest.raises(ValidationError, match="face value must be nonnegative"):
+        debt_equity_decompose(Y3, math.nan, 0.5)
 
 
 def test_debt_legs_add_up_and_forms_agree():
@@ -92,6 +97,8 @@ def test_live_or_die_hand_values():
     assert part.principal_leg == (0.5, pytest.approx(0.6))
     with pytest.raises(ConfigurationError):
         live_or_die_decompose(y, 1.0, 1.5)
+    with pytest.raises(ValidationError, match="threshold must be a number"):
+        live_or_die_decompose(y, math.nan, 0.5)
 
 
 def test_live_or_die_adds_up():
@@ -122,6 +129,10 @@ def test_sweep_validates_each_capacity():
     s = tangent_scenario(0.04, m=400)
     with pytest.raises(ValidationError, match="capacity -1"):
         sweep_alpha_star(s, [0.04, -1.0])
+    with pytest.raises(ValidationError, match="^capacity inf: capacity must be finite$"):
+        sweep_alpha_star(s, [0.04, math.inf])
+    with pytest.raises(ValidationError, match="^capacity nan: capacity must be finite$"):
+        sweep_alpha_star(s, [math.nan])
 
 
 def test_sweep_off_lattice_capacities_match_single_solves():

@@ -254,6 +254,30 @@ def test_exit_code_nonfinite_alpha(ladder_file, tmp_path, capsys, value):
         assert "alpha out of [0,1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
+    out = tmp_path / "out"
+    # the width is checked before the enumeration, so before its budget
+    for command in ("alpha-star", "verify"):
+        for budget in (["--budget", "10"], []):
+            rc = main([command, "--scenario", str(tangent_file), "--out", str(out), f"--eps={eps}", *budget])
+            assert rc == 3
+            assert "bisection width must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--face", "face value must be nonnegative"),
+    ("--threshold", "threshold must be a number"),
+])
+def test_exit_code_capstruct_nan_split(tmp_path, capsys, flag, text):
+    f = tmp_path / "three.json"
+    save_scenario(three_state_scenario(), f)
+    for solve in (["--alpha-star", "0.5"], []):
+        rc = main(["capstruct", "--scenario", str(f), "--out", str(tmp_path / "out"), flag, "nan", *solve])
+        assert rc == 3
+        assert text in capsys.readouterr().err
+
+
 def test_exit_code_validation(tmp_path, capsys):
     d = scenario_to_dict(ladder_scenario())
     d["output"] = [0.0, 1.0, 2.0]
@@ -398,8 +422,7 @@ def test_sweep_csv_rows_equal_alpha_star_runs_on_uneven_grid(tmp_path):
     ("verify", [], 1),
     ("capstruct", ["--face", "0.1"], 1),
     ("kkt", [], 1),
-    # one lattice for the file's capacity at load, one for the grid
-    ("sweep", ["--k-grid", "0.09,0.01,0.04"], 2),
+    ("sweep", ["--k-grid", "0.09,0.01,0.04"], 1),
 ])
 def test_each_command_prices_the_lattice_once(tangent_file, tmp_path, monkeypatch, command, flags, most):
     calls = {"payment_matrix": 0, "value_many": 0}

@@ -1,5 +1,6 @@
 """Core types: costs, utilities, contract families, lattices, validation."""
 
+import dataclasses
 import itertools
 import math
 
@@ -134,7 +135,7 @@ def test_table_cost_lookup():
         c.value(np.array([0.25, 0.75]))
     with pytest.raises(DifferentiabilityError):
         c.gradient(np.array([0.5, 0.5]))
-    with pytest.raises(UndefinedCostPointError, match="cost undefined at grid point"):
+    with pytest.raises(UndefinedCostPointError, match=r"cost undefined at grid point \(0\.1, 0\.9\)$"):
         c.value_many(np.array([[0.0, 1.0], [0.1, 0.9]]))
 
 
@@ -436,6 +437,16 @@ def test_simplex_lattice_matches_product_reference():
     simplex_lattice(2, 4)
     info = model._lattice_cached.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_at_capacity_shares_the_lattice():
+    s = tangent_scenario(0.04, m=40)
+    sk = s.at_capacity(0.09)
+    assert sk == dataclasses.replace(s, capacity=0.09)
+    assert sk.lattice is s.lattice
+    # nothing is priced until a scenario asks for it
+    assert not {"points", "costs", "contracts", "util"} & vars(s.lattice).keys()
+    assert sk.lattice.costs is s.lattice.costs
 
 
 def test_enumeration_points_prefers_intrinsic_grid():

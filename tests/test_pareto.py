@@ -84,14 +84,14 @@ def test_enumeration_below_guards():
     base = tangent_scenario(0.04, m=400)
     below = Enumeration(base)
     with pytest.raises(ConfigurationError, match="higher capacity"):
-        Enumeration(dataclasses.replace(base, capacity=0.01), below=below)
-    with pytest.raises(ConfigurationError, match="another tolerance"):
+        Enumeration(base.at_capacity(0.01), below=below)
+    with pytest.raises(ConfigurationError, match="another scenario"):
         Enumeration(dataclasses.replace(base, tol_u=1e-6), below=below)
     with pytest.raises(ConfigurationError, match="another scenario"):
         Enumeration(tangent_scenario(0.04, m=200), below=below)
-    # a chained enumeration reads the lower one's lattice, not its own
-    above = Enumeration(dataclasses.replace(base, capacity=0.09), below=below)
-    assert above.lattice is below.lattice is base.lattice
+    # a chained enumeration of an at_capacity scenario reads the one lattice
+    above = Enumeration(base.at_capacity(0.09), below=below)
+    assert above.scenario.lattice is below.scenario.lattice is base.lattice
 
 
 def test_lattice_is_freed_with_its_scenario():
@@ -101,7 +101,7 @@ def test_lattice_is_freed_with_its_scenario():
     try:
         s = tangent_scenario(0.04, m=400)
         enum = Enumeration(s)
-        above = Enumeration(dataclasses.replace(s, capacity=0.09), below=enum)
+        above = Enumeration(s.at_capacity(0.09), below=enum)
         above.selection_ids(0.5, 0.0)
         ref = weakref.ref(s.lattice)
         del s, enum
