@@ -47,15 +47,23 @@ class LiveOrDieDecomposition:
     principal_leg: tuple[float, ...]
 
 
-def _check_scale(alpha: float, F: float) -> None:
-    check_alpha(alpha)
+def check_face(F: float) -> None:
+    """Raises ValidationError unless the face value is nonnegative; NaN
+    fails the comparison too."""
     if not F >= 0.0:
         raise ValidationError("face value must be nonnegative")
 
 
+def check_threshold(l: float) -> None:
+    """Raises ValidationError for a NaN threshold."""
+    if np.isnan(l):
+        raise ValidationError("threshold must be a number")
+
+
 def scaled_debt_contract(y: OutputFunction, F: float, alpha: float) -> Contract:
     """The agent leg max{0, alpha*y - F} of a debt contract on scaled output."""
-    _check_scale(alpha, F)
+    check_alpha(alpha)
+    check_face(F)
     if alpha == 0.0 and F > 0.0:
         raise DegenerateScalingError("face value cannot be scaled by alpha = 0")
     arr = y.as_array()
@@ -68,7 +76,8 @@ def debt_equity_decompose(y: OutputFunction, F: float, alpha_star: float) -> Deb
     Uses the factored form alpha* * max{0, y - F/alpha*} for the agent leg, so
     the adding-up identity holds per state up to float rounding.
     """
-    _check_scale(alpha_star, F)
+    check_alpha(alpha_star)
+    check_face(F)
     if alpha_star == 0.0:
         raise DegenerateScalingError("face value cannot be scaled by alpha = 0")
     arr = y.as_array()
@@ -88,8 +97,7 @@ def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> Liv
     """Split y at the threshold l: below it the principal keeps everything,
     at or above it the agent takes the fraction alpha*."""
     check_alpha(alpha_star)
-    if np.isnan(l):
-        raise ValidationError("threshold must be a number")
+    check_threshold(l)
     arr = y.as_array()
     alive = arr >= l
     return LiveOrDieDecomposition(

@@ -125,10 +125,19 @@ def _utility_from(kind: str, params: dict) -> AgentUtility:
     raise ScenarioParseError(f"unknown utility kind {kind!r}")
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(f"{key} must be an integer")
+    return value
+
+
 def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     try:
+        if not isinstance(data["states"], list):
+            raise ScenarioParseError("states must be a list of labels")
         states = StateSpace(tuple(data["states"]))
         cost_kind, cost_params = _section(data, "cost")
         fam_kind, fam_params = _section(data, "contract_family")
@@ -136,7 +145,9 @@ def scenario_from_dict(data) -> Scenario:
             util_kind, util_params = _section(data, "utility")
         else:
             util_kind, util_params = "risk_neutral", {}
-        tolerances = data.get("tolerances") or {}
+        tolerances = data.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ScenarioParseError("tolerances must be an object")
         return Scenario(
             states=states,
             y=OutputFunction(tuple(data["output"])),
@@ -145,7 +156,7 @@ def scenario_from_dict(data) -> Scenario:
             family=_family_from(fam_kind, fam_params, states.n),
             utility=_utility_from(util_kind, util_params),
             reservation=data["reservation"],
-            m=data["simplex_grid"],
+            m=_integer(data["simplex_grid"], "simplex_grid"),
             tol_u=tolerances.get("tol_u", model.DEFAULT_TOL_U),
         )
     except KeyError as exc:
@@ -168,8 +179,8 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
+def read_scenario(path) -> Scenario:
+    """Read and parse a scenario file, without validating it."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -179,7 +190,12 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    s = scenario_from_dict(data)
+    return scenario_from_dict(data)
+
+
+def load_scenario(path) -> Scenario:
+    """Read, parse, and validate a scenario file."""
+    s = read_scenario(path)
     report = validate_scenario(s)
     if not report.passed:
         raise ValidationError("; ".join(report.failures))
@@ -400,7 +416,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s = load_scenario(args.scenario)
+    # the sweep validates the scenario at each k and never solves at the
+    # file's own capacity, so the file is not validated on its own
+    s = read_scenario(args.scenario)
     outdir = _outdir(args)
     ks = _float_list(args.k_grid, "--k-grid")
     pairs = capstruct.sweep_alpha_star(s, ks, args.budget)
@@ -423,9 +441,13 @@ def cmd_sweep(args) -> int:
 def cmd_capstruct(args) -> int:
     s = load_scenario(args.scenario)
     outdir = _outdir(args)
-    if args.alpha_star_override is not None:
-        astar = check_alpha(args.alpha_star_override)
+    astar = None if args.alpha_star_override is None else check_alpha(args.alpha_star_override)
+    # the split flag is checked before alpha* is solved, so before its budget
+    if args.face is not None:
+        capstruct.check_face(args.face)
     else:
+        capstruct.check_threshold(args.threshold)
+    if astar is None:
         astar = scaling.alpha_star(s, budget=args.budget).alpha_star
     labels = s.states.labels
     if args.face is not None:
@@ -448,6 +470,8 @@ def cmd_kkt(args) -> int:
     s = load_scenario(args.scenario)
     outdir = _outdir(args)
     tokens = set() if args.active_set == "none" else {t.strip() for t in args.active_set.split(",") if t.strip()}
+    if not tokens and args.active_set != "none":
+        raise ConfigurationError("--active-set expects none or at least one constraint")
     unknown = tokens - {"capacity", "participation"}
     if unknown:
         raise ConfigurationError(f"unknown --active-set entry {sorted(unknown)[0]!r}")

@@ -1,18 +1,19 @@
 """First-order conditions for the principal's program with a risk-averse agent.
 
-The agent's incentive constraint is replaced by his own first-order condition,
-which enters the principal's Lagrangian with multiplier phi per state. The
-resulting stationarity system is evaluated verbatim and solved by damped
-Gauss-Newton on small interior instances. For a risk-neutral agent the solved
-contract is affine in output, which ``affine_representation_check`` fits and
-scores.
+The agent's incentive constraint is replaced by its own first-order condition,
+which enters the principal's Lagrangian with multiplier phi per state. One
+function, ``_rows``, writes the stationarity system that the damped
+Gauss-Newton solve and ``principal_foc_residual`` evaluate. Its multiplier row
+gives the one phi identity, phi = -p (1/u'(b) + zeta), behind
+``phi_identity_gap`` and the curvature regressor of the affine readout, which
+for a risk-neutral agent reads the solved contract as affine in output.
 
 Participation enters as E_p[u(b)] - c(p) >= 0 against a zero outside option.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,48 +104,6 @@ def _derivative_parts(s: Scenario, b: np.ndarray, p: np.ndarray):
     return g, h, u, up
 
 
-def principal_foc_residual(s: Scenario, point: PrincipalFocPoint) -> FocResiduals:
-    """Evaluate the displayed stationarity system at the given point.
-
-    No consistency between the rows is assumed; an arbitrary point simply
-    produces nonzero residuals.
-    """
-    b = point.b.as_array()
-    p = point.p.as_array()
-    phi = np.asarray(point.phi, dtype=float)
-    if b.size != s.n or p.size != s.n or phi.size != s.n:
-        raise ConfigurationError("point dimensions must match the state count")
-    y = s.y.as_array()
-    g, h, u, up = _derivative_parts(s, b, p)
-    r_b = (y - b) - (point.tau + point.delta * g - (point.mu + 1.0) * (h @ phi) + point.zeta * (u - g))
-    r_p = (-p) - (phi * up + point.zeta * p * up)
-    r_orth = float(phi @ g)
-    r_agent = u - g - point.rho - point.mu * g
-    c = float(s.cost.value(p))
-    return FocResiduals(
-        stationarity_b=tuple(float(v) for v in r_b),
-        stationarity_p=tuple(float(v) for v in r_p),
-        orthogonality=r_orth,
-        agent_foc=tuple(float(v) for v in r_agent),
-        simplex_gap=float(p.sum() - 1.0),
-        capacity_gap=float(s.capacity - c),
-        participation_gap=float(p @ u - c),
-    )
-
-
-def phi_identity_gap(s: Scenario, point: PrincipalFocPoint) -> float:
-    """Max deviation from phi = -p (1 + zeta) / u'(b), the algebraic
-    consequence of the multiplier stationarity row."""
-    b = point.b.as_array()
-    p = point.p.as_array()
-    up = np.asarray(s.utility.derivative(b), dtype=float)
-    phi = np.asarray(point.phi, dtype=float)
-    return float(np.max(np.abs(phi + p * (1.0 + point.zeta) / up)))
-
-
-# -- solver -----------------------------------------------------------------
-
-
 def _pack(point: PrincipalFocPoint) -> np.ndarray:
     return np.concatenate([
         point.b.as_array(),
@@ -160,25 +119,71 @@ def _unpack(x: np.ndarray, n: int):
     return b, p, phi, rho, mu, tau, delta, zeta
 
 
-def _system(s: Scenario, x: np.ndarray, capacity_active: bool, participation_active: bool) -> np.ndarray:
-    n = s.n
-    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, n)
+def _rows(s: Scenario, x: np.ndarray):
+    """The stationarity system at the packed point x, as (contract row,
+    multiplier row, orthogonality, agent row, simplex gap, c(p), E_p[u(b)])."""
+    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, s.n)
     y = s.y.as_array()
     g, h, u, up = _derivative_parts(s, b, p)
-    c = float(s.cost.value(p))
-    rows = [
+    return (
         (y - b) - (tau + delta * g - (mu + 1.0) * (h @ phi) + zeta * (u - g)),
         (-p) - (phi * up + zeta * p * up),
-        [float(phi @ g)],
+        float(phi @ g),
         u - g - rho - mu * g,
-        [p.sum() - 1.0],
-    ]
+        p.sum() - 1.0,
+        float(s.cost.value(p)),
+        float(p @ u),
+    )
+
+
+def _residuals(s: Scenario, x: np.ndarray) -> FocResiduals:
+    r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
+    return FocResiduals(
+        stationarity_b=tuple(float(v) for v in r_b),
+        stationarity_p=tuple(float(v) for v in r_p),
+        orthogonality=r_orth,
+        agent_foc=tuple(float(v) for v in r_agent),
+        simplex_gap=float(simplex),
+        capacity_gap=float(s.capacity - c),
+        participation_gap=float(eu - c),
+    )
+
+
+def principal_foc_residual(s: Scenario, point: PrincipalFocPoint) -> FocResiduals:
+    """The rows the solver drives to zero, at any point: nothing ties them
+    together, so a point off the solution simply gives nonzero residuals."""
+    if not len(point.b.payments) == len(point.p.probs) == len(point.phi) == s.n:
+        raise ConfigurationError("point dimensions must match the state count")
+    return _residuals(s, _pack(point))
+
+
+def _phi_identity(p: np.ndarray, up: np.ndarray, zeta: float) -> np.ndarray:
+    """phi = -p (1/u'(b) + zeta), the value that zeroes the multiplier row."""
+    return -p * (1.0 / up + zeta)
+
+
+def phi_identity_gap(s: Scenario, point: PrincipalFocPoint) -> float:
+    """Max deviation of phi from -p (1/u'(b) + zeta), the solution of the
+    multiplier stationarity row; zero wherever that row holds."""
+    p = point.p.as_array()
+    up = np.asarray(s.utility.derivative(point.b.as_array()), dtype=float)
+    phi = np.asarray(point.phi, dtype=float)
+    return float(np.max(np.abs(phi - _phi_identity(p, up, point.zeta))))
+
+
+# -- solver -----------------------------------------------------------------
+
+
+def _system(s: Scenario, x: np.ndarray, capacity_active: bool, participation_active: bool) -> np.ndarray:
+    r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
+    rho, mu, tau, delta, zeta = x[3 * s.n :]
+    rows = [r_b, r_p, [r_orth], r_agent, [simplex]]
     if capacity_active:
         rows.append([c - s.capacity])
     else:
         rows.append([mu, delta])
     if participation_active:
-        rows.append([float(p @ u) - c])
+        rows.append([eu - c])
     else:
         rows.append([zeta])
     return np.concatenate([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows])
@@ -241,12 +246,18 @@ def solve_principal_foc(
     member.
 
     Returns the last iterate with ``converged`` False when the iteration
-    stalls or the budget runs out; raises only for a singular Jacobian or a
-    non-interior start.
+    stalls or the budget runs out; raises for a bad ``tol`` or ``max_iter``,
+    a singular Jacobian or a non-interior start.
     """
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError("tol must be positive and finite")
+    if max_iter < 0:
+        raise ConfigurationError("max_iter must be nonnegative")
+
     def fun(z: np.ndarray) -> np.ndarray:
         return _system(s, z, capacity_active, participation_active)
 
+    n = s.n
     x = _pack(initial)
     r = fun(x)
 
@@ -255,17 +266,11 @@ def solve_principal_foc(
             break
         jac = _finite_difference_jacobian(fun, x, r)
         step, _, rank, sv = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
+        finite = np.all(np.isfinite(step))
+        if not finite or rank < min(jac.shape):
             cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-            raise SingularJacobianError(
-                "stationarity Jacobian is numerically singular", condition_number=cond
-            )
-        if rank < min(jac.shape):
-            cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-            raise SingularJacobianError(
-                f"stationarity Jacobian is rank deficient ({rank} < {min(jac.shape)})",
-                condition_number=cond,
-            )
+            reason = f"rank deficient ({rank} < {min(jac.shape)})" if finite else "numerically singular"
+            raise SingularJacobianError(f"stationarity Jacobian is {reason}", condition_number=cond)
         norm0 = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
@@ -273,8 +278,7 @@ def solve_principal_foc(
             xt = x + lam * step
             # the lstsq step keeps the adding-up row only approximately;
             # remove the uniform drift so the iterate stays a distribution
-            nn = s.n
-            xt[nn:2 * nn] -= (xt[nn:2 * nn].sum() - 1.0) / nn
+            xt[n:2 * n] -= (xt[n:2 * n].sum() - 1.0) / n
             try:
                 rt = fun(xt)
             except InteriorityError:
@@ -288,9 +292,9 @@ def solve_principal_foc(
         if not accepted:
             break
 
-    n = s.n
     b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, n)
-    point = PrincipalFocPoint(
+    system_residual = float(np.max(np.abs(r)))
+    return PrincipalFocPoint(
         b=Contract(tuple(b)),
         p=Distribution(tuple(p)),
         rho=float(rho),
@@ -299,12 +303,7 @@ def solve_principal_foc(
         delta=float(delta),
         zeta=float(zeta),
         phi=tuple(float(v) for v in phi),
-    )
-    residuals = principal_foc_residual(s, point)
-    system_residual = float(np.max(np.abs(r)))
-    return replace(
-        point,
-        residuals=residuals,
+        residuals=_residuals(s, x),
         converged=bool(system_residual <= tol),
         system_residual=system_residual,
     )
@@ -313,8 +312,8 @@ def solve_principal_foc(
 def affine_representation_check(s: Scenario, point: PrincipalFocPoint) -> AffineRepresentation:
     """Fit b against {y, 1, curvature term} and score the fit.
 
-    The curvature regressor is p * (1/u'(b) + zeta) * (row sums of the cost
-    Hessian). A zero regressor (as happens at zeta = -1 with a risk-neutral
+    The curvature regressor is -phi from the phi identity times the row sums
+    of the cost Hessian. A zero regressor (as at zeta = -1 with a risk-neutral
     agent) simply gets coefficient zero; only constant output is an error,
     because then the slope is unidentified.
     """
@@ -324,7 +323,7 @@ def affine_representation_check(s: Scenario, point: PrincipalFocPoint) -> Affine
     b = point.b.as_array()
     p = point.p.as_array()
     g, h, u, up = _derivative_parts(s, b, p)
-    curvature_term = p * (1.0 / up + point.zeta) * (h @ np.ones(s.n))
+    curvature_term = -_phi_identity(p, up, point.zeta) * (h @ np.ones(s.n))
     design = np.column_stack([y, np.ones(s.n), curvature_term])
     coef, _, _, _ = np.linalg.lstsq(design, b, rcond=None)
     fit_residual = float(np.linalg.norm(design @ coef - b))

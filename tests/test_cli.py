@@ -151,6 +151,12 @@ def test_parse_errors():
         lambda d: d.update(cost="not-a-section"),
         lambda d: d["contract_family"]["params"].pop("values"),
         lambda d: d["utility"].update(kind="exotic"),
+        lambda d: d.update(tolerances=[1]),
+        lambda d: d.update(tolerances=1),
+        lambda d: d.update(tolerances="tol_u"),
+        lambda d: d.update(simplex_grid=2.5),
+        lambda d: d.update(simplex_grid=True),
+        lambda d: d.update(states="LH"),
     ):
         d = json.loads(json.dumps(good))
         mutate(d)
@@ -272,7 +278,8 @@ def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
 def test_exit_code_capstruct_nan_split(tmp_path, capsys, flag, text):
     f = tmp_path / "three.json"
     save_scenario(three_state_scenario(), f)
-    for solve in (["--alpha-star", "0.5"], []):
+    # the split flag is checked before alpha* is solved, so before its budget
+    for solve in (["--alpha-star", "0.5"], [], ["--budget", "10"]):
         rc = main(["capstruct", "--scenario", str(f), "--out", str(tmp_path / "out"), flag, "nan", *solve])
         assert rc == 3
         assert text in capsys.readouterr().err
@@ -302,6 +309,31 @@ def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("capacity", [-1.0, float("nan")])
+def test_sweep_does_not_validate_the_file_capacity(tmp_path, capacity):
+    # the sweep solves only at the --k-grid capacities, each validated
+    for name, k in (("own", 0.04), ("other", capacity)):
+        d = scenario_to_dict(tangent_scenario(0.04, m=400))
+        d["capacity"] = k
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(d))
+        rc = main(["sweep", "--scenario", str(f), "--out", str(tmp_path / name), "--k-grid", "0.01,0.04"])
+        assert rc == 0
+    assert (tmp_path / "own" / "sweep.csv").read_bytes() == (tmp_path / "other" / "sweep.csv").read_bytes()
+
+
+def test_sweep_reports_invalid_scenario_at_first_capacity(tmp_path, capsys):
+    d = scenario_to_dict(tangent_scenario(0.04, m=400))
+    d["capacity"] = -1.0
+    d["output"] = [0.0, 1.0, 2.0]
+    f = tmp_path / "invalid.json"
+    f.write_text(json.dumps(d))
+    rc = main(["sweep", "--scenario", str(f), "--out", str(tmp_path / "out"), "--k-grid", "0.04,0.01"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "agentcap: capacity 0.01: output length must equal the state count")
+
+
 def test_exit_code_empty_selection(tmp_path, capsys):
     d = scenario_to_dict(ladder_scenario())
     d["reservation"] = 99.0
@@ -321,6 +353,18 @@ def test_exit_code_solver_failures(share_file, tmp_path, capsys):
     rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), "--active-set", "none"])
     assert rc == 6
     assert "Jacobian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,text", [
+    ("--tol", "nan", "tol must be positive and finite"),
+    ("--tol", "-1", "tol must be positive and finite"),
+    ("--tol", "inf", "tol must be positive and finite"),
+    ("--max-iter", "-1", "max_iter must be nonnegative"),
+])
+def test_exit_code_kkt_stopping_flags(share_file, tmp_path, capsys, flag, value, text):
+    rc = main(["kkt", "--scenario", str(share_file), "--out", str(tmp_path / "out"), f"{flag}={value}"])
+    assert rc == 3
+    assert text in capsys.readouterr().err
 
 
 def test_argparse_usage_errors(ladder_file):
@@ -497,6 +541,10 @@ def test_kkt_active_set_parsing(share_file, tmp_path, capsys):
     rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), "--active-set", "warp"])
     assert rc == 3
     assert "unknown --active-set entry" in capsys.readouterr().err
+    for empty in ("", ","):
+        rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), f"--active-set={empty}"])
+        assert rc == 3
+        assert "--active-set expects none or at least one constraint" in capsys.readouterr().err
     f = tmp_path / "binding.json"
     save_scenario(share_scenario(0.05), f)
     rc = main([

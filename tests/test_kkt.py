@@ -157,6 +157,23 @@ def test_solve_singular_jacobian():
     assert exc.value.condition_number > 1e12
 
 
+@pytest.mark.parametrize("kw", [
+    dict(tol=float("nan")), dict(tol=-1.0), dict(tol=0.0), dict(tol=float("inf")), dict(max_iter=-1),
+], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max_iter-negative"])
+def test_solve_rejects_bad_stopping_rule(kw):
+    s = share_scenario(0.2)
+    with pytest.raises(ConfigurationError):
+        solve_principal_foc(s, make_initial_point(s), **kw)
+
+
+@pytest.mark.parametrize("capacity,active", [(0.2, False), (0.05, True)])
+def test_solved_point_reports_the_system_it_solved(capacity, active):
+    s = share_scenario(capacity)
+    pt = solve_principal_foc(s, make_initial_point(s), capacity_active=active)
+    assert pt.converged
+    assert principal_foc_residual(s, pt) == pt.residuals
+
+
 def test_initial_point_is_interior_and_cheap():
     s = share_scenario(0.2)
     pt = make_initial_point(s, beta=0.5, w=0.0)
@@ -180,6 +197,9 @@ def test_solve_cara_two_state():
     )
     pt = solve_principal_foc(s, make_initial_point(s))
     assert pt.converged
+    # the phi identity is the multiplier row solved for phi, so it holds
+    # wherever the solver zeroed that row, with u' != 1 as well
+    assert phi_identity_gap(s, pt) <= 1e-8
     aff = affine_representation_check(s, pt)
     # two states cannot reject the three-regressor affine form
     assert aff.fit_residual <= 1e-12
