@@ -179,8 +179,8 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def read_scenario(path) -> Scenario:
-    """Read and parse a scenario file, without validating it."""
+def load_scenario(path) -> Scenario:
+    """Read, parse, and validate a scenario file."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -190,12 +190,7 @@ def read_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return scenario_from_dict(data)
-
-
-def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
-    s = read_scenario(path)
+    s = scenario_from_dict(data)
     report = validate_scenario(s)
     if not report.passed:
         raise ValidationError("; ".join(report.failures))
@@ -416,9 +411,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the sweep validates the scenario at each k and never solves at the
-    # file's own capacity, so the file is not validated on its own
-    s = read_scenario(args.scenario)
+    s = load_scenario(args.scenario)
     outdir = _outdir(args)
     ks = _float_list(args.k_grid, "--k-grid")
     pairs = capstruct.sweep_alpha_star(s, ks, args.budget)

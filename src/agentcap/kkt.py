@@ -176,7 +176,7 @@ def phi_identity_gap(s: Scenario, point: PrincipalFocPoint) -> float:
 
 def _system(s: Scenario, x: np.ndarray, capacity_active: bool, participation_active: bool) -> np.ndarray:
     r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
-    rho, mu, tau, delta, zeta = x[3 * s.n :]
+    _, _, _, _, mu, _, delta, zeta = _unpack(x, s.n)
     rows = [r_b, r_p, [r_orth], r_agent, [simplex]]
     if capacity_active:
         rows.append([c - s.capacity])

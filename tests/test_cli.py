@@ -309,31 +309,6 @@ def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("capacity", [-1.0, float("nan")])
-def test_sweep_does_not_validate_the_file_capacity(tmp_path, capacity):
-    # the sweep solves only at the --k-grid capacities, each validated
-    for name, k in (("own", 0.04), ("other", capacity)):
-        d = scenario_to_dict(tangent_scenario(0.04, m=400))
-        d["capacity"] = k
-        f = tmp_path / f"{name}.json"
-        f.write_text(json.dumps(d))
-        rc = main(["sweep", "--scenario", str(f), "--out", str(tmp_path / name), "--k-grid", "0.01,0.04"])
-        assert rc == 0
-    assert (tmp_path / "own" / "sweep.csv").read_bytes() == (tmp_path / "other" / "sweep.csv").read_bytes()
-
-
-def test_sweep_reports_invalid_scenario_at_first_capacity(tmp_path, capsys):
-    d = scenario_to_dict(tangent_scenario(0.04, m=400))
-    d["capacity"] = -1.0
-    d["output"] = [0.0, 1.0, 2.0]
-    f = tmp_path / "invalid.json"
-    f.write_text(json.dumps(d))
-    rc = main(["sweep", "--scenario", str(f), "--out", str(tmp_path / "out"), "--k-grid", "0.04,0.01"])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith(
-        "agentcap: capacity 0.01: output length must equal the state count")
-
-
 def test_exit_code_empty_selection(tmp_path, capsys):
     d = scenario_to_dict(ladder_scenario())
     d["reservation"] = 99.0
