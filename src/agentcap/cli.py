@@ -3,12 +3,16 @@
     agentcap <solve|alpha-star|verify|sweep|capstruct|kkt>
              --scenario PATH [flags] --out DIR
 
-Each command reads one scenario JSON, writes CSV tables plus a summary.json
-under --out, and exits 0 on success. Exit codes: 2 scenario parse, 3
-validation or configuration, 4 enumeration budget, 5 empty selection, 6
-convergence failure. CSV cells use 12 significant digits and newline-only
-line endings, so repeated runs on the same inputs are byte-identical; the
-summary additionally carries runtime metadata.
+``main`` drives every command the same way: it loads and validates the
+scenario, runs the command, which checks its flags and computes its tables
+without touching a file, and only then creates --out and writes the CSV
+tables plus a summary.json. So a failed run creates nothing. Exit codes: 0
+success, 2 scenario parse, 3 validation or configuration (an --out that
+cannot be written included), 4 enumeration budget, 5 empty selection, 6
+convergence failure; a ``kkt`` solve that stops without converging still
+writes its point before exiting 6. CSV cells use 12 significant digits and
+newline-only line endings, so repeated runs on the same inputs are
+byte-identical; the summary additionally carries runtime metadata.
 """
 
 from __future__ import annotations
@@ -183,9 +187,11 @@ def load_scenario(path) -> Scenario:
     """Read, parse, and validate a scenario file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario {p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{p}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -229,24 +235,26 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_summary(args, outdir: Path, extra: dict) -> None:
+def _write_outputs(args, t0: float, tables: dict, fields: dict) -> None:
+    """Create --out and write each table as CSV, then summary.json."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "scenario": str(args.scenario),
         "scenario_digest": _digest(args.scenario),
-        "runtime_seconds": round(time.perf_counter() - args.t0, 6),
+        **fields,
     }
-    doc.update(extra)
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out / name, header, rows)
+        doc["runtime_seconds"] = round(time.perf_counter() - t0, 6)
+        with open(out / "summary.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write outputs to {out}: {exc.strerror or exc}") from None
 
 
 def _profile_header(s: Scenario) -> list[str]:
@@ -293,62 +301,46 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command checks its flags and computes on the loaded scenario. It
+# returns its tables, {file name: (header, rows)}, and its summary fields;
+# ``main`` writes them.
 
 
-def cmd_solve(args) -> int:
-    s = load_scenario(args.scenario)
+def cmd_solve(args, s: Scenario):
     alpha = check_alpha(args.alpha)
-    outdir = _outdir(args)
-    enum = Enumeration(s, budget=args.budget)
-    ps = enum.pareto_at(alpha)
+    ps = Enumeration(s, budget=args.budget).pareto_at(alpha)
     sel = select(ps, s.reservation)
     header = _profile_header(s)
-    _write_csv(outdir / "pareto.csv", header, (_profile_row(p) for p in ps.profiles))
-    _write_csv(outdir / "selection.csv", header, (_profile_row(p) for p in sel.profiles))
-    _write_summary(
-        args,
-        outdir,
-        {
-            "alpha": alpha,
-            "reservation": s.reservation,
-            "n_frontier": len(ps.profiles),
-            "n_selected": len(sel.profiles),
-            "chosen_level": sel.chosen_level,
-            "agent_utility_levels": list(ps.agent_utility_levels),
-        },
-    )
-    return 0
+    tables = {
+        "pareto.csv": (header, map(_profile_row, ps.profiles)),
+        "selection.csv": (header, map(_profile_row, sel.profiles)),
+    }
+    return tables, {
+        "alpha": alpha,
+        "reservation": s.reservation,
+        "n_frontier": len(ps.profiles),
+        "n_selected": len(sel.profiles),
+        "chosen_level": sel.chosen_level,
+        "agent_utility_levels": list(ps.agent_utility_levels),
+    }
 
 
-def cmd_alpha_star(args) -> int:
-    s = load_scenario(args.scenario)
-    outdir = _outdir(args)
+def cmd_alpha_star(args, s: Scenario):
     res = scaling.alpha_star(s, eps=args.eps, budget=args.budget)
-    _write_csv(
-        outdir / "trace.csv",
-        ["alpha", "all_slack"],
-        ((a, ok) for a, ok in res.predicate_trace),
-    )
-    _write_summary(
-        args,
-        outdir,
-        {
-            "alpha_star": res.alpha_star,
-            "bracket_low": res.bracket[0],
-            "bracket_high": res.bracket[1],
-            "eps": args.eps,
-            "u_bar": res.u_bar,
-            "monotone_warning": res.monotone_warning,
-            "witness_alpha": res.witness_alpha,
-            "slack_witness": _profile_dict(res.slack_witness),
-        },
-    )
-    return 0
+    return {"trace.csv": (["alpha", "all_slack"], res.predicate_trace)}, {
+        "alpha_star": res.alpha_star,
+        "bracket_low": res.bracket[0],
+        "bracket_high": res.bracket[1],
+        "eps": args.eps,
+        "u_bar": res.u_bar,
+        "monotone_warning": res.monotone_warning,
+        "witness_alpha": res.witness_alpha,
+        "slack_witness": _profile_dict(res.slack_witness),
+    }
 
 
-def cmd_verify(args) -> int:
-    s = load_scenario(args.scenario)
-    outdir = _outdir(args)
+def cmd_verify(args, s: Scenario):
     alphas = None
     if args.alpha_grid is not None:
         alphas = [check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
@@ -370,70 +362,51 @@ def cmd_verify(args) -> int:
         "step2_dev",
     ]
     no_slacks = (None,) * len(dataclasses.fields(scaling.InequalitySlacks))
-    rows = []
-    for chk in rep.checks:
-        rows.append(
-            [
-                chk.alpha,
-                chk.tested,
-                chk.reason,
-                chk.inclusion_ok,
-                chk.converse_ok,
-                chk.n_candidates,
-                chk.n_binding,
-                *(dataclasses.astuple(chk.worst) if chk.worst else no_slacks),
-                chk.step2_dev,
-            ]
-        )
-    _write_csv(outdir / "checks.csv", header, rows)
-    _write_summary(
-        args,
-        outdir,
-        {
-            "reservation": s.reservation,
-            "base_profile": _profile_dict(rep.base_profile),
-            "base_level": rep.base_level,
-            "u_bar": rep.u_bar,
-            "alpha_star": rep.alpha_result.alpha_star,
-            "bracket_low": rep.alpha_result.bracket[0],
-            "bracket_high": rep.alpha_result.bracket[1],
-            "monotone_warning": rep.alpha_result.monotone_warning,
-            "n_checks": len(rep.checks),
-            "n_tested": sum(1 for c in rep.checks if c.tested),
-            "inclusion_ok": rep.inclusion_ok,
-            "converse_ok": rep.converse_ok,
-            "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
-            "step2_max_dev": rep.step2_max_dev,
-            "slack_witness_ok": rep.slack_witness_ok,
-        },
-    )
-    return 0
+    rows = [
+        [
+            chk.alpha,
+            chk.tested,
+            chk.reason,
+            chk.inclusion_ok,
+            chk.converse_ok,
+            chk.n_candidates,
+            chk.n_binding,
+            *(dataclasses.astuple(chk.worst) if chk.worst else no_slacks),
+            chk.step2_dev,
+        ]
+        for chk in rep.checks
+    ]
+    return {"checks.csv": (header, rows)}, {
+        "reservation": s.reservation,
+        "base_profile": _profile_dict(rep.base_profile),
+        "base_level": rep.base_level,
+        "u_bar": rep.u_bar,
+        "alpha_star": rep.alpha_result.alpha_star,
+        "bracket_low": rep.alpha_result.bracket[0],
+        "bracket_high": rep.alpha_result.bracket[1],
+        "monotone_warning": rep.alpha_result.monotone_warning,
+        "n_checks": len(rep.checks),
+        "n_tested": sum(1 for c in rep.checks if c.tested),
+        "inclusion_ok": rep.inclusion_ok,
+        "converse_ok": rep.converse_ok,
+        "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
+        "step2_max_dev": rep.step2_max_dev,
+        "slack_witness_ok": rep.slack_witness_ok,
+    }
 
 
-def cmd_sweep(args) -> int:
-    s = load_scenario(args.scenario)
-    outdir = _outdir(args)
+def cmd_sweep(args, s: Scenario):
     ks = _float_list(args.k_grid, "--k-grid")
     pairs = capstruct.sweep_alpha_star(s, ks, args.budget)
-    _write_csv(outdir / "sweep.csv", ["k", "alpha_star"], pairs)
     stars = [a for _, a in pairs]
-    _write_summary(
-        args,
-        outdir,
-        {
-            "k_grid": [k for k, _ in pairs],
-            "alpha_star": stars,
-            "nondecreasing": all(
-                b >= a - scaling.DEFAULT_EPS_ALPHA for a, b in zip(stars, stars[1:])
-            ),
-        },
-    )
-    return 0
+    return {"sweep.csv": (["k", "alpha_star"], pairs)}, {
+        "k_grid": [k for k, _ in pairs],
+        "alpha_star": stars,
+        "nondecreasing": all(b >= a - scaling.DEFAULT_EPS_ALPHA for a, b in zip(stars, stars[1:])),
+    }
 
 
-def cmd_capstruct(args) -> int:
-    s = load_scenario(args.scenario)
-    outdir = _outdir(args)
+def cmd_capstruct(args, s: Scenario):
     astar = None if args.alpha_star_override is None else check_alpha(args.alpha_star_override)
     # the split flag is checked before alpha* is solved, so before its budget
     if args.face is not None:
@@ -445,23 +418,22 @@ def cmd_capstruct(args) -> int:
     labels = s.states.labels
     if args.face is not None:
         dec = capstruct.debt_equity_decompose(s.y, args.face, astar)
+        header = ["state", "output", "agent_leg", "debt_leg", "equity_leg"]
         rows = zip(labels, s.y.values, dec.agent_leg, dec.debt_leg, dec.equity_leg)
-        _write_csv(outdir / "legs.csv", ["state", "output", "agent_leg", "debt_leg", "equity_leg"], rows)
-        extra = {"mode": "debt-equity", "face": dec.F, "face_scaled": dec.face_scaled}
+        fields = {"mode": "debt-equity", "face": dec.F, "face_scaled": dec.face_scaled}
     else:
         dec = capstruct.live_or_die_decompose(s.y, args.threshold, astar)
+        header = ["state", "output", "agent_leg", "principal_leg"]
         rows = zip(labels, s.y.values, dec.agent_leg, dec.principal_leg)
-        _write_csv(outdir / "legs.csv", ["state", "output", "agent_leg", "principal_leg"], rows)
-        extra = {"mode": "live-or-die", "threshold": dec.l}
-    extra["alpha_star"] = astar
-    extra["alpha_star_solved"] = args.alpha_star_override is None
-    _write_summary(args, outdir, extra)
-    return 0
+        fields = {"mode": "live-or-die", "threshold": dec.l}
+    fields["alpha_star"] = astar
+    fields["alpha_star_solved"] = args.alpha_star_override is None
+    return {"legs.csv": (header, rows)}, fields
 
 
-def cmd_kkt(args) -> int:
-    s = load_scenario(args.scenario)
-    outdir = _outdir(args)
+def cmd_kkt(args, s: Scenario):
+    """The summary's ``converged`` is False when the solve stalled; ``main``
+    still writes the point, then exits 6."""
     tokens = set() if args.active_set == "none" else {t.strip() for t in args.active_set.split(",") if t.strip()}
     if not tokens and args.active_set != "none":
         raise ConfigurationError("--active-set expects none or at least one constraint")
@@ -477,6 +449,7 @@ def cmd_kkt(args) -> int:
         participation_active="participation" in tokens,
     )
     res = point.residuals
+    header = ["state", "b", "p", "phi", "stationarity_b", "stationarity_p", "agent_foc"]
     rows = zip(
         s.states.labels,
         point.b.payments,
@@ -485,11 +458,6 @@ def cmd_kkt(args) -> int:
         res.stationarity_b,
         res.stationarity_p,
         res.agent_foc,
-    )
-    _write_csv(
-        outdir / "residuals.csv",
-        ["state", "b", "p", "phi", "stationarity_b", "stationarity_p", "agent_foc"],
-        rows,
     )
     summary = {
         "active_set": sorted(tokens),
@@ -516,14 +484,7 @@ def cmd_kkt(args) -> int:
         }
     except DegenerateFitError as exc:
         summary["affine_error"] = str(exc)
-    _write_summary(args, outdir, summary)
-    if not point.converged:
-        print(
-            f"agentcap: stationarity solve did not converge (residual {point.system_residual:g})",
-            file=sys.stderr,
-        )
-        return 6
-    return 0
+    return {"residuals.csv": (header, rows)}, summary
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +559,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.t0 = time.perf_counter()
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        tables, fields = args.func(args, load_scenario(args.scenario))
+        _write_outputs(args, t0, tables, fields)
     except ScenarioParseError as exc:
         return _fail(2, exc)
     except BudgetExceededError as exc:
@@ -611,9 +573,12 @@ def main(argv=None) -> int:
         return _fail(6, exc)
     except (ValidationError, ConfigurationError) as exc:
         return _fail(3, exc)
+    if not fields.get("converged", True):
+        return _fail(6, f"stationarity solve did not converge (residual {fields['system_residual']:g})")
+    return 0
 
 
-def _fail(code: int, exc: Exception) -> int:
+def _fail(code: int, exc: Exception | str) -> int:
     print(f"agentcap: {exc}", file=sys.stderr)
     return code
 

@@ -457,6 +457,8 @@ def grid_values(spec) -> tuple[float, ...]:
             lo, hi, step = float(spec["min"]), float(spec["max"]), float(spec["step"])
         except KeyError as exc:
             raise ValidationError(f"grid spec missing key {exc}") from None
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValidationError("grid spec bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ValidationError("grid spec needs step > 0 and max >= min")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -488,6 +490,8 @@ class ContractFamily:
         labels, rows = self._rows(y)
         if not labels:
             raise ConfigurationError("contract family enumeration is empty")
+        if not np.isfinite(rows).all():
+            raise ValidationError("contract payments must be finite")
         return labels, rows
 
     def params_dict(self) -> dict:

@@ -171,6 +171,10 @@ def test_load_scenario_errors(tmp_path):
     bad.write_text("{\n]")
     with pytest.raises(ScenarioParseError, match="line 2"):
         load_scenario(bad)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"states": ["\xff"]}')
+    with pytest.raises(ScenarioParseError, match="not UTF-8"):
+        load_scenario(latin)
     invalid = tmp_path / "invalid.json"
     d = scenario_to_dict(ladder_scenario())
     d["capacity"] = -1.0
@@ -235,6 +239,10 @@ def test_exit_code_parse(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "line 1" in capsys.readouterr().err
+    bad.write_bytes(b"\xff")
+    assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_configuration(ladder_file, tmp_path, capsys):
@@ -245,6 +253,10 @@ def test_exit_code_configuration(ladder_file, tmp_path, capsys):
     rc = main(["verify", "--scenario", str(ladder_file), "--out", str(out), "--alpha-grid", "0.5,bogus"])
     assert rc == 3
     assert "--alpha-grid" in capsys.readouterr().err
+    rc = main(["sweep", "--scenario", str(ladder_file), "--out", str(out), "--k-grid", "x"])
+    assert rc == 3
+    assert "--k-grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -258,6 +270,7 @@ def test_exit_code_nonfinite_alpha(ladder_file, tmp_path, capsys, value):
         rc = main([flags[0], "--scenario", str(ladder_file), "--out", str(out), *flags[1:]])
         assert rc == 3
         assert "alpha out of [0,1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
@@ -269,6 +282,7 @@ def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
             rc = main([command, "--scenario", str(tangent_file), "--out", str(out), f"--eps={eps}", *budget])
             assert rc == 3
             assert "bisection width must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,text", [
@@ -283,6 +297,7 @@ def test_exit_code_capstruct_nan_split(tmp_path, capsys, flag, text):
         rc = main(["capstruct", "--scenario", str(f), "--out", str(tmp_path / "out"), flag, "nan", *solve])
         assert rc == 3
         assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_validation(tmp_path, capsys):
@@ -292,12 +307,22 @@ def test_exit_code_validation(tmp_path, capsys):
     f.write_text(json.dumps(d))
     assert main(["solve", "--scenario", str(f), "--out", str(tmp_path / "out")]) == 3
     assert "state count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_unwritable_out(ladder_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert main(["solve", "--scenario", str(ladder_file), "--out", str(taken)]) == 3
+    assert capsys.readouterr().err.startswith(f"agentcap: cannot write outputs to {taken}")
+    assert taken.read_text() == "keep me\n"
 
 
 def test_exit_code_budget(ladder_file, tmp_path, capsys):
     rc = main(["solve", "--scenario", str(ladder_file), "--out", str(tmp_path / "out"), "--budget", "10"])
     assert rc == 4
     assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
@@ -307,6 +332,7 @@ def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
     ])
     assert rc == 4
     assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_empty_selection(tmp_path, capsys):
@@ -316,18 +342,23 @@ def test_exit_code_empty_selection(tmp_path, capsys):
     f.write_text(json.dumps(d))
     assert main(["solve", "--scenario", str(f), "--out", str(tmp_path / "out")]) == 5
     assert "no Pareto profile meets reservation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_solver_failures(share_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), "--max-iter", "0"])
     assert rc == 6
-    assert "did not converge" in capsys.readouterr().err
+    assert capsys.readouterr().err == "agentcap: stationarity solve did not converge (residual 0.625)\n"
     # the outputs are still written for inspection
     assert (out / "summary.json").exists() and (out / "residuals.csv").exists()
-    rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), "--active-set", "none"])
+    assert read_summary(out)["converged"] is False
+    # a singular Jacobian leaves no point to inspect, so nothing is written
+    singular = tmp_path / "singular"
+    rc = main(["kkt", "--scenario", str(share_file), "--out", str(singular), "--active-set", "none"])
     assert rc == 6
     assert "Jacobian" in capsys.readouterr().err
+    assert not singular.exists()
 
 
 @pytest.mark.parametrize("flag,value,text", [
@@ -340,6 +371,7 @@ def test_exit_code_kkt_stopping_flags(share_file, tmp_path, capsys, flag, value,
     rc = main(["kkt", "--scenario", str(share_file), "--out", str(tmp_path / "out"), f"{flag}={value}"])
     assert rc == 3
     assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_argparse_usage_errors(ladder_file):
@@ -520,6 +552,7 @@ def test_kkt_active_set_parsing(share_file, tmp_path, capsys):
         rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), f"--active-set={empty}"])
         assert rc == 3
         assert "--active-set expects none or at least one constraint" in capsys.readouterr().err
+    assert not out.exists()
     f = tmp_path / "binding.json"
     save_scenario(share_scenario(0.05), f)
     rc = main([

@@ -235,6 +235,14 @@ def test_grid_values_expansion():
         grid_values({"min": 0.0, "max": 1.0, "step": 0.0})
     with pytest.raises(ValidationError):
         grid_values([])
+    for spec in (
+        {"min": 0.0, "max": math.inf, "step": 0.1},
+        {"min": -math.inf, "max": 1.0, "step": 0.1},
+        {"min": 0.0, "max": 1.0, "step": math.nan},
+        {"min": 0.0, "max": 1.0, "step": math.inf},
+    ):
+        with pytest.raises(ValidationError, match="grid spec bounds and step must be finite"):
+            grid_values(spec)
 
 
 def test_grid_family_enumeration_order():
@@ -513,6 +521,22 @@ def test_validate_scenario_table_coverage():
         )
     )
     assert "cost undefined at grid point" in rep.failures
+
+
+@pytest.mark.parametrize("family", [
+    GridFamily(((0.0, 0.5, math.inf), (0.0, 0.5, math.inf))),
+    LinearShareFamily((0.0, 0.5), (0.0, math.inf)),
+    LinearShareFamily((math.nan,), (0.0,)),
+])
+def test_validate_scenario_nonfinite_payments(family):
+    s = tangent_scenario(0.04)
+    rep = validate_scenario(
+        Scenario(
+            states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
+            family=family, utility=s.utility, reservation=0.0, m=s.m,
+        )
+    )
+    assert rep.failures == ("contract family: contract payments must be finite",)
 
 
 def test_validate_scenario_crra_domain():
