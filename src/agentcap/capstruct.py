@@ -48,16 +48,17 @@ class LiveOrDieDecomposition:
 
 
 def check_face(F: float) -> None:
-    """Raises ValidationError unless the face value is nonnegative; NaN
-    fails the comparison too."""
-    if not F >= 0.0:
-        raise ValidationError("face value must be nonnegative")
+    """Raises ValidationError unless the face value is finite and
+    nonnegative; NaN fails the comparison too."""
+    if not 0.0 <= F < np.inf:
+        raise ValidationError("face value must be nonnegative and finite")
 
 
 def check_threshold(l: float) -> None:
-    """Raises ValidationError for a NaN threshold."""
-    if np.isnan(l):
-        raise ValidationError("threshold must be a number")
+    """Raises ValidationError unless the threshold is finite (not NaN or
+    an infinity)."""
+    if not np.isfinite(l):
+        raise ValidationError("threshold must be a number and finite")
 
 
 def scaled_debt_contract(y: OutputFunction, F: float, alpha: float) -> Contract:

@@ -753,12 +753,6 @@ def simplex_lattice(n: int, m: int) -> np.ndarray:
     return _lattice_cached(n, m)
 
 
-def enumeration_points(s: Scenario) -> np.ndarray:
-    """Candidate distributions for exhaustive scans: the cost's intrinsic
-    grid for effort kinds, otherwise the scenario's simplex lattice."""
-    return s.lattice.points
-
-
 def feasible_mask(costs, capacity: float):
     """The feasibility rule c(p) <= k + FEASIBILITY_SLACK, elementwise."""
     return costs <= capacity + FEASIBILITY_SLACK
@@ -806,25 +800,12 @@ def cost(s: Scenario, p) -> float:
     return float(s.cost.value(_as_probs(p)))
 
 
-def agent_value(s: Scenario, b, p) -> float:
-    """E_p[u(b)] - c(p)."""
-    pb = _as_probs(p)
-    return float(pb @ s.utility.apply(_as_payments(b)) - s.cost.value(pb))
-
-
 def check_alpha(alpha: float) -> float:
     """``alpha`` as a float; raises ConfigurationError unless it lies in
     [0, 1]. NaN and infinities fail the comparison too."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError("alpha out of [0,1]")
     return float(alpha)
-
-
-def principal_value(s: Scenario, alpha: float, b, p) -> float:
-    """E_p[alpha * y - b]."""
-    check_alpha(alpha)
-    pb = _as_probs(p)
-    return float(pb @ (alpha * s.y.as_array() - _as_payments(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .agent import capacity_binding, feasible_lattice, scan_grid
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasible_mask
+from .model import Contract, Distribution, Profile, Scenario, feasible_mask
 
 DEFAULT_BUDGET = 10**7
 
@@ -126,19 +126,17 @@ def _frontier(
     agent: np.ndarray,
     principal: np.ndarray,
     tol: float,
-    tiebreak: tuple[np.ndarray, ...],
     agent_order: _AgentOrder | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, levels) of the undominated rows.
 
     Indices run by agent utility, then principal payoff, both descending,
-    then by the ``tiebreak`` columns ascending, first column first. Levels
-    are the clustered agent utilities of those rows, ascending.
-    ``agent_order`` is passed on to ``_pareto_keep_mask``.
+    then by row index ascending (the sort is stable). Levels are the
+    clustered agent utilities of those rows, ascending. ``agent_order`` is
+    passed on to ``_pareto_keep_mask``.
     """
     keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol, agent_order))
-    keys = tuple(col[keep] for col in reversed(tiebreak))
-    order = keep[np.lexsort((*keys, -principal[keep], -agent[keep]))]
+    order = keep[np.lexsort((-principal[keep], -agent[keep]))]
     return order, _cluster_levels(agent[keep], tol)
 
 
@@ -161,9 +159,11 @@ def _selection_level(
 class Enumeration:
     """Shared engine: contracts x best responses with cached payoff pieces.
 
-    Built once per scenario; ``pareto_at`` and ``select_at`` answer Pareto and
-    selection queries for any alpha against the same profile arrays, so exact
-    (contract, point) identities are comparable across alpha.
+    Built once per scenario; ``pareto_at`` and ``selection_ids`` answer
+    Pareto and selection queries for any alpha against the same profile
+    arrays, so exact (contract, point) identities are comparable across
+    alpha. Rows run strictly ascending in (contract_id, point_id), which is
+    the frontier's final tie-break.
 
     The points, their costs, and the contracts with their payments and
     utilities come from ``s.lattice``; the feasible points keep lattice
@@ -275,16 +275,10 @@ class Enumeration:
     def profile(self, i: int, alpha: float) -> Profile:
         return self._profile(int(i), self.principal_at(alpha))
 
-    def profiles_at(self, alpha: float) -> list[Profile]:
-        principal = self.principal_at(alpha)
-        return [self._profile(i, principal) for i in range(self.agent_u.size)]
-
     def pareto_at(self, alpha: float) -> ParetoSet:
         principal = self.principal_at(alpha)
         tol = self.scenario.tol_u
-        order, levels = _frontier(
-            self.agent_u, principal, tol, (self.contract_id, self.point_id), self.agent_order
-        )
+        order, levels = _frontier(self.agent_u, principal, tol, self.agent_order)
         return ParetoSet(
             alpha=float(alpha),
             profiles=tuple(self._profile(int(i), principal) for i in order),
@@ -305,43 +299,9 @@ class Enumeration:
         at_level = keep[at]
         return chosen, at_level, self.binding[at_level]
 
-    def select_at(self, alpha: float, r: float) -> Selection:
-        ps = self.pareto_at(alpha)
-        return select(ps, r)
-
 
 # ---------------------------------------------------------------------------
 # Operation-level API
-
-
-def feasible_profiles(s: Scenario, alpha: float, budget: int | None = None) -> list[Profile]:
-    """One Profile per (family contract, best-response maximizer) pair, with
-    payoffs cached against alpha * y."""
-    check_alpha(alpha)
-    return Enumeration(s, budget).profiles_at(alpha)
-
-
-def pareto_filter(profiles: list[Profile], tol_u: float = 1e-9, alpha: float = float("nan")) -> ParetoSet:
-    """Filter an explicit profile list down to its Pareto optimal members.
-
-    Retains exactly the profiles no other listed profile improves upon
-    (weakly better in both payoffs within tol_u, strictly beyond tol_u in at
-    least one). Output is sorted by agent utility then principal payoff,
-    descending, with the contract vector as the final tie-break.
-    """
-    if not profiles:
-        raise ConfigurationError("pareto_filter needs a nonempty profile list")
-    agent = np.array([p.agent_utility for p in profiles])
-    principal = np.array([p.principal_payoff for p in profiles])
-    payments = np.array([p.contract.payments for p in profiles])
-    probs = np.array([p.dist.probs for p in profiles])
-    order, levels = _frontier(agent, principal, tol_u, (*payments.T, *probs.T))
-    return ParetoSet(
-        alpha=float(alpha),
-        profiles=tuple(profiles[int(i)] for i in order),
-        agent_utility_levels=tuple(float(v) for v in levels),
-        tol_u=tol_u,
-    )
 
 
 def select(ps: ParetoSet, r: float) -> Selection:
@@ -354,9 +314,3 @@ def select(ps: ParetoSet, r: float) -> Selection:
     chosen, at = _selection_level(np.array(ps.agent_utility_levels), agent, r, ps.tol_u)
     chosen_profiles = tuple(p for p, keep in zip(ps.profiles, at) if keep)
     return Selection(parent=ps, r=float(r), chosen_level=chosen, profiles=chosen_profiles)
-
-
-def pareto_set(s: Scenario, alpha: float, budget: int | None = None) -> ParetoSet:
-    """Enumerate and filter in one step."""
-    check_alpha(alpha)
-    return Enumeration(s, budget).pareto_at(alpha)

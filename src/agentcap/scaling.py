@@ -8,12 +8,10 @@ scaled problem relates to the unscaled one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import model
 from .errors import ConfigurationError, EmptySelectionError
 from .model import Profile, Scenario, check_alpha
 from .pareto import Enumeration
@@ -203,17 +201,6 @@ def _check_eps(eps: float) -> None:
         raise ConfigurationError("bisection width must be positive")
 
 
-def capacity_slack_predicate(
-    s: Scenario, alpha: float, u_bar: float | None = None, budget: int | None = None
-) -> bool:
-    """True when no profile selected at (alpha, u_bar) pins the capacity."""
-    check_alpha(alpha)
-    enum = Enumeration(s, budget)
-    if u_bar is None:
-        u_bar = _default_u_bar(enum, s.reservation)
-    return _all_slack(enum, alpha, u_bar)
-
-
 def alpha_star(
     s: Scenario,
     u_bar: float | None = None,
@@ -237,23 +224,6 @@ def alpha_star(
     if u_bar is None:
         u_bar = _default_u_bar(enum, s.reservation)
     return _alpha_impl(enum, float(u_bar), eps)
-
-
-def verify_inequalities(s: Scenario, alpha: float, base: Profile, candidate: Profile) -> InequalitySlacks:
-    """Slacks of the payoff chain for one base/candidate pair.
-
-    Differences are base minus candidate with each side's expectation taken
-    under its own distribution.
-    """
-    check_alpha(alpha)
-    y = s.y.as_array()
-    p0, b0 = base.dist.as_array(), base.contract.as_array()
-    p1, b1 = candidate.dist.as_array(), candidate.contract.as_array()
-    d_out = float(p0 @ y - p1 @ y)
-    d_pay = float(p0 @ b0 - p1 @ b1)
-    c0 = base.cost if math.isfinite(base.cost) else model.cost(s, p0)
-    c1 = candidate.cost if math.isfinite(candidate.cost) else model.cost(s, p1)
-    return InequalitySlacks.chain(alpha, d_out, d_pay, c0 - c1)
 
 
 def _fieldwise_min(slacks: list[InequalitySlacks]) -> InequalitySlacks:
@@ -330,7 +300,7 @@ def verify_theorem(
         inclusion = base_keys <= _keys(enum, ids)
         converse = _keys(enum, ids[binding]) <= base_keys
 
-        # base minus each candidate, as in verify_inequalities
+        # each difference is the base's value minus the candidate's
         slacks = InequalitySlacks.chain(
             alpha,
             enum.exp_output[i_base] - enum.exp_output[ids],

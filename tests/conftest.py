@@ -1,12 +1,14 @@
 """Shared scenario builders and independent oracles for the test suite.
 
 The builders here are the fixed instances every module test and the
-acceptance checks run against; the oracles (brute-force Pareto scan, finite
-differences) are written independently of the package internals so the tests
-have something to disagree with.
+acceptance checks run against; the oracles (brute-force Pareto scan, the
+slack chain of one profile pair, finite differences) are written
+independently of the package internals so the tests have something to
+disagree with.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,10 +26,11 @@ from agentcap.model import (
     RelativeEntropyCost,
     Scenario,
     StateSpace,
+    cost,
     simplex_lattice,
 )
 from agentcap.pareto import Enumeration
-from agentcap.scaling import alpha_star
+from agentcap.scaling import InequalitySlacks, alpha_star
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +295,31 @@ def brute_pareto_keep(agent, principal, tol):
     return keep
 
 
+def verify_inequalities(s, alpha, base, candidate):
+    """Slacks of the payoff chain for one base/candidate pair, each written
+    out from its definition. Differences are base minus candidate with each
+    side's expectation taken under its own distribution; a NaN profile cost
+    is recomputed from the distribution."""
+    y = s.y.as_array()
+    p0, b0 = base.dist.as_array(), base.contract.as_array()
+    p1, b1 = candidate.dist.as_array(), candidate.contract.as_array()
+    d_out = float(p0 @ y - p1 @ y)
+    d_pay = float(p0 @ b0 - p1 @ b1)
+    c0 = base.cost if math.isfinite(base.cost) else cost(s, p0)
+    c1 = candidate.cost if math.isfinite(candidate.cost) else cost(s, p1)
+    return InequalitySlacks(
+        output_payment=d_out - d_pay,
+        payment_scaled_output=d_pay - alpha * d_out,
+        scaled_output=alpha * d_out,
+        participation=(c0 - c1) - d_pay,
+        d_output=d_out,
+        d_payment=d_pay,
+    )
+
+
 def make_profile(agent_utility, principal_payoff, tag):
-    """Synthetic profile for filter tests; the tag keeps sort keys distinct."""
+    """Synthetic profile for selection tests; the tag, its first payment,
+    tells profiles with equal payoffs apart."""
     return Profile(
         contract=Contract((float(tag), 0.0)),
         dist=Distribution((1.0, 0.0)),

@@ -293,10 +293,11 @@ def test_exit_code_capstruct_nan_split(tmp_path, capsys, flag, text):
     f = tmp_path / "three.json"
     save_scenario(three_state_scenario(), f)
     # the split flag is checked before alpha* is solved, so before its budget
-    for solve in (["--alpha-star", "0.5"], [], ["--budget", "10"]):
-        rc = main(["capstruct", "--scenario", str(f), "--out", str(tmp_path / "out"), flag, "nan", *solve])
-        assert rc == 3
-        assert text in capsys.readouterr().err
+    for value in ("nan", "inf", "-inf"):
+        for solve in (["--alpha-star", "0.5"], [], ["--budget", "10"]):
+            rc = main(["capstruct", "--scenario", str(f), "--out", str(tmp_path / "out"), f"{flag}={value}", *solve])
+            assert rc == 3
+            assert text in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,9 +18,9 @@ from agentcap.discounting import (
 )
 from agentcap.errors import ConfigurationError, DegenerateDiscountError, ValidationError
 from agentcap.model import Distribution
-from agentcap.scaling import InequalitySlacks, verify_inequalities
+from agentcap.scaling import InequalitySlacks
 
-from conftest import dated_case, tangent_scenario
+from conftest import dated_case, tangent_scenario, verify_inequalities
 from test_scaling import tangent_profile
 
 

@@ -33,11 +33,8 @@ from agentcap.model import (
     Scenario,
     StateSpace,
     TableCost,
-    agent_value,
     cost,
-    enumeration_points,
     grid_values,
-    principal_value,
     simplex_lattice,
     validate_scenario,
 )
@@ -459,13 +456,13 @@ def test_at_capacity_shares_the_lattice():
 
 def test_enumeration_points_prefers_intrinsic_grid():
     s = tangent_scenario(0.04, m=10)
-    assert enumeration_points(s).shape[0] == 11
+    assert s.lattice.points.shape[0] == 11
     eff = EffortCost((0.0, 1.0), ((1.0, 0.0), (0.5, 0.5)), (0.0, 0.3))
     s2 = Scenario(
         states=s.states, y=s.y, cost=eff, capacity=1.0, family=s.family,
         utility=s.utility, reservation=0.0, m=10,
     )
-    assert enumeration_points(s2).shape[0] == 2
+    assert s2.lattice.points.shape[0] == 2
 
 
 # -- evaluation helpers -----------------------------------------------------
@@ -473,12 +470,8 @@ def test_enumeration_points_prefers_intrinsic_grid():
 
 def test_scenario_evaluation_helpers():
     s = tangent_scenario(0.04)
-    b = (0.0, 0.4)
     p = (0.8, 0.2)
     assert cost(s, p) == pytest.approx(0.04, abs=1e-15)
-    assert agent_value(s, b, p) == pytest.approx(0.2 * 0.4 - 0.04, abs=1e-12)
-    assert principal_value(s, 1.0, b, p) == pytest.approx(0.2 - 0.08, abs=1e-12)
-    assert principal_value(s, 0.5, b, p) == pytest.approx(0.1 - 0.08, abs=1e-12)
 
 
 # -- validation -------------------------------------------------------------

@@ -1,0 +1,36 @@
+"""The package's public surface: what ``agentcap`` exports, and what it no
+longer carries."""
+
+import agentcap
+from agentcap import model, pareto, scaling
+
+# (module or class, name) of the Profile-list layer that was folded into
+# Enumeration; none may come back under its old name
+REMOVED = [
+    (pareto, "feasible_profiles"),
+    (pareto, "pareto_filter"),
+    (pareto, "pareto_set"),
+    (pareto.Enumeration, "profiles_at"),
+    (pareto.Enumeration, "select_at"),
+    (scaling, "capacity_slack_predicate"),
+    (scaling, "verify_inequalities"),
+    (model, "enumeration_points"),
+    (model, "agent_value"),
+    (model, "principal_value"),
+]
+
+
+def test_all_has_no_duplicates():
+    assert len(agentcap.__all__) == len(set(agentcap.__all__))
+
+
+def test_every_export_resolves():
+    for name in agentcap.__all__:
+        assert hasattr(agentcap, name), name
+
+
+def test_removed_names_stay_removed():
+    for owner, name in REMOVED:
+        assert name not in agentcap.__all__, name
+        assert not hasattr(agentcap, name), name
+        assert not hasattr(owner, name), (owner.__name__, name)

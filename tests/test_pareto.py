@@ -22,12 +22,11 @@ from agentcap.model import (
 )
 from agentcap.pareto import (
     Enumeration,
+    ParetoSet,
     _AgentOrder,
     _cluster_levels,
+    _frontier,
     _pareto_keep_mask,
-    feasible_profiles,
-    pareto_filter,
-    pareto_set,
     select,
 )
 from agentcap.scaling import alpha_star
@@ -51,12 +50,13 @@ def test_single_contract_enumeration():
         family=GridFamily(((0.0,), (0.0,))), utility=s.utility,
         reservation=0.0, m=s.m,
     )
-    profiles = feasible_profiles(solo, 1.0)
-    assert len(profiles) == 1
-    assert profiles[0].dist.probs == (1.0, 0.0)
-    assert profiles[0].agent_utility == 0.0
-    assert profiles[0].principal_payoff == 0.0
-    assert feasible_profiles(solo, 0.0)[0].principal_payoff == 0.0
+    enum = Enumeration(solo)
+    assert enum.agent_u.size == 1
+    prof = enum.profile(0, 1.0)
+    assert prof.dist.probs == (1.0, 0.0)
+    assert prof.agent_utility == 0.0
+    assert prof.principal_payoff == 0.0
+    assert enum.profile(0, 0.0).principal_payoff == 0.0
 
 
 def test_enumeration_caches_match_recomputation():
@@ -112,19 +112,29 @@ def test_lattice_is_freed_with_its_scenario():
         gc.enable()
 
 
-def test_alpha_range_guard():
-    s = ladder_scenario()
-    with pytest.raises(ConfigurationError):
-        feasible_profiles(s, 1.5)
-    with pytest.raises(ConfigurationError):
-        pareto_set(s, -0.1)
+def _assert_rows_ascend(enum):
+    key = enum.contract_id * len(enum.points) + enum.point_id
+    assert (np.diff(key) > 0).all()
+
+
+def test_rows_ascend_by_contract_then_point():
+    # _frontier breaks ties by row index, so every producer of the profile
+    # arrays keeps them strictly ascending in (contract_id, point_id)
+    fixtures = [ladder_scenario(), tangent_scenario(0.04)]
+    fixtures += [smooth_scenario(seed)[0] for seed in range(6)]
+    for s in fixtures:
+        enum = Enumeration(s)
+        _assert_rows_ascend(enum)
+        for k in (2 * s.capacity, 4 * s.capacity):
+            enum = Enumeration(s.at_capacity(k), below=enum)
+            _assert_rows_ascend(enum)
 
 
 # -- Pareto filter ----------------------------------------------------------
 
 
 def test_ladder_frontier_by_hand():
-    ps = pareto_set(ladder_scenario(), 1.0)
+    ps = Enumeration(ladder_scenario()).pareto_at(1.0)
     # slopes below 0.4 are dominated by the slope-0.4 contract; above it the
     # best response is pinned at p_H = 0.2 and the frontier is a clean ladder
     assert len(ps.profiles) == 7
@@ -147,47 +157,54 @@ def test_share_family_frontier_by_hand():
         family=LinearShareFamily((0.0, 0.5, 1.0), (0.0,)),
         utility=s.utility, reservation=0.0, m=s.m,
     )
-    ps = pareto_set(share, 1.0)
+    ps = Enumeration(share).pareto_at(1.0)
     got = {(round(p.agent_utility, 6), round(p.principal_payoff, 6)) for p in ps.profiles}
     # beta = 0 gives (0, 0) and is dominated by beta = 0.5
     assert got == {(0.06, 0.1), (0.16, 0.0)}
 
 
+def frontier_of(agent, principal, tol=1e-9):
+    """``_frontier`` on payoff lists: (row indices, levels) as lists."""
+    order, levels = _frontier(np.array(agent, dtype=float), np.array(principal, dtype=float), tol)
+    return order.tolist(), levels.tolist()
+
+
+def frontier_set(payoffs, tol=1e-9):
+    """The ParetoSet of synthetic (agent, principal) profiles, each tagged
+    with its row, in ``_frontier``'s order."""
+    order, levels = frontier_of(*zip(*payoffs), tol)
+    return ParetoSet(
+        alpha=float("nan"),
+        profiles=tuple(make_profile(*payoffs[i], i) for i in order),
+        agent_utility_levels=tuple(levels),
+        tol_u=tol,
+    )
+
+
 def test_filter_drops_dominated_and_keeps_ties():
-    kept = pareto_filter([make_profile(1.0, 1.0, 0), make_profile(0.0, 0.0, 1)])
-    assert len(kept.profiles) == 1
-    both = pareto_filter([make_profile(1.0, 0.0, 0), make_profile(0.0, 1.0, 1)])
-    assert len(both.profiles) == 2
-    ties = pareto_filter([make_profile(0.5, 0.5, 0), make_profile(0.5, 0.5, 1)])
-    assert len(ties.profiles) == 2
+    assert frontier_of([1.0, 0.0], [1.0, 0.0])[0] == [0]
+    assert frontier_of([1.0, 0.0], [0.0, 1.0])[0] == [0, 1]
+    assert frontier_of([0.5, 0.5], [0.5, 0.5])[0] == [0, 1]
 
 
 def test_filter_tolerance_gray_zone():
     # within tol_u the higher point does not dominate
-    near = pareto_filter(
-        [make_profile(0.1, 0.2, 0), make_profile(0.1 + 5e-10, 0.2, 1)], tol_u=1e-9
-    )
-    assert len(near.profiles) == 2
-    assert near.agent_utility_levels == (0.1,)
-    far = pareto_filter(
-        [make_profile(0.1, 0.2, 0), make_profile(0.1 + 5e-9, 0.2, 1)], tol_u=1e-9
-    )
-    assert len(far.profiles) == 1
-
-
-def test_filter_requires_profiles():
-    with pytest.raises(ConfigurationError):
-        pareto_filter([])
+    near, levels = frontier_of([0.1, 0.1 + 5e-10], [0.2, 0.2], 1e-9)
+    assert near == [1, 0]
+    assert levels == [0.1]
+    far, _ = frontier_of([0.1, 0.1 + 5e-9], [0.2, 0.2], 1e-9)
+    assert far == [1]
 
 
 def test_filter_idempotent_and_included():
     s = ladder_scenario()
-    profiles = feasible_profiles(s, 1.0)
-    once = pareto_filter(profiles, tol_u=s.tol_u, alpha=1.0)
-    twice = pareto_filter(list(once.profiles), tol_u=s.tol_u, alpha=1.0)
-    assert [p.identity() for p in twice.profiles] == [p.identity() for p in once.profiles]
-    all_ids = {p.identity() for p in profiles}
-    assert {p.identity() for p in once.profiles} <= all_ids
+    enum = Enumeration(s)
+    agent, principal = enum.agent_u, enum.principal_at(1.0)
+    once, _ = _frontier(agent, principal, s.tol_u)
+    twice, _ = _frontier(agent[once], principal[once], s.tol_u)
+    assert once[twice].tolist() == once.tolist()
+    assert len(set(once.tolist())) == once.size
+    assert 0 <= once.min() and once.max() < agent.size
 
 
 def test_filter_matches_brute_oracle_on_enumerations():
@@ -262,13 +279,12 @@ def test_filter_on_dyadic_profiles_matches_brute_oracle_and_order():
     for n in range(1, 13):
         agent = DYADIC_TOL * rng.integers(-3, 4, n)
         principal = DYADIC_TOL * rng.integers(-3, 4, n)
-        profiles = [make_profile(a, p, i) for i, (a, p) in enumerate(zip(agent, principal))]
-        kept = pareto_filter(profiles, tol_u=DYADIC_TOL)
+        order, _ = _frontier(agent, principal, DYADIC_TOL)
         mask = brute_pareto_keep(agent, principal, DYADIC_TOL)
         want = sorted(
             (i for i in range(n) if mask[i]), key=lambda i: (-agent[i], -principal[i], i)
         )
-        assert [int(p.contract.payments[0]) for p in kept.profiles] == want
+        assert order.tolist() == want
 
 
 def test_translation_by_constant_payment():
@@ -280,8 +296,8 @@ def test_translation_by_constant_payment():
         family=GridFamily(tuple(tuple(v + w for v in g) for g in grids)),
         utility=base.utility, reservation=0.0, m=base.m,
     )
-    ps0 = pareto_set(base, 1.0)
-    ps1 = pareto_set(shifted, 1.0)
+    ps0 = Enumeration(base).pareto_at(1.0)
+    ps1 = Enumeration(shifted).pareto_at(1.0)
     assert len(ps0.profiles) == len(ps1.profiles)
     for a, b in zip(ps0.profiles, ps1.profiles):
         assert b.agent_utility == pytest.approx(a.agent_utility + w, abs=1e-12)
@@ -301,9 +317,9 @@ def test_translation_by_constant_payment():
     )
 )
 def test_filter_matches_brute_oracle_on_synthetic(payoffs):
-    profiles = [make_profile(a, pr, i) for i, (a, pr) in enumerate(payoffs)]
-    kept = pareto_filter(profiles, tol_u=1e-9)
-    got = {int(p.contract.payments[0]) for p in kept.profiles}
+    order, _ = frontier_of(*zip(*payoffs), 1e-9)
+    got = set(order)
+    assert len(got) == len(order)
     mask = brute_pareto_keep([a for a, _ in payoffs], [b for _, b in payoffs], 1e-9)
     want = {i for i in range(len(payoffs)) if mask[i]}
     assert got == want
@@ -341,9 +357,7 @@ def test_cluster_levels_match_greedy_loop():
 
 
 def test_select_levels_hand_case():
-    ps = pareto_filter(
-        [make_profile(0.0, 3.0, 0), make_profile(0.04, 2.0, 1), make_profile(0.1, 1.0, 2)]
-    )
+    ps = frontier_set([(0.0, 3.0), (0.04, 2.0), (0.1, 1.0)])
     assert ps.agent_utility_levels == (0.0, 0.04, 0.1)
     assert select(ps, 0.0).chosen_level == 0.0
     assert select(ps, 0.05).chosen_level == 0.1
@@ -353,9 +367,7 @@ def test_select_levels_hand_case():
 
 
 def test_select_returns_whole_level():
-    ps = pareto_filter(
-        [make_profile(0.1, 0.5, 0), make_profile(0.1, 0.5, 1), make_profile(0.2, 0.1, 2)]
-    )
+    ps = frontier_set([(0.1, 0.5), (0.1, 0.5), (0.2, 0.1)])
     sel = select(ps, 0.05)
     assert sel.chosen_level == pytest.approx(0.1)
     assert len(sel.profiles) == 2
@@ -367,7 +379,7 @@ def test_selection_ids_agree_with_select_at():
     enum = Enumeration(s)
     for alpha, r in ((1.0, 0.0), (1.0, 0.05), (0.6, 0.1)):
         chosen, ids, binding = enum.selection_ids(alpha, r)
-        sel = enum.select_at(alpha, r)
+        sel = select(enum.pareto_at(alpha), r)
         assert chosen == pytest.approx(sel.chosen_level, abs=1e-15)
         assert {(int(enum.contract_id[i]), int(enum.point_id[i])) for i in ids} == {
             p.identity() for p in sel.profiles
@@ -378,4 +390,4 @@ def test_selection_ids_agree_with_select_at():
 def test_selection_empty_raises():
     s = ladder_scenario()
     with pytest.raises(EmptySelectionError):
-        Enumeration(s).select_at(1.0, 99.0)
+        select(Enumeration(s).pareto_at(1.0), 99.0)

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 
 from agentcap.errors import ConfigurationError, EmptySelectionError
-from agentcap.model import Contract, Distribution, Profile, agent_value, principal_value
+from agentcap.model import Contract, Distribution, Profile
 from agentcap.pareto import Enumeration
-from agentcap.scaling import (
-    InequalitySlacks,
-    alpha_star,
-    capacity_slack_predicate,
-    verify_inequalities,
-    verify_theorem,
-)
+from agentcap.scaling import InequalitySlacks, _all_slack, alpha_star, verify_theorem
 
-from conftest import ladder_scenario, tangent_scenario
+from conftest import ladder_scenario, tangent_scenario, verify_inequalities
 
 
 def tangent_profile(s, slope, alpha):
@@ -29,11 +23,12 @@ def tangent_profile(s, slope, alpha):
     b = (-v, slope - v)
     q = min(phat, math.sqrt(s.capacity))
     dist = (1.0 - q, q)
+    p, pay = np.array(dist), np.array(b)
     return Profile(
         contract=Contract(b),
         dist=Distribution(dist),
-        agent_utility=agent_value(s, b, dist),
-        principal_payoff=principal_value(s, alpha, b, dist),
+        agent_utility=float(p @ pay - s.cost.value(p)),
+        principal_payoff=float(p @ (alpha * s.y.as_array() - pay)),
         capacity_binding=abs(q * q - s.capacity) <= s.tol_u,
         cost=q * q,
     )
@@ -43,11 +38,9 @@ def tangent_profile(s, slope, alpha):
 
 
 def test_predicate_hand_values():
-    s = tangent_scenario(0.04)
-    assert capacity_slack_predicate(s, 0.2, u_bar=0.0)
-    assert not capacity_slack_predicate(s, 0.8, u_bar=0.0)
-    with pytest.raises(ConfigurationError):
-        capacity_slack_predicate(s, 1.2, u_bar=0.0)
+    enum = Enumeration(tangent_scenario(0.04))
+    assert _all_slack(enum, 0.2, 0.0)
+    assert not _all_slack(enum, 0.8, 0.0)
 
 
 def test_alpha_star_tangent_threshold():
@@ -130,13 +123,6 @@ def test_slacks_hand_case():
     assert slacks.scaled_output == pytest.approx(0.02, abs=1e-12)
     assert slacks.participation == pytest.approx(0.0, abs=1e-12)
     assert slacks.min_slack() >= -1e-12
-
-
-def test_slacks_alpha_guard():
-    s = tangent_scenario(0.04)
-    base = tangent_profile(s, 0.4, 1.0)
-    with pytest.raises(ConfigurationError):
-        verify_inequalities(s, -0.2, base, base)
 
 
 def test_slacks_recompute_missing_cost():
