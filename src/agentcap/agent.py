@@ -4,6 +4,15 @@ Two routes to the agent's problem max E_p[u(b)] - c(p) over the feasible set
 D = {p : c(p) <= k}: an exhaustive scan of the enumeration grid, and a convex
 interior solver for the smooth cost kinds. The scan is the ground truth the
 solver is tested against.
+
+The scan has two producers of the same (row, point, value) ties. ``scan_grid``
+scores every row against every point. ``scan_balls``, for the costs that are
+strictly convex on the simplex (relative entropy, and a quadratic whose Q is
+positive definite on the sum-zero subspace), scores only the lattice points
+inside each row's strong-concavity ball around its continuous optimum, which
+provably holds every tie; it finds the same ties, and its values may differ
+from the full scan's in the last bit. Both apply the one tie cut,
+``tie_floor``.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .errors import (
     UnsupportedCostError,
 )
 from .model import (
+    FEASIBILITY_SLACK,
     Contract,
     Distribution,
     Scenario,
@@ -101,8 +111,8 @@ def scan_grid(
     Row r scores ``payoffs[r] . p - c(p)`` at every point; the result is
     (row ids, point ids, values) of each point within tol_u of its row's
     best, rows ascending and points in lattice order within a row. Values
-    are computed in blocks of at most ``_CHUNK`` rows x points, so only one
-    block's value matrix is alive at a time; the costs are subtracted in
+    are computed in blocks of at most ``_CHUNK`` rows x points, each written
+    into one buffer allocated for the first block; the costs are subtracted in
     place, and ties are found as flat indices into the block, split into
     (row, point) pairs in row-major order. The block height is part of the
     result: BLAS may round a matmul differently for another height.
@@ -114,19 +124,20 @@ def scan_grid(
     part; a caller keeps the earlier parts' ties that reach the final floor.
     """
     rows_per_block = max(1, _CHUNK // max(1, len(points)))
+    buf = np.empty((min(rows_per_block, len(payoffs)), len(points)))
     r_ids: list[np.ndarray] = []
     p_ids: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for start in range(0, len(payoffs), rows_per_block):
         stop = start + rows_per_block
-        vals = payoffs[start:stop] @ points.T
+        block = payoffs[start:stop]
+        vals = np.matmul(block, points.T, out=buf[: len(block)])
         np.subtract(vals, costs, out=vals)
-        floor = vals.max(axis=1)
+        best = vals.max(axis=1)
         if running is not None:
-            np.maximum(floor, running[start:stop], out=floor)
-            running[start:stop] = floor
-        floor -= tol_u
-        flat = np.flatnonzero(vals >= floor[:, None])
+            np.maximum(best, running[start:stop], out=best)
+            running[start:stop] = best
+        flat = np.flatnonzero(vals >= tie_floor(best, tol_u)[:, None])
         ri, pi = np.divmod(flat, vals.shape[1])
         r_ids.append(ri + start)
         p_ids.append(pi)
@@ -152,6 +163,416 @@ def best_response_grid(s: Scenario, b) -> BestResponseSet:
     Maximizers come back in the grid's lexicographic order.
     """
     return grid_best_response(s, s.utility.apply(_as_payments(b)))
+
+
+# ---------------------------------------------------------------------------
+# Ball route: exact lattice best responses from strong concavity
+#
+# For a cost that is strictly convex on the simplex, a contract's objective
+# f(p) = u.p - c(p) is bounded above on the feasible set by the Lagrangian
+# L(p) = u.p - (1+mu) c(p) + mu kbar, kbar = k + FEASIBILITY_SLACK, for any
+# mu >= 0, and L is sigma-strongly concave with sigma = (1+mu) sigma0. With
+# UB >= L(centre) + (the linear gain available from the centre), every tie
+# p, whose value is at least LB - tol_u for the value LB of any feasible
+# lattice point, satisfies sigma/2 |p - centre|^2 <= UB - LB + tol_u. Only
+# the lattice points inside that ball are scored. The bound holds for any
+# mu and any centre; how well they are solved for changes only the ball's
+# size.
+
+# Rounding allowance, relative to the magnitudes a bound is built from: the
+# bound's terms carry errors of a few ulps (about 1e-16 relative each), and
+# this widens a ball by far less than one lattice step.
+_ROUND = 1e-10
+
+
+def tie_floor(best, tol_u: float):
+    """The tie cut: a point ties its row's best value ``best`` when it
+    scores at least this. Both producers and the capacity chain use it."""
+    return best - tol_u
+
+
+def strong_concavity(cost) -> tuple[int, float] | None:
+    """(norm, sigma0) such that u.p - (1+mu) c(p) is (1+mu) sigma0-strongly
+    concave on the simplex in the l1 (1) or l2 (2) norm, or None when c is
+    not strictly convex there.
+
+    Relative entropy: sigma0 = theta in l1 (Pinsker). Quadratic: sigma0 =
+    2 lambda_min(V'QV) in l2, V an orthonormal basis of the sum-zero
+    subspace, less eigvalsh's rounding; a Q singular on that subspace gives
+    None. Table and effort costs give None.
+    """
+    if cost.kind == "relative-entropy":
+        return 1, cost.theta
+    if cost.kind == "quadratic":
+        n = len(cost.q0)
+        basis = np.linalg.eigh(np.eye(n) - 1.0 / n)[1][:, 1:]
+        eig = np.linalg.eigvalsh(basis.T @ np.array(cost.Q) @ basis)
+        low = eig[0] - _ROUND * abs(eig[-1])
+        return (2, 2.0 * low) if low > 0 else None
+    return None
+
+
+def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> bool:
+    """The routing rule between the two producers of a fresh enumeration:
+    ``scan_balls`` when the cost is strictly convex on the simplex
+    (``strong_concavity``) and contracts x feasible points exceed one value
+    block (``_CHUNK``), else ``scan_grid``. A quadratic also needs fewer
+    faces of the simplex, 2^n - 1, than feasible points: its centre solver
+    tabulates one solution per face."""
+    if n_contracts * n_feasible <= _CHUNK or strong_concavity(s.cost) is None:
+        return False
+    return s.cost.kind != "quadratic" or (1 << s.n) <= n_feasible
+
+
+def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
+    """Rows p ~ q0 exp(beta u), and their log normalisers
+    log sum q0 exp(beta u)."""
+    z = logq + beta[:, None] * u
+    top = z.max(axis=1)
+    w = np.exp(z - top[:, None])
+    total = w.sum(axis=1)
+    return w / total[:, None], top + np.log(total)
+
+
+def _entropy_bound(u: np.ndarray, cost, beta: np.ndarray, kbar: float):
+    """(mu, centre, UB) per row at beta = 1 / ((1+mu) theta) <= 1/theta.
+
+    With lam = 1/beta, the maximum over the simplex of u.p - lam KL(p||q0)
+    is lam log sum q0 exp(u/lam), attained at the centre p ~ q0 exp(u/lam);
+    UB adds mu kbar.
+    """
+    p, logz = _gibbs(u, np.log(np.array(cost.q0)), beta)
+    lam = 1.0 / beta
+    mu = np.maximum(lam / cost.theta - 1.0, 0.0)
+    return mu, p, lam * logz + mu * kbar
+
+
+def _entropy_centres(u: np.ndarray, cost, kbar: float):
+    """(mu, centre, UB) per payoff row for relative entropy: mu solves
+    theta KL(p_mu||q0) = kbar, by safeguarded Newton on beta, when the
+    unconstrained optimum is infeasible, and is 0 otherwise."""
+    theta = cost.theta
+    logq = np.log(np.array(cost.q0))
+    beta = np.full(len(u), 1.0 / theta)
+    p, logz = _gibbs(u, logq, beta)
+    # KL(p_beta||q0) = beta E[u] - log Z; it rises with beta from 0
+    target = kbar / theta
+    todo = np.flatnonzero(beta * np.einsum("ij,ij->i", p, u) - logz > target)
+    lo, hi = np.zeros(todo.size), beta[todo]
+    for _ in range(200):
+        if not todo.size:
+            break
+        uu, b = u[todo], beta[todo]
+        q, lz = _gibbs(uu, logq, b)
+        eu = np.einsum("ij,ij->i", q, uu)
+        gap = b * eu - lz - target
+        slope = b * (np.einsum("ij,ij->i", q, uu * uu) - eu * eu)
+        hi = np.where(gap > 0, b, hi)
+        lo = np.where(gap > 0, lo, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = b - gap / slope
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        beta[todo] = nxt
+        moving = np.abs(nxt - b) > 1e-13 * b
+        todo, lo, hi = todo[moving], lo[moving], hi[moving]
+    return _entropy_bound(u, cost, beta, kbar)
+
+
+def _quadratic_faces(Q: np.ndarray, q0: np.ndarray):
+    """Per face (support bitmask F), the affine solution of the face's
+    stationarity system t u_F - 2 (Q (p - q0))_F = nu, sum p = 1:
+    p = b[F] + t A[F] u and nu = nu0[F] + t w[F].u, zero off the face.
+    Faces of one size are solved as one stacked inverse."""
+    n = len(q0)
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    A = np.zeros((1 << n, n, n))
+    b = np.zeros((1 << n, n))
+    w = np.zeros((1 << n, n))
+    nu0 = np.zeros(1 << n)
+    shift = 2.0 * Q @ q0
+    for size in range(1, n + 1):
+        faces = np.flatnonzero(member.sum(axis=1) == size)
+        idx = np.array([np.flatnonzero(member[F]) for F in faces])
+        M = np.ones((faces.size, size + 1, size + 1))
+        M[:, :size, :size] = 2.0 * Q[idx[:, :, None], idx[:, None, :]]
+        M[:, size, size] = 0.0
+        inv = np.linalg.inv(M)
+        X, y, z = inv[:, :size, :size], inv[:, :size, size], inv[:, size, size]
+        sh = shift[idx]
+        rows = faces[:, None]
+        A[rows[:, :, None], idx[:, :, None], idx[:, None, :]] = X
+        b[rows, idx] = np.einsum("fij,fj->fi", X, sh) + y
+        w[rows, idx] = inv[:, size, :size]
+        nu0[faces] = np.einsum("fj,fj->f", inv[:, size, :size], sh) + z
+    return A, b, w, nu0
+
+
+def _quadratic_centres(u: np.ndarray, cost, kbar: float, faces):
+    """(mu, centre, UB) per payoff row for a quadratic cost.
+
+    Primal-dual active-set iterations on the support: on a face, the
+    optimum of t u.p - c(p) is affine in t = 1/(1+mu), so its cost is a
+    quadratic in t and the t meeting the capacity is a closed-form root.
+    UB is L(centre) plus the Frank-Wolfe gap at the centre, which bounds L
+    over the simplex whether or not the iterations converged.
+    """
+    Q, q0 = np.array(cost.Q), np.array(cost.q0)
+    A, b, w, nu0 = faces
+    Qe = (b - q0) @ Q  # per face, Q (p - q0) at t = 0
+    c0_face = np.einsum("fi,fi->f", Qe, b - q0)
+    h, n = u.shape
+    bits = 1 << np.arange(n)
+    face = np.full(h, (1 << n) - 1)
+    t = np.zeros(h)
+    centre = np.empty((h, n))
+    todo = np.arange(h)
+    for _ in range(1 << n):
+        F, uu = face[todo], u[todo]
+        d = np.einsum("rij,rj->ri", A[F], uu)
+        Qd = d @ Q
+        c2 = np.einsum("ij,ij->i", d, Qd)
+        c1 = 2.0 * np.einsum("ij,ij->i", d, Qe[F])
+        c0 = c0_face[F]
+        root = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * (c0 - kbar), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = np.where(c0 + c1 + c2 <= kbar, 1.0, 2.0 * (kbar - c0) / (c1 + root))
+        tt = np.where(c0 > kbar, 0.0, np.clip(np.nan_to_num(tt), 0.0, 1.0))
+        p = b[F] + tt[:, None] * d
+        nu = nu0[F] + tt * np.einsum("ij,ij->i", w[F], uu)
+        g = tt[:, None] * (uu - 2.0 * Qd) - 2.0 * Qe[F]
+        keep = np.where((F[:, None] & bits) != 0, p > 0, g > nu[:, None])
+        nxt = keep @ bits
+        t[todo], centre[todo], face[todo] = tt, p, nxt
+        todo = todo[nxt != F]
+        if not todo.size:
+            break
+    return _quadratic_bound(u, cost, t, centre, kbar)
+
+
+def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kbar: float):
+    """(mu, centre, UB) per row at t = 1/(1+mu) in (0, 1], for any centre
+    summing to 1: L is concave, so over the simplex it is at most L(centre)
+    plus the Frank-Wolfe gap max_i grad L_i - grad L . centre. A row with
+    t = 0 gets an infinite bound."""
+    Q, q0 = np.array(cost.Q), np.array(cost.q0)
+    with np.errstate(divide="ignore"):
+        lam = 1.0 / t
+    mu = lam - 1.0
+    dev = centre - q0
+    grad = u - 2.0 * lam[:, None] * (dev @ Q)
+    fw_gap = grad.max(axis=1) - np.einsum("ij,ij->i", grad, centre)
+    with np.errstate(invalid="ignore"):
+        value = np.einsum("ij,ij->i", u, centre) - lam * np.einsum("ij,ij->i", dev @ Q, dev) + mu * kbar
+    return mu, centre, value + np.maximum(fw_gap, 0.0)
+
+
+def _binomials(top: int, k: int) -> np.ndarray:
+    """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64."""
+    table = np.zeros((top + 1, k + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for x in range(1, top + 1):
+        table[x, 1:] = table[x - 1, 1:] + table[x - 1, :-1]
+    return table
+
+
+def _lattice_rank(counts: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
+    """Index in ``simplex_lattice(n, m)`` (lexicographic order) of each row
+    of compositions of m, by the combinatorial number system: placing a_j
+    of the ``left`` units at coordinate j skips the C(left + k, k) -
+    C(left - a_j + k, k) compositions with a smaller a_j, k = n - 1 - j."""
+    n = counts.shape[1]
+    table, width = binom.ravel(), binom.shape[1]
+    rank = np.zeros(len(counts), dtype=np.int64)
+    left = np.full(len(counts), m, dtype=np.int64)
+    for j in range(n - 1):
+        k = n - 1 - j
+        rank += table[(left + k) * width + k] - table[(left - counts[:, j] + k) * width + k]
+        left -= counts[:, j]
+    return rank
+
+
+def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom: np.ndarray):
+    """(row, lattice rank) of every lattice point p with
+    sum_i |p_i - centre_i|^norm <= bound[row], summed in coordinate order,
+    rows ascending and points in lattice order within a row.
+
+    Coordinates are placed one at a time. A prefix is kept only while the
+    rest of the point can still land inside the ball, given that the
+    remaining deviations have a known sum.
+    """
+    h, n = centre.shape
+    rest = np.cumsum(centre[:, ::-1], axis=1)[:, ::-1]  # rest[:, j] = sum_{i>=j}
+    table, span = binom.ravel(), binom.shape[1]
+    row = np.arange(h)
+    left = np.full(h, m)
+    dist = np.zeros(h)
+    rank = np.zeros(h, dtype=np.int64)
+    for j in range(n - 1):
+        k = n - 1 - j
+        c, gap = centre[row, j], left / m - rest[row, j + 1]
+        room = bound[row] - dist + _ROUND * (1.0 + bound[row])
+        if norm == 2:
+            # (x - c)^2 + (gap - x)^2 / k is smallest at x0
+            least = (gap - c) ** 2 / (k + 1)
+            mid = (k * c + gap) / (k + 1)
+            half = np.sqrt(np.maximum(room - least, 0.0) * k / (k + 1))
+        else:
+            # |x - c| + |gap - x| is smallest, |gap - c|, between them
+            least = np.abs(gap - c)
+            mid = 0.5 * (c + gap)
+            half = 0.5 * room
+        lo = np.maximum(np.ceil(m * (mid - half) - m * _ROUND), 0).astype(np.int64)
+        hi = np.minimum(np.floor(m * (mid + half) + m * _ROUND), left).astype(np.int64)
+        width = np.where(room >= least, np.maximum(hi - lo + 1, 0), 0)
+        parent = np.repeat(np.arange(row.size), width)
+        a = lo[parent] + np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        left, row = left[parent], row[parent]
+        dist = dist[parent] + np.abs(a / m - c[parent]) ** norm
+        rank = rank[parent] + table[(left + k) * span + k] - table[(left - a + k) * span + k]
+        left = left - a
+    inside = dist + np.abs(left / m - centre[row, n - 1]) ** norm <= bound[row]
+    return row[inside], rank[inside]
+
+
+def _nearest_counts(p: np.ndarray, m: int) -> np.ndarray:
+    """Lattice counts (summing to m) nearest to each row of m p, by largest
+    remainder."""
+    x = np.maximum(p, 0.0) * m
+    counts = np.floor(x)
+    order = np.argsort(counts - x, axis=1, kind="stable")
+    place = np.empty_like(order)
+    np.put_along_axis(place, order, np.arange(p.shape[1])[None, :], axis=1)
+    counts += place < (m - counts.sum(axis=1))[:, None]
+    return counts.astype(np.int64)
+
+
+def _pair_values(payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """payoffs[i] . points[i] - costs[i] for each i. Each dot product is a
+    matmul of its own, summed in coordinate order; the full scan's blocked
+    matmul sums the same way on common BLAS builds, but need not."""
+    vals = np.matmul(payoffs[:, None, :], points[:, :, None])[:, 0, 0]
+    return np.subtract(vals, costs, out=vals)
+
+
+def _segment_max(owner: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
+    """out[o] = the largest of ``vals`` over each run of equal ``owner``
+    entries (owners ascending)."""
+    if vals.size:
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        out[owner[first]] = np.maximum.reduceat(vals, first)
+
+
+def _groups(sizes: np.ndarray, cap: float):
+    """Consecutive slices of ``sizes`` whose sums stay within cap (a slice
+    holds at least one entry)."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < sizes.size:
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0.0) + cap, side="right")))
+        yield slice(i, j)
+        i = j
+
+
+def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray):
+    """``scan_grid``'s ties over the feasible points of ``s`` for a cost that
+    ``strong_concavity`` accepts, scoring only the lattice points inside
+    each row's certified ball; also returns each row's best value and the
+    number of values computed.
+
+    A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
+    from the best feasible point among its rounded centre and that point's
+    one-step neighbours. Its ball is sigma/2 |p - centre|^2 <= UB - LB +
+    tol_u + a rounding allowance; every tie lies in it. A row is scanned in
+    full by ``scan_grid`` when it has no finite bound or no feasible probe,
+    or when enumerating its ball could visit more prefixes than the
+    feasible set has points: up to the lattice points of the ball's
+    bounding box at each of n - 1 levels. Rows are processed in chunks
+    whose probe arrays, and groups whose ball enumerations, stay within one
+    ``_CHUNK`` block.
+
+    Values are single matmuls per (row, point) pair and may differ from
+    ``scan_grid``'s blocked matmul in the last bit.
+    """
+    norm, sigma0 = strong_concavity(s.cost)
+    n, m, tol_u = s.n, s.m, s.tol_u
+    kbar = s.capacity + FEASIBILITY_SLACK
+    lattice_costs = s.lattice.costs
+    mask = feasible_mask(lattice_costs, s.capacity)
+    ids = np.cumsum(mask) - 1
+    binom = _binomials(m + n, n)
+    cscale = float(np.abs(lattice_costs).max()) + abs(kbar)
+    if s.cost.kind == "relative-entropy":
+        cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
+
+        def centres(u):
+            return _entropy_centres(u, s.cost, kbar)
+    else:
+        faces = _quadratic_faces(np.array(s.cost.Q), np.array(s.cost.q0))
+
+        def centres(u):
+            return _quadratic_centres(u, s.cost, kbar, faces)
+
+    eye = np.eye(n, dtype=np.int64)
+    moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
+    n_c, n_p = len(payoffs), len(points)
+    row_max = np.full(n_c, -np.inf)
+    parts, full = [], []
+    evaluations = 0
+    per = max(1, _CHUNK // (len(moves) * n))
+    for start in range(0, n_c, per):
+        u = payoffs[start:start + per]
+        mu, centre, ub = centres(u)
+        # LB: the rounded centre's value where it is feasible, else the best
+        # feasible one-step neighbour's
+        base = _nearest_counts(centre, m)
+        lb = np.full(len(u), -np.inf)
+        rows, probes = np.arange(len(u)), base
+        for stage in range(2):
+            at = np.flatnonzero((probes >= 0).all(axis=1) & (probes.sum(axis=1) == m))
+            rank = _lattice_rank(probes[at], m, binom)
+            feasible = mask[rank]
+            at, pid = at[feasible], ids[rank[feasible]]
+            vals = _pair_values(u[rows[at]], points[pid], costs[pid])
+            evaluations += vals.size
+            _segment_max(rows[at], vals, lb)
+            if stage == 0:
+                rows = np.repeat(np.flatnonzero(lb == -np.inf), len(moves))
+                probes = (base[rows].reshape(-1, len(moves), n) + moves).reshape(-1, n)
+        lam = 1.0 + mu
+        margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + np.abs(u).max(axis=1) + lam * cscale)
+        with np.errstate(invalid="ignore", over="ignore"):
+            r2 = 2.0 * (ub - lb + tol_u + margin) / (lam * sigma0)
+            reach = np.sqrt(r2) / (2.0 if norm == 1 else 1.0)
+            width = np.floor(m * (centre + reach[:, None])) - np.ceil(m * (centre - reach[:, None])) + 1
+            bound = r2 if norm == 2 else np.sqrt(r2)
+        size = np.prod(np.clip(width[:, :-1], 1, m + 1), axis=1)
+        ok = np.isfinite(r2) & ((n - 1) * size <= n_p)
+        full.append(start + np.flatnonzero(~ok))
+        rows = np.flatnonzero(ok)
+        for part in _groups(size[rows], _CHUNK / n):
+            g = rows[part]
+            owner, rank = _ball_points(centre[g], bound[g], norm, m, binom)
+            feasible = mask[rank]
+            owner, pid = owner[feasible], ids[rank[feasible]]
+            vals = _pair_values(u[g[owner]], points[pid], costs[pid])
+            evaluations += vals.size
+            # every row's ball holds its LB point, so each row has a value
+            best = np.full(g.size, -np.inf)
+            _segment_max(owner, vals, best)
+            tie = vals >= tie_floor(best, tol_u)[owner]
+            row_max[start + g] = best
+            parts.append((start + g[owner[tie]], pid[tie], vals[tie]))
+    fb = np.concatenate(full)
+    if fb.size:
+        running = np.full(fb.size, -np.inf)
+        ri, pi, vals = scan_grid(payoffs[fb], points, costs, tol_u, running)
+        row_max[fb] = running
+        parts.append((fb[ri], pi, vals))
+        evaluations += fb.size * n_p
+    cid, pid, vals = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(cid, kind="stable")
+    return cid[order], pid[order], vals[order], row_max, evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ which grows with it. An enumeration built on the one at the next lower
 capacity scans only the points that became feasible, against each contract's
 best value carried up from below, and keeps the lower ties that still reach
 the new floor; a capacity sweep scores each lattice point once.
+
+A fresh enumeration whose cost is strictly convex on the simplex, and whose
+contracts times feasible points exceed one value block (``agent._CHUNK``),
+scores only the lattice points in each contract's certified ball
+(``agent.scan_balls``) instead of the whole feasible lattice. The rows are
+the same either way; ``evaluations`` counts the values actually computed.
 """
 
 from __future__ import annotations
@@ -22,9 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .agent import capacity_binding, feasible_lattice, scan_grid
+from .agent import (
+    ball_route,
+    capacity_binding,
+    feasible_lattice,
+    scan_balls,
+    scan_grid,
+    tie_floor,
+)
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario, feasible_mask
+from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasible_mask
 
 DEFAULT_BUDGET = 10**7
 
@@ -178,6 +191,19 @@ class Enumeration:
     floor are kept. Ties, binding flags and ids are those of a fresh
     enumeration; agent utilities of the newly scanned points come from a
     narrower matmul and may differ from a fresh scan's in the last bit.
+
+    Without ``below``, the route is a property of the input
+    (``agent.ball_route``): when the cost is strictly convex on the simplex
+    and contracts times feasible points exceed one value block,
+    ``agent.scan_balls`` scores only each contract's certified ball;
+    otherwise ``agent.scan_grid`` scores every pair. Both
+    give the same rows and ``row_max``, so a chain may start from either;
+    ball-route agent utilities may differ in the last bit. The budget check
+    is on the nominal count, contracts times feasible points, whichever
+    route runs. ``evaluations`` is the number of values computed: contracts
+    times feasible points for a full scan, contracts times newly feasible
+    points for a chained one, and the probes and ball points scored (plus
+    any rows scanned in full) for the ball route.
     """
 
     def __init__(self, s: Scenario, budget: int | None = None, below: Enumeration | None = None):
@@ -204,14 +230,19 @@ class Enumeration:
         self.points = points
         self.point_costs = costs
 
-        # row_max: each contract's best value over the feasible points
-        if below is None:
+        # row_max: each contract's best value over the feasible points;
+        # evaluations: the values computed to find the ties
+        if below is not None:
+            self._scan_above(below)
+        elif ball_route(s, n_c, n_p):
+            (self.contract_id, self.point_id, self.agent_u,
+             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, points, costs)
+        else:
             self.row_max = np.full(n_c, -np.inf)
             self.contract_id, self.point_id, self.agent_u = scan_grid(
                 s.lattice.util, points, costs, s.tol_u, self.row_max
             )
-        else:
-            self._scan_above(below)
+            self.evaluations = n_c * n_p
         self.cost = costs[self.point_id]
         self.binding = capacity_binding(self.cost, s.capacity, s.tol_u)
         self.exp_output = points[self.point_id] @ y
@@ -225,18 +256,18 @@ class Enumeration:
         added = ~feasible_mask(self.point_costs, below.scenario.capacity)
         # below's feasible points, in order, are the rest of these
         cid, pid, val = below.contract_id, np.flatnonzero(~added)[below.point_id], below.agent_u
-        if not added.any():
+        new = np.flatnonzero(added)
+        self.evaluations = len(self.labels) * new.size
+        if not new.size:
             self.row_max = below.row_max
             self.contract_id, self.point_id, self.agent_u = cid, pid, val
             return
-        new = np.flatnonzero(added)
         self.row_max = below.row_max.copy()
         c_new, p_new, v_new = scan_grid(
             self.scenario.lattice.util, self.points[new], self.point_costs[new],
             self.scenario.tol_u, self.row_max,
         )
-        floor = self.row_max - self.scenario.tol_u
-        keep = val >= floor[cid]
+        keep = val >= tie_floor(self.row_max, self.scenario.tol_u)[cid]
         cid = np.concatenate((cid[keep], c_new))
         pid = np.concatenate((pid[keep], new[p_new]))
         order = np.argsort(cid * len(self.points) + pid, kind="stable")
@@ -246,7 +277,10 @@ class Enumeration:
     # -- queries ----------------------------------------------------------
 
     def principal_at(self, alpha: float) -> np.ndarray:
-        return alpha * self.exp_output - self.exp_payment
+        """Principal payoffs of every row at output scale ``alpha``; raises
+        ConfigurationError unless alpha lies in [0, 1]. Every alpha query
+        goes through here."""
+        return check_alpha(alpha) * self.exp_output - self.exp_payment
 
     @cached_property
     def agent_order(self) -> _AgentOrder:

@@ -223,6 +223,27 @@ def test_scan_grid_equals_whole_matrix_reference(case, monkeypatch):
         assert got[2].tobytes() == values.tobytes()
 
 
+def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
+    # the value buffer is reused from block to block; each block's values
+    # must be that block's own matmul, bit for bit, and the last block is
+    # shorter than the buffer
+    s = entropy_cara3()
+    points, costs = feasible_lattice(s)
+    payoffs = s.lattice.util
+    rows_per_block = 5
+    assert len(payoffs) % rows_per_block
+    monkeypatch.setattr(agent, "_CHUNK", rows_per_block * len(points))
+    ri, pi, values = agent.scan_grid(payoffs, points, costs, s.tol_u)
+    ref = np.concatenate([
+        payoffs[start:start + rows_per_block] @ points.T - costs
+        for start in range(0, len(payoffs), rows_per_block)
+    ])
+    assert ref[ri, pi].tobytes() == values.tobytes()
+    best = ref.max(axis=1)
+    expect_r, expect_p = np.nonzero(ref >= best[:, None] - s.tol_u)
+    assert np.array_equal(ri, expect_r) and np.array_equal(pi, expect_p)
+
+
 # -- convex route -----------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentcap import agent
 from agentcap.errors import BudgetExceededError, ConfigurationError, EmptySelectionError
 from agentcap.model import (
     AgentUtility,
@@ -128,6 +129,40 @@ def test_rows_ascend_by_contract_then_point():
         for k in (2 * s.capacity, 4 * s.capacity):
             enum = Enumeration(s.at_capacity(k), below=enum)
             _assert_rows_ascend(enum)
+
+
+def test_rows_ascend_on_the_ball_route(monkeypatch):
+    # with small blocks every fresh enumeration of a strictly convex cost
+    # takes the ball route, and chains start from it
+    monkeypatch.setattr(agent, "_CHUNK", 64)
+    for s in [tangent_scenario(0.04), *(smooth_scenario(seed)[0] for seed in range(6))]:
+        enum = Enumeration(s)
+        assert enum.evaluations < len(enum.labels) * len(enum.points)
+        _assert_rows_ascend(enum)
+        enum = Enumeration(s.at_capacity(2 * s.capacity), below=enum)
+        _assert_rows_ascend(enum)
+
+
+def test_evaluations_count_full_and_chained_scans():
+    s = tangent_scenario(0.04, m=400)
+    n_c = len(s.lattice.contracts[0])
+    low = Enumeration(s)
+    assert low.evaluations == n_c * len(low.points)
+    high = Enumeration(s.at_capacity(0.09), below=low)
+    # only the points feasible at 0.09 but not at 0.04 are scored
+    assert high.evaluations == n_c * (len(high.points) - len(low.points)) > 0
+    assert Enumeration(s.at_capacity(0.09), below=high).evaluations == 0
+
+
+@pytest.mark.parametrize("alpha", [1.5, -3.0, float("nan"), float("inf")])
+def test_alpha_queries_reject_alpha_outside_unit_interval(alpha):
+    enum = Enumeration(tangent_scenario(0.04, m=200))
+    queries = [enum.principal_at, enum.pareto_at, enum.pareto_mask,
+               lambda a: enum.profile(0, a), lambda a: enum.selection_ids(a, 0.0)]
+    for query in queries:
+        with pytest.raises(ConfigurationError, match="alpha"):
+            query(alpha)
+    assert len(enum.pareto_at(1.0).profiles) > 0
 
 
 # -- Pareto filter ----------------------------------------------------------
