@@ -17,15 +17,19 @@ from agentcap.discounting import DatedSchedule, DiscountPair
 from agentcap.model import (
     AgentUtility,
     Contract,
+    DebtFamily,
     Distribution,
+    EffortCost,
     GridFamily,
     LinearShareFamily,
+    LiveOrDieFamily,
     OutputFunction,
     Profile,
     QuadraticCost,
     RelativeEntropyCost,
     Scenario,
     StateSpace,
+    TableCost,
     cost,
     simplex_lattice,
 )
@@ -108,6 +112,37 @@ def share_scenario(k, m=100):
         utility=AgentUtility("risk_neutral"),
         reservation=0.0,
         m=m,
+    )
+
+
+def table_scenario():
+    """Two states, a table cost p_H^2 listed at every point of the m = 8
+    lattice, a debt family and a CRRA agent."""
+    pts = simplex_lattice(2, 8)
+    return Scenario(
+        states=StateSpace(("L", "H")),
+        y=OutputFunction((0.0, 1.0)),
+        cost=TableCost(tuple(map(tuple, pts)), tuple(float(p[1] ** 2) for p in pts)),
+        capacity=0.5,
+        family=DebtFamily((0.0, 0.5)),
+        utility=AgentUtility("crra", gamma=2.0),
+        reservation=0.0,
+        m=8,
+    )
+
+
+def effort_scenario():
+    """Two states, an effort cost whose two levels induce its only points,
+    a live-or-die family and a shifted log agent."""
+    return Scenario(
+        states=StateSpace(("L", "H")),
+        y=OutputFunction((0.0, 1.0)),
+        cost=EffortCost((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)), (0.0, 0.3)),
+        capacity=0.5,
+        family=LiveOrDieFamily((0.5,)),
+        utility=AgentUtility("crra", gamma=1.0, shift=2.0),
+        reservation=0.0,
+        m=8,
     )
 
 

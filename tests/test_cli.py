@@ -20,22 +20,23 @@ from agentcap.errors import ScenarioParseError, ValidationError
 from agentcap.model import (
     AgentUtility,
     ContractFamily,
-    DebtFamily,
-    EffortCost,
     GridFamily,
     LinearShareFamily,
-    LiveOrDieFamily,
     MonotoneBoundedSlopeFamily,
     OutputFunction,
     QuadraticCost,
     RelativeEntropyCost,
     Scenario,
     StateSpace,
-    TableCost,
-    simplex_lattice,
 )
 
-from conftest import ladder_scenario, share_scenario, tangent_scenario
+from conftest import (
+    effort_scenario,
+    ladder_scenario,
+    share_scenario,
+    table_scenario,
+    tangent_scenario,
+)
 
 
 def read_csv(path):
@@ -99,19 +100,8 @@ def trip_cases():
         family=LinearShareFamily((0.0, 1.0), (-0.1, 0.0)),
         utility=AgentUtility("cara", a=2.0), reservation=0.0, m=30,
     )
-    pts = simplex_lattice(2, 8)
-    yield Scenario(
-        states=s.states, y=s.y,
-        cost=TableCost(tuple(map(tuple, pts)), tuple(float(p[1] ** 2) for p in pts)),
-        capacity=0.5, family=DebtFamily((0.0, 0.5)),
-        utility=AgentUtility("crra", gamma=2.0), reservation=0.0, m=8,
-    )
-    yield Scenario(
-        states=s.states, y=s.y,
-        cost=EffortCost((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)), (0.0, 0.3)),
-        capacity=0.5, family=LiveOrDieFamily((0.5,)),
-        utility=AgentUtility("crra", gamma=1.0, shift=2.0), reservation=0.0, m=8,
-    )
+    yield table_scenario()
+    yield effort_scenario()
     yield Scenario(
         states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
         family=MonotoneBoundedSlopeFamily(((0.0, 0.1), (0.0, 0.1, 0.6))),

@@ -3,7 +3,11 @@
 The digests were recorded from the package before the capacity-independent
 lattice data moved into ``model``; a refactor that claims unchanged outputs
 must reproduce them exactly. A change that alters outputs on purpose
-re-records them and says so.
+re-records them and says so. The ``share``, ``table`` and ``effort`` solve
+digests were recorded from the Profile-per-row writer, before ``solve``
+wrote its tables from the enumeration arrays: the share family's
+``beta=...,w=...`` labels need CSV quoting, and the table and effort costs
+are the row sources off the simplex lattice's own pricing.
 """
 
 import hashlib
@@ -12,12 +16,21 @@ import pytest
 
 from agentcap.cli import main, save_scenario
 
-from conftest import smooth_scenario, tangent_scenario
+from conftest import (
+    effort_scenario,
+    share_scenario,
+    smooth_scenario,
+    table_scenario,
+    tangent_scenario,
+)
 
 SCENARIOS = {
     "tangent": lambda: tangent_scenario(0.04, m=400),
     # three states, relative-entropy cost
     "smooth": lambda: smooth_scenario(0)[0],
+    "share": lambda: share_scenario(0.2),
+    "table": table_scenario,
+    "effort": effort_scenario,
 }
 
 COMMANDS = {
@@ -67,6 +80,18 @@ GOLDEN = {
     },
     ("smooth", "kkt"): {
         "residuals.csv": "e293f99804a840fc09055caf72716c4b24244d9bd2577669badbfa378dd2ee3c",
+    },
+    ("share", "solve"): {
+        "pareto.csv": "cdf657d064ec471f138664cde2ec8904f4dd7c57421a349947069da1a2becfd7",
+        "selection.csv": "7a624a7eca873a0b90b013f6aadac2358d4fe05f0329c9663228c2b92daea43c",
+    },
+    ("table", "solve"): {
+        "pareto.csv": "e33464c0bd23295000a4c3c33296cf0ea2b304ededbe196651fb24ad11162d96",
+        "selection.csv": "5ead574a2854f4494f5cd4f5b2863fabbfb7f2faaa216000f3122d12b2a8150d",
+    },
+    ("effort", "solve"): {
+        "pareto.csv": "3dd5809a7aaa3e8b6317bb842faeefb86dfd718eb5120cdca3f19f90e8976a7d",
+        "selection.csv": "3dd5809a7aaa3e8b6317bb842faeefb86dfd718eb5120cdca3f19f90e8976a7d",
     },
 }
 
