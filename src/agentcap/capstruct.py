@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateScalingError, ValidationError
 from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
-from .pareto import Enumeration
+from .pareto import Enumeration, EvaluationTally
 from .scaling import alpha_star
 
 
@@ -109,7 +109,9 @@ def live_or_die_decompose(y: OutputFunction, l: float, alpha_star: float) -> Liv
     )
 
 
-def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tuple[float, float]]:
+def sweep_alpha_star(
+    s: Scenario, k_grid, budget: int | None = None, tally: EvaluationTally | None = None
+) -> list[tuple[float, float]]:
     """alpha* as a function of capacity, sorted by k.
 
     Only the feasibility mask depends on k, so every capacity's scenario is
@@ -120,7 +122,8 @@ def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tup
     grow with k, so each capacity's enumeration is built on the one below
     it and scans only the points that became feasible (see
     ``Enumeration``); each capacity is then solved with its own base level.
-    ``budget`` caps each k's contracts times feasible points.
+    ``budget`` caps each k's contracts times feasible points; ``tally``
+    sums the evaluation counts of the whole chain.
     """
     enum = None
     out = []
@@ -129,6 +132,6 @@ def sweep_alpha_star(s: Scenario, k_grid, budget: int | None = None) -> list[tup
         report = validate_scenario(sk)
         if not report:
             raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
-        enum = Enumeration(sk, budget, below=enum)
+        enum = Enumeration(sk, budget, below=enum, tally=tally)
         out.append((k, alpha_star(sk, enum=enum).alpha_star))
     return out

@@ -4,15 +4,17 @@
              --scenario PATH [flags] --out DIR
 
 ``main`` drives every command the same way: it loads and validates the
-scenario, runs the command, which checks its flags and computes its tables
-without touching a file, and only then creates --out and writes the CSV
-tables plus a summary.json. So a failed run creates nothing. Exit codes: 0
-success, 2 scenario parse, 3 validation or configuration (an --out that
-cannot be written included), 4 enumeration budget, 5 empty selection, 6
-convergence failure; a ``kkt`` solve that stops without converging still
-writes its point before exiting 6. CSV cells use 12 significant digits and
-newline-only line endings, so repeated runs on the same inputs are
-byte-identical; the summary additionally carries runtime metadata.
+scenario, runs the command, which checks its flags and computes its tables,
+column by column, without touching a file, and only then creates --out and
+writes the CSV tables plus a summary.json. So a failed run creates nothing.
+Exit codes: 0 success, 2 scenario parse, 3 validation or configuration (an
+--out that cannot be written, or a negative --budget, included), 4
+enumeration budget, 5 empty selection, 6 convergence failure; a ``kkt``
+solve that stops without converging still writes its point before exiting
+6. CSV cells use 12 significant digits and newline-only line endings, so
+repeated runs on the same inputs are byte-identical; the summary
+additionally carries runtime metadata, and for the enumerating commands the
+evaluation counts against the budget.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ from .model import (
     StateSpace,
     TableCost,
     check_alpha,
+    check_payments,
+    check_probabilities,
     grid_values,
     validate_scenario,
 )
-from .pareto import Enumeration, select
+from .pareto import Enumeration, EvaluationTally, select
 
 SCHEMA_VERSION = "1"
 
@@ -214,21 +218,31 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+    """The one cell rule: 12 significant digits, NaN and None empty,
+    booleans as true/false, anything else through str."""
     if isinstance(v, (float, np.floating)):
         return "" if math.isnan(v) else format(float(v), ".12g")
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if v is None:
+        return ""
     return str(v)
 
 
-def _write_csv(path, header, rows) -> None:
+def _column(values) -> list[str]:
+    """The cells of one column; a numpy array goes through ``.tolist()``
+    first, so ``_cell`` sees Python scalars."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [_cell(v) for v in values]
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a table given column by column, every cell through ``_column``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(zip(*map(_column, columns)))
 
 
 def _digest(path) -> str:
@@ -236,7 +250,8 @@ def _digest(path) -> str:
 
 
 def _write_outputs(args, t0: float, tables: dict, fields: dict) -> None:
-    """Create --out and write each table as CSV, then summary.json."""
+    """Create --out and write each table, {name: (header, columns)}, as CSV,
+    then summary.json."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -266,13 +281,25 @@ def _profile_header(s: Scenario) -> list[str]:
     )
 
 
-def _profile_row(pf: Profile) -> list:
-    return (
-        [pf.contract_label]
-        + list(pf.contract.payments)
-        + list(pf.dist.probs)
-        + [pf.agent_utility, pf.principal_payoff, bool(pf.capacity_binding)]
-    )
+def _profile_columns(enum: Enumeration, rows: np.ndarray, principal: np.ndarray) -> list:
+    """The profile table of enumeration ``rows`` with principal payoffs
+    ``principal``, column by column: contract label, payments,
+    probabilities, agent utility, principal payoff and binding flag, the
+    fields of ``Enumeration._profile`` gathered from the arrays. The
+    payments and probabilities pass ``Contract``'s and ``Distribution``'s
+    checks, run once over the gathered block."""
+    cid, pid = enum.contract_id[rows], enum.point_id[rows]
+    payments, probs = enum.payments[cid], enum.points[pid]
+    check_payments(payments)
+    check_probabilities(probs)
+    return [
+        [enum.labels[c] for c in cid.tolist()],
+        *payments.T,
+        *probs.T,
+        enum.agent_u[rows],
+        principal,
+        enum.binding[rows],
+    ]
 
 
 def _profile_dict(pf: Profile | None) -> dict | None:
@@ -303,32 +330,36 @@ def _float_list(text: str, flag: str) -> list[float]:
 # Commands
 #
 # Each command checks its flags and computes on the loaded scenario. It
-# returns its tables, {file name: (header, rows)}, and its summary fields;
+# returns its tables, {file name: (header, columns)}, and its summary fields;
 # ``main`` writes them.
 
 
 def cmd_solve(args, s: Scenario):
     alpha = check_alpha(args.alpha)
-    ps = Enumeration(s, budget=args.budget).pareto_at(alpha)
+    tally = EvaluationTally()
+    enum = Enumeration(s, budget=args.budget, tally=tally)
+    ps = enum.pareto_at(alpha)
     sel = select(ps, s.reservation)
     header = _profile_header(s)
     tables = {
-        "pareto.csv": (header, map(_profile_row, ps.profiles)),
-        "selection.csv": (header, map(_profile_row, sel.profiles)),
+        "pareto.csv": (header, _profile_columns(enum, ps.rows, ps.principal)),
+        "selection.csv": (header, _profile_columns(enum, sel.rows, sel.principal)),
     }
     return tables, {
         "alpha": alpha,
         "reservation": s.reservation,
-        "n_frontier": len(ps.profiles),
-        "n_selected": len(sel.profiles),
+        "n_frontier": len(ps.rows),
+        "n_selected": len(sel.rows),
         "chosen_level": sel.chosen_level,
         "agent_utility_levels": list(ps.agent_utility_levels),
+        **dataclasses.asdict(tally),
     }
 
 
 def cmd_alpha_star(args, s: Scenario):
-    res = scaling.alpha_star(s, eps=args.eps, budget=args.budget)
-    return {"trace.csv": (["alpha", "all_slack"], res.predicate_trace)}, {
+    tally = EvaluationTally()
+    res = scaling.alpha_star(s, eps=args.eps, budget=args.budget, tally=tally)
+    return {"trace.csv": (["alpha", "all_slack"], zip(*res.predicate_trace))}, {
         "alpha_star": res.alpha_star,
         "bracket_low": res.bracket[0],
         "bracket_high": res.bracket[1],
@@ -337,6 +368,7 @@ def cmd_alpha_star(args, s: Scenario):
         "monotone_warning": res.monotone_warning,
         "witness_alpha": res.witness_alpha,
         "slack_witness": _profile_dict(res.slack_witness),
+        **dataclasses.asdict(tally),
     }
 
 
@@ -344,7 +376,8 @@ def cmd_verify(args, s: Scenario):
     alphas = None
     if args.alpha_grid is not None:
         alphas = [check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
-    rep = scaling.verify_theorem(s, alphas=alphas, eps=args.eps, budget=args.budget)
+    tally = EvaluationTally()
+    rep = scaling.verify_theorem(s, alphas=alphas, eps=args.eps, budget=args.budget, tally=tally)
     header = [
         "alpha",
         "tested",
@@ -376,7 +409,7 @@ def cmd_verify(args, s: Scenario):
         ]
         for chk in rep.checks
     ]
-    return {"checks.csv": (header, rows)}, {
+    return {"checks.csv": (header, zip(*rows))}, {
         "reservation": s.reservation,
         "base_profile": _profile_dict(rep.base_profile),
         "base_level": rep.base_level,
@@ -392,17 +425,20 @@ def cmd_verify(args, s: Scenario):
         "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
         "step2_max_dev": rep.step2_max_dev,
         "slack_witness_ok": rep.slack_witness_ok,
+        **dataclasses.asdict(tally),
     }
 
 
 def cmd_sweep(args, s: Scenario):
     ks = _float_list(args.k_grid, "--k-grid")
-    pairs = capstruct.sweep_alpha_star(s, ks, args.budget)
+    tally = EvaluationTally()
+    pairs = capstruct.sweep_alpha_star(s, ks, args.budget, tally=tally)
     stars = [a for _, a in pairs]
-    return {"sweep.csv": (["k", "alpha_star"], pairs)}, {
+    return {"sweep.csv": (["k", "alpha_star"], zip(*pairs))}, {
         "k_grid": [k for k, _ in pairs],
         "alpha_star": stars,
         "nondecreasing": all(b >= a - scaling.DEFAULT_EPS_ALPHA for a, b in zip(stars, stars[1:])),
+        **dataclasses.asdict(tally),
     }
 
 
@@ -419,16 +455,16 @@ def cmd_capstruct(args, s: Scenario):
     if args.face is not None:
         dec = capstruct.debt_equity_decompose(s.y, args.face, astar)
         header = ["state", "output", "agent_leg", "debt_leg", "equity_leg"]
-        rows = zip(labels, s.y.values, dec.agent_leg, dec.debt_leg, dec.equity_leg)
+        columns = (labels, s.y.values, dec.agent_leg, dec.debt_leg, dec.equity_leg)
         fields = {"mode": "debt-equity", "face": dec.F, "face_scaled": dec.face_scaled}
     else:
         dec = capstruct.live_or_die_decompose(s.y, args.threshold, astar)
         header = ["state", "output", "agent_leg", "principal_leg"]
-        rows = zip(labels, s.y.values, dec.agent_leg, dec.principal_leg)
+        columns = (labels, s.y.values, dec.agent_leg, dec.principal_leg)
         fields = {"mode": "live-or-die", "threshold": dec.l}
     fields["alpha_star"] = astar
     fields["alpha_star_solved"] = args.alpha_star_override is None
-    return {"legs.csv": (header, rows)}, fields
+    return {"legs.csv": (header, columns)}, fields
 
 
 def cmd_kkt(args, s: Scenario):
@@ -450,7 +486,7 @@ def cmd_kkt(args, s: Scenario):
     )
     res = point.residuals
     header = ["state", "b", "p", "phi", "stationarity_b", "stationarity_p", "agent_foc"]
-    rows = zip(
+    columns = (
         s.states.labels,
         point.b.payments,
         point.p.probs,
@@ -484,7 +520,7 @@ def cmd_kkt(args, s: Scenario):
         }
     except DegenerateFitError as exc:
         summary["affine_error"] = str(exc)
-    return {"residuals.csv": (header, rows)}, summary
+    return {"residuals.csv": (header, columns)}, summary
 
 
 # ---------------------------------------------------------------------------

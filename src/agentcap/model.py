@@ -50,6 +50,24 @@ def _key(p) -> tuple[int, ...]:
     return tuple(int(round(float(x) * _POINT_KEY_SCALE)) for x in p)
 
 
+def check_payments(payments) -> None:
+    """``Contract``'s invariant over one payment vector or the rows of a
+    matrix: every payment finite. Raises ValidationError."""
+    if not np.isfinite(payments).all():
+        raise ValidationError("contract payments must be finite")
+
+
+def check_probabilities(probs) -> None:
+    """``Distribution``'s invariants over one probability vector or the rows
+    of a matrix: each row nonempty and summing to 1 within 1e-12, no entry
+    below -1e-12. Raises ValidationError."""
+    probs = np.atleast_2d(probs)
+    if probs.shape[-1] == 0 or (np.abs(probs.sum(axis=-1) - 1.0) > 1e-12).any():
+        raise ValidationError("probabilities must sum to 1 within 1e-12")
+    if (probs < -1e-12).any():
+        raise ValidationError("probabilities must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # Core value types
 
@@ -95,8 +113,7 @@ class Contract:
 
     def __post_init__(self):
         object.__setattr__(self, "payments", _astuple(self.payments))
-        if not all(math.isfinite(v) for v in self.payments):
-            raise ValidationError("contract payments must be finite")
+        check_payments(self.payments)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.payments, dtype=float)
@@ -110,11 +127,7 @@ class Distribution:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _astuple(self.probs))
-        arr = np.array(self.probs)
-        if arr.size == 0 or abs(arr.sum() - 1.0) > 1e-12:
-            raise ValidationError("probabilities must sum to 1 within 1e-12")
-        if (arr < -1e-12).any():
-            raise ValidationError("probabilities must be nonnegative")
+        check_probabilities(self.probs)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.probs, dtype=float)
@@ -490,8 +503,7 @@ class ContractFamily:
         labels, rows = self._rows(y)
         if not labels:
             raise ConfigurationError("contract family enumeration is empty")
-        if not np.isfinite(rows).all():
-            raise ValidationError("contract payments must be finite")
+        check_payments(rows)
         return labels, rows
 
     def params_dict(self) -> dict:

@@ -19,10 +19,16 @@ contracts times feasible points exceed one value block (``agent._CHUNK``),
 scores only the lattice points in each contract's certified ball
 (``agent.scan_balls``) instead of the whole feasible lattice. The rows are
 the same either way; ``evaluations`` counts the values actually computed.
+
+Frontiers and selections are row indices into the enumeration's arrays, in
+frontier order, with their principal payoffs. ``Profile`` objects, with their
+validated ``Contract`` and ``Distribution``, are built only when a caller
+reads ``.profiles``; the CLI writes its tables from the arrays.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -42,28 +48,63 @@ from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasi
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class ParetoSet:
-    """The Pareto optimal profiles at a fixed alpha.
+@dataclass
+class EvaluationTally:
+    """Best-response values computed by the enumerations of one run
+    (``Enumeration.evaluations``), the nominal count they stand for
+    (contracts times feasible points, what the budget caps) and the budget
+    each was checked against. An enumeration built with ``tally=`` adds
+    itself; a capacity sweep's chain sums."""
 
+    evaluations: int = 0
+    nominal_evaluations: int = 0
+    budget: int | None = None
+
+    def add(self, enum: Enumeration) -> None:
+        self.evaluations += int(enum.evaluations)
+        self.nominal_evaluations += enum.nominal_evaluations
+        self.budget = enum.budget
+
+
+@dataclass(frozen=True, eq=False)
+class ParetoSet:
+    """The Pareto optimal rows of an enumeration at a fixed alpha.
+
+    ``rows`` are the enumeration's row indices in frontier order: agent
+    utility, then principal payoff, both descending, then row index.
+    ``principal`` holds their principal payoffs at ``alpha``.
     ``agent_utility_levels`` lists the distinct agent-utility levels present,
-    ascending, after merging values closer than tol_u.
+    ascending, after merging values closer than tol_u. ``profiles`` builds
+    the rows' Profile objects, in the same order, on first read.
     """
 
+    enumeration: Enumeration
     alpha: float
-    profiles: tuple[Profile, ...]
+    rows: np.ndarray
+    principal: np.ndarray
     agent_utility_levels: tuple[float, ...]
     tol_u: float
 
+    @cached_property
+    def profiles(self) -> tuple[Profile, ...]:
+        return self.enumeration._profiles(self.rows, self.principal)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Selection:
-    """Profiles of the parent set at the lowest utility level >= r - tol_u."""
+    """The rows of the parent set at the lowest utility level >= r - tol_u,
+    in the parent's order, with their principal payoffs; ``profiles`` as in
+    ``ParetoSet``."""
 
     parent: ParetoSet
     r: float
     chosen_level: float
-    profiles: tuple[Profile, ...]
+    rows: np.ndarray
+    principal: np.ndarray
+
+    @cached_property
+    def profiles(self) -> tuple[Profile, ...]:
+        return self.parent.enumeration._profiles(self.rows, self.principal)
 
 
 def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
@@ -203,11 +244,23 @@ class Enumeration:
     route runs. ``evaluations`` is the number of values computed: contracts
     times feasible points for a full scan, contracts times newly feasible
     points for a chained one, and the probes and ball points scored (plus
-    any rows scanned in full) for the ball route.
+    any rows scanned in full) for the ball route; ``nominal_evaluations`` is
+    contracts times feasible points. ``budget`` must be a nonnegative
+    integer (ConfigurationError otherwise). With ``tally``, the counts are
+    added to it once the enumeration is built.
     """
 
-    def __init__(self, s: Scenario, budget: int | None = None, below: Enumeration | None = None):
-        budget = DEFAULT_BUDGET if budget is None else int(budget)
+    def __init__(
+        self,
+        s: Scenario,
+        budget: int | None = None,
+        below: Enumeration | None = None,
+        tally: EvaluationTally | None = None,
+    ):
+        if budget is None:
+            budget = DEFAULT_BUDGET
+        elif isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
+            raise ConfigurationError("budget must be a nonnegative integer")
         if below is not None:
             if replace(below.scenario, capacity=s.capacity) != s:
                 raise ConfigurationError("lower enumeration was built for another scenario")
@@ -225,6 +278,8 @@ class Enumeration:
             )
 
         self.scenario = s
+        self.budget = int(budget)
+        self.nominal_evaluations = n_c * n_p
         self.labels = labels
         self.payments = payments
         self.points = points
@@ -249,6 +304,8 @@ class Enumeration:
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
         )
+        if tally is not None:
+            tally.add(self)
 
     def _scan_above(self, below: Enumeration) -> None:
         """Ties at this capacity from ``below``'s and a scan of the points
@@ -292,13 +349,13 @@ class Enumeration:
             self.agent_u, self.principal_at(alpha), self.scenario.tol_u, self.agent_order
         )
 
-    def _profile(self, i: int, principal: np.ndarray) -> Profile:
+    def _profile(self, i: int, principal_payoff: float) -> Profile:
         ci, pi = int(self.contract_id[i]), int(self.point_id[i])
         return Profile(
             contract=Contract(tuple(self.payments[ci])),
             dist=Distribution(tuple(self.points[pi])),
             agent_utility=float(self.agent_u[i]),
-            principal_payoff=float(principal[i]),
+            principal_payoff=principal_payoff,
             capacity_binding=bool(self.binding[i]),
             cost=float(self.cost[i]),
             contract_id=ci,
@@ -306,25 +363,33 @@ class Enumeration:
             contract_label=self.labels[ci],
         )
 
+    def _profiles(self, rows: np.ndarray, principal: np.ndarray) -> tuple[Profile, ...]:
+        """The Profiles of ``rows``, whose principal payoffs are ``principal``."""
+        return tuple(map(self._profile, rows.tolist(), principal.tolist()))
+
     def profile(self, i: int, alpha: float) -> Profile:
-        return self._profile(int(i), self.principal_at(alpha))
+        i = int(i)
+        return self._profile(i, float(self.principal_at(alpha)[i]))
 
     def pareto_at(self, alpha: float) -> ParetoSet:
         principal = self.principal_at(alpha)
         tol = self.scenario.tol_u
-        order, levels = _frontier(self.agent_u, principal, tol, self.agent_order)
+        rows, levels = _frontier(self.agent_u, principal, tol, self.agent_order)
         return ParetoSet(
+            enumeration=self,
             alpha=float(alpha),
-            profiles=tuple(self._profile(int(i), principal) for i in order),
-            agent_utility_levels=tuple(float(v) for v in levels),
+            rows=rows,
+            principal=principal[rows],
+            agent_utility_levels=tuple(levels.tolist()),
             tol_u=tol,
         )
 
     def selection_ids(self, alpha: float, r: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(chosen_level, profile indices at that level, binding flags).
 
-        Index-level variant of select(pareto_at(alpha), r) used by the scaling
-        predicate, which only needs ids and binding flags.
+        The rows of select(pareto_at(alpha), r), ascending instead of in
+        frontier order, from the Pareto mask without the frontier sort; the
+        scaling predicate needs only ids and binding flags.
         """
         keep = np.flatnonzero(self.pareto_mask(alpha))
         agent = self.agent_u[keep]
@@ -344,7 +409,8 @@ def select(ps: ParetoSet, r: float) -> Selection:
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    agent = np.array([p.agent_utility for p in ps.profiles])
-    chosen, at = _selection_level(np.array(ps.agent_utility_levels), agent, r, ps.tol_u)
-    chosen_profiles = tuple(p for p, keep in zip(ps.profiles, at) if keep)
-    return Selection(parent=ps, r=float(r), chosen_level=chosen, profiles=chosen_profiles)
+    agent = ps.enumeration.agent_u[ps.rows]
+    chosen, at = _selection_level(np.asarray(ps.agent_utility_levels), agent, r, ps.tol_u)
+    return Selection(
+        parent=ps, r=float(r), chosen_level=chosen, rows=ps.rows[at], principal=ps.principal[at]
+    )

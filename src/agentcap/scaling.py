@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptySelectionError
 from .model import Profile, Scenario, check_alpha
-from .pareto import Enumeration
+from .pareto import Enumeration, EvaluationTally
 
 DEFAULT_EPS_ALPHA = 1e-4
 STEP2_TOL = 1e-6
@@ -207,18 +207,19 @@ def alpha_star(
     eps: float = DEFAULT_EPS_ALPHA,
     budget: int | None = None,
     enum: Enumeration | None = None,
+    tally: EvaluationTally | None = None,
 ) -> AlphaStarResult:
     """Bisect for the largest alpha whose selection is capacity slack.
 
     When ``u_bar`` is omitted it is the risk-neutral utility of the base
     profile, the selection of the unscaled problem at the scenario's
     reservation level. ``enum`` is an enumeration of ``s`` built beforehand
-    (a capacity sweep chains them); ``budget`` applies only when it is
-    built here.
+    (a capacity sweep chains them); ``budget`` and ``tally`` apply only when
+    it is built here.
     """
     _check_eps(eps)
     if enum is None:
-        enum = Enumeration(s, budget)
+        enum = Enumeration(s, budget, tally=tally)
     elif enum.scenario != s:
         raise ConfigurationError("enumeration was built for another scenario")
     if u_bar is None:
@@ -255,6 +256,7 @@ def verify_theorem(
     alphas: "np.ndarray | list[float] | None" = None,
     eps: float = DEFAULT_EPS_ALPHA,
     budget: int | None = None,
+    tally: EvaluationTally | None = None,
 ) -> TheoremReport:
     """Brute-force certificate for the scaling comparison.
 
@@ -267,10 +269,11 @@ def verify_theorem(
 
     An alpha below the threshold bracket, or whose selection has no binding
     member, is reported untested with the reason; the comparisons are only
-    meaningful past the threshold.
+    meaningful past the threshold. ``tally`` receives the enumeration's
+    evaluation counts.
     """
     _check_eps(eps)
-    enum = Enumeration(s, budget)
+    enum = Enumeration(s, budget, tally=tally)
     if r is None:
         r = s.reservation
     i_base, base_level, base_ids = _base_index(enum, r)

@@ -4,11 +4,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from agentcap import agent
 from agentcap.cli import (
+    _cell,
+    _column,
     _write_csv,
     load_scenario,
     main,
@@ -24,16 +28,19 @@ from agentcap.model import (
     LinearShareFamily,
     MonotoneBoundedSlopeFamily,
     OutputFunction,
+    Profile,
     QuadraticCost,
     RelativeEntropyCost,
     Scenario,
     StateSpace,
 )
+from agentcap.pareto import Enumeration, select
 
 from conftest import (
     effort_scenario,
     ladder_scenario,
     share_scenario,
+    smooth_scenario,
     table_scenario,
     tangent_scenario,
 )
@@ -218,6 +225,110 @@ def test_solve_deterministic_bytes(ladder_file, tmp_path):
     assert d1 == d2
 
 
+def _cell_of_the_row_writer(v) -> str:
+    """The cell rule as the Profile-per-row writer applied it, kept here
+    verbatim as the reference for the column formatter."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else format(float(v), ".12g")
+    return str(v)
+
+
+EDGE_FLOATS = [-0.0, 1e-5, 9.99999999999e11, 1e16, float("nan"), 0.1, 1 / 3, -2.5e-300]
+
+
+def test_column_formatter_matches_the_row_writer_rule(tmp_path):
+    bools = [True, False, False]
+    columns = [
+        np.array(EDGE_FLOATS),
+        EDGE_FLOATS,
+        [np.float64(v) for v in EDGE_FLOATS],
+        np.array(EDGE_FLOATS, dtype=np.float32),
+        np.array(bools),
+        bools,
+        [np.bool_(b) for b in bools],
+        ["beta=1,w=0.475", 'say "x"', None, 3, np.int64(-4)],
+        np.arange(3),
+        np.array(EDGE_FLOATS)[::-2],  # a strided view, as a transposed block gives
+    ]
+    for col in columns:
+        assert _column(col) == [_cell_of_the_row_writer(v) for v in col]
+        assert _column(col) == [_cell(v) for v in col]
+    assert _column(np.array(EDGE_FLOATS[:5])) == ["-0", "1e-05", "999999999999", "1e+16", ""]
+    assert _column(np.array(bools)) == ["true", "false", "false"]
+    # the file: a table given by columns equals the row writer's bytes
+    table = [np.array(EDGE_FLOATS[:3]), np.array(bools), ["a,b", "c", 'd"e']]
+    _write_csv(tmp_path / "cols.csv", ["x", "flag", "label"], table)
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "flag", "label"])
+        for row in zip(*table):
+            writer.writerow([_cell_of_the_row_writer(v) for v in row])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("make", [
+    ladder_scenario, lambda: share_scenario(0.2), table_scenario, effort_scenario,
+    lambda: smooth_scenario(0)[0],
+], ids=["ladder", "share", "table", "effort", "smooth"])
+def test_solve_builds_no_profile_and_writes_what_profiles_read(make, tmp_path, monkeypatch):
+    s = make()
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    built = []
+    init = Profile.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Profile, "__init__", counted)
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+    assert built == []
+
+    ps = Enumeration(s).pareto_at(1.0)
+    sel = select(ps, s.reservation)
+    for name, profiles in (("pareto.csv", ps.profiles), ("selection.csv", sel.profiles)):
+        _, rows = read_csv(out / name)
+        assert rows == [
+            [_cell(v) for v in (
+                p.contract_label, *p.contract.payments, *p.dist.probs,
+                p.agent_utility, p.principal_payoff, p.capacity_binding,
+            )]
+            for p in profiles
+        ]
+    assert len(built) == len(ps.rows) + len(sel.rows) > 0
+    # .profiles is built once and then kept
+    assert ps.profiles is ps.profiles and sel.profiles is sel.profiles
+    assert len(built) == len(ps.rows) + len(sel.rows)
+
+
+def test_solve_checks_the_written_rows(tmp_path, monkeypatch, capsys):
+    """The value objects' invariants still hold for every written row,
+    checked on the gathered arrays: a frontier point whose probabilities no
+    longer sum to 1, or a non-finite payment, exits 3 and writes nothing."""
+    path = tmp_path / "ladder.json"
+    save_scenario(ladder_scenario(), path)
+    init = Enumeration.__init__
+    for field, message in (("points", "sum to 1"), ("payments", "finite")):
+        def tampered(self, *args, _field=field, **kwargs):
+            init(self, *args, **kwargs)
+            bad = getattr(self, _field).copy()
+            bad[:, 0] += np.nan if _field == "payments" else 1e-11
+            setattr(self, _field, bad)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Enumeration, "__init__", tampered)
+            out = tmp_path / field
+            assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 3
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 # -- exit codes and stderr --------------------------------------------------
 
 
@@ -324,6 +435,24 @@ def test_exit_code_budget_sweep(tangent_file, tmp_path, capsys):
     assert rc == 4
     assert "budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("solve", []),
+    ("alpha-star", []),
+    ("verify", []),
+    ("sweep", ["--k-grid", "0.01,0.04"]),
+    ("capstruct", ["--face", "0.1"]),
+])
+def test_exit_code_negative_budget(tangent_file, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    rc = main([command, "--scenario", str(tangent_file), "--out", str(out), "--budget", "-1", *flags])
+    assert rc == 3
+    assert "budget must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+    # zero is a budget, and no enumeration fits in it
+    assert main([command, "--scenario", str(tangent_file), "--out", str(out), "--budget", "0", *flags]) == 4
+    assert not out.exists()
 
 
 def test_exit_code_empty_selection(tmp_path, capsys):
@@ -436,7 +565,7 @@ def test_sweep_csv_equals_single_alpha_star_runs(tmp_path):
         outk = tmp_path / f"alpha{k!r}"
         assert main(["alpha-star", "--scenario", str(fk), "--out", str(outk)]) == 0
         pairs.append((k, read_summary(outk)["alpha_star"]))
-    _write_csv(tmp_path / "expected.csv", ["k", "alpha_star"], pairs)
+    _write_csv(tmp_path / "expected.csv", ["k", "alpha_star"], zip(*pairs))
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
@@ -454,7 +583,7 @@ def test_sweep_csv_rows_equal_alpha_star_runs_on_uneven_grid(tmp_path):
         save_scenario(dataclasses.replace(s, capacity=k), fk)
         outk = tmp_path / f"alpha{k!r}"
         assert main(["alpha-star", "--scenario", str(fk), "--out", str(outk)]) == 0
-        _write_csv(tmp_path / "one.csv", ["k", "alpha_star"], [(k, read_summary(outk)["alpha_star"])])
+        _write_csv(tmp_path / "one.csv", ["k", "alpha_star"], [[k], [read_summary(outk)["alpha_star"]]])
         assert row == (tmp_path / "one.csv").read_bytes().splitlines(keepends=True)[1]
 
 
@@ -476,6 +605,50 @@ def test_each_command_prices_the_lattice_once(tangent_file, tmp_path, monkeypatc
         monkeypatch.setattr(owner, name, counted)
     assert main([command, "--scenario", str(tangent_file), "--out", str(tmp_path / "out"), *flags]) == 0
     assert 1 <= calls["payment_matrix"] <= most and 1 <= calls["value_many"] <= most, calls
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("solve", []),
+    ("alpha-star", []),
+    ("verify", ["--alpha-grid", "0.3,0.9"]),
+])
+@pytest.mark.parametrize("route", ["full", "ball"])
+def test_summary_counts_evaluations_against_the_budget(tmp_path, monkeypatch, command, flags, route):
+    s = smooth_scenario(0)[0]
+    path = tmp_path / "smooth.json"
+    save_scenario(s, path)
+    nominal = len(s.lattice.contracts[0]) * len(agent.feasible_lattice(s)[0])
+    if route == "ball":
+        monkeypatch.setattr(agent, "_CHUNK", nominal - 1)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out), *flags]) == 0
+    doc = read_summary(out)
+    enum = Enumeration(s)
+    assert doc["evaluations"] == enum.evaluations
+    assert doc["nominal_evaluations"] == enum.nominal_evaluations == nominal
+    assert doc["budget"] == 10**7
+    if route == "ball":
+        assert doc["evaluations"] < nominal
+    else:
+        assert doc["evaluations"] == nominal
+
+
+def test_sweep_summary_sums_its_chain(tangent_file, tmp_path):
+    out = tmp_path / "out"
+    ks = [0.09, 0.01, 0.04]
+    flags = ["--k-grid", ",".join(map(str, ks)), "--budget", "123456"]
+    assert main(["sweep", "--scenario", str(tangent_file), "--out", str(out), *flags]) == 0
+    doc = read_summary(out)
+    s = load_scenario(tangent_file)
+    evaluations = nominal = 0
+    enum = None
+    for k in sorted(ks):
+        enum = Enumeration(s.at_capacity(k), below=enum)
+        evaluations += enum.evaluations
+        nominal += enum.nominal_evaluations
+    assert doc["evaluations"] == evaluations
+    assert doc["nominal_evaluations"] == nominal > evaluations
+    assert doc["budget"] == 123456
 
 
 def test_capstruct_debt_with_override(tmp_path):

@@ -33,6 +33,8 @@ from agentcap.model import (
     Scenario,
     StateSpace,
     TableCost,
+    check_payments,
+    check_probabilities,
     cost,
     grid_values,
     simplex_lattice,
@@ -67,6 +69,36 @@ def test_contract_and_output_reject_nonfinite():
         Contract((0.0, math.inf))
     with pytest.raises(ValidationError):
         OutputFunction((0.0, math.nan))
+
+
+def _raises(f, *args) -> str | None:
+    try:
+        f(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_matrix_checks_are_the_value_objects_checks_row_by_row():
+    """``check_probabilities`` and ``check_payments`` over a matrix raise
+    what ``Distribution`` and ``Contract`` raise on its first failing row."""
+    prob_rows = [
+        (0.3, 0.7), (0.3, 0.7 + 5e-13), (0.3, 0.7 + 5e-12), (-0.1, 1.1),
+        (1.0 + 5e-13, -5e-13), (1.0 + 2e-12, -2e-12), (0.2, 0.3, 0.5),
+    ]
+    for row in prob_rows:
+        want = _raises(Distribution, row)
+        assert _raises(check_probabilities, np.array(row)) == want, row
+        assert _raises(check_probabilities, np.array([[1.0 / len(row)] * len(row), row])) == want, row
+    assert _raises(check_probabilities, np.ones((1, 0))) == _raises(Distribution, ())
+    assert _raises(check_probabilities, np.ones((0, 3))) is None  # no rows to check
+    for row in [(0.0, 1.5), (0.0, math.inf), (math.nan, 0.0), (-math.inf, 1.0)]:
+        want = _raises(Contract, row)
+        assert _raises(check_payments, np.array([[0.0, 0.0], row])) == want, row
+    # the lattice and the effort cost's points pass as a whole
+    check_probabilities(simplex_lattice(4, 37))
+    eff = EffortCost((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)), (0.0, 0.3))
+    check_probabilities(eff.enumerable_points())
 
 
 # -- cost kinds -------------------------------------------------------------

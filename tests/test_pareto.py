@@ -81,6 +81,14 @@ def test_budget_guard():
     assert "evaluations" in str(exc.value)
 
 
+@pytest.mark.parametrize("budget", [-1, 2.5, True, "10", np.float64(1e7)])
+def test_budget_must_be_a_nonnegative_integer(budget):
+    with pytest.raises(ConfigurationError, match="budget must be a nonnegative integer"):
+        Enumeration(ladder_scenario(), budget=budget)
+    enum = Enumeration(ladder_scenario(), budget=np.int64(10**7))
+    assert enum.budget == 10**7 and type(enum.budget) is int
+
+
 def test_enumeration_below_guards():
     base = tangent_scenario(0.04, m=400)
     below = Enumeration(base)
@@ -204,16 +212,48 @@ def frontier_of(agent, principal, tol=1e-9):
     return order.tolist(), levels.tolist()
 
 
+class PayoffRows:
+    """Stand-in enumeration of synthetic (agent, principal) rows: the agent
+    utilities ``select`` reads, and row i's profile built by ``make_profile``
+    with tag i."""
+
+    def __init__(self, payoffs):
+        self.agent_u = np.array([a for a, _ in payoffs], dtype=float)
+
+    def _profiles(self, rows, principal):
+        return tuple(
+            make_profile(self.agent_u[i], p, i) for i, p in zip(rows.tolist(), principal.tolist())
+        )
+
+
 def frontier_set(payoffs, tol=1e-9):
-    """The ParetoSet of synthetic (agent, principal) profiles, each tagged
-    with its row, in ``_frontier``'s order."""
+    """The ParetoSet of synthetic (agent, principal) rows in ``_frontier``'s
+    order."""
     order, levels = frontier_of(*zip(*payoffs), tol)
+    rows = np.array(order, dtype=np.intp)
     return ParetoSet(
+        enumeration=PayoffRows(payoffs),
         alpha=float("nan"),
-        profiles=tuple(make_profile(*payoffs[i], i) for i in order),
+        rows=rows,
+        principal=np.array([p for _, p in payoffs], dtype=float)[rows],
         agent_utility_levels=tuple(levels),
         tol_u=tol,
     )
+
+
+def test_profiles_are_the_frontier_rows_in_frontier_order():
+    for s in (ladder_scenario(), smooth_scenario(0)[0], tangent_scenario(0.04, m=400)):
+        enum = Enumeration(s)
+        for alpha in (0.3, 1.0):
+            ps = enum.pareto_at(alpha)
+            order, levels = _frontier(enum.agent_u, enum.principal_at(alpha), s.tol_u)
+            assert ps.rows.tolist() == order.tolist()
+            assert ps.agent_utility_levels == tuple(levels.tolist())
+            assert ps.profiles == tuple(enum.profile(i, alpha) for i in order)
+            sel = select(ps, s.reservation)
+            at_level = [abs(p.agent_utility - sel.chosen_level) <= s.tol_u for p in ps.profiles]
+            assert sel.profiles == tuple(p for p, keep in zip(ps.profiles, at_level) if keep)
+            assert sel.principal.tolist() == [p.principal_payoff for p in sel.profiles]
 
 
 def test_filter_drops_dominated_and_keeps_ties():
@@ -407,6 +447,10 @@ def test_select_returns_whole_level():
     assert sel.chosen_level == pytest.approx(0.1)
     assert len(sel.profiles) == 2
     assert all(p in ps.profiles for p in sel.profiles)
+    # the level's rows, in the parent's order
+    assert ps.rows.tolist() == [2, 0, 1]
+    assert sel.rows.tolist() == [0, 1]
+    assert sel.principal.tolist() == [0.5, 0.5]
 
 
 def test_selection_ids_agree_with_select_at():
