@@ -63,7 +63,7 @@ from .model import (
     grid_values,
     validate_scenario,
 )
-from .pareto import Enumeration, EvaluationTally, select
+from .pareto import Enumeration, EvaluationTally, check_budget, select
 
 SCHEMA_VERSION = "1"
 
@@ -444,11 +444,13 @@ def cmd_sweep(args, s: Scenario):
 
 def cmd_capstruct(args, s: Scenario):
     astar = None if args.alpha_star_override is None else check_alpha(args.alpha_star_override)
-    # the split flag is checked before alpha* is solved, so before its budget
+    # the split flag is checked before alpha* is solved, so before its budget;
+    # the budget is checked even when a pinned alpha* builds no enumeration
     if args.face is not None:
         capstruct.check_face(args.face)
     else:
         capstruct.check_threshold(args.threshold)
+    check_budget(args.budget)
     if astar is None:
         astar = scaling.alpha_star(s, budget=args.budget).alpha_star
     labels = s.states.labels

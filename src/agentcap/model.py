@@ -149,6 +149,38 @@ def _as_probs(p) -> np.ndarray:
 # Cost functions
 
 
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """``columns.T.sum(axis=1)`` bit for bit, signed zeros included, added
+    one whole row of ``columns`` at a time. numpy adds each of a matrix's
+    rows to a zero by pairwise summation (``_pairwise``); repeating those
+    additions column-wise avoids reducing millions of short rows."""
+    total = _pairwise(columns)
+    total += 0.0
+    return total
+
+
+def _pairwise(columns: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum over the rows of ``columns``: left to right
+    below 8 terms, 8 interleaved partial sums up to 128, halves on a
+    multiple of 8 above."""
+    n = len(columns)
+    if n < 8:
+        total = columns[0].copy()
+        for col in columns[1:]:
+            total += col
+        return total
+    if n <= 128:
+        part = columns[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            part += columns[i:i + 8]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+        for col in columns[n - n % 8:]:
+            total += col
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(columns[:half]) + _pairwise(columns[half:])
+
+
 class CostFunction:
     """Base for the cost kinds.
 
@@ -217,8 +249,21 @@ class QuadraticCost(CostFunction):
         return float(d @ self._q() @ d)
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        d = points - self._q0()
-        return np.einsum("ij,jk,ik->i", d, self._q(), d)
+        """c at each row of ``points``. The terms are einsum's
+        ``"ij,jk,ik->i"`` terms ``(d_j Q_jk) d_k``, added to a zero with j
+        outer and k inner as einsum adds them, so the bits are einsum's; each
+        term is one pass over a contiguous column of d through one buffer.
+        (On at most 8 products, n = 2 with at most two points, einsum adds
+        each j's terms apart first, and the last bit may differ.)"""
+        d = np.subtract(np.transpose(points), self._q0()[:, None], order="C")
+        out = np.zeros(d.shape[1])
+        term = np.empty_like(out)
+        for j, row in enumerate(self.Q):
+            for k, q in enumerate(row):
+                np.multiply(d[j], q, out=term)
+                term *= d[k]
+                out += term
+        return out
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         return 2.0 * self._q() @ (np.asarray(p, dtype=float) - self._q0())
@@ -258,10 +303,19 @@ class RelativeEntropyCost(CostFunction):
         return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        ratio = np.divide(points, self._q0()[None, :])
+        """c at each row of ``points``: the terms ``p_j log(p_j / q0_j)``,
+        0 where ``p_j <= 0``, computed in one (n, L) array, one contiguous
+        row per state, and summed per point by ``_row_sums`` in the order
+        ``sum(axis=1)`` uses, so the bits are those of the 2-D formula."""
+        cols = np.transpose(points)
+        terms = np.divide(cols, self._q0()[:, None], order="C")
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(points > 0.0, points * np.log(ratio), 0.0)
-        return self.theta * terms.sum(axis=1)
+            np.log(terms, out=terms)
+            terms *= cols
+        np.copyto(terms, 0.0, where=~(cols > 0.0))
+        total = _row_sums(terms)
+        total *= self.theta
+        return total
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -740,17 +794,34 @@ class Profile:
 
 @lru_cache(maxsize=64)
 def _lattice_cached(n: int, m: int) -> np.ndarray:
-    # Compositions of m into n parts, one coordinate at a time: a prefix with
-    # `left` units to place expands into heads 0..left, so rows stay sorted.
-    counts = np.zeros((1, 0), dtype=np.int64)
+    """The rows of ``simplex_lattice(n, m)``.
+
+    Compositions of m into n parts, one coordinate at a time: a prefix with
+    ``left`` units to place expands into heads 0..left, so rows stay sorted.
+    Each level keeps only its rows' ``head`` and ``parent`` (the row of the
+    prefix one level up). The last level's ``left`` and ``head`` are the
+    last two columns; walking the parent chain back gives each earlier
+    column as ``heads[j][idx]``. Every column is divided by m once, straight
+    into the (L, n) result, and each level is dropped once the walk has
+    passed it.
+    """
+    heads, parents = [], []
     left = np.array([m], dtype=np.int64)
     for _ in range(n - 1):
         width = left + 1
         parent = np.repeat(np.arange(len(left)), width)
         head = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        counts = np.column_stack((counts[parent], head))
         left = left[parent] - head
-    arr = np.column_stack((counts, left)) / m
+        heads.append(head)
+        parents.append(parent)
+    arr = np.empty((len(left), n))
+    np.divide(left, m, out=arr[:, -1])
+    del left
+    idx = slice(None)
+    for j in reversed(range(n - 1)):
+        head, parent = heads.pop(), parents.pop()
+        np.divide(head[idx], m, out=arr[:, j])
+        idx = parent[idx]
     arr.setflags(write=False)
     return arr
 
@@ -758,8 +829,9 @@ def _lattice_cached(n: int, m: int) -> np.ndarray:
 def simplex_lattice(n: int, m: int) -> np.ndarray:
     """All distributions with coordinates in multiples of 1/m, in
     lexicographic order by coordinates. Read-only array of shape (L, n),
-    built with one vectorised expansion per coordinate and cached per
-    (n, m); every caller shares the cached array."""
+    built with one vectorised expansion per coordinate and a walk back up
+    the expansion that writes each column once, and cached per (n, m);
+    every caller shares the cached array."""
     if n < 1 or m < 1:
         raise ValidationError("lattice needs n >= 1 and m >= 1")
     return _lattice_cached(n, m)

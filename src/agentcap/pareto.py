@@ -48,6 +48,16 @@ from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasi
 DEFAULT_BUDGET = 10**7
 
 
+def check_budget(budget: int | None) -> int:
+    """``budget`` as an int, or DEFAULT_BUDGET when it is None. Raises
+    ConfigurationError unless it is a nonnegative integer (bools are not)."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
+        raise ConfigurationError("budget must be a nonnegative integer")
+    return int(budget)
+
+
 @dataclass
 class EvaluationTally:
     """Best-response values computed by the enumerations of one run
@@ -245,9 +255,9 @@ class Enumeration:
     times feasible points for a full scan, contracts times newly feasible
     points for a chained one, and the probes and ball points scored (plus
     any rows scanned in full) for the ball route; ``nominal_evaluations`` is
-    contracts times feasible points. ``budget`` must be a nonnegative
-    integer (ConfigurationError otherwise). With ``tally``, the counts are
-    added to it once the enumeration is built.
+    contracts times feasible points. ``budget`` passes ``check_budget``.
+    With ``tally``, the counts are added to it once the enumeration is
+    built.
     """
 
     def __init__(
@@ -257,10 +267,7 @@ class Enumeration:
         below: Enumeration | None = None,
         tally: EvaluationTally | None = None,
     ):
-        if budget is None:
-            budget = DEFAULT_BUDGET
-        elif isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
-            raise ConfigurationError("budget must be a nonnegative integer")
+        budget = check_budget(budget)
         if below is not None:
             if replace(below.scenario, capacity=s.capacity) != s:
                 raise ConfigurationError("lower enumeration was built for another scenario")
@@ -278,7 +285,7 @@ class Enumeration:
             )
 
         self.scenario = s
-        self.budget = int(budget)
+        self.budget = budget
         self.nominal_evaluations = n_c * n_p
         self.labels = labels
         self.payments = payments

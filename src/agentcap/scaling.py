@@ -8,6 +8,7 @@ scaled problem relates to the unscaled one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -195,10 +196,11 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
 
 
 def _check_eps(eps: float) -> None:
-    """Raises ConfigurationError unless the bisection width is positive;
-    NaN fails the comparison too."""
-    if not eps > 0.0:
-        raise ConfigurationError("bisection width must be positive")
+    """Raises ConfigurationError unless the bisection width is positive and
+    finite; NaN fails too. An infinite width would stop the bisection
+    before its first predicate call."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError("bisection width must be positive and finite")
 
 
 def alpha_star(

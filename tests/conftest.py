@@ -330,6 +330,21 @@ def brute_pareto_keep(agent, principal, tol):
     return keep
 
 
+def einsum_quadratic_cost(points, Q, q0):
+    """(p - q0)' Q (p - q0) per row, as one three-operand einsum."""
+    d = points - np.asarray(q0, dtype=float)
+    return np.einsum("ij,jk,ik->i", d, np.asarray(Q, dtype=float), d)
+
+
+def matrix_entropy_cost(points, theta, q0):
+    """theta * sum p log(p / q0) per row, with 0 log 0 = 0, on the whole
+    point matrix: one 2-D ``where`` and a ``sum(axis=1)``."""
+    ratio = np.divide(points, np.asarray(q0, dtype=float)[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(points > 0.0, points * np.log(ratio), 0.0)
+    return theta * terms.sum(axis=1)
+
+
 def verify_inequalities(s, alpha, base, candidate):
     """Slacks of the payoff chain for one base/candidate pair, each written
     out from its definition. Differences are base minus candidate with each

@@ -374,7 +374,7 @@ def test_exit_code_nonfinite_alpha(ladder_file, tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
 def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
     out = tmp_path / "out"
     # the width is checked before the enumeration, so before its budget
@@ -382,7 +382,7 @@ def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
         for budget in (["--budget", "10"], []):
             rc = main([command, "--scenario", str(tangent_file), "--out", str(out), f"--eps={eps}", *budget])
             assert rc == 3
-            assert "bisection width must be positive" in capsys.readouterr().err
+            assert "bisection width must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -453,6 +453,17 @@ def test_exit_code_negative_budget(tangent_file, tmp_path, capsys, command, flag
     # zero is a budget, and no enumeration fits in it
     assert main([command, "--scenario", str(tangent_file), "--out", str(out), "--budget", "0", *flags]) == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", [["--face", "1"], ["--threshold", "1"]])
+def test_exit_code_negative_budget_with_pinned_alpha_star(tangent_file, tmp_path, capsys, split):
+    # a pinned alpha* builds no enumeration, and the budget is still checked
+    out = tmp_path / "out"
+    argv = ["capstruct", "--scenario", str(tangent_file), "--out", str(out), *split, "--alpha-star", "0.5"]
+    assert main([*argv, "--budget", "-5"]) == 3
+    assert "budget must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--budget", "0"]) == 0
 
 
 def test_exit_code_empty_selection(tmp_path, capsys):

@@ -41,7 +41,13 @@ from agentcap.model import (
     validate_scenario,
 )
 
-from conftest import fd_gradient, fd_hessian, tangent_scenario
+from conftest import (
+    einsum_quadratic_cost,
+    fd_gradient,
+    fd_hessian,
+    matrix_entropy_cost,
+    tangent_scenario,
+)
 
 
 # -- value types ------------------------------------------------------------
@@ -120,6 +126,73 @@ def test_quadratic_cost_value_and_derivatives():
     assert np.allclose(c.hessian(p), fd_hessian(c.value, p), atol=1e-5)
     s = c.scaled(3.0)
     assert s.value(p) == pytest.approx(3.0 * c.value(p), rel=1e-12)
+
+
+def kernel_cases(n, rng):
+    """Point matrices and baselines for the cost kernel oracles: random
+    interior points, points with zero coordinates, and two lattices; a
+    random baseline and one on a lattice point."""
+    lattice = np.asarray(simplex_lattice(n, 9 if n <= 4 else 4))
+    points = [
+        rng.dirichlet(np.ones(n), size=300),
+        np.where(rng.random((300, n)) < 0.3, 0.0, rng.dirichlet(np.full(n, 0.5), size=300)),
+        lattice,
+        np.asarray(simplex_lattice(n, 1)),
+    ]
+    on_lattice = lattice[rng.integers(len(lattice))]
+    return points, [rng.dirichlet(np.ones(n)), on_lattice]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_quadratic_value_many_equals_einsum_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    points, baselines = kernel_cases(n, rng)
+    a = rng.normal(size=(n, n))
+    psd = a @ a.T
+    for q in (psd, np.round(psd, 1), np.round(psd + n * np.eye(n), 1)):
+        for q0 in baselines:
+            c = QuadraticCost(tuple(map(tuple, q)), tuple(q0))
+            for pts in points:
+                got, want = c.value_many(pts), einsum_quadratic_cost(pts, c.Q, c.q0)
+                if n == 2 and len(pts) <= 2:
+                    # einsum adds each j's two terms apart first on inputs this small
+                    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 8, 9, 17, 130])
+def test_entropy_value_many_equals_matrix_formula_bit_for_bit(n):
+    # from 8 states up, sum(axis=1) keeps 8 partial sums per row
+    rng = np.random.default_rng(200 + n)
+    if n <= 7:
+        points, _ = kernel_cases(n, rng)
+        lattice = points[2]
+    else:
+        points = [rng.dirichlet(np.ones(n), size=200)]
+        lattice = points[0]
+    # a baseline on an interior point of the matrix makes some ratios exactly 1
+    interior = lattice[(lattice > 0).all(axis=1)]
+    baselines = [rng.dirichlet(np.ones(n)), *interior[:1]]
+    for q0 in baselines:
+        for theta in (1.0, 0.37):
+            c = RelativeEntropyCost(theta, tuple(q0))
+            for pts in points:
+                want = matrix_entropy_cost(pts, c.theta, c.q0)
+                assert c.value_many(pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 15, 16, 23, 128, 129, 300])
+def test_row_sums_equal_numpy_sum_bit_for_bit(n):
+    # numpy's pairwise order changes at 8 and 128 terms; signed zeros count
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(400, n)) * rng.choice([1.0, 1e-9, 1e9], size=(400, n))
+    a[rng.random((400, n)) < 0.2] = -0.0
+    a[:3] = -0.0
+    a[3, :] = 0.0
+    a[3, -1] = -0.0
+    want = a.sum(axis=1)
+    assert model._row_sums(np.ascontiguousarray(a.T)).tobytes() == want.tobytes()
 
 
 def test_quadratic_cost_validation():
@@ -460,7 +533,8 @@ def lattice_reference(n, m):
 
 
 def test_simplex_lattice_matches_product_reference():
-    shapes = [(n, m) for n in range(1, 6) for m in range(1, 13)] + [(3, 400)]
+    shapes = [(n, m) for n in range(1, 5) for m in range(1, 21)]
+    shapes += [(5, m) for m in range(1, 13)] + [(3, 400)]
     for n, m in shapes:
         pts, ref = simplex_lattice(n, m), lattice_reference(n, m)
         assert pts.shape == ref.shape and pts.dtype == ref.dtype
