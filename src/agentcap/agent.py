@@ -1,9 +1,11 @@
 """Agent best responses and the agent-side first-order condition.
 
-Two routes to the agent's problem max E_p[u(b)] - c(p) over the feasible set
-D = {p : c(p) <= k}: an exhaustive scan of the enumeration grid, and a convex
-interior solver for the smooth cost kinds. The scan is the ground truth the
-solver is tested against.
+The agent's problem is max E_p[u(b)] - c(p) over the feasible set
+D = {p : c(p) <= k}. On the enumeration grid it is solved exactly by a scan;
+over the whole simplex, for the smooth cost kinds, by the centre solvers
+``_entropy_centres`` and ``_quadratic_centres``, which ``best_response_convex``
+calls with one payoff row and the ball route with many. The scan is the
+ground truth the continuous response is tested against.
 
 The scan has two producers of the same (row, point, value) ties. ``scan_grid``
 scores every row against every point. ``scan_balls``, for the costs that are
@@ -26,6 +28,7 @@ from .errors import (
     ConvergenceError,
     EmptyFeasibleSetError,
     UnsupportedCostError,
+    ValidationError,
 )
 from .model import (
     FEASIBILITY_SLACK,
@@ -42,9 +45,10 @@ _CHUNK = 1 << 21  # cap on rows x points handled per value block
 
 @dataclass(frozen=True)
 class BestResponseSet:
-    """All grid maximizers within tol_u of the best value (the convex solver
-    returns a single one). ``any_binding`` is true when some maximizer is
-    capacity-binding (see ``capacity_binding``)."""
+    """All grid maximizers within tol_u of the best value (the continuous
+    response, ``best_response_convex``, returns its single one).
+    ``any_binding`` is true when some maximizer is capacity-binding (see
+    ``capacity_binding``)."""
 
     maximizers: tuple[Distribution, ...]
     value: float
@@ -218,7 +222,7 @@ def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> bool:
     (``strong_concavity``) and contracts x feasible points exceed one value
     block (``_CHUNK``), else ``scan_grid``. A quadratic also needs fewer
     faces of the simplex, 2^n - 1, than feasible points: its centre solver
-    tabulates one solution per face."""
+    may solve one system per face."""
     if n_contracts * n_feasible <= _CHUNK or strong_concavity(s.cost) is None:
         return False
     return s.cost.kind != "quadratic" or (1 << s.n) <= n_feasible
@@ -278,71 +282,109 @@ def _entropy_centres(u: np.ndarray, cost, kbar: float):
     return _entropy_bound(u, cost, beta, kbar)
 
 
-def _quadratic_faces(Q: np.ndarray, q0: np.ndarray):
-    """Per face (support bitmask F), the affine solution of the face's
-    stationarity system t u_F - 2 (Q (p - q0))_F = nu, sum p = 1:
-    p = b[F] + t A[F] u and nu = nu0[F] + t w[F].u, zero off the face.
-    Faces of one size are solved as one stacked inverse."""
+def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: bool):
+    """Per face (support bitmask in ``masks``), the affine solution of the
+    face's stationarity system t u_F - 2 (Q (p - q0))_F = nu, sum p = 1:
+    p = b + t A u and nu = nu0 + t w.u, zero off the face, with Qe and c0,
+    Q (p - q0) and c(p) at t = 0. Faces of one size are solved as one
+    stacked inverse.
+
+    For a ``flat`` cost (``strong_concavity`` None), a face's system is
+    singular when the face holds a direction d with sum d = 0 and Q d = 0.
+    Such faces are solved by pseudo-inverse, which drops the part of u
+    along those directions, and ``null`` holds each face's projector onto
+    them (None for a cost that is not flat)."""
     n = len(q0)
-    masks = np.arange(1 << n)
     member = (masks[:, None] >> np.arange(n)) & 1 == 1
-    A = np.zeros((1 << n, n, n))
-    b = np.zeros((1 << n, n))
-    w = np.zeros((1 << n, n))
-    nu0 = np.zeros(1 << n)
+    sizes = member.sum(axis=1)
+    A = np.zeros((masks.size, n, n))
+    b = np.zeros((masks.size, n))
+    w = np.zeros((masks.size, n))
+    nu0 = np.zeros(masks.size)
+    null = np.zeros((masks.size, n, n)) if flat else None
     shift = 2.0 * Q @ q0
-    for size in range(1, n + 1):
-        faces = np.flatnonzero(member.sum(axis=1) == size)
-        idx = np.array([np.flatnonzero(member[F]) for F in faces])
+    for size in sorted(set(sizes.tolist())):
+        faces = np.flatnonzero(sizes == size)
+        idx = np.nonzero(member[faces])[1].reshape(faces.size, size)
         M = np.ones((faces.size, size + 1, size + 1))
         M[:, :size, :size] = 2.0 * Q[idx[:, :, None], idx[:, None, :]]
         M[:, size, size] = 0.0
-        inv = np.linalg.inv(M)
+        rows = faces[:, None]
+        if flat:
+            inv = np.linalg.pinv(M, _ROUND, hermitian=True)
+            null[rows[:, :, None], idx[:, :, None], idx[:, None, :]] = (np.eye(size + 1) - inv @ M)[:, :size, :size]
+        else:
+            inv = np.linalg.inv(M)
         X, y, z = inv[:, :size, :size], inv[:, :size, size], inv[:, size, size]
         sh = shift[idx]
-        rows = faces[:, None]
         A[rows[:, :, None], idx[:, :, None], idx[:, None, :]] = X
         b[rows, idx] = np.einsum("fij,fj->fi", X, sh) + y
         w[rows, idx] = inv[:, size, :size]
         nu0[faces] = np.einsum("fj,fj->f", inv[:, size, :size], sh) + z
-    return A, b, w, nu0
+    Qe = (b - q0) @ Q
+    return A, b, w, nu0, Qe, np.einsum("fi,fi->f", Qe, b - q0), null
 
 
-def _quadratic_centres(u: np.ndarray, cost, kbar: float, faces):
+# A row's active set visits one face per step; past this many steps it
+# stops where it is, with a bound that still holds.
+_FACE_STEPS = 1 << 10
+
+
+def _quadratic_centres(u: np.ndarray, cost, kbar: float):
     """(mu, centre, UB) per payoff row for a quadratic cost.
 
-    Primal-dual active-set iterations on the support: on a face, the
-    optimum of t u.p - c(p) is affine in t = 1/(1+mu), so its cost is a
-    quadratic in t and the t meeting the capacity is a closed-form root.
+    Primal-dual active-set iterations on the support, from the whole
+    simplex; each step solves only the faces its rows are on. On a face,
+    the optimum of t u.p - c(p) is affine in t = 1/(1+mu), so its cost is
+    a quadratic in t and the t meeting the capacity is a closed-form root.
+    On a face with null directions (see ``_quadratic_faces``) the cost is
+    constant along d, the projection of u on them, and u.p rises: the row
+    steps along d to the simplex's boundary, the first coordinate to reach
+    zero (the lowest on ties) leaves the face and none joins it. So such
+    steps end on a face without null directions, where some optimum lies.
     UB is L(centre) plus the Frank-Wolfe gap at the centre, which bounds L
     over the simplex whether or not the iterations converged.
     """
     Q, q0 = np.array(cost.Q), np.array(cost.q0)
-    A, b, w, nu0 = faces
-    Qe = (b - q0) @ Q  # per face, Q (p - q0) at t = 0
-    c0_face = np.einsum("fi,fi->f", Qe, b - q0)
+    flat = strong_concavity(cost) is None
     h, n = u.shape
     bits = 1 << np.arange(n)
     face = np.full(h, (1 << n) - 1)
     t = np.zeros(h)
     centre = np.empty((h, n))
     todo = np.arange(h)
-    for _ in range(1 << n):
+    for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        d = np.einsum("rij,rj->ri", A[F], uu)
+        masks, slot = np.unique(F, return_inverse=True)
+        A, b, w, nu0, Qe, c0_face, null = _quadratic_faces(Q, q0, masks, flat)
+        d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
         c2 = np.einsum("ij,ij->i", d, Qd)
-        c1 = 2.0 * np.einsum("ij,ij->i", d, Qe[F])
-        c0 = c0_face[F]
+        c1 = 2.0 * np.einsum("ij,ij->i", d, Qe[slot])
+        c0 = c0_face[slot]
         root = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * (c0 - kbar), 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tt = np.where(c0 + c1 + c2 <= kbar, 1.0, 2.0 * (kbar - c0) / (c1 + root))
         tt = np.where(c0 > kbar, 0.0, np.clip(np.nan_to_num(tt), 0.0, 1.0))
-        p = b[F] + tt[:, None] * d
-        nu = nu0[F] + tt * np.einsum("ij,ij->i", w[F], uu)
-        g = tt[:, None] * (uu - 2.0 * Qd) - 2.0 * Qe[F]
-        keep = np.where((F[:, None] & bits) != 0, p > 0, g > nu[:, None])
+        p = b[slot] + tt[:, None] * d
+        nu = nu0[slot] + tt * np.einsum("ij,ij->i", w[slot], uu)
+        g = tt[:, None] * (uu - 2.0 * Qd) - 2.0 * Qe[slot]
+        on = (F[:, None] & bits) != 0
+        keep = np.where(on, p > 0, g > nu[:, None])
+        if flat:
+            up = np.einsum("rij,rj->ri", null[slot], uu)
+            up[np.abs(up).max(axis=1) <= _ROUND * np.abs(uu).max(axis=1)] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(up < 0, np.maximum(p, 0.0) / -up, np.inf)
+            out = ratio.argmin(axis=1)
+            r = np.flatnonzero(np.isfinite(ratio[np.arange(len(out)), out]))
+            p[r] += ratio[r, out[r], None] * up[r]
+            p[r, out[r]] = 0.0
+            keep[r] = on[r] & (p[r] > 0)
         nxt = keep @ bits
+        if step >= n:
+            # least-index rule: change only the lowest index that wants to
+            nxt = F ^ ((nxt ^ F) & -(nxt ^ F))
         t[todo], centre[todo], face[todo] = tt, p, nxt
         todo = todo[nxt != F]
         if not todo.size:
@@ -354,15 +396,14 @@ def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kba
     """(mu, centre, UB) per row at t = 1/(1+mu) in (0, 1], for any centre
     summing to 1: L is concave, so over the simplex it is at most L(centre)
     plus the Frank-Wolfe gap max_i grad L_i - grad L . centre. A row with
-    t = 0 gets an infinite bound."""
+    t = 0 gets an infinite or NaN bound."""
     Q, q0 = np.array(cost.Q), np.array(cost.q0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         lam = 1.0 / t
-    mu = lam - 1.0
-    dev = centre - q0
-    grad = u - 2.0 * lam[:, None] * (dev @ Q)
-    fw_gap = grad.max(axis=1) - np.einsum("ij,ij->i", grad, centre)
-    with np.errstate(invalid="ignore"):
+        mu = lam - 1.0
+        dev = centre - q0
+        grad = u - 2.0 * lam[:, None] * (dev @ Q)
+        fw_gap = grad.max(axis=1) - np.einsum("ij,ij->i", grad, centre)
         value = np.einsum("ij,ij->i", u, centre) - lam * np.einsum("ij,ij->i", dev @ Q, dev) + mu * kbar
     return mu, centre, value + np.maximum(fw_gap, 0.0)
 
@@ -508,10 +549,8 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
         def centres(u):
             return _entropy_centres(u, s.cost, kbar)
     else:
-        faces = _quadratic_faces(np.array(s.cost.Q), np.array(s.cost.q0))
-
         def centres(u):
-            return _quadratic_centres(u, s.cost, kbar, faces)
+            return _quadratic_centres(u, s.cost, kbar)
 
     eye = np.eye(n, dtype=np.int64)
     moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
@@ -576,93 +615,45 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
 
 
 # ---------------------------------------------------------------------------
-# Convex route
+# Continuous best response
 
 
-def _project_simplex(z: np.ndarray) -> np.ndarray:
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, z.size + 1)
-    pos = np.flatnonzero(u - css / ind > 0)
-    theta = css[pos[-1]] / (pos[-1] + 1)
-    return np.maximum(z - theta, 0.0)
+def best_response_convex(s: Scenario, b) -> BestResponseSet:
+    """The agent's best response over the whole simplex for the smooth
+    convex cost kinds: a one-row call of the ball route's centre solver.
+    Agrees with best_response_grid within the lattice resolution.
 
-
-def _inner_entropy(s: Scenario, payoff: np.ndarray, mu: float) -> np.ndarray:
-    # closed form: argmax payoff.p - (1+mu) theta KL(p||q0)
-    lam = (1.0 + mu) * s.cost.theta
-    logits = np.log(np.array(s.cost.q0)) + payoff / lam
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
-
-
-def _inner_quadratic(
-    s: Scenario, payoff: np.ndarray, mu: float, max_iter: int, tol: float
-) -> np.ndarray:
-    lam = 1.0 + mu
-    Q = np.array(s.cost.Q)
-    q0 = np.array(s.cost.q0)
-    lip = 2.0 * lam * float(np.linalg.eigvalsh(Q).max())
-    if lip < 1e-14:
-        # zero cost: linear objective, any argmax vertex works
-        p = np.zeros_like(payoff)
-        p[int(np.argmax(payoff))] = 1.0
-        return p
-    step = 1.0 / lip
-    p = _project_simplex(q0.copy())
-    for _ in range(max_iter):
-        grad = payoff - 2.0 * lam * Q @ (p - q0)
-        nxt = _project_simplex(p + step * grad)
-        if np.abs(nxt - p).max() * lip <= tol:
-            return nxt
-        p = nxt
-    raise ConvergenceError(
-        "projected ascent did not converge", last_iterate=p, residual=float(np.abs(nxt - p).max() * lip)
-    )
-
-
-def best_response_convex(s: Scenario, b, max_iter: int = 2000, tol: float = 1e-10) -> BestResponseSet:
-    """Interior best response for the smooth convex cost kinds.
-
-    Runs a scalar bisection on the capacity multiplier mu over an inner
-    simplex-constrained maximization of E_p[u(b)] - (1+mu) c(p); the inner
-    problem has a closed form for relative entropy and is solved by projected
-    gradient ascent for quadratics. Agrees with best_response_grid within the
-    lattice resolution.
+    The capacity root aims at k + FEASIBILITY_SLACK / 2, so that rounding
+    leaves the point inside ``feasible_mask`` and a face whose least cost
+    is k keeps t > 0. Raises EmptyFeasibleSetError when a linear bound puts
+    the least cost above k, and ConvergenceError unless the point is a
+    feasible distribution within tol_u of the solver's bound on the optimum
+    at capacity k, UB - mu FEASIBILITY_SLACK / 2 (its duality gap).
     """
     if not s.cost.convex_smooth:
         raise UnsupportedCostError(f"convex solver needs a smooth convex cost, got {s.cost.kind!r}")
     payoff = np.asarray(s.utility.apply(_as_payments(b)), dtype=float)
-
-    def inner(mu: float) -> np.ndarray:
-        if s.cost.kind == "relative-entropy":
-            return _inner_entropy(s, payoff, mu)
-        return _inner_quadratic(s, payoff, mu, max_iter, tol)
-
     k = s.capacity
-    p = inner(0.0)
-    if not feasible_mask(s.cost.value(p), k):
-        lo, hi = 0.0, 1.0
-        for _ in range(70):
-            if feasible_mask(s.cost.value(inner(hi)), k):
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
+    centres = _entropy_centres if s.cost.kind == "relative-entropy" else _quadratic_centres
+    mu, centre, ub = centres(payoff[None, :], s.cost, k + 0.5 * FEASIBILITY_SLACK)
+    p = centre[0]
+    c = s.cost.value(p)
+    value = float(payoff @ p - c)
+    gap = float(ub[0] - 0.5 * FEASIBILITY_SLACK * mu[0] - value)
+    if not feasible_mask(c, k):
+        # c is convex: no point costs less than c(p) - (grad c . p - min grad c)
+        g = s.cost.gradient(p)
+        if not feasible_mask(c - (g @ p - g.min()), k):
             raise EmptyFeasibleSetError("capacity below the attainable cost range")
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if not feasible_mask(s.cost.value(inner(mid)), k):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        p = inner(hi)
-
-    value = float(payoff @ p - s.cost.value(p))
-    binding = bool(capacity_binding(s.cost.value(p), k, s.tol_u))
-    return BestResponseSet(maximizers=(Distribution(tuple(p)),), value=value, any_binding=binding)
+    try:
+        dist = Distribution(tuple(p))
+    except ValidationError:
+        dist = None
+    if dist is None or not (feasible_mask(c, k) and gap <= s.tol_u):
+        raise ConvergenceError(
+            f"continuous best response did not settle (cost {c:.6g} at capacity {k:.6g}, duality gap {gap:.3g})",
+            last_iterate=p, residual=gap)
+    return BestResponseSet(maximizers=(dist,), value=value, any_binding=bool(capacity_binding(c, k, s.tol_u)))
 
 
 # ---------------------------------------------------------------------------

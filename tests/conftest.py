@@ -276,6 +276,46 @@ def smooth_scenario(seed):
     return sc, b
 
 
+def quadratic_scenario(Q, q0, k=None, m=20, y=None):
+    """Risk-neutral scenario on the quadratic cost (Q, q0); Q may be
+    singular on the simplex's sum-zero subspace, so that the cost is flat
+    along some direction that keeps the total mass. ``k`` defaults to the
+    largest lattice cost (capacity slack everywhere), ``y`` to evenly
+    spaced outputs on [0, 1]."""
+    n = len(q0)
+    cost = QuadraticCost(tuple(map(tuple, np.asarray(Q, dtype=float))), tuple(q0))
+    if k is None:
+        k = float(cost.value_many(simplex_lattice(n, m)).max())
+    return Scenario(
+        states=StateSpace(tuple(f"s{i}" for i in range(n))),
+        y=OutputFunction(tuple(np.linspace(0.0, 1.0, n)) if y is None else tuple(y)),
+        cost=cost,
+        capacity=float(k),
+        family=SMOOTH_FAMILY,
+        utility=AgentUtility("risk_neutral"),
+        reservation=0.0,
+        m=m,
+    )
+
+
+def flat_quadratic_case(seed):
+    """A seeded rank-deficient quadratic: n in 2..5 and Q = R R' + a 11'
+    with R of rank at most n - 2, so Q is singular on the sum-zero
+    subspace. Even seeds leave the capacity slack, odd seeds set it at the
+    lattice costs' lower quartile. Returns the scenario and a contract."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    R = np.round(rng.normal(size=(n, int(rng.integers(0, n - 1)))), 2)
+    Q = R @ R.T + float(rng.choice([0.0, 0.5])) * np.ones((n, n))
+    m = {2: 40, 3: 30, 4: 20, 5: 12}[n]
+    q0 = tuple(rng.multinomial(m, np.ones(n) / n) / m)
+    sc = quadratic_scenario(Q, q0, m=m)
+    if seed % 2:
+        costs = sc.cost.value_many(simplex_lattice(n, m))
+        sc = dataclasses.replace(sc, capacity=float(np.quantile(costs, 0.25, method="lower")))
+    return sc, tuple(np.round(rng.uniform(0.0, 1.0, n), 3))
+
+
 def dated_case(seed):
     """A single-date contracting instance: scenario, discount pair, the
     two-date schedule, the date carrying the payments, and the flat payment

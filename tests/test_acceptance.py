@@ -270,7 +270,7 @@ def test_07_convex_solver_matches_grid_and_multipliers_fit(capsys):
                   f"worst stationarity residual {worst_res:.1e}")
     except Exception as exc:
         ok, detail = False, f"{type(exc).__name__}: {exc}"
-    emit(capsys, 7, "projected convex best response matches the lattice solver "
+    emit(capsys, 7, "continuous best response matches the lattice solver "
          "within 2/m and its fitted multipliers zero the agent FOC", ok, detail)
     assert ok, detail
 

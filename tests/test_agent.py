@@ -1,4 +1,4 @@
-"""Agent best responses (grid and convex routes) and the agent-side FOC."""
+"""Agent best responses (grid and continuous routes) and the agent-side FOC."""
 
 import math
 
@@ -13,8 +13,10 @@ from agentcap.agent import (
     feasible_lattice,
     fit_agent_multipliers,
 )
+from agentcap.cli import main, save_scenario
 from agentcap.errors import (
     ConfigurationError,
+    ConvergenceError,
     DifferentiabilityError,
     EmptyFeasibleSetError,
     InteriorityError,
@@ -29,11 +31,19 @@ from agentcap.model import (
     Scenario,
     StateSpace,
     TableCost,
+    feasible_mask,
     simplex_lattice,
 )
 from agentcap.pareto import Enumeration
 
-from conftest import ladder_scenario, smooth_scenario, tangent_scenario
+from conftest import (
+    SMOOTH_FAMILY,
+    flat_quadratic_case,
+    ladder_scenario,
+    quadratic_scenario,
+    smooth_scenario,
+    tangent_scenario,
+)
 
 
 def two_state(cost, k, m=10, utility=None):
@@ -244,7 +254,7 @@ def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
     assert np.array_equal(ri, expect_r) and np.array_equal(pi, expect_p)
 
 
-# -- convex route -----------------------------------------------------------
+# -- continuous route -------------------------------------------------------
 
 
 def test_convex_entropy_closed_form():
@@ -272,6 +282,122 @@ def test_convex_quadratic_matches_grid_value():
         assert abs(conv.value - grid.value) <= 2.0 / sc.m
         c = sc.cost.value(np.array(conv.maximizers[0].probs))
         assert c <= sc.capacity + 1e-9
+
+
+def test_convex_capacity_root_stays_feasible():
+    # small-queries seed-1 op 484: a root aimed at k + FEASIBILITY_SLACK
+    # lands 6.9e-18 past it, outside the feasibility rule
+    s = Scenario(
+        states=StateSpace(("L", "H")),
+        y=OutputFunction((0.0, 0.66)),
+        cost=QuadraticCost(((0.5, 0.25), (0.25, 0.5)), (0.5, 0.5)),
+        capacity=0.053439349112426024,
+        family=SMOOTH_FAMILY,
+        utility=AgentUtility("risk_neutral"),
+        reservation=0.0,
+        m=52,
+    )
+    br = best_response_convex(s, (0.0, 0.33))
+    assert br.any_binding
+    assert feasible_mask(s.cost.value(br.points()[0]), s.capacity)
+
+
+def assert_settles_on_grid(sc, b):
+    """The continuous response is feasible and no worse than the lattice's."""
+    conv = best_response_convex(sc, b)
+    assert feasible_mask(sc.cost.value(conv.points()[0]), sc.capacity)
+    assert conv.value >= best_response_grid(sc, b).value - sc.tol_u
+
+
+FLAT_Q = {
+    "zero": ((0.0, 0.0), (0.0, 0.0)),
+    "one-axis": ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "tied-pair": ((1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "all-ones": ((1.0,) * 3,) * 3,
+}
+
+
+@pytest.mark.parametrize("name", FLAT_Q)
+@pytest.mark.parametrize("binding", [False, True])
+def test_convex_singular_q_matches_grid(name, binding):
+    # Q is singular on the sum-zero subspace, so the cost is flat along some
+    # direction of the simplex; the value there is linear and its optimum
+    # sits on a vertex-side face (Q = 0: 0.3, not the midpoint's 0.15)
+    Q = FLAT_Q[name]
+    n = len(Q)
+    q0 = (0.5, 0.5) if n == 2 else (0.2, 0.3, 0.5)
+    b = (0.0, 0.3) if n == 2 else (0.3, 0.1, 0.6)
+    sc = quadratic_scenario(Q, q0)
+    if binding:
+        costs = sc.cost.value_many(simplex_lattice(n, sc.m))
+        sc = quadratic_scenario(Q, q0, k=float(np.quantile(costs, 0.25, method="lower")))
+    assert agent.strong_concavity(sc.cost) is None
+    assert_settles_on_grid(sc, b)
+
+
+def test_convex_singular_q_panel():
+    for seed in range(40):
+        sc, b = flat_quadratic_case(seed)
+        assert agent.strong_concavity(sc.cost) is None
+        assert_settles_on_grid(sc, b)
+
+
+def test_convex_active_set_does_not_cycle():
+    # changing every violated index at once cycles through four faces here;
+    # past n steps the active set changes only the lowest one
+    R = np.array([[0.2, 0.3, 0.7, 0.0], [-1.9, 1.6, 0.1, -0.7], [-0.8, 0.7, 1.1, -0.2], [0.8, -0.6, 1.1, 0.7]])
+    sc = quadratic_scenario(R @ R.T, (0.33, 0.2, 0.16, 0.31))
+    assert agent.strong_concavity(sc.cost) is not None
+    assert_settles_on_grid(sc, (-0.3, -0.5, 1.0, 0.8))
+
+
+def test_convex_solves_few_faces_at_large_n(monkeypatch):
+    # 16 states: the simplex has 2^16 faces, the active set visits a handful
+    n = 16
+    rng = np.random.default_rng(4)
+    Q = np.diag(rng.uniform(0.5, 2.0, n))
+    Q[0, 1] = Q[1, 0] = 0.25
+    q0 = np.zeros(n)
+    q0[:2] = 0.5
+    s = quadratic_scenario(Q, q0, k=0.3, m=2)
+    assert agent.strong_concavity(s.cost) is not None
+    assert len(s.lattice.points) == 136
+    solved = []
+    faces = agent._quadratic_faces
+
+    def counted(Q, q0, masks, flat):
+        solved.append(masks.size)
+        return faces(Q, q0, masks, flat)
+
+    monkeypatch.setattr(agent, "_quadratic_faces", counted)
+    b = 2.0 * s.y.as_array() + rng.uniform(0.0, 0.2, n)
+    br = best_response_convex(s, b)
+    assert br.any_binding and min(br.points()[0]) == 0.0
+    assert 1 < sum(solved) <= n * n
+    assert br.value >= best_response_grid(s, b).value - s.tol_u
+
+
+def test_convex_unsettled_row_raises(monkeypatch, tmp_path):
+    # binding on an edge: the whole-simplex step leaves a negative weight,
+    # so the active set needs a second step to settle
+    s = quadratic_scenario(0.1 * np.eye(3), (1 / 3, 1 / 3, 1 / 3), k=0.04, m=30)
+    b = 0.5 * s.y.as_array()
+    br = best_response_convex(s, b)
+    assert br.any_binding and br.points()[0][0] == 0.0
+    monkeypatch.setattr(agent, "_FACE_STEPS", 1)
+    with pytest.raises(ConvergenceError):
+        best_response_convex(s, b)
+    # the kkt command seeds from this response to b = 0.5 y
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    assert main(["kkt", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 6
+
+
+@pytest.mark.parametrize("cost", [QuadraticCost(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5)),
+                                  RelativeEntropyCost(1.0, (0.5, 0.5))])
+def test_convex_capacity_below_least_cost(cost):
+    with pytest.raises(EmptyFeasibleSetError):
+        best_response_convex(two_state(cost, -0.01), (0.0, 0.5))
 
 
 def test_convex_rejects_table_cost():

@@ -210,8 +210,7 @@ def test_bound_holds_for_any_multiplier_and_centre(kind):
     u = s.lattice.util[rng.choice(len(s.lattice.util), 6, replace=False)]
     kbar = s.capacity + FEASIBILITY_SLACK
     trials = [agent._entropy_centres(u, s.cost, kbar) if kind == "entropy"
-              else agent._quadratic_centres(u, s.cost, kbar, agent._quadratic_faces(
-                  np.array(s.cost.Q), np.array(s.cost.q0)))]
+              else agent._quadratic_centres(u, s.cost, kbar)]
     for _ in range(4):
         t = rng.uniform(0.05, 1.0, len(u))
         if kind == "entropy":

@@ -60,7 +60,7 @@ GOLDEN = {
         "legs.csv": "8f5dff90e0f4f86e96359cb009f36c933bbd89e87e2a27358ada14b609f2169b",
     },
     ("tangent", "kkt"): {
-        "residuals.csv": "169957e44ddfd625f1c7a79add90d1cbdc783ee88cddc64a4b11b3d78bda89d3",
+        "residuals.csv": "bf2ac17771c916cf844ed16b1b51f38abf4d20dbd163c735a59d2d449e4073b2",
     },
     ("smooth", "solve"): {
         "pareto.csv": "7721ba95795db9f00028f336d4bdac2d26e986307183dc4959b8d4483bd93659",
