@@ -625,21 +625,28 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
 
     The capacity root aims at k + FEASIBILITY_SLACK / 2, so that rounding
     leaves the point inside ``feasible_mask`` and a face whose least cost
-    is k keeps t > 0. Raises EmptyFeasibleSetError when a linear bound puts
-    the least cost above k, and ConvergenceError unless the point is a
-    feasible distribution within tol_u of the solver's bound on the optimum
-    at capacity k, UB - mu FEASIBILITY_SLACK / 2 (its duality gap).
+    is k keeps t > 0. When that target is at or below the least cost, the
+    root leaves t = 0 (mu infinite) at the least-cost point; the root then
+    aims halfway between that cost and k + FEASIBILITY_SLACK instead.
+    Raises EmptyFeasibleSetError when a linear bound puts the least cost
+    above k, and ConvergenceError unless the point is a feasible
+    distribution within tol_u of the solver's bound on the optimum at
+    capacity k, UB - mu (target - k) (its duality gap).
     """
     if not s.cost.convex_smooth:
         raise UnsupportedCostError(f"convex solver needs a smooth convex cost, got {s.cost.kind!r}")
     payoff = np.asarray(s.utility.apply(_as_payments(b)), dtype=float)
     k = s.capacity
     centres = _entropy_centres if s.cost.kind == "relative-entropy" else _quadratic_centres
-    mu, centre, ub = centres(payoff[None, :], s.cost, k + 0.5 * FEASIBILITY_SLACK)
+    margin = 0.5 * FEASIBILITY_SLACK
+    mu, centre, ub = centres(payoff[None, :], s.cost, k + margin)
+    if np.isinf(mu[0]):
+        margin = 0.5 * (s.cost.value(centre[0]) - k + FEASIBILITY_SLACK)
+        mu, centre, ub = centres(payoff[None, :], s.cost, k + margin)
     p = centre[0]
     c = s.cost.value(p)
     value = float(payoff @ p - c)
-    gap = float(ub[0] - 0.5 * FEASIBILITY_SLACK * mu[0] - value)
+    gap = float(ub[0] - margin * mu[0] - value)
     if not feasible_mask(c, k):
         # c is convex: no point costs less than c(p) - (grad c . p - min grad c)
         g = s.cost.gradient(p)

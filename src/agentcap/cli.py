@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -364,6 +365,7 @@ def cmd_alpha_star(args, s: Scenario):
         "bracket_low": res.bracket[0],
         "bracket_high": res.bracket[1],
         "eps": args.eps,
+        "predicate_calls": len(res.predicate_trace),
         "u_bar": res.u_bar,
         "monotone_warning": res.monotone_warning,
         "witness_alpha": res.witness_alpha,
@@ -418,6 +420,7 @@ def cmd_verify(args, s: Scenario):
         "bracket_low": rep.alpha_result.bracket[0],
         "bracket_high": rep.alpha_result.bracket[1],
         "monotone_warning": rep.alpha_result.monotone_warning,
+        "predicate_calls": len(rep.alpha_result.predicate_trace),
         "n_checks": len(rep.checks),
         "n_tested": sum(1 for c in rep.checks if c.tested),
         "inclusion_ok": rep.inclusion_ok,
@@ -529,7 +532,11 @@ def cmd_kkt(args, s: Scenario):
 # Dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use and shared by every ``main`` call
+    in the process. Parsing only reads it: each ``parse_args`` returns a
+    fresh namespace and takes the subcommand defaults from the parser."""
     parser = argparse.ArgumentParser(
         prog="agentcap",
         description="Capacity-constrained principal-agent solves over scenario files.",

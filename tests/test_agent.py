@@ -33,6 +33,7 @@ from agentcap.model import (
     TableCost,
     feasible_mask,
     simplex_lattice,
+    validate_scenario,
 )
 from agentcap.pareto import Enumeration
 
@@ -41,6 +42,7 @@ from conftest import (
     flat_quadratic_case,
     ladder_scenario,
     quadratic_scenario,
+    share_scenario,
     smooth_scenario,
     tangent_scenario,
 )
@@ -398,6 +400,31 @@ def test_convex_unsettled_row_raises(monkeypatch, tmp_path):
 def test_convex_capacity_below_least_cost(cost):
     with pytest.raises(EmptyFeasibleSetError):
         best_response_convex(two_state(cost, -0.01), (0.0, 0.5))
+
+
+@pytest.mark.parametrize("k", [-9e-13, -6e-13, -5.1e-13, -4.9e-13])
+def test_convex_capacity_just_below_least_cost(k, tmp_path, capsys):
+    # validation accepts k within FEASIBILITY_SLACK of the least cost 0, but
+    # k + FEASIBILITY_SLACK / 2 is below it for all but the last k
+    s = share_scenario(k)
+    assert validate_scenario(s).passed
+    br = best_response_convex(s, (0.0, 0.5))
+    p = np.array(br.maximizers[0].probs)
+    assert feasible_mask(s.cost.value(p), k)
+    assert np.abs(p - 0.5).max() <= 1e-6
+    # the kkt seed settles; the stationarity solve then meets the
+    # rank-deficient Jacobian it meets at k = 0
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    assert main(["kkt", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 6
+    assert "rank deficient" in capsys.readouterr().err
+
+
+def test_convex_capacity_past_the_slack_is_empty():
+    s = share_scenario(-1.2e-12)
+    assert not validate_scenario(s).passed
+    with pytest.raises(EmptyFeasibleSetError):
+        best_response_convex(s, (0.0, 0.5))
 
 
 def test_convex_rejects_table_cost():

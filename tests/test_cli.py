@@ -1,5 +1,6 @@
 """Scenario file round trips, command outputs, determinism, and exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from agentcap import agent
+from agentcap import agent, cli
 from agentcap.cli import (
     _cell,
     _column,
@@ -514,6 +515,56 @@ def test_argparse_usage_errors(ladder_file):
     assert exc.value.code == 2
 
 
+def _outputs(out):
+    """A run's CSV bytes by file name, and its summary less the runtime."""
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.suffix == ".csv"}
+    summary = read_summary(out)
+    summary.pop("runtime_seconds")
+    return files, summary
+
+
+def test_main_builds_its_parser_once_and_carries_no_state(tmp_path, monkeypatch):
+    f = tmp_path / "three.json"
+    save_scenario(three_state_scenario(), f)
+    calls = [
+        ["solve", "--alpha", "0.5"],
+        ["solve"],
+        ["capstruct", "--face", "0.5", "--alpha-star", "0.5"],
+        ["capstruct", "--threshold", "1.0", "--alpha-star", "0.5"],
+    ]
+
+    def run(i, flags, root):
+        out = root / str(i)
+        assert main([flags[0], "--scenario", str(f), "--out", str(out), *flags[1:]]) == 0
+        return _outputs(out)
+
+    main(["solve", "--scenario", str(f), "--out", str(tmp_path / "warm")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # the calls in one process, a usage error after each
+    with monkeypatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "__init__", spy)
+        reused = []
+        for i, flags in enumerate(calls):
+            reused.append(run(i, flags, tmp_path / "reused"))
+            with pytest.raises(SystemExit) as exc:
+                main([flags[0], "--scenario", str(f)])  # --out missing
+            assert exc.value.code == 2
+    assert built == []
+    # each call gives what it gives first, on a parser built for it alone
+    for i, flags in enumerate(calls):
+        cli._build_parser.cache_clear()
+        assert run(i, flags, tmp_path / "fresh") == reused[i]
+    # the plain solve took the default alpha, not the 0.5 before it
+    assert reused[0][1]["alpha"] == 0.5 and reused[1][1]["alpha"] == 1.0
+    assert reused[0][0] != reused[1][0]
+
+
 # -- threshold commands -----------------------------------------------------
 
 
@@ -548,6 +599,18 @@ def test_verify_command(tangent_file, tmp_path):
     doc = read_summary(out)
     assert doc["inclusion_ok"] and doc["converse_ok"] and doc["slack_witness_ok"]
     assert doc["n_checks"] == 3 and doc["n_tested"] == 2
+
+
+@pytest.mark.parametrize("eps", ["1e-4", "0.05"])
+def test_summary_counts_predicate_calls(tangent_file, tmp_path, eps):
+    trace = tmp_path / "trace"
+    assert main(["alpha-star", "--scenario", str(tangent_file), "--out", str(trace), "--eps", eps]) == 0
+    _, rows = read_csv(trace / "trace.csv")
+    assert read_summary(trace)["predicate_calls"] == len(rows) > 2
+    # verify bisects at the same level with the same width
+    checks = tmp_path / "checks"
+    assert main(["verify", "--scenario", str(tangent_file), "--out", str(checks), "--eps", eps]) == 0
+    assert read_summary(checks)["predicate_calls"] == len(rows)
 
 
 def test_sweep_command(tangent_file, tmp_path):
