@@ -14,7 +14,8 @@ positive definite on the sum-zero subspace), scores only the lattice points
 inside each row's strong-concavity ball around its continuous optimum, which
 provably holds every tie; it finds the same ties, and its values may differ
 from the full scan's in the last bit. Both apply the one tie cut,
-``tie_floor``.
+``tie_floor``, and name a point by its index in ``s.lattice.points``, which
+``Scenario.at_capacity`` shares, so an id is the same at every capacity.
 """
 
 from __future__ import annotations
@@ -81,17 +82,13 @@ class AgentFocResidual:
 
 
 def feasible_lattice(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Enumeration points inside D with their costs, in lattice order.
-
-    Reads ``s.lattice``, which ``Scenario.at_capacity`` shares across
-    capacities. Raises EmptyFeasibleSetError when capacity excludes every
-    point.
-    """
-    lattice = s.lattice
-    mask = feasible_mask(lattice.costs, s.capacity)
+    """(ids, mask): the lattice indices of the points inside D, ascending,
+    and the mask over the whole lattice. Raises EmptyFeasibleSetError when
+    capacity excludes every point."""
+    mask = feasible_mask(s.lattice.costs, s.capacity)
     if not mask.any():
         raise EmptyFeasibleSetError("capacity excludes every enumeration point")
-    return lattice.points[mask], lattice.costs[mask]
+    return np.flatnonzero(mask), mask
 
 
 def capacity_binding(cost, capacity: float, tol_u: float):
@@ -152,7 +149,8 @@ def scan_grid(
 def grid_best_response(s: Scenario, payoff: np.ndarray) -> BestResponseSet:
     """Best responses over the feasible grid to a per-state payoff vector
     (the agent's utility of each state's payment)."""
-    points, costs = feasible_lattice(s)
+    ids, _ = feasible_lattice(s)
+    points, costs = s.lattice.points[ids], s.lattice.costs[ids]
     _, idx, values = scan_grid(payoff[None, :], points, costs, s.tol_u)
     return BestResponseSet(
         maximizers=tuple(Distribution(tuple(points[i])) for i in idx),
@@ -515,11 +513,12 @@ def _groups(sizes: np.ndarray, cap: float):
         i = j
 
 
-def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray):
-    """``scan_grid``'s ties over the feasible points of ``s`` for a cost that
-    ``strong_concavity`` accepts, scoring only the lattice points inside
-    each row's certified ball; also returns each row's best value and the
-    number of values computed.
+def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarray):
+    """``scan_grid``'s ties over the feasible points of ``s``, given as
+    ``feasible_lattice``'s (ids, mask), for a cost that ``strong_concavity``
+    accepts, scoring only the lattice points inside each row's certified
+    ball; also returns each row's best value and the number of values
+    computed.
 
     A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
     from the best feasible point among its rounded centre and that point's
@@ -538,11 +537,9 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
     norm, sigma0 = strong_concavity(s.cost)
     n, m, tol_u = s.n, s.m, s.tol_u
     kbar = s.capacity + FEASIBILITY_SLACK
-    lattice_costs = s.lattice.costs
-    mask = feasible_mask(lattice_costs, s.capacity)
-    ids = np.cumsum(mask) - 1
+    points, costs = s.lattice.points, s.lattice.costs
     binom = _binomials(m + n, n)
-    cscale = float(np.abs(lattice_costs).max()) + abs(kbar)
+    cscale = float(np.abs(costs).max()) + abs(kbar)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
 
@@ -554,7 +551,7 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
 
     eye = np.eye(n, dtype=np.int64)
     moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
-    n_c, n_p = len(payoffs), len(points)
+    n_c, n_p = len(payoffs), len(ids)
     row_max = np.full(n_c, -np.inf)
     parts, full = [], []
     evaluations = 0
@@ -571,8 +568,8 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
             at = np.flatnonzero((probes >= 0).all(axis=1) & (probes.sum(axis=1) == m))
             rank = _lattice_rank(probes[at], m, binom)
             feasible = mask[rank]
-            at, pid = at[feasible], ids[rank[feasible]]
-            vals = _pair_values(u[rows[at]], points[pid], costs[pid])
+            at, rank = at[feasible], rank[feasible]
+            vals = _pair_values(u[rows[at]], points[rank], costs[rank])
             evaluations += vals.size
             _segment_max(rows[at], vals, lb)
             if stage == 0:
@@ -593,21 +590,21 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, points: np.ndarray, costs: np.n
             g = rows[part]
             owner, rank = _ball_points(centre[g], bound[g], norm, m, binom)
             feasible = mask[rank]
-            owner, pid = owner[feasible], ids[rank[feasible]]
-            vals = _pair_values(u[g[owner]], points[pid], costs[pid])
+            owner, rank = owner[feasible], rank[feasible]
+            vals = _pair_values(u[g[owner]], points[rank], costs[rank])
             evaluations += vals.size
             # every row's ball holds its LB point, so each row has a value
             best = np.full(g.size, -np.inf)
             _segment_max(owner, vals, best)
             tie = vals >= tie_floor(best, tol_u)[owner]
             row_max[start + g] = best
-            parts.append((start + g[owner[tie]], pid[tie], vals[tie]))
+            parts.append((start + g[owner[tie]], rank[tie], vals[tie]))
     fb = np.concatenate(full)
     if fb.size:
         running = np.full(fb.size, -np.inf)
-        ri, pi, vals = scan_grid(payoffs[fb], points, costs, tol_u, running)
+        ri, pi, vals = scan_grid(payoffs[fb], points[ids], costs[ids], tol_u, running)
         row_max[fb] = running
-        parts.append((fb[ri], pi, vals))
+        parts.append((fb[ri], ids[pi], vals))
         evaluations += fb.size * n_p
     cid, pid, vals = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(cid, kind="stable")
@@ -627,7 +624,8 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
     leaves the point inside ``feasible_mask`` and a face whose least cost
     is k keeps t > 0. When that target is at or below the least cost, the
     root leaves t = 0 (mu infinite) at the least-cost point; the root then
-    aims halfway between that cost and k + FEASIBILITY_SLACK instead.
+    aims halfway between that cost and k + FEASIBILITY_SLACK instead. If
+    that is the least cost, a strictly convex cost admits only that point.
     Raises EmptyFeasibleSetError when a linear bound puts the least cost
     above k, and ConvergenceError unless the point is a feasible
     distribution within tol_u of the solver's bound on the optimum at
@@ -646,7 +644,10 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
     p = centre[0]
     c = s.cost.value(p)
     value = float(payoff @ p - c)
-    gap = float(ub[0] - margin * mu[0] - value)
+    if np.isinf(mu[0]) and strong_concavity(s.cost) is not None:
+        gap = 0.0  # t = 0 again: p alone attains the least cost, the target
+    else:
+        gap = float(ub[0] - margin * mu[0] - value)
     if not feasible_mask(c, k):
         # c is convex: no point costs less than c(p) - (grad c . p - min grad c)
         g = s.cost.gradient(p)

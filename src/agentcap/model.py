@@ -768,8 +768,9 @@ class Profile:
     """A contract paired with a distribution, with cached payoffs.
 
     ``contract_id`` and ``point_id`` identify the family member and the
-    enumeration point when the profile came out of an enumeration; exact set
-    comparisons use those identities.
+    lattice point (its index in ``Scenario.lattice.points``, the same at
+    every capacity of a sweep) when the profile came out of an enumeration;
+    exact set comparisons use those identities.
     """
 
     contract: Contract

@@ -17,8 +17,8 @@ the new floor; a capacity sweep scores each lattice point once.
 A fresh enumeration whose cost is strictly convex on the simplex, and whose
 contracts times feasible points exceed one value block (``agent._CHUNK``),
 scores only the lattice points in each contract's certified ball
-(``agent.scan_balls``) instead of the whole feasible lattice. The rows are
-the same either way; ``evaluations`` counts the values actually computed.
+(``agent.scan_balls``); the rows are the same either way. Every route names
+a point by its index in the scenario's lattice, the same at every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
 frontier order, with their principal payoffs. ``Profile`` objects, with their
@@ -229,9 +229,8 @@ class Enumeration:
     alpha. Rows run strictly ascending in (contract_id, point_id), which is
     the frontier's final tie-break.
 
-    The points, their costs, and the contracts with their payments and
-    utilities come from ``s.lattice``; the feasible points keep lattice
-    order.
+    ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
+    names the same point at every capacity of a sweep.
 
     ``below`` is an enumeration, at a capacity no higher than ``s``'s, of a
     scenario differing from ``s`` only in capacity; building ``s`` with
@@ -273,10 +272,10 @@ class Enumeration:
                 raise ConfigurationError("lower enumeration was built for another scenario")
             if below.scenario.capacity > s.capacity:
                 raise ConfigurationError("lower enumeration has a higher capacity")
-        points, costs = feasible_lattice(s)
-        y = s.y.as_array()
+        ids, mask = feasible_lattice(s)
+        points, costs = s.lattice.points, s.lattice.costs
         labels, payments = s.lattice.contracts
-        n_c, n_p = len(labels), len(points)
+        n_c, n_p = len(labels), len(ids)
         if n_c * n_p > budget:
             raise BudgetExceededError(
                 f"enumeration needs {n_c * n_p} evaluations, budget is {budget}",
@@ -290,37 +289,36 @@ class Enumeration:
         self.labels = labels
         self.payments = payments
         self.points = points
-        self.point_costs = costs
 
         # row_max: each contract's best value over the feasible points;
         # evaluations: the values computed to find the ties
         if below is not None:
-            self._scan_above(below)
+            self._scan_above(below, ids)
         elif ball_route(s, n_c, n_p):
             (self.contract_id, self.point_id, self.agent_u,
-             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, points, costs)
+             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, ids, mask)
         else:
             self.row_max = np.full(n_c, -np.inf)
-            self.contract_id, self.point_id, self.agent_u = scan_grid(
-                s.lattice.util, points, costs, s.tol_u, self.row_max
+            self.contract_id, pi, self.agent_u = scan_grid(
+                s.lattice.util, points[ids], costs[ids], s.tol_u, self.row_max
             )
+            self.point_id = ids[pi]
             self.evaluations = n_c * n_p
         self.cost = costs[self.point_id]
         self.binding = capacity_binding(self.cost, s.capacity, s.tol_u)
-        self.exp_output = points[self.point_id] @ y
+        self.exp_output = points[self.point_id] @ s.y.as_array()
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
         )
         if tally is not None:
             tally.add(self)
 
-    def _scan_above(self, below: Enumeration) -> None:
-        """Ties at this capacity from ``below``'s and a scan of the points
-        feasible here only, ordered by contract, then point."""
-        added = ~feasible_mask(self.point_costs, below.scenario.capacity)
-        # below's feasible points, in order, are the rest of these
-        cid, pid, val = below.contract_id, np.flatnonzero(~added)[below.point_id], below.agent_u
-        new = np.flatnonzero(added)
+    def _scan_above(self, below: Enumeration, ids: np.ndarray) -> None:
+        """Ties at this capacity from ``below``'s and a scan of the feasible
+        ``ids`` that ``below`` lacks, ordered by contract, then point."""
+        costs = self.scenario.lattice.costs
+        new = ids[~feasible_mask(costs[ids], below.scenario.capacity)]
+        cid, pid, val = below.contract_id, below.point_id, below.agent_u
         self.evaluations = len(self.labels) * new.size
         if not new.size:
             self.row_max = below.row_max
@@ -328,7 +326,7 @@ class Enumeration:
             return
         self.row_max = below.row_max.copy()
         c_new, p_new, v_new = scan_grid(
-            self.scenario.lattice.util, self.points[new], self.point_costs[new],
+            self.scenario.lattice.util, self.points[new], costs[new],
             self.scenario.tol_u, self.row_max,
         )
         keep = val >= tie_floor(self.row_max, self.scenario.tol_u)[cid]

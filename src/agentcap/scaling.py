@@ -134,7 +134,7 @@ def _default_u_bar(enum: Enumeration, r: float) -> float:
 
 def _witness(enum: Enumeration, alpha: float, u_bar: float) -> Profile:
     _, ids, _ = enum.selection_ids(alpha, u_bar)
-    j = int(ids[np.argmax(enum.point_costs[enum.point_id[ids]])])
+    j = int(ids[np.argmax(enum.cost[ids])])
     return enum.profile(j, alpha)
 
 

@@ -66,10 +66,12 @@ def two_state(cost, k, m=10, utility=None):
 
 def test_feasible_lattice_filters_by_capacity():
     s = tangent_scenario(0.04, m=10)
-    pts, costs = feasible_lattice(s)
-    # c(p) = p_H^2 <= 0.04 keeps p_H in {0, 0.1, 0.2}
-    assert pts.shape[0] == 3
-    assert costs.max() <= 0.04 + 1e-12
+    ids, mask = feasible_lattice(s)
+    # c(p) = p_H^2 <= 0.04 keeps p_H in {0, 0.1, 0.2}, the lattice's last
+    # three points
+    assert np.array_equal(ids, [8, 9, 10]) and np.array_equal(np.flatnonzero(mask), ids)
+    assert np.array_equal(np.rint(s.lattice.points[ids] * 10), [[8, 2], [9, 1], [10, 0]])
+    assert s.lattice.costs[ids].max() <= 0.04 + 1e-12
     with pytest.raises(EmptyFeasibleSetError):
         feasible_lattice(two_state(QuadraticCost(((0, 0), (0, 1)), (0, 0)), -1.0))
 
@@ -240,7 +242,8 @@ def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
     # must be that block's own matmul, bit for bit, and the last block is
     # shorter than the buffer
     s = entropy_cara3()
-    points, costs = feasible_lattice(s)
+    ids, _ = feasible_lattice(s)
+    points, costs = s.lattice.points[ids], s.lattice.costs[ids]
     payoffs = s.lattice.util
     rows_per_block = 5
     assert len(payoffs) % rows_per_block
@@ -402,10 +405,11 @@ def test_convex_capacity_below_least_cost(cost):
         best_response_convex(two_state(cost, -0.01), (0.0, 0.5))
 
 
-@pytest.mark.parametrize("k", [-9e-13, -6e-13, -5.1e-13, -4.9e-13])
+@pytest.mark.parametrize("k", [-1e-12, -9e-13, -6e-13, -5.1e-13, -4.9e-13])
 def test_convex_capacity_just_below_least_cost(k, tmp_path, capsys):
     # validation accepts k within FEASIBILITY_SLACK of the least cost 0, but
-    # k + FEASIBILITY_SLACK / 2 is below it for all but the last k
+    # k + FEASIBILITY_SLACK / 2 is below it for all but the last k; at the
+    # first, only the least-cost point is feasible
     s = share_scenario(k)
     assert validate_scenario(s).passed
     br = best_response_convex(s, (0.0, 0.5))

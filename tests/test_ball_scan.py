@@ -90,7 +90,7 @@ def both_routes(s, monkeypatch):
     """(full-scan enumeration, ball-route enumeration) of ``s``: the route
     flips when contracts x feasible points exceed one ``_CHUNK`` block."""
     full = Enumeration(s)
-    nominal = len(full.labels) * len(full.points)
+    nominal = full.nominal_evaluations
     assert nominal <= agent._CHUNK and full.evaluations == nominal
     with monkeypatch.context() as mp:
         mp.setattr(agent, "_CHUNK", nominal - 1)
@@ -159,11 +159,12 @@ def test_ties_on_the_ball_boundary_are_kept(q):
         # a neighbour `ring` steps away sets the tolerance
         at = int(np.flatnonzero(np.all(np.isclose(points, [0.2 + ring / m, 0.3 - ring / m, 0.5]), axis=1))[0])
         sk = dataclasses.replace(s, tol_u=float(costs[at]))
+        ids, mask = agent.feasible_lattice(sk)
         running = np.full(1, -np.inf)
-        expect = agent.scan_grid(sk.lattice.util, points, costs, sk.tol_u, running)
-        got = agent.scan_balls(sk, sk.lattice.util, points, costs)
-        assert at in expect[1]
-        assert np.array_equal(got[1], expect[1])
+        expect = agent.scan_grid(sk.lattice.util, points[ids], costs[ids], sk.tol_u, running)
+        got = agent.scan_balls(sk, sk.lattice.util, ids, mask)
+        assert at in ids[expect[1]]
+        assert np.array_equal(got[1], ids[expect[1]])
         assert got[3][0] == running[0]
 
 

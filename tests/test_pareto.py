@@ -145,7 +145,7 @@ def test_rows_ascend_on_the_ball_route(monkeypatch):
     monkeypatch.setattr(agent, "_CHUNK", 64)
     for s in [tangent_scenario(0.04), *(smooth_scenario(seed)[0] for seed in range(6))]:
         enum = Enumeration(s)
-        assert enum.evaluations < len(enum.labels) * len(enum.points)
+        assert enum.evaluations < enum.nominal_evaluations
         _assert_rows_ascend(enum)
         enum = Enumeration(s.at_capacity(2 * s.capacity), below=enum)
         _assert_rows_ascend(enum)
@@ -155,11 +155,52 @@ def test_evaluations_count_full_and_chained_scans():
     s = tangent_scenario(0.04, m=400)
     n_c = len(s.lattice.contracts[0])
     low = Enumeration(s)
-    assert low.evaluations == n_c * len(low.points)
+    assert low.evaluations == low.nominal_evaluations == n_c * len(agent.feasible_lattice(s)[0])
     high = Enumeration(s.at_capacity(0.09), below=low)
     # only the points feasible at 0.09 but not at 0.04 are scored
-    assert high.evaluations == n_c * (len(high.points) - len(low.points)) > 0
+    assert high.evaluations == high.nominal_evaluations - low.nominal_evaluations > 0
     assert Enumeration(s.at_capacity(0.09), below=high).evaluations == 0
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_point_ids_index_the_lattice(chunk, monkeypatch):
+    # the full scan, and with small blocks the ball route: a point id is a
+    # row of the scenario's lattice, priced there
+    if chunk is not None:
+        monkeypatch.setattr(agent, "_CHUNK", chunk)
+    s = tangent_scenario(0.04, m=400)
+    enum = Enumeration(s)
+    assert (enum.evaluations < enum.nominal_evaluations) == (chunk is not None)
+    assert enum.points is s.lattice.points
+    assert enum.cost.tobytes() == s.lattice.costs[enum.point_id].tobytes()
+
+
+def test_capacity_chain_ids_are_fresh_ids():
+    base = tangent_scenario(0.01)
+    enum = None
+    for k in (0.01, 0.04, 0.09):
+        s = base.at_capacity(k)
+        enum = Enumeration(s, below=enum)
+        fresh = Enumeration(s)
+        assert enum.points is fresh.points is base.lattice.points
+        for name in ("contract_id", "point_id", "binding"):
+            assert np.array_equal(getattr(enum, name), getattr(fresh, name)), (k, name)
+
+
+def test_surviving_ties_keep_their_point_ids():
+    # raising k adds points with a larger p_H, which come first in lattice
+    # order; a tie kept from below still names the same lattice point
+    low = Enumeration(tangent_scenario(0.01))
+    high = Enumeration(low.scenario.at_capacity(0.04), below=low)
+
+    def ids(enum):
+        return {(int(c), enum.points[p].tobytes()): int(p)
+                for c, p in zip(enum.contract_id, enum.point_id)}
+
+    lo, hi = ids(low), ids(high)
+    kept = lo.keys() & hi.keys()
+    assert kept
+    assert all(lo[key] == hi[key] for key in kept)
 
 
 @pytest.mark.parametrize("alpha", [1.5, -3.0, float("nan"), float("inf")])
