@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import best_response_convex, best_response_grid
-from .errors import (ConfigurationError, DegenerateFitError, InteriorityError,
-                     SingularJacobianError, UnsupportedCostError)
+# best_response_grid is unused here but bound by name in perfbench/child.py
+from .agent import best_response_convex, best_response_grid  # noqa: F401
+from .errors import (ConfigurationError, DegenerateFitError, DifferentiabilityError,
+                     InteriorityError, SingularJacobianError, UnsupportedCostError)
 from .model import Contract, Distribution, Scenario
 
 FD_STEP = 1e-7
@@ -203,14 +204,14 @@ def make_initial_point(s: Scenario, beta: float = 0.5, w: float = 0.0) -> Princi
     """Seed for the solver: agent best response to a linear-share contract,
     multipliers at zero except rho, which is fitted so the agent rows start
     small. The response is nudged toward uniform if it touches the boundary.
+    A cost without a gradient raises DifferentiabilityError before any
+    best response is computed.
     """
+    if not s.cost.convex_smooth:
+        raise DifferentiabilityError(f"{s.cost.kind} cost has no gradient")
     y = s.y.as_array()
     b = beta * y + w
-    if s.cost.convex_smooth:
-        br = best_response_convex(s, b)
-    else:
-        br = best_response_grid(s, b)
-    p = br.maximizers[0].as_array().copy()
+    p = best_response_convex(s, b).maximizers[0].as_array().copy()
     if p.min() <= 1e-9:
         p = 0.98 * p + 0.02 * np.full(s.n, 1.0 / s.n)
     g = s.cost.gradient(p)

@@ -3,10 +3,13 @@
 The enumeration pairs every family contract with every agent best response;
 best responses do not depend on the output scale alpha, so one enumeration
 serves all alpha. Per-alpha principal payoffs are then linear updates. The
-agent utilities do not move with alpha either, so the enumeration sorts them
-once, with the two tolerance cut positions of every profile; the Pareto
-filter at each alpha is then one linear pass over the principal payoffs in
-that order, which keeps repeated filtering (bisection on alpha) cheap.
+agent utilities do not move with alpha either, so the enumeration sorts its
+rows by agent utility once (``_AgentOrder``), with the two tolerance cut
+positions of every profile, and every alpha query runs in that order: the
+Pareto filter is one linear pass over the principal payoffs, and a selection
+finds only its own level among the undominated agent utilities, which
+already ascend (``_selection_level``, the one selection rule). That keeps
+repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration built on the one at the next lower
@@ -144,46 +147,53 @@ def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _AgentOrder:
-    """The alpha-invariant half of the dominance test.
+    """The alpha-invariant half of every alpha query.
 
-    ``order`` sorts the agent utilities ascending (stable). In that order,
-    profile x's weak set {q: q.a >= x.a - tol} is the suffix from
-    ``weak[x]`` and its strict set {q: q.a > x.a + tol} the suffix from
-    ``strict[x]``.
+    ``order`` sorts the agent utilities ascending (stable) and ``agent``
+    holds them in that order. At sorted position i, the weak set
+    {q: q.a >= agent[i] - tol} is the suffix from ``weak[i]`` and the strict
+    set {q: q.a > agent[i] + tol} the suffix from ``strict[i]``. ``keep``
+    decides dominance in this order; a selection stays in it, since the kept
+    agent utilities are already ascending, and only the rows chosen are
+    mapped back to row indices.
     """
 
-    __slots__ = ("order", "weak", "strict")
+    __slots__ = ("order", "agent", "tol", "weak", "strict")
 
     def __init__(self, agent: np.ndarray, tol: float):
         self.order = np.argsort(agent, kind="stable")
-        a_s = agent[self.order]
-        self.weak = np.searchsorted(a_s, agent - tol, side="left")
-        self.strict = np.searchsorted(a_s, agent + tol, side="right")
+        self.agent = a_s = agent[self.order]
+        self.tol = tol
+        self.weak = np.searchsorted(a_s, a_s - tol, side="left")
+        self.strict = np.searchsorted(a_s, a_s + tol, side="right")
+
+    def keep(self, principal: np.ndarray) -> np.ndarray:
+        """Mask, by sorted position, of the profiles not dominated under the
+        tolerance rule, for principal payoffs in this order: q dominates x
+        when q is weakly better in both coordinates (within tol) and strictly
+        better than tol in at least one. With ``best`` the largest principal
+        payoff over a suffix, x is dominated when best over its strict set
+        is >= x.p - tol, or best over its weak set is > x.p + tol."""
+        n = principal.size
+        best = np.empty(n + 1)
+        best[n] = -np.inf
+        np.maximum.accumulate(principal[::-1], out=best[:n][::-1])
+        dominated = best[self.strict] >= principal - self.tol
+        dominated |= best[self.weak] > principal + self.tol
+        return ~dominated
 
 
 def _pareto_keep_mask(
     agent: np.ndarray, principal: np.ndarray, tol: float, order: _AgentOrder | None = None
 ) -> np.ndarray:
-    """Mask of profiles not dominated under the tolerance rule: q dominates x
-    when q is weakly better in both coordinates (within tol) and strictly
-    better than tol in at least one.
-
-    With ``best`` the largest principal payoff over a suffix of the agent
-    order, x is dominated when best over its strict set is >= x.p - tol, or
-    best over its weak set is > x.p + tol. ``order`` is the agent order of
+    """``_AgentOrder.keep`` by row. ``order`` is the agent order of
     ``(agent, tol)``, built here when not given; a caller filtering the same
-    agent utilities at many alpha builds it once, and each call is then one
-    linear pass.
-    """
+    agent utilities at many alpha builds it once."""
     if order is None:
         order = _AgentOrder(agent, tol)
-    n = agent.size
-    best = np.empty(n + 1)
-    best[n] = -np.inf
-    np.maximum.accumulate(principal[order.order][::-1], out=best[:n][::-1])
-    dominated = best[order.strict] >= principal - tol
-    dominated |= best[order.weak] > principal + tol
-    return ~dominated
+    keep = np.empty(agent.size, dtype=bool)
+    keep[order.order] = order.keep(principal[order.order])
+    return keep
 
 
 def _frontier(
@@ -204,19 +214,28 @@ def _frontier(
     return order, _cluster_levels(agent[keep], tol)
 
 
-def _selection_level(
-    levels: np.ndarray, agent: np.ndarray, r: float, tol: float
-) -> tuple[float, np.ndarray]:
-    """The selection rule: the lowest level >= r - tol, and the mask of the
-    agent utilities within tol of it.
+def _selection_level(agent: np.ndarray, r: float, tol: float) -> tuple[float, np.ndarray]:
+    """The selection rule on ascending agent utilities: the lowest level
+    (``_cluster_levels`` of ``agent``) >= r - tol, and the mask of the
+    values within tol of it.
+
+    Levels below the first value >= r - tol cannot qualify, and a gap wider
+    than tol always opens a cluster, so the greedy walk starts at the narrow
+    run holding that value and stops at the first cluster start from it on.
 
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    qualifying = levels[levels >= r - tol]
-    if qualifying.size == 0:
+    n = agent.size
+    c = j = int(np.searchsorted(agent, r - tol, side="left"))
+    if j < n:
+        wide = np.flatnonzero(np.diff(agent[: j + 1]) > tol)
+        c = int(wide[-1]) + 1 if wide.size else 0
+        while c < j:
+            c += int(np.searchsorted(agent[c:] - agent[c], tol, side="right"))
+    if c == n:
         raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
-    chosen = float(qualifying[0])
+    chosen = float(agent[c])
     return chosen, np.abs(agent - chosen) <= tol
 
 
@@ -340,14 +359,20 @@ class Enumeration:
 
     def principal_at(self, alpha: float) -> np.ndarray:
         """Principal payoffs of every row at output scale ``alpha``; raises
-        ConfigurationError unless alpha lies in [0, 1]. Every alpha query
-        goes through here."""
+        ConfigurationError unless alpha lies in [0, 1]. ``selection_ids``
+        computes the same values in the agent order."""
         return check_alpha(alpha) * self.exp_output - self.exp_payment
 
     @cached_property
     def agent_order(self) -> _AgentOrder:
-        """The agent-utility order every alpha's Pareto mask reuses."""
+        """The agent-utility order every alpha query reuses."""
         return _AgentOrder(self.agent_u, self.scenario.tol_u)
+
+    @cached_property
+    def _sorted_payoff_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``exp_output`` and ``exp_payment`` in the agent order."""
+        order = self.agent_order.order
+        return self.exp_output[order], self.exp_payment[order]
 
     def pareto_mask(self, alpha: float) -> np.ndarray:
         return _pareto_keep_mask(
@@ -393,15 +418,16 @@ class Enumeration:
         """(chosen_level, profile indices at that level, binding flags).
 
         The rows of select(pareto_at(alpha), r), ascending instead of in
-        frontier order, from the Pareto mask without the frontier sort; the
-        scaling predicate needs only ids and binding flags.
+        frontier order; the scaling predicate needs only ids and binding
+        flags. The Pareto mask and the level are found in the agent order,
+        where the kept agent utilities are already ascending.
         """
-        keep = np.flatnonzero(self.pareto_mask(alpha))
-        agent = self.agent_u[keep]
-        tol = self.scenario.tol_u
-        chosen, at = _selection_level(_cluster_levels(agent, tol), agent, r, tol)
-        at_level = keep[at]
-        return chosen, at_level, self.binding[at_level]
+        ao = self.agent_order
+        y, pay = self._sorted_payoff_parts
+        kept = np.flatnonzero(ao.keep(check_alpha(alpha) * y - pay))
+        chosen, at = _selection_level(ao.agent[kept], r, ao.tol)
+        rows = np.sort(ao.order[kept[at]])
+        return chosen, rows, self.binding[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +440,9 @@ def select(ps: ParetoSet, r: float) -> Selection:
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    agent = ps.enumeration.agent_u[ps.rows]
-    chosen, at = _selection_level(np.asarray(ps.agent_utility_levels), agent, r, ps.tol_u)
+    # frontier order runs by agent utility descending, so reversed it ascends
+    chosen, at = _selection_level(ps.enumeration.agent_u[ps.rows[::-1]], r, ps.tol_u)
+    at = at[::-1]
     return Selection(
         parent=ps, r=float(r), chosen_level=chosen, rows=ps.rows[at], principal=ps.principal[at]
     )

@@ -132,16 +132,21 @@ def _default_u_bar(enum: Enumeration, r: float) -> float:
     return _risk_neutral_level(enum, _base_index(enum, r)[0])
 
 
-def _witness(enum: Enumeration, alpha: float, u_bar: float) -> Profile:
-    _, ids, _ = enum.selection_ids(alpha, u_bar)
+def _witness(enum: Enumeration, alpha: float, ids: np.ndarray) -> Profile:
+    """The profile of the slack selection ``ids`` with cost closest to capacity."""
     j = int(ids[np.argmax(enum.cost[ids])])
     return enum.profile(j, alpha)
 
 
+def _slack_ids(enum: Enumeration, alpha: float, u_bar: float) -> np.ndarray | None:
+    """The rows selected at (alpha, u_bar) if none is capacity-binding, else None."""
+    _, ids, binding = enum.selection_ids(alpha, u_bar)
+    return None if binding.any() else ids
+
+
 def _all_slack(enum: Enumeration, alpha: float, u_bar: float) -> bool:
     """True when no profile selected at (alpha, u_bar) is capacity-binding."""
-    _, _, binding = enum.selection_ids(alpha, u_bar)
-    return not bool(binding.any())
+    return _slack_ids(enum, alpha, u_bar) is not None
 
 
 def _keys(enum: Enumeration, ids: np.ndarray) -> set[tuple[int, int]]:
@@ -151,19 +156,20 @@ def _keys(enum: Enumeration, ids: np.ndarray) -> set[tuple[int, int]]:
 
 def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     trace: list[tuple[float, bool]] = []
+    held: dict[float, np.ndarray] = {}  # the slack selections, by alpha
 
     def pred(alpha: float) -> bool:
-        ok = _all_slack(enum, alpha, u_bar)
-        trace.append((float(alpha), ok))
-        return ok
+        ids = _slack_ids(enum, alpha, u_bar)
+        if ids is not None:
+            held[alpha] = ids
+        trace.append((float(alpha), ids is not None))
+        return ids is not None
 
     if pred(1.0):
         star, bracket = 1.0, (1.0, 1.0)
-        wit, wit_alpha = _witness(enum, 1.0, u_bar), 1.0
     elif not pred(0.0):
         # the slack region is empty; sup over an empty set, reported as 0
         star, bracket = 0.0, (0.0, 0.0)
-        wit, wit_alpha = None, None
     else:
         lo, hi = 0.0, 1.0
         while hi - lo > eps:
@@ -173,7 +179,9 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
             else:
                 hi = mid
         star, bracket = lo, (lo, hi)
-        wit, wit_alpha = _witness(enum, lo, u_bar), lo
+    # the witness reads the selection made where the predicate last held
+    wit_alpha = star if star in held else None
+    wit = None if wit_alpha is None else _witness(enum, star, held[star])
 
     seen_false = False
     warning = False

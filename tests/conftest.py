@@ -33,7 +33,8 @@ from agentcap.model import (
     cost,
     simplex_lattice,
 )
-from agentcap.pareto import Enumeration
+from agentcap.errors import EmptySelectionError
+from agentcap.pareto import Enumeration, _cluster_levels
 from agentcap.scaling import InequalitySlacks, alpha_star
 
 
@@ -368,6 +369,22 @@ def brute_pareto_keep(agent, principal, tol):
                 keep[i] = False
                 break
     return keep
+
+
+def selection_ids_oracle(enum, alpha, r):
+    """``Enumeration.selection_ids`` the long way: the Pareto mask over every
+    row, every clustered level of the kept agent utilities, then the lowest
+    level >= r - tol and the kept rows within tol of it, ascending."""
+    tol = enum.scenario.tol_u
+    keep = np.flatnonzero(enum.pareto_mask(alpha))
+    agent = enum.agent_u[keep]
+    levels = _cluster_levels(agent, tol)
+    qualifying = levels[levels >= r - tol]
+    if qualifying.size == 0:
+        raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
+    chosen = float(qualifying[0])
+    ids = keep[np.abs(agent - chosen) <= tol]
+    return chosen, ids, enum.binding[ids]
 
 
 def einsum_quadratic_cost(points, Q, q0):

@@ -764,6 +764,24 @@ def test_capstruct_threshold_solves_alpha(tmp_path):
         assert float(row[2]) + float(row[3]) == pytest.approx(float(row[1]), abs=1e-12)
 
 
+@pytest.mark.parametrize("make", [table_scenario, effort_scenario], ids=["table", "effort"])
+def test_kkt_rejects_a_cost_without_gradient_before_any_scan(make, tmp_path, capsys, monkeypatch):
+    s = make()
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    scanned = []
+    scan_grid = agent.scan_grid
+
+    def spy(*args, **kwargs):
+        scanned.append(len(args[1]))
+        return scan_grid(*args, **kwargs)
+
+    monkeypatch.setattr(agent, "scan_grid", spy)
+    assert main(["kkt", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"{s.cost.kind} cost has no gradient" in capsys.readouterr().err
+    assert scanned == []
+
+
 def test_kkt_command_golden(share_file, tmp_path):
     out = tmp_path / "out"
     assert main(["kkt", "--scenario", str(share_file), "--out", str(out)]) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import types
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from agentcap.pareto import (
     _cluster_levels,
     _frontier,
     _pareto_keep_mask,
+    _selection_level,
     select,
 )
 from agentcap.scaling import alpha_star
@@ -36,6 +38,7 @@ from conftest import (
     brute_pareto_keep,
     ladder_scenario,
     make_profile,
+    selection_ids_oracle,
     smooth_scenario,
     tangent_scenario,
 )
@@ -467,6 +470,20 @@ def test_cluster_levels_match_greedy_loop():
         got = _cluster_levels(values, tol)
         want = _cluster_levels_loop(values, tol)
         assert np.array_equal(got, want), (values.tolist(), tol)
+        if trial % 29:  # 29 is prime to 6, so every input kind is sampled
+            continue
+        # the selection rule finds the first greedy level >= r - tol alone
+        s = np.sort(values)
+        rs = [-2.0, 2.0] if not s.size else [s[0] - 1.0, s[-1] + 1.0]
+        for r in [*rs, *s, *(s + tol), *(s - tol), *(s + tol / 2), *(s - tol / 2)]:
+            qualifying = want[want >= r - tol]
+            if not qualifying.size:
+                with pytest.raises(EmptySelectionError):
+                    _selection_level(s, r, tol)
+                continue
+            chosen, at = _selection_level(s, r, tol)
+            assert chosen == qualifying[0], (values.tolist(), tol, r)
+            assert np.array_equal(at, np.abs(s - chosen) <= tol)
 
 
 # -- selection --------------------------------------------------------------
@@ -505,6 +522,62 @@ def test_selection_ids_agree_with_select_at():
             p.identity() for p in sel.profiles
         }
         assert len(binding) == len(ids)
+
+
+def rows_enumeration(agent, exp_output, exp_payment, binding, tol):
+    """An Enumeration over given rows: the arrays its alpha queries read."""
+    enum = Enumeration.__new__(Enumeration)
+    enum.agent_u, enum.exp_output, enum.exp_payment = agent, exp_output, exp_payment
+    enum.binding = binding
+    enum.scenario = types.SimpleNamespace(tol_u=tol)
+    return enum
+
+
+def assert_selection_matches_oracle(enum, alpha, r):
+    """selection_ids equals the oracle bit for bit, or both raise the same
+    EmptySelectionError; returns whether the selection was empty."""
+    try:
+        want = selection_ids_oracle(enum, alpha, r)
+    except EmptySelectionError as exc:
+        with pytest.raises(EmptySelectionError) as got:
+            enum.selection_ids(alpha, r)
+        assert str(got.value) == str(exc)
+        return True
+    chosen, ids, binding = enum.selection_ids(alpha, r)
+    assert chosen == want[0], (alpha, r)
+    assert ids.tolist() == want[1].tolist()
+    assert binding.tolist() == want[2].tolist()
+    return False
+
+
+def test_selection_ids_match_the_full_mask_oracle():
+    rng = np.random.default_rng(19)
+    empty = 0
+    for trial in range(300):
+        tol = float(rng.choice([1e-9, 1e-3, 0.1]))
+        n = int(rng.integers(1, 50))
+        # narrow runs: steps within tol run on, wider ones open a new run
+        steps = rng.choice([0.0, tol / 2, 0.9 * tol, tol, 2 * tol], n)
+        agent = rng.permutation(rng.uniform(-1, 1) + np.cumsum(steps))
+        if trial % 2:  # duplicated agent utilities
+            agent = rng.permutation(np.concatenate([agent, agent[: n // 2]]))
+        n = agent.size
+        exp_output = rng.uniform(0, 1, n) if trial % 3 else rng.integers(0, 4, n) * 0.25
+        exp_payment = rng.uniform(-0.5, 0.5, n) if trial % 5 else -agent
+        enum = rows_enumeration(agent, exp_output, exp_payment, rng.random(n) < 0.3, tol)
+        s = np.sort(agent)
+        rs = [s[0] - 1.0, s[-1] + 1.0, *rng.choice(s, 3), *(rng.choice(s, 2) + tol),
+              *(rng.choice(s, 2) - tol / 2)]
+        for alpha in (0.0, 1.0, float(rng.random())):
+            for r in rs:
+                empty += assert_selection_matches_oracle(enum, alpha, float(r))
+    assert empty > 0
+    for sc in (ladder_scenario(), tangent_scenario(0.04, m=400)):
+        enum = Enumeration(sc)
+        res = alpha_star(sc)
+        for alpha, _ in res.predicate_trace:
+            for r in (res.u_bar, sc.reservation, 99.0):
+                assert_selection_matches_oracle(enum, alpha, r)
 
 
 def test_selection_empty_raises():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from agentcap import capstruct, pareto
+from agentcap.cli import main, save_scenario
 from agentcap.errors import ConfigurationError, EmptySelectionError
 from agentcap.model import Contract, Distribution, Profile
 from agentcap.pareto import Enumeration
@@ -41,6 +43,50 @@ def test_predicate_hand_values():
     enum = Enumeration(tangent_scenario(0.04))
     assert _all_slack(enum, 0.2, 0.0)
     assert not _all_slack(enum, 0.8, 0.0)
+
+
+def test_alpha_queries_use_neither_the_row_mask_nor_every_level(tmp_path, monkeypatch):
+    s = tangent_scenario(0.04)
+    path = tmp_path / "tangent.json"
+    save_scenario(s, path)
+
+    def sweep(out):
+        """sweep.csv's bytes and the alpha_star result of every capacity."""
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(alpha_star(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(capstruct, "alpha_star", recorded)
+        argv = ["sweep", "--scenario", str(path), "--out", str(out),
+                "--k-grid", "0.09,0.01,0.04,0.0399,0.05"]
+        assert main(argv) == 0
+        return (out / "sweep.csv").read_bytes(), runs
+
+    want = alpha_star(s)
+    want_sweep = sweep(tmp_path / "want")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an alpha query left the agent order")
+
+    monkeypatch.setattr(pareto, "_cluster_levels", refuse)
+    monkeypatch.setattr(Enumeration, "pareto_mask", refuse)
+    calls = []
+    selection_ids = Enumeration.selection_ids
+
+    def counted(self, *args):
+        calls.append(args)
+        return selection_ids(self, *args)
+
+    monkeypatch.setattr(Enumeration, "selection_ids", counted)
+    got = alpha_star(s)
+    assert got == want
+    # one base pick, then one selection per predicate; the witness reuses one
+    assert len(calls) == len(got.predicate_trace) + 1
+    calls.clear()
+    assert sweep(tmp_path / "got") == want_sweep
+    assert len(calls) == sum(len(res.predicate_trace) + 1 for res in want_sweep[1])
 
 
 def test_alpha_star_tangent_threshold():
