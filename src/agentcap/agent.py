@@ -407,11 +407,13 @@ def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kba
 
 
 def _binomials(top: int, k: int) -> np.ndarray:
-    """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64."""
+    """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64, a column at a
+    time: C(x, j) is the sum of C(t, j - 1) over t < x. Only sums are
+    formed, so no intermediate exceeds the largest entry, C(top, k)."""
     table = np.zeros((top + 1, k + 1), dtype=np.int64)
     table[:, 0] = 1
-    for x in range(1, top + 1):
-        table[x, 1:] = table[x - 1, 1:] + table[x - 1, :-1]
+    for j in range(1, k + 1):
+        np.cumsum(table[:-1, j - 1], out=table[1:, j])
     return table
 
 

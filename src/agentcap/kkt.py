@@ -3,10 +3,14 @@
 The agent's incentive constraint is replaced by its own first-order condition,
 which enters the principal's Lagrangian with multiplier phi per state. One
 function, ``_rows``, writes the stationarity system that the damped
-Gauss-Newton solve and ``principal_foc_residual`` evaluate. Its multiplier row
-gives the one phi identity, phi = -p (1/u'(b) + zeta), behind
-``phi_identity_gap`` and the curvature regressor of the affine readout, which
-for a risk-neutral agent reads the solved contract as affine in output.
+Gauss-Newton solve and ``principal_foc_residual`` evaluate, at each point of a
+stack of packed points; one point is a stack of one. Each Newton iteration
+makes one stacked call for all columns of its finite-difference Jacobian and,
+past the full step, one for all damped step lengths, with the iterates, and
+so the results, of a point-by-point evaluation. Its multiplier row gives the
+one phi identity, phi = -p (1/u'(b) + zeta), behind ``phi_identity_gap`` and
+the curvature regressor of the affine readout, which for a risk-neutral agent
+reads the solved contract as affine in output.
 
 Participation enters as E_p[u(b)] - c(p) >= 0 against a zero outside option.
 """
@@ -115,34 +119,52 @@ def _pack(point: PrincipalFocPoint) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, n: int):
-    b, p, phi = x[:n], x[n : 2 * n], x[2 * n : 3 * n]
-    rho, mu, tau, delta, zeta = x[3 * n :]
+    """(b, p, phi, rho, mu, tau, delta, zeta) of a packed point, or of each
+    point of a (k, 3n + 5) stack: the vectors as (k, n) blocks and the
+    multipliers as (k,) columns."""
+    b, p, phi = x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n]
+    rho, mu, tau, delta, zeta = x[..., 3 * n :].T
     return b, p, phi, rho, mu, tau, delta, zeta
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row i, each the bits of the 1-D ``a_i @ b_i``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, each the bits of ``np.linalg.norm``."""
+    return np.sqrt(_dot(r, r))
+
+
 def _rows(s: Scenario, x: np.ndarray):
-    """The stationarity system at the packed point x, as (contract row,
-    multiplier row, orthogonality, agent row, simplex gap, c(p), E_p[u(b)])."""
-    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, s.n)
+    """The stationarity system at each point of the (k, 3n + 5) stack x, as
+    (contract rows, multiplier rows, orthogonality, agent rows, simplex gap,
+    c(p), E_p[u(b)]), one row or entry per point. Raises for the whole stack
+    if any point fails a check. Products are matmuls with explicit
+    singleton axes, which keep the bits of the one-point products."""
+    b, p, phi, *scalars = _unpack(x, s.n)
+    rho, mu, tau, delta, zeta = (v[:, None] for v in scalars)
     y = s.y.as_array()
     g, h, u, up = _derivative_parts(s, b, p)
+    h_phi = (h @ phi[:, :, None])[:, :, 0]
     return (
-        (y - b) - (tau + delta * g - (mu + 1.0) * (h @ phi) + zeta * (u - g)),
+        (y - b) - (tau + delta * g - (mu + 1.0) * h_phi + zeta * (u - g)),
         (-p) - (phi * up + zeta * p * up),
-        float(phi @ g),
+        _dot(phi, g),
         u - g - rho - mu * g,
-        p.sum() - 1.0,
-        float(s.cost.value(p)),
-        float(p @ u),
+        p.sum(axis=1) - 1.0,
+        s.cost.value(p),
+        _dot(p, u),
     )
 
 
 def _residuals(s: Scenario, x: np.ndarray) -> FocResiduals:
-    r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
+    r_b, r_p, r_orth, r_agent, simplex, c, eu = (r[0] for r in _rows(s, x[None]))
     return FocResiduals(
         stationarity_b=tuple(float(v) for v in r_b),
         stationarity_p=tuple(float(v) for v in r_p),
-        orthogonality=r_orth,
+        orthogonality=float(r_orth),
         agent_foc=tuple(float(v) for v in r_agent),
         simplex_gap=float(simplex),
         capacity_gap=float(s.capacity - c),
@@ -176,28 +198,65 @@ def phi_identity_gap(s: Scenario, point: PrincipalFocPoint) -> float:
 
 
 def _system(s: Scenario, x: np.ndarray, capacity_active: bool, participation_active: bool) -> np.ndarray:
+    """The solver's square-or-wide system at each point of the stack x, one
+    row per point."""
     r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
     _, _, _, _, mu, _, delta, zeta = _unpack(x, s.n)
-    rows = [r_b, r_p, [r_orth], r_agent, [simplex]]
-    if capacity_active:
-        rows.append([c - s.capacity])
-    else:
-        rows.append([mu, delta])
-    if participation_active:
-        rows.append([eu - c])
-    else:
-        rows.append([zeta])
-    return np.concatenate([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows])
+    tail = [c - s.capacity] if capacity_active else [mu, delta]
+    tail.append(eu - c if participation_active else zeta)
+    columns = [r_b, r_p, r_orth[:, None], r_agent, simplex[:, None], *(v[:, None] for v in tail)]
+    return np.concatenate(columns, axis=1)
 
 
 def _finite_difference_jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    jac = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = FD_STEP * (1.0 + abs(x[j]))
-        xj = x.copy()
-        xj[j] += h
-        jac[:, j] = (fun(xj) - r0) / h
-    return jac
+    """Forward differences, all columns in one stacked call: point j of the
+    stack is x with entry j stepped by FD_STEP (1 + |x_j|)."""
+    h = FD_STEP * (1.0 + np.abs(x))
+    stack = np.tile(x, (x.size, 1))
+    j = np.arange(x.size)
+    stack[j, j] += h
+    return ((fun(stack) - r0) / h[:, None]).T
+
+
+# the step lengths after the full step: 1/2, 1/4, ..., DAMPING_FLOOR
+_DAMPED = 0.5 ** np.arange(1, 1 + round(-np.log2(DAMPING_FLOOR)))
+
+
+def _line_search(s: Scenario, fun, x: np.ndarray, step: np.ndarray, norm0: float):
+    """(point, rows) at the first step length in 1, 1/2, ..., DAMPING_FLOOR
+    whose candidate x + lam step, moved back onto the adding-up row, has
+    residual norm below norm0; None when none has.
+
+    The outcome is that of trying the candidates one at a time, in order: a
+    candidate whose p is not interior is skipped, and the first interior one
+    outside the utility's domain raises. The full step is tried alone and
+    the damped ones as one stack, which holds only the interior candidates
+    before that first domain violation. If the stack raises a floating-point
+    flag, the candidates up to the accepted one are evaluated again, so
+    that they alone warn (or raise) as the one-at-a-time trials would."""
+    n = s.n
+    for lams in (np.ones(1), _DAMPED):
+        xt = x + lams[:, None] * step
+        # the lstsq step keeps the adding-up row only approximately;
+        # remove the uniform drift so the iterate stays a distribution
+        xt[:, n:2 * n] -= ((xt[:, n:2 * n].sum(axis=1) - 1.0) / n)[:, None]
+        interior = ~(xt[:, n:2 * n].min(axis=1) <= 0.0)
+        outside = np.flatnonzero(interior & s.utility.outside_domain(xt[:, :n]).any(axis=1))
+        stop = outside[0] if outside.size else len(xt)
+        tried = np.flatnonzero(interior[:stop])
+        if tried.size:
+            flags = []
+            with np.errstate(divide="call", over="call", invalid="call", call=lambda *_: flags.append(1)):
+                rt = fun(xt[tried])
+                better = np.flatnonzero(_norms(rt) < norm0)
+            if flags:
+                reached = better[0] + 1 if better.size else tried.size
+                _norms(fun(xt[tried[:reached]]))
+            if better.size:
+                return xt[tried[better[0]]], rt[better[0]]
+        if outside.size:
+            s.utility.apply(xt[outside[0], :n])  # raises the domain error
+    return None
 
 
 def make_initial_point(s: Scenario, beta: float = 0.5, w: float = 0.0) -> PrincipalFocPoint:
@@ -258,9 +317,8 @@ def solve_principal_foc(
     def fun(z: np.ndarray) -> np.ndarray:
         return _system(s, z, capacity_active, participation_active)
 
-    n = s.n
     x = _pack(initial)
-    r = fun(x)
+    r = fun(x[None])[0]
 
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
@@ -272,28 +330,12 @@ def solve_principal_foc(
             cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
             reason = f"rank deficient ({rank} < {min(jac.shape)})" if finite else "numerically singular"
             raise SingularJacobianError(f"stationarity Jacobian is {reason}", condition_number=cond)
-        norm0 = float(np.linalg.norm(r))
-        lam = 1.0
-        accepted = False
-        while lam >= DAMPING_FLOOR:
-            xt = x + lam * step
-            # the lstsq step keeps the adding-up row only approximately;
-            # remove the uniform drift so the iterate stays a distribution
-            xt[n:2 * n] -= (xt[n:2 * n].sum() - 1.0) / n
-            try:
-                rt = fun(xt)
-            except InteriorityError:
-                lam *= 0.5
-                continue
-            if float(np.linalg.norm(rt)) < norm0:
-                x, r = xt, rt
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
+        accepted = _line_search(s, fun, x, step, _norms(r[None])[0])
+        if accepted is None:
             break
+        x, r = accepted
 
-    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, n)
+    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, s.n)
     system_residual = float(np.max(np.abs(r)))
     return PrincipalFocPoint(
         b=Contract(tuple(b)),

@@ -184,19 +184,24 @@ def _pairwise(columns: np.ndarray) -> np.ndarray:
 class CostFunction:
     """Base for the cost kinds.
 
-    Subclasses provide ``value`` (scalar), ``value_many`` (vectorized over a
-    point matrix), and, where meaningful, ``gradient`` and ``hessian``.
-    ``convex_smooth`` marks the kinds eligible for the interior solver.
+    Subclasses provide ``value_many`` (the lattice kernel over a point
+    matrix) and, where meaningful, ``gradient`` and ``hessian``. ``value``,
+    ``gradient`` and ``hessian`` take a (..., n) stack of points and answer
+    per point, one point being a stack of one. ``convex_smooth`` marks the
+    kinds eligible for the interior solver.
     """
 
     kind: str = ""
     convex_smooth: bool = False
 
-    def value(self, p: np.ndarray) -> float:
-        raise NotImplementedError
+    def value(self, p: np.ndarray):
+        """c at each point of the stack p, a number for one point: the
+        rows of ``value_many``, unless a kind prices points its own way."""
+        p = np.asarray(p, dtype=float)
+        return self.value_many(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1])[()]
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.value(row) for row in points])
+        raise NotImplementedError
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         raise DifferentiabilityError(f"{self.kind} cost has no gradient")
@@ -244,9 +249,12 @@ class QuadraticCost(CostFunction):
     def _q0(self) -> np.ndarray:
         return np.array(self.q0, dtype=float)
 
-    def value(self, p: np.ndarray) -> float:
+    def value(self, p: np.ndarray):
+        """d' Q d at each point, d = p - q0: one vector-matrix and one dot
+        product per point, the explicit singleton axes keeping each
+        product's bits those of the 1-D ``d @ Q @ d``."""
         d = np.asarray(p, dtype=float) - self._q0()
-        return float(d @ self._q() @ d)
+        return (d[..., None, :] @ self._q() @ d[..., :, None])[..., 0, 0]
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
         """c at each row of ``points``. The terms are einsum's
@@ -266,10 +274,12 @@ class QuadraticCost(CostFunction):
         return out
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        return 2.0 * self._q() @ (np.asarray(p, dtype=float) - self._q0())
+        d = np.asarray(p, dtype=float) - self._q0()
+        return (2.0 * self._q() @ d[..., :, None])[..., 0]
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
-        return 2.0 * self._q()
+        shape = np.shape(p)
+        return np.multiply(2.0, self._q(), out=np.empty(shape + shape[-1:]))
 
     def scaled(self, factor: float) -> "QuadraticCost":
         return QuadraticCost(tuple(tuple(factor * v for v in row) for row in self.Q), self.q0)
@@ -299,9 +309,6 @@ class RelativeEntropyCost(CostFunction):
     def _q0(self) -> np.ndarray:
         return np.array(self.q0, dtype=float)
 
-    def value(self, p: np.ndarray) -> float:
-        return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
-
     def value_many(self, points: np.ndarray) -> np.ndarray:
         """c at each row of ``points``: the terms ``p_j log(p_j / q0_j)``,
         0 where ``p_j <= 0``, computed in one (n, L) array, one contiguous
@@ -327,7 +334,10 @@ class RelativeEntropyCost(CostFunction):
         p = np.asarray(p, dtype=float)
         if (p <= 0).any():
             raise InteriorityError("entropy hessian needs a strictly interior p")
-        return np.diag(self.theta / p)
+        out = np.zeros(p.shape + p.shape[-1:])
+        diag = np.arange(p.shape[-1])
+        out[..., diag, diag] = self.theta / p
+        return out
 
     def scaled(self, factor: float) -> "RelativeEntropyCost":
         return RelativeEntropyCost(factor * self.theta, self.q0)
@@ -339,11 +349,8 @@ class RelativeEntropyCost(CostFunction):
 class _LookupCost(CostFunction):
     """Base for the kinds defined only at the points of their ``_lookup``
     table, matched by ``_key``. ``value_many`` builds the table once per
-    call; ``value`` prices a one-row matrix. ``_undefined`` is the error
-    text for any other point, formatted with that point rounded."""
-
-    def value(self, p: np.ndarray) -> float:
-        return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
+    call. ``_undefined`` is the error text for any other point, formatted
+    with that point rounded."""
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
         table = self._lookup()
@@ -484,7 +491,7 @@ class AgentUtility:
         if self.kind == "cara":
             return (1.0 - np.exp(-self.a * x)) / self.a
         g, s = self.gamma, self.shift
-        if np.any(x + s <= 0):
+        if self.outside_domain(x).any():
             raise ValidationError("CRRA utility evaluated outside its domain (x + shift <= 0)")
         if g == 1.0:
             return np.log((x + s) / s)
@@ -496,12 +503,19 @@ class AgentUtility:
             return np.ones_like(x)
         if self.kind == "cara":
             return np.exp(-self.a * x)
-        if np.any(x + self.shift <= 0):
+        if self.outside_domain(x).any():
             raise ValidationError("CRRA utility evaluated outside its domain (x + shift <= 0)")
         return (x + self.shift) ** (-self.gamma)
 
+    def outside_domain(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise: x + shift <= 0 for CRRA, nowhere for the others."""
+        x = np.asarray(x, dtype=float)
+        if self.kind != "crra":
+            return np.zeros(x.shape, dtype=bool)
+        return x + self.shift <= 0
+
     def domain_violation(self, payments: np.ndarray) -> str | None:
-        if self.kind == "crra" and np.any(np.asarray(payments) + self.shift <= 0):
+        if self.outside_domain(payments).any():
             return "contract payments outside the CRRA utility domain"
         return None
 

@@ -9,7 +9,8 @@ scaled problem relates to the unscaled one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -29,16 +30,24 @@ class AlphaStarResult:
     failed); the two coincide only in the degenerate all-true or all-false
     cases. ``slack_witness`` is the selected profile with cost closest to
     capacity at the bracket's low end, i.e. the profile exhibiting how the
-    constraint tightens as alpha approaches the threshold.
+    constraint tightens as alpha approaches the threshold; it is built on
+    first read from ``witness_row``, its row in ``enumeration``.
     """
 
     alpha_star: float
     bracket: tuple[float, float]
     u_bar: float
     predicate_trace: tuple[tuple[float, bool], ...]
-    slack_witness: Profile | None
+    witness_row: int | None
     witness_alpha: float | None
     monotone_warning: bool
+    enumeration: Enumeration = field(compare=False, repr=False)
+
+    @cached_property
+    def slack_witness(self) -> Profile | None:
+        if self.witness_row is None:
+            return None
+        return self.enumeration.profile(self.witness_row, self.witness_alpha)
 
 
 @dataclass(frozen=True)
@@ -132,10 +141,9 @@ def _default_u_bar(enum: Enumeration, r: float) -> float:
     return _risk_neutral_level(enum, _base_index(enum, r)[0])
 
 
-def _witness(enum: Enumeration, alpha: float, ids: np.ndarray) -> Profile:
-    """The profile of the slack selection ``ids`` with cost closest to capacity."""
-    j = int(ids[np.argmax(enum.cost[ids])])
-    return enum.profile(j, alpha)
+def _witness(enum: Enumeration, ids: np.ndarray) -> int:
+    """The row of the slack selection ``ids`` with cost closest to capacity."""
+    return int(ids[np.argmax(enum.cost[ids])])
 
 
 def _slack_ids(enum: Enumeration, alpha: float, u_bar: float) -> np.ndarray | None:
@@ -181,7 +189,7 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
         star, bracket = lo, (lo, hi)
     # the witness reads the selection made where the predicate last held
     wit_alpha = star if star in held else None
-    wit = None if wit_alpha is None else _witness(enum, star, held[star])
+    wit = None if wit_alpha is None else _witness(enum, held[star])
 
     seen_false = False
     warning = False
@@ -197,9 +205,10 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
         bracket=bracket,
         u_bar=u_bar,
         predicate_trace=tuple(trace),
-        slack_witness=wit,
+        witness_row=wit,
         witness_alpha=wit_alpha,
         monotone_warning=warning,
+        enumeration=enum,
     )
 
 

@@ -33,7 +33,12 @@ from agentcap.model import (
     cost,
     simplex_lattice,
 )
-from agentcap.errors import EmptySelectionError
+from agentcap.errors import (
+    EmptySelectionError,
+    InteriorityError,
+    SingularJacobianError,
+    UnsupportedCostError,
+)
 from agentcap.pareto import Enumeration, _cluster_levels
 from agentcap.scaling import InequalitySlacks, alpha_star
 
@@ -460,3 +465,129 @@ def fd_hessian(f, x, h=1e-5):
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4 * h * h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The stationarity solve one point at a time: ``kkt``'s evaluation, finite
+# differences and backtracking as they stood before they took stacks of
+# points, with the cost formulas of that time.
+
+ORACLE_FD_STEP = 1e-7
+ORACLE_DAMPING_FLOOR = 2.0 ** -20
+
+
+def oracle_cost_parts(cost, p):
+    """(gradient, Hessian, value) of a smooth cost at the point p, by the
+    one-point formulas: 2 Q d, 2 Q and d @ Q @ d for a quadratic, and for
+    relative entropy theta (log(p / q0) + 1), diag(theta / p) and the
+    lattice kernel on one row."""
+    if cost.kind == "quadratic":
+        Q, q0 = np.array(cost.Q, dtype=float), np.array(cost.q0, dtype=float)
+        d = p - q0
+        return 2.0 * Q @ d, 2.0 * Q, float(d @ Q @ d)
+    q0 = np.array(cost.q0, dtype=float)
+    value = float(cost.value_many(p[None, :])[0])
+    return cost.theta * (np.log(p / q0) + 1.0), np.diag(cost.theta / p), value
+
+
+def oracle_rows(s, x):
+    """The stationarity system at one packed point x, as (contract row,
+    multiplier row, orthogonality, agent row, simplex gap, c(p), E_p[u(b)])."""
+    n = s.n
+    b, p, phi = x[:n], x[n : 2 * n], x[2 * n : 3 * n]
+    rho, mu, tau, delta, zeta = x[3 * n :]
+    y = s.y.as_array()
+    if not s.cost.convex_smooth:
+        raise UnsupportedCostError("the stationarity system needs a twice differentiable cost")
+    if p.min() <= 0.0:
+        raise InteriorityError("p must assign positive probability to every state")
+    g, h, c = oracle_cost_parts(s.cost, p)
+    u = np.asarray(s.utility.apply(b), dtype=float)
+    up = np.asarray(s.utility.derivative(b), dtype=float)
+    return (
+        (y - b) - (tau + delta * g - (mu + 1.0) * (h @ phi) + zeta * (u - g)),
+        (-p) - (phi * up + zeta * p * up),
+        float(phi @ g),
+        u - g - rho - mu * g,
+        p.sum() - 1.0,
+        c,
+        float(p @ u),
+    )
+
+
+def oracle_system(s, x, capacity_active, participation_active):
+    r_b, r_p, r_orth, r_agent, simplex, c, eu = oracle_rows(s, x)
+    mu, delta, zeta = x[3 * s.n + 1], x[3 * s.n + 3], x[3 * s.n + 4]
+    rows = [r_b, r_p, [r_orth], r_agent, [simplex]]
+    if capacity_active:
+        rows.append([c - s.capacity])
+    else:
+        rows.append([mu, delta])
+    if participation_active:
+        rows.append([eu - c])
+    else:
+        rows.append([zeta])
+    return np.concatenate([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows])
+
+
+def oracle_fd_jacobian(fun, x, r0):
+    jac = np.empty((r0.size, x.size))
+    for j in range(x.size):
+        h = ORACLE_FD_STEP * (1.0 + abs(x[j]))
+        xj = x.copy()
+        xj[j] += h
+        jac[:, j] = (fun(xj) - r0) / h
+    return jac
+
+
+def oracle_line_search(fun, x, step, norm0, n):
+    """The backtracking loop: (point, rows) of the first accepted step
+    length, or None."""
+    lam = 1.0
+    while lam >= ORACLE_DAMPING_FLOOR:
+        xt = x + lam * step
+        xt[n:2 * n] -= (xt[n:2 * n].sum() - 1.0) / n
+        try:
+            rt = fun(xt)
+        except InteriorityError:
+            lam *= 0.5
+            continue
+        if float(np.linalg.norm(rt)) < norm0:
+            return xt, rt
+        lam *= 0.5
+    return None
+
+
+def oracle_solve(s, x, max_iter=200, tol=1e-10, capacity_active=False, participation_active=True):
+    """Damped Gauss-Newton from the packed point x: (point, converged,
+    system residual, iterations)."""
+
+    def fun(z):
+        return oracle_system(s, z, capacity_active, participation_active)
+
+    r = fun(x)
+    iterations = 0
+    for _ in range(max_iter):
+        if np.max(np.abs(r)) <= tol:
+            break
+        iterations += 1
+        jac = oracle_fd_jacobian(fun, x, r)
+        step, _, rank, sv = np.linalg.lstsq(jac, -r, rcond=None)
+        finite = np.all(np.isfinite(step))
+        if not finite or rank < min(jac.shape):
+            cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
+            reason = f"rank deficient ({rank} < {min(jac.shape)})" if finite else "numerically singular"
+            raise SingularJacobianError(f"stationarity Jacobian is {reason}", condition_number=cond)
+        accepted = oracle_line_search(fun, x, step, float(np.linalg.norm(r)), s.n)
+        if accepted is None:
+            break
+        x, r = accepted
+    system_residual = float(np.max(np.abs(r)))
+    return x, bool(system_residual <= tol), system_residual, iterations
+
+
+def same_bits(a, b) -> bool:
+    """True when a and b hold the same float64 values bit for bit, signed
+    zeros and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

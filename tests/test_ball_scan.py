@@ -9,6 +9,7 @@ the whole lattice.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -260,6 +261,28 @@ def test_lattice_rank_is_lattice_order(n, m):
     counts = np.rint(points * m).astype(np.int64)
     binom = agent._binomials(m + n, n)
     assert np.array_equal(agent._lattice_rank(counts, m, binom), np.arange(len(points)))
+
+
+@pytest.mark.parametrize("top,k", [(0, 0), (7, 0), (0, 4), (12, 3), (3058, 3), (45, 12), (60, 30)])
+def test_binomials_are_math_comb(top, k):
+    table = agent._binomials(top, k)
+    assert table.dtype == np.int64 and table.shape == (top + 1, k + 1)
+    assert table.tolist() == [[math.comb(x, j) for j in range(k + 1)] for x in range(top + 1)]
+
+
+def test_binomials_stay_well_inside_int64_for_any_lattice_that_fits_in_memory():
+    """``scan_balls`` builds ``_binomials(m + n, n)``, whose largest entry,
+    and, as the table is built by sums alone, whose largest intermediate, is
+    C(m + n, n). For each n take the largest m whose lattice, C(m + n - 1,
+    n - 1) float64 points of n coordinates, takes at most 16 GiB: the entry
+    stays below 2^60, an eighth of int64's range. The tightest is n = 2,
+    where m = 2^30 - 1 gives about 2^59."""
+    for n in range(2, 41):
+        lo, hi = 1, 1 << 31
+        while lo < hi:  # the largest m that fits
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.comb(mid + n - 1, n - 1) * n * 8 <= 1 << 34 else (lo, mid - 1)
+        assert math.comb(lo + n, n) < 1 << 60, n
 
 
 @pytest.mark.parametrize("norm", [1, 2])

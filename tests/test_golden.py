@@ -11,6 +11,7 @@ are the row sources off the simplex lattice's own pricing.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -96,8 +97,56 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name,command", list(GOLDEN))
-def test_csv_digests_match_golden(name, command, tmp_path):
+# ``kkt``'s summary.json less its run time and the scenario's path: the
+# solved multipliers, the stationarity residuals and the affine fit, which
+# residuals.csv does not show. Recorded before the Jacobian columns and the
+# damped step lengths were evaluated as stacks.
+SUMMARIES = {
+    ("tangent", "kkt"): {
+        "active_set": ["participation"],
+        "affine": {"curvature": -0.0, "fit_residual": 3.1401849173675503e-16,
+                   "intercept": 0.24999999999999978, "slope": 1.0},
+        "capacity_gap": -0.21,
+        "command": "kkt",
+        "converged": True,
+        "delta": 3.790530708893979e-22,
+        "max_residual": 8.507058717206956e-23,
+        "mu": 5.697447346259347e-23,
+        "orthogonality": 8.507058717206956e-23,
+        "participation_gap": 0.0,
+        "rho": -0.25,
+        "scenario_digest": "66feeaad43ef4e4ad939eb30147be54ec4dddf92b0913f5115284f8a14c1b29b",
+        "schema_version": "1",
+        "simplex_gap": 0.0,
+        "system_residual": 3.790530708893979e-22,
+        "tau": 1.615778874358622e-17,
+        "zeta": -1.0,
+    },
+    ("smooth", "kkt"): {
+        "active_set": ["participation"],
+        "affine": {"curvature": -9.324650558446754e-14, "fit_residual": 2.354619518983448e-13,
+                   "intercept": 0.7294557617465794, "slope": 1.0000000000005687},
+        "capacity_gap": 0.23959271140314897,
+        "command": "kkt",
+        "converged": True,
+        "delta": 1.1192219008986077e-22,
+        "max_residual": 1.3220535777236364e-12,
+        "mu": -1.001499721390965e-21,
+        "orthogonality": 1.0257816319075141e-13,
+        "participation_gap": -7.671641100159832e-13,
+        "rho": -0.5247914532936244,
+        "scenario_digest": "6b6e336f1ee5690fe93ae5330e2af9b4d22f1f0f878c424c0c4670c7ccd0b8a2",
+        "schema_version": "1",
+        "simplex_gap": 0.0,
+        "system_residual": 1.3220535777236364e-12,
+        "tau": 0.2046643084526909,
+        "zeta": -1.0000000000002436,
+    },
+}
+
+
+def _run(name, command, tmp_path):
+    """Run ``command`` on the named scenario; returns the output folder."""
     path = tmp_path / "scenario.json"
     save_scenario(SCENARIOS[name](), path)
     flags = COMMANDS[command]
@@ -105,5 +154,19 @@ def test_csv_digests_match_golden(name, command, tmp_path):
         flags = flags[name]
     out = tmp_path / "out"
     assert main([command, "--scenario", str(path), "--out", str(out), *flags]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name,command", list(GOLDEN))
+def test_csv_digests_match_golden(name, command, tmp_path):
+    out = _run(name, command, tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
     assert got == GOLDEN[name, command]
+
+
+@pytest.mark.parametrize("name,command", list(SUMMARIES))
+def test_summary_matches_golden(name, command, tmp_path):
+    summary = json.loads((_run(name, command, tmp_path) / "summary.json").read_text())
+    del summary["runtime_seconds"], summary["scenario"]
+    # compared as JSON text, where a signed zero and every digit count
+    assert json.dumps(summary, sort_keys=True) == json.dumps(SUMMARIES[name, command], sort_keys=True)

@@ -110,6 +110,32 @@ def test_alpha_star_never_binding():
     assert res.slack_witness is not None
 
 
+def test_sweep_builds_no_profile_and_the_witness_is_built_on_read(tmp_path, monkeypatch):
+    s = tangent_scenario(0.04, m=400)
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    built = []
+    init = Profile.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Profile, "__init__", counted)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--k-grid", "0.09,0.01,0.0399,0.05"]) == 0
+    assert built == []
+    enum = Enumeration(s)
+    res = alpha_star(s, enum=enum)
+    assert built == []
+    witness = res.slack_witness
+    assert built == [1] and res.slack_witness is witness
+    # the selection at the bracket's low end, its member of highest cost
+    _, ids, binding = enum.selection_ids(res.witness_alpha, res.u_bar)
+    assert not binding.any()
+    assert witness == enum.profile(int(ids[np.argmax(enum.cost[ids])]), res.witness_alpha)
+
+
 def test_alpha_star_always_binding():
     res = alpha_star(tangent_scenario(0.0))
     assert res.alpha_star == 0.0
