@@ -20,6 +20,7 @@ from the full scan's in the last bit. Both apply the one tie cut,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,12 @@ def feasible_lattice(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(mask), mask
 
 
-def capacity_binding(cost, capacity: float, tol_u: float):
-    """The capacity-binding rule: a cost within tol_u of the capacity.
-
-    Elementwise over arrays; every binding flag in the package comes from
-    here.
-    """
-    return np.abs(cost - capacity) <= tol_u
+def capacity_binding(s: Scenario, point_ids: np.ndarray) -> np.ndarray:
+    """The one lattice binding rule: which points ``point_ids`` of
+    ``s.lattice.points`` cost within tol_u of the capacity. Table and effort
+    costs keep it whatever rule the simplex lattice takes: their points are
+    listed, so a point has no one-step neighbours to bind against."""
+    return np.abs(s.lattice.costs[point_ids] - s.capacity) <= s.tol_u
 
 
 def scan_grid(
@@ -155,7 +155,7 @@ def grid_best_response(s: Scenario, payoff: np.ndarray) -> BestResponseSet:
     return BestResponseSet(
         maximizers=tuple(Distribution(tuple(points[i])) for i in idx),
         value=float(values.max()),
-        any_binding=bool(capacity_binding(costs[idx], s.capacity, s.tol_u).any()),
+        any_binding=bool(capacity_binding(s, ids[idx]).any()),
     )
 
 
@@ -214,16 +214,17 @@ def strong_concavity(cost) -> tuple[int, float] | None:
     return None
 
 
-def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> bool:
+def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> tuple[int, float] | None:
     """The routing rule between the two producers of a fresh enumeration:
     ``scan_balls`` when the cost is strictly convex on the simplex
     (``strong_concavity``) and contracts x feasible points exceed one value
     block (``_CHUNK``), else ``scan_grid``. A quadratic also needs fewer
     faces of the simplex, 2^n - 1, than feasible points: its centre solver
-    may solve one system per face."""
-    if n_contracts * n_feasible <= _CHUNK or strong_concavity(s.cost) is None:
-        return False
-    return s.cost.kind != "quadratic" or (1 << s.n) <= n_feasible
+    may solve one system per face. Returns what ``scan_balls`` takes, the
+    ``strong_concavity`` result, or None for ``scan_grid``."""
+    if n_contracts * n_feasible <= _CHUNK or (s.cost.kind == "quadratic" and (1 << s.n) > n_feasible):
+        return None
+    return strong_concavity(s.cost)
 
 
 def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
@@ -328,8 +329,9 @@ def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: boo
 _FACE_STEPS = 1 << 10
 
 
-def _quadratic_centres(u: np.ndarray, cost, kbar: float):
-    """(mu, centre, UB) per payoff row for a quadratic cost.
+def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, float] | None):
+    """(mu, centre, UB) per payoff row for a quadratic cost, given its
+    ``strong_concavity``.
 
     Primal-dual active-set iterations on the support, from the whole
     simplex; each step solves only the faces its rows are on. On a face,
@@ -344,7 +346,7 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float):
     over the simplex whether or not the iterations converged.
     """
     Q, q0 = np.array(cost.Q), np.array(cost.q0)
-    flat = strong_concavity(cost) is None
+    flat = concavity is None
     h, n = u.shape
     bits = 1 << np.arange(n)
     face = np.full(h, (1 << n) - 1)
@@ -515,12 +517,12 @@ def _groups(sizes: np.ndarray, cap: float):
         i = j
 
 
-def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarray):
+def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarray, concavity: tuple[int, float]):
     """``scan_grid``'s ties over the feasible points of ``s``, given as
-    ``feasible_lattice``'s (ids, mask), for a cost that ``strong_concavity``
-    accepts, scoring only the lattice points inside each row's certified
-    ball; also returns each row's best value and the number of values
-    computed.
+    ``feasible_lattice``'s (ids, mask), for a cost with ``strong_concavity``
+    ``concavity``, scoring only the lattice points inside each row's
+    certified ball; also returns each row's best value and the number of
+    values computed.
 
     A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
     from the best feasible point among its rounded centre and that point's
@@ -536,20 +538,16 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
     Values are single matmuls per (row, point) pair and may differ from
     ``scan_grid``'s blocked matmul in the last bit.
     """
-    norm, sigma0 = strong_concavity(s.cost)
+    norm, sigma0 = concavity
     n, m, tol_u = s.n, s.m, s.tol_u
     kbar = s.capacity + FEASIBILITY_SLACK
     points, costs = s.lattice.points, s.lattice.costs
     binom = _binomials(m + n, n)
     cscale = float(np.abs(costs).max()) + abs(kbar)
+    centres = functools.partial(_quadratic_centres, concavity=concavity)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
-
-        def centres(u):
-            return _entropy_centres(u, s.cost, kbar)
-    else:
-        def centres(u):
-            return _quadratic_centres(u, s.cost, kbar)
+        centres = _entropy_centres
 
     eye = np.eye(n, dtype=np.int64)
     moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
@@ -560,7 +558,7 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
     per = max(1, _CHUNK // (len(moves) * n))
     for start in range(0, n_c, per):
         u = payoffs[start:start + per]
-        mu, centre, ub = centres(u)
+        mu, centre, ub = centres(u, s.cost, kbar)
         # LB: the rounded centre's value where it is feasible, else the best
         # feasible one-step neighbour's
         base = _nearest_counts(centre, m)
@@ -631,13 +629,17 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
     Raises EmptyFeasibleSetError when a linear bound puts the least cost
     above k, and ConvergenceError unless the point is a feasible
     distribution within tol_u of the solver's bound on the optimum at
-    capacity k, UB - mu (target - k) (its duality gap).
+    capacity k, UB - mu (target - k) (its duality gap). ``any_binding``
+    is |c(p) - k| <= tol_u, not ``capacity_binding``: p has no lattice
+    index, and off the lattice binding means mu > 0.
     """
     if not s.cost.convex_smooth:
         raise UnsupportedCostError(f"convex solver needs a smooth convex cost, got {s.cost.kind!r}")
     payoff = np.asarray(s.utility.apply(_as_payments(b)), dtype=float)
     k = s.capacity
-    centres = _entropy_centres if s.cost.kind == "relative-entropy" else _quadratic_centres
+    concavity = strong_concavity(s.cost)
+    quadratic = functools.partial(_quadratic_centres, concavity=concavity)
+    centres = _entropy_centres if s.cost.kind == "relative-entropy" else quadratic
     margin = 0.5 * FEASIBILITY_SLACK
     mu, centre, ub = centres(payoff[None, :], s.cost, k + margin)
     if np.isinf(mu[0]):
@@ -646,7 +648,7 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
     p = centre[0]
     c = s.cost.value(p)
     value = float(payoff @ p - c)
-    if np.isinf(mu[0]) and strong_concavity(s.cost) is not None:
+    if np.isinf(mu[0]) and concavity is not None:
         gap = 0.0  # t = 0 again: p alone attains the least cost, the target
     else:
         gap = float(ub[0] - margin * mu[0] - value)
@@ -663,7 +665,7 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
         raise ConvergenceError(
             f"continuous best response did not settle (cost {c:.6g} at capacity {k:.6g}, duality gap {gap:.3g})",
             last_iterate=p, residual=gap)
-    return BestResponseSet(maximizers=(dist,), value=value, any_binding=bool(capacity_binding(c, k, s.tol_u)))
+    return BestResponseSet(maximizers=(dist,), value=value, any_binding=bool(abs(c - k) <= s.tol_u))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .model import (
     LiveOrDieFamily,
     MonotoneBoundedSlopeFamily,
     OutputFunction,
-    Profile,
     QuadraticCost,
     RelativeEntropyCost,
     Scenario,
@@ -303,17 +302,38 @@ def _profile_columns(enum: Enumeration, rows: np.ndarray, principal: np.ndarray)
     ]
 
 
-def _profile_dict(pf: Profile | None) -> dict | None:
-    if pf is None:
+def _summary_profile(enum: Enumeration, row: int | None, alpha: float | None) -> dict | None:
+    """Enumeration row ``row`` at output scale ``alpha`` as a summary dict
+    (None for no row): ``_profile_columns``' checked gather, and the cost."""
+    if row is None:
         return None
+    rows, n = np.array([row]), enum.scenario.n
+    label, *cells, agent, principal, binding = (
+        (col.tolist() if isinstance(col, np.ndarray) else col)[0]
+        for col in _profile_columns(enum, rows, enum.principal_at(alpha)[rows])
+    )
     return {
-        "contract": pf.contract_label,
-        "payments": list(pf.contract.payments),
-        "probs": list(pf.dist.probs),
-        "agent_utility": pf.agent_utility,
-        "principal_payoff": pf.principal_payoff,
-        "capacity_binding": bool(pf.capacity_binding),
-        "cost": None if math.isnan(pf.cost) else pf.cost,
+        "contract": label,
+        "payments": cells[:n],
+        "probs": cells[n:],
+        "agent_utility": agent,
+        "principal_payoff": principal,
+        "capacity_binding": binding,
+        "cost": float(enum.cost[row]),
+    }
+
+
+def _threshold_fields(res: scaling.AlphaStarResult, tally: EvaluationTally) -> dict:
+    """The summary fields of a solved threshold, with the evaluation counts
+    of ``tally``."""
+    return {
+        "alpha_star": res.alpha_star,
+        "bracket_low": res.bracket[0],
+        "bracket_high": res.bracket[1],
+        "u_bar": res.u_bar,
+        "monotone_warning": res.monotone_warning,
+        "predicate_calls": len(res.predicate_trace),
+        **dataclasses.asdict(tally),
     }
 
 
@@ -361,16 +381,10 @@ def cmd_alpha_star(args, s: Scenario):
     tally = EvaluationTally()
     res = scaling.alpha_star(s, eps=args.eps, budget=args.budget, tally=tally)
     return {"trace.csv": (["alpha", "all_slack"], zip(*res.predicate_trace))}, {
-        "alpha_star": res.alpha_star,
-        "bracket_low": res.bracket[0],
-        "bracket_high": res.bracket[1],
         "eps": args.eps,
-        "predicate_calls": len(res.predicate_trace),
-        "u_bar": res.u_bar,
-        "monotone_warning": res.monotone_warning,
         "witness_alpha": res.witness_alpha,
-        "slack_witness": _profile_dict(res.slack_witness),
-        **dataclasses.asdict(tally),
+        "slack_witness": _summary_profile(res.enumeration, res.witness_row, res.witness_alpha),
+        **_threshold_fields(res, tally),
     }
 
 
@@ -413,14 +427,8 @@ def cmd_verify(args, s: Scenario):
     ]
     return {"checks.csv": (header, zip(*rows))}, {
         "reservation": s.reservation,
-        "base_profile": _profile_dict(rep.base_profile),
+        "base_profile": _summary_profile(rep.alpha_result.enumeration, rep.base_row, 1.0),
         "base_level": rep.base_level,
-        "u_bar": rep.u_bar,
-        "alpha_star": rep.alpha_result.alpha_star,
-        "bracket_low": rep.alpha_result.bracket[0],
-        "bracket_high": rep.alpha_result.bracket[1],
-        "monotone_warning": rep.alpha_result.monotone_warning,
-        "predicate_calls": len(rep.alpha_result.predicate_trace),
         "n_checks": len(rep.checks),
         "n_tested": sum(1 for c in rep.checks if c.tested),
         "inclusion_ok": rep.inclusion_ok,
@@ -428,7 +436,7 @@ def cmd_verify(args, s: Scenario):
         "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
         "step2_max_dev": rep.step2_max_dev,
         "slack_witness_ok": rep.slack_witness_ok,
-        **dataclasses.asdict(tally),
+        **_threshold_fields(rep.alpha_result, tally),
     }
 
 
@@ -454,21 +462,24 @@ def cmd_capstruct(args, s: Scenario):
     else:
         capstruct.check_threshold(args.threshold)
     check_budget(args.budget)
+    tally = EvaluationTally()
+    # a pinned alpha* enumerates nothing: zero counts and no budget
+    fields = dataclasses.asdict(tally)
     if astar is None:
-        astar = scaling.alpha_star(s, budget=args.budget).alpha_star
+        fields = _threshold_fields(scaling.alpha_star(s, budget=args.budget, tally=tally), tally)
+        astar = fields["alpha_star"]
     labels = s.states.labels
     if args.face is not None:
         dec = capstruct.debt_equity_decompose(s.y, args.face, astar)
         header = ["state", "output", "agent_leg", "debt_leg", "equity_leg"]
         columns = (labels, s.y.values, dec.agent_leg, dec.debt_leg, dec.equity_leg)
-        fields = {"mode": "debt-equity", "face": dec.F, "face_scaled": dec.face_scaled}
+        fields.update(mode="debt-equity", face=dec.F, face_scaled=dec.face_scaled)
     else:
         dec = capstruct.live_or_die_decompose(s.y, args.threshold, astar)
         header = ["state", "output", "agent_leg", "principal_leg"]
         columns = (labels, s.y.values, dec.agent_leg, dec.principal_leg)
-        fields = {"mode": "live-or-die", "threshold": dec.l}
-    fields["alpha_star"] = astar
-    fields["alpha_star_solved"] = args.alpha_star_override is None
+        fields.update(mode="live-or-die", threshold=dec.l)
+    fields.update(alpha_star=astar, alpha_star_solved=args.alpha_star_override is None)
     return {"legs.csv": (header, columns)}, fields
 
 

@@ -249,7 +249,9 @@ class Enumeration:
     the frontier's final tie-break.
 
     ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
-    names the same point at every capacity of a sweep.
+    names the same point at every capacity of a sweep. A producer below
+    yields the rows' ids and agent utilities; the other fields are derived
+    from the ids after it, ``binding`` by ``agent.capacity_binding``.
 
     ``below`` is an enumeration, at a capacity no higher than ``s``'s, of a
     scenario differing from ``s`` only in capacity; building ``s`` with
@@ -313,9 +315,9 @@ class Enumeration:
         # evaluations: the values computed to find the ties
         if below is not None:
             self._scan_above(below, ids)
-        elif ball_route(s, n_c, n_p):
+        elif concavity := ball_route(s, n_c, n_p):
             (self.contract_id, self.point_id, self.agent_u,
-             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, ids, mask)
+             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, ids, mask, concavity)
         else:
             self.row_max = np.full(n_c, -np.inf)
             self.contract_id, pi, self.agent_u = scan_grid(
@@ -324,7 +326,7 @@ class Enumeration:
             self.point_id = ids[pi]
             self.evaluations = n_c * n_p
         self.cost = costs[self.point_id]
-        self.binding = capacity_binding(self.cost, s.capacity, s.tol_u)
+        self.binding = capacity_binding(s, self.point_id)
         self.exp_output = points[self.point_id] @ s.y.as_array()
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
@@ -398,7 +400,6 @@ class Enumeration:
         return tuple(map(self._profile, rows.tolist(), principal.tolist()))
 
     def profile(self, i: int, alpha: float) -> Profile:
-        i = int(i)
         return self._profile(i, float(self.principal_at(alpha)[i]))
 
     def pareto_at(self, alpha: float) -> ParetoSet:

@@ -111,7 +111,7 @@ class AlphaCheck:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    base_profile: Profile
+    base_row: int
     base_level: float
     u_bar: float
     alpha_result: AlphaStarResult
@@ -121,6 +121,11 @@ class TheoremReport:
     worst_slacks: InequalitySlacks | None
     step2_max_dev: float
     slack_witness_ok: bool
+
+    @cached_property
+    def base_profile(self) -> Profile:
+        """Built on first read from ``base_row``, its enumeration row."""
+        return self.alpha_result.enumeration.profile(self.base_row, 1.0)
 
 
 def _base_index(enum: Enumeration, r: float) -> tuple[int, float, np.ndarray]:
@@ -137,26 +142,6 @@ def _risk_neutral_level(enum: Enumeration, i: int) -> float:
     return float(enum.exp_payment[i] - enum.cost[i])
 
 
-def _default_u_bar(enum: Enumeration, r: float) -> float:
-    return _risk_neutral_level(enum, _base_index(enum, r)[0])
-
-
-def _witness(enum: Enumeration, ids: np.ndarray) -> int:
-    """The row of the slack selection ``ids`` with cost closest to capacity."""
-    return int(ids[np.argmax(enum.cost[ids])])
-
-
-def _slack_ids(enum: Enumeration, alpha: float, u_bar: float) -> np.ndarray | None:
-    """The rows selected at (alpha, u_bar) if none is capacity-binding, else None."""
-    _, ids, binding = enum.selection_ids(alpha, u_bar)
-    return None if binding.any() else ids
-
-
-def _all_slack(enum: Enumeration, alpha: float, u_bar: float) -> bool:
-    """True when no profile selected at (alpha, u_bar) is capacity-binding."""
-    return _slack_ids(enum, alpha, u_bar) is not None
-
-
 def _keys(enum: Enumeration, ids: np.ndarray) -> set[tuple[int, int]]:
     """The (contract_id, point_id) identities of the given profile rows."""
     return {(int(c), int(p)) for c, p in zip(enum.contract_id[ids], enum.point_id[ids])}
@@ -167,11 +152,12 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     held: dict[float, np.ndarray] = {}  # the slack selections, by alpha
 
     def pred(alpha: float) -> bool:
-        ids = _slack_ids(enum, alpha, u_bar)
-        if ids is not None:
+        """True when no row selected at (alpha, u_bar) is capacity-binding."""
+        _, ids, binding = enum.selection_ids(alpha, u_bar)
+        if slack := not binding.any():
             held[alpha] = ids
-        trace.append((float(alpha), ids is not None))
-        return ids is not None
+        trace.append((float(alpha), slack))
+        return slack
 
     if pred(1.0):
         star, bracket = 1.0, (1.0, 1.0)
@@ -187,9 +173,10 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
             else:
                 hi = mid
         star, bracket = lo, (lo, hi)
-    # the witness reads the selection made where the predicate last held
+    # the witness is the member of highest cost, so closest to capacity, of
+    # the selection made where the predicate last held
     wit_alpha = star if star in held else None
-    wit = None if wit_alpha is None else _witness(enum, held[star])
+    wit = None if wit_alpha is None else int(held[star][np.argmax(enum.cost[held[star]])])
 
     seen_false = False
     warning = False
@@ -242,7 +229,7 @@ def alpha_star(
     elif enum.scenario != s:
         raise ConfigurationError("enumeration was built for another scenario")
     if u_bar is None:
-        u_bar = _default_u_bar(enum, s.reservation)
+        u_bar = _risk_neutral_level(enum, _base_index(enum, s.reservation)[0])
     return _alpha_impl(enum, float(u_bar), eps)
 
 
@@ -297,7 +284,7 @@ def verify_theorem(
         r = s.reservation
     i_base, base_level, base_ids = _base_index(enum, r)
     u_bar = _risk_neutral_level(enum, i_base)
-    base = enum.profile(i_base, 1.0)
+    base_gap = abs(float(enum.cost[i_base]) - s.capacity)
     result = _alpha_impl(enum, u_bar, eps)
     base_keys = _keys(enum, base_ids)
 
@@ -330,7 +317,7 @@ def verify_theorem(
             enum.cost[i_base] - enum.cost[ids],
         )
         step2 = max(
-            abs(base.cost - s.capacity),
+            base_gap,
             float(np.abs(slacks.d_payment[binding]).max()),
             float(np.abs(slacks.d_output[binding]).max()),
         )
@@ -349,12 +336,10 @@ def verify_theorem(
         )
 
     tested = [c for c in checks if c.tested]
-    witness_ok = (
-        result.slack_witness is not None and result.slack_witness.cost < s.capacity
-    )
+    witness_ok = result.witness_row is not None and float(enum.cost[result.witness_row]) < s.capacity
 
     return TheoremReport(
-        base_profile=base,
+        base_row=i_base,
         base_level=base_level,
         u_bar=u_bar,
         alpha_result=result,

@@ -392,6 +392,29 @@ def selection_ids_oracle(enum, alpha, r):
     return chosen, ids, enum.binding[ids]
 
 
+def all_slack(enum, alpha, u_bar):
+    """The threshold predicate: no row of ``selection_ids(alpha, u_bar)``
+    carries the enumeration's capacity-binding flag."""
+    _, ids, _ = enum.selection_ids(alpha, u_bar)
+    return not enum.binding[ids].any()
+
+
+def profile_dict(pf):
+    """The summary form of a Profile, rendered from its validated objects:
+    the ``slack_witness`` and ``base_profile`` dicts of ``summary.json``."""
+    if pf is None:
+        return None
+    return {
+        "contract": pf.contract_label,
+        "payments": list(pf.contract.payments),
+        "probs": list(pf.dist.probs),
+        "agent_utility": pf.agent_utility,
+        "principal_payoff": pf.principal_payoff,
+        "capacity_binding": bool(pf.capacity_binding),
+        "cost": None if math.isnan(pf.cost) else pf.cost,
+    }
+
+
 def einsum_quadratic_cost(points, Q, q0):
     """(p - q0)' Q (p - q0) per row, as one three-operand einsum."""
     d = points - np.asarray(q0, dtype=float)

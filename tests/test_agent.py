@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from agentcap import agent
+from agentcap import agent, pareto
 from agentcap.agent import (
     agent_foc_residual,
     best_response_convex,
@@ -181,6 +181,53 @@ def test_enumeration_rows_match_single_contract_scans(case, monkeypatch):
     per_block = min(d for d in range(2, n_c) if (n_c - 1) % d == 0)
     monkeypatch.setattr(agent, "_CHUNK", per_block * n_p)
     assert assert_enumeration_rows_match_grid_responses(s) == {False, True}
+
+
+def half_capacity_rule(s, point_ids):
+    """A stand-in binding rule that depends, as any lattice rule must, only
+    on the point and the capacity, and that the tolerance rule does not
+    reproduce."""
+    return s.lattice.costs[point_ids] >= 0.5 * s.capacity
+
+
+@pytest.mark.parametrize("rule", ["tolerance", "substituted"])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_every_binding_flag_comes_from_the_one_rule(case, rule, monkeypatch):
+    # the full scan, the forced ball route and each capacity of a chained
+    # sweep flag a row by agent.capacity_binding of its point id, and a
+    # contract binds exactly when its grid best response does; a substituted
+    # rule reaches every flag, so no producer applies a rule of its own
+    s = SCAN_CASES[case]()
+    if rule == "substituted":
+        monkeypatch.setattr(agent, "capacity_binding", half_capacity_rule)
+        monkeypatch.setattr(pareto, "capacity_binding", half_capacity_rule)
+    costs = np.unique(s.lattice.costs)
+    low = int(np.searchsorted(costs, s.capacity)) // 2
+    ks = [float(costs[low]), float(0.5 * (costs[low] + costs[low + 1])), s.capacity]
+    contracts = s.lattice.util
+    flags = set()
+
+    def check(enum):
+        sk = enum.scenario
+        assert np.array_equal(enum.binding, agent.capacity_binding(sk, enum.point_id))
+        per_contract = np.zeros(len(contracts), dtype=bool)
+        np.logical_or.at(per_contract, enum.contract_id, enum.binding)
+        expect = [agent.grid_best_response(sk, u).any_binding for u in contracts]
+        assert per_contract.tolist() == expect
+        flags.update(expect)
+
+    enum = None
+    for k in ks:
+        enum = Enumeration(s.at_capacity(k), below=enum)
+        check(enum)
+    check(Enumeration(s))
+    balls = []
+    scan_balls = pareto.scan_balls
+    monkeypatch.setattr(pareto, "scan_balls", lambda *a: balls.append(1) or scan_balls(*a))
+    monkeypatch.setattr(agent, "_CHUNK", len(contracts) * len(feasible_lattice(s)[0]) - 1)
+    check(Enumeration(s))
+    assert balls == [1]
+    assert flags == {False, True}
 
 
 def scan_whole_matrix(payoffs, points, costs, tol_u):

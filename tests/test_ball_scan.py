@@ -163,7 +163,7 @@ def test_ties_on_the_ball_boundary_are_kept(q):
         ids, mask = agent.feasible_lattice(sk)
         running = np.full(1, -np.inf)
         expect = agent.scan_grid(sk.lattice.util, points[ids], costs[ids], sk.tol_u, running)
-        got = agent.scan_balls(sk, sk.lattice.util, ids, mask)
+        got = agent.scan_balls(sk, sk.lattice.util, ids, mask, agent.strong_concavity(sk.cost))
         assert at in ids[expect[1]]
         assert np.array_equal(got[1], ids[expect[1]])
         assert got[3][0] == running[0]
@@ -212,7 +212,7 @@ def test_bound_holds_for_any_multiplier_and_centre(kind):
     u = s.lattice.util[rng.choice(len(s.lattice.util), 6, replace=False)]
     kbar = s.capacity + FEASIBILITY_SLACK
     trials = [agent._entropy_centres(u, s.cost, kbar) if kind == "entropy"
-              else agent._quadratic_centres(u, s.cost, kbar)]
+              else agent._quadratic_centres(u, s.cost, kbar, (norm, sigma0))]
     for _ in range(4):
         t = rng.uniform(0.05, 1.0, len(u))
         if kind == "entropy":
@@ -239,6 +239,27 @@ def test_routing_rule():
     assert not agent.ball_route(flat, big, 1000)
     table = dataclasses.replace(ent, cost=TableCost(((1.0, 0.0, 0.0),), (0.0,)))
     assert not agent.ball_route(table, big, 1000)
+
+
+def test_strict_convexity_is_decided_once(monkeypatch):
+    # one eigendecomposition per quadratic ball-route enumeration and per
+    # continuous best response; none for an enumeration within one block
+    s = random_case(4, "quadratic", 24, True, seed=4)
+    calls = []
+    strong_concavity = agent.strong_concavity
+
+    def counted(cost):
+        calls.append(cost.kind)
+        return strong_concavity(cost)
+
+    monkeypatch.setattr(agent, "strong_concavity", counted)
+    full = Enumeration(s)
+    assert calls == []
+    monkeypatch.setattr(agent, "_CHUNK", full.nominal_evaluations - 1)
+    assert Enumeration(s).evaluations < full.nominal_evaluations
+    assert calls == ["quadratic"]
+    agent.best_response_convex(s, s.lattice.contracts[1][-1])
+    assert calls == ["quadratic"] * 2
 
 
 def test_strong_concavity_by_cost_kind():

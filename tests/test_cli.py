@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from agentcap import agent, cli
+from agentcap import agent, cli, scaling
 from agentcap.cli import (
     _cell,
     _column,
@@ -40,6 +40,7 @@ from agentcap.pareto import Enumeration, select
 from conftest import (
     effort_scenario,
     ladder_scenario,
+    profile_dict,
     share_scenario,
     smooth_scenario,
     table_scenario,
@@ -306,6 +307,41 @@ def test_solve_builds_no_profile_and_writes_what_profiles_read(make, tmp_path, m
     # .profiles is built once and then kept
     assert ps.profiles is ps.profiles and sel.profiles is sel.profiles
     assert len(built) == len(ps.rows) + len(sel.rows)
+
+
+@pytest.mark.parametrize("make", [
+    ladder_scenario, lambda: share_scenario(0.2), table_scenario, lambda: smooth_scenario(0)[0],
+    lambda: tangent_scenario(0.04, m=400),
+], ids=["ladder", "share", "table", "smooth", "tangent"])
+@pytest.mark.parametrize("command,flags", [
+    ("alpha-star", []),
+    ("verify", []),
+    ("sweep", ["--k-grid", "0.09,0.01,0.04"]),
+    ("capstruct", ["--threshold", "0.5"]),
+])
+def test_threshold_commands_build_no_profile_and_summarise_what_profiles_read(
+        make, command, flags, tmp_path, monkeypatch):
+    s = make()
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    built = []
+    init = Profile.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Profile, "__init__", counted)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out), *flags]) == 0
+    assert built == []
+    # the summary's profiles are the Profile objects' own rendering
+    doc = read_summary(out)
+    if command == "alpha-star":
+        assert doc["slack_witness"] == profile_dict(scaling.alpha_star(s).slack_witness)
+    if command == "verify":
+        assert doc["base_profile"] == profile_dict(scaling.verify_theorem(s).base_profile)
+        assert doc["base_profile"] is not None
 
 
 def test_solve_checks_the_written_rows(tmp_path, monkeypatch, capsys):
@@ -746,6 +782,26 @@ def test_capstruct_debt_with_override(tmp_path):
     assert doc["face"] == 0.5 and doc["face_scaled"] == 1.0
     assert doc["alpha_star"] == 0.5
     assert doc["alpha_star_solved"] is False
+
+
+def test_capstruct_summary_counts_its_threshold_search(tangent_file, tmp_path):
+    keys = ["alpha_star", "bracket_low", "bracket_high", "u_bar", "monotone_warning",
+            "predicate_calls", "evaluations", "nominal_evaluations", "budget"]
+    star = tmp_path / "star"
+    assert main(["alpha-star", "--scenario", str(tangent_file), "--out", str(star), "--budget", "123456"]) == 0
+    solved = tmp_path / "solved"
+    argv = ["capstruct", "--scenario", str(tangent_file), "--face", "0.1", "--budget", "123456"]
+    assert main([*argv, "--out", str(solved)]) == 0
+    doc = read_summary(solved)
+    assert {k: doc[k] for k in keys} == {k: read_summary(star)[k] for k in keys}
+    assert doc["alpha_star_solved"] is True and doc["evaluations"] > 0
+    # a pinned alpha* enumerates nothing: zero counts and no budget
+    pinned = tmp_path / "pinned"
+    assert main([*argv, "--out", str(pinned), "--alpha-star", "0.5"]) == 0
+    doc = read_summary(pinned)
+    assert doc["alpha_star_solved"] is False and doc["alpha_star"] == 0.5
+    assert (doc["evaluations"], doc["nominal_evaluations"], doc["budget"]) == (0, 0, None)
+    assert "predicate_calls" not in doc and "bracket_low" not in doc
 
 
 def test_capstruct_threshold_solves_alpha(tmp_path):

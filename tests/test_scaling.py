@@ -11,9 +11,9 @@ from agentcap.cli import main, save_scenario
 from agentcap.errors import ConfigurationError, EmptySelectionError
 from agentcap.model import Contract, Distribution, Profile
 from agentcap.pareto import Enumeration
-from agentcap.scaling import InequalitySlacks, _all_slack, alpha_star, verify_theorem
+from agentcap.scaling import InequalitySlacks, alpha_star, verify_theorem
 
-from conftest import ladder_scenario, tangent_scenario, verify_inequalities
+from conftest import all_slack, ladder_scenario, tangent_scenario, verify_inequalities
 
 
 def tangent_profile(s, slope, alpha):
@@ -41,8 +41,8 @@ def tangent_profile(s, slope, alpha):
 
 def test_predicate_hand_values():
     enum = Enumeration(tangent_scenario(0.04))
-    assert _all_slack(enum, 0.2, 0.0)
-    assert not _all_slack(enum, 0.8, 0.0)
+    assert all_slack(enum, 0.2, 0.0)
+    assert not all_slack(enum, 0.8, 0.0)
 
 
 def test_alpha_queries_use_neither_the_row_mask_nor_every_level(tmp_path, monkeypatch):
