@@ -132,6 +132,8 @@ def sweep_alpha_star(
         report = validate_scenario(sk)
         if not report:
             raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
-        enum = Enumeration(sk, budget, below=enum, tally=tally)
+        enum = Enumeration(sk, budget, below=enum)
+        if tally is not None:
+            tally.add(enum)
         out.append((k, alpha_star(sk, enum=enum).alpha_star))
     return out

@@ -310,7 +310,7 @@ def _summary_profile(enum: Enumeration, row: int | None, alpha: float | None) ->
     rows, n = np.array([row]), enum.scenario.n
     label, *cells, agent, principal, binding = (
         (col.tolist() if isinstance(col, np.ndarray) else col)[0]
-        for col in _profile_columns(enum, rows, enum.principal_at(alpha)[rows])
+        for col in _profile_columns(enum, rows, enum._principal(alpha, rows))
     )
     return {
         "contract": label,
@@ -323,9 +323,18 @@ def _summary_profile(enum: Enumeration, row: int | None, alpha: float | None) ->
     }
 
 
-def _threshold_fields(res: scaling.AlphaStarResult, tally: EvaluationTally) -> dict:
+def _counts(enum: Enumeration | None = None) -> dict:
+    """The summary's evaluation counts and budget: ``enum``'s, or zero
+    counts and no budget when nothing was enumerated."""
+    tally = EvaluationTally()
+    if enum is not None:
+        tally.add(enum)
+    return dataclasses.asdict(tally)
+
+
+def _threshold_fields(res: scaling.AlphaStarResult) -> dict:
     """The summary fields of a solved threshold, with the evaluation counts
-    of ``tally``."""
+    of its enumeration."""
     return {
         "alpha_star": res.alpha_star,
         "bracket_low": res.bracket[0],
@@ -333,7 +342,7 @@ def _threshold_fields(res: scaling.AlphaStarResult, tally: EvaluationTally) -> d
         "u_bar": res.u_bar,
         "monotone_warning": res.monotone_warning,
         "predicate_calls": len(res.predicate_trace),
-        **dataclasses.asdict(tally),
+        **_counts(res.enumeration),
     }
 
 
@@ -357,8 +366,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def cmd_solve(args, s: Scenario):
     alpha = check_alpha(args.alpha)
-    tally = EvaluationTally()
-    enum = Enumeration(s, budget=args.budget, tally=tally)
+    enum = Enumeration(s, budget=args.budget)
     ps = enum.pareto_at(alpha)
     sel = select(ps, s.reservation)
     header = _profile_header(s)
@@ -373,18 +381,17 @@ def cmd_solve(args, s: Scenario):
         "n_selected": len(sel.rows),
         "chosen_level": sel.chosen_level,
         "agent_utility_levels": list(ps.agent_utility_levels),
-        **dataclasses.asdict(tally),
+        **_counts(enum),
     }
 
 
 def cmd_alpha_star(args, s: Scenario):
-    tally = EvaluationTally()
-    res = scaling.alpha_star(s, eps=args.eps, budget=args.budget, tally=tally)
+    res = scaling.alpha_star(s, eps=args.eps, budget=args.budget)
     return {"trace.csv": (["alpha", "all_slack"], zip(*res.predicate_trace))}, {
         "eps": args.eps,
         "witness_alpha": res.witness_alpha,
         "slack_witness": _summary_profile(res.enumeration, res.witness_row, res.witness_alpha),
-        **_threshold_fields(res, tally),
+        **_threshold_fields(res),
     }
 
 
@@ -392,8 +399,8 @@ def cmd_verify(args, s: Scenario):
     alphas = None
     if args.alpha_grid is not None:
         alphas = [check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
-    tally = EvaluationTally()
-    rep = scaling.verify_theorem(s, alphas=alphas, eps=args.eps, budget=args.budget, tally=tally)
+    rep = scaling.verify_theorem(s, alphas=alphas, eps=args.eps, budget=args.budget)
+    res = rep.alpha_result
     header = [
         "alpha",
         "tested",
@@ -427,8 +434,8 @@ def cmd_verify(args, s: Scenario):
     ]
     return {"checks.csv": (header, zip(*rows))}, {
         "reservation": s.reservation,
-        "base_profile": _summary_profile(rep.alpha_result.enumeration, rep.base_row, 1.0),
-        "base_level": rep.base_level,
+        "base_profile": _summary_profile(res.enumeration, res.base_row, 1.0),
+        "base_level": res.base_level,
         "n_checks": len(rep.checks),
         "n_tested": sum(1 for c in rep.checks if c.tested),
         "inclusion_ok": rep.inclusion_ok,
@@ -436,7 +443,7 @@ def cmd_verify(args, s: Scenario):
         "worst_slacks": None if rep.worst_slacks is None else dataclasses.asdict(rep.worst_slacks),
         "step2_max_dev": rep.step2_max_dev,
         "slack_witness_ok": rep.slack_witness_ok,
-        **_threshold_fields(rep.alpha_result, tally),
+        **_threshold_fields(res),
     }
 
 
@@ -462,11 +469,10 @@ def cmd_capstruct(args, s: Scenario):
     else:
         capstruct.check_threshold(args.threshold)
     check_budget(args.budget)
-    tally = EvaluationTally()
     # a pinned alpha* enumerates nothing: zero counts and no budget
-    fields = dataclasses.asdict(tally)
+    fields = _counts()
     if astar is None:
-        fields = _threshold_fields(scaling.alpha_star(s, budget=args.budget, tally=tally), tally)
+        fields = _threshold_fields(scaling.alpha_star(s, budget=args.budget))
         astar = fields["alpha_star"]
     labels = s.states.labels
     if args.face is not None:

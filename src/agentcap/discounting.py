@@ -36,10 +36,10 @@ class DatedSchedule:
         object.__setattr__(self, "values", rows)
 
     @staticmethod
-    def at_date(date: int, values, n: int | None = None) -> "DatedSchedule":
+    def at_date(date: int, values) -> "DatedSchedule":
         """A schedule paying ``values`` at one date and zero at the other."""
         vals = tuple(float(v) for v in values)
-        zero = tuple(0.0 for _ in range(n if n is not None else len(vals)))
+        zero = (0.0,) * len(vals)
         return DatedSchedule((vals, zero) if date == 0 else (zero, vals))
 
     def as_array(self) -> np.ndarray:

@@ -259,8 +259,8 @@ def _line_search(s: Scenario, fun, x: np.ndarray, step: np.ndarray, norm0: float
     return None
 
 
-def make_initial_point(s: Scenario, beta: float = 0.5, w: float = 0.0) -> PrincipalFocPoint:
-    """Seed for the solver: agent best response to a linear-share contract,
+def make_initial_point(s: Scenario) -> PrincipalFocPoint:
+    """Seed for the solver: agent best response to the half-share contract,
     multipliers at zero except rho, which is fitted so the agent rows start
     small. The response is nudged toward uniform if it touches the boundary.
     A cost without a gradient raises DifferentiabilityError before any
@@ -269,7 +269,7 @@ def make_initial_point(s: Scenario, beta: float = 0.5, w: float = 0.0) -> Princi
     if not s.cost.convex_smooth:
         raise DifferentiabilityError(f"{s.cost.kind} cost has no gradient")
     y = s.y.as_array()
-    b = beta * y + w
+    b = 0.5 * y + 0.0  # + 0.0 turns a -0.0 payment into 0.0
     p = best_response_convex(s, b).maximizers[0].as_array().copy()
     if p.min() <= 1e-9:
         p = 0.98 * p + 0.02 * np.full(s.n, 1.0 / s.n)

@@ -66,8 +66,8 @@ class EvaluationTally:
     """Best-response values computed by the enumerations of one run
     (``Enumeration.evaluations``), the nominal count they stand for
     (contracts times feasible points, what the budget caps) and the budget
-    each was checked against. An enumeration built with ``tally=`` adds
-    itself; a capacity sweep's chain sums."""
+    each was checked against. ``add`` takes one enumeration's counts; a run
+    of one enumeration reads them off it, a capacity sweep's chain sums."""
 
     evaluations: int = 0
     nominal_evaluations: int = 0
@@ -276,8 +276,6 @@ class Enumeration:
     points for a chained one, and the probes and ball points scored (plus
     any rows scanned in full) for the ball route; ``nominal_evaluations`` is
     contracts times feasible points. ``budget`` passes ``check_budget``.
-    With ``tally``, the counts are added to it once the enumeration is
-    built.
     """
 
     def __init__(
@@ -285,7 +283,6 @@ class Enumeration:
         s: Scenario,
         budget: int | None = None,
         below: Enumeration | None = None,
-        tally: EvaluationTally | None = None,
     ):
         budget = check_budget(budget)
         if below is not None:
@@ -331,8 +328,6 @@ class Enumeration:
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
         )
-        if tally is not None:
-            tally.add(self)
 
     def _scan_above(self, below: Enumeration, ids: np.ndarray) -> None:
         """Ties at this capacity from ``below``'s and a scan of the feasible
@@ -359,11 +354,16 @@ class Enumeration:
 
     # -- queries ----------------------------------------------------------
 
+    def _principal(self, alpha: float, rows) -> np.ndarray:
+        """Principal payoffs of ``rows`` (any index) at output scale
+        ``alpha``, entry by entry those of ``principal_at``; raises
+        ConfigurationError unless alpha lies in [0, 1]."""
+        return check_alpha(alpha) * self.exp_output[rows] - self.exp_payment[rows]
+
     def principal_at(self, alpha: float) -> np.ndarray:
-        """Principal payoffs of every row at output scale ``alpha``; raises
-        ConfigurationError unless alpha lies in [0, 1]. ``selection_ids``
-        computes the same values in the agent order."""
-        return check_alpha(alpha) * self.exp_output - self.exp_payment
+        """Principal payoffs of every row at output scale ``alpha``.
+        ``selection_ids`` computes the same values in the agent order."""
+        return self._principal(alpha, slice(None))
 
     @cached_property
     def agent_order(self) -> _AgentOrder:
@@ -400,7 +400,7 @@ class Enumeration:
         return tuple(map(self._profile, rows.tolist(), principal.tolist()))
 
     def profile(self, i: int, alpha: float) -> Profile:
-        return self._profile(i, float(self.principal_at(alpha)[i]))
+        return self._profile(i, float(self._principal(alpha, i)))
 
     def pareto_at(self, alpha: float) -> ParetoSet:
         principal = self.principal_at(alpha)

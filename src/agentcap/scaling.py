@@ -16,32 +16,39 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptySelectionError
 from .model import Profile, Scenario, check_alpha
-from .pareto import Enumeration, EvaluationTally
+from .pareto import Enumeration
 
 DEFAULT_EPS_ALPHA = 1e-4
-STEP2_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class AlphaStarResult:
     """Bisection output for the capacity-slack threshold.
 
-    ``bracket`` is (last alpha where the predicate held, first where it
-    failed); the two coincide only in the degenerate all-true or all-false
-    cases. ``slack_witness`` is the selected profile with cost closest to
-    capacity at the bracket's low end, i.e. the profile exhibiting how the
-    constraint tightens as alpha approaches the threshold; it is built on
-    first read from ``witness_row``, its row in ``enumeration``.
+    ``base_rows`` is the unscaled selection at the scenario's reservation
+    level, chosen at ``base_level``; ``base_row`` is its member of highest
+    principal payoff, the first in row order on a tie, and ``u_bar`` that
+    profile's risk-neutral utility, the level of every selection the
+    bisection makes. ``bracket`` is (last alpha where the predicate held,
+    first where it failed); the two coincide only in the degenerate
+    all-true or all-false cases. ``slack_witness`` is the selected profile
+    with cost closest to capacity at the bracket's low end, i.e. the
+    profile exhibiting how the constraint tightens as alpha approaches the
+    threshold; it is built on first read from ``witness_row``, its row in
+    ``enumeration``.
     """
 
     alpha_star: float
     bracket: tuple[float, float]
+    base_row: int
+    base_level: float
     u_bar: float
     predicate_trace: tuple[tuple[float, bool], ...]
     witness_row: int | None
     witness_alpha: float | None
     monotone_warning: bool
     enumeration: Enumeration = field(compare=False, repr=False)
+    base_rows: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def slack_witness(self) -> Profile | None:
@@ -96,24 +103,22 @@ class InequalitySlacks:
 
 @dataclass(frozen=True)
 class AlphaCheck:
-    """Verification outcome at one alpha grid point."""
+    """Verification outcome at one alpha grid point; an untested point
+    carries only its ``reason``."""
 
     alpha: float
-    tested: bool
-    reason: str
-    inclusion_ok: bool | None
-    converse_ok: bool | None
-    n_candidates: int
-    n_binding: int
-    worst: InequalitySlacks | None
-    step2_dev: float
+    tested: bool = False
+    reason: str = ""
+    inclusion_ok: bool | None = None
+    converse_ok: bool | None = None
+    n_candidates: int = 0
+    n_binding: int = 0
+    worst: InequalitySlacks | None = None
+    step2_dev: float = 0.0
 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    base_row: int
-    base_level: float
-    u_bar: float
     alpha_result: AlphaStarResult
     checks: tuple[AlphaCheck, ...]
     inclusion_ok: bool
@@ -124,30 +129,38 @@ class TheoremReport:
 
     @cached_property
     def base_profile(self) -> Profile:
-        """Built on first read from ``base_row``, its enumeration row."""
-        return self.alpha_result.enumeration.profile(self.base_row, 1.0)
+        """Built on first read from the threshold's ``base_row``."""
+        res = self.alpha_result
+        return res.enumeration.profile(res.base_row, 1.0)
 
 
-def _base_index(enum: Enumeration, r: float) -> tuple[int, float, np.ndarray]:
-    """Deterministic base pick: highest principal payoff in the unscaled
-    selection, ties broken by contract then point id. Returns the pick, the
-    selection's level and its profile indices."""
-    chosen, ids, _ = enum.selection_ids(1.0, r)
-    pr = enum.principal_at(1.0)[ids]
-    order = np.lexsort((enum.point_id[ids], enum.contract_id[ids], -pr))
-    return int(ids[order[0]]), chosen, ids
+def alpha_star(
+    s: Scenario,
+    eps: float = DEFAULT_EPS_ALPHA,
+    budget: int | None = None,
+    enum: Enumeration | None = None,
+) -> AlphaStarResult:
+    """Bisect for the largest alpha whose selection at the base's
+    risk-neutral level is capacity slack.
 
+    ``enum`` is an enumeration of ``s`` built beforehand (a capacity sweep
+    chains them); ``budget`` applies only when it is built here. Raises
+    ConfigurationError unless the bisection width ``eps`` is positive and
+    finite (NaN fails too; an infinite width would stop the bisection
+    before its first predicate call).
+    """
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError("bisection width must be positive and finite")
+    if enum is None:
+        enum = Enumeration(s, budget)
+    elif enum.scenario != s:
+        raise ConfigurationError("enumeration was built for another scenario")
+    # rows ascend in (contract_id, point_id), so argmax's first maximum is
+    # the tie-break by contract, then point
+    base_level, base_rows, _ = enum.selection_ids(1.0, s.reservation)
+    base_row = int(base_rows[np.argmax(enum._principal(1.0, base_rows))])
+    u_bar = float(enum.exp_payment[base_row] - enum.cost[base_row])
 
-def _risk_neutral_level(enum: Enumeration, i: int) -> float:
-    return float(enum.exp_payment[i] - enum.cost[i])
-
-
-def _keys(enum: Enumeration, ids: np.ndarray) -> set[tuple[int, int]]:
-    """The (contract_id, point_id) identities of the given profile rows."""
-    return {(int(c), int(p)) for c, p in zip(enum.contract_id[ids], enum.point_id[ids])}
-
-
-def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     trace: list[tuple[float, bool]] = []
     held: dict[float, np.ndarray] = {}  # the slack selections, by alpha
 
@@ -190,47 +203,16 @@ def _alpha_impl(enum: Enumeration, u_bar: float, eps: float) -> AlphaStarResult:
     return AlphaStarResult(
         alpha_star=star,
         bracket=bracket,
+        base_row=base_row,
+        base_level=base_level,
         u_bar=u_bar,
         predicate_trace=tuple(trace),
         witness_row=wit,
         witness_alpha=wit_alpha,
         monotone_warning=warning,
         enumeration=enum,
+        base_rows=base_rows,
     )
-
-
-def _check_eps(eps: float) -> None:
-    """Raises ConfigurationError unless the bisection width is positive and
-    finite; NaN fails too. An infinite width would stop the bisection
-    before its first predicate call."""
-    if not 0.0 < eps < math.inf:
-        raise ConfigurationError("bisection width must be positive and finite")
-
-
-def alpha_star(
-    s: Scenario,
-    u_bar: float | None = None,
-    eps: float = DEFAULT_EPS_ALPHA,
-    budget: int | None = None,
-    enum: Enumeration | None = None,
-    tally: EvaluationTally | None = None,
-) -> AlphaStarResult:
-    """Bisect for the largest alpha whose selection is capacity slack.
-
-    When ``u_bar`` is omitted it is the risk-neutral utility of the base
-    profile, the selection of the unscaled problem at the scenario's
-    reservation level. ``enum`` is an enumeration of ``s`` built beforehand
-    (a capacity sweep chains them); ``budget`` and ``tally`` apply only when
-    it is built here.
-    """
-    _check_eps(eps)
-    if enum is None:
-        enum = Enumeration(s, budget, tally=tally)
-    elif enum.scenario != s:
-        raise ConfigurationError("enumeration was built for another scenario")
-    if u_bar is None:
-        u_bar = _risk_neutral_level(enum, _base_index(enum, s.reservation)[0])
-    return _alpha_impl(enum, float(u_bar), eps)
 
 
 def _fieldwise_min(slacks: list[InequalitySlacks]) -> InequalitySlacks:
@@ -242,30 +224,15 @@ def _fieldwise_min(slacks: list[InequalitySlacks]) -> InequalitySlacks:
     )
 
 
-def _skipped(alpha: float, reason: str) -> AlphaCheck:
-    return AlphaCheck(
-        alpha=alpha,
-        tested=False,
-        reason=reason,
-        inclusion_ok=None,
-        converse_ok=None,
-        n_candidates=0,
-        n_binding=0,
-        worst=None,
-        step2_dev=0.0,
-    )
-
-
 def verify_theorem(
     s: Scenario,
-    r: float | None = None,
     alphas: "np.ndarray | list[float] | None" = None,
     eps: float = DEFAULT_EPS_ALPHA,
     budget: int | None = None,
-    tally: EvaluationTally | None = None,
 ) -> TheoremReport:
     """Brute-force certificate for the scaling comparison.
 
+    ``alpha_star(s, eps, budget)`` solves the threshold and picks the base.
     At each tested alpha the selection of the scaled problem at the base's
     risk-neutral level is compared with the unscaled selection: the base
     profiles must reappear (inclusion), every capacity-binding candidate must
@@ -275,18 +242,13 @@ def verify_theorem(
 
     An alpha below the threshold bracket, or whose selection has no binding
     member, is reported untested with the reason; the comparisons are only
-    meaningful past the threshold. ``tally`` receives the enumeration's
-    evaluation counts.
+    meaningful past the threshold.
     """
-    _check_eps(eps)
-    enum = Enumeration(s, budget, tally=tally)
-    if r is None:
-        r = s.reservation
-    i_base, base_level, base_ids = _base_index(enum, r)
-    u_bar = _risk_neutral_level(enum, i_base)
+    res = alpha_star(s, eps, budget)
+    enum, i_base = res.enumeration, res.base_row
     base_gap = abs(float(enum.cost[i_base]) - s.capacity)
-    result = _alpha_impl(enum, u_bar, eps)
-    base_keys = _keys(enum, base_ids)
+    # a row index is a profile's identity within one enumeration
+    base_set = set(res.base_rows.tolist())
 
     if alphas is None:
         alphas = np.round(np.linspace(0.0, 1.0, 11), 12)
@@ -294,20 +256,17 @@ def verify_theorem(
     checks: list[AlphaCheck] = []
     for alpha in alphas:
         alpha = check_alpha(float(alpha))
-        if alpha < result.bracket[1]:
-            checks.append(_skipped(alpha, "below the capacity-slack threshold bracket"))
+        if alpha < res.bracket[1]:
+            checks.append(AlphaCheck(alpha, reason="below the capacity-slack threshold bracket"))
             continue
         try:
-            _, ids, binding = enum.selection_ids(alpha, u_bar)
+            _, ids, binding = enum.selection_ids(alpha, res.u_bar)
         except EmptySelectionError:
-            checks.append(_skipped(alpha, "selection empty at this alpha"))
+            checks.append(AlphaCheck(alpha, reason="selection empty at this alpha"))
             continue
         if not binding.any():
-            checks.append(_skipped(alpha, "selection has no capacity-binding member"))
+            checks.append(AlphaCheck(alpha, reason="selection has no capacity-binding member"))
             continue
-
-        inclusion = base_keys <= _keys(enum, ids)
-        converse = _keys(enum, ids[binding]) <= base_keys
 
         # each difference is the base's value minus the candidate's
         slacks = InequalitySlacks.chain(
@@ -325,9 +284,8 @@ def verify_theorem(
             AlphaCheck(
                 alpha=alpha,
                 tested=True,
-                reason="",
-                inclusion_ok=inclusion,
-                converse_ok=converse,
+                inclusion_ok=base_set.issubset(ids.tolist()),
+                converse_ok=base_set.issuperset(ids[binding].tolist()),
                 n_candidates=len(ids),
                 n_binding=int(binding.sum()),
                 worst=_fieldwise_min([slacks]),
@@ -336,13 +294,10 @@ def verify_theorem(
         )
 
     tested = [c for c in checks if c.tested]
-    witness_ok = result.witness_row is not None and float(enum.cost[result.witness_row]) < s.capacity
+    witness_ok = res.witness_row is not None and float(enum.cost[res.witness_row]) < s.capacity
 
     return TheoremReport(
-        base_row=i_base,
-        base_level=base_level,
-        u_bar=u_bar,
-        alpha_result=result,
+        alpha_result=res,
         checks=tuple(checks),
         inclusion_ok=all(c.inclusion_ok for c in tested),
         converse_ok=all(c.converse_ok for c in tested),

@@ -399,6 +399,21 @@ def all_slack(enum, alpha, u_bar):
     return not enum.binding[ids].any()
 
 
+def base_row_oracle(enum, r):
+    """The base pick by a three-key sort: the highest principal payoff at
+    alpha = 1 in the unscaled selection at ``r``, ties broken by contract,
+    then point id."""
+    _, ids, _ = enum.selection_ids(1.0, r)
+    pr = enum.principal_at(1.0)[ids]
+    order = np.lexsort((enum.point_id[ids], enum.contract_id[ids], -pr))
+    return int(ids[order[0]])
+
+
+def row_keys(enum, ids):
+    """The (contract_id, point_id) identities of the given profile rows."""
+    return {(int(c), int(p)) for c, p in zip(enum.contract_id[ids], enum.point_id[ids])}
+
+
 def profile_dict(pf):
     """The summary form of a Profile, rendered from its validated objects:
     the ``slack_witness`` and ``base_profile`` dicts of ``summary.json``."""

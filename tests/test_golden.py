@@ -12,6 +12,7 @@ are the row sources off the simplex lattice's own pricing.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,11 @@ COMMANDS = {
     "solve": [],
     "alpha-star": [],
     "verify": [],
-    "sweep": {"tangent": ["--k-grid", "0.09,0.01,0.0399,0.05"], "smooth": ["--k-grid", "0.1,0.05,0.2"]},
+    "sweep": {
+        "tangent": ["--k-grid", "0.09,0.01,0.0399,0.05"],
+        "smooth": ["--k-grid", "0.1,0.05,0.2"],
+        "share": ["--k-grid", "0.2,0.02,0.05,0.005"],
+    },
     "capstruct": ["--face", "0.1"],
     "kkt": [],
 }
@@ -143,6 +148,16 @@ SUMMARIES = {
         "zeta": -1.0000000000002436,
     },
 }
+
+# The summaries of ``solve``, ``alpha-star``, ``verify``, ``sweep`` and
+# ``capstruct`` on tangent, smooth and share, keyed "scenario command" and
+# recorded, less the same two fields, before ``verify_theorem`` ran its
+# threshold through ``alpha_star``: the thresholds, base and witness
+# profiles, checks and evaluation counts.
+GOLDEN_SUMMARIES = Path(__file__).with_name("golden_summaries.json")
+SUMMARIES.update(
+    (tuple(key.split()), doc) for key, doc in json.loads(GOLDEN_SUMMARIES.read_text()).items()
+)
 
 
 def _run(name, command, tmp_path):

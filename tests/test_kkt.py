@@ -176,7 +176,7 @@ def test_solved_point_reports_the_system_it_solved(capacity, active):
 
 def test_initial_point_is_interior_and_cheap():
     s = share_scenario(0.2)
-    pt = make_initial_point(s, beta=0.5, w=0.0)
+    pt = make_initial_point(s)
     assert min(pt.p.probs) > 0.0
     assert pt.mu == 0.0 and pt.zeta == 0.0
     res = principal_foc_residual(s, pt)

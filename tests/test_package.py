@@ -1,8 +1,10 @@
 """The package's public surface: what ``agentcap`` exports, and what it no
 longer carries."""
 
+import inspect
+
 import agentcap
-from agentcap import model, pareto, scaling
+from agentcap import discounting, kkt, model, pareto, scaling
 
 # (module or class, name) of the Profile-list layer that was folded into
 # Enumeration; none may come back under its old name
@@ -17,6 +19,21 @@ REMOVED = [
     (model, "enumeration_points"),
     (model, "agent_value"),
     (model, "principal_value"),
+    (scaling, "_base_index"),
+    (scaling, "_keys"),
+    (scaling, "_alpha_impl"),
+    (scaling, "_risk_neutral_level"),
+    (scaling, "_skipped"),
+]
+
+# parameters no caller set to anything but their defaults; the threshold's
+# evaluation counts are read off the enumeration it holds
+REMOVED_PARAMETERS = [
+    (scaling.alpha_star, ("u_bar", "tally")),
+    (scaling.verify_theorem, ("r", "tally")),
+    (pareto.Enumeration.__init__, ("tally",)),
+    (kkt.make_initial_point, ("beta", "w")),
+    (discounting.DatedSchedule.at_date, ("n",)),
 ]
 
 
@@ -34,3 +51,10 @@ def test_removed_names_stay_removed():
         assert name not in agentcap.__all__, name
         assert not hasattr(agentcap, name), name
         assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_removed_parameters_stay_removed():
+    for fn, names in REMOVED_PARAMETERS:
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert name not in params, (fn.__qualname__, name)

@@ -13,7 +13,16 @@ from agentcap.model import Contract, Distribution, Profile
 from agentcap.pareto import Enumeration
 from agentcap.scaling import InequalitySlacks, alpha_star, verify_theorem
 
-from conftest import all_slack, ladder_scenario, tangent_scenario, verify_inequalities
+from conftest import (
+    all_slack,
+    base_row_oracle,
+    ladder_scenario,
+    row_keys,
+    share_scenario,
+    smooth_scenario,
+    tangent_scenario,
+    verify_inequalities,
+)
 
 
 def tangent_profile(s, slope, alpha):
@@ -168,6 +177,27 @@ def test_predicate_trace_is_recorded():
     assert flags[1.0] is False
 
 
+def test_rendering_one_profile_reads_only_its_row(tmp_path, monkeypatch):
+    s = tangent_scenario(0.04, m=400)
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    want = alpha_star(s)
+    enum = want.enumeration
+    witness_payoff = enum.principal_at(want.witness_alpha)[want.witness_row]
+    base_payoff = enum.principal_at(1.0)[want.base_row]
+
+    def refuse(self, alpha):
+        raise AssertionError("a one-row read priced every row")
+
+    monkeypatch.setattr(Enumeration, "principal_at", refuse)
+    res = alpha_star(s, enum=enum)
+    assert res == want
+    assert res.slack_witness.principal_payoff == witness_payoff
+    assert verify_theorem(s).base_profile.principal_payoff == base_payoff
+    for command in ("alpha-star", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 0
+
+
 # -- slack chain ------------------------------------------------------------
 
 
@@ -226,7 +256,7 @@ def test_verify_theorem_tangent():
     assert rep.step2_max_dev <= 1e-6
     assert rep.slack_witness_ok
     assert abs(rep.base_profile.cost - 0.04) <= 1e-9
-    assert abs(rep.u_bar) <= 1e-9
+    assert abs(rep.alpha_result.u_bar) <= 1e-9
 
 
 def test_verify_theorem_always_binding_capacity():
@@ -256,7 +286,7 @@ def _per_candidate_reference(s, rep):
         if not chk.tested:
             out.append((None, 0.0))
             continue
-        _, ids, binding = enum.selection_ids(chk.alpha, rep.u_bar)
+        _, ids, binding = enum.selection_ids(chk.alpha, rep.alpha_result.u_bar)
         worst, step2 = None, 0.0
         for j, is_binding in zip(ids, binding):
             sl = verify_inequalities(s, chk.alpha, base, enum.profile(int(j), chk.alpha))
@@ -297,3 +327,45 @@ def test_verify_theorem_slacks_equal_per_candidate_loop(make):
 
 def test_verify_theorem_slacks_equal_per_candidate_loop_on_random_panel(random_scenario_panel):
     assert sum(_assert_matches_reference(s) for _, s in random_scenario_panel) > 0
+
+
+# -- one threshold solve ----------------------------------------------------
+
+
+def _assert_matches_oracles(s, alphas):
+    """alpha_star's base pick against the three-key sort, verify_theorem's
+    threshold against alpha_star's, and its row-index inclusion and
+    converse against (contract_id, point_id) sets; returns the number of
+    tested alphas."""
+    want = alpha_star(s)
+    enum = want.enumeration
+    assert want.base_row == base_row_oracle(enum, s.reservation)
+    rep = verify_theorem(s, alphas=alphas)
+    res = rep.alpha_result
+    assert res == want
+    assert np.array_equal(res.base_rows, want.base_rows)
+    base_keys = row_keys(enum, want.base_rows)
+    tested = [c for c in rep.checks if c.tested]
+    for chk in tested:
+        _, ids, binding = enum.selection_ids(chk.alpha, want.u_bar)
+        assert chk.inclusion_ok == (base_keys <= row_keys(enum, ids)), chk.alpha
+        assert chk.converse_ok == (row_keys(enum, ids[binding]) <= base_keys), chk.alpha
+    return len(tested)
+
+
+ORACLE_CASES = {
+    "ladder": ladder_scenario,
+    "tangent": lambda: tangent_scenario(0.04),
+    "share": lambda: share_scenario(0.02),
+    "smooth": lambda: smooth_scenario(0)[0],
+}
+ORACLE_ALPHAS = np.round(np.arange(0.0, 1.0001, 0.05), 12)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_one_threshold_solve_matches_the_oracles(name):
+    _assert_matches_oracles(ORACLE_CASES[name](), ORACLE_ALPHAS)
+
+
+def test_one_threshold_solve_matches_the_oracles_on_random_panel(random_scenario_panel):
+    assert sum(_assert_matches_oracles(s, ORACLE_ALPHAS) for _, s in random_scenario_panel) > 0
