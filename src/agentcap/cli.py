@@ -58,8 +58,6 @@ from .model import (
     StateSpace,
     TableCost,
     check_alpha,
-    check_payments,
-    check_probabilities,
     grid_values,
     validate_scenario,
 )
@@ -283,44 +281,20 @@ def _profile_header(s: Scenario) -> list[str]:
 
 def _profile_columns(enum: Enumeration, rows: np.ndarray, principal: np.ndarray) -> list:
     """The profile table of enumeration ``rows`` with principal payoffs
-    ``principal``, column by column: contract label, payments,
-    probabilities, agent utility, principal payoff and binding flag, the
-    fields of ``Enumeration._profile`` gathered from the arrays. The
-    payments and probabilities pass ``Contract``'s and ``Distribution``'s
-    checks, run once over the gathered block."""
-    cid, pid = enum.contract_id[rows], enum.point_id[rows]
-    payments, probs = enum.payments[cid], enum.points[pid]
-    check_payments(payments)
-    check_probabilities(probs)
-    return [
-        [enum.labels[c] for c in cid.tolist()],
-        *payments.T,
-        *probs.T,
-        enum.agent_u[rows],
-        principal,
-        enum.binding[rows],
-    ]
+    ``principal``, column by column, from ``Enumeration.columns``."""
+    c = enum.columns(rows, principal)
+    return [c.contract, *c.payments.T, *c.probs.T, c.agent_utility, c.principal_payoff,
+            c.capacity_binding]
 
 
 def _summary_profile(enum: Enumeration, row: int | None, alpha: float | None) -> dict | None:
     """Enumeration row ``row`` at output scale ``alpha`` as a summary dict
-    (None for no row): ``_profile_columns``' checked gather, and the cost."""
+    (None for no row): its ``Enumeration.columns``, field by field."""
     if row is None:
         return None
-    rows, n = np.array([row]), enum.scenario.n
-    label, *cells, agent, principal, binding = (
-        (col.tolist() if isinstance(col, np.ndarray) else col)[0]
-        for col in _profile_columns(enum, rows, enum._principal(alpha, rows))
-    )
-    return {
-        "contract": label,
-        "payments": cells[:n],
-        "probs": cells[n:],
-        "agent_utility": agent,
-        "principal_payoff": principal,
-        "capacity_binding": binding,
-        "cost": float(enum.cost[row]),
-    }
+    rows = np.array([row])
+    c = enum.columns(rows, enum._principal(alpha, rows))
+    return {k: (v.tolist() if isinstance(v, np.ndarray) else v)[0] for k, v in c._asdict().items()}
 
 
 def _counts(enum: Enumeration | None = None) -> dict:

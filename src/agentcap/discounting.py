@@ -87,9 +87,7 @@ class DiscountedSlacks(InequalitySlacks):
     sign_guaranteed: bool
 
 
-def discounted_values(
-    s: Scenario, d: DiscountPair, y2: DatedSchedule, b2: DatedSchedule, p
-) -> tuple[float, float]:
+def discounted_values(d: DiscountPair, y2: DatedSchedule, b2: DatedSchedule, p) -> tuple[float, float]:
     """(principal, agent gross) under two-date discounting.
 
     The principal nets payments out of output date by date; the agent's value

@@ -5,11 +5,12 @@ best responses do not depend on the output scale alpha, so one enumeration
 serves all alpha. Per-alpha principal payoffs are then linear updates. The
 agent utilities do not move with alpha either, so the enumeration sorts its
 rows by agent utility once (``_AgentOrder``), with the two tolerance cut
-positions of every profile, and every alpha query runs in that order: the
-Pareto filter is one linear pass over the principal payoffs, and a selection
-finds only its own level among the undominated agent utilities, which
-already ascend (``_selection_level``, the one selection rule). That keeps
-repeated queries (bisection on alpha) cheap.
+positions of every profile, and every alpha query (frontier, mask and
+selection) runs one pass in that order (``Enumeration._kept``): the Pareto
+filter is linear in the principal payoffs, and a selection finds only its
+own level among the undominated agent utilities, which already ascend
+(``_selection_level``, the one selection rule). That keeps repeated queries
+(bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration built on the one at the next lower
@@ -24,9 +25,10 @@ scores only the lattice points in each contract's certified ball
 a point by its index in the scenario's lattice, the same at every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
-frontier order, with their principal payoffs. ``Profile`` objects, with their
-validated ``Contract`` and ``Distribution``, are built only when a caller
-reads ``.profiles``; the CLI writes its tables from the arrays.
+frontier order, with their principal payoffs. A row is rendered from one
+checked gather, ``Enumeration.columns``: the CLI writes its tables and
+summaries from it, and ``Profile`` objects, with their validated ``Contract``
+and ``Distribution``, are built from it only when a caller reads ``.profiles``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .agent import (
 )
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
 from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasible_mask
+from .model import check_payments, check_probabilities
 
 DEFAULT_BUDGET = 10**7
 
@@ -120,6 +124,19 @@ class Selection:
         return self.parent.enumeration._profiles(self.rows, self.principal)
 
 
+class Columns(NamedTuple):
+    """The rendered fields of some enumeration rows, row i of each field the
+    i-th row asked for; the names are the keys of a summary's profile."""
+
+    contract: list[str]
+    payments: np.ndarray
+    probs: np.ndarray
+    agent_utility: np.ndarray
+    principal_payoff: np.ndarray
+    capacity_binding: np.ndarray
+    cost: np.ndarray
+
+
 def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
     """Ascending distinct levels of finite values; a value joins the current
     cluster when it is within tol of the cluster's first (lowest) member,
@@ -183,37 +200,6 @@ class _AgentOrder:
         return ~dominated
 
 
-def _pareto_keep_mask(
-    agent: np.ndarray, principal: np.ndarray, tol: float, order: _AgentOrder | None = None
-) -> np.ndarray:
-    """``_AgentOrder.keep`` by row. ``order`` is the agent order of
-    ``(agent, tol)``, built here when not given; a caller filtering the same
-    agent utilities at many alpha builds it once."""
-    if order is None:
-        order = _AgentOrder(agent, tol)
-    keep = np.empty(agent.size, dtype=bool)
-    keep[order.order] = order.keep(principal[order.order])
-    return keep
-
-
-def _frontier(
-    agent: np.ndarray,
-    principal: np.ndarray,
-    tol: float,
-    agent_order: _AgentOrder | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, levels) of the undominated rows.
-
-    Indices run by agent utility, then principal payoff, both descending,
-    then by row index ascending (the sort is stable). Levels are the
-    clustered agent utilities of those rows, ascending. ``agent_order`` is
-    passed on to ``_pareto_keep_mask``.
-    """
-    keep = np.flatnonzero(_pareto_keep_mask(agent, principal, tol, agent_order))
-    order = keep[np.lexsort((-principal[keep], -agent[keep]))]
-    return order, _cluster_levels(agent[keep], tol)
-
-
 def _selection_level(agent: np.ndarray, r: float, tol: float) -> tuple[float, np.ndarray]:
     """The selection rule on ascending agent utilities: the lowest level
     (``_cluster_levels`` of ``agent``) >= r - tol, and the mask of the
@@ -242,11 +228,13 @@ def _selection_level(agent: np.ndarray, r: float, tol: float) -> tuple[float, np
 class Enumeration:
     """Shared engine: contracts x best responses with cached payoff pieces.
 
-    Built once per scenario; ``pareto_at`` and ``selection_ids`` answer
-    Pareto and selection queries for any alpha against the same profile
-    arrays, so exact (contract, point) identities are comparable across
-    alpha. Rows run strictly ascending in (contract_id, point_id), which is
-    the frontier's final tie-break.
+    Built once per scenario, with one read side: ``pareto_at``,
+    ``pareto_mask`` and ``selection_ids`` each make one dominance pass in
+    the agent order (``_kept``) for any alpha, and ``columns`` gathers the
+    rendered fields of any rows, so exact (contract, point) identities are
+    comparable across alpha. Rows run strictly ascending in (contract_id,
+    point_id), and the agent order is stable, so that order is the
+    frontier's final tie-break.
 
     ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
     names the same point at every capacity of a sweep. A producer below
@@ -361,8 +349,9 @@ class Enumeration:
         return check_alpha(alpha) * self.exp_output[rows] - self.exp_payment[rows]
 
     def principal_at(self, alpha: float) -> np.ndarray:
-        """Principal payoffs of every row at output scale ``alpha``.
-        ``selection_ids`` computes the same values in the agent order."""
+        """Principal payoffs of every row at output scale ``alpha``. The
+        alpha queries compute the same values in the agent order
+        (``_kept``)."""
         return self._principal(alpha, slice(None))
 
     @cached_property
@@ -376,43 +365,35 @@ class Enumeration:
         order = self.agent_order.order
         return self.exp_output[order], self.exp_payment[order]
 
+    def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The one dominance pass of every alpha query: the ascending
+        agent-order positions of the undominated rows, and every row's
+        principal payoff at ``alpha`` in the agent order."""
+        y, pay = self._sorted_payoff_parts
+        principal = check_alpha(alpha) * y - pay
+        return np.flatnonzero(self.agent_order.keep(principal)), principal
+
     def pareto_mask(self, alpha: float) -> np.ndarray:
-        return _pareto_keep_mask(
-            self.agent_u, self.principal_at(alpha), self.scenario.tol_u, self.agent_order
-        )
-
-    def _profile(self, i: int, principal_payoff: float) -> Profile:
-        ci, pi = int(self.contract_id[i]), int(self.point_id[i])
-        return Profile(
-            contract=Contract(tuple(self.payments[ci])),
-            dist=Distribution(tuple(self.points[pi])),
-            agent_utility=float(self.agent_u[i]),
-            principal_payoff=principal_payoff,
-            capacity_binding=bool(self.binding[i]),
-            cost=float(self.cost[i]),
-            contract_id=ci,
-            point_id=pi,
-            contract_label=self.labels[ci],
-        )
-
-    def _profiles(self, rows: np.ndarray, principal: np.ndarray) -> tuple[Profile, ...]:
-        """The Profiles of ``rows``, whose principal payoffs are ``principal``."""
-        return tuple(map(self._profile, rows.tolist(), principal.tolist()))
-
-    def profile(self, i: int, alpha: float) -> Profile:
-        return self._profile(i, float(self._principal(alpha, i)))
+        """The undominated rows at ``alpha``, as a mask by row."""
+        keep = np.zeros(self.agent_u.size, dtype=bool)
+        keep[self.agent_order.order[self._kept(alpha)[0]]] = True
+        return keep
 
     def pareto_at(self, alpha: float) -> ParetoSet:
-        principal = self.principal_at(alpha)
-        tol = self.scenario.tol_u
-        rows, levels = _frontier(self.agent_u, principal, tol, self.agent_order)
+        """The frontier at ``alpha``. The kept agent utilities ascend and
+        the agent order is stable, so a stable sort by agent utility, then
+        principal payoff, both descending, leaves exact ties in row order."""
+        ao = self.agent_order
+        kept, principal = self._kept(alpha)
+        agent, principal = ao.agent[kept], principal[kept]
+        at = np.lexsort((-principal, -agent))
         return ParetoSet(
             enumeration=self,
             alpha=float(alpha),
-            rows=rows,
-            principal=principal[rows],
-            agent_utility_levels=tuple(levels.tolist()),
-            tol_u=tol,
+            rows=ao.order[kept][at],
+            principal=principal[at],
+            agent_utility_levels=tuple(_cluster_levels(agent, ao.tol).tolist()),
+            tol_u=ao.tol,
         )
 
     def selection_ids(self, alpha: float, r: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -420,15 +401,41 @@ class Enumeration:
 
         The rows of select(pareto_at(alpha), r), ascending instead of in
         frontier order; the scaling predicate needs only ids and binding
-        flags. The Pareto mask and the level are found in the agent order,
-        where the kept agent utilities are already ascending.
-        """
+        flags. The level is found among ``_kept``'s agent utilities, which
+        already ascend."""
         ao = self.agent_order
-        y, pay = self._sorted_payoff_parts
-        kept = np.flatnonzero(ao.keep(check_alpha(alpha) * y - pay))
+        kept, _ = self._kept(alpha)
         chosen, at = _selection_level(ao.agent[kept], r, ao.tol)
         rows = np.sort(ao.order[kept[at]])
         return chosen, rows, self.binding[rows]
+
+    def columns(self, rows: np.ndarray, principal: np.ndarray) -> Columns:
+        """The rendered fields of ``rows``, whose principal payoffs are
+        ``principal``: the one gather every table, summary and ``Profile``
+        reads. The payments and probabilities pass ``Contract``'s and
+        ``Distribution``'s checks, run once over the gathered block."""
+        cid = self.contract_id[rows]
+        payments, probs = self.payments[cid], self.points[self.point_id[rows]]
+        check_payments(payments)
+        check_probabilities(probs)
+        return Columns(
+            [self.labels[c] for c in cid.tolist()], payments, probs,
+            self.agent_u[rows], principal, self.binding[rows], self.cost[rows],
+        )
+
+    def _profiles(self, rows: np.ndarray, principal: np.ndarray) -> tuple[Profile, ...]:
+        """The Profiles of ``rows``, whose principal payoffs are ``principal``,
+        built from their ``columns``."""
+        c = self.columns(rows, principal)
+        fields = zip(c.contract, *(v.tolist() for v in c[1:]),
+                     self.contract_id[rows].tolist(), self.point_id[rows].tolist())
+        return tuple(
+            Profile(Contract(tuple(b)), Distribution(tuple(p)), u, v, bind, cost, ci, pi, label)
+            for label, b, p, u, v, bind, cost, ci, pi in fields
+        )
+
+    def profile(self, i: int, alpha: float) -> Profile:
+        return self._profiles(np.array([i]), self._principal(alpha, [i]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,17 @@ def brute_pareto_keep(agent, principal, tol):
     return keep
 
 
+def frontier_oracle(agent, principal, tol):
+    """The frontier in row order: the rows ``brute_pareto_keep`` keeps,
+    sorted by agent utility, then principal payoff, both descending, then
+    row index ascending, and the clustered agent-utility levels of those
+    rows."""
+    agent, principal = np.asarray(agent, dtype=float), np.asarray(principal, dtype=float)
+    keep = np.flatnonzero(brute_pareto_keep(agent, principal, tol))
+    rows = keep[np.lexsort((keep, -principal[keep], -agent[keep]))]
+    return rows, _cluster_levels(agent[keep], tol)
+
+
 def selection_ids_oracle(enum, alpha, r):
     """``Enumeration.selection_ids`` the long way: the Pareto mask over every
     row, every clustered level of the kept agent utilities, then the lowest

@@ -471,6 +471,17 @@ def test_convex_capacity_just_below_least_cost(k, tmp_path, capsys):
     assert "rank deficient" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(raises=ConvergenceError, reason=(
+    "no duality bound over a least-cost face with more than one point"))
+def test_flat_quadratic_capacity_just_below_least_cost():
+    # Q is zero on the simplex, so every point has the least cost 0 and is
+    # feasible at k = -1e-12; -9.99e-13 is answered
+    s = two_state(QuadraticCost(((1.0, 1.0), (1.0, 1.0)), (0.5, 0.5)), -1e-12, m=100)
+    assert validate_scenario(s).passed
+    br = best_response_convex(s, (0.0, 0.5))
+    assert br.maximizers[0].probs == (0.0, 1.0)
+
+
 def test_convex_capacity_past_the_slack_is_empty():
     s = share_scenario(-1.2e-12)
     assert not validate_scenario(s).passed

@@ -761,6 +761,18 @@ def test_sweep_summary_sums_its_chain(tangent_file, tmp_path):
     assert doc["budget"] == 123456
 
 
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "load_scenario validates the file at its own capacity, which sweep never solves at"))
+def test_sweep_ignores_the_file_capacity(tangent_file, tmp_path):
+    # every --k-grid value leaves the lattice feasible; the file's -1 does not
+    path = tmp_path / "scenario.json"
+    save_scenario(load_scenario(tangent_file).at_capacity(-1.0), path)
+    for name, scenario in (("a", tangent_file), ("b", path)):
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / name)]
+        assert main([*argv, "--k-grid", "0.01,0.04"]) == 0, name
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
 def test_capstruct_debt_with_override(tmp_path):
     f = tmp_path / "three.json"
     save_scenario(three_state_scenario(), f)

@@ -53,31 +53,28 @@ def test_discount_pair_bounds():
 
 
 def test_discounted_values_hand_case():
-    s = tangent_scenario(0.04, m=100)
     d = DiscountPair(1.0, 0.5)
     y2 = DatedSchedule(((0.0, 1.0), (0.0, 1.0)))
     b2 = DatedSchedule.at_date(1, (0.0, 1.0))
-    principal, agent_gross = discounted_values(s, d, y2, b2, Distribution((0.8, 0.2)))
+    principal, agent_gross = discounted_values(d, y2, b2, Distribution((0.8, 0.2)))
     assert agent_gross == pytest.approx(0.1, abs=1e-12)
     assert principal == pytest.approx(0.2 + (0.2 - 0.2), abs=1e-12)
 
 
 def test_discounted_values_repeated_output_doubles():
-    s = tangent_scenario(0.04, m=100)
     d = DiscountPair(1.0, 1.0)
     y2 = DatedSchedule(((0.0, 1.0), (0.0, 1.0)))
     none = DatedSchedule(((0.0, 0.0), (0.0, 0.0)))
     p = Distribution((0.7, 0.3))
-    principal, _ = discounted_values(s, d, y2, none, p)
+    principal, _ = discounted_values(d, y2, none, p)
     assert principal == pytest.approx(2 * 0.3, abs=1e-12)
 
 
 def test_discounted_values_width_guard():
-    s = tangent_scenario(0.04, m=100)
     d = DiscountPair(1.0, 1.0)
     wide = DatedSchedule(((0.0, 1.0, 2.0), (0.0, 0.0, 0.0)))
     with pytest.raises(ValidationError):
-        discounted_values(s, d, wide, wide, Distribution((0.5, 0.5)))
+        discounted_values(d, wide, wide, Distribution((0.5, 0.5)))
 
 
 # -- dated best response and reduction --------------------------------------

@@ -2,9 +2,16 @@
 longer carries."""
 
 import inspect
+import re
+from pathlib import Path
 
 import agentcap
 from agentcap import discounting, kkt, model, pareto, scaling
+from agentcap.cli import save_scenario
+
+from conftest import tangent_scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module or class, name) of the Profile-list layer that was folded into
 # Enumeration; none may come back under its old name
@@ -24,6 +31,9 @@ REMOVED = [
     (scaling, "_alpha_impl"),
     (scaling, "_risk_neutral_level"),
     (scaling, "_skipped"),
+    (pareto, "_frontier"),
+    (pareto, "_pareto_keep_mask"),
+    (pareto.Enumeration, "_profile"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
@@ -34,6 +44,7 @@ REMOVED_PARAMETERS = [
     (pareto.Enumeration.__init__, ("tally",)),
     (kkt.make_initial_point, ("beta", "w")),
     (discounting.DatedSchedule.at_date, ("n",)),
+    (discounting.discounted_values, ("s",)),
 ]
 
 
@@ -58,3 +69,15 @@ def test_removed_parameters_stay_removed():
         params = inspect.signature(fn).parameters
         for name in names:
             assert name not in params, (fn.__qualname__, name)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the first python block under "## Library", run next to a scenario file
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    save_scenario(tangent_scenario(0.04, m=200), tmp_path / "scenario.json")
+    monkeypatch.chdir(tmp_path)
+    ns = {}
+    exec(code, ns)
+    assert round(ns["res"].alpha_star, 5) == 0.39496
+    assert ns["rep"].alpha_result == ns["res"]

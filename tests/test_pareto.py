@@ -27,8 +27,6 @@ from agentcap.pareto import (
     ParetoSet,
     _AgentOrder,
     _cluster_levels,
-    _frontier,
-    _pareto_keep_mask,
     _selection_level,
     select,
 )
@@ -36,9 +34,11 @@ from agentcap.scaling import alpha_star
 
 from conftest import (
     brute_pareto_keep,
+    frontier_oracle,
     ladder_scenario,
     make_profile,
     selection_ids_oracle,
+    share_scenario,
     smooth_scenario,
     tangent_scenario,
 )
@@ -130,7 +130,7 @@ def _assert_rows_ascend(enum):
 
 
 def test_rows_ascend_by_contract_then_point():
-    # _frontier breaks ties by row index, so every producer of the profile
+    # the frontier breaks ties by row index, so every producer of the profile
     # arrays keeps them strictly ascending in (contract_id, point_id)
     fixtures = [ladder_scenario(), tangent_scenario(0.04)]
     fixtures += [smooth_scenario(seed)[0] for seed in range(6)]
@@ -250,10 +250,36 @@ def test_share_family_frontier_by_hand():
     assert got == {(0.06, 0.1), (0.16, 0.0)}
 
 
+def rows_enumeration(agent, exp_output, exp_payment, binding, tol):
+    """An Enumeration over given rows: the arrays its alpha queries read."""
+    enum = Enumeration.__new__(Enumeration)
+    enum.agent_u, enum.exp_output, enum.exp_payment = agent, exp_output, exp_payment
+    enum.binding = binding
+    enum.scenario = types.SimpleNamespace(tol_u=tol)
+    return enum
+
+
+def payoff_enumeration(agent, principal, tol):
+    """An Enumeration whose rows have the given agent utilities and, at
+    alpha = 1, the given principal payoffs, bit for bit."""
+    agent, principal = np.array(agent, dtype=float), np.array(principal, dtype=float)
+    no_binding = np.zeros(agent.size, dtype=bool)
+    return rows_enumeration(agent, principal, np.zeros_like(principal), no_binding, tol)
+
+
 def frontier_of(agent, principal, tol=1e-9):
-    """``_frontier`` on payoff lists: (row indices, levels) as lists."""
-    order, levels = _frontier(np.array(agent, dtype=float), np.array(principal, dtype=float), tol)
-    return order.tolist(), levels.tolist()
+    """``pareto_at(1.0)`` of synthetic payoff rows: (row indices, levels)
+    as lists."""
+    ps = payoff_enumeration(agent, principal, tol).pareto_at(1.0)
+    return ps.rows.tolist(), list(ps.agent_utility_levels)
+
+
+def keep_by_row(order, principal):
+    """``_AgentOrder.keep`` of ``principal``, given by row, mapped back to
+    row order."""
+    keep = np.empty(order.order.size, dtype=bool)
+    keep[order.order] = order.keep(np.asarray(principal, dtype=float)[order.order])
+    return keep
 
 
 class PayoffRows:
@@ -271,7 +297,7 @@ class PayoffRows:
 
 
 def frontier_set(payoffs, tol=1e-9):
-    """The ParetoSet of synthetic (agent, principal) rows in ``_frontier``'s
+    """The ParetoSet of synthetic (agent, principal) rows in frontier
     order."""
     order, levels = frontier_of(*zip(*payoffs), tol)
     rows = np.array(order, dtype=np.intp)
@@ -290,7 +316,7 @@ def test_profiles_are_the_frontier_rows_in_frontier_order():
         enum = Enumeration(s)
         for alpha in (0.3, 1.0):
             ps = enum.pareto_at(alpha)
-            order, levels = _frontier(enum.agent_u, enum.principal_at(alpha), s.tol_u)
+            order, levels = frontier_oracle(enum.agent_u, enum.principal_at(alpha), s.tol_u)
             assert ps.rows.tolist() == order.tolist()
             assert ps.agent_utility_levels == tuple(levels.tolist())
             assert ps.profiles == tuple(enum.profile(i, alpha) for i in order)
@@ -298,6 +324,70 @@ def test_profiles_are_the_frontier_rows_in_frontier_order():
             at_level = [abs(p.agent_utility - sel.chosen_level) <= s.tol_u for p in ps.profiles]
             assert sel.profiles == tuple(p for p, keep in zip(ps.profiles, at_level) if keep)
             assert sel.principal.tolist() == [p.principal_payoff for p in sel.profiles]
+
+
+ORACLE_ALPHAS = (0.0, 0.3, 0.5, 1.0)
+
+
+def assert_frontier_matches_oracle(enum):
+    """``pareto_at``'s rows, principal payoffs and levels equal the
+    row-order oracle's at every alpha of ``ORACLE_ALPHAS``, bit for bit."""
+    for alpha in ORACLE_ALPHAS:
+        ps = enum.pareto_at(alpha)
+        principal = enum.principal_at(alpha)
+        rows, levels = frontier_oracle(enum.agent_u, principal, enum.scenario.tol_u)
+        assert ps.rows.tolist() == rows.tolist(), alpha
+        assert ps.principal.tobytes() == principal[rows].tobytes(), alpha
+        assert ps.agent_utility_levels == tuple(levels.tolist()), alpha
+
+
+@pytest.mark.parametrize("make", [
+    ladder_scenario, lambda: tangent_scenario(0.04, m=400), lambda: share_scenario(0.2),
+    *(lambda seed=seed: smooth_scenario(seed)[0] for seed in range(4)),
+], ids=["ladder", "tangent", "share", *(f"smooth{seed}" for seed in range(4))])
+def test_pareto_at_matches_the_row_order_oracle(make):
+    assert_frontier_matches_oracle(Enumeration(make()))
+
+
+def test_pareto_at_matches_the_row_order_oracle_on_random_panel(random_scenario_panel):
+    for _, sc in random_scenario_panel:
+        assert_frontier_matches_oracle(Enumeration(sc))
+
+
+def test_pareto_at_matches_the_row_order_oracle_on_the_ball_route_and_a_chain(monkeypatch):
+    # with small blocks the tangent enumeration takes the ball route, and a
+    # sweep link built on it scans only the newly feasible points
+    monkeypatch.setattr(agent, "_CHUNK", 64)
+    s = tangent_scenario(0.04, m=400)
+    ball = Enumeration(s)
+    assert ball.evaluations < ball.nominal_evaluations
+    assert_frontier_matches_oracle(ball)
+    link = Enumeration(s.at_capacity(0.09), below=ball)
+    assert 0 < link.evaluations < link.nominal_evaluations
+    assert_frontier_matches_oracle(link)
+
+
+@pytest.mark.parametrize("query", [
+    lambda enum: enum.pareto_at(0.5),
+    lambda enum: enum.pareto_mask(0.5),
+    lambda enum: enum.selection_ids(0.5, 0.0),
+], ids=["pareto_at", "pareto_mask", "selection_ids"])
+def test_each_alpha_query_is_one_kept_pass(query, monkeypatch):
+    enum = Enumeration(tangent_scenario(0.04, m=400))
+    calls = []
+    kept = Enumeration._kept
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return kept(self, alpha)
+
+    def refuse(self, alpha):
+        raise AssertionError("an alpha query priced every row in row order")
+
+    monkeypatch.setattr(Enumeration, "_kept", counted)
+    monkeypatch.setattr(Enumeration, "principal_at", refuse)
+    query(enum)
+    assert calls == [0.5]
 
 
 def test_filter_drops_dominated_and_keeps_ties():
@@ -319,8 +409,8 @@ def test_filter_idempotent_and_included():
     s = ladder_scenario()
     enum = Enumeration(s)
     agent, principal = enum.agent_u, enum.principal_at(1.0)
-    once, _ = _frontier(agent, principal, s.tol_u)
-    twice, _ = _frontier(agent[once], principal[once], s.tol_u)
+    once = enum.pareto_at(1.0).rows
+    twice, _ = frontier_of(agent[once], principal[once], s.tol_u)
     assert once[twice].tolist() == once.tolist()
     assert len(set(once.tolist())) == once.size
     assert 0 <= once.min() and once.max() < agent.size
@@ -365,18 +455,20 @@ def test_keep_mask_matches_brute_oracle_on_dyadic_pairs():
     for a0, p0, a1, p1 in itertools.product(grid, repeat=4):
         agent, principal = np.array([a0, a1]), np.array([p0, p1])
         want = brute_pareto_keep(agent, principal, DYADIC_TOL)
-        assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL), want)
+        assert np.array_equal(keep_by_row(_AgentOrder(agent, DYADIC_TOL), principal), want)
+        mask = payoff_enumeration(agent, principal, DYADIC_TOL).pareto_mask(1.0)
+        assert np.array_equal(mask, want)
     t = DYADIC_TOL
-    assert _pareto_keep_mask(np.array([0.0, t]), np.array([0.0, 0.0]), t).all()
-    assert _pareto_keep_mask(np.array([0.0, 0.0]), np.array([0.0, t]), t).all()
-    assert _pareto_keep_mask(np.array([0.0, 2 * t]), np.array([t, 0.0]), t).tolist() == [
-        False, True
-    ]
-    assert _pareto_keep_mask(np.array([t, 0.0]), np.array([0.0, 2 * t]), t).tolist() == [
-        False, True
-    ]
-    assert _pareto_keep_mask(np.array([0.0]), np.array([5.0]), t).tolist() == [True]
-    assert _pareto_keep_mask(np.array([]), np.array([]), t).shape == (0,)
+
+    def keep(agent, principal):
+        return keep_by_row(_AgentOrder(np.array(agent), t), principal)
+
+    assert keep([0.0, t], [0.0, 0.0]).all()
+    assert keep([0.0, 0.0], [0.0, t]).all()
+    assert keep([0.0, 2 * t], [t, 0.0]).tolist() == [False, True]
+    assert keep([t, 0.0], [0.0, 2 * t]).tolist() == [False, True]
+    assert keep([0.0], [5.0]).tolist() == [True]
+    assert keep([], []).shape == (0,)
 
 
 def test_one_agent_order_serves_every_principal_vector():
@@ -389,8 +481,9 @@ def test_one_agent_order_serves_every_principal_vector():
             for _ in range(5):
                 principal = DYADIC_TOL * rng.integers(-4, 5, n)
                 want = brute_pareto_keep(agent, principal, DYADIC_TOL)
-                assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL, order), want)
-                assert np.array_equal(_pareto_keep_mask(agent, principal, DYADIC_TOL), want)
+                assert np.array_equal(keep_by_row(order, principal), want)
+                mask = payoff_enumeration(agent, principal, DYADIC_TOL).pareto_mask(1.0)
+                assert np.array_equal(mask, want)
 
 
 def test_filter_on_dyadic_profiles_matches_brute_oracle_and_order():
@@ -398,12 +491,13 @@ def test_filter_on_dyadic_profiles_matches_brute_oracle_and_order():
     for n in range(1, 13):
         agent = DYADIC_TOL * rng.integers(-3, 4, n)
         principal = DYADIC_TOL * rng.integers(-3, 4, n)
-        order, _ = _frontier(agent, principal, DYADIC_TOL)
+        order, _ = frontier_of(agent, principal, DYADIC_TOL)
         mask = brute_pareto_keep(agent, principal, DYADIC_TOL)
         want = sorted(
             (i for i in range(n) if mask[i]), key=lambda i: (-agent[i], -principal[i], i)
         )
-        assert order.tolist() == want
+        assert order == want
+        assert order == frontier_oracle(agent, principal, DYADIC_TOL)[0].tolist()
 
 
 def test_translation_by_constant_payment():
@@ -522,15 +616,6 @@ def test_selection_ids_agree_with_select_at():
             p.identity() for p in sel.profiles
         }
         assert len(binding) == len(ids)
-
-
-def rows_enumeration(agent, exp_output, exp_payment, binding, tol):
-    """An Enumeration over given rows: the arrays its alpha queries read."""
-    enum = Enumeration.__new__(Enumeration)
-    enum.agent_u, enum.exp_output, enum.exp_payment = agent, exp_output, exp_payment
-    enum.binding = binding
-    enum.scenario = types.SimpleNamespace(tol_u=tol)
-    return enum
 
 
 def assert_selection_matches_oracle(enum, alpha, r):

@@ -16,6 +16,7 @@ from agentcap.scaling import InequalitySlacks, alpha_star, verify_theorem
 from conftest import (
     all_slack,
     base_row_oracle,
+    effort_scenario,
     ladder_scenario,
     row_keys,
     share_scenario,
@@ -117,6 +118,14 @@ def test_alpha_star_never_binding():
     assert res.alpha_star == 1.0
     assert res.bracket == (1.0, 1.0)
     assert res.slack_witness is not None
+
+
+@pytest.mark.xfail(raises=EmptySelectionError, reason=(
+    "u_bar is the base's risk-neutral level, selection compares CRRA utilities"))
+def test_alpha_star_risk_averse_agent():
+    # the CRRA agent's only utility level is 0.0405, while E[b] - c is 0.1
+    res = alpha_star(effort_scenario())
+    assert 0.0 <= res.alpha_star <= 1.0
 
 
 def test_sweep_builds_no_profile_and_the_witness_is_built_on_read(tmp_path, monkeypatch):
