@@ -4,7 +4,10 @@ With output scaled by alpha*, a debt contract with face value F splits output
 into a debt leg, a retained-equity leg, and the agent's residual; a live-or-die
 contract splits it at a threshold. Both decompositions add up to y state by
 state, and sweeping the capacity k traces how alpha* (and with it the
-debt/equity mix) moves.
+debt/equity mix) moves: the sweep enumerates the capacities in ascending k,
+each on the one below, solves all their thresholds in one lockstep
+bisection (``scaling.alpha_stars``), then reads each capacity's threshold
+with ``alpha_star``.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScalingError, ValidationError
+from .errors import AgentcapError, DegenerateScalingError, ValidationError
 from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
 from .pareto import Enumeration, EvaluationTally
-from .scaling import alpha_star
+from .scaling import alpha_star, alpha_stars
 
 
 @dataclass(frozen=True)
@@ -121,19 +124,29 @@ def sweep_alpha_star(
     the first failing k raises ValidationError naming it. Feasible sets
     grow with k, so each capacity's enumeration is built on the one below
     it and scans only the points that became feasible (see
-    ``Enumeration``); each capacity is then solved with its own base level.
-    ``budget`` caps each k's contracts times feasible points; ``tally``
-    sums the evaluation counts of the whole chain.
+    ``Enumeration``). Every capacity is then solved, with its own base
+    level, in one lockstep bisection (``alpha_stars``), which keeps each
+    threshold on its enumeration, and each capacity's is read back with
+    ``alpha_star``, one call per k as a sequential sweep makes them (the
+    per-capacity span perfbench's tracer records). The first failure in
+    ascending k wins: a capacity with no selection raises before any k above
+    it that fails to validate or enumerate. ``budget`` caps each k's
+    contracts times feasible points; ``tally`` sums the evaluation counts
+    of the whole chain.
     """
-    enum = None
-    out = []
-    for k in sorted(float(k) for k in k_grid):
-        sk = s.at_capacity(k)
-        report = validate_scenario(sk)
-        if not report:
-            raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
-        enum = Enumeration(sk, budget, below=enum)
-        if tally is not None:
-            tally.add(enum)
-        out.append((k, alpha_star(sk, enum=enum).alpha_star))
-    return out
+    ks = sorted(float(k) for k in k_grid)
+    enums: list[Enumeration] = []
+    try:
+        for k in ks:
+            sk = s.at_capacity(k)
+            report = validate_scenario(sk)
+            if not report:
+                raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
+            enums.append(Enumeration(sk, budget, below=enums[-1] if enums else None))
+            if tally is not None:
+                tally.add(enums[-1])
+    except AgentcapError:
+        alpha_stars(enums)
+        raise
+    alpha_stars(enums)
+    return [(k, alpha_star(e.scenario, enum=e).alpha_star) for k, e in zip(ks, enums)]

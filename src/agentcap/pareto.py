@@ -9,8 +9,13 @@ positions of every profile, and every alpha query (frontier, mask and
 selection) runs one pass in that order (``Enumeration._kept``): the Pareto
 filter is linear in the principal payoffs, and a selection finds only its
 own level among the undominated agent utilities, which already ascend
-(``_selection_level``, the one selection rule). That keeps repeated queries
-(bisection on alpha) cheap.
+(``_selection_level``, the one selection rule). The pass and the rule work
+on a stack of such orders, one row per enumeration, each with its own alpha
+and reservation, padded to one width (``_AgentOrder.stack``); a query of
+one enumeration is a stack of one row, and a threshold solve
+(``scaling.alpha_stars``) picks each capacity's base with ``selection_ids``,
+then bisects the thresholds of every capacity of a sweep with one pass per
+round. That keeps repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration built on the one at the next lower
@@ -33,7 +38,9 @@ and ``Distribution``, are built from it only when a caller reads ``.profiles``.
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -164,65 +171,186 @@ def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _AgentOrder:
-    """The alpha-invariant half of every alpha query.
+    """The alpha-invariant half of every alpha query, on a stack of K rows.
 
-    ``order`` sorts the agent utilities ascending (stable) and ``agent``
-    holds them in that order. At sorted position i, the weak set
-    {q: q.a >= agent[i] - tol} is the suffix from ``weak[i]`` and the strict
-    set {q: q.a > agent[i] + tol} the suffix from ``strict[i]``. ``keep``
-    decides dominance in this order; a selection stays in it, since the kept
-    agent utilities are already ascending, and only the rows chosen are
-    mapped back to row indices.
+    Row k holds profiles of one enumeration sorted by agent utility,
+    ascending and stable, then padding to the stack's width (at least one
+    position): ``order`` maps each position to its enumeration row, and
+    ``agent``, ``output``, ``payment`` and ``binding`` hold the agent
+    utility, expected output, expected payment and capacity-binding flag
+    there; ``tol`` is the rows' tol_u, one float when they share it, else a
+    column. Padding has no agent utility (NaN), no binding flag and a
+    principal payoff of -inf at every alpha, so no query keeps or selects
+    it. At position i the weak set {q: q.a >= agent[i] - tol} is the row's
+    suffix from some position w and the strict set
+    {q: q.a > agent[i] + tol} its suffix from some s (the padding when the
+    set is empty); ``weak[i]`` and ``strict[i]`` index the largest
+    principal payoff over those suffixes in ``keep``'s running maxima of
+    the reversed rows, flattened. Counted from the row's end, an index does
+    not move when the row loses positions at its start.
+
+    ``sort`` makes the one row of every profile of an enumeration
+    (``Enumeration.agent_order``); ``stack`` puts such rows together, each
+    with the reservation it is selected at (``above``, ``near``), so that
+    ``keep`` and ``_selection_level`` answer every row, at its own alpha,
+    in one pass. A selection stays in the agent order, since the kept agent
+    utilities already ascend, and only the rows chosen are mapped back to
+    row indices.
     """
 
-    __slots__ = ("order", "agent", "tol", "weak", "strict")
+    # the fields by position, in ``__init__``'s order, with the value padding holds
+    FIELDS = {"order": 0, "agent": np.nan, "weak": 0, "strict": 0,
+              "output": 0.0, "payment": np.inf, "binding": False}
+    __slots__ = ("tol", "cuts", "above", "near", *FIELDS)
 
-    def __init__(self, agent: np.ndarray, tol: float):
-        self.order = np.argsort(agent, kind="stable")
-        self.agent = a_s = agent[self.order]
-        self.tol = tol
-        self.weak = np.searchsorted(a_s, a_s - tol, side="left")
-        self.strict = np.searchsorted(a_s, a_s + tol, side="right")
+    def __init__(self, tol, order, agent, weak, strict, output, payment, binding):
+        self.tol, self.order, self.agent, self.weak, self.strict = tol, order, agent, weak, strict
+        self.output, self.payment, self.binding = output, payment, binding
+        self.cuts = self.above = self.near = None
+
+    @classmethod
+    def sort(cls, enum: Enumeration) -> _AgentOrder:
+        """One row: every profile of ``enum``."""
+        tol = enum.scenario.tol_u
+        order = np.argsort(enum.agent_u, kind="stable")
+        n = order.size
+        # the fields as rows of three blocks, each with its padding position
+        f, i, binding = np.empty((3, n + 1)), np.empty((3, n + 1), np.intp), np.empty((1, n + 1), bool)
+        f[:, n] = [cls.FIELDS[name] for name in ("agent", "output", "payment")]
+        i[:, n], binding[0, n] = cls.FIELDS["order"], cls.FIELDS["binding"]
+        a_s = f[0, :n]
+        for src, out in ((enum.agent_u, a_s), (enum.exp_output, f[1, :n]),
+                         (enum.exp_payment, f[2, :n]), (enum.binding, binding[0, :n])):
+            src.take(order, out=out)
+        i[0, :n] = order
+        np.subtract(n, a_s.searchsorted(a_s - tol, side="left"), out=i[1, :n])
+        np.subtract(n, a_s.searchsorted(a_s + tol, side="right"), out=i[2, :n])
+        return cls(tol, i[:1], f[:1], i[1:2], i[2:], f[1:2], f[2:], binding)
+
+    @classmethod
+    def stack(cls, rows: Sequence[tuple[_AgentOrder, float]]) -> _AgentOrder:
+        """The one-row orders ``o`` of ``rows``, selected at reservation
+        ``r``: ``above`` marks the profiles >= r - tol, and ``near`` lists
+        the rows whose last profile below r - tol lies within tol of the
+        first one above, where a selection may need the greedy walk.
+
+        One row is ``o``'s arrays. Several are padded to one width, each
+        from its highest cut at or below the first profile >= r - tol. A
+        cut is position 0, or one whose gap to its lower neighbour is wider
+        than tol and puts that neighbour outside its weak set: nothing
+        below it can be selected at r, dominate a profile above it or join
+        a cluster with one. A one-row order finds its cuts when it is first
+        stacked with others."""
+        floors = [r - o.tol for o, r in rows]
+        firsts = [int(o.agent[0].searchsorted(f, side="left")) for (o, _), f in zip(rows, floors)]
+        near = [i for i, ((o, _), p) in enumerate(zip(rows, firsts)) if _narrow(o.agent[0, :-1], p, o.tol)]
+        if len(rows) == 1:
+            o = rows[0][0]
+            st = cls(o.tol, o.order, o.agent, o.weak, o.strict, o.output, o.payment, o.binding)
+            st.above, st.near = st.agent >= floors[0], near
+            return st
+        starts = []
+        for (o, _), p in zip(rows, firsts):
+            if o.cuts is None:
+                a_s = o.agent[0, :-1]
+                wide = (a_s[1:] - a_s[:-1] > o.tol) & (a_s[1:] - o.tol > a_s[:-1])
+                o.cuts = np.concatenate(([0], wide.nonzero()[0] + 1))
+            starts.append(int(o.cuts[o.cuts.searchsorted(p, side="right") - 1]))
+        tols = {o.tol for o, _ in rows}
+        tol = tols.pop() if len(tols) == 1 else np.array([[o.tol] for o, _ in rows])
+        lengths = [o.order.shape[1] - 1 - g for (o, _), g in zip(rows, starts)]
+        width = max(lengths, default=0) + 1
+        filled = np.arange(width) < np.array(lengths, dtype=np.intp).reshape(-1, 1)
+        # a row's indices count from its end, which moves to the stack's end
+        shift = np.repeat([(i + 1) * width - 1 - n for i, n in enumerate(lengths)], lengths)
+        fields = []
+        for name, pad in cls.FIELDS.items():
+            fields.append(field := np.full((len(rows), width), pad))
+            values = np.concatenate([np.empty(0, field.dtype),
+                                     *(getattr(o, name)[0, g:-1] for (o, _), g in zip(rows, starts))])
+            field[filled] = values + shift if name in ("weak", "strict") else values
+        st = cls(tol, *fields)
+        st.above, st.near = st.agent >= np.array(floors).reshape(-1, 1), near
+        return st
+
+    def take(self, rows: np.ndarray) -> _AgentOrder:
+        """The stack of the given rows, in that order."""
+        st = _AgentOrder(self.tol[rows] if isinstance(self.tol, np.ndarray) else self.tol,
+                         *(getattr(self, name)[rows] for name in self.FIELDS))
+        shift = ((np.arange(rows.size) - rows) * self.order.shape[1])[:, None]
+        st.weak += shift
+        st.strict += shift
+        st.above = self.above[rows]
+        near = set(self.near)
+        st.near = [j for j, i in enumerate(rows.tolist()) if i in near]
+        return st
+
+    def principal(self, alpha) -> np.ndarray:
+        """Principal payoffs at output scale ``alpha``: one scale for every
+        row, or a column of one per row."""
+        return alpha * self.output - self.payment
 
     def keep(self, principal: np.ndarray) -> np.ndarray:
-        """Mask, by sorted position, of the profiles not dominated under the
+        """Mask, by position, of the profiles not dominated under the
         tolerance rule, for principal payoffs in this order: q dominates x
         when q is weakly better in both coordinates (within tol) and strictly
         better than tol in at least one. With ``best`` the largest principal
-        payoff over a suffix, x is dominated when best over its strict set
-        is >= x.p - tol, or best over its weak set is > x.p + tol."""
-        n = principal.size
-        best = np.empty(n + 1)
-        best[n] = -np.inf
-        np.maximum.accumulate(principal[::-1], out=best[:n][::-1])
-        dominated = best[self.strict] >= principal - self.tol
-        dominated |= best[self.weak] > principal + self.tol
-        return ~dominated
+        payoff over a suffix of the row, x is dominated when best over its
+        strict set is >= x.p - tol, or best over its weak set is > x.p + tol."""
+        best = np.maximum.accumulate(principal[:, ::-1], axis=1).ravel()
+        return (best[self.strict] < principal - self.tol) & (best[self.weak] <= principal + self.tol)
+
+    def select(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's selection at its reservation, and at its own output
+        scale, given as a column, from one ``keep`` pass:
+        ``_selection_level``'s levels and mask."""
+        return _selection_level(self.agent, self.keep(self.principal(alpha)), self.above, self.tol,
+                                self.near)
 
 
-def _selection_level(agent: np.ndarray, r: float, tol: float) -> tuple[float, np.ndarray]:
-    """The selection rule on ascending agent utilities: the lowest level
-    (``_cluster_levels`` of ``agent``) >= r - tol, and the mask of the
+def _narrow(a_s: np.ndarray, p: int, tol: float) -> bool:
+    """Whether the ascending values ``a_s`` have one before position ``p``
+    within tol of the one at ``p``: only then can a selection whose first
+    candidate sits at ``p`` need the greedy walk."""
+    return 0 < p < a_s.size and a_s[p] - a_s[p - 1] <= tol
+
+
+def empty_selection(r: float) -> EmptySelectionError:
+    """The error of a selection at reservation ``r`` with no level."""
+    return EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
+
+
+def _selection_level(agent: np.ndarray, kept, above: np.ndarray, tol, near) -> tuple[np.ndarray, np.ndarray]:
+    """The selection rule on K rows of ascending agent utilities, of which
+    ``kept`` marks the ones that count and ``above`` those >= the row's
+    r - tol, for a reservation r and a tolerance ``tol`` per row (a float,
+    or a column): each row's lowest level (``_cluster_levels`` of its kept
+    values) >= r - tol, NaN when none qualifies, and the mask of the kept
     values within tol of it.
 
-    Levels below the first value >= r - tol cannot qualify, and a gap wider
-    than tol always opens a cluster, so the greedy walk starts at the narrow
-    run holding that value and stops at the first cluster start from it on.
-
-    Raises EmptySelectionError when no level qualifies; the underlying theory
-    leaves that case undefined, so it is signalled rather than guessed.
+    Levels below the first kept value >= r - tol cannot qualify, and a gap
+    wider than tol always opens a cluster, so that value is the level
+    unless a kept value below r - tol lies within tol of it, which only
+    the rows listed in ``near`` can have. There the greedy walk starts at
+    the narrow run holding it and stops at the first cluster start from it
+    on. No level is the case the underlying theory leaves undefined;
+    callers signal it (``empty_selection``) rather than guess.
     """
-    n = agent.size
-    c = j = int(np.searchsorted(agent, r - tol, side="left"))
-    if j < n:
-        wide = np.flatnonzero(np.diff(agent[: j + 1]) > tol)
+    first = np.where(kept & above, agent, np.nan)
+    level = np.fmin.reduce(first, axis=1, initial=np.nan)
+    at = first - level[:, None] <= tol
+    for k in near:
+        t = tol[k, 0] if isinstance(tol, np.ndarray) else tol
+        if not (kept[k] & ~above[k] & (np.abs(agent[k] - level[k]) <= t)).any():
+            continue
+        a_s, j = agent[k][kept[k]], int(np.count_nonzero(kept[k] > above[k]))
+        wide = np.flatnonzero(np.diff(a_s[: j + 1]) > t)
         c = int(wide[-1]) + 1 if wide.size else 0
         while c < j:
-            c += int(np.searchsorted(agent[c:] - agent[c], tol, side="right"))
-    if c == n:
-        raise EmptySelectionError(f"no Pareto profile meets reservation {r!r}")
-    chosen = float(agent[c])
-    return chosen, np.abs(agent - chosen) <= tol
+            c += int(np.searchsorted(a_s[c:] - a_s[c], t, side="right"))
+        level[k] = a_s[c] if c < a_s.size else np.nan
+        at[k] = kept[k] & (np.abs(agent[k] - level[k]) <= t)
+    return level, at
 
 
 class Enumeration:
@@ -344,34 +472,29 @@ class Enumeration:
 
     def _principal(self, alpha: float, rows) -> np.ndarray:
         """Principal payoffs of ``rows`` (any index) at output scale
-        ``alpha``, entry by entry those of ``principal_at``; raises
-        ConfigurationError unless alpha lies in [0, 1]."""
+        ``alpha``; raises ConfigurationError unless alpha lies in [0, 1]."""
         return check_alpha(alpha) * self.exp_output[rows] - self.exp_payment[rows]
 
-    def principal_at(self, alpha: float) -> np.ndarray:
-        """Principal payoffs of every row at output scale ``alpha``. The
-        alpha queries compute the same values in the agent order
-        (``_kept``)."""
-        return self._principal(alpha, slice(None))
+    @cached_property
+    def thresholds(self) -> dict[float, dict]:
+        """The capacity-slack thresholds solved on this enumeration, by
+        bisection width: ``scaling.alpha_stars`` records each as the fields
+        of its ``AlphaStarResult`` but the enumeration, and reads it back
+        instead of solving again."""
+        return {}
 
     @cached_property
     def agent_order(self) -> _AgentOrder:
-        """The agent-utility order every alpha query reuses."""
-        return _AgentOrder(self.agent_u, self.scenario.tol_u)
-
-    @cached_property
-    def _sorted_payoff_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """``exp_output`` and ``exp_payment`` in the agent order."""
-        order = self.agent_order.order
-        return self.exp_output[order], self.exp_payment[order]
+        """The agent-utility order every alpha query reuses: one row."""
+        return _AgentOrder.sort(self)
 
     def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """The one dominance pass of every alpha query: the ascending
-        agent-order positions of the undominated rows, and every row's
-        principal payoff at ``alpha`` in the agent order."""
-        y, pay = self._sorted_payoff_parts
-        principal = check_alpha(alpha) * y - pay
-        return np.flatnonzero(self.agent_order.keep(principal)), principal
+        """The one dominance pass of every alpha query: the mask of the
+        undominated positions of ``agent_order``'s row, and every profile's
+        principal payoff at ``alpha`` in that order."""
+        ao = self.agent_order
+        principal = ao.principal(check_alpha(alpha))
+        return ao.keep(principal), principal
 
     def pareto_mask(self, alpha: float) -> np.ndarray:
         """The undominated rows at ``alpha``, as a mask by row."""
@@ -383,7 +506,7 @@ class Enumeration:
         """The frontier at ``alpha``. The kept agent utilities ascend and
         the agent order is stable, so a stable sort by agent utility, then
         principal payoff, both descending, leaves exact ties in row order."""
-        ao = self.agent_order
+        ao, tol = self.agent_order, self.scenario.tol_u
         kept, principal = self._kept(alpha)
         agent, principal = ao.agent[kept], principal[kept]
         at = np.lexsort((-principal, -agent))
@@ -392,22 +515,23 @@ class Enumeration:
             alpha=float(alpha),
             rows=ao.order[kept][at],
             principal=principal[at],
-            agent_utility_levels=tuple(_cluster_levels(agent, ao.tol).tolist()),
-            tol_u=ao.tol,
+            agent_utility_levels=tuple(_cluster_levels(agent, tol).tolist()),
+            tol_u=tol,
         )
 
     def selection_ids(self, alpha: float, r: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(chosen_level, profile indices at that level, binding flags).
 
         The rows of select(pareto_at(alpha), r), ascending instead of in
-        frontier order; the scaling predicate needs only ids and binding
-        flags. The level is found among ``_kept``'s agent utilities, which
-        already ascend."""
-        ao = self.agent_order
+        frontier order, from the selection rule on ``_kept``'s agent
+        utilities, which already ascend."""
+        ao = _AgentOrder.stack([(self.agent_order, r)])
         kept, _ = self._kept(alpha)
-        chosen, at = _selection_level(ao.agent[kept], r, ao.tol)
-        rows = np.sort(ao.order[kept[at]])
-        return chosen, rows, self.binding[rows]
+        (level,), at = _selection_level(ao.agent, kept, ao.above, ao.tol, ao.near)
+        if math.isnan(level):
+            raise empty_selection(r)
+        rows = np.sort(ao.order[at])
+        return float(level), rows, self.binding[rows]
 
     def columns(self, rows: np.ndarray, principal: np.ndarray) -> Columns:
         """The rendered fields of ``rows``, whose principal payoffs are
@@ -449,8 +573,14 @@ def select(ps: ParetoSet, r: float) -> Selection:
     leaves that case undefined, so it is signalled rather than guessed.
     """
     # frontier order runs by agent utility descending, so reversed it ascends
-    chosen, at = _selection_level(ps.enumeration.agent_u[ps.rows[::-1]], r, ps.tol_u)
-    at = at[::-1]
+    agent, floor = ps.enumeration.agent_u[ps.rows[::-1]], r - ps.tol_u
+    near = [0] if _narrow(agent, int(agent.searchsorted(floor, side="left")), ps.tol_u) else []
+    agent = agent[None]
+    kept = np.ones(agent.shape, dtype=bool)
+    (level,), at = _selection_level(agent, kept, agent >= floor, ps.tol_u, near)
+    if math.isnan(level):
+        raise empty_selection(r)
+    at = at[0, ::-1]
     return Selection(
-        parent=ps, r=float(r), chosen_level=chosen, rows=ps.rows[at], principal=ps.principal[at]
+        parent=ps, r=float(r), chosen_level=float(level), rows=ps.rows[at], principal=ps.principal[at]
     )

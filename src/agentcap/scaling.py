@@ -4,11 +4,20 @@ alpha* is the largest output scale at which the selected Pareto profiles all
 leave the capacity constraint slack. Above it some selected profile pins the
 constraint, and the payoff comparisons in ``verify_theorem`` certify how the
 scaled problem relates to the unscaled one.
+
+``alpha_stars`` is the one threshold solve: after each enumeration's base
+pick it bisects the thresholds of several enumerations (the capacities of a
+sweep) in lockstep, every round one dominance pass and one selection over a
+stack of their agent orders, one alpha per row, and keeps each threshold on
+its enumeration. ``alpha_star`` solves one enumeration with it, or reads the
+threshold already kept there, and ``verify_theorem`` selects at every tested
+alpha in one more pass over the enumeration repeated, one alpha per row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -16,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptySelectionError
 from .model import Profile, Scenario, check_alpha
-from .pareto import Enumeration
+from .pareto import Enumeration, _AgentOrder, empty_selection
 
 DEFAULT_EPS_ALPHA = 1e-4
 
@@ -134,6 +143,14 @@ class TheoremReport:
         return res.enumeration.profile(res.base_row, 1.0)
 
 
+def check_eps(eps: float) -> None:
+    """Raises ConfigurationError unless the bisection width ``eps`` is
+    positive and finite (NaN fails too; an infinite width would stop the
+    bisection before its first predicate call)."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError("bisection width must be positive and finite")
+
+
 def alpha_star(
     s: Scenario,
     eps: float = DEFAULT_EPS_ALPHA,
@@ -141,78 +158,140 @@ def alpha_star(
     enum: Enumeration | None = None,
 ) -> AlphaStarResult:
     """Bisect for the largest alpha whose selection at the base's
-    risk-neutral level is capacity slack.
+    risk-neutral level is capacity slack: ``alpha_stars`` of one
+    enumeration.
 
-    ``enum`` is an enumeration of ``s`` built beforehand (a capacity sweep
-    chains them); ``budget`` applies only when it is built here. Raises
-    ConfigurationError unless the bisection width ``eps`` is positive and
-    finite (NaN fails too; an infinite width would stop the bisection
-    before its first predicate call).
+    ``enum`` is an enumeration of ``s`` built beforehand; ``budget`` applies
+    only when it is built here. A threshold already solved on ``enum`` at
+    ``eps`` (a sweep solves its capacities together) is read, not solved
+    again. ``eps`` passes ``check_eps`` before anything is built.
     """
-    if not 0.0 < eps < math.inf:
-        raise ConfigurationError("bisection width must be positive and finite")
+    check_eps(eps)
     if enum is None:
         enum = Enumeration(s, budget)
     elif enum.scenario != s:
         raise ConfigurationError("enumeration was built for another scenario")
-    # rows ascend in (contract_id, point_id), so argmax's first maximum is
-    # the tie-break by contract, then point
-    base_level, base_rows, _ = enum.selection_ids(1.0, s.reservation)
-    base_row = int(base_rows[np.argmax(enum._principal(1.0, base_rows))])
-    u_bar = float(enum.exp_payment[base_row] - enum.cost[base_row])
+    return alpha_stars([enum], eps)[0]
 
-    trace: list[tuple[float, bool]] = []
-    held: dict[float, np.ndarray] = {}  # the slack selections, by alpha
 
-    def pred(alpha: float) -> bool:
-        """True when no row selected at (alpha, u_bar) is capacity-binding."""
-        _, ids, binding = enum.selection_ids(alpha, u_bar)
-        if slack := not binding.any():
-            held[alpha] = ids
-        trace.append((float(alpha), slack))
-        return slack
+def alpha_stars(enums: Sequence[Enumeration], eps: float = DEFAULT_EPS_ALPHA) -> list[AlphaStarResult]:
+    """The threshold of every enumeration's scenario, bisected in lockstep.
 
-    if pred(1.0):
-        star, bracket = 1.0, (1.0, 1.0)
-    elif not pred(0.0):
-        # the slack region is empty; sup over an empty set, reported as 0
-        star, bracket = 0.0, (0.0, 0.0)
-    else:
-        lo, hi = 0.0, 1.0
-        while hi - lo > eps:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                lo = mid
+    Each enumeration first picks its base: ``selection_ids`` at alpha = 1
+    and its scenario's reservation. Then each round makes one dominance
+    pass and one selection for every threshold still open, one alpha and
+    one reservation per row (``_AgentOrder.stack``): the predicate at 1, at
+    0 and at each bisection step, at the base's risk-neutral level. Every
+    bisection halves [0, 1], so the rows still bisecting close together,
+    and a solve makes at most 2 + ceil(log2(1 / eps)) rounds, however many
+    enumerations it takes. A row with no selection drops out; once every
+    row is done, the first such row in the order given raises its
+    EmptySelectionError, as solving them one after another would.
+
+    Each threshold solved is kept on its enumeration
+    (``Enumeration.thresholds``, by ``eps``), and one kept there is read
+    instead of solved again.
+    """
+    check_eps(eps)
+    todo = [e for e in enums if eps not in e.thresholds]
+    if todo:
+        _bisect(todo, eps)
+    return [AlphaStarResult(**e.thresholds[eps], enumeration=e) for e in enums]
+
+
+def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
+    """``alpha_stars``'s solve: records the threshold of every enumeration
+    whose selections never come up empty in ``thresholds[eps]``, then
+    raises the first row's EmptySelectionError, if any."""
+    failures: dict[int, EmptySelectionError] = {}
+
+    # the base picks: rows ascend in (contract_id, point_id), so argmax's
+    # first maximum is the tie-break by contract, then point
+    bases = {}
+    for k, e in enumerate(enums):
+        try:
+            level, rows, _ = e.selection_ids(1.0, e.scenario.reservation)
+        except EmptySelectionError as exc:
+            failures[k] = exc
+            continue
+        row = int(rows[np.argmax(e._principal(1.0, rows))])
+        bases[k] = (level, rows, row, float(e.exp_payment[row] - e.cost[row]))
+
+    # the predicate rounds, on the rows of one stack cut at each u_bar, by
+    # position i in it; ``pending`` holds the alpha each open row asks next
+    live = list(bases)
+    u_bar = [bases[k][3] for k in live]
+    st = _AgentOrder.stack([(enums[k].agent_order, u) for k, u in zip(live, u_bar)])
+    at = list(range(len(live)))
+    pending = dict.fromkeys(at, 1.0)
+    traces: list[list[tuple[float, bool]]] = [[] for _ in live]
+    brackets: dict[int, tuple[float, float]] = {}
+    lo, hi = [0.0] * len(live), [1.0] * len(live)
+    # each row's selection where its predicate last held: (stack, mask, row)
+    held: dict[int, tuple[_AgentOrder, np.ndarray, int]] = {}
+    while pending:
+        if len(pending) < len(at):
+            rows = [j for j, i in enumerate(at) if i in pending]
+            at, st = [at[j] for j in rows], st.take(np.array(rows))
+        alphas = [pending.pop(i) for i in at]
+        levels, chosen = st.select(np.array(alphas)[:, None])
+        binds = np.logical_or.reduce(chosen & st.binding, axis=1)
+        for j, (i, alpha, level, bind) in enumerate(zip(at, alphas, levels.tolist(), binds.tolist())):
+            if math.isnan(level):
+                failures[live[i]] = empty_selection(u_bar[i])
+                continue
+            traces[i].append((alpha, not bind))
+            if not bind:
+                held[i] = (st, chosen, j)
+            n = len(traces[i])
+            if n == 1 and not bind:  # slack at alpha = 1
+                brackets[i] = (1.0, 1.0)
+            elif n == 1:
+                pending[i] = 0.0
+            elif n == 2 and bind:
+                # the slack region is empty; sup over an empty set, reported as 0
+                brackets[i] = (0.0, 0.0)
             else:
-                hi = mid
-        star, bracket = lo, (lo, hi)
-    # the witness is the member of highest cost, so closest to capacity, of
-    # the selection made where the predicate last held
-    wit_alpha = star if star in held else None
-    wit = None if wit_alpha is None else int(held[star][np.argmax(enum.cost[held[star]])])
+                if n > 2:
+                    (hi if bind else lo)[i] = alpha
+                if hi[i] - lo[i] > eps:
+                    pending[i] = 0.5 * (lo[i] + hi[i])
+                else:
+                    brackets[i] = (lo[i], hi[i])
 
-    seen_false = False
-    warning = False
-    for _, ok in sorted(trace):
-        if not ok:
-            seen_false = True
-        elif seen_false:
-            warning = True
-            break
-
-    return AlphaStarResult(
-        alpha_star=star,
-        bracket=bracket,
-        base_row=base_row,
-        base_level=base_level,
-        u_bar=u_bar,
-        predicate_trace=tuple(trace),
-        witness_row=wit,
-        witness_alpha=wit_alpha,
-        monotone_warning=warning,
-        enumeration=enum,
-        base_rows=base_rows,
-    )
+    for i, k in enumerate(live):
+        if k in failures:
+            continue
+        e, (level, rows, row, u) = enums[k], bases[k]
+        star, trace = brackets[i][0], traces[i]
+        # the witness is the member of highest cost, so closest to capacity,
+        # of the selection made where the predicate last held, at the star
+        wit = wit_alpha = None
+        if i in held:
+            hst, selected, j = held[i]
+            ids = np.sort(hst.order[j][selected[j]])
+            wit, wit_alpha = int(ids[np.argmax(e.cost[ids])]), star
+        seen_false = warning = False
+        for _, flag in sorted(trace):
+            if not flag:
+                seen_false = True
+            elif seen_false:
+                warning = True
+                break
+        e.thresholds[eps] = dict(
+            alpha_star=star,
+            bracket=brackets[i],
+            base_row=row,
+            base_level=level,
+            u_bar=u,
+            predicate_trace=tuple(trace),
+            witness_row=wit,
+            witness_alpha=wit_alpha,
+            monotone_warning=warning,
+            base_rows=rows,
+        )
+    if failures:
+        raise failures[min(failures)]
 
 
 def _fieldwise_min(slacks: list[InequalitySlacks]) -> InequalitySlacks:
@@ -253,17 +332,25 @@ def verify_theorem(
     if alphas is None:
         alphas = np.round(np.linspace(0.0, 1.0, 11), 12)
 
+    alphas = [check_alpha(float(alpha)) for alpha in alphas]
+    # the selections at every alpha past the bracket, from one pass over the
+    # enumeration repeated, one alpha per row
+    past = [alpha for alpha in alphas if alpha >= res.bracket[1]]
+    stack = _AgentOrder.stack([(enum.agent_order, res.u_bar)] * len(past))
+    levels, chosen = stack.select(np.array(past)[:, None])
+    picks = zip(levels.tolist(), stack.order, chosen)
+
     checks: list[AlphaCheck] = []
     for alpha in alphas:
-        alpha = check_alpha(float(alpha))
         if alpha < res.bracket[1]:
             checks.append(AlphaCheck(alpha, reason="below the capacity-slack threshold bracket"))
             continue
-        try:
-            _, ids, binding = enum.selection_ids(alpha, res.u_bar)
-        except EmptySelectionError:
+        level, order, selected = next(picks)
+        if math.isnan(level):
             checks.append(AlphaCheck(alpha, reason="selection empty at this alpha"))
             continue
+        ids = np.sort(order[selected])
+        binding = enum.binding[ids]
         if not binding.any():
             checks.append(AlphaCheck(alpha, reason="selection has no capacity-binding member"))
             continue

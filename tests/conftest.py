@@ -30,17 +30,19 @@ from agentcap.model import (
     Scenario,
     StateSpace,
     TableCost,
+    check_alpha,
     cost,
     simplex_lattice,
 )
 from agentcap.errors import (
+    ConfigurationError,
     EmptySelectionError,
     InteriorityError,
     SingularJacobianError,
     UnsupportedCostError,
 )
 from agentcap.pareto import Enumeration, _cluster_levels
-from agentcap.scaling import InequalitySlacks, alpha_star
+from agentcap.scaling import DEFAULT_EPS_ALPHA, AlphaStarResult, InequalitySlacks, alpha_star
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +412,64 @@ def all_slack(enum, alpha, u_bar):
     return not enum.binding[ids].any()
 
 
+def principal_at(enum, alpha):
+    """Principal payoffs of every row of ``enum`` at output scale ``alpha``,
+    in row order; the alpha queries compute the same values in the agent
+    order."""
+    return check_alpha(alpha) * enum.exp_output - enum.exp_payment
+
+
 def base_row_oracle(enum, r):
     """The base pick by a three-key sort: the highest principal payoff at
     alpha = 1 in the unscaled selection at ``r``, ties broken by contract,
     then point id."""
     _, ids, _ = enum.selection_ids(1.0, r)
-    pr = enum.principal_at(1.0)[ids]
+    pr = principal_at(enum, 1.0)[ids]
     order = np.lexsort((enum.point_id[ids], enum.contract_id[ids], -pr))
     return int(ids[order[0]])
+
+
+def alpha_star_oracle(enum, eps=DEFAULT_EPS_ALPHA):
+    """``scaling.alpha_star`` on ``enum`` one predicate at a time: the base
+    pick, then the predicate at 1, at 0 and at each bisection step, each
+    from its own ``Enumeration.selection_ids``, the witness from the
+    selection made where the predicate last held."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError("bisection width must be positive and finite")
+    base_level, base_rows, _ = enum.selection_ids(1.0, enum.scenario.reservation)
+    base_row = int(base_rows[np.argmax(principal_at(enum, 1.0)[base_rows])])
+    u_bar = float(enum.exp_payment[base_row] - enum.cost[base_row])
+    trace, held = [], {}
+
+    def pred(alpha):
+        _, ids, binding = enum.selection_ids(alpha, u_bar)
+        if slack := not binding.any():
+            held[alpha] = ids
+        trace.append((float(alpha), slack))
+        return slack
+
+    if pred(1.0):
+        star, bracket = 1.0, (1.0, 1.0)
+    elif not pred(0.0):
+        star, bracket = 0.0, (0.0, 0.0)
+    else:
+        lo, hi = 0.0, 1.0
+        while hi - lo > eps:
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+        star, bracket = lo, (lo, hi)
+    wit_alpha = star if star in held else None
+    wit = None if wit_alpha is None else int(held[star][np.argmax(enum.cost[held[star]])])
+    flags = [ok for _, ok in sorted(trace)]
+    warning = any(ok for ok in flags[flags.index(False):]) if False in flags else False
+    return AlphaStarResult(
+        alpha_star=star, bracket=bracket, base_row=base_row, base_level=base_level,
+        u_bar=u_bar, predicate_trace=tuple(trace), witness_row=wit, witness_alpha=wit_alpha,
+        monotone_warning=warning, enumeration=enum, base_rows=base_rows,
+    )
 
 
 def row_keys(enum, ids):

@@ -62,6 +62,7 @@ from conftest import (
     collect_random_scenarios,
     dated_case,
     ladder_scenario,
+    principal_at,
     share_scenario,
     share_scenario3,
     smooth_scenario,
@@ -292,7 +293,7 @@ def test_08_stationarity_system_and_affine_form(capsys):
             pr_kkt = float(p @ (sc.y.as_array() - b))
             enum = Enumeration(sc)
             _, ids, _ = enum.selection_ids(1.0, sc.reservation)
-            j = int(ids[np.argmax(enum.principal_at(1.0)[ids])])
+            j = int(ids[np.argmax(principal_at(enum, 1.0)[ids])])
             prof = enum.profile(j, 1.0)
             db = float(np.abs(np.array(prof.contract.payments) - b).max())
             dp = float(np.abs(np.array(prof.dist.probs) - p).max())

@@ -21,7 +21,7 @@ from agentcap.errors import (
 )
 from agentcap.model import OutputFunction
 from agentcap.pareto import Enumeration
-from agentcap.scaling import alpha_star
+from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_star
 
 from conftest import smooth_scenario, tangent_scenario
 
@@ -184,13 +184,13 @@ def test_sweep_enumerations_match_fresh_ones(case, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(agent, "_CHUNK", chunk)
     seen = []
-    solve = capstruct.alpha_star
+    solve = capstruct.alpha_stars
 
-    def spy(sk, **kwargs):
-        seen.append(kwargs["enum"])
-        return solve(sk, **kwargs)
+    def spy(enums):
+        seen.extend(enums)
+        return solve(enums)
 
-    monkeypatch.setattr(capstruct, "alpha_star", spy)
+    monkeypatch.setattr(capstruct, "alpha_stars", spy)
     got = sweep_alpha_star(s, ks)
     assert [e.scenario.capacity for e in seen] == [k for k, _ in got] == sorted(ks)
     for chained in seen:
@@ -198,3 +198,28 @@ def test_sweep_enumerations_match_fresh_ones(case, monkeypatch):
         for name in ("contract_id", "point_id", "binding"):
             assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
         assert np.abs(chained.agent_u - fresh.agent_u).max() <= 1e-12
+
+
+def test_sweep_reads_each_capacity_with_alpha_star(monkeypatch):
+    # one lockstep solve, then one alpha_star call per capacity, in ascending
+    # k, on that capacity's enumeration, which finds its threshold solved
+    s = tangent_scenario(0.02, m=400)
+    ks = [0.07, 0.0399, 0.05, 0.05, 0.01]
+    calls, solves = [], []
+    read, solve = capstruct.alpha_star, capstruct.alpha_stars
+
+    def spy_read(sk, enum):
+        calls.append((sk.capacity, enum.scenario is sk, set(enum.thresholds)))
+        return read(sk, enum=enum)
+
+    def spy_solve(enums):
+        solves.append(len(enums))
+        return solve(enums)
+
+    monkeypatch.setattr(capstruct, "alpha_star", spy_read)
+    monkeypatch.setattr(capstruct, "alpha_stars", spy_solve)
+    got = sweep_alpha_star(s, ks)
+    assert solves == [len(ks)]
+    solved = {DEFAULT_EPS_ALPHA}
+    assert calls == [(k, True, solved) for k in sorted(ks)]
+    assert got == [(k, alpha_star(s.at_capacity(k)).alpha_star) for k in sorted(ks)]

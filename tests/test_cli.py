@@ -513,6 +513,41 @@ def test_exit_code_empty_selection(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def tight_file(tmp_path):
+    """The tangent fixture with reservation 0.001, which no profile meets
+    at capacity 0, where only the zero-cost point is feasible."""
+    path = tmp_path / "tight.json"
+    save_scenario(dataclasses.replace(tangent_scenario(0.04, m=200), reservation=0.001), path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-grid", "0.04,0,inf"],
+    ["--k-grid", "0.04,0", "--budget", "900"],
+], ids=["validation-above", "budget-above"])
+def test_exit_code_sweep_raises_the_lowest_failing_capacity(tight_file, tmp_path, capsys, flags):
+    # solved one capacity after another, k = 0 fails before the k above it is
+    # validated or enumerated (900 contracts fit the budget only at k = 0)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(tight_file), "--out", str(out), *flags]) == 5
+    assert capsys.readouterr().err == "agentcap: no Pareto profile meets reservation 0.001\n"
+    assert not out.exists()
+
+
+def test_exit_code_sweep_with_a_repeated_failing_capacity(tight_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--scenario", str(tight_file), "--out", str(out), "--k-grid", "inf,0,0.04,0"]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "agentcap: no Pareto profile meets reservation 0.001\n"
+    assert not out.exists()
+    argv[-1] = "0.04,0.01,0.04,0.01"
+    assert main(argv) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[0] for r in rows] == ["0.01", "0.01", "0.04", "0.04"]
+    assert rows[0] == rows[1] and rows[2] == rows[3]
+
+
 def test_exit_code_solver_failures(share_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["kkt", "--scenario", str(share_file), "--out", str(out), "--max-iter", "0"])

@@ -34,6 +34,8 @@ REMOVED = [
     (pareto, "_frontier"),
     (pareto, "_pareto_keep_mask"),
     (pareto.Enumeration, "_profile"),
+    (pareto.Enumeration, "principal_at"),
+    (pareto.Enumeration, "_sorted_payoff_parts"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

@@ -37,6 +37,7 @@ from conftest import (
     frontier_oracle,
     ladder_scenario,
     make_profile,
+    principal_at,
     selection_ids_oracle,
     share_scenario,
     smooth_scenario,
@@ -209,7 +210,7 @@ def test_surviving_ties_keep_their_point_ids():
 @pytest.mark.parametrize("alpha", [1.5, -3.0, float("nan"), float("inf")])
 def test_alpha_queries_reject_alpha_outside_unit_interval(alpha):
     enum = Enumeration(tangent_scenario(0.04, m=200))
-    queries = [enum.principal_at, enum.pareto_at, enum.pareto_mask,
+    queries = [enum.pareto_at, enum.pareto_mask,
                lambda a: enum.profile(0, a), lambda a: enum.selection_ids(a, 0.0)]
     for query in queries:
         with pytest.raises(ConfigurationError, match="alpha"):
@@ -274,11 +275,18 @@ def frontier_of(agent, principal, tol=1e-9):
     return ps.rows.tolist(), list(ps.agent_utility_levels)
 
 
+def agent_order(agent, tol):
+    """The one-row ``_AgentOrder`` of synthetic agent utilities."""
+    agent = np.array(agent, dtype=float)
+    return payoff_enumeration(agent, np.zeros_like(agent), tol).agent_order
+
+
 def keep_by_row(order, principal):
-    """``_AgentOrder.keep`` of ``principal``, given by row, mapped back to
-    row order."""
-    keep = np.empty(order.order.size, dtype=bool)
-    keep[order.order] = order.keep(np.asarray(principal, dtype=float)[order.order])
+    """``_AgentOrder.keep`` of ``principal``, given by row, on a one-row
+    order, mapped back to row order; the row's padding prices at -inf."""
+    rows = order.order[0, :-1]
+    keep = np.empty(rows.size, dtype=bool)
+    keep[rows] = order.keep(np.append(np.asarray(principal, dtype=float)[rows], -np.inf)[None])[0, :-1]
     return keep
 
 
@@ -316,7 +324,7 @@ def test_profiles_are_the_frontier_rows_in_frontier_order():
         enum = Enumeration(s)
         for alpha in (0.3, 1.0):
             ps = enum.pareto_at(alpha)
-            order, levels = frontier_oracle(enum.agent_u, enum.principal_at(alpha), s.tol_u)
+            order, levels = frontier_oracle(enum.agent_u, principal_at(enum, alpha), s.tol_u)
             assert ps.rows.tolist() == order.tolist()
             assert ps.agent_utility_levels == tuple(levels.tolist())
             assert ps.profiles == tuple(enum.profile(i, alpha) for i in order)
@@ -334,7 +342,7 @@ def assert_frontier_matches_oracle(enum):
     row-order oracle's at every alpha of ``ORACLE_ALPHAS``, bit for bit."""
     for alpha in ORACLE_ALPHAS:
         ps = enum.pareto_at(alpha)
-        principal = enum.principal_at(alpha)
+        principal = principal_at(enum, alpha)
         rows, levels = frontier_oracle(enum.agent_u, principal, enum.scenario.tol_u)
         assert ps.rows.tolist() == rows.tolist(), alpha
         assert ps.principal.tobytes() == principal[rows].tobytes(), alpha
@@ -381,13 +389,22 @@ def test_each_alpha_query_is_one_kept_pass(query, monkeypatch):
         calls.append(alpha)
         return kept(self, alpha)
 
-    def refuse(self, alpha):
-        raise AssertionError("an alpha query priced every row in row order")
+    def refuse(self, alpha, rows):
+        raise AssertionError("an alpha query priced rows in row order")
+
+    passes = []
+    keep = _AgentOrder.keep
+
+    def counted_keep(self, principal):
+        passes.append(principal.shape)
+        return keep(self, principal)
 
     monkeypatch.setattr(Enumeration, "_kept", counted)
-    monkeypatch.setattr(Enumeration, "principal_at", refuse)
+    monkeypatch.setattr(Enumeration, "_principal", refuse)
+    monkeypatch.setattr(_AgentOrder, "keep", counted_keep)
     query(enum)
     assert calls == [0.5]
+    assert passes == [(1, enum.agent_u.size + 1)]
 
 
 def test_filter_drops_dominated_and_keeps_ties():
@@ -408,7 +425,7 @@ def test_filter_tolerance_gray_zone():
 def test_filter_idempotent_and_included():
     s = ladder_scenario()
     enum = Enumeration(s)
-    agent, principal = enum.agent_u, enum.principal_at(1.0)
+    agent, principal = enum.agent_u, principal_at(enum, 1.0)
     once = enum.pareto_at(1.0).rows
     twice, _ = frontier_of(agent[once], principal[once], s.tol_u)
     assert once[twice].tolist() == once.tolist()
@@ -425,7 +442,7 @@ def test_filter_matches_brute_oracle_on_enumerations():
         for alpha in (0.0, 0.3, 1.0):
             got = enum.pareto_mask(alpha)
             want = brute_pareto_keep(
-                enum.agent_u, enum.principal_at(alpha), enum.scenario.tol_u
+                enum.agent_u, principal_at(enum, alpha), enum.scenario.tol_u
             )
             assert np.array_equal(got, want)
 
@@ -439,7 +456,7 @@ def test_cached_agent_order_matches_brute_oracle_at_every_alpha():
         trace = [a for a, _ in alpha_star(sc).predicate_trace]
         for alpha in [*np.linspace(0.0, 1.0, 41), *trace]:
             got = enum.pareto_mask(alpha)
-            want = brute_pareto_keep(enum.agent_u, enum.principal_at(alpha), sc.tol_u)
+            want = brute_pareto_keep(enum.agent_u, principal_at(enum, alpha), sc.tol_u)
             assert np.array_equal(got, want), (sc.family.kind, alpha)
         assert enum.agent_order is order
     assert len(trace) > 2  # the tangent fixture, last, bisects
@@ -455,13 +472,13 @@ def test_keep_mask_matches_brute_oracle_on_dyadic_pairs():
     for a0, p0, a1, p1 in itertools.product(grid, repeat=4):
         agent, principal = np.array([a0, a1]), np.array([p0, p1])
         want = brute_pareto_keep(agent, principal, DYADIC_TOL)
-        assert np.array_equal(keep_by_row(_AgentOrder(agent, DYADIC_TOL), principal), want)
+        assert np.array_equal(keep_by_row(agent_order(agent, DYADIC_TOL), principal), want)
         mask = payoff_enumeration(agent, principal, DYADIC_TOL).pareto_mask(1.0)
         assert np.array_equal(mask, want)
     t = DYADIC_TOL
 
     def keep(agent, principal):
-        return keep_by_row(_AgentOrder(np.array(agent), t), principal)
+        return keep_by_row(agent_order(agent, t), principal)
 
     assert keep([0.0, t], [0.0, 0.0]).all()
     assert keep([0.0, 0.0], [0.0, t]).all()
@@ -477,7 +494,7 @@ def test_one_agent_order_serves_every_principal_vector():
         for _ in range(40):
             # few distinct values, so duplicates and exact tol gaps are common
             agent = DYADIC_TOL * rng.integers(-4, 5, n)
-            order = _AgentOrder(agent, DYADIC_TOL)
+            order = agent_order(agent, DYADIC_TOL)
             for _ in range(5):
                 principal = DYADIC_TOL * rng.integers(-4, 5, n)
                 want = brute_pareto_keep(agent, principal, DYADIC_TOL)
@@ -571,13 +588,13 @@ def test_cluster_levels_match_greedy_loop():
         rs = [-2.0, 2.0] if not s.size else [s[0] - 1.0, s[-1] + 1.0]
         for r in [*rs, *s, *(s + tol), *(s - tol), *(s + tol / 2), *(s - tol / 2)]:
             qualifying = want[want >= r - tol]
+            (level,), (at,) = _selection_level(
+                s[None], np.ones((1, s.size), dtype=bool), s[None] >= r - tol, tol, [0])
             if not qualifying.size:
-                with pytest.raises(EmptySelectionError):
-                    _selection_level(s, r, tol)
+                assert np.isnan(level) and not at.any()
                 continue
-            chosen, at = _selection_level(s, r, tol)
-            assert chosen == qualifying[0], (values.tolist(), tol, r)
-            assert np.array_equal(at, np.abs(s - chosen) <= tol)
+            assert level == qualifying[0], (values.tolist(), tol, r)
+            assert np.array_equal(at, np.abs(s - level) <= tol)
 
 
 # -- selection --------------------------------------------------------------

@@ -2,22 +2,36 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
-from agentcap import capstruct, pareto
+from agentcap import agent, capstruct, pareto
 from agentcap.cli import main, save_scenario
-from agentcap.errors import ConfigurationError, EmptySelectionError
+from agentcap.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    EmptySelectionError,
+    ValidationError,
+)
 from agentcap.model import Contract, Distribution, Profile
-from agentcap.pareto import Enumeration
-from agentcap.scaling import InequalitySlacks, alpha_star, verify_theorem
+from agentcap.pareto import Enumeration, _AgentOrder
+from agentcap.scaling import (
+    DEFAULT_EPS_ALPHA,
+    InequalitySlacks,
+    alpha_star,
+    alpha_stars,
+    verify_theorem,
+)
 
 from conftest import (
     all_slack,
+    alpha_star_oracle,
     base_row_oracle,
     effort_scenario,
     ladder_scenario,
+    principal_at,
     row_keys,
     share_scenario,
     smooth_scenario,
@@ -61,14 +75,14 @@ def test_alpha_queries_use_neither_the_row_mask_nor_every_level(tmp_path, monkey
     save_scenario(s, path)
 
     def sweep(out):
-        """sweep.csv's bytes and the alpha_star result of every capacity."""
+        """sweep.csv's bytes and the threshold of every capacity."""
         runs = []
 
-        def recorded(*args, **kwargs):
-            runs.append(alpha_star(*args, **kwargs))
-            return runs[-1]
+        def recorded(enums):
+            runs.extend(alpha_stars(enums))
+            return runs
 
-        monkeypatch.setattr(capstruct, "alpha_star", recorded)
+        monkeypatch.setattr(capstruct, "alpha_stars", recorded)
         argv = ["sweep", "--scenario", str(path), "--out", str(out),
                 "--k-grid", "0.09,0.01,0.04,0.0399,0.05"]
         assert main(argv) == 0
@@ -82,21 +96,32 @@ def test_alpha_queries_use_neither_the_row_mask_nor_every_level(tmp_path, monkey
 
     monkeypatch.setattr(pareto, "_cluster_levels", refuse)
     monkeypatch.setattr(Enumeration, "pareto_mask", refuse)
-    calls = []
-    selection_ids = Enumeration.selection_ids
+    passes, picks = [], []
+    keep, selection_ids = _AgentOrder.keep, Enumeration.selection_ids
 
-    def counted(self, *args):
-        calls.append(args)
-        return selection_ids(self, *args)
+    def counted(self, principal):
+        passes.append(principal.shape[0])
+        return keep(self, principal)
 
-    monkeypatch.setattr(Enumeration, "selection_ids", counted)
+    def base_pick(self, alpha, r):
+        picks.append((alpha, r))
+        return selection_ids(self, alpha, r)
+
+    monkeypatch.setattr(_AgentOrder, "keep", counted)
+    monkeypatch.setattr(Enumeration, "selection_ids", base_pick)
     got = alpha_star(s)
     assert got == want
-    # one base pick, then one selection per predicate; the witness reuses one
-    assert len(calls) == len(got.predicate_trace) + 1
-    calls.clear()
+    # one pass for the base pick, then one per predicate; the witness reuses one
+    assert picks == [(1.0, s.reservation)]
+    assert passes == [1] * (len(got.predicate_trace) + 1)
+    passes.clear()
+    picks.clear()
     assert sweep(tmp_path / "got") == want_sweep
-    assert len(calls) == sum(len(res.predicate_trace) + 1 for res in want_sweep[1])
+    # a base pick per capacity, then the capacities in lockstep: one pass
+    # per round of predicates, as many rounds as the longest trace
+    assert picks == [(1.0, s.reservation)] * 5
+    assert passes[:5] == [1] * 5 and passes[5] == 5
+    assert len(passes) == 5 + max(len(res.predicate_trace) for res in want_sweep[1])
 
 
 def test_alpha_star_tangent_threshold():
@@ -192,13 +217,15 @@ def test_rendering_one_profile_reads_only_its_row(tmp_path, monkeypatch):
     save_scenario(s, path)
     want = alpha_star(s)
     enum = want.enumeration
-    witness_payoff = enum.principal_at(want.witness_alpha)[want.witness_row]
-    base_payoff = enum.principal_at(1.0)[want.base_row]
+    witness_payoff = principal_at(enum, want.witness_alpha)[want.witness_row]
+    base_payoff = principal_at(enum, 1.0)[want.base_row]
+    priced = Enumeration._principal
 
-    def refuse(self, alpha):
-        raise AssertionError("a one-row read priced every row")
+    def few(self, alpha, rows):
+        assert len(rows) < self.agent_u.size, "a one-row read priced every row"
+        return priced(self, alpha, rows)
 
-    monkeypatch.setattr(Enumeration, "principal_at", refuse)
+    monkeypatch.setattr(Enumeration, "_principal", few)
     res = alpha_star(s, enum=enum)
     assert res == want
     assert res.slack_witness.principal_payoff == witness_payoff
@@ -378,3 +405,223 @@ def test_one_threshold_solve_matches_the_oracles(name):
 
 def test_one_threshold_solve_matches_the_oracles_on_random_panel(random_scenario_panel):
     assert sum(_assert_matches_oracles(s, ORACLE_ALPHAS) for _, s in random_scenario_panel) > 0
+
+
+# -- lockstep solve ---------------------------------------------------------
+
+
+def assert_lockstep_matches_oracle(enums, eps=DEFAULT_EPS_ALPHA):
+    """``alpha_stars`` on ``enums`` against ``alpha_star_oracle`` on each in
+    turn, field by field; when a row has no selection, both raise the same
+    first EmptySelectionError. Returns the number of thresholds solved."""
+    try:
+        want = [alpha_star_oracle(e, eps) for e in enums]
+    except EmptySelectionError as exc:
+        with pytest.raises(EmptySelectionError) as got:
+            alpha_stars(enums, eps)
+        assert str(got.value) == str(exc)
+        return 0
+    got = alpha_stars(enums, eps)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.enumeration is w.enumeration
+        assert np.array_equal(g.base_rows, w.base_rows)
+    return len(got)
+
+
+def chain(s, ks):
+    """The enumerations of ``s`` at the sorted ``ks``, each built on the one
+    below, as a sweep builds them."""
+    enums = []
+    for k in sorted(ks):
+        enums.append(Enumeration(s.at_capacity(k), below=enums[-1] if enums else None))
+    return enums
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_lockstep_matches_the_sequential_oracle(name):
+    assert assert_lockstep_matches_oracle([Enumeration(ORACLE_CASES[name]())]) == 1
+
+
+def test_lockstep_matches_the_sequential_oracle_on_stacked_panels(random_scenario_panel):
+    # rows of different scenarios, widths and bisection lengths in one solve
+    fixed = [Enumeration(make()) for make in ORACLE_CASES.values()]
+    assert assert_lockstep_matches_oracle(fixed) == len(fixed)
+    panel = [Enumeration(s) for _, s in random_scenario_panel]
+    assert assert_lockstep_matches_oracle(panel) == len(panel)
+    assert assert_lockstep_matches_oracle([*panel[:3], *fixed, *panel[3:6]]) == 10
+
+
+def test_lockstep_raises_the_first_empty_selection():
+    effort = Enumeration(effort_scenario())
+    with pytest.raises(EmptySelectionError, match="no Pareto profile meets reservation"):
+        alpha_stars([effort])
+    assert assert_lockstep_matches_oracle([effort]) == 0
+    ladder = Enumeration(ladder_scenario())
+    high = Enumeration(dataclasses.replace(ladder_scenario(), reservation=99.0))
+    assert assert_lockstep_matches_oracle([ladder, effort, high]) == 0
+    assert assert_lockstep_matches_oracle([ladder, high, effort]) == 0
+    with pytest.raises(EmptySelectionError, match="99.0"):
+        alpha_stars([ladder, high, effort])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+def test_lockstep_matches_the_oracle_on_a_mixed_capacity_chain(eps):
+    # tangency capacities 0.01, 0.04, 0.09 bisect; the generic ones stop at
+    # the first predicate
+    s = tangent_scenario(0.02, m=400)
+    enums = chain(s, [0.07, 0.0399, 0.01, 0.05, 0.04, 0.09, 0.0401, 0.2, 0.04])
+    assert assert_lockstep_matches_oracle(enums, eps) == len(enums)
+    assert len({len(res.predicate_trace) for res in alpha_stars(enums, eps)}) > 1
+
+
+def test_lockstep_matches_the_oracle_on_a_ball_route_first_link(monkeypatch):
+    monkeypatch.setattr(agent, "_CHUNK", 64)
+    s = tangent_scenario(0.04, m=400)
+    enums = chain(s, [0.0399, 0.04, 0.09, 0.01])
+    assert enums[0].evaluations < enums[0].nominal_evaluations
+    assert assert_lockstep_matches_oracle(enums) == len(enums)
+    smooth, _ = smooth_scenario(1)
+    costs = np.unique(smooth.lattice.costs)
+    enums = chain(smooth, [float(k) for k in np.quantile(costs, [0.2, 0.5, 0.9])])
+    assert assert_lockstep_matches_oracle(enums) == len(enums)
+
+
+def narrow_enumeration():
+    """Four hand-set rows with tol_u = 0.1 whose selection at u_bar = 0.15
+    needs the greedy walk at every alpha: the first kept agent utility
+    >= 0.15 - tol, 0.08, has the kept 0.0 within tol below it, so 0.08 is
+    not a level. Row 2 is capacity-binding and undominated only for alpha
+    above 0.8."""
+    enum = Enumeration.__new__(Enumeration)
+    enum.agent_u = np.array([0.0, 0.08, 0.16, 0.5])
+    enum.exp_output = np.array([1.0, 1.0, 1.2, 0.4])
+    enum.exp_payment = np.array([0.1, 0.16, 0.42, 0.4])
+    enum.cost = np.array([0.1, 0.01, 0.2, 0.3])
+    enum.binding = np.array([False, False, True, False])
+    enum.scenario = types.SimpleNamespace(tol_u=0.1, reservation=0.15)
+    return enum
+
+
+def test_lockstep_takes_the_greedy_walk_on_narrow_gaps():
+    enum = narrow_enumeration()
+    res = alpha_stars([enum])[0]
+    assert res.u_bar == 0.15 and res.base_row == 1 and res.base_level == 0.16
+    assert 0.79 < res.alpha_star < 0.8
+    for alpha, _ in res.predicate_trace:
+        kept = enum.agent_u[enum.pareto_mask(alpha)]
+        first = kept[kept >= res.u_bar - 0.1][0]
+        assert first == 0.08 and first - kept[kept < first][-1] <= 0.1
+    assert assert_lockstep_matches_oracle([enum]) == 1
+    # next to rows of another tolerance, padded to a wider stack
+    assert assert_lockstep_matches_oracle([Enumeration(ladder_scenario()), enum]) == 2
+
+
+def test_a_solved_threshold_is_read_not_solved_again(monkeypatch):
+    passes = []
+    keep = _AgentOrder.keep
+
+    def counted(self, principal):
+        passes.append(principal.shape[0])
+        return keep(self, principal)
+
+    monkeypatch.setattr(_AgentOrder, "keep", counted)
+    s = tangent_scenario(0.04, m=400)
+    enums = chain(s, [0.01, 0.04, 0.09])
+    want = alpha_stars(enums[:2])
+    assert set(enums[0].thresholds) == {DEFAULT_EPS_ALPHA} and not enums[2].thresholds
+    passes.clear()
+    got = alpha_star(enums[1].scenario, enum=enums[1])
+    assert passes == [] and got == want[1] and got.enumeration is enums[1]
+    assert np.array_equal(got.base_rows, want[1].base_rows)
+    # only the unsolved capacity is bisected, as a stack of one row
+    res = alpha_stars(enums)
+    assert res[:2] == want and passes == [1] * (len(res[2].predicate_trace) + 1)
+    assert res[2] == alpha_star_oracle(enums[2])
+    # another bisection width is another threshold
+    passes.clear()
+    coarse = alpha_star(enums[1].scenario, 1e-2, enum=enums[1])
+    assert coarse == alpha_star_oracle(enums[1], 1e-2) and passes
+    assert set(enums[1].thresholds) == {DEFAULT_EPS_ALPHA, 1e-2}
+
+
+@pytest.mark.parametrize("ks", [[0.04], [0.01, 0.04, 0.09, 0.0399], np.linspace(0.005, 0.1, 10)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_a_sweep_makes_one_keep_pass_per_round(ks, eps, monkeypatch):
+    passes = []
+    keep = _AgentOrder.keep
+
+    def counted(self, principal):
+        passes.append(principal.shape[0])
+        return keep(self, principal)
+
+    monkeypatch.setattr(_AgentOrder, "keep", counted)
+    enums = chain(tangent_scenario(0.04, m=400), ks)
+    passes.clear()
+    results = alpha_stars(enums, eps)
+    # one one-row pass per base pick, then one pass per round for every
+    # capacity still open, at most 2 + ceil(log2(1 / eps)) rounds
+    k = len(enums)
+    assert passes[:k] == [1] * k and passes[k] == k
+    assert len(passes) - k == max(len(res.predicate_trace) for res in results)
+    assert len(passes) - k <= 2 + math.ceil(math.log2(1 / eps))
+    passes.clear()
+    capstruct.sweep_alpha_star(tangent_scenario(0.04, m=400), ks)
+    assert len(passes) - k <= 2 + math.ceil(math.log2(1 / DEFAULT_EPS_ALPHA))
+
+
+def test_sweep_raises_the_lowest_failing_capacity_first():
+    s = dataclasses.replace(tangent_scenario(0.04, m=200), reservation=0.001)
+    contracts = len(s.family.payment_matrix(s.y.as_array())[0])
+    # at k = 0 only the zero-cost point is feasible, and no profile meets 0.001
+    with pytest.raises(EmptySelectionError, match="reservation 0.001"):
+        capstruct.sweep_alpha_star(s, [0.04, 0.0, math.inf])
+    with pytest.raises(EmptySelectionError, match="reservation 0.001"):
+        capstruct.sweep_alpha_star(s, [0.0, 0.04], budget=contracts)
+    with pytest.raises(ValidationError, match="capacity inf"):
+        capstruct.sweep_alpha_star(s, [0.04, math.inf])
+    with pytest.raises(BudgetExceededError):
+        capstruct.sweep_alpha_star(s, [0.04, 0.09], budget=contracts * 10)
+
+
+def _reasons_one_alpha_at_a_time(s, alphas):
+    """verify_theorem's (tested, reason) per alpha, each alpha's selection
+    from its own ``selection_ids``."""
+    res = alpha_star_oracle(Enumeration(s))
+    out = []
+    for alpha in alphas:
+        if alpha < res.bracket[1]:
+            out.append((False, "below the capacity-slack threshold bracket"))
+            continue
+        try:
+            _, _, binding = res.enumeration.selection_ids(alpha, res.u_bar)
+        except EmptySelectionError:
+            out.append((False, "selection empty at this alpha"))
+            continue
+        out.append((True, "") if binding.any() else (False, "selection has no capacity-binding member"))
+    return out
+
+
+def test_verify_checks_every_alpha_in_one_pass(random_scenario_panel, monkeypatch):
+    passes = []
+    keep = _AgentOrder.keep
+
+    def counted(self, principal):
+        passes.append(principal.shape[0])
+        return keep(self, principal)
+
+    monkeypatch.setattr(_AgentOrder, "keep", counted)
+    reasons = set()
+    for s in (*ORACLE_CASES.values(), *(lambda s=s: s for _, s in random_scenario_panel)):
+        s = s()
+        want = _reasons_one_alpha_at_a_time(s, [*ORACLE_ALPHAS, 1.0, 0.5])
+        passes.clear()
+        rep = verify_theorem(s, alphas=[*ORACLE_ALPHAS, 1.0, 0.5])
+        got = [(c.tested, c.reason) for c in rep.checks]
+        assert got == want
+        reasons.update(r for _, r in got)
+        past = sum(c.alpha >= rep.alpha_result.bracket[1] for c in rep.checks)
+        # the threshold's passes, then one for every alpha past its bracket
+        assert passes[len(rep.alpha_result.predicate_trace) + 1:] == [past]
+    assert "selection has no capacity-binding member" in reasons
