@@ -132,15 +132,35 @@ def _utility_from(kind: str, params: dict) -> AgentUtility:
 
 
 def _integer(value, key: str) -> int:
-    """A JSON integer; floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """A JSON integer; floats are rejected, not truncated (booleans never
+    reach here, ``scenario_from_dict`` rejects them first)."""
+    if not isinstance(value, int):
         raise ScenarioParseError(f"{key} must be an integer")
     return value
 
 
+def _holds_boolean(value) -> bool:
+    """Whether a parsed JSON value is, or nests, true or false."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, bool):
+            return True
+        if isinstance(v, dict):
+            todo.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+    return False
+
+
 def scenario_from_dict(data) -> Scenario:
+    """The scenario of a parsed document. No field takes a boolean, so one
+    anywhere is rejected rather than read as the number 1 or 0."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
+    for key, value in data.items():
+        if _holds_boolean(value):
+            raise ScenarioParseError(f"{key} holds a boolean; no scenario field takes one")
     try:
         if not isinstance(data["states"], list):
             raise ScenarioParseError("states must be a list of labels")

@@ -5,17 +5,20 @@ best responses do not depend on the output scale alpha, so one enumeration
 serves all alpha. Per-alpha principal payoffs are then linear updates. The
 agent utilities do not move with alpha either, so the enumeration sorts its
 rows by agent utility once (``_AgentOrder``), with the two tolerance cut
-positions of every profile, and every alpha query (frontier, mask and
-selection) runs one pass in that order (``Enumeration._kept``): the Pareto
-filter is linear in the principal payoffs, and a selection finds only its
-own level among the undominated agent utilities, which already ascend
-(``_selection_level``, the one selection rule). The pass and the rule work
-on a stack of such orders, one row per enumeration, each with its own alpha
-and reservation, padded to one width (``_AgentOrder.stack``); a query of
-one enumeration is a stack of one row, and a threshold solve
-(``scaling.alpha_stars``) picks each capacity's base with ``selection_ids``,
-then bisects the thresholds of every capacity of a sweep with one pass per
-round. That keeps repeated queries (bisection on alpha) cheap.
+positions of every profile and the row's cuts, and every alpha query runs
+one dominance pass in that order: the frontier and the mask through
+``Enumeration._kept``, the selection through a stack of that one row. The
+pass works on a stack of such orders, one row per enumeration, each with its
+own alpha and reservation, padded to one width (``_AgentOrder.stack``). The
+selection rule is said once: a selection at reservation r takes the first
+clustered level (``_cluster_levels``) of the undominated agent utilities at
+or above r - tol_u, and the undominated profiles within tol_u of it. On a
+stack, whose undominated agent utilities already ascend,
+``_selection_level`` finds that level alone; ``select`` reads it off the
+frontier's clustered levels. A threshold solve (``scaling.alpha_stars``)
+picks each capacity's base with ``selection_ids``, then bisects the
+thresholds of every capacity of a sweep with one pass per round. That keeps
+repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration built on the one at the next lower
@@ -190,7 +193,8 @@ class _AgentOrder:
     not move when the row loses positions at its start.
 
     ``sort`` makes the one row of every profile of an enumeration
-    (``Enumeration.agent_order``); ``stack`` puts such rows together, each
+    (``Enumeration.agent_order``), with its ``cuts`` (see ``stack``); a
+    stack has none. ``stack`` puts such rows together, each
     with the reservation it is selected at (``above``, ``near``), so that
     ``keep`` and ``_selection_level`` answer every row, at its own alpha,
     in one pass. A selection stays in the agent order, since the kept agent
@@ -225,7 +229,10 @@ class _AgentOrder:
         i[0, :n] = order
         np.subtract(n, a_s.searchsorted(a_s - tol, side="left"), out=i[1, :n])
         np.subtract(n, a_s.searchsorted(a_s + tol, side="right"), out=i[2, :n])
-        return cls(tol, i[:1], f[:1], i[1:2], i[2:], f[1:2], f[2:], binding)
+        ao = cls(tol, i[:1], f[:1], i[1:2], i[2:], f[1:2], f[2:], binding)
+        wide = (a_s[1:] - a_s[:-1] > tol) & (a_s[1:] - tol > a_s[:-1])
+        ao.cuts = np.concatenate(([0], wide.nonzero()[0] + 1))
+        return ao
 
     @classmethod
     def stack(cls, rows: Sequence[tuple[_AgentOrder, float]]) -> _AgentOrder:
@@ -239,37 +246,33 @@ class _AgentOrder:
         cut is position 0, or one whose gap to its lower neighbour is wider
         than tol and puts that neighbour outside its weak set: nothing
         below it can be selected at r, dominate a profile above it or join
-        a cluster with one. A one-row order finds its cuts when it is first
-        stacked with others."""
+        a cluster with one. ``sort`` finds a row's cuts."""
         floors = [r - o.tol for o, r in rows]
         firsts = [int(o.agent[0].searchsorted(f, side="left")) for (o, _), f in zip(rows, floors)]
-        near = [i for i, ((o, _), p) in enumerate(zip(rows, firsts)) if _narrow(o.agent[0, :-1], p, o.tol)]
+        # at p = 0, or past the last profile, one side is the padding (NaN),
+        # so the test fails
+        near = [k for k, ((o, _), p) in enumerate(zip(rows, firsts))
+                if o.agent[0, p] - o.agent[0, p - 1] <= o.tol]
         if len(rows) == 1:
             o = rows[0][0]
             st = cls(o.tol, o.order, o.agent, o.weak, o.strict, o.output, o.payment, o.binding)
-            st.above, st.near = st.agent >= floors[0], near
-            return st
-        starts = []
-        for (o, _), p in zip(rows, firsts):
-            if o.cuts is None:
-                a_s = o.agent[0, :-1]
-                wide = (a_s[1:] - a_s[:-1] > o.tol) & (a_s[1:] - o.tol > a_s[:-1])
-                o.cuts = np.concatenate(([0], wide.nonzero()[0] + 1))
-            starts.append(int(o.cuts[o.cuts.searchsorted(p, side="right") - 1]))
-        tols = {o.tol for o, _ in rows}
-        tol = tols.pop() if len(tols) == 1 else np.array([[o.tol] for o, _ in rows])
-        lengths = [o.order.shape[1] - 1 - g for (o, _), g in zip(rows, starts)]
-        width = max(lengths, default=0) + 1
-        filled = np.arange(width) < np.array(lengths, dtype=np.intp).reshape(-1, 1)
-        # a row's indices count from its end, which moves to the stack's end
-        shift = np.repeat([(i + 1) * width - 1 - n for i, n in enumerate(lengths)], lengths)
-        fields = []
-        for name, pad in cls.FIELDS.items():
-            fields.append(field := np.full((len(rows), width), pad))
-            values = np.concatenate([np.empty(0, field.dtype),
-                                     *(getattr(o, name)[0, g:-1] for (o, _), g in zip(rows, starts))])
-            field[filled] = values + shift if name in ("weak", "strict") else values
-        st = cls(tol, *fields)
+        else:
+            starts = [int(o.cuts[o.cuts.searchsorted(p, side="right") - 1])
+                      for (o, _), p in zip(rows, firsts)]
+            tols = {o.tol for o, _ in rows}
+            tol = tols.pop() if len(tols) == 1 else np.array([[o.tol] for o, _ in rows])
+            lengths = [o.order.shape[1] - 1 - g for (o, _), g in zip(rows, starts)]
+            width = max(lengths, default=0) + 1
+            filled = np.arange(width) < np.array(lengths, dtype=np.intp).reshape(-1, 1)
+            # a row's indices count from its end, which moves to the stack's end
+            shift = np.repeat([(i + 1) * width - 1 - n for i, n in enumerate(lengths)], lengths)
+            fields = []
+            for name, pad in cls.FIELDS.items():
+                fields.append(field := np.full((len(rows), width), pad))
+                values = np.concatenate([np.empty(0, field.dtype),
+                                         *(getattr(o, name)[0, g:-1] for (o, _), g in zip(rows, starts))])
+                field[filled] = values + shift if name in ("weak", "strict") else values
+            st = cls(tol, *fields)
         st.above, st.near = st.agent >= np.array(floors).reshape(-1, 1), near
         return st
 
@@ -306,13 +309,6 @@ class _AgentOrder:
         ``_selection_level``'s levels and mask."""
         return _selection_level(self.agent, self.keep(self.principal(alpha)), self.above, self.tol,
                                 self.near)
-
-
-def _narrow(a_s: np.ndarray, p: int, tol: float) -> bool:
-    """Whether the ascending values ``a_s`` have one before position ``p``
-    within tol of the one at ``p``: only then can a selection whose first
-    candidate sits at ``p`` need the greedy walk."""
-    return 0 < p < a_s.size and a_s[p] - a_s[p - 1] <= tol
 
 
 def empty_selection(r: float) -> EmptySelectionError:
@@ -358,7 +354,8 @@ class Enumeration:
 
     Built once per scenario, with one read side: ``pareto_at``,
     ``pareto_mask`` and ``selection_ids`` each make one dominance pass in
-    the agent order (``_kept``) for any alpha, and ``columns`` gathers the
+    the agent order for any alpha, the first two through ``_kept``, the
+    last through a stack of one row, and ``columns`` gathers the
     rendered fields of any rows, so exact (contract, point) identities are
     comparable across alpha. Rows run strictly ascending in (contract_id,
     point_id), and the agent order is stable, so that order is the
@@ -489,9 +486,9 @@ class Enumeration:
         return _AgentOrder.sort(self)
 
     def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """The one dominance pass of every alpha query: the mask of the
-        undominated positions of ``agent_order``'s row, and every profile's
-        principal payoff at ``alpha`` in that order."""
+        """The one dominance pass of the frontier and the mask: the mask of
+        the undominated positions of ``agent_order``'s row, and every
+        profile's principal payoff at ``alpha`` in that order."""
         ao = self.agent_order
         principal = ao.principal(check_alpha(alpha))
         return ao.keep(principal), principal
@@ -523,11 +520,10 @@ class Enumeration:
         """(chosen_level, profile indices at that level, binding flags).
 
         The rows of select(pareto_at(alpha), r), ascending instead of in
-        frontier order, from the selection rule on ``_kept``'s agent
-        utilities, which already ascend."""
+        frontier order, from the stack of ``agent_order`` alone at r: the
+        pass and the selection every lockstep round makes."""
         ao = _AgentOrder.stack([(self.agent_order, r)])
-        kept, _ = self._kept(alpha)
-        (level,), at = _selection_level(ao.agent, kept, ao.above, ao.tol, ao.near)
+        (level,), at = ao.select(check_alpha(alpha))
         if math.isnan(level):
             raise empty_selection(r)
         rows = np.sort(ao.order[at])
@@ -567,20 +563,18 @@ class Enumeration:
 
 
 def select(ps: ParetoSet, r: float) -> Selection:
-    """The selection at the lowest utility level >= r - tol_u.
+    """The selection at the lowest utility level >= r - tol_u: the first
+    of the frontier's ``agent_utility_levels`` there, and the frontier rows
+    within tol_u of it, in frontier order.
 
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    # frontier order runs by agent utility descending, so reversed it ascends
-    agent, floor = ps.enumeration.agent_u[ps.rows[::-1]], r - ps.tol_u
-    near = [0] if _narrow(agent, int(agent.searchsorted(floor, side="left")), ps.tol_u) else []
-    agent = agent[None]
-    kept = np.ones(agent.shape, dtype=bool)
-    (level,), at = _selection_level(agent, kept, agent >= floor, ps.tol_u, near)
-    if math.isnan(level):
+    floor = r - ps.tol_u
+    level = next((v for v in ps.agent_utility_levels if v >= floor), None)
+    if level is None:
         raise empty_selection(r)
-    at = at[0, ::-1]
+    at = np.abs(ps.enumeration.agent_u[ps.rows] - level) <= ps.tol_u
     return Selection(
-        parent=ps, r=float(r), chosen_level=float(level), rows=ps.rows[at], principal=ps.principal[at]
+        parent=ps, r=float(r), chosen_level=level, rows=ps.rows[at], principal=ps.principal[at]
     )

@@ -9,7 +9,10 @@ scaled problem relates to the unscaled one.
 pick it bisects the thresholds of several enumerations (the capacities of a
 sweep) in lockstep, every round one dominance pass and one selection over a
 stack of their agent orders, one alpha per row, and keeps each threshold on
-its enumeration. ``alpha_star`` solves one enumeration with it, or reads the
+its enumeration. Between rounds the solve holds, by enumeration, the next
+alpha, the bracket ends, the trace and the rows selected where the predicate
+last held; the stack only shrinks (``_AgentOrder.take``) as thresholds
+close. ``alpha_star`` solves one enumeration with it, or reads the
 threshold already kept there, and ``verify_theorem`` selects at every tested
 alpha in one more pass over the enumeration repeated, one alpha per row.
 """
@@ -217,59 +220,49 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
         row = int(rows[np.argmax(e._principal(1.0, rows))])
         bases[k] = (level, rows, row, float(e.exp_payment[row] - e.cost[row]))
 
-    # the predicate rounds, on the rows of one stack cut at each u_bar, by
-    # position i in it; ``pending`` holds the alpha each open row asks next
+    # the predicate rounds, on one stack cut at each u_bar whose rows are the
+    # enumerations in ``live``; by enumeration: the alpha each open one asks
+    # next, its bracket ends, its trace, and the rows selected where its
+    # predicate last held
     live = list(bases)
-    u_bar = [bases[k][3] for k in live]
-    st = _AgentOrder.stack([(enums[k].agent_order, u) for k, u in zip(live, u_bar)])
-    at = list(range(len(live)))
-    pending = dict.fromkeys(at, 1.0)
-    traces: list[list[tuple[float, bool]]] = [[] for _ in live]
-    brackets: dict[int, tuple[float, float]] = {}
-    lo, hi = [0.0] * len(live), [1.0] * len(live)
-    # each row's selection where its predicate last held: (stack, mask, row)
-    held: dict[int, tuple[_AgentOrder, np.ndarray, int]] = {}
+    st = _AgentOrder.stack([(enums[k].agent_order, bases[k][3]) for k in live])
+    pending = dict.fromkeys(live, 1.0)
+    lo, hi = dict.fromkeys(live, 0.0), dict.fromkeys(live, 1.0)
+    traces: dict[int, list[tuple[float, bool]]] = {k: [] for k in live}
+    held: dict[int, np.ndarray] = {}
     while pending:
-        if len(pending) < len(at):
-            rows = [j for j, i in enumerate(at) if i in pending]
-            at, st = [at[j] for j in rows], st.take(np.array(rows))
-        alphas = [pending.pop(i) for i in at]
+        if len(pending) < len(live):
+            rows = [j for j, k in enumerate(live) if k in pending]
+            live, st = [live[j] for j in rows], st.take(np.array(rows))
+        alphas = [pending.pop(k) for k in live]
         levels, chosen = st.select(np.array(alphas)[:, None])
         binds = np.logical_or.reduce(chosen & st.binding, axis=1)
-        for j, (i, alpha, level, bind) in enumerate(zip(at, alphas, levels.tolist(), binds.tolist())):
+        for j, (k, alpha, level, bind) in enumerate(zip(live, alphas, levels.tolist(), binds.tolist())):
             if math.isnan(level):
-                failures[live[i]] = empty_selection(u_bar[i])
+                failures[k] = empty_selection(bases[k][3])
                 continue
-            traces[i].append((alpha, not bind))
+            traces[k].append((alpha, not bind))
             if not bind:
-                held[i] = (st, chosen, j)
-            n = len(traces[i])
-            if n == 1 and not bind:  # slack at alpha = 1
-                brackets[i] = (1.0, 1.0)
-            elif n == 1:
-                pending[i] = 0.0
-            elif n == 2 and bind:
-                # the slack region is empty; sup over an empty set, reported as 0
-                brackets[i] = (0.0, 0.0)
-            else:
-                if n > 2:
-                    (hi if bind else lo)[i] = alpha
-                if hi[i] - lo[i] > eps:
-                    pending[i] = 0.5 * (lo[i] + hi[i])
-                else:
-                    brackets[i] = (lo[i], hi[i])
+                held[k] = st.order[j][chosen[j]]
+            # the bracket closes at (1, 1) when slack at alpha = 1, and at
+            # (0, 0) when binding at 1 and at 0: the slack region is empty,
+            # its sup reported as 0
+            (hi if bind else lo)[k] = alpha
+            if bind and len(traces[k]) == 1:
+                pending[k] = 0.0
+            elif hi[k] - lo[k] > eps:
+                pending[k] = 0.5 * (lo[k] + hi[k])
 
-    for i, k in enumerate(live):
+    for k, e in enumerate(enums):
         if k in failures:
             continue
-        e, (level, rows, row, u) = enums[k], bases[k]
-        star, trace = brackets[i][0], traces[i]
+        level, rows, row, u = bases[k]
+        star, trace = lo[k], traces[k]
         # the witness is the member of highest cost, so closest to capacity,
         # of the selection made where the predicate last held, at the star
         wit = wit_alpha = None
-        if i in held:
-            hst, selected, j = held[i]
-            ids = np.sort(hst.order[j][selected[j]])
+        if k in held:
+            ids = np.sort(held[k])
             wit, wit_alpha = int(ids[np.argmax(e.cost[ids])]), star
         seen_false = warning = False
         for _, flag in sorted(trace):
@@ -280,7 +273,7 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
                 break
         e.thresholds[eps] = dict(
             alpha_star=star,
-            bracket=brackets[i],
+            bracket=(lo[k], hi[k]),
             base_row=row,
             base_level=level,
             u_bar=u,

@@ -9,6 +9,7 @@ disagree with.
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -403,6 +404,22 @@ def selection_ids_oracle(enum, alpha, r):
     chosen = float(qualifying[0])
     ids = keep[np.abs(agent - chosen) <= tol]
     return chosen, ids, enum.binding[ids]
+
+
+def narrow_enumeration():
+    """Four hand-set rows with tol_u = 0.1 whose selection at u_bar = 0.15
+    needs the greedy walk at every alpha: the first kept agent utility
+    >= 0.15 - tol, 0.08, has the kept 0.0 within tol below it, so 0.08 is
+    not a level. Row 2 is capacity-binding and undominated only for alpha
+    above 0.8."""
+    enum = Enumeration.__new__(Enumeration)
+    enum.agent_u = np.array([0.0, 0.08, 0.16, 0.5])
+    enum.exp_output = np.array([1.0, 1.0, 1.2, 0.4])
+    enum.exp_payment = np.array([0.1, 0.16, 0.42, 0.4])
+    enum.cost = np.array([0.1, 0.01, 0.2, 0.3])
+    enum.binding = np.array([False, False, True, False])
+    enum.scenario = types.SimpleNamespace(tol_u=0.1, reservation=0.15)
+    return enum
 
 
 def all_slack(enum, alpha, u_bar):

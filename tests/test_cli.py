@@ -383,6 +383,25 @@ def test_exit_code_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(capacity=True),
+    lambda d: d.update(reservation=False),
+    lambda d: d["tolerances"].update(tol_u=True),
+    lambda d: d.update(output=[False, True]),
+    lambda d: d["cost"]["params"]["Q"][1].__setitem__(1, True),
+    lambda d: d["contract_family"]["params"]["values"][1].__setitem__(0, False),
+], ids=["capacity", "reservation", "tol_u", "output", "cost", "family"])
+def test_exit_code_parse_boolean(mutate, tmp_path, capsys):
+    # JSON true and false are no numbers: each would read as 1 or 0
+    d = scenario_to_dict(ladder_scenario())
+    mutate(d)
+    path, out = tmp_path / "bool.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_configuration(ladder_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["solve", "--scenario", str(ladder_file), "--out", str(out), "--alpha", "1.5"])

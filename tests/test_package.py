@@ -36,6 +36,7 @@ REMOVED = [
     (pareto.Enumeration, "_profile"),
     (pareto.Enumeration, "principal_at"),
     (pareto.Enumeration, "_sorted_payoff_parts"),
+    (pareto, "_narrow"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

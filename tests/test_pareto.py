@@ -37,6 +37,7 @@ from conftest import (
     frontier_oracle,
     ladder_scenario,
     make_profile,
+    narrow_enumeration,
     principal_at,
     selection_ids_oracle,
     share_scenario,
@@ -381,13 +382,8 @@ def test_pareto_at_matches_the_row_order_oracle_on_the_ball_route_and_a_chain(mo
     lambda enum: enum.selection_ids(0.5, 0.0),
 ], ids=["pareto_at", "pareto_mask", "selection_ids"])
 def test_each_alpha_query_is_one_kept_pass(query, monkeypatch):
+    # one ``keep`` pass over the one-row agent order, and no row-order pricing
     enum = Enumeration(tangent_scenario(0.04, m=400))
-    calls = []
-    kept = Enumeration._kept
-
-    def counted(self, alpha):
-        calls.append(alpha)
-        return kept(self, alpha)
 
     def refuse(self, alpha, rows):
         raise AssertionError("an alpha query priced rows in row order")
@@ -399,11 +395,9 @@ def test_each_alpha_query_is_one_kept_pass(query, monkeypatch):
         passes.append(principal.shape)
         return keep(self, principal)
 
-    monkeypatch.setattr(Enumeration, "_kept", counted)
     monkeypatch.setattr(Enumeration, "_principal", refuse)
     monkeypatch.setattr(_AgentOrder, "keep", counted_keep)
     query(enum)
-    assert calls == [0.5]
     assert passes == [(1, enum.agent_u.size + 1)]
 
 
@@ -622,17 +616,77 @@ def test_select_returns_whole_level():
     assert sel.principal.tolist() == [0.5, 0.5]
 
 
+def assert_select_agrees_with_selection_ids(enum):
+    """At every alpha of ``ORACLE_ALPHAS``, select(pareto_at(alpha), r) and
+    selection_ids(alpha, r) give the same level and the same rows, or raise
+    the same EmptySelectionError, for r the reservation, each frontier
+    level, the levels shifted by tol and tol / 2, and a level beyond all."""
+    for alpha in ORACLE_ALPHAS:
+        ps = enum.pareto_at(alpha)
+        levels, tol = np.array(ps.agent_utility_levels), ps.tol_u
+        for r in (enum.scenario.reservation, 99.0, *levels, *(levels + tol), *(levels - tol),
+                  *(levels - tol / 2)):
+            try:
+                level, ids, _ = enum.selection_ids(alpha, r)
+            except EmptySelectionError as exc:
+                with pytest.raises(EmptySelectionError) as got:
+                    select(ps, r)
+                assert str(got.value) == str(exc)
+                continue
+            sel = select(ps, r)
+            assert sel.chosen_level == level, (alpha, r)
+            assert np.sort(sel.rows).tolist() == ids.tolist(), (alpha, r)
+
+
 def test_selection_ids_agree_with_select_at():
-    s = ladder_scenario()
-    enum = Enumeration(s)
-    for alpha, r in ((1.0, 0.0), (1.0, 0.05), (0.6, 0.1)):
-        chosen, ids, binding = enum.selection_ids(alpha, r)
-        sel = select(enum.pareto_at(alpha), r)
-        assert chosen == pytest.approx(sel.chosen_level, abs=1e-15)
-        assert {(int(enum.contract_id[i]), int(enum.point_id[i])) for i in ids} == {
-            p.identity() for p in sel.profiles
-        }
-        assert len(binding) == len(ids)
+    for enum in (Enumeration(ladder_scenario()), Enumeration(tangent_scenario(0.04, m=400)),
+                 Enumeration(share_scenario(0.2)), narrow_enumeration()):
+        assert_select_agrees_with_selection_ids(enum)
+
+
+def test_selection_ids_agree_with_select_at_on_random_panel(random_scenario_panel):
+    for _, sc in random_scenario_panel:
+        assert_select_agrees_with_selection_ids(Enumeration(sc))
+
+
+@st.composite
+def selection_rows(draw):
+    """One row of a stack: ascending agent utilities whose gaps run in
+    steps within tol and wider, a kept mask over them, the row's tolerance
+    and a reservation near one of them or anywhere."""
+    tol = draw(st.sampled_from([1e-9, DYADIC_TOL, 1e-3, 0.1]))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.5, 3.0]), max_size=20))
+    agent = draw(st.sampled_from([-0.5, 0.0, 0.3])) + tol * np.cumsum([0.0, *steps])
+    kept = np.array(draw(st.lists(st.booleans(), min_size=agent.size, max_size=agent.size)))
+    near = st.builds(lambda a, d: a + d * tol, st.sampled_from(agent.tolist()),
+                     st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    r = draw(st.one_of(near, st.floats(-2.0, 2.0)))
+    return agent, kept, tol, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(selection_rows(), min_size=1, max_size=4))
+def test_stacked_selection_is_the_first_clustered_level_above(rows):
+    # each row's selection, stacked with the others and cut, is the first
+    # of _cluster_levels(kept values, tol) >= r - tol and the kept values
+    # within tol of it
+    stack = _AgentOrder.stack(
+        [(payoff_enumeration(agent, np.zeros_like(agent), tol).agent_order, r)
+         for agent, _, tol, r in rows])
+    kept = np.zeros(stack.agent.shape, dtype=bool)
+    for k, (_, mask, _, _) in enumerate(rows):
+        filled = ~np.isnan(stack.agent[k])
+        kept[k, filled] = mask[stack.order[k, filled]]
+    levels, at = _selection_level(stack.agent, kept, stack.above, stack.tol, stack.near)
+    for k, (agent, mask, tol, r) in enumerate(rows):
+        clustered = _cluster_levels(agent[mask], tol)
+        qualifying = clustered[clustered >= r - tol]
+        if not qualifying.size:
+            assert np.isnan(levels[k]) and not at[k].any()
+            continue
+        assert levels[k] == qualifying[0]
+        want = np.flatnonzero(mask & (np.abs(agent - qualifying[0]) <= tol))
+        assert np.sort(stack.order[k][at[k]]).tolist() == want.tolist()
 
 
 def assert_selection_matches_oracle(enum, alpha, r):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from conftest import (
     base_row_oracle,
     effort_scenario,
     ladder_scenario,
+    narrow_enumeration,
     principal_at,
     row_keys,
     share_scenario,
@@ -486,22 +486,6 @@ def test_lockstep_matches_the_oracle_on_a_ball_route_first_link(monkeypatch):
     costs = np.unique(smooth.lattice.costs)
     enums = chain(smooth, [float(k) for k in np.quantile(costs, [0.2, 0.5, 0.9])])
     assert assert_lockstep_matches_oracle(enums) == len(enums)
-
-
-def narrow_enumeration():
-    """Four hand-set rows with tol_u = 0.1 whose selection at u_bar = 0.15
-    needs the greedy walk at every alpha: the first kept agent utility
-    >= 0.15 - tol, 0.08, has the kept 0.0 within tol below it, so 0.08 is
-    not a level. Row 2 is capacity-binding and undominated only for alpha
-    above 0.8."""
-    enum = Enumeration.__new__(Enumeration)
-    enum.agent_u = np.array([0.0, 0.08, 0.16, 0.5])
-    enum.exp_output = np.array([1.0, 1.0, 1.2, 0.4])
-    enum.exp_payment = np.array([0.1, 0.16, 0.42, 0.4])
-    enum.cost = np.array([0.1, 0.01, 0.2, 0.3])
-    enum.binding = np.array([False, False, True, False])
-    enum.scenario = types.SimpleNamespace(tol_u=0.1, reservation=0.15)
-    return enum
 
 
 def test_lockstep_takes_the_greedy_walk_on_narrow_gaps():
