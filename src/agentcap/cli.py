@@ -77,6 +77,8 @@ def _section(data: dict, key: str) -> tuple[str, dict]:
     params = sec.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioParseError(f"{key} params must be an object")
+    if _holds(params, str):
+        raise ScenarioParseError(f"{key} params hold a string; they take numbers")
     return str(sec["kind"]), params
 
 
@@ -139,12 +141,12 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _holds_boolean(value) -> bool:
-    """Whether a parsed JSON value is, or nests, true or false."""
+def _holds(value, kind: type) -> bool:
+    """Whether a parsed JSON value is, or nests, a ``kind``."""
     todo = [value]
     while todo:
         v = todo.pop()
-        if isinstance(v, bool):
+        if isinstance(v, kind):
             return True
         if isinstance(v, dict):
             todo.extend(v.values())
@@ -154,13 +156,16 @@ def _holds_boolean(value) -> bool:
 
 
 def scenario_from_dict(data) -> Scenario:
-    """The scenario of a parsed document. No field takes a boolean, so one
-    anywhere is rejected rather than read as the number 1 or 0."""
+    """The scenario of a parsed document. No field takes a boolean, and
+    only state labels and section kinds take strings, so one elsewhere is
+    rejected rather than read as a number."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     for key, value in data.items():
-        if _holds_boolean(value):
+        if _holds(value, bool):
             raise ScenarioParseError(f"{key} holds a boolean; no scenario field takes one")
+        if key in ("output", "capacity", "reservation", "tolerances") and _holds(value, str):
+            raise ScenarioParseError(f"{key} holds a string; it takes numbers")
     try:
         if not isinstance(data["states"], list):
             raise ScenarioParseError("states must be a list of labels")

@@ -542,7 +542,10 @@ def grid_values(spec) -> tuple[float, ...]:
             raise ValidationError("grid spec bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ValidationError("grid spec needs step > 0 and max >= min")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step + 1e-9
+        if not math.isfinite(span):
+            raise ValidationError("grid spec step is too small for its range")
+        count = int(math.floor(span)) + 1
         return tuple(float(lo + i * step) for i in range(count))
     values = _astuple(spec)
     if not values:

@@ -9,16 +9,15 @@ positions of every profile and the row's cuts, and every alpha query runs
 one dominance pass in that order: the frontier and the mask through
 ``Enumeration._kept``, the selection through a stack of that one row. The
 pass works on a stack of such orders, one row per enumeration, each with its
-own alpha and reservation, padded to one width (``_AgentOrder.stack``). The
-selection rule is said once: a selection at reservation r takes the first
-clustered level (``_cluster_levels``) of the undominated agent utilities at
-or above r - tol_u, and the undominated profiles within tol_u of it. On a
-stack, whose undominated agent utilities already ascend,
-``_selection_level`` finds that level alone; ``select`` reads it off the
-frontier's clustered levels. A threshold solve (``scaling.alpha_stars``)
-picks each capacity's base with ``selection_ids``, then bisects the
-thresholds of every capacity of a sweep with one pass per round. That keeps
-repeated queries (bisection on alpha) cheap.
+own alpha and reservation, padded to one width by ``_AgentOrder.stack``, the
+one stack builder. The selection rule is said once: a selection at
+reservation r takes the first clustered level (``_cluster_levels``, the one
+greedy walk) of the undominated agent utilities at or above r - tol_u, and
+the undominated profiles within tol_u of it; ``_selection_level`` finds it
+on a stack, ``select`` off the frontier's levels. A threshold solve
+(``scaling.alpha_stars``) picks each capacity's base with ``selection_ids``,
+then bisects the thresholds of every capacity of a sweep with one pass per
+round. That keeps repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration built on the one at the next lower
@@ -194,12 +193,12 @@ class _AgentOrder:
 
     ``sort`` makes the one row of every profile of an enumeration
     (``Enumeration.agent_order``), with its ``cuts`` (see ``stack``); a
-    stack has none. ``stack`` puts such rows together, each
-    with the reservation it is selected at (``above``, ``near``), so that
-    ``keep`` and ``_selection_level`` answer every row, at its own alpha,
-    in one pass. A selection stays in the agent order, since the kept agent
-    utilities already ascend, and only the rows chosen are mapped back to
-    row indices.
+    stack has none. ``stack``, the one stack builder, puts such rows
+    together, each with the reservation it is selected at (``above``,
+    ``near``), so that ``keep`` and ``_selection_level`` answer every row,
+    at its own alpha, in one pass. A selection stays in the agent order,
+    since the kept agent utilities already ascend, and only the rows chosen
+    are mapped back to row indices.
     """
 
     # the fields by position, in ``__init__``'s order, with the value padding holds
@@ -239,14 +238,15 @@ class _AgentOrder:
         """The one-row orders ``o`` of ``rows``, selected at reservation
         ``r``: ``above`` marks the profiles >= r - tol, and ``near`` lists
         the rows whose last profile below r - tol lies within tol of the
-        first one above, where a selection may need the greedy walk.
+        first one above, where a selection may need ``_cluster_levels``.
 
         One row is ``o``'s arrays. Several are padded to one width, each
-        from its highest cut at or below the first profile >= r - tol. A
-        cut is position 0, or one whose gap to its lower neighbour is wider
-        than tol and puts that neighbour outside its weak set: nothing
-        below it can be selected at r, dominate a profile above it or join
-        a cluster with one. ``sort`` finds a row's cuts."""
+        from its highest cut at or below the first profile >= r - tol, with
+        its indices shifted to the stack's flattened rows. A cut is position
+        0, or one whose gap to its lower neighbour is wider than tol and puts
+        that neighbour outside its weak set: nothing below it can be
+        selected at r, dominate a profile above it or join a cluster with
+        one. ``sort`` finds a row's cuts."""
         floors = [r - o.tol for o, r in rows]
         firsts = [int(o.agent[0].searchsorted(f, side="left")) for (o, _), f in zip(rows, floors)]
         # at p = 0, or past the last profile, one side is the padding (NaN),
@@ -274,18 +274,6 @@ class _AgentOrder:
                 field[filled] = values + shift if name in ("weak", "strict") else values
             st = cls(tol, *fields)
         st.above, st.near = st.agent >= np.array(floors).reshape(-1, 1), near
-        return st
-
-    def take(self, rows: np.ndarray) -> _AgentOrder:
-        """The stack of the given rows, in that order."""
-        st = _AgentOrder(self.tol[rows] if isinstance(self.tol, np.ndarray) else self.tol,
-                         *(getattr(self, name)[rows] for name in self.FIELDS))
-        shift = ((np.arange(rows.size) - rows) * self.order.shape[1])[:, None]
-        st.weak += shift
-        st.strict += shift
-        st.above = self.above[rows]
-        near = set(self.near)
-        st.near = [j for j, i in enumerate(rows.tolist()) if i in near]
         return st
 
     def principal(self, alpha) -> np.ndarray:
@@ -327,10 +315,10 @@ def _selection_level(agent: np.ndarray, kept, above: np.ndarray, tol, near) -> t
     Levels below the first kept value >= r - tol cannot qualify, and a gap
     wider than tol always opens a cluster, so that value is the level
     unless a kept value below r - tol lies within tol of it, which only
-    the rows listed in ``near`` can have. There the greedy walk starts at
-    the narrow run holding it and stops at the first cluster start from it
-    on. No level is the case the underlying theory leaves undefined;
-    callers signal it (``empty_selection``) rather than guess.
+    the rows listed in ``near`` can have. There the level is the first of
+    ``_cluster_levels`` of the row's kept values at or above that value.
+    No level is the case the underlying theory leaves undefined; callers
+    signal it (``empty_selection``) rather than guess.
     """
     first = np.where(kept & above, agent, np.nan)
     level = np.fmin.reduce(first, axis=1, initial=np.nan)
@@ -339,12 +327,9 @@ def _selection_level(agent: np.ndarray, kept, above: np.ndarray, tol, near) -> t
         t = tol[k, 0] if isinstance(tol, np.ndarray) else tol
         if not (kept[k] & ~above[k] & (np.abs(agent[k] - level[k]) <= t)).any():
             continue
-        a_s, j = agent[k][kept[k]], int(np.count_nonzero(kept[k] > above[k]))
-        wide = np.flatnonzero(np.diff(a_s[: j + 1]) > t)
-        c = int(wide[-1]) + 1 if wide.size else 0
-        while c < j:
-            c += int(np.searchsorted(a_s[c:] - a_s[c], t, side="right"))
-        level[k] = a_s[c] if c < a_s.size else np.nan
+        levels = _cluster_levels(agent[k][kept[k]], t)
+        i = int(levels.searchsorted(level[k], side="left"))
+        level[k] = levels[i] if i < levels.size else np.nan
         at[k] = kept[k] & (np.abs(agent[k] - level[k]) <= t)
     return level, at
 

@@ -11,10 +11,11 @@ sweep) in lockstep, every round one dominance pass and one selection over a
 stack of their agent orders, one alpha per row, and keeps each threshold on
 its enumeration. Between rounds the solve holds, by enumeration, the next
 alpha, the bracket ends, the trace and the rows selected where the predicate
-last held; the stack only shrinks (``_AgentOrder.take``) as thresholds
-close. ``alpha_star`` solves one enumeration with it, or reads the
-threshold already kept there, and ``verify_theorem`` selects at every tested
-alpha in one more pass over the enumeration repeated, one alpha per row.
+last held; ``_AgentOrder.stack`` builds the stack again only when
+thresholds close, since the rows still bisecting close together.
+``alpha_star`` solves one enumeration with it, or reads the threshold
+already kept there, and ``verify_theorem`` selects at every tested alpha in
+one more pass over the enumeration repeated, one alpha per row.
 """
 
 from __future__ import annotations
@@ -221,19 +222,18 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
         bases[k] = (level, rows, row, float(e.exp_payment[row] - e.cost[row]))
 
     # the predicate rounds, on one stack cut at each u_bar whose rows are the
-    # enumerations in ``live``; by enumeration: the alpha each open one asks
-    # next, its bracket ends, its trace, and the rows selected where its
-    # predicate last held
-    live = list(bases)
-    st = _AgentOrder.stack([(enums[k].agent_order, bases[k][3]) for k in live])
-    pending = dict.fromkeys(live, 1.0)
-    lo, hi = dict.fromkeys(live, 0.0), dict.fromkeys(live, 1.0)
-    traces: dict[int, list[tuple[float, bool]]] = {k: [] for k in live}
+    # enumerations in ``live``, built again only when that set changes; by
+    # enumeration: the alpha each open one asks next, its bracket ends, its
+    # trace, and the rows selected where its predicate last held
+    live: list[int] = []
+    pending = dict.fromkeys(bases, 1.0)
+    lo, hi = dict.fromkeys(bases, 0.0), dict.fromkeys(bases, 1.0)
+    traces: dict[int, list[tuple[float, bool]]] = {k: [] for k in bases}
     held: dict[int, np.ndarray] = {}
     while pending:
-        if len(pending) < len(live):
-            rows = [j for j, k in enumerate(live) if k in pending]
-            live, st = [live[j] for j in rows], st.take(np.array(rows))
+        if len(pending) != len(live):
+            live = list(pending)
+            st = _AgentOrder.stack([(enums[k].agent_order, bases[k][3]) for k in live])
         alphas = [pending.pop(k) for k in live]
         levels, chosen = st.select(np.array(alphas)[:, None])
         binds = np.logical_or.reduce(chosen & st.binding, axis=1)

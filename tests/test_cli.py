@@ -402,6 +402,38 @@ def test_exit_code_parse_boolean(mutate, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(capacity="0.04"),
+    lambda d: d.update(reservation="0"),
+    lambda d: d.update(output=["0", "1"]),
+    lambda d: d["tolerances"].update(tol_u="1e-9"),
+    lambda d: d["contract_family"]["params"].update(values={"min": "0", "max": "1", "step": "0.1"}),
+    lambda d: d["cost"]["params"].update(Q=[["0", "0"], ["0", "1"]]),
+    lambda d: d.update(utility={"kind": "cara", "params": {"a": "2"}}),
+], ids=["capacity", "reservation", "output", "tol_u", "grid-spec", "cost", "utility"])
+def test_exit_code_parse_numeric_string(mutate, tmp_path, capsys):
+    # a number written as a JSON string is refused, not parsed
+    d = scenario_to_dict(tangent_scenario(0.04, m=400))
+    mutate(d)
+    path, out = tmp_path / "string.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_overflowing_grid_spec(tmp_path, capsys):
+    # (max - min) / step overflows: no point count, and nothing allocated
+    d = scenario_to_dict(tangent_scenario(0.04, m=400))
+    d["contract_family"] = {"kind": "linear-share",
+                            "params": {"betas": {"min": 0, "max": 1, "step": 1e-320}, "ws": [0.0]}}
+    path, out = tmp_path / "overflow.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 3
+    assert "grid spec step is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_configuration(ladder_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["solve", "--scenario", str(ladder_file), "--out", str(out), "--alpha", "1.5"])

@@ -345,6 +345,10 @@ def test_grid_values_expansion():
     ):
         with pytest.raises(ValidationError, match="grid spec bounds and step must be finite"):
             grid_values(spec)
+    # finite bounds and step, but (max - min) / step overflows
+    for spec in ({"min": 0.0, "max": 1.0, "step": 1e-320}, {"min": -1e308, "max": 1e308, "step": 1.0}):
+        with pytest.raises(ValidationError, match="grid spec step is too small"):
+            grid_values(spec)
 
 
 def test_grid_family_enumeration_order():

@@ -37,6 +37,7 @@ REMOVED = [
     (pareto.Enumeration, "principal_at"),
     (pareto.Enumeration, "_sorted_payoff_parts"),
     (pareto, "_narrow"),
+    (pareto._AgentOrder, "take"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

@@ -533,16 +533,22 @@ def test_a_solved_threshold_is_read_not_solved_again(monkeypatch):
 @pytest.mark.parametrize("ks", [[0.04], [0.01, 0.04, 0.09, 0.0399], np.linspace(0.005, 0.1, 10)])
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
 def test_a_sweep_makes_one_keep_pass_per_round(ks, eps, monkeypatch):
-    passes = []
-    keep = _AgentOrder.keep
+    passes, builds = [], []
+    keep, stack = _AgentOrder.keep, _AgentOrder.stack.__func__
 
     def counted(self, principal):
         passes.append(principal.shape[0])
         return keep(self, principal)
 
+    def built(cls, rows):
+        builds.append(len(rows))
+        return stack(cls, rows)
+
     monkeypatch.setattr(_AgentOrder, "keep", counted)
+    monkeypatch.setattr(_AgentOrder, "stack", classmethod(built))
     enums = chain(tangent_scenario(0.04, m=400), ks)
     passes.clear()
+    builds.clear()
     results = alpha_stars(enums, eps)
     # one one-row pass per base pick, then one pass per round for every
     # capacity still open, at most 2 + ceil(log2(1 / eps)) rounds
@@ -550,6 +556,10 @@ def test_a_sweep_makes_one_keep_pass_per_round(ks, eps, monkeypatch):
     assert passes[:k] == [1] * k and passes[k] == k
     assert len(passes) - k == max(len(res.predicate_trace) for res in results)
     assert len(passes) - k <= 2 + math.ceil(math.log2(1 / eps))
+    # one one-row stack per base pick; the rounds build theirs again only
+    # when rows close at alpha = 1 or 0, as the rows bisecting close together
+    assert builds[:k] == [1] * k and builds[k] == k
+    assert 1 <= len(builds) - k <= 3
     passes.clear()
     capstruct.sweep_alpha_star(tangent_scenario(0.04, m=400), ks)
     assert len(passes) - k <= 2 + math.ceil(math.log2(1 / DEFAULT_EPS_ALPHA))
