@@ -39,6 +39,7 @@ from .model import (
     Scenario,
     _as_payments,
     _as_probs,
+    _row_sums,
     feasible_mask,
 )
 
@@ -227,14 +228,28 @@ def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> tuple[int, flo
     return strong_concavity(s.cost)
 
 
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)``, NaN propagated, one column at a time: numpy
+    reduces a short second axis one row at a time."""
+    top = a[:, 0].copy()
+    for col in a.T[1:]:
+        np.maximum(top, col, out=top)
+    return top
+
+
 def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
     """Rows p ~ q0 exp(beta u), and their log normalisers
-    log sum q0 exp(beta u)."""
-    z = logq + beta[:, None] * u
-    top = z.max(axis=1)
-    w = np.exp(z - top[:, None])
-    total = w.sum(axis=1)
-    return w / total[:, None], top + np.log(total)
+    log sum q0 exp(beta u). Worked one state at a time, on (n, rows)
+    arrays; the bits are those of the 2-D formula, ``_row_sums`` adding as
+    ``sum(axis=1)`` does."""
+    z = np.multiply(u.T, beta, order="C")
+    z += logq[:, None]
+    top = _column_max(z.T)
+    z -= top
+    w = np.exp(z, out=z)
+    total = _row_sums(w)
+    w /= total
+    return w.T.copy(), top + np.log(total)
 
 
 def _entropy_bound(u: np.ndarray, cost, beta: np.ndarray, kbar: float):
@@ -355,7 +370,9 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     todo = np.arange(h)
     for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        masks, slot = np.unique(F, return_inverse=True)
+        # the faces in use, ascending, and each row's slot among them
+        used = np.bincount(F, minlength=1 << n) > 0
+        masks, slot = np.flatnonzero(used), (np.cumsum(used) - 1)[F]
         A, b, w, nu0, Qe, c0_face, null = _quadratic_faces(Q, q0, masks, flat)
         d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
@@ -403,7 +420,7 @@ def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kba
         mu = lam - 1.0
         dev = centre - q0
         grad = u - 2.0 * lam[:, None] * (dev @ Q)
-        fw_gap = grad.max(axis=1) - np.einsum("ij,ij->i", grad, centre)
+        fw_gap = _column_max(grad) - np.einsum("ij,ij->i", grad, centre)
         value = np.einsum("ij,ij->i", u, centre) - lam * np.einsum("ij,ij->i", dev @ Q, dev) + mu * kbar
     return mu, centre, value + np.maximum(fw_gap, 0.0)
 
@@ -445,7 +462,12 @@ def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom
     remaining deviations have a known sum.
     """
     h, n = centre.shape
-    rest = np.cumsum(centre[:, ::-1], axis=1)[:, ::-1]  # rest[:, j] = sum_{i>=j}
+    # rest[j] = sum_{i>=j} centre_i, added from the last coordinate down, as
+    # a cumsum of the reversed rows adds
+    rest = np.empty((n, h))
+    rest[-1] = centre[:, -1]
+    for j in range(n - 2, -1, -1):
+        np.add(rest[j + 1], centre[:, j], out=rest[j])
     table, span = binom.ravel(), binom.shape[1]
     row = np.arange(h)
     left = np.full(h, m)
@@ -453,7 +475,7 @@ def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom
     rank = np.zeros(h, dtype=np.int64)
     for j in range(n - 1):
         k = n - 1 - j
-        c, gap = centre[row, j], left / m - rest[row, j + 1]
+        c, gap = centre[row, j], left / m - rest[j + 1][row]
         room = bound[row] - dist + _ROUND * (1.0 + bound[row])
         if norm == 2:
             # (x - c)^2 + (gap - x)^2 / k is smallest at x0
@@ -480,14 +502,37 @@ def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom
 
 def _nearest_counts(p: np.ndarray, m: int) -> np.ndarray:
     """Lattice counts (summing to m) nearest to each row of m p, by largest
-    remainder."""
-    x = np.maximum(p, 0.0) * m
+    remainder: with x = m p, each row's floor(x), plus one at the m - (their
+    sum) coordinates placed first by a stable ascending sort of the keys
+    floor(x) - x.
+
+    Worked one coordinate at a time: a coordinate's place is the number of
+    coordinates before it with a key at most its own and after it with a
+    smaller key. A key is NaN only where x is NaN or infinite, and then the
+    row's sum is too, so no place counts and the places there do not matter.
+    """
+    x = np.multiply(np.maximum(p, 0.0).T, m, order="C")
     counts = np.floor(x)
-    order = np.argsort(counts - x, axis=1, kind="stable")
-    place = np.empty_like(order)
-    np.put_along_axis(place, order, np.arange(p.shape[1])[None, :], axis=1)
-    counts += place < (m - counts.sum(axis=1))[:, None]
-    return counts.astype(np.int64)
+    key = counts - x
+    place = np.zeros(x.shape, dtype=np.intp)
+    for j in range(1, len(key)):
+        for i in range(j):
+            ahead = key[i] <= key[j]
+            place[j] += ahead
+            place[i] += ~ahead
+    counts += place < m - sum(counts)
+    return counts.T.astype(np.int64, order="C")
+
+
+def _compositions(counts: np.ndarray, m: int) -> np.ndarray:
+    """Which rows of ``counts`` are lattice points: every count nonnegative
+    and the row summing to m, one column at a time."""
+    ok = counts[:, 0] >= 0
+    total = counts[:, 0].copy()
+    for col in counts.T[1:]:
+        ok &= col >= 0
+        total += col
+    return ok & (total == m)
 
 
 def _pair_values(payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -565,7 +610,7 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
         lb = np.full(len(u), -np.inf)
         rows, probes = np.arange(len(u)), base
         for stage in range(2):
-            at = np.flatnonzero((probes >= 0).all(axis=1) & (probes.sum(axis=1) == m))
+            at = np.flatnonzero(_compositions(probes, m))
             rank = _lattice_rank(probes[at], m, binom)
             feasible = mask[rank]
             at, rank = at[feasible], rank[feasible]
@@ -576,13 +621,17 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
                 rows = np.repeat(np.flatnonzero(lb == -np.inf), len(moves))
                 probes = (base[rows].reshape(-1, len(moves), n) + moves).reshape(-1, n)
         lam = 1.0 + mu
-        margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + np.abs(u).max(axis=1) + lam * cscale)
+        margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + _column_max(np.abs(u)) + lam * cscale)
         with np.errstate(invalid="ignore", over="ignore"):
             r2 = 2.0 * (ub - lb + tol_u + margin) / (lam * sigma0)
             reach = np.sqrt(r2) / (2.0 if norm == 1 else 1.0)
             width = np.floor(m * (centre + reach[:, None])) - np.ceil(m * (centre - reach[:, None])) + 1
             bound = r2 if norm == 2 else np.sqrt(r2)
-        size = np.prod(np.clip(width[:, :-1], 1, m + 1), axis=1)
+        # the product over the first n - 1 columns, left to right as prod multiplies
+        clipped = np.clip(width[:, :-1], 1, m + 1)
+        size = clipped[:, 0].copy()
+        for col in clipped.T[1:]:
+            size *= col
         ok = np.isfinite(r2) & ((n - 1) * size <= n_p)
         full.append(start + np.flatnonzero(~ok))
         rows = np.flatnonzero(ok)
@@ -607,8 +656,11 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
         parts.append((fb[ri], ids[pi], vals))
         evaluations += fb.size * n_p
     cid, pid, vals = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(cid, kind="stable")
-    return cid[order], pid[order], vals[order], row_max, evaluations
+    if fb.size:
+        # the balls' ties come in row order; the full scans' rows join them
+        order = np.argsort(cid, kind="stable")
+        cid, pid, vals = cid[order], pid[order], vals[order]
+    return cid, pid, vals, row_max, evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ evaluation counts against the budget.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -252,20 +252,57 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _column(values) -> list[str]:
-    """The cells of one column; a numpy array goes through ``.tolist()``
-    first, so ``_cell`` sees Python scalars."""
+def _quoted(cells: list[str]) -> list[str]:
+    """``cells`` as csv.writer writes them with a comma for the delimiter
+    and a line feed for the line terminator (QUOTE_MINIMAL): a cell holding
+    a comma, a double quote or a line feed is quoted, with its quotes
+    doubled. One scan of the joined cells settles the common case of none."""
+    joined = "".join(cells)
+    if "," not in joined and '"' not in joined and "\n" not in joined:
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c for c in cells]
+
+
+def _column(values) -> tuple[str, list]:
+    """One column as its piece of the row format and the values that piece
+    takes, row by row: floats (a float array, or a column of Python floats
+    only) as ``%.12g`` of the floats, or as their cells when one is NaN,
+    written empty; bools (a bool array, or Python bools only) as
+    true/false; anything else through ``.tolist()`` (for an array) and
+    ``_cell``, quoted. Each way gives ``_cell``'s text."""
     if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
         values = values.tolist()
-    return [_cell(v) for v in values]
+    else:
+        types = set(map(type, values))
+        kind = "f" if types == {float} else "b" if types == {bool} else ""
+    # a NaN makes the sum NaN (so may infinities of both signs)
+    if kind == "f" and not math.isnan(sum(values)):
+        return "%.12g", values
+    if kind == "f":
+        cells = ("%.12g\n" * len(values) % tuple(values)).split("\n")
+        return "%s", ["" if v != v else c for v, c in zip(values, cells)]
+    if kind == "b":
+        return "%s", list(map(("false", "true").__getitem__, values))
+    return "%s", _quoted(list(map(_cell, values)))
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write a table given column by column, every cell through ``_column``."""
+    """Write a table given column by column, with the bytes csv.writer
+    (line feeds ending the lines) writes for ``_cell`` of every value and
+    for the header's strings: the body is one ``%`` format of a row
+    format, made of each ``_column``'s piece, repeated over the rows. Rows
+    stop at the shortest column, and a record of one empty field is
+    written ``""``, as csv.writer does."""
+    rendered = [_column(values) for values in columns]
+    pieces, cells = zip(*rendered) if rendered else ((), ())
+    if pieces == ("%s",):
+        cells = ([c or '""' for c in cells[0]],)
+    head = _quoted(list(header))
+    rows = min(map(len, cells), default=0)
+    body = (",".join(pieces) + "\n") * rows % tuple(itertools.chain.from_iterable(zip(*cells)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_column, columns)))
+        fh.write(",".join(head if head != [""] else ['""']) + "\n" + body)
 
 
 def _digest(path) -> str:

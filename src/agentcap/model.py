@@ -16,11 +16,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -553,6 +553,43 @@ def grid_values(spec) -> tuple[float, ...]:
     return values
 
 
+class ProductLabels(Sequence):
+    """The labels of a product family as a function of the member id.
+
+    Member i of the product of the ``axes`` (one list of value texts per
+    axis) is labelled ``prefix + sep.join(texts) + suffix``, its texts read
+    off i in mixed radix with the last axis fastest, the order
+    ``itertools.product`` gives. ``ids``, when given, lists the product
+    indices of the members kept, so member i is product member ``ids[i]``.
+    No label is built before it is read.
+    """
+
+    def __init__(self, axes, prefix: str, sep: str, suffix: str, ids: np.ndarray | None = None):
+        self.axes, self.prefix, self.sep, self.suffix, self.ids = axes, prefix, sep, suffix, ids
+        self._size = math.prod(map(len, axes)) if ids is None else len(ids)
+
+    def kept(self, ids: np.ndarray) -> ProductLabels:
+        """The labels of the product members ``ids`` only, in that order."""
+        return ProductLabels(self.axes, self.prefix, self.sep, self.suffix, ids)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i) -> str:
+        i = operator.index(i)
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError("contract id out of range")
+        if self.ids is not None:
+            i = int(self.ids[i])
+        texts = []
+        for axis in reversed(self.axes):
+            i, digit = divmod(i, len(axis))
+            texts.append(axis[digit])
+        return self.prefix + self.sep.join(reversed(texts)) + self.suffix
+
+
 class ContractFamily:
     """Base for the finite contract families."""
 
@@ -561,7 +598,7 @@ class ContractFamily:
     def size(self) -> int:
         raise NotImplementedError
 
-    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+    def _rows(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
         """Each member's label and payment row, in lexicographic order."""
         raise NotImplementedError
 
@@ -569,8 +606,10 @@ class ContractFamily:
         """Yield (label, payments) in a deterministic lexicographic order."""
         return zip(*self._rows(y))
 
-    def payment_matrix(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """Member labels and the (members x states) payment matrix."""
+    def payment_matrix(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
+        """Member labels, a sized sequence indexed by member id, and the
+        (members x states) payment matrix. A product family renders a label
+        only when it is read (``ProductLabels``)."""
         labels, rows = self._rows(y)
         if not labels:
             raise ConfigurationError("contract family enumeration is empty")
@@ -602,11 +641,10 @@ class GridFamily(ContractFamily):
     def size(self) -> int:
         return int(np.prod([len(g) for g in self.grids]))
 
-    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+    def _rows(self, y: np.ndarray) -> tuple[ProductLabels, np.ndarray]:
         if len(self.grids) != len(y):
             raise ValidationError(f"{self._name} arity must match the state count")
-        texts = [[format(v, "g") for v in g] for g in self.grids]
-        labels = ["b=(" + ",".join(combo) + ")" for combo in itertools.product(*texts)]
+        labels = ProductLabels([[format(v, "g") for v in g] for g in self.grids], "b=(", ",", ")")
         axes = np.meshgrid(*self.grids, indexing="ij", copy=False)
         return labels, np.stack(axes, axis=-1).reshape(len(labels), len(self.grids))
 
@@ -633,10 +671,9 @@ class LinearShareFamily(ContractFamily):
     def size(self) -> int:
         return len(self.betas) * len(self.ws)
 
-    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
-        beta_texts = ["beta=" + format(beta, "g") for beta in self.betas]
-        w_texts = [",w=" + format(w, "g") for w in self.ws]
-        labels = [bt + wt for bt in beta_texts for wt in w_texts]
+    def _rows(self, y: np.ndarray) -> tuple[ProductLabels, np.ndarray]:
+        texts = [[format(v, "g") for v in self.betas], [format(v, "g") for v in self.ws]]
+        labels = ProductLabels(texts, "beta=", ",w=", "")
         betas, ws = np.array(self.betas), np.array(self.ws)
         payments = betas[:, None, None] * y + ws[None, :, None]
         return labels, payments.reshape(len(labels), len(y))
@@ -715,10 +752,10 @@ class MonotoneBoundedSlopeFamily(GridFamily):
         db, dy = np.diff(bo, axis=-1), np.diff(yo)
         return np.all((db >= -1e-12) & (db <= dy + 1e-12), axis=-1)
 
-    def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
+    def _rows(self, y: np.ndarray) -> tuple[ProductLabels, np.ndarray]:
         labels, payments = super()._rows(y)
         keep = self.admits(payments, y)
-        return list(itertools.compress(labels, keep)), payments[keep]
+        return labels.kept(np.flatnonzero(keep)), payments[keep]
 
 
 # ---------------------------------------------------------------------------

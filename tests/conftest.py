@@ -525,6 +525,28 @@ def matrix_entropy_cost(points, theta, q0):
     return theta * terms.sum(axis=1)
 
 
+def nearest_counts_reference(p, m):
+    """Lattice counts (summing to m) nearest to each row of m p, by largest
+    remainder, as one stable argsort per row."""
+    x = np.maximum(p, 0.0) * m
+    counts = np.floor(x)
+    order = np.argsort(counts - x, axis=1, kind="stable")
+    place = np.empty_like(order)
+    np.put_along_axis(place, order, np.arange(p.shape[1])[None, :], axis=1)
+    counts += place < (m - counts.sum(axis=1))[:, None]
+    return counts.astype(np.int64)
+
+
+def gibbs_reference(u, logq, beta):
+    """Rows p ~ q0 exp(beta u) and their log normalisers, on the 2-D
+    arrays: a ``max(axis=1)`` and a ``sum(axis=1)``."""
+    z = logq + beta[:, None] * u
+    top = z.max(axis=1)
+    w = np.exp(z - top[:, None])
+    total = w.sum(axis=1)
+    return w / total[:, None], top + np.log(total)
+
+
 def verify_inequalities(s, alpha, base, candidate):
     """Slacks of the payoff chain for one base/candidate pair, each written
     out from its definition. Differences are base minus candidate with each

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcap import agent
 from agentcap.cli import main, save_scenario
@@ -30,7 +32,13 @@ from agentcap.model import (
 )
 from agentcap.pareto import Enumeration
 
-from conftest import smooth_scenario, tangent_scenario
+from conftest import (
+    gibbs_reference,
+    nearest_counts_reference,
+    same_bits,
+    smooth_scenario,
+    tangent_scenario,
+)
 
 
 def random_case(n, kind, m, binding, seed=0, per_state=4, lam_min=None):
@@ -368,3 +376,69 @@ def test_chunked_ball_route_matches_one_chunk(monkeypatch):
     assert list(itertools.islice(agent._groups(np.array([3.0, 1.0, 5.0, 1.0, 1.0]), 4.0), 5)) == [
         slice(0, 2), slice(2, 3), slice(3, 5)
     ]
+
+
+@st.composite
+def centre_rows(draw):
+    """(rows, m): points near the simplex with tied remainders, zero and
+    negative coordinates, and coordinates on the lattice."""
+    n, m, h = draw(st.integers(2, 9)), draw(st.integers(1, 400)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(h):
+        kind = draw(st.sampled_from(["random", "ties", "halves", "lattice"]))
+        if kind == "random":
+            row = draw(st.lists(st.floats(-0.1, 1.1), min_size=n, max_size=n))
+        elif kind == "ties":
+            # repeated coordinates: their remainders tie exactly
+            values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+            row = [draw(st.sampled_from(values)) for _ in range(n)]
+        elif kind == "halves":
+            # the same remainder over different whole counts
+            frac = draw(st.sampled_from([0.25, 0.5, 1 / 3, 0.75]))
+            row = [(draw(st.integers(0, 3)) + frac) / m for _ in range(n)]
+        else:
+            row = [draw(st.integers(0, m)) / m for _ in range(n)]
+        zeros = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        for j in zeros:
+            row[j] = draw(st.sampled_from([0.0, -0.0]))
+        rows.append(row)
+    return np.array(rows, dtype=float), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(centre_rows())
+def test_nearest_counts_match_the_argsort_reference(case):
+    p, m = case
+    want = nearest_counts_reference(p, m)
+    got = agent._nearest_counts(p, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nearest_counts_on_simplex_rows_are_lattice_points():
+    rng = np.random.default_rng(4)
+    for n, m in ((2, 1), (3, 400), (9, 7), (9, 400)):
+        p = rng.dirichlet(np.ones(n), 200)
+        counts = agent._nearest_counts(p, m)
+        assert np.array_equal(counts, nearest_counts_reference(p, m))
+        assert (counts >= 0).all() and (counts.sum(axis=1) == m).all()
+        assert agent._compositions(counts, m).all()
+        bad = counts.copy()
+        bad[0, 0] += 1
+        bad[1, :2] = (-1, counts[1, 0] + counts[1, 1] + 1)
+        assert agent._compositions(bad, m).tolist()[:3] == [False, False, True]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_gibbs_matches_the_2d_formula_bit_for_bit(n):
+    # numpy sums a row of 8 or more terms pairwise, in 8 partial sums
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(300, n)) * rng.choice([1.0, 1e-3, 30.0], size=(300, n))
+    u[:5] = 0.0
+    u[5:10, 0] = 700.0  # one dominant term: the others underflow
+    logq = np.log(rng.dirichlet(np.ones(n)))
+    beta = rng.choice([0.5, 1.0, 20.0, 1e-9], size=300)
+    p, logz = agent._gibbs(u, logq, beta)
+    want_p, want_logz = gibbs_reference(u, logq, beta)
+    assert same_bits(p, want_p) and same_bits(logz, want_logz)
+    assert p.flags.c_contiguous

@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcap import agent, cli, scaling
 from agentcap.cli import (
     _cell,
-    _column,
     _write_csv,
     load_scenario,
     main,
@@ -242,6 +243,17 @@ def _cell_of_the_row_writer(v) -> str:
 EDGE_FLOATS = [-0.0, 1e-5, 9.99999999999e11, 1e16, float("nan"), 0.1, 1 / 3, -2.5e-300]
 
 
+def _row_writer_bytes(path, header, columns) -> bytes:
+    """The table as csv.writer writes it, row by row, every cell through
+    the row writer's rule: the reference for ``_write_csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_cell_of_the_row_writer(v) for v in row])
+    return path.read_bytes()
+
+
 def test_column_formatter_matches_the_row_writer_rule(tmp_path):
     bools = [True, False, False]
     columns = [
@@ -257,19 +269,65 @@ def test_column_formatter_matches_the_row_writer_rule(tmp_path):
         np.array(EDGE_FLOATS)[::-2],  # a strided view, as a transposed block gives
     ]
     for col in columns:
-        assert _column(col) == [_cell_of_the_row_writer(v) for v in col]
-        assert _column(col) == [_cell(v) for v in col]
-    assert _column(np.array(EDGE_FLOATS[:5])) == ["-0", "1e-05", "999999999999", "1e+16", ""]
-    assert _column(np.array(bools)) == ["true", "false", "false"]
+        for table in ([col], [col, col[::-1]], [np.arange(len(col)), col]):
+            _write_csv(tmp_path / "cols.csv", ["x", "y"][:len(table)], table)
+            expected = _row_writer_bytes(tmp_path / "rows.csv", ["x", "y"][:len(table)], table)
+            assert (tmp_path / "cols.csv").read_bytes() == expected
+    for col, cells in ((np.array(EDGE_FLOATS[:5]), ["-0", "1e-05", "999999999999", "1e+16", ""]),
+                       (np.array(bools), ["true", "false", "false"])):
+        _write_csv(tmp_path / "cols.csv", ["x", "n"], [col, range(len(col))])
+        assert [row[0] for row in read_csv(tmp_path / "cols.csv")[1]] == cells
     # the file: a table given by columns equals the row writer's bytes
     table = [np.array(EDGE_FLOATS[:3]), np.array(bools), ["a,b", "c", 'd"e']]
     _write_csv(tmp_path / "cols.csv", ["x", "flag", "label"], table)
-    with open(tmp_path / "rows.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "flag", "label"])
-        for row in zip(*table):
-            writer.writerow([_cell_of_the_row_writer(v) for v in row])
-    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    expected = _row_writer_bytes(tmp_path / "rows.csv", ["x", "flag", "label"], table)
+    assert (tmp_path / "cols.csv").read_bytes() == expected
+
+
+# float64 values the cell rule must render as the row writer does
+_EDGE = st.sampled_from([float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                         5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                         1.7976931348623157e308, 9.99999999999e11, 1e16, 0.1])
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(min_value=-1e-300, max_value=1e-300), _EDGE)
+# strings with each character csv.writer treats specially, and a few it does not
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0", "é", "△", "%"]), max_size=6)
+_VALUES = st.one_of(_FLOATS, st.integers(-10**20, 10**20), st.booleans(), st.none(), _TEXT)
+
+
+@st.composite
+def _tables(draw):
+    """A header and columns of one length, each column a float64 array, a
+    bool array, a tuple of Python floats or bools only, or a tuple of mixed
+    Python values; the header cells are built from state labels as the
+    commands build theirs."""
+    rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool", "values", "floats", "bools"]), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            columns.append(np.array(draw(st.lists(_FLOATS, min_size=rows, max_size=rows)), dtype=float))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool))
+        elif kind == "floats":
+            columns.append(tuple(draw(st.lists(_FLOATS, min_size=rows, max_size=rows))))
+        elif kind == "bools":
+            columns.append(tuple(draw(st.lists(st.booleans(), min_size=rows, max_size=rows))))
+        else:
+            columns.append(tuple(draw(st.lists(_VALUES, min_size=rows, max_size=rows))))
+    labels = draw(st.lists(st.one_of(_TEXT, _FLOATS, st.integers(), st.booleans()),
+                           min_size=len(columns), max_size=len(columns)))
+    prefix = draw(st.sampled_from(["", "b_", "p_"]))
+    return [prefix + str(lab) for lab in labels], columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_table_writer_matches_csv_writer_on_the_cell_rule(tmp_path_factory, table):
+    header, columns = table
+    path = tmp_path_factory.mktemp("csv")
+    _write_csv(path / "cols.csv", header, columns)
+    assert (path / "cols.csv").read_bytes() == _row_writer_bytes(path / "rows.csv", header, columns)
 
 
 @pytest.mark.parametrize("make", [

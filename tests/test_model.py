@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ def test_grid_family_enumeration_order():
     fam = GridFamily(((0.0, 1.0), (0.0, 2.0)))
     y = np.array([0.0, 1.0])
     labels, payments = fam.payment_matrix(y)
-    assert labels == ["b=(0,0)", "b=(0,2)", "b=(1,0)", "b=(1,2)"]
+    assert list(labels) == ["b=(0,0)", "b=(0,2)", "b=(1,0)", "b=(1,2)"]
     assert payments.tolist() == [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0], [1.0, 2.0]]
     assert fam.size() == 4
 
@@ -403,7 +404,7 @@ def test_monotone_family_is_a_filtered_grid_family():
     keep = np.array([MonotoneBoundedSlopeFamily.admits(b, y) for b in g_payments])
     labels, payments = mono.payment_matrix(y)
     assert 0 < len(labels) < len(g_labels)
-    assert labels == [lab for lab, k in zip(g_labels, keep) if k]
+    assert list(labels) == [lab for lab, k in zip(g_labels, keep) if k]
     assert np.array_equal(payments, g_payments[keep])
     assert mono.size() == grid.size() and mono.params_dict() == grid.params_dict()
     assert mono != grid
@@ -440,7 +441,7 @@ def test_grid_payment_matrices_match_product_reference():
     for fam, monotone in ((GridFamily(grids), False), (MonotoneBoundedSlopeFamily(grids), True)):
         labels, payments = fam.payment_matrix(y)
         ref_labels, ref_payments = grid_reference(grids, y, monotone)
-        assert labels == ref_labels
+        assert list(labels) == ref_labels
         # bytes, so that -0.0 and 0.0 count as different payments
         assert payments.shape == ref_payments.shape
         assert payments.tobytes() == ref_payments.tobytes()
@@ -470,13 +471,78 @@ def test_share_debt_and_live_or_die_match_member_loop_reference():
     )
     for fam, reference in cases:
         labels, payments = fam.payment_matrix(y)
-        assert labels == [lab for lab, _ in reference]
+        assert list(labels) == [lab for lab, _ in reference]
         assert payments.shape == (len(reference), y.size) and payments.dtype == float
         # bytes, so that -0.0 and 0.0 count as different payments
         assert payments.tobytes() == np.array([b for _, b in reference]).tobytes()
     labels = share.payment_matrix(y)[0]
     assert "beta=1e-05,w=-2.5" in labels and "beta=-0,w=1e+20" in labels
     assert "beta=0.5,w=-0" in labels
+
+
+def eager_labels(fam, y):
+    """Every member's label built up front, one string per member, as the
+    families built them before labels were rendered on demand."""
+    if isinstance(fam, GridFamily):
+        texts = [[format(v, "g") for v in g] for g in fam.grids]
+        labels = ["b=(" + ",".join(combo) + ")" for combo in itertools.product(*texts)]
+        if isinstance(fam, MonotoneBoundedSlopeFamily):
+            axes = np.meshgrid(*fam.grids, indexing="ij", copy=False)
+            payments = np.stack(axes, axis=-1).reshape(len(labels), len(fam.grids))
+            labels = list(itertools.compress(labels, fam.admits(payments, y)))
+        return labels
+    if isinstance(fam, LinearShareFamily):
+        beta_texts = ["beta=" + format(beta, "g") for beta in fam.betas]
+        w_texts = [",w=" + format(w, "g") for w in fam.ws]
+        return [bt + wt for bt in beta_texts for wt in w_texts]
+    if isinstance(fam, DebtFamily):
+        return ["F=" + format(f, "g") for f in fam.faces]
+    return ["l=" + format(v, "g") for v in fam.thresholds]
+
+
+def test_label_of_every_id_is_the_eager_label():
+    values = (-2.5, -0.0, 0.0, 1e-05, 1e20, 0.3, 1 / 3)
+    y = np.array([1.0, 0.0, 2.5])
+    grids = (values, (0.5, -0.0, 1e-05, 1.0, 2.0), (0.25, 1e20, -2.0, 1.5))
+    families = (
+        GridFamily(grids),
+        GridFamily(((7.0,), (8.0,), (9.0,))),
+        MonotoneBoundedSlopeFamily(grids),
+        MonotoneBoundedSlopeFamily.uniform(3, 0.0, 1.0, 0.125),
+        LinearShareFamily((0.0, 1e-05, 0.5, 1.0, -0.0), values),
+        DebtFamily((0.0, -0.0, 1e-05, 1e20, 0.3)),
+        LiveOrDieFamily(values),
+    )
+    for fam in families:
+        labels, payments = fam.payment_matrix(y)
+        want = eager_labels(fam, y)
+        assert len(labels) == len(want) == len(payments) > 0
+        assert [labels[i] for i in range(len(labels))] == want
+        # numpy ids and negative ids index as list positions do
+        ids = np.arange(-len(want), len(want))
+        assert [labels[i] for i in ids] == [want[i] for i in ids.tolist()]
+        for bad in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                labels[bad]
+    # the monotone filter keeps some members and drops others
+    assert 0 < len(families[2].payment_matrix(y)[0]) < len(families[0].payment_matrix(y)[0])
+
+
+def test_grid_payment_matrix_builds_no_label():
+    fam = GridFamily.uniform(4, 0.0, 2.0, 0.05)
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    tracemalloc.start()
+    try:
+        labels, payments = fam.payment_matrix(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == len(payments) == 41**4
+    # the matrix is 90 MB and checking it needs a temporary mask of an
+    # eighth of that; one string per member would add over 200 MB
+    assert peak <= payments.nbytes + payments.nbytes // 4
+    assert labels[0] == "b=(0,0,0,0)" and labels[-1] == "b=(2,2,2,2)"
+    assert labels[41**3 + 2] == "b=(0.05,0,0,0.1)"
 
 
 def test_validate_scenario_empty_family_reports_once():
