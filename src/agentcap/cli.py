@@ -15,6 +15,10 @@ solve that stops without converging still writes its point before exiting
 repeated runs on the same inputs are byte-identical; the summary
 additionally carries runtime metadata, and for the enumerating commands the
 evaluation counts against the budget.
+
+The kind tables, ``_KINDS``, are the one statement of the scenario format:
+a cost or contract-family ``kind`` names its ``model`` class, whose init
+fields are the kind's params (``GridFamily.grids`` is written ``values``).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import (
 )
 from .model import (
     AgentUtility,
+    ContractFamily,
     DebtFamily,
     EffortCost,
     GridFamily,
@@ -82,25 +87,24 @@ def _section(data: dict, key: str) -> tuple[str, dict]:
     return str(sec["kind"]), params
 
 
-def _cost_from(kind: str, params: dict):
-    if kind == "quadratic":
-        return QuadraticCost(params["Q"], params["q0"])
-    if kind == "relative-entropy":
-        return RelativeEntropyCost(params["theta"], params["q0"])
-    if kind == "table":
-        return TableCost(tuple(tuple(p) for p in params["points"]), params["values"])
-    if kind == "effort":
-        return EffortCost(
-            params["efforts"],
-            tuple(tuple(d) for d in params["distributions"]),
-            params["costs"],
-        )
-    raise ScenarioParseError(f"unknown cost kind {kind!r}")
+# per section, each kind and its class: the scenario format (module docstring)
+_KINDS = {
+    "cost": {c.kind: c for c in (QuadraticCost, RelativeEntropyCost, TableCost, EffortCost)},
+    "contract_family": {
+        c.kind: c
+        for c in (GridFamily, MonotoneBoundedSlopeFamily, LinearShareFamily, DebtFamily, LiveOrDieFamily)
+    },
+}
+_PARAM_KEYS = {"grids": "values"}
 
 
-def _per_state_grids(params: dict, n: int) -> tuple[tuple[float, ...], ...]:
+def _fields(cls) -> list[str]:
+    """The init fields of a cost or family class (or instance), by name."""
+    return [f.name for f in dataclasses.fields(cls) if f.init]
+
+
+def _per_state_grids(values, n: int) -> tuple[tuple[float, ...], ...]:
     """Per-state value grids; a single flat grid or {min,max,step} is shared."""
-    values = params["values"]
     if isinstance(values, dict):
         return tuple(grid_values(values) for _ in range(n))
     if isinstance(values, (list, tuple)) and values and not isinstance(values[0], (list, tuple, dict)):
@@ -109,18 +113,36 @@ def _per_state_grids(params: dict, n: int) -> tuple[tuple[float, ...], ...]:
     return tuple(grid_values(v) for v in values)
 
 
-def _family_from(kind: str, params: dict, n: int):
-    if kind == "grid":
-        return GridFamily(_per_state_grids(params, n))
-    if kind == "monotone-bounded-slope":
-        return MonotoneBoundedSlopeFamily(_per_state_grids(params, n))
-    if kind == "linear-share":
-        return LinearShareFamily(grid_values(params["betas"]), grid_values(params["ws"]))
-    if kind == "debt":
-        return DebtFamily(grid_values(params["faces"]))
-    if kind == "live-or-die":
-        return LiveOrDieFamily(grid_values(params["thresholds"]))
-    raise ScenarioParseError(f"unknown contract family kind {kind!r}")
+def _field(cls, name: str, params: dict, n: int):
+    """Init field ``name`` of ``cls`` read from its param: per-state grids,
+    a grid for any other family field, tuples of tuples for points and
+    distributions, any other cost field as given."""
+    value = params[_PARAM_KEYS.get(name, name)]
+    if name == "grids":
+        return _per_state_grids(value, n)
+    if issubclass(cls, ContractFamily):
+        return grid_values(value)
+    if name in ("points", "distributions"):
+        return tuple(tuple(v) for v in value)
+    return value
+
+
+def _from_kind(key: str, kind: str, params: dict, n: int):
+    """The section ``key``'s object of kind ``kind``, built from its params."""
+    cls = _KINDS[key].get(kind)
+    if cls is None:
+        raise ScenarioParseError(f"unknown {key.replace('_', ' ')} kind {kind!r}")
+    return cls(*(_field(cls, name, params, n) for name in _fields(cls)))
+
+
+def _params(obj) -> dict:
+    """The params of a cost or family: its init fields, nested tuples as lists."""
+    return {_PARAM_KEYS.get(name, name): _plain(getattr(obj, name)) for name in _fields(obj)}
+
+
+def _plain(value):
+    """``value`` with its tuples, at any depth, as lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _utility_from(kind: str, params: dict) -> AgentUtility:
@@ -182,9 +204,9 @@ def scenario_from_dict(data) -> Scenario:
         return Scenario(
             states=states,
             y=OutputFunction(tuple(data["output"])),
-            cost=_cost_from(cost_kind, cost_params),
+            cost=_from_kind("cost", cost_kind, cost_params, states.n),
             capacity=data["capacity"],
-            family=_family_from(fam_kind, fam_params, states.n),
+            family=_from_kind("contract_family", fam_kind, fam_params, states.n),
             utility=_utility_from(util_kind, util_params),
             reservation=data["reservation"],
             m=_integer(data["simplex_grid"], "simplex_grid"),
@@ -197,13 +219,16 @@ def scenario_from_dict(data) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    """The document of a scenario, in plain nested lists; the utility's
+    params are the ``AgentUtility`` fields it sets."""
+    utility = {k: v for k, v in dataclasses.asdict(s.utility).items() if v is not None}
     return {
         "states": list(s.states.labels),
         "output": list(s.y.values),
-        "cost": {"kind": s.cost.kind, "params": s.cost.params_dict()},
+        "cost": {"kind": s.cost.kind, "params": _params(s.cost)},
         "capacity": s.capacity,
-        "contract_family": {"kind": s.family.kind, "params": s.family.params_dict()},
-        "utility": {"kind": s.utility.kind, "params": s.utility.params_dict()},
+        "contract_family": {"kind": s.family.kind, "params": _params(s.family)},
+        "utility": {"kind": utility.pop("kind"), "params": utility},
         "reservation": s.reservation,
         "simplex_grid": s.m,
         "tolerances": {"tol_u": s.tol_u},

@@ -50,6 +50,12 @@ def _key(p) -> tuple[int, ...]:
     return tuple(int(round(float(x) * _POINT_KEY_SCALE)) for x in p)
 
 
+def _check_finite(what: str, *rows) -> None:
+    """Raise ValidationError unless every number of every row is finite."""
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValidationError(f"{what} must be finite")
+
+
 def check_payments(payments) -> None:
     """``Contract``'s invariant over one payment vector or the rows of a
     matrix: every payment finite. Raises ValidationError."""
@@ -60,11 +66,12 @@ def check_payments(payments) -> None:
 def check_probabilities(probs) -> None:
     """``Distribution``'s invariants over one probability vector or the rows
     of a matrix: each row nonempty and summing to 1 within 1e-12, no entry
-    below -1e-12. Raises ValidationError."""
+    below -1e-12. Raises ValidationError. Both comparisons are written so
+    that a NaN fails them."""
     probs = np.atleast_2d(probs)
-    if probs.shape[-1] == 0 or (np.abs(probs.sum(axis=-1) - 1.0) > 1e-12).any():
+    if probs.shape[-1] == 0 or not (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12).all():
         raise ValidationError("probabilities must sum to 1 within 1e-12")
-    if (probs < -1e-12).any():
+    if not (probs >= -1e-12).all():
         raise ValidationError("probabilities must be nonnegative")
 
 
@@ -98,8 +105,7 @@ class OutputFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _astuple(self.values))
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValidationError("output values must be finite")
+        _check_finite("output values", self.values)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
@@ -217,9 +223,6 @@ class CostFunction:
         """Intrinsic point grid for non-lattice kinds, else None."""
         return None
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class QuadraticCost(CostFunction):
@@ -238,6 +241,7 @@ class QuadraticCost(CostFunction):
         object.__setattr__(self, "q0", _astuple(self.q0))
         if len(self.q0) != q.shape[0]:
             raise ValidationError("q0 length must match Q")
+        _check_finite("quadratic cost Q and q0", self.q0, *self.Q)
         if not np.allclose(q, q.T, atol=1e-12):
             raise ValidationError("Q must be symmetric")
         if np.linalg.eigvalsh(q).min() < -1e-10:
@@ -284,9 +288,6 @@ class QuadraticCost(CostFunction):
     def scaled(self, factor: float) -> "QuadraticCost":
         return QuadraticCost(tuple(tuple(factor * v for v in row) for row in self.Q), self.q0)
 
-    def params_dict(self) -> dict:
-        return {"Q": [list(r) for r in self.Q], "q0": list(self.q0)}
-
 
 @dataclass(frozen=True)
 class RelativeEntropyCost(CostFunction):
@@ -300,10 +301,10 @@ class RelativeEntropyCost(CostFunction):
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "q0", _astuple(self.q0))
-        if self.theta <= 0:
-            raise ValidationError("entropy scale theta must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ValidationError("entropy scale theta must be positive and finite")
         q = np.array(self.q0)
-        if (q <= 0).any() or abs(q.sum() - 1.0) > 1e-9:
+        if not ((q > 0).all() and abs(q.sum() - 1.0) <= 1e-9):
             raise ValidationError("entropy baseline q0 must be an interior distribution")
 
     def _q0(self) -> np.ndarray:
@@ -341,9 +342,6 @@ class RelativeEntropyCost(CostFunction):
 
     def scaled(self, factor: float) -> "RelativeEntropyCost":
         return RelativeEntropyCost(factor * self.theta, self.q0)
-
-    def params_dict(self) -> dict:
-        return {"theta": self.theta, "q0": list(self.q0)}
 
 
 class _LookupCost(CostFunction):
@@ -386,15 +384,13 @@ class TableCost(_LookupCost):
             raise ValidationError("table points and values must align")
         if not self.points:
             raise ValidationError("table cost needs at least one point")
+        _check_finite("table cost points and values", self.values, *self.points)
 
     def _lookup(self) -> dict:
         return {_key(p): v for p, v in zip(self.points, self.values)}
 
     def scaled(self, factor: float) -> "TableCost":
         return TableCost(self.points, tuple(factor * v for v in self.values))
-
-    def params_dict(self) -> dict:
-        return {"points": [list(p) for p in self.points], "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -419,6 +415,7 @@ class EffortCost(_LookupCost):
             raise ValidationError("effort grid, distributions, and costs must align")
         if not self.efforts:
             raise ValidationError("effort cost needs at least one effort level")
+        _check_finite("effort levels, distributions and costs", self.efforts, self.costs, *self.distributions)
         for d in self.distributions:
             Distribution(d)  # reuse the invariant checks
 
@@ -438,13 +435,6 @@ class EffortCost(_LookupCost):
 
     def scaled(self, factor: float) -> "EffortCost":
         return EffortCost(self.efforts, self.distributions, tuple(factor * v for v in self.costs))
-
-    def params_dict(self) -> dict:
-        return {
-            "efforts": list(self.efforts),
-            "distributions": [list(d) for d in self.distributions],
-            "costs": list(self.costs),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +459,15 @@ class AgentUtility:
         if self.kind == "risk_neutral":
             pass
         elif self.kind == "cara":
-            if self.a is None or float(self.a) <= 0:
-                raise ValidationError("CARA coefficient a must be positive")
+            if self.a is None or not 0 < float(self.a) < math.inf:
+                raise ValidationError("CARA coefficient a must be positive and finite")
             object.__setattr__(self, "a", float(self.a))
         elif self.kind == "crra":
-            if self.gamma is None or float(self.gamma) < 0:
-                raise ValidationError("CRRA coefficient gamma must be nonnegative")
+            if self.gamma is None or not 0 <= float(self.gamma) < math.inf:
+                raise ValidationError("CRRA coefficient gamma must be nonnegative and finite")
             shift = 1.0 if self.shift is None else float(self.shift)
-            if shift <= 0:
-                raise ValidationError("CRRA domain shift must be positive")
+            if not 0 < shift < math.inf:
+                raise ValidationError("CRRA domain shift must be positive and finite")
             object.__setattr__(self, "gamma", float(self.gamma))
             object.__setattr__(self, "shift", shift)
         else:
@@ -518,13 +508,6 @@ class AgentUtility:
         if self.outside_domain(payments).any():
             return "contract payments outside the CRRA utility domain"
         return None
-
-    def params_dict(self) -> dict:
-        if self.kind == "cara":
-            return {"a": self.a}
-        if self.kind == "crra":
-            return {"gamma": self.gamma, "shift": self.shift}
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +599,6 @@ class ContractFamily:
         check_payments(rows)
         return labels, rows
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GridFamily(ContractFamily):
@@ -648,9 +628,6 @@ class GridFamily(ContractFamily):
         axes = np.meshgrid(*self.grids, indexing="ij", copy=False)
         return labels, np.stack(axes, axis=-1).reshape(len(labels), len(self.grids))
 
-    def params_dict(self) -> dict:
-        return {"values": [list(g) for g in self.grids]}
-
 
 @dataclass(frozen=True)
 class LinearShareFamily(ContractFamily):
@@ -678,9 +655,6 @@ class LinearShareFamily(ContractFamily):
         payments = betas[:, None, None] * y + ws[None, :, None]
         return labels, payments.reshape(len(labels), len(y))
 
-    def params_dict(self) -> dict:
-        return {"betas": list(self.betas), "ws": list(self.ws)}
-
 
 @dataclass(frozen=True)
 class DebtFamily(ContractFamily):
@@ -703,9 +677,6 @@ class DebtFamily(ContractFamily):
         labels = ["F=" + format(f, "g") for f in self.faces]
         return labels, np.maximum(0.0, y - np.array(self.faces)[:, None])
 
-    def params_dict(self) -> dict:
-        return {"faces": list(self.faces)}
-
 
 @dataclass(frozen=True)
 class LiveOrDieFamily(ContractFamily):
@@ -725,9 +696,6 @@ class LiveOrDieFamily(ContractFamily):
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
         labels = ["l=" + format(l, "g") for l in self.thresholds]
         return labels, np.where(y >= np.array(self.thresholds)[:, None], y, 0.0)
-
-    def params_dict(self) -> dict:
-        return {"thresholds": list(self.thresholds)}
 
 
 @dataclass(frozen=True)

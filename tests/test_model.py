@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentcap import model
+from agentcap.cli import scenario_to_dict
 from agentcap.errors import (
     DifferentiabilityError,
     InteriorityError,
@@ -71,6 +72,37 @@ def test_distribution_sum_guard():
         Distribution((-0.1, 1.1))
 
 
+def test_distribution_refuses_nan():
+    # a NaN makes the sum NaN, and NaN fails both comparisons
+    for row in [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(ValidationError, match="^probabilities must sum to 1 within 1e-12$"):
+            Distribution(row)
+        with pytest.raises(ValidationError):
+            check_probabilities(np.array([[0.5, 0.5], row]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [
+    lambda v: QuadraticCost(((v, 0.0), (0.0, 1.0)), (0.0, 0.0)),
+    lambda v: QuadraticCost(((1.0, 0.0), (0.0, 1.0)), (v, 0.0)),
+    lambda v: RelativeEntropyCost(v, (0.5, 0.5)),
+    lambda v: RelativeEntropyCost(1.0, (0.5, v)),
+    lambda v: TableCost(((1.0, 0.0), (0.0, v)), (0.0, 1.0)),
+    lambda v: TableCost(((1.0, 0.0), (0.0, 1.0)), (0.0, v)),
+    lambda v: EffortCost((0.0, v), ((0.9, 0.1), (0.4, 0.6)), (0.0, 0.3)),
+    lambda v: EffortCost((0.0, 1.0), ((0.9, 0.1), (v, 0.6)), (0.0, 0.3)),
+    lambda v: EffortCost((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)), (v, 0.3)),
+    lambda v: AgentUtility("cara", a=v),
+    lambda v: AgentUtility("crra", gamma=v),
+    lambda v: AgentUtility("crra", gamma=1.0, shift=v),
+], ids=["Q", "quadratic-q0", "theta", "entropy-q0", "points", "values", "efforts", "distributions",
+        "costs", "a", "gamma", "shift"])
+def test_cost_and_utility_numbers_must_be_finite(make, value):
+    # refused before any arithmetic on the value: warnings are errors here
+    with pytest.raises(ValidationError):
+        make(value)
+
+
 def test_contract_and_output_reject_nonfinite():
     with pytest.raises(ValidationError):
         Contract((0.0, math.inf))
@@ -91,7 +123,7 @@ def test_matrix_checks_are_the_value_objects_checks_row_by_row():
     what ``Distribution`` and ``Contract`` raise on its first failing row."""
     prob_rows = [
         (0.3, 0.7), (0.3, 0.7 + 5e-13), (0.3, 0.7 + 5e-12), (-0.1, 1.1),
-        (1.0 + 5e-13, -5e-13), (1.0 + 2e-12, -2e-12), (0.2, 0.3, 0.5),
+        (1.0 + 5e-13, -5e-13), (1.0 + 2e-12, -2e-12), (0.2, 0.3, 0.5), (math.nan, 1.0),
     ]
     for row in prob_rows:
         want = _raises(Distribution, row)
@@ -406,7 +438,15 @@ def test_monotone_family_is_a_filtered_grid_family():
     assert 0 < len(labels) < len(g_labels)
     assert list(labels) == [lab for lab, k in zip(g_labels, keep) if k]
     assert np.array_equal(payments, g_payments[keep])
-    assert mono.size() == grid.size() and mono.params_dict() == grid.params_dict()
+    assert mono.size() == grid.size()
+    # the same params, under different kinds
+    s = Scenario(states=StateSpace(("L", "M", "H")), y=OutputFunction(tuple(y)),
+                 cost=QuadraticCost(np.eye(3), (1 / 3, 1 / 3, 1 / 3)), capacity=0.1, family=grid,
+                 utility=AgentUtility(), reservation=0.0, m=4)
+    g_section = scenario_to_dict(s)["contract_family"]
+    m_section = scenario_to_dict(dataclasses.replace(s, family=mono))["contract_family"]
+    assert (g_section["kind"], m_section["kind"]) == ("grid", "monotone-bounded-slope")
+    assert m_section["params"] == g_section["params"] == {"values": [list(g) for g in grids]}
     assert mono != grid
     with pytest.raises(ValidationError, match="^monotone family needs a nonempty grid per state$"):
         MonotoneBoundedSlopeFamily(((0.0,), ()))
