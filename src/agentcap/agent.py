@@ -715,8 +715,7 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
         dist = None
     if dist is None or not (feasible_mask(c, k) and gap <= s.tol_u):
         raise ConvergenceError(
-            f"continuous best response did not settle (cost {c:.6g} at capacity {k:.6g}, duality gap {gap:.3g})",
-            last_iterate=p, residual=gap)
+            f"continuous best response did not settle (cost {c:.6g} at capacity {k:.6g}, duality gap {gap:.3g})")
     return BestResponseSet(maximizers=(dist,), value=value, any_binding=bool(abs(c - k) <= s.tol_u))
 
 

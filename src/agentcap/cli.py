@@ -6,15 +6,14 @@
 ``main`` drives every command the same way: it loads and validates the
 scenario, runs the command, which checks its flags and computes its tables,
 column by column, without touching a file, and only then creates --out and
-writes the CSV tables plus a summary.json. So a failed run creates nothing.
-Exit codes: 0 success, 2 scenario parse, 3 validation or configuration (an
---out that cannot be written, or a negative --budget, included), 4
-enumeration budget, 5 empty selection, 6 convergence failure; a ``kkt``
-solve that stops without converging still writes its point before exiting
-6. CSV cells use 12 significant digits and newline-only line endings, so
-repeated runs on the same inputs are byte-identical; the summary
-additionally carries runtime metadata, and for the enumerating commands the
-evaluation counts against the budget.
+writes the CSV tables plus a summary.json. So a failed run creates nothing,
+except a ``kkt`` solve that stops without converging: it writes its point,
+then fails with ``ConvergenceError``. A run exits 0, or with the
+``exit_code`` of the ``errors`` class that ended it. CSV cells use 12
+significant digits and newline-only line endings, so repeated runs on the
+same inputs are byte-identical; the summary additionally carries runtime
+metadata, and for the enumerating commands the evaluation counts against the
+budget.
 
 The kind tables, ``_KINDS``, are the one statement of the scenario format:
 a cost or contract-family ``kind`` names its ``model`` class, whose init
@@ -38,13 +37,11 @@ import numpy as np
 
 from . import capstruct, kkt, model, scaling
 from .errors import (
-    BudgetExceededError,
+    AgentcapError,
     ConfigurationError,
     ConvergenceError,
     DegenerateFitError,
-    EmptySelectionError,
     ScenarioParseError,
-    SingularJacobianError,
     ValidationError,
 )
 from .model import (
@@ -552,7 +549,7 @@ def cmd_capstruct(args, s: Scenario):
 
 def cmd_kkt(args, s: Scenario):
     """The summary's ``converged`` is False when the solve stalled; ``main``
-    still writes the point, then exits 6."""
+    still writes the point, then fails with ``ConvergenceError``."""
     tokens = set() if args.active_set == "none" else {t.strip() for t in args.active_set.split(",") if t.strip()}
     if not tokens and args.active_set != "none":
         raise ConfigurationError("--active-set expects none or at least one constraint")
@@ -686,24 +683,12 @@ def main(argv=None) -> int:
     try:
         tables, fields = args.func(args, load_scenario(args.scenario))
         _write_outputs(args, t0, tables, fields)
-    except ScenarioParseError as exc:
-        return _fail(2, exc)
-    except BudgetExceededError as exc:
-        return _fail(4, exc)
-    except EmptySelectionError as exc:
-        return _fail(5, exc)
-    except (ConvergenceError, SingularJacobianError) as exc:
-        return _fail(6, exc)
-    except (ValidationError, ConfigurationError) as exc:
-        return _fail(3, exc)
-    if not fields.get("converged", True):
-        return _fail(6, f"stationarity solve did not converge (residual {fields['system_residual']:g})")
+        if not fields.get("converged", True):
+            raise ConvergenceError(f"stationarity solve did not converge (residual {fields['system_residual']:g})")
+    except AgentcapError as exc:
+        print(f"agentcap: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
-
-
-def _fail(code: int, exc: Exception | str) -> int:
-    print(f"agentcap: {exc}", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Exception hierarchy.
 
-Every error raised by the library derives from AgentcapError. The CLI maps
-subtrees to exit codes: parse errors exit 2, validation and configuration
-errors exit 3, budget exit 4, empty selection exit 5, numerical failures
-exit 6. Specialized errors subclass ValidationError or ConfigurationError so
-the mapping works on the base class.
+Every error raised by the library derives from AgentcapError, and each class
+that can end a run carries ``exit_code``, the CLI's exit status for it.
+Specialized errors subclass ValidationError or ConfigurationError and
+inherit its code.
 """
 
 from __future__ import annotations
@@ -17,9 +16,13 @@ class AgentcapError(Exception):
 class ScenarioParseError(AgentcapError):
     """Scenario file is missing, malformed, or schema-incompatible."""
 
+    exit_code = 2
+
 
 class ValidationError(AgentcapError):
     """Scenario contents violate a structural invariant."""
+
+    exit_code = 3
 
 
 class EmptyFeasibleSetError(ValidationError):
@@ -28,6 +31,8 @@ class EmptyFeasibleSetError(ValidationError):
 
 class ConfigurationError(AgentcapError):
     """Operation arguments are inconsistent with the scenario."""
+
+    exit_code = 3
 
 
 class UndefinedCostPointError(ConfigurationError):
@@ -61,6 +66,8 @@ class DegenerateFitError(ConfigurationError):
 class BudgetExceededError(AgentcapError):
     """Enumeration would exceed the configured evaluation budget."""
 
+    exit_code = 4
+
     def __init__(self, message: str, required: int = 0, budget: int = 0):
         super().__init__(message)
         self.required = required
@@ -70,18 +77,19 @@ class BudgetExceededError(AgentcapError):
 class EmptySelectionError(AgentcapError):
     """No admissible profile at the requested reservation level."""
 
+    exit_code = 5
+
 
 class ConvergenceError(AgentcapError):
     """Iterative solve stopped without meeting its tolerance."""
 
-    def __init__(self, message: str, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+    exit_code = 6
 
 
 class SingularJacobianError(AgentcapError):
     """Linearized system too ill-conditioned to step."""
+
+    exit_code = 6
 
     def __init__(self, message: str, condition_number=None):
         super().__init__(message)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -67,10 +67,11 @@ def check_probabilities(probs) -> None:
     """``Distribution``'s invariants over one probability vector or the rows
     of a matrix: each row nonempty and summing to 1 within 1e-12, no entry
     below -1e-12. Raises ValidationError. Both comparisons are written so
-    that a NaN fails them."""
+    that a NaN fails them, and a row sum of inf - inf is a NaN, not a warning."""
     probs = np.atleast_2d(probs)
-    if probs.shape[-1] == 0 or not (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12).all():
-        raise ValidationError("probabilities must sum to 1 within 1e-12")
+    with np.errstate(invalid="ignore"):
+        if probs.shape[-1] == 0 or not (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12).all():
+            raise ValidationError("probabilities must sum to 1 within 1e-12")
     if not (probs >= -1e-12).all():
         raise ValidationError("probabilities must be nonnegative")
 
@@ -456,9 +457,13 @@ class AgentUtility:
     shift: float | None = None
 
     def __post_init__(self):
-        if self.kind == "risk_neutral":
-            pass
-        elif self.kind == "cara":
+        takes = {"risk_neutral": (), "cara": ("a",), "crra": ("gamma", "shift")}.get(self.kind)
+        if takes is None:
+            raise ValidationError(f"unknown utility kind: {self.kind!r}")
+        for name in ("a", "gamma", "shift"):
+            if name not in takes and getattr(self, name) is not None:
+                raise ValidationError(f"{self.kind} utility takes no {name}")
+        if self.kind == "cara":
             if self.a is None or not 0 < float(self.a) < math.inf:
                 raise ValidationError("CARA coefficient a must be positive and finite")
             object.__setattr__(self, "a", float(self.a))
@@ -470,8 +475,6 @@ class AgentUtility:
                 raise ValidationError("CRRA domain shift must be positive and finite")
             object.__setattr__(self, "gamma", float(self.gamma))
             object.__setattr__(self, "shift", shift)
-        else:
-            raise ValidationError(f"unknown utility kind: {self.kind!r}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Vectorized u(x). Risk-neutral returns the input array unchanged."""
@@ -584,10 +587,6 @@ class ContractFamily:
     def _rows(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
         """Each member's label and payment row, in lexicographic order."""
         raise NotImplementedError
-
-    def members(self, y: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield (label, payments) in a deterministic lexicographic order."""
-        return zip(*self._rows(y))
 
     def payment_matrix(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
         """Member labels, a sized sequence indexed by member id, and the
@@ -805,11 +804,6 @@ class Profile:
     point_id: int | None = None
     contract_label: str = ""
 
-    def identity(self) -> tuple[int, int]:
-        if self.contract_id is None or self.point_id is None:
-            raise ConfigurationError("profile has no enumeration identity")
-        return (self.contract_id, self.point_id)
-
 
 # ---------------------------------------------------------------------------
 # Lattice and evaluation helpers
@@ -954,8 +948,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         failures.append("reservation must be finite")
     if s.m < 1:
         failures.append("simplex grid m must be a positive integer")
-    if not (s.tol_u > 0):
-        failures.append("tol_u must be positive")
+    if not 0 < s.tol_u < math.inf:
+        failures.append("tol_u must be positive and finite")
 
     dim = _cost_dimension(s.cost)
     if dim is not None and dim != n:
@@ -980,5 +974,12 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         violation = s.utility.domain_violation(payments)
         if violation:
             failures.append(violation)
+        else:
+            # priced here for the enumeration: a CARA or steep CRRA utility may overflow
+            try:
+                with np.errstate(over="raise"):
+                    s.lattice.util
+            except FloatingPointError:
+                failures.append(f"{s.utility.kind} utility overflows at a contract payment")
 
     return ValidationReport(passed=not failures, failures=tuple(failures))

@@ -137,6 +137,18 @@ def test_grid_spec_shared_forms():
     assert s.family.grids == ((0.0, 0.25), (0.0, 0.25))
 
 
+@pytest.mark.parametrize("utility", [
+    AgentUtility(),
+    AgentUtility("cara", a=2.0),
+    AgentUtility("crra", gamma=2.0),
+    AgentUtility("crra", gamma=1.0, shift=2.0),
+], ids=["risk_neutral", "cara", "crra", "crra-shift"])
+def test_every_utility_kind_round_trips(utility):
+    # a utility holds only its kind's params, so its document reads back equal
+    s = dataclasses.replace(ladder_scenario(), utility=utility)
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+
+
 def test_crra_shift_defaults_on_parse():
     d = scenario_to_dict(ladder_scenario())
     d["utility"] = {"kind": "crra", "params": {"gamma": 2.0}}
@@ -490,6 +502,35 @@ def test_exit_code_overflowing_grid_spec(tmp_path, capsys):
     assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 3
     assert "grid spec step is too small" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol_u", [math.inf, -math.inf])
+@pytest.mark.parametrize("command,flags", [
+    ("solve", []),
+    ("alpha-star", []),
+    ("sweep", ["--k-grid", "0.01,0.04"]),
+])
+def test_exit_code_infinite_tol_u(tmp_path, capsys, command, flags, tol_u):
+    # refused before any comparison adds it to a payoff: warnings are errors here
+    d = scenario_to_dict(tangent_scenario(0.04, m=400))
+    d["tolerances"]["tol_u"] = tol_u
+    path, out = tmp_path / "tol.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main([command, "--scenario", str(path), "--out", str(out), *flags]) == 3
+    assert capsys.readouterr().err == "agentcap: tol_u must be positive and finite\n"
+    assert not out.exists()
+
+
+def test_huge_finite_tol_u_ties_every_profile(tmp_path):
+    # a finite tolerance is legal however large: every profile then ties
+    d = scenario_to_dict(tangent_scenario(0.04, m=40))
+    d["tolerances"]["tol_u"] = 1e300
+    path, out = tmp_path / "tol.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert len(summary["agent_utility_levels"]) == 1
+    assert summary["n_frontier"] == summary["n_selected"] == summary["evaluations"]
 
 
 def test_exit_code_configuration(ladder_file, tmp_path, capsys):

@@ -81,6 +81,16 @@ def test_distribution_refuses_nan():
             check_probabilities(np.array([[0.5, 0.5], row]))
 
 
+def test_distribution_refuses_infinities_without_a_warning():
+    # inf - inf sums to NaN, which fails the comparison; numpy's "invalid
+    # value" warning would be an error here
+    for row in [(math.inf, -math.inf), (-math.inf, math.inf, 1.0), (math.inf, 0.0), (-math.inf, 2.0)]:
+        with pytest.raises(ValidationError, match="^probabilities must sum to 1 within 1e-12$"):
+            Distribution(row)
+        with pytest.raises(ValidationError, match="^probabilities must sum to 1 within 1e-12$"):
+            check_probabilities(np.array([[1.0] + [0.0] * (len(row) - 1), row]))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("make", [
     lambda v: QuadraticCost(((v, 0.0), (0.0, 1.0)), (0.0, 0.0)),
@@ -337,6 +347,20 @@ def test_utility_normalization_and_shapes():
     assert np.allclose(lin.apply(x), x)
 
 
+@pytest.mark.parametrize("kind,params,name", [
+    ("risk_neutral", {"a": 2.0}, "a"),
+    ("risk_neutral", {"gamma": 0.0}, "gamma"),
+    ("risk_neutral", {"shift": 1.0}, "shift"),
+    ("cara", {"a": 2.0, "gamma": 1.0}, "gamma"),
+    ("cara", {"a": 2.0, "shift": 1.0}, "shift"),
+    ("crra", {"gamma": 2.0, "a": 2.0}, "a"),
+])
+def test_utility_refuses_params_its_kind_does_not_take(kind, params, name):
+    # such a utility would behave as its kind and still compare unequal
+    with pytest.raises(ValidationError, match=f"^{kind} utility takes no {name}$"):
+        AgentUtility(kind, **params)
+
+
 def test_utility_derivative_matches_fd():
     for u in (AgentUtility("cara", a=1.5), AgentUtility("crra", gamma=0.7, shift=2.0)):
         for x0 in (0.0, 0.4, 1.3):
@@ -351,6 +375,8 @@ def test_utility_domain_and_validation():
         AgentUtility("crra", gamma=-1.0)
     with pytest.raises(ValidationError):
         AgentUtility("exotic")
+    with pytest.raises(ValidationError, match="^unknown utility kind: 'exotic'$"):
+        AgentUtility("exotic", a=1.0)
     crra = AgentUtility("crra", gamma=2.0, shift=0.5)
     with pytest.raises(ValidationError):
         crra.apply(np.array([-0.5]))
@@ -418,7 +444,7 @@ def test_debt_and_live_or_die_families():
 def test_monotone_family_filters_members():
     y = np.array([0.0, 1.0])
     fam = MonotoneBoundedSlopeFamily(((0.0, 0.5), (0.0, 0.5, 2.0)))
-    kept = [b.tolist() for _, b in fam.members(y)]
+    kept = fam.payment_matrix(y)[1].tolist()
     # decreasing pairs and slopes above 1 are dropped
     assert [0.5, 0.0] not in kept
     assert [0.0, 2.0] not in kept
@@ -485,7 +511,7 @@ def test_grid_payment_matrices_match_product_reference():
         # bytes, so that -0.0 and 0.0 count as different payments
         assert payments.shape == ref_payments.shape
         assert payments.tobytes() == ref_payments.tobytes()
-        assert [(lab, b.tobytes()) for lab, b in fam.members(y)] == [
+        assert [(lab, b.tobytes()) for lab, b in zip(labels, payments)] == [
             (lab, b.tobytes()) for lab, b in zip(ref_labels, ref_payments)
         ]
     rows = GridFamily(grids).payment_matrix(y)[1]

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import agentcap
-from agentcap import discounting, kkt, model, pareto, scaling
+from agentcap import cli, discounting, errors, kkt, model, pareto, scaling
 from agentcap.cli import save_scenario
 
 from conftest import tangent_scenario
@@ -38,6 +38,9 @@ REMOVED = [
     (pareto.Enumeration, "_sorted_payoff_parts"),
     (pareto, "_narrow"),
     (pareto._AgentOrder, "take"),
+    (model.Profile, "identity"),
+    (model.ContractFamily, "members"),
+    (cli, "_fail"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
@@ -85,3 +88,29 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(code, ns)
     assert round(ns["res"].alpha_star, 5) == 0.39496
     assert ns["rep"].alpha_result == ns["res"]
+
+
+def error_classes():
+    """Every exception class ``agentcap.errors`` defines."""
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, Exception) and c.__module__ == errors.__name__]
+
+
+def test_every_error_class_but_the_base_carries_an_exit_code():
+    # the base is never raised bare, so it has no code to give
+    assert not hasattr(errors.AgentcapError, "exit_code")
+    classes = [c for c in error_classes() if c is not errors.AgentcapError]
+    # a subclass's code is its base's
+    assert errors.EmptyFeasibleSetError in classes and errors.EmptyFeasibleSetError.exit_code == 3
+    for cls in classes:
+        assert issubclass(cls, errors.AgentcapError), cls.__name__
+        assert cls.exit_code in {2, 3, 4, 5, 6}, cls.__name__
+
+
+def test_readme_exit_codes_are_the_classes_codes():
+    # README's "Exit codes:" paragraph names success and every class's code
+    text = README.read_text(encoding="utf-8")
+    paragraph = "Exit codes: " + text.split("\nExit codes: ", 1)[1].split("\n\n", 1)[0]
+    named = {int(code) for code in re.findall(r"[:;]\s(\d+)\s", paragraph)}
+    carried = {c.exit_code for c in error_classes() if c is not errors.AgentcapError}
+    assert named == {0} | carried
