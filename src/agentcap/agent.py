@@ -425,6 +425,13 @@ def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kba
     return mu, centre, value + np.maximum(fw_gap, 0.0)
 
 
+def _centre_solver(cost, concavity: tuple[int, float] | None):
+    """The centre solver of the cost's kind, given its ``strong_concavity``."""
+    if cost.kind == "relative-entropy":
+        return _entropy_centres
+    return functools.partial(_quadratic_centres, concavity=concavity)
+
+
 def _binomials(top: int, k: int) -> np.ndarray:
     """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64, a column at a
     time: C(x, j) is the sum of C(t, j - 1) over t < x. Only sums are
@@ -589,10 +596,9 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
     points, costs = s.lattice.points, s.lattice.costs
     binom = _binomials(m + n, n)
     cscale = float(np.abs(costs).max()) + abs(kbar)
-    centres = functools.partial(_quadratic_centres, concavity=concavity)
+    centres = _centre_solver(s.cost, concavity)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
-        centres = _entropy_centres
 
     eye = np.eye(n, dtype=np.int64)
     moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
@@ -690,8 +696,7 @@ def best_response_convex(s: Scenario, b) -> BestResponseSet:
     payoff = np.asarray(s.utility.apply(_as_payments(b)), dtype=float)
     k = s.capacity
     concavity = strong_concavity(s.cost)
-    quadratic = functools.partial(_quadratic_centres, concavity=concavity)
-    centres = _entropy_centres if s.cost.kind == "relative-entropy" else quadratic
+    centres = _centre_solver(s.cost, concavity)
     margin = 0.5 * FEASIBILITY_SLACK
     mu, centre, ub = centres(payoff[None, :], s.cost, k + margin)
     if np.isinf(mu[0]):

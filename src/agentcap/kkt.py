@@ -7,10 +7,12 @@ Gauss-Newton solve and ``principal_foc_residual`` evaluate, at each point of a
 stack of packed points; one point is a stack of one. Each Newton iteration
 makes one stacked call for all columns of its finite-difference Jacobian and,
 past the full step, one for all damped step lengths, with the iterates, and
-so the results, of a point-by-point evaluation. Its multiplier row gives the
-one phi identity, phi = -p (1/u'(b) + zeta), behind ``phi_identity_gap`` and
-the curvature regressor of the affine readout, which for a risk-neutral agent
-reads the solved contract as affine in output.
+so the results, of a point-by-point evaluation. A trial step that is not
+interior, leaves the utility's domain or overflows is skipped or rejected,
+and never raises or warns. Its multiplier row gives the one phi identity,
+phi = -p (1/u'(b) + zeta), behind ``phi_identity_gap`` and the curvature
+regressor of the affine readout, which for a risk-neutral agent reads the
+solved contract as affine in output.
 
 Participation enters as E_p[u(b)] - c(p) >= 0 against a zero outside option.
 """
@@ -227,35 +229,26 @@ def _line_search(s: Scenario, fun, x: np.ndarray, step: np.ndarray, norm0: float
     whose candidate x + lam step, moved back onto the adding-up row, has
     residual norm below norm0; None when none has.
 
-    The outcome is that of trying the candidates one at a time, in order: a
-    candidate whose p is not interior is skipped, and the first interior one
-    outside the utility's domain raises. The full step is tried alone and
-    the damped ones as one stack, which holds only the interior candidates
-    before that first domain violation. If the stack raises a floating-point
-    flag, the candidates up to the accepted one are evaluated again, so
-    that they alone warn (or raise) as the one-at-a-time trials would."""
+    A trial step is a candidate, never an error: one whose p is not interior
+    or whose payments leave the utility's domain is skipped, and the rest
+    are evaluated with floating-point flags ignored, so that one which
+    overflows has a non-finite norm and is rejected like any other that
+    does not improve. The full step is tried alone and the damped ones as
+    one stack, with the outcome of trying them one at a time, in order."""
     n = s.n
     for lams in (np.ones(1), _DAMPED):
         xt = x + lams[:, None] * step
         # the lstsq step keeps the adding-up row only approximately;
         # remove the uniform drift so the iterate stays a distribution
         xt[:, n:2 * n] -= ((xt[:, n:2 * n].sum(axis=1) - 1.0) / n)[:, None]
-        interior = ~(xt[:, n:2 * n].min(axis=1) <= 0.0)
-        outside = np.flatnonzero(interior & s.utility.outside_domain(xt[:, :n]).any(axis=1))
-        stop = outside[0] if outside.size else len(xt)
-        tried = np.flatnonzero(interior[:stop])
+        tried = np.flatnonzero(~(xt[:, n:2 * n].min(axis=1) <= 0.0)
+                               & ~s.utility.outside_domain(xt[:, :n]).any(axis=1))
         if tried.size:
-            flags = []
-            with np.errstate(divide="call", over="call", invalid="call", call=lambda *_: flags.append(1)):
+            with np.errstate(all="ignore"):
                 rt = fun(xt[tried])
                 better = np.flatnonzero(_norms(rt) < norm0)
-            if flags:
-                reached = better[0] + 1 if better.size else tried.size
-                _norms(fun(xt[tried[:reached]]))
             if better.size:
                 return xt[tried[better[0]]], rt[better[0]]
-        if outside.size:
-            s.utility.apply(xt[outside[0], :n])  # raises the domain error
     return None
 
 

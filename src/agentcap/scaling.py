@@ -187,10 +187,11 @@ def alpha_stars(enums: Sequence[Enumeration], eps: float = DEFAULT_EPS_ALPHA) ->
     one reservation per row (``_AgentOrder.stack``): the predicate at 1, at
     0 and at each bisection step, at the base's risk-neutral level. Every
     bisection halves [0, 1], so the rows still bisecting close together,
-    and a solve makes at most 2 + ceil(log2(1 / eps)) rounds, however many
-    enumerations it takes. A row with no selection drops out; once every
-    row is done, the first such row in the order given raises its
-    EmptySelectionError, as solving them one after another would.
+    and a solve makes at most 2 + ceil(log2(1 / eps)) rounds, or until the
+    bracket's ends are adjacent floats, however many enumerations it takes.
+    A row with no selection drops out; once every row is done, the first
+    such row in the order given raises its EmptySelectionError, as solving
+    them one after another would.
 
     Each threshold solved is kept on its enumeration
     (``Enumeration.thresholds``, by ``eps``), and one kept there is read
@@ -250,8 +251,8 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
             (hi if bind else lo)[k] = alpha
             if bind and len(traces[k]) == 1:
                 pending[k] = 0.0
-            elif hi[k] - lo[k] > eps:
-                pending[k] = 0.5 * (lo[k] + hi[k])
+            elif hi[k] - lo[k] > eps and lo[k] < (mid := 0.5 * (lo[k] + hi[k])) < hi[k]:
+                pending[k] = mid
 
     for k, e in enumerate(enums):
         if k in failures:

@@ -41,6 +41,7 @@ from agentcap.errors import (
     InteriorityError,
     SingularJacobianError,
     UnsupportedCostError,
+    ValidationError,
 )
 from agentcap.pareto import Enumeration, _cluster_levels
 from agentcap.scaling import DEFAULT_EPS_ALPHA, AlphaStarResult, InequalitySlacks, alpha_star
@@ -682,19 +683,21 @@ def oracle_fd_jacobian(fun, x, r0):
 
 def oracle_line_search(fun, x, step, norm0, n):
     """The backtracking loop: (point, rows) of the first accepted step
-    length, or None."""
+    length, or None. A candidate off the interior or the utility's domain
+    is skipped; one that overflows has a non-finite norm and is rejected."""
     lam = 1.0
     while lam >= ORACLE_DAMPING_FLOOR:
         xt = x + lam * step
         xt[n:2 * n] -= (xt[n:2 * n].sum() - 1.0) / n
-        try:
-            rt = fun(xt)
-        except InteriorityError:
-            lam *= 0.5
-            continue
-        if float(np.linalg.norm(rt)) < norm0:
-            return xt, rt
         lam *= 0.5
+        try:
+            with np.errstate(all="ignore"):
+                rt = fun(xt)
+                norm = float(np.linalg.norm(rt))
+        except (InteriorityError, ValidationError):
+            continue
+        if norm < norm0:
+            return xt, rt
     return None
 
 

@@ -573,6 +573,20 @@ def test_exit_code_bad_eps(tangent_file, tmp_path, capsys, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1e-17", "5e-324"])
+def test_eps_below_the_float_spacing_ends_at_adjacent_floats(tmp_path, eps):
+    # the spacing of floats near alpha* = 0.395 is 5.6e-17: once the midpoint
+    # rounds to an end of the bracket, the bisection stops there
+    path = tmp_path / "tangent.json"
+    save_scenario(tangent_scenario(0.04, m=200), path)
+    for command in ("alpha-star", "verify"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(path), "--out", str(out), f"--eps={eps}"]) == 0
+        doc = read_summary(out)
+        assert doc["predicate_calls"] <= 2 + 1075
+        assert np.nextafter(doc["bracket_low"], 1.0) == doc["bracket_high"]
+
+
 @pytest.mark.parametrize("flag,text", [
     ("--face", "face value must be nonnegative"),
     ("--threshold", "threshold must be a number"),

@@ -1,7 +1,8 @@
 """The CLI's exit-code contract, fuzzed: scenario files mutated from the
-fixtures run through every command in process, and each run ends with exit
-0 or an error class's ``exit_code``, writes --out only when it should, and
-repeats itself byte for byte."""
+fixtures, and the fixtures under drawn flag values, run through every
+command in process, and each run ends with exit 0 or an error class's
+``exit_code``, writes --out only when it should, and repeats itself byte
+for byte."""
 
 import contextlib
 import io
@@ -231,12 +232,11 @@ def _run(argv, out: Path):
     return code, err.getvalue(), written
 
 
-# the same cases on every run, so that a rare failure cannot come and go;
-# a case a wider random search finds is pinned below as a test of its own
-@settings(max_examples=1000, deadline=None, derandomize=True)
-@given(data=scenario_files(), command=st.sampled_from(COMMANDS))
-def test_every_run_exits_with_a_documented_code(tmp_path_factory, data, command):
-    # warnings are errors here, so one raised in a run escapes main too
+def _check_run(tmp_path_factory, data: bytes, command: list[str]):
+    """Runs ``command`` on the scenario file ``data`` twice: it exits 0 or
+    with a class's code, writes --out only when it should, and repeats
+    itself byte for byte. Warnings are errors here, so one raised in a run
+    escapes main too."""
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "scenario.json"
     path.write_bytes(data)
@@ -251,6 +251,55 @@ def test_every_run_exits_with_a_documented_code(tmp_path_factory, data, command)
         stalled = command[0] == "kkt" and err.startswith("agentcap: stationarity solve did not converge")
         assert (written is not None) == stalled, err
     assert _run(argv, work / "second") == (code, err, written)
+
+
+# the same cases on every run, so that a rare failure cannot come and go;
+# a case a wider random search finds is pinned below as a test of its own
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=scenario_files(), command=st.sampled_from(COMMANDS))
+def test_every_run_exits_with_a_documented_code(tmp_path_factory, data, command):
+    _check_run(tmp_path_factory, data, command)
+
+
+# what a numeric flag may be: the least subnormal, a width below the float
+# spacing at 1, small, half, one and just past it, the largest order of
+# magnitude, signed zeros, a negative, NaN and the infinities
+FLAG_NUMBERS = st.sampled_from([5e-324, 1e-17, 1e-4, 0.5, 1.0, 1.1, 1e308, 0.0, -0.0, -1e-4,
+                                math.nan, math.inf, -math.inf]).map(str)
+FLAG_VALUES = {
+    **dict.fromkeys(["--alpha", "--eps", "--face", "--threshold", "--alpha-star", "--tol"], FLAG_NUMBERS),
+    **dict.fromkeys(["--alpha-grid", "--k-grid"], st.lists(FLAG_NUMBERS, min_size=1, max_size=5).map(",".join)),
+    "--max-iter": st.sampled_from(["-1", "0", "1", "200"]),
+    "--budget": st.sampled_from(["-1", "0", "100000"]),
+    "--active-set": st.sampled_from(["none", "capacity", "participation", "capacity,participation", "", "x"]),
+}
+# by command: the flags it always gets (one of each group; --budget too,
+# so that no enumeration outgrows 100000), and those it may get
+COMMAND_FLAGS = {
+    "solve": ([("--budget",)], ["--alpha"]),
+    "alpha-star": ([("--budget",)], ["--eps"]),
+    "verify": ([("--budget",)], ["--alpha-grid", "--eps"]),
+    "sweep": ([("--budget",), ("--k-grid",)], []),
+    "capstruct": ([("--budget",), ("--face", "--threshold")], ["--alpha-star"]),
+    "kkt": ([], ["--active-set", "--tol", "--max-iter"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its drawn flags, each written --flag=value, since
+    argparse reads a bare -1e-4 or -inf as a flag name."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    flags = [draw(st.sampled_from(group)) for group in required]
+    flags += [flag for flag in optional if draw(st.booleans())]
+    return [command, *(f"{flag}={draw(FLAG_VALUES[flag])}" for flag in flags)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.sampled_from(BASES).map(lambda d: json.dumps(d).encode()), command=command_lines())
+def test_every_flag_value_exits_with_a_documented_code(tmp_path_factory, data, command):
+    _check_run(tmp_path_factory, data, command)
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
@@ -293,14 +342,38 @@ def test_exit_code_overflowing_utility(tmp_path, capsys, name, key, params, text
     assert not out.exists()
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="kkt's line search warns on a trial step whose utility overflows")
+def _kkt(tmp_path, doc, *flags):
+    """Exit code and summary of one ``kkt`` run on the document ``doc``."""
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    code = main(["kkt", "--scenario", str(path), "--out", str(out), *flags])
+    return code, json.loads((out / "summary.json").read_text()) if out.exists() else None
+
+
+# warnings are errors here, so each of these also shows that no trial step
+# of the line search warns
+
+
 def test_kkt_on_a_steep_entropy_cost_raises_no_warning(tmp_path):
     # theta = 200 makes the full Newton step drive b far below zero, where the
-    # CARA utility's exp overflows; the step is rejected and the solve
-    # converges, but the warning is an error here
+    # CARA utility's exp overflows; the step is rejected and the solve converges
     d = _format_doc("entropy-share-cara.json")
     d["cost"]["params"]["theta"] = 200
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(d))
-    assert main(["kkt", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _kkt(tmp_path, d)[0] == 0
+
+
+def test_kkt_skips_a_trial_step_outside_the_crra_domain(tmp_path):
+    # trial steps take b_L + shift below zero; they are skipped, not an exit 3
+    d = _format_doc("entropy-share-cara.json")
+    d["cost"]["params"]["theta"] = 0.5
+    d["utility"] = {"kind": "crra", "params": {"gamma": 5.0, "shift": 1.0}}
+    code, summary = _kkt(tmp_path, d)
+    assert code == 0 and summary["converged"] is True
+
+
+def test_kkt_below_reachable_tolerance_stops_without_a_warning(tmp_path, capsys):
+    # no iterate reaches tol = 5e-324, and the trial steps on the way overflow
+    d = _format_doc("entropy-share-cara.json")
+    code, summary = _kkt(tmp_path, d, "--tol=5e-324", "--active-set", "capacity,participation")
+    assert code == 6 and summary["converged"] is False
+    assert capsys.readouterr().err.startswith("agentcap: stationarity solve did not converge")

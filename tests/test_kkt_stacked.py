@@ -3,18 +3,19 @@
 ``kkt`` evaluates all columns of a finite-difference Jacobian, and all damped
 step lengths of a backtracking round, as one stack. These tests hold it to
 the one-point evaluation and iteration in ``conftest``: the rows, the
-Jacobian, every solver outcome and every raised error agree bit for bit, and
-no candidate that a one-at-a-time trial would not reach raises or warns.
+Jacobian, every solver outcome and every raised error agree bit for bit. A
+trial step that is not interior, leaves the utility's domain or overflows is
+skipped or rejected, and never raises or warns.
 """
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from agentcap import kkt
-from agentcap.errors import ValidationError
 from agentcap.model import (
     AgentUtility,
     OutputFunction,
@@ -286,36 +287,58 @@ def test_no_warning_from_a_candidate_past_the_accepted_one():
     assert want[1] is not None and same_bits(want[1][0][0], -100.0)
 
 
-def test_warnings_of_reached_candidates_still_show():
+def test_an_overflowing_candidate_is_rejected_without_a_warning():
     # the half step overflows and is rejected; the quarter step is accepted
     s = dataclasses.replace(share_scenario(0.1), utility=AgentUtility("cara", a=1.0))
     x, step = _packed(b=(550.0, 0.5), db=(-2600.0, 0.0), **OUT_AT_ONE)
-    with pytest.warns(RuntimeWarning) as got_warnings:
-        got = kkt._line_search(s, lambda z: kkt._system(s, z, False, True), x, step, 1e300)
-    with pytest.warns(RuntimeWarning) as want_warnings:
-        want = oracle_line_search(lambda z: oracle_system(s, z, False, True), x, step, 1e300, s.n)
-    assert sorted(str(w.message) for w in got_warnings) == sorted(str(w.message) for w in want_warnings)
-    _assert_same(("ok", got), ("ok", want))
-    assert same_bits(want[0][0], -100.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, want = _search(s, x, step)
+    assert caught == []
+    _assert_same(got, want)
+    assert same_bits(want[1][0][0], -100.0)
 
 
-@pytest.mark.parametrize("b,db", [
-    ((-0.5, 0.5), (-1.0, 0.0)),  # the half step, the first one reached, is outside
-    ((-1.2, 0.5), (1.0, 0.0)),  # lam = 1/8 is, after rejected interior ones
-])
-def test_first_reached_domain_violation_raises_the_same_error(b, db):
+def _evaluated(s, x, step, norm0):
+    """Every candidate the stacked line search evaluates, as one stack."""
+    seen = []
+
+    def fun(z):
+        seen.append(z.copy())
+        return kkt._system(s, z, False, True)
+
+    kkt._line_search(s, fun, x, step, norm0)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("b,db,norm0,accepted", [
+    # the half step, the first one reached, is outside; the quarter step is accepted
+    ((-0.5, 0.5), (-1.0, 0.0), 1e300, -0.75),
+    # lam = 1/8 and below are outside, after rejected interior ones: none is accepted
+    ((-1.2, 0.5), (1.0, 0.0), 0.0, None),
+], ids=["b0-db0", "b1-db1"])
+def test_candidates_outside_the_domain_are_skipped(b, db, norm0, accepted):
     s = dataclasses.replace(share_scenario(0.1), utility=UTILITIES["crra"])
     x, step = _packed(b=b, db=db, **OUT_AT_ONE)
-    got, want = _search(s, x, step, norm0=0.0)  # no candidate is accepted
-    assert want[0] is ValidationError
-    assert got == want
+    got, want = _search(s, x, step, norm0)
+    _assert_same(got, want)
+    if accepted is None:
+        assert want[1] is None
+    else:
+        assert same_bits(want[1][0][0], accepted)
+    seen = _evaluated(s, x, step, norm0)
+    assert not s.utility.outside_domain(seen[:, :2]).any()
 
 
-def test_full_step_outside_the_domain_raises_before_any_damped_step():
+def test_full_step_outside_the_domain_is_skipped():
     s = dataclasses.replace(share_scenario(0.1), utility=UTILITIES["crra"])
     x, step = _packed(b=(-0.5, 0.5), p=(0.5, 0.5), db=(-1.0, 0.0))
     got, want = _search(s, x, step)
-    assert want[0] is ValidationError and got == want
+    _assert_same(got, want)
+    assert same_bits(want[1][0][0], -0.75)
+    # the full step and the half step are never evaluated
+    seen = _evaluated(s, x, step, 1e300)
+    assert len(seen) == len(kkt._DAMPED) - 1 and same_bits(seen[0, 0], -0.75)
 
 
 def test_candidate_off_the_interior_and_the_domain_is_skipped():
