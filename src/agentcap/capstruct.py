@@ -119,29 +119,27 @@ def sweep_alpha_star(
 
     Only the feasibility mask depends on k, so every capacity's scenario is
     ``s.at_capacity(k)``, and they all share ``s``'s lattice: the points
-    with their costs and the contracts with their payments and utilities
-    are priced once. Each k is validated as its own scenario would be, and
-    the first failing k raises ValidationError naming it. Feasible sets
-    grow with k, so each capacity's enumeration is built on the one below
-    it and scans only the points that became feasible (see
-    ``Enumeration``). Every capacity is then solved, with its own base
-    level, in one lockstep bisection (``alpha_stars``), which keeps each
-    threshold on its enumeration, and each capacity's is read back with
-    ``alpha_star``, one call per k as a sequential sweep makes them (the
-    per-capacity span perfbench's tracer records). The first failure in
-    ascending k wins: a capacity with no selection raises before any k above
-    it that fails to validate or enumerate. ``budget`` caps each k's
-    contracts times feasible points; ``tally`` sums the evaluation counts
-    of the whole chain.
+    with their costs and the contracts with their payments and utilities are
+    priced once. Each k is validated as its own scenario would be, so
+    ``s``'s own capacity is neither used nor checked, and a failure that
+    depends on the capacity names it. Feasible sets grow with k, so each
+    capacity's enumeration is built on the one below it and scans only the
+    points that became feasible (see ``Enumeration``). Every capacity is
+    then solved, with its own base level, in one lockstep bisection
+    (``alpha_stars``), which keeps each threshold on its enumeration, and
+    each capacity's is read back with ``alpha_star``, one call per k as a
+    sequential sweep makes them (the per-capacity span perfbench's tracer
+    records). The first failure in ascending k wins: a capacity with no
+    selection raises before any k above it that fails to validate or
+    enumerate. ``budget`` caps each k's contracts times feasible points;
+    ``tally`` sums the evaluation counts of the whole chain.
     """
     ks = sorted(float(k) for k in k_grid)
     enums: list[Enumeration] = []
     try:
         for k in ks:
             sk = s.at_capacity(k)
-            report = validate_scenario(sk)
-            if not report:
-                raise ValidationError(f"capacity {k:g}: " + "; ".join(report.failures))
+            validate_scenario(sk)
             enums.append(Enumeration(sk, budget, below=enums[-1] if enums else None))
             if tally is not None:
                 tally.add(enums[-1])

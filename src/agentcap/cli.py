@@ -3,17 +3,17 @@
     agentcap <solve|alpha-star|verify|sweep|capstruct|kkt>
              --scenario PATH [flags] --out DIR
 
-``main`` drives every command the same way: it loads and validates the
-scenario, runs the command, which checks its flags and computes its tables,
-column by column, without touching a file, and only then creates --out and
-writes the CSV tables plus a summary.json. So a failed run creates nothing,
-except a ``kkt`` solve that stops without converging: it writes its point,
-then fails with ``ConvergenceError``. A run exits 0, or with the
-``exit_code`` of the ``errors`` class that ended it. CSV cells use 12
-significant digits and newline-only line endings, so repeated runs on the
-same inputs are byte-identical; the summary additionally carries runtime
-metadata, and for the enumerating commands the evaluation counts against the
-budget.
+``main`` drives every command the same way: it reads and parses the
+scenario, runs the command, which validates the scenario at the capacities
+it solves at, checks its flags and computes its tables, column by column,
+without touching a file, and only then creates --out and writes the CSV
+tables plus a summary.json. So a failed run creates nothing, except a
+``kkt`` solve that stops without converging: it writes its point, then fails
+with ``ConvergenceError``. A run exits 0, or with the ``exit_code`` of the
+``errors`` class that ended it. CSV cells use 12 significant digits and
+newline-only line endings, so repeated runs on the same inputs are
+byte-identical; the summary additionally carries runtime metadata, and for
+the enumerating commands the evaluation counts against the budget.
 
 The kind tables, ``_KINDS``, are the one statement of the scenario format:
 a cost or contract-family ``kind`` names its ``model`` class, whose init
@@ -42,7 +42,6 @@ from .errors import (
     ConvergenceError,
     DegenerateFitError,
     ScenarioParseError,
-    ValidationError,
 )
 from .model import (
     AgentUtility,
@@ -233,7 +232,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
+    """Read and parse a scenario file; ``validate_scenario`` checks it."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -245,11 +244,7 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    s = scenario_from_dict(data)
-    report = validate_scenario(s)
-    if not report.passed:
-        raise ValidationError("; ".join(report.failures))
-    return s
+    return scenario_from_dict(data)
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -417,12 +412,15 @@ def _float_list(text: str, flag: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # Commands
 #
-# Each command checks its flags and computes on the loaded scenario. It
-# returns its tables, {file name: (header, columns)}, and its summary fields;
-# ``main`` writes them.
+# Each command checks its flags and computes on the parsed scenario, which it
+# validates at the capacities it solves at: ``sweep`` at each --k-grid value,
+# every other command at the file's own, before anything else. It returns its
+# tables, {file name: (header, columns)}, and its summary fields; ``main``
+# writes them.
 
 
 def cmd_solve(args, s: Scenario):
+    validate_scenario(s)
     alpha = check_alpha(args.alpha)
     enum = Enumeration(s, budget=args.budget)
     ps = enum.pareto_at(alpha)
@@ -444,6 +442,7 @@ def cmd_solve(args, s: Scenario):
 
 
 def cmd_alpha_star(args, s: Scenario):
+    validate_scenario(s)
     res = scaling.alpha_star(s, eps=args.eps, budget=args.budget)
     return {"trace.csv": (["alpha", "all_slack"], zip(*res.predicate_trace))}, {
         "eps": args.eps,
@@ -454,6 +453,7 @@ def cmd_alpha_star(args, s: Scenario):
 
 
 def cmd_verify(args, s: Scenario):
+    validate_scenario(s)
     alphas = None
     if args.alpha_grid is not None:
         alphas = [check_alpha(a) for a in _float_list(args.alpha_grid, "--alpha-grid")]
@@ -519,6 +519,7 @@ def cmd_sweep(args, s: Scenario):
 
 
 def cmd_capstruct(args, s: Scenario):
+    validate_scenario(s)
     astar = None if args.alpha_star_override is None else check_alpha(args.alpha_star_override)
     # the split flag is checked before alpha* is solved, so before its budget;
     # the budget is checked even when a pinned alpha* builds no enumeration
@@ -550,6 +551,7 @@ def cmd_capstruct(args, s: Scenario):
 def cmd_kkt(args, s: Scenario):
     """The summary's ``converged`` is False when the solve stalled; ``main``
     still writes the point, then fails with ``ConvergenceError``."""
+    validate_scenario(s)
     tokens = set() if args.active_set == "none" else {t.strip() for t in args.active_set.split(",") if t.strip()}
     if not tokens and args.active_set != "none":
         raise ConfigurationError("--active-set expects none or at least one constraint")

@@ -923,27 +923,18 @@ def _cost_dimension(c: CostFunction) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def validate_scenario(s: Scenario) -> ValidationReport:
-    """Check structural invariants; returns a report instead of raising.
-
-    A passing report implies the feasible distribution set is nonempty on the
-    enumeration grid and the family enumeration is nonempty.
-    """
+def validate_scenario(s: Scenario) -> None:
+    """Check structural invariants; raises one ValidationError joining every
+    failure with "; ", where a failure that depends on the capacity names it
+    ("capacity -1: feasible distribution set empty"). Passing implies the
+    feasible distribution set is nonempty on the enumeration grid and the
+    family enumeration is nonempty."""
     failures: list[str] = []
     n = s.n
     if len(s.y.values) != n:
         failures.append("output length must equal the state count")
     if not math.isfinite(s.capacity):
-        failures.append("capacity must be finite")
+        failures.append(f"capacity {s.capacity:g}: capacity must be finite")
     if not math.isfinite(s.reservation):
         failures.append("reservation must be finite")
     if s.m < 1:
@@ -964,7 +955,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             failures.append(str(exc))
         else:
             if not feasible_mask(costs, s.capacity).any():
-                failures.append("feasible distribution set empty")
+                failures.append(f"capacity {s.capacity:g}: feasible distribution set empty")
 
     try:
         _, payments = s.lattice.contracts
@@ -982,4 +973,5 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             except FloatingPointError:
                 failures.append(f"{s.utility.kind} utility overflows at a contract payment")
 
-    return ValidationReport(passed=not failures, failures=tuple(failures))
+    if failures:
+        raise ValidationError("; ".join(failures))

@@ -265,13 +265,6 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
         if k in held:
             ids = np.sort(held[k])
             wit, wit_alpha = int(ids[np.argmax(e.cost[ids])]), star
-        seen_false = warning = False
-        for _, flag in sorted(trace):
-            if not flag:
-                seen_false = True
-            elif seen_false:
-                warning = True
-                break
         e.thresholds[eps] = dict(
             alpha_star=star,
             bracket=(lo[k], hi[k]),
@@ -281,7 +274,8 @@ def _bisect(enums: Sequence[Enumeration], eps: float) -> None:
             predicate_trace=tuple(trace),
             witness_row=wit,
             witness_alpha=wit_alpha,
-            monotone_warning=warning,
+            # never True: slack raises lo, binding lowers hi, midpoints lie inside
+            monotone_warning=False,
             base_rows=rows,
         )
     if failures:

@@ -21,6 +21,7 @@ from agentcap.errors import (
     EmptyFeasibleSetError,
     InteriorityError,
     UnsupportedCostError,
+    ValidationError,
 )
 from agentcap.model import (
     AgentUtility,
@@ -458,7 +459,7 @@ def test_convex_capacity_just_below_least_cost(k, tmp_path, capsys):
     # k + FEASIBILITY_SLACK / 2 is below it for all but the last k; at the
     # first, only the least-cost point is feasible
     s = share_scenario(k)
-    assert validate_scenario(s).passed
+    validate_scenario(s)
     br = best_response_convex(s, (0.0, 0.5))
     p = np.array(br.maximizers[0].probs)
     assert feasible_mask(s.cost.value(p), k)
@@ -477,14 +478,15 @@ def test_flat_quadratic_capacity_just_below_least_cost():
     # Q is zero on the simplex, so every point has the least cost 0 and is
     # feasible at k = -1e-12; -9.99e-13 is answered
     s = two_state(QuadraticCost(((1.0, 1.0), (1.0, 1.0)), (0.5, 0.5)), -1e-12, m=100)
-    assert validate_scenario(s).passed
+    validate_scenario(s)
     br = best_response_convex(s, (0.0, 0.5))
     assert br.maximizers[0].probs == (0.0, 1.0)
 
 
 def test_convex_capacity_past_the_slack_is_empty():
     s = share_scenario(-1.2e-12)
-    assert not validate_scenario(s).passed
+    with pytest.raises(ValidationError, match=r"^capacity -1\.2e-12: feasible distribution set empty$"):
+        validate_scenario(s)
     with pytest.raises(EmptyFeasibleSetError):
         best_response_convex(s, (0.0, 0.5))
 

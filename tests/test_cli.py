@@ -6,6 +6,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from agentcap.model import (
     RelativeEntropyCost,
     Scenario,
     StateSpace,
+    validate_scenario,
 )
 from agentcap.pareto import Enumeration, select
 
@@ -191,8 +196,23 @@ def test_load_scenario_errors(tmp_path):
     d = scenario_to_dict(ladder_scenario())
     d["capacity"] = -1.0
     invalid.write_text(json.dumps(d))
-    with pytest.raises(ValidationError, match="feasible distribution set empty"):
-        load_scenario(invalid)
+    # reading only parses; the commands validate
+    s = load_scenario(invalid)
+    assert s.capacity == -1.0
+    with pytest.raises(ValidationError, match=r"^capacity -1: feasible distribution set empty$"):
+        validate_scenario(s)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "the summary hashes the scenario by reading its path again, and a pipe is empty by then"))
+def test_scenario_digest_is_of_the_bytes_parsed(share_file, tmp_path):
+    data = share_file.read_bytes()
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["solve", "--scenario", "/dev/stdin", "--out", str(out)]
+    code = "import sys; from agentcap.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *argv], input=data, env=env, capture_output=True, check=True)
+    assert read_summary(out)["scenario_digest"] == hashlib.sha256(data).hexdigest()
 
 
 # -- solve ------------------------------------------------------------------
@@ -960,16 +980,41 @@ def test_sweep_summary_sums_its_chain(tangent_file, tmp_path):
     assert doc["budget"] == 123456
 
 
-@pytest.mark.xfail(raises=AssertionError, reason=(
-    "load_scenario validates the file at its own capacity, which sweep never solves at"))
-def test_sweep_ignores_the_file_capacity(tangent_file, tmp_path):
-    # every --k-grid value leaves the lattice feasible; the file's -1 does not
+# file capacities no command can solve at, and what a command that solves
+# at the file's own capacity says of each
+BAD_CAPACITIES = [
+    (-1.0, "capacity -1: feasible distribution set empty"),
+    (math.nan, "capacity nan: capacity must be finite"),
+    (math.inf, "capacity inf: capacity must be finite"),
+]
+
+
+@pytest.mark.parametrize("capacity", [c for c, _ in BAD_CAPACITIES])
+def test_sweep_ignores_the_file_capacity(tangent_file, tmp_path, capacity):
+    # every --k-grid value leaves the lattice feasible; the file's own does not
     path = tmp_path / "scenario.json"
-    save_scenario(load_scenario(tangent_file).at_capacity(-1.0), path)
+    save_scenario(load_scenario(tangent_file).at_capacity(capacity), path)
     for name, scenario in (("a", tangent_file), ("b", path)):
         argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / name)]
         assert main([*argv, "--k-grid", "0.01,0.04"]) == 0, name
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("capacity,text", BAD_CAPACITIES)
+def test_solving_commands_validate_the_file_capacity(tangent_file, tmp_path, capsys, capacity, text):
+    path = tmp_path / "scenario.json"
+    save_scenario(load_scenario(tangent_file).at_capacity(capacity), path)
+    out = tmp_path / "out"
+    for command in (
+        ["solve"],
+        ["alpha-star"],
+        ["verify"],
+        ["capstruct", "--face", "0.5", "--alpha-star", "0.5"],
+        ["kkt"],
+    ):
+        assert main([command[0], "--scenario", str(path), "--out", str(out), *command[1:]]) == 3, command
+        assert capsys.readouterr().err == f"agentcap: {text}\n"
+        assert not out.exists()
 
 
 def test_capstruct_debt_with_override(tmp_path):

@@ -314,6 +314,24 @@ def test_main_exits_with_the_code_of_the_error_that_ended_the_run(tmp_path, caps
     assert not out.exists()
 
 
+# sweep never solves at the file's own capacity, so none of these, valid or
+# not, may change its run
+FILE_CAPACITIES = [-1.0, 0.0, math.nan, math.inf, -math.inf, 1e308]
+
+
+@pytest.mark.parametrize("doc", BASES, ids=range(len(BASES)))
+def test_sweep_reads_no_file_capacity(tmp_path, doc):
+    # sweep validates and solves at its --k-grid values only
+    runs = []
+    for i, capacity in enumerate([doc["capacity"], *FILE_CAPACITIES]):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({**doc, "capacity": capacity}))
+        argv = ["sweep", "--scenario", str(path), "--k-grid", "0.05,0.5", *BUDGET]
+        code, err, written = _run(argv, tmp_path / f"out{i}")
+        runs.append((code, err, written and written[0]))
+    assert runs == runs[:1] * len(runs)
+
+
 # -- cases the fuzzer found -------------------------------------------------
 
 

@@ -615,13 +615,13 @@ def test_validate_scenario_empty_family_reports_once():
     s = tangent_scenario(0.04)
     # payments fall as output rises, so the monotone filter keeps no row
     empty = MonotoneBoundedSlopeFamily(((1.0,), (0.0,)))
-    rep = validate_scenario(
-        Scenario(
-            states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
-            family=empty, utility=s.utility, reservation=0.0, m=s.m,
+    with pytest.raises(ValidationError, match=r"^contract family: contract family enumeration is empty$"):
+        validate_scenario(
+            Scenario(
+                states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
+                family=empty, utility=s.utility, reservation=0.0, m=s.m,
+            )
         )
-    )
-    assert rep.failures == ("contract family: contract family enumeration is empty",)
 
 
 def test_every_family_shares_the_base_payment_matrix():
@@ -720,7 +720,7 @@ def test_scenario_evaluation_helpers():
 
 
 def test_validate_scenario_passes_on_fixtures():
-    assert validate_scenario(tangent_scenario(0.04))
+    assert validate_scenario(tangent_scenario(0.04)) is None
 
 
 def test_validate_scenario_reports_failures():
@@ -730,32 +730,31 @@ def test_validate_scenario_reports_failures():
         capacity=s.capacity, family=s.family, utility=s.utility,
         reservation=0.0, m=s.m,
     )
-    rep = validate_scenario(bad)
-    assert not rep
-    assert "output length must equal the state count" in rep.failures
+    with pytest.raises(ValidationError, match="output length must equal the state count"):
+        validate_scenario(bad)
 
 
 def test_validate_scenario_empty_feasible_set():
     s = tangent_scenario(0.04)
-    rep = validate_scenario(
-        Scenario(
-            states=s.states, y=s.y, cost=s.cost, capacity=-1.0,
-            family=s.family, utility=s.utility, reservation=0.0, m=s.m,
+    with pytest.raises(ValidationError, match="capacity -1: feasible distribution set empty"):
+        validate_scenario(
+            Scenario(
+                states=s.states, y=s.y, cost=s.cost, capacity=-1.0,
+                family=s.family, utility=s.utility, reservation=0.0, m=s.m,
+            )
         )
-    )
-    assert "feasible distribution set empty" in rep.failures
 
 
 def test_validate_scenario_table_coverage():
     table = TableCost(((1.0, 0.0), (0.0, 1.0)), (0.0, 1.0))
     s = tangent_scenario(0.04)
-    rep = validate_scenario(
-        Scenario(
-            states=s.states, y=s.y, cost=table, capacity=1.0,
-            family=s.family, utility=s.utility, reservation=0.0, m=4,
+    with pytest.raises(ValidationError, match="cost undefined at grid point"):
+        validate_scenario(
+            Scenario(
+                states=s.states, y=s.y, cost=table, capacity=1.0,
+                family=s.family, utility=s.utility, reservation=0.0, m=4,
+            )
         )
-    )
-    assert "cost undefined at grid point" in rep.failures
 
 
 @pytest.mark.parametrize("family", [
@@ -765,23 +764,23 @@ def test_validate_scenario_table_coverage():
 ])
 def test_validate_scenario_nonfinite_payments(family):
     s = tangent_scenario(0.04)
-    rep = validate_scenario(
-        Scenario(
-            states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
-            family=family, utility=s.utility, reservation=0.0, m=s.m,
+    with pytest.raises(ValidationError, match=r"^contract family: contract payments must be finite$"):
+        validate_scenario(
+            Scenario(
+                states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
+                family=family, utility=s.utility, reservation=0.0, m=s.m,
+            )
         )
-    )
-    assert rep.failures == ("contract family: contract payments must be finite",)
 
 
 def test_validate_scenario_crra_domain():
     s = tangent_scenario(0.04)
-    rep = validate_scenario(
-        Scenario(
-            states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
-            family=GridFamily(((-2.0,), (0.0,))),
-            utility=AgentUtility("crra", gamma=2.0),
-            reservation=0.0, m=s.m,
+    with pytest.raises(ValidationError, match="contract payments outside the CRRA utility domain"):
+        validate_scenario(
+            Scenario(
+                states=s.states, y=s.y, cost=s.cost, capacity=s.capacity,
+                family=GridFamily(((-2.0,), (0.0,))),
+                utility=AgentUtility("crra", gamma=2.0),
+                reservation=0.0, m=s.m,
+            )
         )
-    )
-    assert "contract payments outside the CRRA utility domain" in rep.failures

@@ -41,6 +41,7 @@ REMOVED = [
     (model.Profile, "identity"),
     (model.ContractFamily, "members"),
     (cli, "_fail"),
+    (model, "ValidationReport"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

@@ -502,6 +502,18 @@ def test_lockstep_takes_the_greedy_walk_on_narrow_gaps():
     assert assert_lockstep_matches_oracle([Enumeration(ladder_scenario()), enum]) == 2
 
 
+def test_every_trace_is_slack_below_binding(random_scenario_panel):
+    # the bisection only narrows its bracket, so sorted by alpha no slack
+    # answer lies above a binding one: what monotone_warning would flag
+    scenarios = [tangent_scenario(0.04), ladder_scenario(), *(s for _, s in random_scenario_panel)]
+    results = [alpha_star(s) for s in scenarios]
+    results += alpha_stars(chain(tangent_scenario(0.04, m=200), [0.005, 0.01, 0.0399, 0.04, 0.09]))
+    for res in results:
+        slack = [flag for _, flag in sorted(res.predicate_trace)]
+        assert slack == sorted(slack, reverse=True), res.predicate_trace
+        assert res.monotone_warning is False
+
+
 def test_a_solved_threshold_is_read_not_solved_again(monkeypatch):
     passes = []
     keep = _AgentOrder.keep
