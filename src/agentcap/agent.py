@@ -7,15 +7,21 @@ over the whole simplex, for the smooth cost kinds, by the centre solvers
 calls with one payoff row and the ball route with many. The scan is the
 ground truth the continuous response is tested against.
 
-The scan has two producers of the same (row, point, value) ties. ``scan_grid``
-scores every row against every point. ``scan_balls``, for the costs that are
-strictly convex on the simplex (relative entropy, and a quadratic whose Q is
-positive definite on the sum-zero subspace), scores only the lattice points
-inside each row's strong-concavity ball around its continuous optimum, which
-provably holds every tie; it finds the same ties, and its values may differ
-from the full scan's in the last bit. Both apply the one tie cut,
-``tie_floor``, and name a point by its index in ``s.lattice.points``, which
-``Scenario.at_capacity`` shares, so an id is the same at every capacity.
+Every lattice best response of an enumeration comes from one call,
+``best_responses``, which holds the route rule and returns the same
+(contract, point, value) ties whichever of its three routes runs.
+``scan_grid`` scores every contract against every point. ``scan_balls``, for
+the costs that are strictly convex on the simplex (relative entropy, and a
+quadratic whose Q is positive definite on the sum-zero subspace), scores
+only the lattice points inside each contract's strong-concavity ball around
+its continuous optimum, which provably holds every tie; ``ball_route``
+decides when it runs. The chain, given the enumeration at a lower capacity,
+scans only the newly feasible points and keeps the lower ties that still
+reach the new floor. Values scored apart from a full scan may differ from
+it in the last bit. Every route applies the one tie cut, ``tie_floor``,
+joins tie parts with ``_merged``, and names a point by its index in
+``s.lattice.points``, which ``Scenario.at_capacity`` shares, so an id is the
+same at every capacity.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .model import (
     Scenario,
     _as_payments,
     _as_probs,
+    _fold,
     _row_sums,
     feasible_mask,
 )
@@ -190,7 +197,7 @@ _ROUND = 1e-10
 
 def tie_floor(best, tol_u: float):
     """The tie cut: a point ties its row's best value ``best`` when it
-    scores at least this. Both producers and the capacity chain use it."""
+    scores at least this. Every route of ``best_responses`` uses it."""
     return best - tol_u
 
 
@@ -216,8 +223,8 @@ def strong_concavity(cost) -> tuple[int, float] | None:
 
 
 def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> tuple[int, float] | None:
-    """The routing rule between the two producers of a fresh enumeration:
-    ``scan_balls`` when the cost is strictly convex on the simplex
+    """``best_responses``' rule between its two routes without a lower
+    enumeration: ``scan_balls`` when the cost is strictly convex on the simplex
     (``strong_concavity``) and contracts x feasible points exceed one value
     block (``_CHUNK``), else ``scan_grid``. A quadratic also needs fewer
     faces of the simplex, 2^n - 1, than feasible points: its centre solver
@@ -228,15 +235,6 @@ def ball_route(s: Scenario, n_contracts: int, n_feasible: int) -> tuple[int, flo
     return strong_concavity(s.cost)
 
 
-def _column_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=1)``, NaN propagated, one column at a time: numpy
-    reduces a short second axis one row at a time."""
-    top = a[:, 0].copy()
-    for col in a.T[1:]:
-        np.maximum(top, col, out=top)
-    return top
-
-
 def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
     """Rows p ~ q0 exp(beta u), and their log normalisers
     log sum q0 exp(beta u). Worked one state at a time, on (n, rows)
@@ -244,7 +242,7 @@ def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
     ``sum(axis=1)`` does."""
     z = np.multiply(u.T, beta, order="C")
     z += logq[:, None]
-    top = _column_max(z.T)
+    top = _fold(np.maximum, z.T)
     z -= top
     w = np.exp(z, out=z)
     total = _row_sums(w)
@@ -420,7 +418,7 @@ def _quadratic_bound(u: np.ndarray, cost, t: np.ndarray, centre: np.ndarray, kba
         mu = lam - 1.0
         dev = centre - q0
         grad = u - 2.0 * lam[:, None] * (dev @ Q)
-        fw_gap = _column_max(grad) - np.einsum("ij,ij->i", grad, centre)
+        fw_gap = _fold(np.maximum, grad) - np.einsum("ij,ij->i", grad, centre)
         value = np.einsum("ij,ij->i", u, centre) - lam * np.einsum("ij,ij->i", dev @ Q, dev) + mu * kbar
     return mu, centre, value + np.maximum(fw_gap, 0.0)
 
@@ -533,13 +531,8 @@ def _nearest_counts(p: np.ndarray, m: int) -> np.ndarray:
 
 def _compositions(counts: np.ndarray, m: int) -> np.ndarray:
     """Which rows of ``counts`` are lattice points: every count nonnegative
-    and the row summing to m, one column at a time."""
-    ok = counts[:, 0] >= 0
-    total = counts[:, 0].copy()
-    for col in counts.T[1:]:
-        ok &= col >= 0
-        total += col
-    return ok & (total == m)
+    and the row summing to m."""
+    return (_fold(np.minimum, counts) >= 0) & (_fold(np.add, counts) == m)
 
 
 def _pair_values(payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -569,12 +562,12 @@ def _groups(sizes: np.ndarray, cap: float):
         i = j
 
 
-def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarray, concavity: tuple[int, float]):
-    """``scan_grid``'s ties over the feasible points of ``s``, given as
-    ``feasible_lattice``'s (ids, mask), for a cost with ``strong_concavity``
-    ``concavity``, scoring only the lattice points inside each row's
-    certified ball; also returns each row's best value and the number of
-    values computed.
+def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[int, float]):
+    """``scan_grid``'s ties of the payoff rows ``s.lattice.util`` over the
+    feasible points of ``s``, given as ``feasible_lattice``'s (ids, mask),
+    for a cost with ``strong_concavity`` ``concavity``, scoring only the
+    lattice points inside each row's certified ball; also returns each
+    row's best value and the number of values computed.
 
     A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
     from the best feasible point among its rounded centre and that point's
@@ -593,7 +586,7 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
     norm, sigma0 = concavity
     n, m, tol_u = s.n, s.m, s.tol_u
     kbar = s.capacity + FEASIBILITY_SLACK
-    points, costs = s.lattice.points, s.lattice.costs
+    points, costs, payoffs = s.lattice.points, s.lattice.costs, s.lattice.util
     binom = _binomials(m + n, n)
     cscale = float(np.abs(costs).max()) + abs(kbar)
     centres = _centre_solver(s.cost, concavity)
@@ -627,17 +620,14 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
                 rows = np.repeat(np.flatnonzero(lb == -np.inf), len(moves))
                 probes = (base[rows].reshape(-1, len(moves), n) + moves).reshape(-1, n)
         lam = 1.0 + mu
-        margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + _column_max(np.abs(u)) + lam * cscale)
+        margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + _fold(np.maximum, np.abs(u)) + lam * cscale)
         with np.errstate(invalid="ignore", over="ignore"):
             r2 = 2.0 * (ub - lb + tol_u + margin) / (lam * sigma0)
             reach = np.sqrt(r2) / (2.0 if norm == 1 else 1.0)
             width = np.floor(m * (centre + reach[:, None])) - np.ceil(m * (centre - reach[:, None])) + 1
             bound = r2 if norm == 2 else np.sqrt(r2)
         # the product over the first n - 1 columns, left to right as prod multiplies
-        clipped = np.clip(width[:, :-1], 1, m + 1)
-        size = clipped[:, 0].copy()
-        for col in clipped.T[1:]:
-            size *= col
+        size = _fold(np.multiply, np.clip(width[:, :-1], 1, m + 1))
         ok = np.isfinite(r2) & ((n - 1) * size <= n_p)
         full.append(start + np.flatnonzero(~ok))
         rows = np.flatnonzero(ok)
@@ -654,19 +644,60 @@ def scan_balls(s: Scenario, payoffs: np.ndarray, ids: np.ndarray, mask: np.ndarr
             tie = vals >= tie_floor(best, tol_u)[owner]
             row_max[start + g] = best
             parts.append((start + g[owner[tie]], rank[tie], vals[tie]))
+    # the balls' ties come in row order; the full scans' rows join them
+    ties = [tuple(np.concatenate(x) for x in zip(*parts))] if parts else []
     fb = np.concatenate(full)
     if fb.size:
         running = np.full(fb.size, -np.inf)
         ri, pi, vals = scan_grid(payoffs[fb], points[ids], costs[ids], tol_u, running)
         row_max[fb] = running
-        parts.append((fb[ri], ids[pi], vals))
+        ties.append((fb[ri], ids[pi], vals))
         evaluations += fb.size * n_p
+    return (*_merged(ties, len(points)), row_max, evaluations)
+
+
+def _merged(parts, n_points: int):
+    """One (contract ids, point ids, values) from tie ``parts`` that share
+    no (contract, point) pair, each ascending in (contract, point): joined
+    and sorted so, stably. A single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
     cid, pid, vals = (np.concatenate(x) for x in zip(*parts))
-    if fb.size:
-        # the balls' ties come in row order; the full scans' rows join them
-        order = np.argsort(cid, kind="stable")
-        cid, pid, vals = cid[order], pid[order], vals[order]
-    return cid, pid, vals, row_max, evaluations
+    order = np.argsort(cid * n_points + pid, kind="stable")
+    return cid[order], pid[order], vals[order]
+
+
+def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray, below=None):
+    """The lattice best responses of every contract of ``s`` over its
+    feasible points, given as ``feasible_lattice``'s (ids, mask): (contract
+    ids, point ids, values) of the ties, ascending in (contract, point),
+    each contract's best value, and the number of values computed.
+
+    The one route rule. With ``below``, an enumeration of ``s`` at a
+    capacity no higher, the chain scans only the points feasible here but
+    not there, against each contract's best value carried up from
+    ``below``, and keeps ``below``'s ties that still reach the new floor.
+    Otherwise ``ball_route`` picks ``scan_balls`` or a full ``scan_grid``.
+    Every route gives the same ties; their values may differ from a fresh
+    full scan's in the last bit."""
+    points, costs = s.lattice.points, s.lattice.costs
+    if below is not None:
+        new = ids[~feasible_mask(costs[ids], below.scenario.capacity)]
+        evaluations = below.row_max.size * new.size
+        if not new.size:
+            return below.contract_id, below.point_id, below.agent_u, below.row_max, evaluations
+        row_max = below.row_max.copy()
+        ci, pi, vals = scan_grid(s.lattice.util, points[new], costs[new], s.tol_u, row_max)
+        cid = below.contract_id
+        keep = below.agent_u >= tie_floor(row_max, s.tol_u)[cid]
+        parts = [(cid[keep], below.point_id[keep], below.agent_u[keep]), (ci, new[pi], vals)]
+        return (*_merged(parts, len(points)), row_max, evaluations)
+    util = s.lattice.util
+    if concavity := ball_route(s, len(util), len(ids)):
+        return scan_balls(s, ids, mask, concavity)
+    row_max = np.full(len(util), -np.inf)
+    ci, pi, vals = scan_grid(util, points[ids], costs[ids], s.tol_u, row_max)
+    return ci, ids[pi], vals, row_max, len(util) * len(ids)
 
 
 # ---------------------------------------------------------------------------

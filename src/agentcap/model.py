@@ -156,6 +156,18 @@ def _as_probs(p) -> np.ndarray:
 # Cost functions
 
 
+def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)``, the same operations in the same order,
+    worked one column at a time. numpy reduces a short second axis one row
+    at a time, so on the tall, narrow arrays of the scan the column loop is
+    far faster: on 20000 x 5 on a 2-core x86 VM, 49 us against 1065 us for
+    ``a.max(axis=1)``."""
+    out = a[:, 0].copy()
+    for col in a.T[1:]:
+        ufunc(out, col, out=out)
+    return out
+
+
 def _row_sums(columns: np.ndarray) -> np.ndarray:
     """``columns.T.sum(axis=1)`` bit for bit, signed zeros included, added
     one whole row of ``columns`` at a time. numpy adds each of a matrix's
@@ -172,10 +184,7 @@ def _pairwise(columns: np.ndarray) -> np.ndarray:
     multiple of 8 above."""
     n = len(columns)
     if n < 8:
-        total = columns[0].copy()
-        for col in columns[1:]:
-            total += col
-        return total
+        return _fold(np.add, columns.T)
     if n <= 128:
         part = columns[:8].copy()
         for i in range(8, n - n % 8, 8):
@@ -581,9 +590,6 @@ class ContractFamily:
 
     kind: str = ""
 
-    def size(self) -> int:
-        raise NotImplementedError
-
     def _rows(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
         """Each member's label and payment row, in lexicographic order."""
         raise NotImplementedError
@@ -617,9 +623,6 @@ class GridFamily(ContractFamily):
         g = grid_values({"min": b_min, "max": b_max, "step": step})
         return cls(tuple(g for _ in range(n_states)))
 
-    def size(self) -> int:
-        return int(np.prod([len(g) for g in self.grids]))
-
     def _rows(self, y: np.ndarray) -> tuple[ProductLabels, np.ndarray]:
         if len(self.grids) != len(y):
             raise ValidationError(f"{self._name} arity must match the state count")
@@ -644,9 +647,6 @@ class LinearShareFamily(ContractFamily):
         if min(self.betas) < 0 or max(self.betas) > 1:
             raise ValidationError("linear-share slopes must lie in [0, 1]")
 
-    def size(self) -> int:
-        return len(self.betas) * len(self.ws)
-
     def _rows(self, y: np.ndarray) -> tuple[ProductLabels, np.ndarray]:
         texts = [[format(v, "g") for v in self.betas], [format(v, "g") for v in self.ws]]
         labels = ProductLabels(texts, "beta=", ",w=", "")
@@ -669,9 +669,6 @@ class DebtFamily(ContractFamily):
         if min(self.faces) < 0:
             raise ValidationError("debt face values must be nonnegative")
 
-    def size(self) -> int:
-        return len(self.faces)
-
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
         labels = ["F=" + format(f, "g") for f in self.faces]
         return labels, np.maximum(0.0, y - np.array(self.faces)[:, None])
@@ -689,9 +686,6 @@ class LiveOrDieFamily(ContractFamily):
         if not self.thresholds:
             raise ValidationError("live-or-die family needs a threshold grid")
 
-    def size(self) -> int:
-        return len(self.thresholds)
-
     def _rows(self, y: np.ndarray) -> tuple[list[str], np.ndarray]:
         labels = ["l=" + format(l, "g") for l in self.thresholds]
         return labels, np.where(y >= np.array(self.thresholds)[:, None], y, 0.0)
@@ -703,8 +697,6 @@ class MonotoneBoundedSlopeFamily(GridFamily):
 
     Enumerates the per-state grid and keeps contracts whose payments, read in
     increasing-output order, never decrease and never rise faster than output.
-    ``size`` is that of the underlying grid; the filtered count requires
-    enumeration.
     """
 
     kind: str = field(default="monotone-bounded-slope", init=False)

@@ -20,16 +20,12 @@ then bisects the thresholds of every capacity of a sweep with one pass per
 round. That keeps repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
-which grows with it. An enumeration built on the one at the next lower
-capacity scans only the points that became feasible, against each contract's
-best value carried up from below, and keeps the lower ties that still reach
-the new floor; a capacity sweep scores each lattice point once.
-
-A fresh enumeration whose cost is strictly convex on the simplex, and whose
-contracts times feasible points exceed one value block (``agent._CHUNK``),
-scores only the lattice points in each contract's certified ball
-(``agent.scan_balls``); the rows are the same either way. Every route names
-a point by its index in the scenario's lattice, the same at every capacity.
+which grows with it. An enumeration takes its rows from one call,
+``agent.best_responses``, which chooses the route: built on the enumeration
+at the next lower capacity, it scans only the points that became feasible,
+so a capacity sweep scores each lattice point once. Every route gives the
+same rows and names a point by its index in the scenario's lattice, the
+same at every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
 frontier order, with their principal payoffs. A row is rendered from one
@@ -49,16 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agent import (
-    ball_route,
-    capacity_binding,
-    feasible_lattice,
-    scan_balls,
-    scan_grid,
-    tie_floor,
-)
+from .agent import best_responses, capacity_binding, feasible_lattice
 from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario, check_alpha, feasible_mask
+from .model import Contract, Distribution, Profile, Scenario, check_alpha
 from .model import check_payments, check_probabilities
 
 DEFAULT_BUDGET = 10**7
@@ -347,33 +336,22 @@ class Enumeration:
     frontier's final tie-break.
 
     ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
-    names the same point at every capacity of a sweep. A producer below
-    yields the rows' ids and agent utilities; the other fields are derived
-    from the ids after it, ``binding`` by ``agent.capacity_binding``.
+    names the same point at every capacity of a sweep. The rows' ids, agent
+    utilities, ``row_max`` and ``evaluations`` come from one call,
+    ``agent.best_responses``, which picks the route; the other fields are
+    derived from the ids after it, ``binding`` by ``agent.capacity_binding``.
 
     ``below`` is an enumeration, at a capacity no higher than ``s``'s, of a
     scenario differing from ``s`` only in capacity; building ``s`` with
     ``below.scenario.at_capacity`` shares the lattice, so it is priced once.
-    Feasible sets are nested in the capacity, so only the points feasible
-    here but not there are scanned, against each contract's best value
-    carried up from ``below``; ``below``'s ties that still reach the new
-    floor are kept. Ties, binding flags and ids are those of a fresh
-    enumeration; agent utilities of the newly scanned points come from a
-    narrower matmul and may differ from a fresh scan's in the last bit.
-
-    Without ``below``, the route is a property of the input
-    (``agent.ball_route``): when the cost is strictly convex on the simplex
-    and contracts times feasible points exceed one value block,
-    ``agent.scan_balls`` scores only each contract's certified ball;
-    otherwise ``agent.scan_grid`` scores every pair. Both
-    give the same rows and ``row_max``, so a chain may start from either;
-    ball-route agent utilities may differ in the last bit. The budget check
-    is on the nominal count, contracts times feasible points, whichever
-    route runs. ``evaluations`` is the number of values computed: contracts
-    times feasible points for a full scan, contracts times newly feasible
-    points for a chained one, and the probes and ball points scored (plus
-    any rows scanned in full) for the ball route; ``nominal_evaluations`` is
-    contracts times feasible points. ``budget`` passes ``check_budget``.
+    Ties, binding flags and ids are those of a fresh enumeration, whichever
+    route ran below. The budget check is on the nominal count, contracts
+    times feasible points, whichever route runs. ``evaluations`` is the
+    number of values computed: contracts times feasible points for a full
+    scan, contracts times newly feasible points for a chained one, and the
+    probes and ball points scored (plus any rows scanned in full) for the
+    ball route; ``nominal_evaluations`` is contracts times feasible points.
+    ``budget`` passes ``check_budget``.
     """
 
     def __init__(
@@ -408,47 +386,14 @@ class Enumeration:
 
         # row_max: each contract's best value over the feasible points;
         # evaluations: the values computed to find the ties
-        if below is not None:
-            self._scan_above(below, ids)
-        elif concavity := ball_route(s, n_c, n_p):
-            (self.contract_id, self.point_id, self.agent_u,
-             self.row_max, self.evaluations) = scan_balls(s, s.lattice.util, ids, mask, concavity)
-        else:
-            self.row_max = np.full(n_c, -np.inf)
-            self.contract_id, pi, self.agent_u = scan_grid(
-                s.lattice.util, points[ids], costs[ids], s.tol_u, self.row_max
-            )
-            self.point_id = ids[pi]
-            self.evaluations = n_c * n_p
+        (self.contract_id, self.point_id, self.agent_u,
+         self.row_max, self.evaluations) = best_responses(s, ids, mask, below)
         self.cost = costs[self.point_id]
         self.binding = capacity_binding(s, self.point_id)
         self.exp_output = points[self.point_id] @ s.y.as_array()
         self.exp_payment = np.einsum(
             "ij,ij->i", payments[self.contract_id], points[self.point_id]
         )
-
-    def _scan_above(self, below: Enumeration, ids: np.ndarray) -> None:
-        """Ties at this capacity from ``below``'s and a scan of the feasible
-        ``ids`` that ``below`` lacks, ordered by contract, then point."""
-        costs = self.scenario.lattice.costs
-        new = ids[~feasible_mask(costs[ids], below.scenario.capacity)]
-        cid, pid, val = below.contract_id, below.point_id, below.agent_u
-        self.evaluations = len(self.labels) * new.size
-        if not new.size:
-            self.row_max = below.row_max
-            self.contract_id, self.point_id, self.agent_u = cid, pid, val
-            return
-        self.row_max = below.row_max.copy()
-        c_new, p_new, v_new = scan_grid(
-            self.scenario.lattice.util, self.points[new], costs[new],
-            self.scenario.tol_u, self.row_max,
-        )
-        keep = val >= tie_floor(self.row_max, self.scenario.tol_u)[cid]
-        cid = np.concatenate((cid[keep], c_new))
-        pid = np.concatenate((pid[keep], new[p_new]))
-        order = np.argsort(cid * len(self.points) + pid, kind="stable")
-        self.contract_id, self.point_id = cid[order], pid[order]
-        self.agent_u = np.concatenate((val[keep], v_new))[order]
 
     # -- queries ----------------------------------------------------------
 

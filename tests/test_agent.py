@@ -223,8 +223,8 @@ def test_every_binding_flag_comes_from_the_one_rule(case, rule, monkeypatch):
         check(enum)
     check(Enumeration(s))
     balls = []
-    scan_balls = pareto.scan_balls
-    monkeypatch.setattr(pareto, "scan_balls", lambda *a: balls.append(1) or scan_balls(*a))
+    scan_balls = agent.scan_balls
+    monkeypatch.setattr(agent, "scan_balls", lambda *a: balls.append(1) or scan_balls(*a))
     monkeypatch.setattr(agent, "_CHUNK", len(contracts) * len(feasible_lattice(s)[0]) - 1)
     check(Enumeration(s))
     assert balls == [1]

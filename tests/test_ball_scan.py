@@ -96,29 +96,45 @@ CASES["quadratic-3-flat"] = lambda: random_case(3, "quadratic", 60, True, seed=7
 
 
 def both_routes(s, monkeypatch):
-    """(full-scan enumeration, ball-route enumeration) of ``s``: the route
-    flips when contracts x feasible points exceed one ``_CHUNK`` block."""
+    """(full-scan enumeration, ball-route enumeration, the row count of each
+    ``scan_grid`` call the ball route made) of ``s``: the route flips when
+    contracts x feasible points exceed one ``_CHUNK`` block."""
     full = Enumeration(s)
     nominal = full.nominal_evaluations
     assert nominal <= agent._CHUNK and full.evaluations == nominal
+    scans = []
+    scan_grid = agent.scan_grid
+
+    def spy(payoffs, *args):
+        scans.append(len(payoffs))
+        return scan_grid(payoffs, *args)
+
     with monkeypatch.context() as mp:
         mp.setattr(agent, "_CHUNK", nominal - 1)
+        mp.setattr(agent, "scan_grid", spy)
         ball = Enumeration(s)
-    return full, ball
+    return full, ball, scans
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_ball_route_matches_full_scan(case, monkeypatch):
     s = CASES[case]()
-    full, ball = both_routes(s, monkeypatch)
+    full, ball, scans = both_routes(s, monkeypatch)
     for name in ("contract_id", "point_id", "binding"):
         assert np.array_equal(getattr(ball, name), getattr(full, name)), name
     assert np.abs(ball.row_max - full.row_max).max() <= 1e-12
     assert np.abs(ball.agent_u - full.agent_u).max() <= 1e-12
     if case.endswith("binding"):
         assert ball.binding.any()
-    if not case.startswith("smooth") and not case.endswith("flat"):
-        # a flat direction makes wide balls, whose rows are scanned in full
+    # rows whose balls are too wide go to one full scan together
+    assert len(scans) <= 1
+    if case in ("quadratic-5-binding", "entropy-4-binding"):
+        # some rows by ball and some in full: their ties are merged
+        assert len(scans) == 1 and 0 < scans[0] < len(full.row_max)
+    if case.endswith("flat"):
+        # a flat direction makes every ball too wide: all rows go in full
+        assert scans == [len(full.row_max)]
+    elif not case.startswith("smooth"):
         assert ball.evaluations < full.evaluations
 
 
@@ -138,7 +154,7 @@ def test_ball_route_dyadic_tie_at_the_cut(monkeypatch):
         m=8,
         tol_u=1.0 / 64,
     )
-    full, ball = both_routes(s, monkeypatch)
+    full, ball, _ = both_routes(s, monkeypatch)
     assert np.any(full.agent_u == full.row_max[full.contract_id] - s.tol_u)
     assert np.array_equal(ball.contract_id, full.contract_id)
     assert np.array_equal(ball.point_id, full.point_id)
@@ -171,7 +187,7 @@ def test_ties_on_the_ball_boundary_are_kept(q):
         ids, mask = agent.feasible_lattice(sk)
         running = np.full(1, -np.inf)
         expect = agent.scan_grid(sk.lattice.util, points[ids], costs[ids], sk.tol_u, running)
-        got = agent.scan_balls(sk, sk.lattice.util, ids, mask, agent.strong_concavity(sk.cost))
+        got = agent.scan_balls(sk, ids, mask, agent.strong_concavity(sk.cost))
         assert at in ids[expect[1]]
         assert np.array_equal(got[1], ids[expect[1]])
         assert got[3][0] == running[0]

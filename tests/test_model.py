@@ -416,7 +416,6 @@ def test_grid_family_enumeration_order():
     labels, payments = fam.payment_matrix(y)
     assert list(labels) == ["b=(0,0)", "b=(0,2)", "b=(1,0)", "b=(1,2)"]
     assert payments.tolist() == [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0], [1.0, 2.0]]
-    assert fam.size() == 4
 
 
 def test_linear_share_family():
@@ -464,7 +463,6 @@ def test_monotone_family_is_a_filtered_grid_family():
     assert 0 < len(labels) < len(g_labels)
     assert list(labels) == [lab for lab, k in zip(g_labels, keep) if k]
     assert np.array_equal(payments, g_payments[keep])
-    assert mono.size() == grid.size()
     # the same params, under different kinds
     s = Scenario(states=StateSpace(("L", "M", "H")), y=OutputFunction(tuple(y)),
                  cost=QuadraticCost(np.eye(3), (1 / 3, 1 / 3, 1 / 3)), capacity=0.1, family=grid,

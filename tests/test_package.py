@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import agentcap
-from agentcap import cli, discounting, errors, kkt, model, pareto, scaling
+from agentcap import agent, cli, discounting, errors, kkt, model, pareto, scaling
 from agentcap.cli import save_scenario
 
 from conftest import tangent_scenario
@@ -42,6 +42,9 @@ REMOVED = [
     (model.ContractFamily, "members"),
     (cli, "_fail"),
     (model, "ValidationReport"),
+    (pareto.Enumeration, "_scan_above"),
+    (agent, "_column_max"),
+    (model.ContractFamily, "size"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
@@ -53,6 +56,7 @@ REMOVED_PARAMETERS = [
     (kkt.make_initial_point, ("beta", "w")),
     (discounting.DatedSchedule.at_date, ("n",)),
     (discounting.discounted_values, ("s",)),
+    (agent.scan_balls, ("payoffs",)),
 ]
 
 
