@@ -250,16 +250,16 @@ def _gibbs(u: np.ndarray, logq: np.ndarray, beta: np.ndarray):
     return w.T.copy(), top + np.log(total)
 
 
-def _entropy_bound(u: np.ndarray, cost, beta: np.ndarray, kbar: float):
-    """(mu, centre, UB) per row at beta = 1 / ((1+mu) theta) <= 1/theta.
+def _entropy_bound(p: np.ndarray, logz: np.ndarray, beta: np.ndarray, theta: float, kbar: float):
+    """(mu, centre, UB) per row at beta = 1 / ((1+mu) theta) <= 1/theta,
+    from that beta's ``_gibbs`` rows p and log normalisers logz.
 
     With lam = 1/beta, the maximum over the simplex of u.p - lam KL(p||q0)
     is lam log sum q0 exp(u/lam), attained at the centre p ~ q0 exp(u/lam);
     UB adds mu kbar.
     """
-    p, logz = _gibbs(u, np.log(np.array(cost.q0)), beta)
     lam = 1.0 / beta
-    mu = np.maximum(lam / cost.theta - 1.0, 0.0)
+    mu = np.maximum(lam / theta - 1.0, 0.0)
     return mu, p, lam * logz + mu * kbar
 
 
@@ -273,7 +273,7 @@ def _entropy_centres(u: np.ndarray, cost, kbar: float):
     p, logz = _gibbs(u, logq, beta)
     # KL(p_beta||q0) = beta E[u] - log Z; it rises with beta from 0
     target = kbar / theta
-    todo = np.flatnonzero(beta * np.einsum("ij,ij->i", p, u) - logz > target)
+    todo = newton = np.flatnonzero(beta * np.einsum("ij,ij->i", p, u) - logz > target)
     lo, hi = np.zeros(todo.size), beta[todo]
     for _ in range(200):
         if not todo.size:
@@ -291,7 +291,9 @@ def _entropy_centres(u: np.ndarray, cost, kbar: float):
         beta[todo] = nxt
         moving = np.abs(nxt - b) > 1e-13 * b
         todo, lo, hi = todo[moving], lo[moving], hi[moving]
-    return _entropy_bound(u, cost, beta, kbar)
+    # _gibbs works row by row: the rows outside the Newton loop keep their bits
+    p[newton], logz[newton] = _gibbs(u[newton], logq, beta[newton])
+    return _entropy_bound(p, logz, beta, theta, kbar)
 
 
 def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: bool):

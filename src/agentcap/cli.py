@@ -3,11 +3,11 @@
     agentcap <solve|alpha-star|verify|sweep|capstruct|kkt>
              --scenario PATH [flags] --out DIR
 
-``main`` drives every command the same way: it reads and parses the
-scenario, runs the command, which validates the scenario at the capacities
-it solves at, checks its flags and computes its tables, column by column,
-without touching a file, and only then creates --out and writes the CSV
-tables plus a summary.json. So a failed run creates nothing, except a
+``main`` drives every command the same way: it reads the scenario file
+once and parses it, runs the command, which validates the scenario at the
+capacities it solves at, checks its flags and computes its tables, column
+by column, without touching a file, and only then creates --out and writes
+the CSV tables plus a summary.json. So a failed run creates nothing, except a
 ``kkt`` solve that stops without converging: it writes its point, then fails
 with ``ConvergenceError``. A run exits 0, or with the ``exit_code`` of the
 ``errors`` class that ended it. CSV cells use 12 significant digits and
@@ -231,20 +231,25 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file; ``validate_scenario`` checks it."""
+def load_scenario(path) -> tuple[Scenario, str]:
+    """Read a scenario file once and parse it; ``validate_scenario`` checks
+    it. Returns the scenario and the SHA-256 (hex) of the bytes read. Line
+    ends are translated as ``read_text`` does, so a parse error names the
+    line an editor shows."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario {p}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"{p}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
     try:
-        data = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return scenario_from_dict(data)
+    return scenario_from_dict(doc), hashlib.sha256(data).hexdigest()
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -322,18 +327,15 @@ def _write_csv(path, header, columns) -> None:
         fh.write(",".join(head if head != [""] else ['""']) + "\n" + body)
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_outputs(args, t0: float, tables: dict, fields: dict) -> None:
+def _write_outputs(args, digest: str, t0: float, tables: dict, fields: dict) -> None:
     """Create --out and write each table, {name: (header, columns)}, as CSV,
-    then summary.json."""
+    then summary.json; ``digest`` is the scenario file's, from
+    ``load_scenario``."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "scenario": str(args.scenario),
-        "scenario_digest": _digest(args.scenario),
+        "scenario_digest": digest,
         **fields,
     }
     out = Path(args.out)
@@ -683,8 +685,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        tables, fields = args.func(args, load_scenario(args.scenario))
-        _write_outputs(args, t0, tables, fields)
+        s, digest = load_scenario(args.scenario)
+        tables, fields = args.func(args, s)
+        _write_outputs(args, digest, t0, tables, fields)
         if not fields.get("converged", True):
             raise ConvergenceError(f"stationarity solve did not converge (residual {fields['system_residual']:g})")
     except AgentcapError as exc:

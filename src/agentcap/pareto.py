@@ -138,27 +138,13 @@ class Columns(NamedTuple):
 def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
     """Ascending distinct levels of finite values; a value joins the current
     cluster when it is within tol of the cluster's first (lowest) member,
-    i.e. when ``v - first <= tol``.
-
-    A gap wider than tol between sorted neighbours always opens a cluster,
-    and a run of narrow gaps whose last member is within tol of its first is
-    a single cluster. The greedy walk runs only inside the remaining runs, one
-    searchsorted per cluster.
+    i.e. when ``v - first <= tol``: the greedy walk over the sorted values.
     """
-    if values.size == 0:
-        return values
-    s = np.sort(values)
-    is_first = np.empty(s.size, dtype=bool)
-    is_first[0] = True
-    np.greater(np.diff(s), tol, out=is_first[1:])
-    starts = np.flatnonzero(is_first)
-    ends = np.append(starts[1:], s.size)
-    walk = s[ends - 1] - s[starts] > tol
-    for a, b in zip(starts[walk], ends[walk]):
-        j = a
-        while (j := j + int(np.searchsorted(s[j:b] - s[j], tol, side="right"))) < b:
-            is_first[j] = True
-    return s[is_first]
+    levels = []
+    for v in np.sort(values).tolist():
+        if not levels or v - levels[-1] > tol:
+            levels.append(v)
+    return np.array(levels)
 
 
 class _AgentOrder:

@@ -71,7 +71,20 @@ def tangent_scenario(k, m=1000):
     capacity starts to bind at output scale 2*sqrt(k). The grids do not
     depend on k, which keeps capacity sweeps on a fixed family.
     """
-    s = tangent_slopes()
+    return _tangent_family(tangent_slopes(), k, m)
+
+
+def dense_tangent_scenario(k, m):
+    """``tangent_scenario``'s construction on a dense window of 17 slopes
+    s = 2 sqrt(k) + 2j/m, j = -12..4, spaced two lattice steps apart around
+    the paper's threshold 2 sqrt(k). At a generic k (no lattice cost near
+    it) the lattice threshold can follow 2 sqrt(k) only through these
+    slopes, so this is the family on which it should converge as m grows."""
+    return _tangent_family(2 * math.sqrt(k) + 2 * np.arange(-12, 5) / m, k, m)
+
+
+def _tangent_family(s, k, m):
+    """The tangent scenario at capacity k on the slopes ``s``."""
     phat = np.round(s / 2 * m) / m
     v = s * phat - phat**2
     return Scenario(

@@ -385,7 +385,8 @@ def test_10_round_trip_and_byte_determinism(capsys, tmp_path):
             assert scenario_from_dict(scenario_to_dict(s)) == s
             path = tmp_path / f"case{i}.json"
             save_scenario(s, path)
-            assert load_scenario(path) == s
+            got, _ = load_scenario(path)
+            assert got == s
 
         ladder = tmp_path / "ladder.json"
         save_scenario(ladder_scenario(), ladder)

@@ -240,7 +240,8 @@ def test_bound_holds_for_any_multiplier_and_centre(kind):
     for _ in range(4):
         t = rng.uniform(0.05, 1.0, len(u))
         if kind == "entropy":
-            trials.append(agent._entropy_bound(u, s.cost, t / s.cost.theta, kbar))
+            p, logz = agent._gibbs(u, np.log(np.array(s.cost.q0)), t / s.cost.theta)
+            trials.append(agent._entropy_bound(p, logz, t / s.cost.theta, s.cost.theta, kbar))
         else:
             trials.append(agent._quadratic_bound(u, s.cost, t, rng.dirichlet(np.ones(3), len(u)), kbar))
     for mu, centre, ub in trials:

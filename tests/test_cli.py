@@ -129,7 +129,7 @@ def test_round_trip_identity(tmp_path):
         assert scenario_from_dict(scenario_to_dict(s)) == s
         path = tmp_path / f"case{i}.json"
         save_scenario(s, path)
-        assert load_scenario(path) == s
+        assert load_scenario(path) == (s, hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_grid_spec_shared_forms():
@@ -197,14 +197,21 @@ def test_load_scenario_errors(tmp_path):
     d["capacity"] = -1.0
     invalid.write_text(json.dumps(d))
     # reading only parses; the commands validate
-    s = load_scenario(invalid)
+    s, _ = load_scenario(invalid)
     assert s.capacity == -1.0
     with pytest.raises(ValidationError, match=r"^capacity -1: feasible distribution set empty$"):
         validate_scenario(s)
 
 
-@pytest.mark.xfail(raises=AssertionError, reason=(
-    "the summary hashes the scenario by reading its path again, and a pipe is empty by then"))
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_parse_errors_name_the_line_whatever_the_line_ends(tmp_path, end):
+    # the file is read as bytes once; its line ends are read as read_text does
+    path = tmp_path / "bad.json"
+    path.write_bytes(end.join(["{", '"states": ["L", "H"],', '"output": [0.0, 1.0,]', "}"]).encode())
+    with pytest.raises(ScenarioParseError, match=r"bad\.json: line 3 column 21: Expecting value$"):
+        load_scenario(path)
+
+
 def test_scenario_digest_is_of_the_bytes_parsed(share_file, tmp_path):
     data = share_file.read_bytes()
     out = tmp_path / "out"
@@ -968,7 +975,7 @@ def test_sweep_summary_sums_its_chain(tangent_file, tmp_path):
     flags = ["--k-grid", ",".join(map(str, ks)), "--budget", "123456"]
     assert main(["sweep", "--scenario", str(tangent_file), "--out", str(out), *flags]) == 0
     doc = read_summary(out)
-    s = load_scenario(tangent_file)
+    s, _ = load_scenario(tangent_file)
     evaluations = nominal = 0
     enum = None
     for k in sorted(ks):
@@ -993,7 +1000,7 @@ BAD_CAPACITIES = [
 def test_sweep_ignores_the_file_capacity(tangent_file, tmp_path, capacity):
     # every --k-grid value leaves the lattice feasible; the file's own does not
     path = tmp_path / "scenario.json"
-    save_scenario(load_scenario(tangent_file).at_capacity(capacity), path)
+    save_scenario(load_scenario(tangent_file)[0].at_capacity(capacity), path)
     for name, scenario in (("a", tangent_file), ("b", path)):
         argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / name)]
         assert main([*argv, "--k-grid", "0.01,0.04"]) == 0, name
@@ -1003,7 +1010,7 @@ def test_sweep_ignores_the_file_capacity(tangent_file, tmp_path, capacity):
 @pytest.mark.parametrize("capacity,text", BAD_CAPACITIES)
 def test_solving_commands_validate_the_file_capacity(tangent_file, tmp_path, capsys, capacity, text):
     path = tmp_path / "scenario.json"
-    save_scenario(load_scenario(tangent_file).at_capacity(capacity), path)
+    save_scenario(load_scenario(tangent_file)[0].at_capacity(capacity), path)
     out = tmp_path / "out"
     for command in (
         ["solve"],

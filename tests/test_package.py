@@ -45,6 +45,7 @@ REMOVED = [
     (pareto.Enumeration, "_scan_above"),
     (agent, "_column_max"),
     (model.ContractFamily, "size"),
+    (cli, "_digest"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
@@ -57,6 +58,7 @@ REMOVED_PARAMETERS = [
     (discounting.DatedSchedule.at_date, ("n",)),
     (discounting.discounted_values, ("s",)),
     (agent.scan_balls, ("payoffs",)),
+    (agent._entropy_bound, ("u", "cost")),
 ]
 
 

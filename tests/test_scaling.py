@@ -1,6 +1,7 @@
 """The capacity-slack threshold alpha*, the slack chain, and its certificate."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from conftest import (
     all_slack,
     alpha_star_oracle,
     base_row_oracle,
+    dense_tangent_scenario,
     effort_scenario,
     ladder_scenario,
     narrow_enumeration,
@@ -143,6 +145,48 @@ def test_alpha_star_never_binding():
     assert res.alpha_star == 1.0
     assert res.bracket == (1.0, 1.0)
     assert res.slack_witness is not None
+
+
+# capacities no lattice cost of the dense tangent family lies near, at
+# m = 200 or m = 1000, where the paper's threshold is 2 sqrt(k)
+GENERIC_K = (0.0399, 0.0401, 0.05, 0.07, 0.11, 0.2)
+GENERIC_REASON = ("ROADMAP item 1: a profile is capacity-binding only when a lattice cost lies within "
+                  "tol_u of k, so alpha* is 1.0 at every generic k")
+
+
+@functools.cache
+def dense_errors(m):
+    """alpha* - 2 sqrt(k) on ``dense_tangent_scenario(k, m)``, per GENERIC_K."""
+    return np.array([alpha_star(dense_tangent_scenario(k, m)).alpha_star - 2 * math.sqrt(k) for k in GENERIC_K])
+
+
+@pytest.mark.parametrize("m", [200, 1000])
+def test_dense_tangent_family_is_generic_and_tangent(m):
+    for k in GENERIC_K:
+        s = dense_tangent_scenario(k, m)
+        # 0.0399 and 0.0401 lie 1e-4 from the lattice cost 0.04 exactly, so
+        # the check allows the rounding of that difference
+        assert np.abs(s.lattice.costs - k).min() >= 1e-4 * (1 - 1e-9), k
+        # each diagonal member's best response is its tangency point alone,
+        # worth 0 to the agent, as in tangent_scenario
+        slack = s.at_capacity(1.0)
+        slopes = 2 * math.sqrt(k) + 2 * np.arange(-12, 5) / m
+        for slope, b in zip(slopes, zip(*s.family.grids)):
+            br = agent.best_response_grid(slack, b)
+            assert [p.probs[1] for p in br.maximizers] == [np.round(slope / 2 * m) / m], (k, slope)
+            assert abs(br.value) <= s.tol_u
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=GENERIC_REASON)
+@pytest.mark.parametrize("m", [200, 1000])
+def test_alpha_star_follows_two_root_k_from_below_at_generic_k(m):
+    err = dense_errors(m)
+    assert ((-4 / m <= err) & (err <= 1e-4)).all(), err.tolist()
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=GENERIC_REASON)
+def test_alpha_star_error_at_generic_k_shrinks_with_m():
+    assert np.abs(dense_errors(1000)).max() < np.abs(dense_errors(200)).max()
 
 
 @pytest.mark.xfail(raises=EmptySelectionError, reason=(
