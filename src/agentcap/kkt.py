@@ -5,9 +5,9 @@ which enters the principal's Lagrangian with multiplier phi per state. One
 function, ``_rows``, writes the stationarity system that the damped
 Gauss-Newton solve and ``principal_foc_residual`` evaluate, at each point of a
 stack of packed points; one point is a stack of one. Each Newton iteration
-makes one stacked call for all columns of its finite-difference Jacobian and,
-past the full step, one for all damped step lengths, with the iterates, and
-so the results, of a point-by-point evaluation. A trial step that is not
+makes one stacked call for all columns of its finite-difference Jacobian and
+one for all step lengths of its line search, with the iterates, and so the
+results, of a point-by-point evaluation. A trial step that is not
 interior, leaves the utility's domain or overflows is skipped or rejected,
 and never raises or warns. Its multiplier row gives the one phi identity,
 phi = -p (1/u'(b) + zeta), behind ``phi_identity_gap`` and the curvature
@@ -220,8 +220,8 @@ def _finite_difference_jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarra
     return ((fun(stack) - r0) / h[:, None]).T
 
 
-# the step lengths after the full step: 1/2, 1/4, ..., DAMPING_FLOOR
-_DAMPED = 0.5 ** np.arange(1, 1 + round(-np.log2(DAMPING_FLOOR)))
+# the line search's step lengths: 1, 1/2, ..., DAMPING_FLOOR
+_STEP_LENGTHS = 0.5 ** np.arange(1 + round(-np.log2(DAMPING_FLOOR)))
 
 
 def _line_search(s: Scenario, fun, x: np.ndarray, step: np.ndarray, norm0: float):
@@ -233,22 +233,21 @@ def _line_search(s: Scenario, fun, x: np.ndarray, step: np.ndarray, norm0: float
     or whose payments leave the utility's domain is skipped, and the rest
     are evaluated with floating-point flags ignored, so that one which
     overflows has a non-finite norm and is rejected like any other that
-    does not improve. The full step is tried alone and the damped ones as
-    one stack, with the outcome of trying them one at a time, in order."""
+    does not improve. Every step length is tried in one stack, with the
+    outcome of trying them one at a time, in order."""
     n = s.n
-    for lams in (np.ones(1), _DAMPED):
-        xt = x + lams[:, None] * step
-        # the lstsq step keeps the adding-up row only approximately;
-        # remove the uniform drift so the iterate stays a distribution
-        xt[:, n:2 * n] -= ((xt[:, n:2 * n].sum(axis=1) - 1.0) / n)[:, None]
-        tried = np.flatnonzero(~(xt[:, n:2 * n].min(axis=1) <= 0.0)
-                               & ~s.utility.outside_domain(xt[:, :n]).any(axis=1))
-        if tried.size:
-            with np.errstate(all="ignore"):
-                rt = fun(xt[tried])
-                better = np.flatnonzero(_norms(rt) < norm0)
-            if better.size:
-                return xt[tried[better[0]]], rt[better[0]]
+    xt = x + _STEP_LENGTHS[:, None] * step
+    # the lstsq step keeps the adding-up row only approximately;
+    # remove the uniform drift so the iterate stays a distribution
+    xt[:, n:2 * n] -= ((xt[:, n:2 * n].sum(axis=1) - 1.0) / n)[:, None]
+    tried = np.flatnonzero(~(xt[:, n:2 * n].min(axis=1) <= 0.0)
+                           & ~s.utility.outside_domain(xt[:, :n]).any(axis=1))
+    if tried.size:
+        with np.errstate(all="ignore"):
+            rt = fun(xt[tried])
+            better = np.flatnonzero(_norms(rt) < norm0)
+        if better.size:
+            return xt[tried[better[0]]], rt[better[0]]
     return None
 
 

@@ -14,7 +14,7 @@ one stack builder. The selection rule is said once: a selection at
 reservation r takes the first clustered level (``_cluster_levels``, the one
 greedy walk) of the undominated agent utilities at or above r - tol_u, and
 the undominated profiles within tol_u of it; ``_selection_level`` finds it
-on a stack, ``select`` off the frontier's levels. A threshold solve
+on a stack or on a frontier's agent utilities (``select``). A threshold solve
 (``scaling.alpha_stars``) picks each capacity's base with ``selection_ids``,
 then bisects the thresholds of every capacity of a sweep with one pass per
 round. That keeps repeated queries (bisection on alpha) cheap.
@@ -479,18 +479,18 @@ class Enumeration:
 
 
 def select(ps: ParetoSet, r: float) -> Selection:
-    """The selection at the lowest utility level >= r - tol_u: the first
-    of the frontier's ``agent_utility_levels`` there, and the frontier rows
-    within tol_u of it, in frontier order.
+    """The selection at the lowest utility level >= r - tol_u:
+    ``_selection_level`` on the frontier's agent utilities, ascending, and
+    the frontier rows within tol_u of that level, in frontier order.
 
     Raises EmptySelectionError when no level qualifies; the underlying theory
     leaves that case undefined, so it is signalled rather than guessed.
     """
-    floor = r - ps.tol_u
-    level = next((v for v in ps.agent_utility_levels if v >= floor), None)
-    if level is None:
+    agent = ps.enumeration.agent_u[ps.rows[::-1]][None]
+    (level,), (at,) = _selection_level(agent, np.ones_like(agent, bool), agent >= r - ps.tol_u, ps.tol_u, [0])
+    if math.isnan(level):
         raise empty_selection(r)
-    at = np.abs(ps.enumeration.agent_u[ps.rows] - level) <= ps.tol_u
+    at = at[::-1]
     return Selection(
-        parent=ps, r=float(r), chosen_level=level, rows=ps.rows[at], principal=ps.principal[at]
+        parent=ps, r=float(r), chosen_level=float(level), rows=ps.rows[at], principal=ps.principal[at]
     )

@@ -1,7 +1,7 @@
 """The stationarity system on stacks of points against the one-point oracle.
 
-``kkt`` evaluates all columns of a finite-difference Jacobian, and all damped
-step lengths of a backtracking round, as one stack. These tests hold it to
+``kkt`` evaluates all columns of a finite-difference Jacobian, and all step
+lengths of a line search, as one stack. These tests hold it to
 the one-point evaluation and iteration in ``conftest``: the rows, the
 Jacobian, every solver outcome and every raised error agree bit for bit. A
 trial step that is not interior, leaves the utility's domain or overflows is
@@ -221,11 +221,8 @@ def test_one_jacobian_call_and_at_most_two_backtracking_calls(case, monkeypatch)
     width = 3 * s.n + 5
     for calls in (list(map(int, r.split())) for r in rounds):
         assert calls[0] == width  # every Jacobian column in one call
-        search = calls[1:]
-        assert len(search) <= 2
-        assert all(1 <= k <= 20 for k in search)
-        if len(search) == 2:
-            assert search[0] == 1  # the full step first, then the damped rest
+        # every step length the line search tries, in one call
+        assert len(calls) == 2 and 1 <= calls[1] <= len(kkt._STEP_LENGTHS) == 21
 
 
 # -- the order of candidates ------------------------------------------------
@@ -338,7 +335,7 @@ def test_full_step_outside_the_domain_is_skipped():
     assert same_bits(want[1][0][0], -0.75)
     # the full step and the half step are never evaluated
     seen = _evaluated(s, x, step, 1e300)
-    assert len(seen) == len(kkt._DAMPED) - 1 and same_bits(seen[0, 0], -0.75)
+    assert len(seen) == len(kkt._STEP_LENGTHS) - 2 and same_bits(seen[0, 0], -0.75)
 
 
 def test_candidate_off_the_interior_and_the_domain_is_skipped():

@@ -46,6 +46,7 @@ REMOVED = [
     (agent, "_column_max"),
     (model.ContractFamily, "size"),
     (cli, "_digest"),
+    (kkt, "_DAMPED"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

@@ -8,11 +8,15 @@ contract's payments follow y, so contract ids do not move. The set of
 relabelling. Point ids are mapped through the points' counts, not through
 the rank arithmetic the ball route uses.
 
-On the default route two more relations hold. Reordering a family's
-contracts, or listing one of them twice, leaves the set of frontier
-(payments, probabilities) rows, alpha* and its bracket unchanged. Scaling
-the output y by c scales alpha* by 1/c, up to the bisection's eps, where
-payments do not depend on y (a grid family).
+Three more relations hold on every route. Reordering a family's contracts,
+or listing one of them twice, leaves the set of frontier (payments,
+probabilities) rows, alpha* and its bracket unchanged. Scaling the output y
+by c scales alpha* by 1/c, up to the bisection's eps, where payments do not
+depend on y (a grid family). Shifting every payment and the reservation by a
+constant, for a risk-neutral agent, leaves the ties, the frontier rows, the
+selection, alpha* and its bracket unchanged; a case with a value within
+CUT_GAP of a tol_u cut, where rounding may move it across, is skipped, with
+the number of such values in the reason.
 """
 
 import dataclasses
@@ -22,14 +26,19 @@ import pytest
 
 from agentcap import agent
 from agentcap.model import GridFamily, OutputFunction, StateSpace
-from agentcap.pareto import Enumeration
-from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_star, alpha_stars
+from agentcap.pareto import Enumeration, select
+from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_stars
 
 from conftest import smooth_scenario, tangent_scenario
 
 SCENARIOS = [("panel", i) for i in range(20)] + [("smooth", i) for i in range(10)]
 TANGENT_K = (0.01, 0.04, 0.09, 0.05, 0.2)
 CONTRACT_CASES = [("tangent", k) for k in TANGENT_K] + SCENARIOS
+ROUTES = ["full", "ball", "chain"]
+# a payment shift by SHIFT moves values by a few ulps, which can cross a
+# tol_u cut only from within CUT_GAP of it
+SHIFT = 0.3
+CUT_GAP = 1e-12
 
 
 def case_scenario(which, panel):
@@ -86,16 +95,32 @@ def thresholds(enums):
     return [(r.alpha_star, r.bracket) for r in alpha_stars(enums)]
 
 
-@pytest.mark.parametrize("route", ["full", "ball", "chain"])
-@pytest.mark.parametrize("which", SCENARIOS, ids=[f"{k}-{i}" for k, i in SCENARIOS])
-def test_relabelling_the_states(which, route, random_scenario_panel, monkeypatch):
-    s = case_scenario(which, random_scenario_panel)
+def routed(s, route, monkeypatch):
+    """``enumerations(s, route)``, the route checked to be the one taken:
+    the ball route forced by a one-value ``agent._CHUNK``, which stays set
+    for the rest of the test, and the full scan taken by default."""
     if route == "ball":
         monkeypatch.setattr(agent, "_CHUNK", 1)
         assert agent.ball_route(s, len(s.lattice.util), len(agent.feasible_lattice(s)[0]))
     enums = enumerations(s, route)
     if route == "full":
         assert enums[0].evaluations == enums[0].nominal_evaluations <= agent._CHUNK
+    return enums
+
+
+def on_routes(cases, ids):
+    """pytest params of each case on each route: a case keeps its id on the
+    full scan, the default route of every case here, and gains the route's
+    name on the others."""
+    return [pytest.param(*case, route, id=i if route == "full" else f"{i}-{route}")
+            for route in ROUTES for case, i in zip(cases, ids)]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("which", SCENARIOS, ids=[f"{k}-{i}" for k, i in SCENARIOS])
+def test_relabelling_the_states(which, route, random_scenario_panel, monkeypatch):
+    s = case_scenario(which, random_scenario_panel)
+    enums = routed(s, route, monkeypatch)
     for perm in (np.arange(s.n)[::-1], np.roll(np.arange(s.n), 1)):
         rs = relabelled(s, perm)
         ids = point_map(s, perm)
@@ -114,36 +139,92 @@ def on_axes(s, edit):
     return dataclasses.replace(s, family=dataclasses.replace(f, betas=edit(f.betas), ws=edit(f.ws)))
 
 
-def frontier_rows(s):
-    """The set of (payments, probabilities) rows of ``s``'s frontier at 1."""
-    enum = Enumeration(s)
+def frontier_rows(enum):
+    """The set of (payments, probabilities) rows of ``enum``'s frontier at 1."""
     ps = enum.pareto_at(1.0)
     c = enum.columns(ps.rows, ps.principal)
     return set(zip(map(tuple, c.payments.tolist()), map(tuple, c.probs.tolist())))
 
 
-@pytest.mark.parametrize("edit", [lambda axis: axis[::-1], lambda axis: (*axis, axis[0])],
-                         ids=["reversed", "duplicated"])
-@pytest.mark.parametrize("which", CONTRACT_CASES, ids=[f"{k}-{i}" for k, i in CONTRACT_CASES])
-def test_reordering_and_duplicating_contracts(which, edit, random_scenario_panel):
+EDITS = {"reversed": lambda axis: axis[::-1], "duplicated": lambda axis: (*axis, axis[0])}
+EDIT_CASES = [(which, edit) for which in CONTRACT_CASES for edit in EDITS]
+
+
+@pytest.mark.parametrize("which,edit,route", on_routes(
+    EDIT_CASES, [f"{k}-{i}-{edit}" for (k, i), edit in EDIT_CASES]))
+def test_reordering_and_duplicating_contracts(which, edit, route, random_scenario_panel, monkeypatch):
     s = case_scenario(which, random_scenario_panel)
-    t = on_axes(s, edit)
-    assert frontier_rows(t) == frontier_rows(s)
-    want, got = alpha_star(s), alpha_star(t)
-    assert (got.alpha_star, got.bracket) == (want.alpha_star, want.bracket)
+    enums = routed(s, route, monkeypatch)
+    edited = enumerations(on_axes(s, EDITS[edit]), route)
+    assert [frontier_rows(e) for e in edited] == [frontier_rows(e) for e in enums]
+    assert thresholds(edited) == thresholds(enums)
 
 
-@pytest.mark.parametrize("c", [2, 4])
-@pytest.mark.parametrize("k", TANGENT_K)
-def test_scaling_the_output(k, c):
+SCALE_CASES = [(k, c) for k in TANGENT_K for c in (2, 4)]
+
+
+@pytest.mark.parametrize("k,c,route", on_routes(SCALE_CASES, [f"{k}-{c}" for k, c in SCALE_CASES]))
+def test_scaling_the_output(k, c, route, monkeypatch):
     # the tangent family's payments do not depend on y, so the principal's
     # payoff at alpha on c y is its payoff at c alpha on y
     s = tangent_scenario(k, m=400)
     scaled = dataclasses.replace(s, y=OutputFunction(tuple(c * v for v in s.y.values)))
-    want, got = alpha_star(s), alpha_star(scaled)
+    wants = thresholds(routed(s, route, monkeypatch))
+    gots = thresholds(enumerations(scaled, route))
     eps = DEFAULT_EPS_ALPHA
-    if want.bracket == (1.0, 1.0):
-        # slack up to 1 on y is slack up to 1/c on c y
-        assert got.alpha_star >= 1 / c - eps
+    for (want, want_bracket), (got, _) in zip(wants, gots, strict=True):
+        if want_bracket == (1.0, 1.0):
+            # slack up to 1 on y is slack up to 1/c on c y
+            assert got >= 1 / c - eps
+        else:
+            assert abs(c * got - want) <= c * eps
+
+
+def shifted(s, w):
+    """``s`` with every payment and the reservation raised by w."""
+    f = s.family
+    if isinstance(f, GridFamily):
+        family = GridFamily(tuple(tuple(v + w for v in g) for g in f.grids))
     else:
-        assert abs(c * got.alpha_star - want.alpha_star) <= c * eps
+        family = dataclasses.replace(f, ws=tuple(v + w for v in f.ws))
+    return dataclasses.replace(s, family=family, reservation=s.reservation + w)
+
+
+def near(values, cuts):
+    """Mask of the ``values`` within CUT_GAP of any of ``cuts``."""
+    cuts = np.sort(cuts)
+    return cuts.searchsorted(values - CUT_GAP, "left") < cuts.searchsorted(values + CUT_GAP, "right")
+
+
+def values_near_cuts(enum):
+    """How many of ``enum``'s values lie within CUT_GAP of a tol_u cut: a
+    (contract, feasible point) value near its contract's tie cut, and a tie
+    whose agent utility lies near r - tol_u, or whose agent utility or
+    principal payoff at 1 lies near another tie's, plus or minus tol_u."""
+    s, tol = enum.scenario, enum.scenario.tol_u
+    ids, _ = agent.feasible_lattice(s)
+    values = s.lattice.util @ s.lattice.points[ids].T - s.lattice.costs[ids]
+    ties = near(values - values.max(axis=1, keepdims=True), [-tol]).sum()
+    a, v = enum.agent_u, enum._principal(1.0, slice(None))
+    return int(ties + (near(a, [*(a - tol), *(a + tol), s.reservation - tol])
+                       | near(v, [*(v - tol), *(v + tol)])).sum())
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("which", CONTRACT_CASES, ids=[f"{k}-{i}" for k, i in CONTRACT_CASES])
+def test_shifting_the_payments(which, route, random_scenario_panel, monkeypatch):
+    # a risk-neutral agent's utility and the principal's payoff move by w and
+    # -w on every row, which no tol_u comparison sees, away from the cuts
+    s = case_scenario(which, random_scenario_panel)
+    enums = routed(s, route, monkeypatch)
+    count = sum(map(values_near_cuts, enums))
+    if count:
+        pytest.skip(f"{count} values within {CUT_GAP} of a tol_u cut")
+    shifts = enumerations(shifted(s, SHIFT), route)
+    for e, f in zip(enums, shifts, strict=True):
+        assert np.array_equal(tie_keys(f), tie_keys(e))
+        ps, qs = e.pareto_at(1.0), f.pareto_at(1.0)
+        assert np.array_equal(np.sort(qs.rows), np.sort(ps.rows))
+        want = select(ps, e.scenario.reservation)
+        assert np.array_equal(np.sort(select(qs, f.scenario.reservation).rows), np.sort(want.rows))
+    assert thresholds(shifts) == thresholds(enums)
