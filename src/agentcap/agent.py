@@ -15,13 +15,15 @@ the costs that are strictly convex on the simplex (relative entropy, and a
 quadratic whose Q is positive definite on the sum-zero subspace), scores
 only the lattice points inside each contract's strong-concavity ball around
 its continuous optimum, which provably holds every tie; ``ball_route``
-decides when it runs. The chain, given the enumeration at a lower capacity,
-scans only the newly feasible points and keeps the lower ties that still
-reach the new floor. Values scored apart from a full scan may differ from
-it in the last bit. Every route applies the one tie cut, ``tie_floor``,
-joins tie parts with ``_merged``, and names a point by its index in
-``s.lattice.points``, which ``Scenario.at_capacity`` shares, so an id is the
-same at every capacity.
+decides when it runs. The chain, given the enumeration at a lower
+capacity, scans only the newly feasible points and keeps the lower ties
+that still reach the new floor. Values scored apart from a full scan may
+differ from it in the last bit. Every route applies the one tie cut,
+``tie_floor``, joins tie parts with ``_merged``, and names a point by its
+index in ``s.lattice.points``, which ``Scenario.at_capacity`` shares, so an
+id is the same at every capacity. This module holds the balls' geometry;
+the lattice order they walk (ranks, nearest points, one-step moves) is
+``model``'s.
 """
 
 from __future__ import annotations
@@ -40,12 +42,18 @@ from .errors import (
 )
 from .model import (
     FEASIBILITY_SLACK,
-    Contract,
     Distribution,
     Scenario,
     _as_payments,
     _as_probs,
+    _binomials,
+    _compositions,
+    _expand,
     _fold,
+    _lattice_rank,
+    _nearest_counts,
+    _neighbours,
+    _rank_step,
     _row_sums,
     feasible_mask,
 )
@@ -307,7 +315,7 @@ def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: boo
     singular when the face holds a direction d with sum d = 0 and Q d = 0.
     Such faces are solved by pseudo-inverse, which drops the part of u
     along those directions, and ``null`` holds each face's projector onto
-    them (None for a cost that is not flat)."""
+    them: zero on every face of a cost that is not flat."""
     n = len(q0)
     member = (masks[:, None] >> np.arange(n)) & 1 == 1
     sizes = member.sum(axis=1)
@@ -315,7 +323,7 @@ def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: boo
     b = np.zeros((masks.size, n))
     w = np.zeros((masks.size, n))
     nu0 = np.zeros(masks.size)
-    null = np.zeros((masks.size, n, n)) if flat else None
+    null = np.zeros((masks.size, n, n))
     shift = 2.0 * Q @ q0
     for size in sorted(set(sizes.tolist())):
         faces = np.flatnonzero(sizes == size)
@@ -349,7 +357,7 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     ``strong_concavity``.
 
     Primal-dual active-set iterations on the support, from the whole
-    simplex; each step solves only the faces its rows are on. On a face,
+    simplex; a face is solved once, the first step a row is on it. On a face,
     the optimum of t u.p - c(p) is affine in t = 1/(1+mu), so its cost is
     a quadratic in t and the t meeting the capacity is a closed-form root.
     On a face with null directions (see ``_quadratic_faces``) the cost is
@@ -368,12 +376,16 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     t = np.zeros(h)
     centre = np.empty((h, n))
     todo = np.arange(h)
+    # faces solved so far, in parts; face f's row in them joined is slot_of[f]
+    parts, slot_of = [], np.full(1 << n, -1)
     for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        # the faces in use, ascending, and each row's slot among them
-        used = np.bincount(F, minlength=1 << n) > 0
-        masks, slot = np.flatnonzero(used), (np.cumsum(used) - 1)[F]
-        A, b, w, nu0, Qe, c0_face, null = _quadratic_faces(Q, q0, masks, flat)
+        new = np.flatnonzero((np.bincount(F, minlength=1 << n) > 0) & (slot_of < 0))
+        if new.size:
+            slot_of[new] = slot_of.max() + 1 + np.arange(new.size)
+            parts.append(_quadratic_faces(Q, q0, new, flat))
+            A, b, w, nu0, Qe, c0_face, null = map(np.concatenate, zip(*parts))
+        slot = slot_of[F]
         d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
         c2 = np.einsum("ij,ij->i", d, Qd)
@@ -432,33 +444,6 @@ def _centre_solver(cost, concavity: tuple[int, float] | None):
     return functools.partial(_quadratic_centres, concavity=concavity)
 
 
-def _binomials(top: int, k: int) -> np.ndarray:
-    """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64, a column at a
-    time: C(x, j) is the sum of C(t, j - 1) over t < x. Only sums are
-    formed, so no intermediate exceeds the largest entry, C(top, k)."""
-    table = np.zeros((top + 1, k + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for j in range(1, k + 1):
-        np.cumsum(table[:-1, j - 1], out=table[1:, j])
-    return table
-
-
-def _lattice_rank(counts: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
-    """Index in ``simplex_lattice(n, m)`` (lexicographic order) of each row
-    of compositions of m, by the combinatorial number system: placing a_j
-    of the ``left`` units at coordinate j skips the C(left + k, k) -
-    C(left - a_j + k, k) compositions with a smaller a_j, k = n - 1 - j."""
-    n = counts.shape[1]
-    table, width = binom.ravel(), binom.shape[1]
-    rank = np.zeros(len(counts), dtype=np.int64)
-    left = np.full(len(counts), m, dtype=np.int64)
-    for j in range(n - 1):
-        k = n - 1 - j
-        rank += table[(left + k) * width + k] - table[(left - counts[:, j] + k) * width + k]
-        left -= counts[:, j]
-    return rank
-
-
 def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom: np.ndarray):
     """(row, lattice rank) of every lattice point p with
     sum_i |p_i - centre_i|^norm <= bound[row], summed in coordinate order,
@@ -475,7 +460,6 @@ def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom
     rest[-1] = centre[:, -1]
     for j in range(n - 2, -1, -1):
         np.add(rest[j + 1], centre[:, j], out=rest[j])
-    table, span = binom.ravel(), binom.shape[1]
     row = np.arange(h)
     left = np.full(h, m)
     dist = np.zeros(h)
@@ -496,45 +480,13 @@ def _ball_points(centre: np.ndarray, bound: np.ndarray, norm: int, m: int, binom
             half = 0.5 * room
         lo = np.maximum(np.ceil(m * (mid - half) - m * _ROUND), 0).astype(np.int64)
         hi = np.minimum(np.floor(m * (mid + half) + m * _ROUND), left).astype(np.int64)
-        width = np.where(room >= least, np.maximum(hi - lo + 1, 0), 0)
-        parent = np.repeat(np.arange(row.size), width)
-        a = lo[parent] + np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        parent, a = _expand(lo, np.where(room >= least, np.maximum(hi - lo + 1, 0), 0))
         left, row = left[parent], row[parent]
         dist = dist[parent] + np.abs(a / m - c[parent]) ** norm
-        rank = rank[parent] + table[(left + k) * span + k] - table[(left - a + k) * span + k]
+        rank = rank[parent] + _rank_step(binom, left, a, k)
         left = left - a
     inside = dist + np.abs(left / m - centre[row, n - 1]) ** norm <= bound[row]
     return row[inside], rank[inside]
-
-
-def _nearest_counts(p: np.ndarray, m: int) -> np.ndarray:
-    """Lattice counts (summing to m) nearest to each row of m p, by largest
-    remainder: with x = m p, each row's floor(x), plus one at the m - (their
-    sum) coordinates placed first by a stable ascending sort of the keys
-    floor(x) - x.
-
-    Worked one coordinate at a time: a coordinate's place is the number of
-    coordinates before it with a key at most its own and after it with a
-    smaller key. A key is NaN only where x is NaN or infinite, and then the
-    row's sum is too, so no place counts and the places there do not matter.
-    """
-    x = np.multiply(np.maximum(p, 0.0).T, m, order="C")
-    counts = np.floor(x)
-    key = counts - x
-    place = np.zeros(x.shape, dtype=np.intp)
-    for j in range(1, len(key)):
-        for i in range(j):
-            ahead = key[i] <= key[j]
-            place[j] += ahead
-            place[i] += ~ahead
-    counts += place < m - sum(counts)
-    return counts.T.astype(np.int64, order="C")
-
-
-def _compositions(counts: np.ndarray, m: int) -> np.ndarray:
-    """Which rows of ``counts`` are lattice points: every count nonnegative
-    and the row summing to m."""
-    return (_fold(np.minimum, counts) >= 0) & (_fold(np.add, counts) == m)
 
 
 def _pair_values(payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -543,14 +495,6 @@ def _pair_values(payoffs: np.ndarray, points: np.ndarray, costs: np.ndarray) -> 
     matmul sums the same way on common BLAS builds, but need not."""
     vals = np.matmul(payoffs[:, None, :], points[:, :, None])[:, 0, 0]
     return np.subtract(vals, costs, out=vals)
-
-
-def _segment_max(owner: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
-    """out[o] = the largest of ``vals`` over each run of equal ``owner``
-    entries (owners ascending)."""
-    if vals.size:
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        out[owner[first]] = np.maximum.reduceat(vals, first)
 
 
 def _groups(sizes: np.ndarray, cap: float):
@@ -572,15 +516,14 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     row's best value and the number of values computed.
 
     A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
-    from the best feasible point among its rounded centre and that point's
-    one-step neighbours. Its ball is sigma/2 |p - centre|^2 <= UB - LB +
-    tol_u + a rounding allowance; every tie lies in it. A row is scanned in
-    full by ``scan_grid`` when it has no finite bound or no feasible probe,
-    or when enumerating its ball could visit more prefixes than the
-    feasible set has points: up to the lattice points of the ball's
-    bounding box at each of n - 1 levels. Rows are processed in chunks
-    whose probe arrays, and groups whose ball enumerations, stay within one
-    ``_CHUNK`` block.
+    from its rounded centre where that is feasible, else from the best
+    feasible of that point's ``_neighbours``. Its ball is sigma/2 |p -
+    centre|^2 <= UB - LB + tol_u + a rounding allowance; every tie lies in
+    it. A row is scanned in full by ``scan_grid`` when it has no finite
+    bound, or when its ball could visit more prefixes than the feasible set
+    has points: up to its bounding box's lattice points at each of n - 1
+    levels. Chunks of rows keep their probes, and groups of rows their ball
+    enumerations, within one ``_CHUNK`` block.
 
     Values are single matmuls per (row, point) pair and may differ from
     ``scan_grid``'s blocked matmul in the last bit.
@@ -595,32 +538,34 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
 
-    eye = np.eye(n, dtype=np.int64)
-    moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
+    def scored(u, rows, rank, best):
+        """The (rows, rank) pairs whose point is feasible, rows ascending,
+        and their values; best[r] becomes row r's best value among them."""
+        nonlocal evaluations
+        keep = mask[rank]
+        rows, rank = rows[keep], rank[keep]
+        vals = _pair_values(u[rows], points[rank], costs[rank])
+        evaluations += vals.size
+        if vals.size:
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            best[rows[first]] = np.maximum.reduceat(vals, first)
+        return rows, rank, vals
+
     n_c, n_p = len(payoffs), len(ids)
     row_max = np.full(n_c, -np.inf)
     parts, full = [], []
     evaluations = 0
-    per = max(1, _CHUNK // (len(moves) * n))
+    per = max(1, _CHUNK // (n * n * (n - 1)))
     for start in range(0, n_c, per):
         u = payoffs[start:start + per]
         mu, centre, ub = centres(u, s.cost, kbar)
-        # LB: the rounded centre's value where it is feasible, else the best
-        # feasible one-step neighbour's
         base = _nearest_counts(centre, m)
         lb = np.full(len(u), -np.inf)
-        rows, probes = np.arange(len(u)), base
-        for stage in range(2):
-            at = np.flatnonzero(_compositions(probes, m))
-            rank = _lattice_rank(probes[at], m, binom)
-            feasible = mask[rank]
-            at, rank = at[feasible], rank[feasible]
-            vals = _pair_values(u[rows[at]], points[rank], costs[rank])
-            evaluations += vals.size
-            _segment_max(rows[at], vals, lb)
-            if stage == 0:
-                rows = np.repeat(np.flatnonzero(lb == -np.inf), len(moves))
-                probes = (base[rows].reshape(-1, len(moves), n) + moves).reshape(-1, n)
+        at = np.flatnonzero(_compositions(base, m))
+        scored(u, at, _lattice_rank(base[at], m, binom), lb)
+        far = np.flatnonzero(lb == -np.inf)
+        row, rank = _neighbours(base[far], m, binom)
+        scored(u, far[row], rank, lb)
         lam = 1.0 + mu
         margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + _fold(np.maximum, np.abs(u)) + lam * cscale)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -635,14 +580,9 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
         rows = np.flatnonzero(ok)
         for part in _groups(size[rows], _CHUNK / n):
             g = rows[part]
-            owner, rank = _ball_points(centre[g], bound[g], norm, m, binom)
-            feasible = mask[rank]
-            owner, rank = owner[feasible], rank[feasible]
-            vals = _pair_values(u[g[owner]], points[rank], costs[rank])
-            evaluations += vals.size
             # every row's ball holds its LB point, so each row has a value
             best = np.full(g.size, -np.inf)
-            _segment_max(owner, vals, best)
+            owner, rank, vals = scored(u[g], *_ball_points(centre[g], bound[g], norm, m, binom), best)
             tie = vals >= tie_floor(best, tol_u)[owner]
             row_max[start + g] = best
             parts.append((start + g[owner[tie]], rank[tie], vals[tie]))

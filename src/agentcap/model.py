@@ -2,8 +2,11 @@
 
 Holds the problem data (states, output, cost, capacity, contract family,
 utility, reservation), the cost-function and utility kinds, the contract
-family enumerations, lattice generation and pricing, and scenario
-validation. Everything downstream consumes these types.
+family enumerations, the lattice and its pricing, and scenario validation.
+Everything downstream consumes these types. The lattice order is said here
+once: a point is a composition of m into n parts, held as its counts, in
+the lexicographic order ``_expand`` and ``_rank_step`` state, which the
+builder, the ranks, the nearest point and the one-step moves all follow.
 
 Conventions used throughout the package:
   * distributions are dense length-n probability vectors,
@@ -801,49 +804,106 @@ class Profile:
 # Lattice and evaluation helpers
 
 
+def _expand(lo: np.ndarray | int, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One coordinate of the lexicographic order: (parent, value) of each
+    child, prefix i's taking the values lo[i], ..., lo[i] + width[i] - 1."""
+    parent = np.repeat(np.arange(len(width)), width)
+    value = np.arange(parent.size)
+    value -= np.repeat(np.cumsum(width) - width - lo, width)
+    return parent, value
+
+
+def _rank_step(binom: np.ndarray, left, a, k: int):
+    """The rank offset of placing ``a`` of ``left`` units at a coordinate
+    with k after it, from ``_binomials``: C(left + k, k) - C(left - a + k, k)."""
+    col = binom[:, k]
+    return col[left + k] - col[left - a + k]
+
+
+def _binomials(top: int, k: int) -> np.ndarray:
+    """C(x, j) for 0 <= x <= top and 0 <= j <= k, as int64, a column at a
+    time: C(x, j) is the sum of C(t, j - 1) over t < x. Only sums are
+    formed, so no intermediate exceeds the largest entry, C(top, k)."""
+    table = np.zeros((top + 1, k + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for j in range(1, k + 1):
+        np.cumsum(table[:-1, j - 1], out=table[1:, j])
+    return table
+
+
 @lru_cache(maxsize=64)
 def _lattice_cached(n: int, m: int) -> np.ndarray:
-    """The rows of ``simplex_lattice(n, m)``.
-
-    Compositions of m into n parts, one coordinate at a time: a prefix with
-    ``left`` units to place expands into heads 0..left, so rows stay sorted.
-    Each level keeps only its rows' ``head`` and ``parent`` (the row of the
-    prefix one level up). The last level's ``left`` and ``head`` are the
-    last two columns; walking the parent chain back gives each earlier
-    column as ``heads[j][idx]``. Every column is divided by m once, straight
-    into the (L, n) result, and each level is dropped once the walk has
-    passed it.
-    """
-    heads, parents = [], []
-    left = np.array([m], dtype=np.int64)
+    """The rows of ``simplex_lattice(n, m)``, expanded forward: ``_expand``
+    splits each prefix's last count, the units left, into heads 0..left and
+    the rest. Counts are kept a column each in the smallest unsigned type
+    holding m, and divided by m once, into the (L, n) result."""
+    cols = [np.full(1, m, np.min_scalar_type(m))]
     for _ in range(n - 1):
-        width = left + 1
-        parent = np.repeat(np.arange(len(left)), width)
-        head = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        left = left[parent] - head
-        heads.append(head)
-        parents.append(parent)
-    arr = np.empty((len(left), n))
-    np.divide(left, m, out=arr[:, -1])
-    del left
-    idx = slice(None)
-    for j in reversed(range(n - 1)):
-        head, parent = heads.pop(), parents.pop()
-        np.divide(head[idx], m, out=arr[:, j])
-        idx = parent[idx]
+        width = cols[-1] + np.intp(1)
+        head = _expand(0, width)[1].astype(cols[0].dtype)
+        cols = [np.repeat(c, width) for c in cols]
+        cols[-1:] = [head, cols[-1] - head]
+    arr = np.divide(np.column_stack(cols), m)
     arr.setflags(write=False)
     return arr
 
 
 def simplex_lattice(n: int, m: int) -> np.ndarray:
     """All distributions with coordinates in multiples of 1/m, in
-    lexicographic order by coordinates. Read-only array of shape (L, n),
-    built with one vectorised expansion per coordinate and a walk back up
-    the expansion that writes each column once, and cached per (n, m);
-    every caller shares the cached array."""
+    lexicographic order: a read-only (L, n) array, cached per (n, m) and
+    shared by every caller."""
     if n < 1 or m < 1:
         raise ValidationError("lattice needs n >= 1 and m >= 1")
     return _lattice_cached(n, m)
+
+
+def _lattice_rank(counts: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
+    """Index in ``simplex_lattice(n, m)`` of each row of compositions of m:
+    the sum of its coordinates' ``_rank_step``s."""
+    n = counts.shape[1]
+    rank, left = np.zeros(len(counts), dtype=np.int64), m
+    for j in range(n - 1):
+        rank += _rank_step(binom, left, counts[:, j], n - 1 - j)
+        left = left - counts[:, j]
+    return rank
+
+
+def _nearest_counts(p: np.ndarray, m: int) -> np.ndarray:
+    """Lattice counts (summing to m) nearest to each row of m p, by largest
+    remainder: with x = m p, floor(x) plus one at the m - sum(floor(x))
+    coordinates first in a stable ascending sort of the keys floor(x) - x.
+    A coordinate's place in that sort is the number before it with a key at
+    most its own and after it with a smaller key. A key is NaN only where x
+    is NaN or infinite, and then so is the row's sum: no place counts."""
+    x = np.multiply(np.maximum(p, 0.0).T, m, order="C")
+    counts = np.floor(x)
+    key = counts - x
+    place = np.zeros(x.shape, dtype=np.intp)
+    for j in range(1, len(key)):
+        for i in range(j):
+            ahead = key[i] <= key[j]
+            place[j] += ahead
+            place[i] += ~ahead
+    counts += place < m - sum(counts)
+    return counts.T.astype(np.int64, order="C")
+
+
+def _compositions(counts: np.ndarray, m: int) -> np.ndarray:
+    """Which rows of ``counts`` are lattice points: every count nonnegative
+    and the row summing to m."""
+    return (_fold(np.minimum, counts) >= 0) & (_fold(np.add, counts) == m)
+
+
+def _neighbours(counts: np.ndarray, m: int, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, rank) of every one-step move from each row of ``counts`` that
+    lands on a lattice point: one unit taken from coordinate i and given
+    to coordinate j != i, i outer and j inner; rows ascending."""
+    n = counts.shape[1]
+    eye = np.eye(n, dtype=np.int64)
+    moves = np.array([eye[j] - eye[i] for i in range(n) for j in range(n) if i != j])
+    probes = (counts[:, None, :] + moves).reshape(-1, n)
+    at = np.flatnonzero(_compositions(probes, m))
+    return at // len(moves), _lattice_rank(probes[at], m, binom)
 
 
 def feasible_mask(costs, capacity: float):

@@ -4,19 +4,21 @@
 certified strong-concavity ball. Its ties, binding flags and row maxima must
 be the full scan's; its agent utilities may differ in the last bit. The
 certificate and the ball enumeration are checked against brute force over
-the whole lattice.
+the whole lattice, and so is ``model``'s lattice kernel: the builder, the
+ranks, the nearest point and the one-step moves.
 """
 
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcap import agent
+from agentcap import agent, model
 from agentcap.cli import main, save_scenario
 from agentcap.model import (
     FEASIBILITY_SLACK,
@@ -301,17 +303,52 @@ def test_strong_concavity_by_cost_kind():
 # -- lattice ranks and ball enumeration --------------------------------------
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12))
+def test_lattice_builder_lists_the_compositions_in_lexicographic_order(n, m):
+    want = np.array([c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m]) / m
+    got = model._lattice_cached.__wrapped__(n, m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got.flags.writeable
+
+
+def test_lattice_builder_memory_peak():
+    """The (L, n) float result is 25.4 MB at (5, 60); the counts the
+    builder expands, one small-integer column each, add a few MB more."""
+    tracemalloc.start()
+    try:
+        model._lattice_cached.__wrapped__(5, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36e6
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 7), (3, 5), (4, 4), (5, 3)])
+def test_neighbours_are_the_one_step_moves_that_stay_on_the_lattice(n, m):
+    counts = np.rint(simplex_lattice(n, m) * m).astype(np.int64)
+    index = {c: i for i, c in enumerate(map(tuple, counts.tolist()))}
+    rows = np.concatenate([counts, counts[:2] + 1, -counts[-1:]])  # and rows off the lattice
+    eye = np.eye(n, dtype=np.int64)
+    want = [(r, index[tuple(probe)]) for r, c in enumerate(rows.tolist())
+            for i in range(n) for j in range(n) if i != j
+            for probe in [np.array(c) + eye[j] - eye[i]]
+            if (probe >= 0).all() and probe.sum() == m]
+    row, rank = model._neighbours(rows, m, model._binomials(m + n, n))
+    assert list(zip(row.tolist(), rank.tolist())) == want
+
+
 @pytest.mark.parametrize("n,m", [(2, 7), (3, 9), (4, 6), (5, 4)])
 def test_lattice_rank_is_lattice_order(n, m):
     points = simplex_lattice(n, m)
     counts = np.rint(points * m).astype(np.int64)
-    binom = agent._binomials(m + n, n)
-    assert np.array_equal(agent._lattice_rank(counts, m, binom), np.arange(len(points)))
+    binom = model._binomials(m + n, n)
+    assert np.array_equal(model._lattice_rank(counts, m, binom), np.arange(len(points)))
 
 
 @pytest.mark.parametrize("top,k", [(0, 0), (7, 0), (0, 4), (12, 3), (3058, 3), (45, 12), (60, 30)])
 def test_binomials_are_math_comb(top, k):
-    table = agent._binomials(top, k)
+    table = model._binomials(top, k)
     assert table.dtype == np.int64 and table.shape == (top + 1, k + 1)
     assert table.tolist() == [[math.comb(x, j) for j in range(k + 1)] for x in range(top + 1)]
 
@@ -340,7 +377,7 @@ def test_ball_points_match_brute_force(norm, n, m):
     centre[0] = points[len(points) // 3]  # a lattice point as a centre
     bound = rng.uniform(0.0, 0.6, 12) ** norm
     bound[1] = 0.0
-    binom = agent._binomials(m + n, n)
+    binom = model._binomials(m + n, n)
     row, rank = agent._ball_points(centre, bound, norm, m, binom)
     expect_row, expect_rank = [], []
     for r in range(len(centre)):
@@ -427,7 +464,7 @@ def centre_rows(draw):
 def test_nearest_counts_match_the_argsort_reference(case):
     p, m = case
     want = nearest_counts_reference(p, m)
-    got = agent._nearest_counts(p, m)
+    got = model._nearest_counts(p, m)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -436,14 +473,14 @@ def test_nearest_counts_on_simplex_rows_are_lattice_points():
     rng = np.random.default_rng(4)
     for n, m in ((2, 1), (3, 400), (9, 7), (9, 400)):
         p = rng.dirichlet(np.ones(n), 200)
-        counts = agent._nearest_counts(p, m)
+        counts = model._nearest_counts(p, m)
         assert np.array_equal(counts, nearest_counts_reference(p, m))
         assert (counts >= 0).all() and (counts.sum(axis=1) == m).all()
-        assert agent._compositions(counts, m).all()
+        assert model._compositions(counts, m).all()
         bad = counts.copy()
         bad[0, 0] += 1
         bad[1, :2] = (-1, counts[1, 0] + counts[1, 1] + 1)
-        assert agent._compositions(bad, m).tolist()[:3] == [False, False, True]
+        assert model._compositions(bad, m).tolist()[:3] == [False, False, True]
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -79,13 +79,18 @@ def tie_keys(enum, ids=None):
 
 def enumerations(s, route):
     """The enumerations of ``s`` a route builds, lowest capacity first: one
-    for the full scan and the ball route, and for the chain one at the 30%
-    lattice-cost quantile and one, built on it, at ``s``'s capacity."""
+    for the full scan and the ball route, and for the chain one at the
+    lower and one, built on it, at the higher of the 30% lattice-cost
+    quantile and ``s``'s capacity. Where the two are equal, the largest
+    lattice cost below them takes the quantile's place."""
     if route != "chain":
         return [Enumeration(s)]
-    low = float(np.quantile(s.lattice.costs, 0.3, method="lower"))
+    costs = s.lattice.costs
+    low = float(np.quantile(costs, 0.3, method="lower"))
+    if low == s.capacity:
+        low = float(costs[costs < low].max())
     chain = []
-    for k in sorted({low, s.capacity}):
+    for k in sorted((low, s.capacity)):
         chain.append(Enumeration(s.at_capacity(k), below=chain[-1] if chain else None))
     return chain
 
@@ -98,13 +103,16 @@ def thresholds(enums):
 def routed(s, route, monkeypatch):
     """``enumerations(s, route)``, the route checked to be the one taken:
     the ball route forced by a one-value ``agent._CHUNK``, which stays set
-    for the rest of the test, and the full scan taken by default."""
+    for the rest of the test, the full scan taken by default, and the chain
+    built of two enumerations."""
     if route == "ball":
         monkeypatch.setattr(agent, "_CHUNK", 1)
         assert agent.ball_route(s, len(s.lattice.util), len(agent.feasible_lattice(s)[0]))
     enums = enumerations(s, route)
     if route == "full":
         assert enums[0].evaluations == enums[0].nominal_evaluations <= agent._CHUNK
+    if route == "chain":
+        assert len(enums) == 2 and enums[0].scenario.capacity < enums[1].scenario.capacity
     return enums
 
 
