@@ -58,7 +58,24 @@ from .model import (
     feasible_mask,
 )
 
-_CHUNK = 1 << 21  # cap on rows x points handled per value block
+# The ball route's threshold (``ball_route``) and its probe chunks and ball
+# groups (``scan_balls``), in values; also the most values one ``scan_grid``
+# block may hold.
+_CHUNK = 1 << 21
+
+# ``scan_grid``'s block: about this many values (1 MB), so that the matmul,
+# the cost subtraction, the row max and the tie cut each pass over a block
+# in cache. On 2 cores (OpenBLAS 0.3.31, one BLAS thread, best of 9), blocks
+# of 2^16 / 2^17 / 2^18 / 2^21 values took 1.96 / 1.89 / 2.08 / 2.65 ms on
+# a 900 x 1069 scan and 4.43 / 4.26 / 5.30 / 8.20 ms on a 700 x 4781 one.
+# With BLAS's default threads the first scan took 1.9 ms in 2^17-value
+# blocks and 17.0 ms in 2^21-value ones.
+_SCAN_BLOCK = 1 << 17
+# ...but at least this many rows: each block's matmul packs every point
+# anew, a cost that blocks of a row or two on a wide lattice pay over and
+# over (216 x 44694 points, n = 5: 24.6 ms in 2-row blocks, 20.7 in 16-row
+# ones, 20.4 in the 46-row blocks of 2^21 values).
+_SCAN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,14 @@ def capacity_binding(s: Scenario, point_ids: np.ndarray) -> np.ndarray:
     return np.abs(s.lattice.costs[point_ids] - s.capacity) <= s.tol_u
 
 
+def _block_rows(n_points: int) -> int:
+    """``scan_grid``'s rows per block over ``n_points`` points: about
+    ``_SCAN_BLOCK`` values, at least ``_SCAN_ROWS`` rows, and at most
+    ``_CHUNK`` values, yet at least one row."""
+    n_points = max(1, n_points)
+    return max(1, min(max(_SCAN_ROWS, _SCAN_BLOCK // n_points), _CHUNK // n_points))
+
+
 def scan_grid(
     payoffs: np.ndarray,
     points: np.ndarray,
@@ -128,11 +153,16 @@ def scan_grid(
     Row r scores ``payoffs[r] . p - c(p)`` at every point; the result is
     (row ids, point ids, values) of each point within tol_u of its row's
     best, rows ascending and points in lattice order within a row. Values
-    are computed in blocks of at most ``_CHUNK`` rows x points, each written
-    into one buffer allocated for the first block; the costs are subtracted in
-    place, and ties are found as flat indices into the block, split into
-    (row, point) pairs in row-major order. The block height is part of the
-    result: BLAS may round a matmul differently for another height.
+    are computed in blocks of ``_block_rows`` rows, each written into one
+    buffer allocated for the first block; the costs are subtracted in place,
+    and ties are found, through one tie mask allocated with that buffer, as
+    flat indices into the block, split into (row, point) pairs in row-major
+    order. The block height is part of the result: BLAS may round a matmul
+    differently for another height, and a one-row block, a matrix-vector
+    product, moves some values in the last bit; a tie moves only with a
+    value that close to its cut. Against blocks of ``_CHUNK`` values, these
+    heights kept every byte of the golden summaries and of the benchmark
+    ops' CSV files.
 
     ``running``, when given, holds one best value per row found over other
     points, and is updated in place to the best over those and these: a
@@ -140,8 +170,9 @@ def scan_grid(
     points in parts this way finds the ties of the whole set among the last
     part; a caller keeps the earlier parts' ties that reach the final floor.
     """
-    rows_per_block = max(1, _CHUNK // max(1, len(points)))
+    rows_per_block = _block_rows(len(points))
     buf = np.empty((min(rows_per_block, len(payoffs)), len(points)))
+    cut = np.empty(buf.shape, dtype=bool)
     r_ids: list[np.ndarray] = []
     p_ids: list[np.ndarray] = []
     values: list[np.ndarray] = []
@@ -154,7 +185,7 @@ def scan_grid(
         if running is not None:
             np.maximum(best, running[start:stop], out=best)
             running[start:stop] = best
-        flat = np.flatnonzero(vals >= tie_floor(best, tol_u)[:, None])
+        flat = np.flatnonzero(np.greater_equal(vals, tie_floor(best, tol_u)[:, None], out=cut[: len(block)]))
         ri, pi = np.divmod(flat, vals.shape[1])
         r_ids.append(ri + start)
         p_ids.append(pi)

@@ -78,7 +78,7 @@ def _section(data: dict, key: str) -> tuple[str, dict]:
     params = sec.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioParseError(f"{key} params must be an object")
-    if _holds(params, str):
+    if _held(params, (str,)):
         raise ScenarioParseError(f"{key} params hold a string; they take numbers")
     return str(sec["kind"]), params
 
@@ -159,18 +159,22 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _holds(value, kind: type) -> bool:
-    """Whether a parsed JSON value is, or nests, a ``kind``."""
+def _held(value, kinds: tuple[type, ...]) -> set[type]:
+    """Which of ``kinds`` a parsed JSON value is or nests, in one walk that
+    stops once it has found them all."""
+    found: set[type] = set()
     todo = [value]
     while todo:
         v = todo.pop()
-        if isinstance(v, kind):
-            return True
         if isinstance(v, dict):
             todo.extend(v.values())
         elif isinstance(v, (list, tuple)):
             todo.extend(v)
-    return False
+        else:
+            found.update(k for k in kinds if isinstance(v, k))
+            if len(found) == len(kinds):
+                break
+    return found
 
 
 def scenario_from_dict(data) -> Scenario:
@@ -180,9 +184,11 @@ def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
     for key, value in data.items():
-        if _holds(value, bool):
+        numeric = key in ("output", "capacity", "reservation", "tolerances")
+        held = _held(value, (bool, str) if numeric else (bool,))
+        if bool in held:
             raise ScenarioParseError(f"{key} holds a boolean; no scenario field takes one")
-        if key in ("output", "capacity", "reservation", "tolerances") and _holds(value, str):
+        if str in held:
             raise ScenarioParseError(f"{key} holds a string; it takes numbers")
     try:
         if not isinstance(data["states"], list):
@@ -345,8 +351,7 @@ def _write_outputs(args, digest: str, t0: float, tables: dict, fields: dict) -> 
             _write_csv(out / name, header, rows)
         doc["runtime_seconds"] = round(time.perf_counter() - t0, 6)
         with open(out / "summary.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write outputs to {out}: {exc.strerror or exc}") from None
 

@@ -14,6 +14,7 @@ import types
 import numpy as np
 import pytest
 
+from agentcap import agent
 from agentcap.discounting import DatedSchedule, DiscountPair
 from agentcap.model import (
     AgentUtility,
@@ -45,6 +46,15 @@ from agentcap.errors import (
 )
 from agentcap.pareto import Enumeration, _cluster_levels
 from agentcap.scaling import DEFAULT_EPS_ALPHA, AlphaStarResult, InequalitySlacks, alpha_star
+
+
+def set_scan_block(monkeypatch, values):
+    """Shape ``agent.scan_grid``'s blocks for one test: ``values // points``
+    rows each, with no row floor but at least one row, and at most
+    ``agent._CHUNK`` values. The ball route's threshold, ``_CHUNK``, keeps
+    its value."""
+    monkeypatch.setattr(agent, "_SCAN_BLOCK", values)
+    monkeypatch.setattr(agent, "_SCAN_ROWS", 1)
 
 
 # ---------------------------------------------------------------------------

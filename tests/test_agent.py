@@ -1,6 +1,7 @@
 """Agent best responses (grid and continuous routes) and the agent-side FOC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from agentcap.agent import (
     best_response_grid,
     feasible_lattice,
     fit_agent_multipliers,
+    tie_floor,
 )
 from agentcap.cli import main, save_scenario
 from agentcap.errors import (
@@ -43,6 +45,7 @@ from conftest import (
     flat_quadratic_case,
     ladder_scenario,
     quadratic_scenario,
+    set_scan_block,
     share_scenario,
     smooth_scenario,
     tangent_scenario,
@@ -180,7 +183,7 @@ def test_enumeration_rows_match_single_contract_scans(case, monkeypatch):
     n_c = len(s.family.payment_matrix(s.y.as_array())[0])
     n_p = len(feasible_lattice(s)[0])
     per_block = min(d for d in range(2, n_c) if (n_c - 1) % d == 0)
-    monkeypatch.setattr(agent, "_CHUNK", per_block * n_p)
+    set_scan_block(monkeypatch, per_block * n_p)
     assert assert_enumeration_rows_match_grid_responses(s) == {False, True}
 
 
@@ -259,30 +262,84 @@ def flat_scan_case():
 
 SCAN_REFERENCE_CASES = {
     "dyadic": lambda: dyadic_scan_case(37, 3),
+    # n = 5, m = 8: 495 points, so the default block splits 1001 rows in four
+    "dyadic-blocks": lambda: dyadic_scan_case(1001, 5, seed=1),
     "flat-rows": flat_scan_case,
     "one-point": lambda: (np.arange(-2, 3)[:, None] / 8.0, simplex_lattice(1, 8), np.array([0.25])),
     "one-row": lambda: dyadic_scan_case(1, 4, seed=3),
 }
 
 
+def scan_at_heights(monkeypatch, payoffs, points, costs, tol_u):
+    """``scan_grid``'s result at each block height: the default block, one
+    row, two rows (an odd row count leaves the last block a single row) and
+    one block holding the whole matrix."""
+    got = {"default": agent.scan_grid(payoffs, points, costs, tol_u)}
+    for name, rows in (("one row", 1), ("two rows", 2), ("whole", len(payoffs))):
+        with monkeypatch.context() as mp:
+            set_scan_block(mp, rows * len(points))
+            assert agent._block_rows(len(points)) == rows
+            got[name] = agent.scan_grid(payoffs, points, costs, tol_u)
+    return got
+
+
 @pytest.mark.parametrize("case", sorted(SCAN_REFERENCE_CASES))
 def test_scan_grid_equals_whole_matrix_reference(case, monkeypatch):
+    # every value is exact, so every block height gives the reference's bits
     payoffs, points, costs = SCAN_REFERENCE_CASES[case]()
     tol_u = 1.0 / 64
     ri, pi, values, best = scan_whole_matrix(payoffs, points, costs, tol_u)
     if case == "dyadic":
         assert np.any(values == best[ri] - tol_u)  # a tie exactly at tol_u
+    if case == "dyadic-blocks":
+        assert 1 < -(-len(payoffs) // agent._block_rows(len(points))) < len(payoffs)
     if case == "flat-rows":
         assert all(np.count_nonzero(ri == r) == len(points) for r in (0, 4, 8))
-    # the default block holds every row; then blocks of two rows, the last
-    # one holding a single row
     assert len(payoffs) % 2 == 1
-    for chunk in (agent._CHUNK, 2 * len(points)):
-        monkeypatch.setattr(agent, "_CHUNK", chunk)
-        got = agent.scan_grid(payoffs, points, costs, tol_u)
-        assert [a.dtype for a in got] == [ri.dtype, pi.dtype, values.dtype]
-        assert np.array_equal(got[0], ri) and np.array_equal(got[1], pi)
-        assert got[2].tobytes() == values.tobytes()
+    for height, got in scan_at_heights(monkeypatch, payoffs, points, costs, tol_u).items():
+        assert [a.dtype for a in got] == [ri.dtype, pi.dtype, values.dtype], height
+        assert np.array_equal(got[0], ri) and np.array_equal(got[1], pi), height
+        assert got[2].tobytes() == values.tobytes(), height
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_grid_tie_sets_do_not_depend_on_the_block_height(n, monkeypatch):
+    # inexact values: a block height may round a value differently in the
+    # last bit (one-row blocks, matrix-vector products, move some here), but
+    # no tie may come or go; a value within 1e-12 of its cut could, so a
+    # case holding one is skipped
+    rng = np.random.default_rng(n)
+    points = simplex_lattice(n, {2: 2000, 3: 60, 4: 20, 5: 12}[n])
+    payoffs = rng.normal(size=(301, n))
+    costs = rng.random(len(points)) * 0.2
+    tol_u = 0.02
+    assert 1 < -(-len(payoffs) // agent._block_rows(len(points))) < len(payoffs)
+    vals = payoffs @ points.T - costs
+    near = np.count_nonzero(np.abs(vals - tie_floor(vals.max(axis=1), tol_u)[:, None]) <= 1e-12)
+    if near:
+        pytest.skip(f"{near} values within 1e-12 of their row's cut")
+    got = scan_at_heights(monkeypatch, payoffs, points, costs, tol_u)
+    ri, pi, values = got.pop("whole")
+    assert len(ri) > len(payoffs)  # some rows tie at several points
+    for height, (r, p, v) in got.items():
+        assert np.array_equal(r, ri) and np.array_equal(p, pi), height
+        assert np.abs(v - values).max() <= 1e-12, height
+
+
+def test_scan_grid_holds_one_cache_sized_block():
+    # 2^21 values over 8192 points: the scan's own allocations peak at about
+    # one 2^17-value block (1 MB) and its tie mask, not at 2^21 values
+    rng = np.random.default_rng(0)
+    points = rng.dirichlet(np.ones(3), size=8192)
+    payoffs = rng.normal(size=(256, 3))
+    costs = rng.random(len(points)) * 0.1
+    tracemalloc.start()
+    try:
+        got = agent.scan_grid(payoffs, points, costs, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6 + sum(a.nbytes for a in got)
 
 
 def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
@@ -295,7 +352,7 @@ def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
     payoffs = s.lattice.util
     rows_per_block = 5
     assert len(payoffs) % rows_per_block
-    monkeypatch.setattr(agent, "_CHUNK", rows_per_block * len(points))
+    set_scan_block(monkeypatch, rows_per_block * len(points))
     ri, pi, values = agent.scan_grid(payoffs, points, costs, s.tol_u)
     ref = np.concatenate([
         payoffs[start:start + rows_per_block] @ points.T - costs

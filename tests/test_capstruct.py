@@ -23,7 +23,7 @@ from agentcap.model import OutputFunction
 from agentcap.pareto import Enumeration
 from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_star
 
-from conftest import smooth_scenario, tangent_scenario
+from conftest import set_scan_block, smooth_scenario, tangent_scenario
 
 Y3 = OutputFunction((0.0, 1.0, 2.0))
 
@@ -169,20 +169,24 @@ def _sweep_cases():
     smooth, _ = smooth_scenario(0)  # three states, relative-entropy cost
     costs = np.unique(smooth.lattice.costs)
     quantiles = [float(k) for k in np.quantile(costs, [0.05, 0.3, 0.6, 0.9])]
+    many = [*quantiles, *_between_costs(smooth, 0.7)]
     return {
         "tangent-generic": (tangent, [0.07, 0.0399, 0.05, 0.0401, 0.2], None),
         "smooth-entropy": (smooth, quantiles, None),
         "repeated-k": (tangent, [0.05, 0.01, 0.05, 0.05], None),
         "between-same-costs": (smooth, [*_between_costs(smooth, 0.5), quantiles[0]], None),
-        "small-blocks": (smooth, [*quantiles, *_between_costs(smooth, 0.7)], 64),
+        "small-blocks": (smooth, many, lambda mp: set_scan_block(mp, 64)),
+        # a small _CHUNK sends every fresh enumeration of a strictly convex
+        # cost down the ball route, the sweep's first link included
+        "ball-route": (smooth, many, lambda mp: mp.setattr(agent, "_CHUNK", 64)),
     }
 
 
 @pytest.mark.parametrize("case", list(_sweep_cases()))
 def test_sweep_enumerations_match_fresh_ones(case, monkeypatch):
-    s, ks, chunk = _sweep_cases()[case]
-    if chunk is not None:
-        monkeypatch.setattr(agent, "_CHUNK", chunk)
+    s, ks, patch = _sweep_cases()[case]
+    if patch is not None:
+        patch(monkeypatch)
     seen = []
     solve = capstruct.alpha_stars
 

@@ -40,6 +40,7 @@ from conftest import (
     narrow_enumeration,
     principal_at,
     selection_ids_oracle,
+    set_scan_block,
     share_scenario,
     smooth_scenario,
     tangent_scenario,
@@ -145,9 +146,11 @@ def test_rows_ascend_by_contract_then_point():
 
 
 def test_rows_ascend_on_the_ball_route(monkeypatch):
-    # with small blocks every fresh enumeration of a strictly convex cost
-    # takes the ball route, and chains start from it
+    # with a small _CHUNK every fresh enumeration of a strictly convex cost
+    # takes the ball route, and chains start from it; with small scan blocks
+    # the chained scans join many blocks' ties
     monkeypatch.setattr(agent, "_CHUNK", 64)
+    set_scan_block(monkeypatch, 64)
     for s in [tangent_scenario(0.04), *(smooth_scenario(seed)[0] for seed in range(6))]:
         enum = Enumeration(s)
         assert enum.evaluations < enum.nominal_evaluations
@@ -169,7 +172,7 @@ def test_evaluations_count_full_and_chained_scans():
 
 @pytest.mark.parametrize("chunk", [None, 64])
 def test_point_ids_index_the_lattice(chunk, monkeypatch):
-    # the full scan, and with small blocks the ball route: a point id is a
+    # the full scan, and with a small _CHUNK the ball route: a point id is a
     # row of the scenario's lattice, priced there
     if chunk is not None:
         monkeypatch.setattr(agent, "_CHUNK", chunk)
@@ -364,9 +367,11 @@ def test_pareto_at_matches_the_row_order_oracle_on_random_panel(random_scenario_
 
 
 def test_pareto_at_matches_the_row_order_oracle_on_the_ball_route_and_a_chain(monkeypatch):
-    # with small blocks the tangent enumeration takes the ball route, and a
-    # sweep link built on it scans only the newly feasible points
+    # with a small _CHUNK the tangent enumeration takes the ball route, and a
+    # sweep link built on it scans only the newly feasible points, in small
+    # scan blocks
     monkeypatch.setattr(agent, "_CHUNK", 64)
+    set_scan_block(monkeypatch, 64)
     s = tangent_scenario(0.04, m=400)
     ball = Enumeration(s)
     assert ball.evaluations < ball.nominal_evaluations
