@@ -587,7 +587,6 @@ def cmd_kkt(args, s: Scenario):
     summary = {
         "active_set": sorted(tokens),
         "rho": point.rho,
-        "mu": point.mu,
         "tau": point.tau,
         "delta": point.delta,
         "zeta": point.zeta,

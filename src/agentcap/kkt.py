@@ -14,7 +14,12 @@ phi = -p (1/u'(b) + zeta), behind ``phi_identity_gap`` and the curvature
 regressor of the affine readout, which for a risk-neutral agent reads the
 solved contract as affine in output.
 
-Participation enters as E_p[u(b)] - c(p) >= 0 against a zero outside option.
+Participation enters as E_p[u(b)] - c(p) >= 0 against a zero outside option
+(the scenario's reservation is not read), and capacity as c(p) <= k with
+multiplier delta. The agent's own capacity multiplier mu is 0: among the
+contracts u(b) = rho + (1 + mu) grad c(p), mu >= 0, that implement a p with
+c(p) = k, E_p[b] at binding participation is convex in mu with zero slope at
+mu = -1, so mu = 0 is the cheapest.
 """
 
 from __future__ import annotations
@@ -68,16 +73,16 @@ class FocResiduals:
 class PrincipalFocPoint:
     """A candidate solution: contract, distribution, and multipliers.
 
-    rho and mu belong to the agent's condition, tau and delta to the adding-up
-    and capacity constraints, phi to the agent's first-order condition, zeta
-    to participation. At a solution mu and delta are nonnegative; the solver
-    reports what it found and leaves that to the caller to assert.
+    rho belongs to the agent's condition, tau and delta to the adding-up and
+    capacity constraints, phi to the agent's first-order condition, zeta to
+    participation; the agent's own capacity multiplier is 0. At a solution
+    delta is nonnegative; the solver reports what it found and leaves that to
+    the caller to assert.
     """
 
     b: Contract
     p: Distribution
     rho: float
-    mu: float
     tau: float
     delta: float
     zeta: float
@@ -116,17 +121,17 @@ def _pack(point: PrincipalFocPoint) -> np.ndarray:
         point.b.as_array(),
         point.p.as_array(),
         np.asarray(point.phi, dtype=float),
-        [point.rho, point.mu, point.tau, point.delta, point.zeta],
+        [point.rho, point.tau, point.delta, point.zeta],
     ])
 
 
 def _unpack(x: np.ndarray, n: int):
-    """(b, p, phi, rho, mu, tau, delta, zeta) of a packed point, or of each
-    point of a (k, 3n + 5) stack: the vectors as (k, n) blocks and the
+    """(b, p, phi, rho, tau, delta, zeta) of a packed point, or of each
+    point of a (k, 3n + 4) stack: the vectors as (k, n) blocks and the
     multipliers as (k,) columns."""
     b, p, phi = x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 3 * n]
-    rho, mu, tau, delta, zeta = x[..., 3 * n :].T
-    return b, p, phi, rho, mu, tau, delta, zeta
+    rho, tau, delta, zeta = x[..., 3 * n :].T
+    return b, p, phi, rho, tau, delta, zeta
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,21 +145,21 @@ def _norms(r: np.ndarray) -> np.ndarray:
 
 
 def _rows(s: Scenario, x: np.ndarray):
-    """The stationarity system at each point of the (k, 3n + 5) stack x, as
+    """The stationarity system at each point of the (k, 3n + 4) stack x, as
     (contract rows, multiplier rows, orthogonality, agent rows, simplex gap,
     c(p), E_p[u(b)]), one row or entry per point. Raises for the whole stack
     if any point fails a check. Products are matmuls with explicit
     singleton axes, which keep the bits of the one-point products."""
     b, p, phi, *scalars = _unpack(x, s.n)
-    rho, mu, tau, delta, zeta = (v[:, None] for v in scalars)
+    rho, tau, delta, zeta = (v[:, None] for v in scalars)
     y = s.y.as_array()
     g, h, u, up = _derivative_parts(s, b, p)
     h_phi = (h @ phi[:, :, None])[:, :, 0]
     return (
-        (y - b) - (tau + delta * g - (mu + 1.0) * h_phi + zeta * (u - g)),
+        (y - b) - (tau + delta * g - h_phi + zeta * (u - g)),
         (-p) - (phi * up + zeta * p * up),
         _dot(phi, g),
-        u - g - rho - mu * g,
+        u - g - rho,
         p.sum(axis=1) - 1.0,
         s.cost.value(p),
         _dot(p, u),
@@ -200,12 +205,11 @@ def phi_identity_gap(s: Scenario, point: PrincipalFocPoint) -> float:
 
 
 def _system(s: Scenario, x: np.ndarray, capacity_active: bool, participation_active: bool) -> np.ndarray:
-    """The solver's square-or-wide system at each point of the stack x, one
-    row per point."""
+    """The solver's square system at each point of the stack x, one row per
+    point: an active constraint's own row, an inactive one's multiplier."""
     r_b, r_p, r_orth, r_agent, simplex, c, eu = _rows(s, x)
-    _, _, _, _, mu, _, delta, zeta = _unpack(x, s.n)
-    tail = [c - s.capacity] if capacity_active else [mu, delta]
-    tail.append(eu - c if participation_active else zeta)
+    delta, zeta = _unpack(x, s.n)[-2:]
+    tail = [c - s.capacity if capacity_active else delta, eu - c if participation_active else zeta]
     columns = [r_b, r_p, r_orth[:, None], r_agent, simplex[:, None], *(v[:, None] for v in tail)]
     return np.concatenate(columns, axis=1)
 
@@ -272,7 +276,6 @@ def make_initial_point(s: Scenario) -> PrincipalFocPoint:
         b=Contract(tuple(b)),
         p=Distribution(tuple(p)),
         rho=rho,
-        mu=0.0,
         tau=0.0,
         delta=0.0,
         zeta=0.0,
@@ -291,11 +294,8 @@ def solve_principal_foc(
     """Damped Gauss-Newton on the stacked stationarity system.
 
     The caller declares which of capacity and participation bind; declared
-    constraints are enforced as equalities and the complementary multipliers
-    of undeclared ones are pinned at zero. With capacity active the system has
-    one more unknown than equations (the mu direction re-slopes b without
-    moving p or the payoffs) and the least-squares step picks the minimum-norm
-    member.
+    constraints are enforced as equalities and the multipliers of undeclared
+    ones are pinned at zero, so the system is square in every active set.
 
     Returns the last iterate with ``converged`` False when the iteration
     stalls or the budget runs out; raises for a bad ``tol`` or ``max_iter``,
@@ -327,13 +327,12 @@ def solve_principal_foc(
             break
         x, r = accepted
 
-    b, p, phi, rho, mu, tau, delta, zeta = _unpack(x, s.n)
+    b, p, phi, rho, tau, delta, zeta = _unpack(x, s.n)
     system_residual = float(np.max(np.abs(r)))
     return PrincipalFocPoint(
         b=Contract(tuple(b)),
         p=Distribution(tuple(p)),
         rho=float(rho),
-        mu=float(mu),
         tau=float(tau),
         delta=float(delta),
         zeta=float(zeta),

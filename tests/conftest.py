@@ -659,7 +659,7 @@ def oracle_rows(s, x):
     multiplier row, orthogonality, agent row, simplex gap, c(p), E_p[u(b)])."""
     n = s.n
     b, p, phi = x[:n], x[n : 2 * n], x[2 * n : 3 * n]
-    rho, mu, tau, delta, zeta = x[3 * n :]
+    rho, tau, delta, zeta = x[3 * n :]
     y = s.y.as_array()
     if not s.cost.convex_smooth:
         raise UnsupportedCostError("the stationarity system needs a twice differentiable cost")
@@ -669,10 +669,10 @@ def oracle_rows(s, x):
     u = np.asarray(s.utility.apply(b), dtype=float)
     up = np.asarray(s.utility.derivative(b), dtype=float)
     return (
-        (y - b) - (tau + delta * g - (mu + 1.0) * (h @ phi) + zeta * (u - g)),
+        (y - b) - (tau + delta * g - h @ phi + zeta * (u - g)),
         (-p) - (phi * up + zeta * p * up),
         float(phi @ g),
-        u - g - rho - mu * g,
+        u - g - rho,
         p.sum() - 1.0,
         c,
         float(p @ u),
@@ -681,12 +681,12 @@ def oracle_rows(s, x):
 
 def oracle_system(s, x, capacity_active, participation_active):
     r_b, r_p, r_orth, r_agent, simplex, c, eu = oracle_rows(s, x)
-    mu, delta, zeta = x[3 * s.n + 1], x[3 * s.n + 3], x[3 * s.n + 4]
+    delta, zeta = x[3 * s.n + 2], x[3 * s.n + 3]
     rows = [r_b, r_p, [r_orth], r_agent, [simplex]]
     if capacity_active:
         rows.append([c - s.capacity])
     else:
-        rows.append([mu, delta])
+        rows.append([delta])
     if participation_active:
         rows.append([eu - c])
     else:
@@ -757,3 +757,65 @@ def same_bits(a, b) -> bool:
     zeros and NaN payloads included."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# A referee for the principal's program under a capacity that does not call
+# ``kkt``, for a relative-entropy cost and a CARA agent: the agent's capped
+# best response in closed form, participation binding against a zero outside
+# option, and a search over the utility spreads the contract gives the agent.
+
+
+def capped_gibbs_response(cost, v, k):
+    """The agent's best response to the state utilities v under c(p) <= k,
+    for c(p) = theta KL(p || q0): p ~ q0 exp(t v / theta), with t = 1 when
+    that is within capacity and otherwise t = 1 / (1 + mu) bisected to
+    c(p) = k from the feasible side."""
+    logq = np.log(np.asarray(cost.q0, dtype=float))
+
+    def tilted(t):
+        return gibbs_reference(v[None, :], logq, np.array([t / cost.theta]))[0][0]
+
+    lo, hi = 0.0, 1.0
+    if cost.value(tilted(hi)) <= k:
+        return tilted(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cost.value(tilted(mid)) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return tilted(lo)
+
+
+def referee_payoff(s, v):
+    """The principal's payoff from the contract that gives the agent the
+    utilities v plus the constant at which participation binds,
+    E_p[u(b)] = c(p); -inf where no CARA payment has that utility."""
+    p = capped_gibbs_response(s.cost, v, s.capacity)
+    u = v + (s.cost.value(p) - p @ v)
+    a = s.utility.a
+    if (a * u >= 1.0).any():
+        return -np.inf
+    b = -np.log1p(-a * u) / a
+    return float(p @ (s.y.as_array() - b))
+
+
+def referee_best_payoff(s):
+    """The best payoff found by a compass search over the spreads v
+    (v_0 = 0, one coordinate per other state, steps halved down to 1e-10)
+    from the best spread proportional to output on a grid. On two states it
+    is a 1-D search, and once the spread is wide enough for the capacity to
+    bind, p is pinned by c(p) = k on the side the spread points to."""
+    y = s.y.as_array() - s.y.as_array()[0]
+    v = max((t * y for t in np.linspace(0.0, 2.0, 201)), key=lambda w: referee_payoff(s, w))
+    best, step = referee_payoff(s, v), 0.01
+    while step > 1e-10:
+        trials = [v + sign * step * e for e in np.eye(s.n)[1:] for sign in (1.0, -1.0)]
+        payoffs = [referee_payoff(s, w) for w in trials]
+        i = int(np.argmax(payoffs))
+        if payoffs[i] > best:
+            best, v = payoffs[i], trials[i]
+        else:
+            step /= 2.0
+    return best

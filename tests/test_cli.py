@@ -1108,7 +1108,7 @@ def test_kkt_command_golden(share_file, tmp_path):
     assert doc["converged"] is True
     assert doc["active_set"] == ["participation"]
     assert doc["max_residual"] <= 1e-8
-    assert doc["mu"] == pytest.approx(0.0, abs=1e-8)
+    assert "mu" not in doc
     assert doc["zeta"] == pytest.approx(-1.0, abs=1e-6)
     assert doc["affine"]["slope"] == pytest.approx(1.0, abs=1e-6)
     assert doc["affine"]["intercept"] == pytest.approx(0.625, abs=1e-6)

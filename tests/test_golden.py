@@ -66,7 +66,7 @@ GOLDEN = {
         "legs.csv": "8f5dff90e0f4f86e96359cb009f36c933bbd89e87e2a27358ada14b609f2169b",
     },
     ("tangent", "kkt"): {
-        "residuals.csv": "bf2ac17771c916cf844ed16b1b51f38abf4d20dbd163c735a59d2d449e4073b2",
+        "residuals.csv": "b75d1128e24b584441b1dd62426669994c2e16386d635276b28d3c3aacc4a4c2",
     },
     ("smooth", "solve"): {
         "pareto.csv": "7721ba95795db9f00028f336d4bdac2d26e986307183dc4959b8d4483bd93659",
@@ -85,7 +85,7 @@ GOLDEN = {
         "legs.csv": "288813e4261b6dc1412ae28c4fdaaa65deeb94437c41440031a0f70bb0072c9f",
     },
     ("smooth", "kkt"): {
-        "residuals.csv": "e293f99804a840fc09055caf72716c4b24244d9bd2577669badbfa378dd2ee3c",
+        "residuals.csv": "c4773f73c1db3127c0bf1979ce56d34fe358dc9e2082ba2c501d40bd2cde39f3",
     },
     ("share", "solve"): {
         "pareto.csv": "cdf657d064ec471f138664cde2ec8904f4dd7c57421a349947069da1a2becfd7",
@@ -105,7 +105,11 @@ GOLDEN = {
 # ``kkt``'s summary.json less its run time and the scenario's path: the
 # solved multipliers, the stationarity residuals and the affine fit, which
 # residuals.csv does not show. Recorded before the Jacobian columns and the
-# damped step lengths were evaluated as stacks.
+# damped step lengths were evaluated as stacks; both entries, and their
+# residuals.csv digests, re-recorded when the agent's capacity multiplier mu
+# left the packed point. That dropped the ``mu`` field and moved no value by
+# more than 2e-15 (the tangent ones by at most 5.6e-17), with the b and p
+# columns of residuals.csv byte for byte unchanged.
 SUMMARIES = {
     ("tangent", "kkt"): {
         "active_set": ["participation"],
@@ -114,37 +118,35 @@ SUMMARIES = {
         "capacity_gap": -0.21,
         "command": "kkt",
         "converged": True,
-        "delta": 3.790530708893979e-22,
-        "max_residual": 8.507058717206956e-23,
-        "mu": 5.697447346259347e-23,
-        "orthogonality": 8.507058717206956e-23,
+        "delta": 2.6458235882282716e-22,
+        "max_residual": 5.551115123125783e-17,
+        "orthogonality": 2.93996230320844e-22,
         "participation_gap": 0.0,
         "rho": -0.25,
         "scenario_digest": "66feeaad43ef4e4ad939eb30147be54ec4dddf92b0913f5115284f8a14c1b29b",
         "schema_version": "1",
         "simplex_gap": 0.0,
-        "system_residual": 3.790530708893979e-22,
-        "tau": 1.615778874358622e-17,
+        "system_residual": 5.551115123125783e-17,
+        "tau": 3.079049466564107e-17,
         "zeta": -1.0,
     },
     ("smooth", "kkt"): {
         "active_set": ["participation"],
-        "affine": {"curvature": -9.324650558446754e-14, "fit_residual": 2.354619518983448e-13,
-                   "intercept": 0.7294557617465794, "slope": 1.0000000000005687},
-        "capacity_gap": 0.23959271140314897,
+        "affine": {"curvature": -9.324650558446774e-14, "fit_residual": 2.3693543832238953e-13,
+                   "intercept": 0.729455761746581, "slope": 1.0000000000005707},
+        "capacity_gap": 0.23959271140314878,
         "command": "kkt",
         "converged": True,
-        "delta": 1.1192219008986077e-22,
-        "max_residual": 1.3220535777236364e-12,
-        "mu": -1.001499721390965e-21,
-        "orthogonality": 1.0257816319075141e-13,
-        "participation_gap": -7.671641100159832e-13,
-        "rho": -0.5247914532936244,
+        "delta": -4.02673831046755e-22,
+        "max_residual": 1.3247181129827368e-12,
+        "orthogonality": 1.0257826499118495e-13,
+        "participation_gap": -7.671224766525597e-13,
+        "rho": -0.5247914532936246,
         "scenario_digest": "6b6e336f1ee5690fe93ae5330e2af9b4d22f1f0f878c424c0c4670c7ccd0b8a2",
         "schema_version": "1",
         "simplex_gap": 0.0,
-        "system_residual": 1.3220535777236364e-12,
-        "tau": 0.2046643084526909,
+        "system_residual": 1.3247181129827368e-12,
+        "tau": 0.2046643084526905,
         "zeta": -1.0000000000002436,
     },
 }

@@ -1,10 +1,13 @@
 """The principal's stationarity system: evaluation, solver, affine readout."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from agentcap.cli import load_scenario
 from agentcap.errors import (
     ConfigurationError,
     DegenerateFitError,
@@ -26,18 +29,19 @@ from agentcap.model import (
     Distribution,
     OutputFunction,
     QuadraticCost,
+    RelativeEntropyCost,
     Scenario,
     StateSpace,
     TableCost,
     simplex_lattice,
 )
 
-from conftest import share_scenario, share_scenario3
+from conftest import referee_best_payoff, share_scenario, share_scenario3
 
 
 def point(b, p, **kw):
     n = len(b)
-    args = dict(rho=0.0, mu=0.0, tau=0.0, delta=0.0, zeta=0.0, phi=tuple(0.0 for _ in range(n)))
+    args = dict(rho=0.0, tau=0.0, delta=0.0, zeta=0.0, phi=tuple(0.0 for _ in range(n)))
     args.update(kw)
     return PrincipalFocPoint(b=Contract(b), p=Distribution(p), **args)
 
@@ -99,7 +103,7 @@ def test_solve_two_state_slack():
     assert pt.residuals.max_abs <= 1e-8
     assert np.allclose(pt.b.payments, (-0.625, 0.375), atol=1e-6)
     assert np.allclose(pt.p.probs, (0.25, 0.75), atol=1e-6)
-    assert abs(pt.mu) <= 1e-8 and abs(pt.delta) <= 1e-8  # pinned off
+    assert abs(pt.delta) <= 1e-8  # pinned off
     assert pt.zeta == pytest.approx(-1.0, abs=1e-6)
     # capacity is slack by 0.075 and that is not an error
     assert pt.residuals.capacity_gap == pytest.approx(0.075, abs=1e-6)
@@ -131,6 +135,35 @@ def test_solve_two_state_binding_capacity():
     assert float(p @ (s.y.as_array() - b)) == pytest.approx(
         0.5 + math.sqrt(0.025) - 0.05, abs=1e-8
     )
+
+
+def _entropy_cara(states):
+    """``entropy-share-cara.json`` (theta = 1.5, CARA a = 2, y = (0, 1.5)),
+    or its three-state variant with y = (0, 0.75, 1.5) and a uniform q0."""
+    s, _ = load_scenario(Path(__file__).with_name("scenario_format") / "entropy-share-cara.json")
+    if states == 2:
+        return s
+    return dataclasses.replace(
+        s, states=StateSpace(("L", "M", "H")), y=OutputFunction((0.0, 0.75, 1.5)),
+        cost=RelativeEntropyCost(s.cost.theta, (1 / 3, 1 / 3, 1 / 3)),
+    )
+
+
+@pytest.mark.parametrize("states,fraction", [(2, 0.5), (2, 0.8), (3, 0.5)])
+def test_binding_capacity_solve_meets_the_referee(states, fraction):
+    # a risk-averse agent, k a fraction of the unconstrained optimum's cost:
+    # the solved contract is the cheapest that implements its p, so no
+    # contract the referee's spread search finds pays the principal more
+    s = _entropy_cara(states)
+    free = solve_principal_foc(s, make_initial_point(s))
+    assert free.converged
+    s = dataclasses.replace(s, capacity=fraction * float(s.cost.value(free.p.as_array())))
+    pt = solve_principal_foc(s, make_initial_point(s), capacity_active=True)
+    assert pt.converged
+    assert abs(pt.residuals.capacity_gap) <= 1e-10
+    payoff = float(pt.p.as_array() @ (s.y.as_array() - pt.b.as_array()))
+    assert payoff >= referee_best_payoff(s) - 1e-6
+    assert pt.delta >= 0.0
 
 
 def test_solve_reports_nonconvergence():
@@ -178,7 +211,7 @@ def test_initial_point_is_interior_and_cheap():
     s = share_scenario(0.2)
     pt = make_initial_point(s)
     assert min(pt.p.probs) > 0.0
-    assert pt.mu == 0.0 and pt.zeta == 0.0
+    assert pt.zeta == 0.0
     res = principal_foc_residual(s, pt)
     # rho is fitted, so the agent rows start small even before solving
     assert max(abs(v) for v in res.agent_foc) <= 0.5

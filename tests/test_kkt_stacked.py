@@ -87,7 +87,7 @@ def _stack(n, k, rng):
         rng.uniform(-0.5, 1.5, (k, n)),
         rng.dirichlet(np.ones(n), k),
         rng.normal(size=(k, n)),
-        rng.normal(size=(k, 5)),
+        rng.normal(size=(k, 4)),
     ])
 
 
@@ -141,6 +141,8 @@ def test_jacobian_equals_column_loop(kind):
             looped = oracle_fd_jacobian(lambda z: oracle_system(s, z, *flags), x,
                                         oracle_system(s, x, *flags))
             assert same_bits(stacked, looped)
+            # one row per unknown in every active set
+            assert stacked.shape == (3 * n + 4, 3 * n + 4)
 
 
 def test_norm_helper_is_numpys_norm():
@@ -196,6 +198,22 @@ def test_solver_equals_one_point_oracle(case, active):
     assert same_bits(point.system_residual, system_residual)
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("case", ["share-cara", "share-crra"])
+def test_binding_capacity_multiplier_is_nonnegative(case, fraction):
+    # k below the cost of the unconstrained solve, participation active
+    # (without it the principal gains from lowering every payment, these
+    # programs have no solution and the solve raises): a binding capacity
+    # has a nonnegative multiplier
+    s = SOLVE_CASES[case]()
+    free = kkt.solve_principal_foc(s, kkt.make_initial_point(s))
+    assert free.converged
+    s = dataclasses.replace(s, capacity=fraction * float(s.cost.value(free.p.as_array())))
+    point = kkt.solve_principal_foc(s, kkt.make_initial_point(s), capacity_active=True)
+    assert point.converged
+    assert point.delta >= 0.0
+
+
 @pytest.mark.parametrize("case", ["golden-tangent", "smooth-0", "smooth-3", "share-0.05", "share-crra"])
 def test_one_jacobian_call_and_at_most_two_backtracking_calls(case, monkeypatch):
     s = SOLVE_CASES[case]()
@@ -218,7 +236,7 @@ def test_one_jacobian_call_and_at_most_two_backtracking_calls(case, monkeypatch)
     assert log[0] == 1  # the starting point
     rounds = " ".join(map(str, log[1:])).split("J")[1:]
     assert len(rounds) == iterations > 0
-    width = 3 * s.n + 5
+    width = 3 * s.n + 4
     for calls in (list(map(int, r.split())) for r in rounds):
         assert calls[0] == width  # every Jacobian column in one call
         # every step length the line search tries, in one call
@@ -238,7 +256,7 @@ def _search(s, x, step, norm0=1e300):
 def _packed(b, p, db=(0.0, 0.0), dp=(0.0, 0.0)):
     """Start and step on two states: the payments and p move, the
     multipliers stay at zero."""
-    zeros = np.zeros(7)
+    zeros = np.zeros(6)
     return np.concatenate([b, p, zeros]), np.concatenate([db, dp, zeros])
 
 
@@ -265,7 +283,7 @@ def test_domain_violation_after_the_accepted_candidate_raises_nothing():
 
 def test_non_interior_candidate_after_the_accepted_one_raises_nothing():
     s = _scenario(RelativeEntropyCost(1.0, (0.3, 0.3, 0.4)), UTILITIES["risk-neutral"])
-    zeros = np.zeros(3 + 5)
+    zeros = np.zeros(3 + 4)
     # p_0 = lam 0.4 - 0.01 is negative past lam = 2^-6; p_1 at lam = 1 too
     x = np.concatenate([[0.1, 0.2, 0.3], [-0.01, 0.5, 0.51], zeros])
     step = np.concatenate([np.zeros(3), [0.4, -0.9, 0.5], zeros])

@@ -56,6 +56,7 @@ REMOVED_PARAMETERS = [
     (scaling.verify_theorem, ("r", "tally")),
     (pareto.Enumeration.__init__, ("tally",)),
     (kkt.make_initial_point, ("beta", "w")),
+    (kkt.PrincipalFocPoint, ("mu",)),
     (discounting.DatedSchedule.at_date, ("n",)),
     (discounting.discounted_values, ("s",)),
     (agent.scan_balls, ("payoffs",)),
