@@ -15,10 +15,11 @@ the costs that are strictly convex on the simplex (relative entropy, and a
 quadratic whose Q is positive definite on the sum-zero subspace), scores
 only the lattice points inside each contract's strong-concavity ball around
 its continuous optimum, which provably holds every tie; ``ball_route``
-decides when it runs. The chain, given the enumeration at a lower
-capacity, scans only the newly feasible points and keeps the lower ties
-that still reach the new floor. Values scored apart from a full scan may
-differ from it in the last bit. Every route applies the one tie cut,
+decides when it runs. The band step of a capacity sweep
+(``pareto.capacity_chain``) scans only the points that became feasible
+since the capacity below, against each contract's best value carried up
+from there. Values scored apart from a full scan may differ from it in the
+last bit. Every route applies the one tie cut,
 ``tie_floor``, joins tie parts with ``_merged``, and names a point by its
 index in ``s.lattice.points``, which ``Scenario.at_capacity`` shares, so an
 id is the same at every capacity. This module holds the balls' geometry;
@@ -76,6 +77,12 @@ _SCAN_BLOCK = 1 << 17
 # over (216 x 44694 points, n = 5: 24.6 ms in 2-row blocks, 20.7 in 16-row
 # ones, 20.4 in the 46-row blocks of 2^21 values).
 _SCAN_ROWS = 16
+# ``scan_grid`` finds each row's best value one point column at a time over
+# at most this many points, and with one ``max`` over more: numpy reduces a
+# short row one row at a time (2 cores, 900 rows: 3 / 20 / 58 / 234 points
+# took 3.7 / 26 / 71 / 337 us column by column against 45 / 56 / 62 / 102
+# us with ``max``). A sweep's bands are often that narrow.
+_FOLD_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,7 @@ def scan_grid(
         block = payoffs[start:stop]
         vals = np.matmul(block, points.T, out=buf[: len(block)])
         np.subtract(vals, costs, out=vals)
-        best = vals.max(axis=1)
+        best = _fold(np.maximum, vals) if vals.shape[1] <= _FOLD_POINTS else vals.max(axis=1)
         if running is not None:
             np.maximum(best, running[start:stop], out=best)
             running[start:stop] = best
@@ -407,16 +414,31 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     t = np.zeros(h)
     centre = np.empty((h, n))
     todo = np.arange(h)
-    # faces solved so far, in parts; face f's row in them joined is slot_of[f]
-    parts, slot_of = [], np.full(1 << n, -1)
+    # faces solved so far, in parts, in the order solved, and each one's row
+    # in the parts joined: a table over all 2^n faces when it holds at most
+    # 64 entries a row, else the masks in use, sorted, then 2^n, which no
+    # face has; so memory grows with the rows and the faces visited, not
+    # with 2^n
+    parts, dense = [], (1 << n) <= 64 * h
+    slot_of = np.full(1 << n, -1) if dense else None
+    solved, slots = np.array([1 << n]), np.array([-1])
     for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        new = np.flatnonzero((np.bincount(F, minlength=1 << n) > 0) & (slot_of < 0))
+        if dense:
+            new = np.flatnonzero((np.bincount(F, minlength=1 << n) > 0) & (slot_of < 0))
+        else:
+            new = np.sort(F[solved[solved.searchsorted(F)] != F])
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
         if new.size:
-            slot_of[new] = slot_of.max() + 1 + np.arange(new.size)
             parts.append(_quadratic_faces(Q, q0, new, flat))
             A, b, w, nu0, Qe, c0_face, null = map(np.concatenate, zip(*parts))
-        slot = slot_of[F]
+            if dense:
+                slot_of[new] = slot_of.max() + 1 + np.arange(new.size)
+            else:
+                at = solved.searchsorted(new)
+                slots = np.insert(slots, at, slots.size - 1 + np.arange(new.size))
+                solved = np.insert(solved, at, new)
+        slot = slot_of[F] if dense else slots[solved.searchsorted(F)]
         d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
         c2 = np.einsum("ij,ij->i", d, Qd)
@@ -630,47 +652,39 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
 
 
 def _merged(parts, n_points: int):
-    """One (contract ids, point ids, values) from tie ``parts`` that share
-    no (contract, point) pair, each ascending in (contract, point): joined
-    and sorted so, stably. A single part is returned as it is."""
+    """One (contract ids, point ids, values, ...) from tie ``parts`` that
+    share no (contract, point) pair, each ascending in (contract, point):
+    joined and sorted so, stably, every further column with them. A single
+    part is returned as it is."""
     if len(parts) == 1:
         return parts[0]
-    cid, pid, vals = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(cid * n_points + pid, kind="stable")
-    return cid[order], pid[order], vals[order]
+    columns = [np.concatenate(x) for x in zip(*parts)]
+    order = np.argsort(columns[0] * n_points + columns[1], kind="stable")
+    return tuple(c[order] for c in columns)
 
 
-def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray, below=None):
-    """The lattice best responses of every contract of ``s`` over its
-    feasible points, given as ``feasible_lattice``'s (ids, mask): (contract
-    ids, point ids, values) of the ties, ascending in (contract, point),
-    each contract's best value, and the number of values computed.
+def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, running: np.ndarray | None = None):
+    """The lattice best responses of every contract of ``s`` over the
+    points ``ids``: (contract ids, point ids, values) of the ties,
+    ascending in (contract, point), each contract's best value, and the
+    number of values computed.
 
-    The one route rule. With ``below``, an enumeration of ``s`` at a
-    capacity no higher, the chain scans only the points feasible here but
-    not there, against each contract's best value carried up from
-    ``below``, and keeps ``below``'s ties that still reach the new floor.
-    Otherwise ``ball_route`` picks ``scan_balls`` or a full ``scan_grid``.
+    The one route rule. Without ``running``, ``ids`` and ``mask`` are
+    ``feasible_lattice``'s, and ``ball_route`` picks ``scan_balls`` or a
+    full ``scan_grid``. With ``running``, each contract's best value over
+    the points feasible at a lower capacity of a sweep, ``ids`` are the
+    points feasible here but not there (a band, ``mask`` unused): a
+    ``scan_grid`` of them updates ``running`` in place and returns their
+    ties at its new floor, the band step of ``pareto.capacity_chain``.
     Every route gives the same ties; their values may differ from a fresh
     full scan's in the last bit."""
-    points, costs = s.lattice.points, s.lattice.costs
-    if below is not None:
-        new = ids[~feasible_mask(costs[ids], below.scenario.capacity)]
-        evaluations = below.row_max.size * new.size
-        if not new.size:
-            return below.contract_id, below.point_id, below.agent_u, below.row_max, evaluations
-        row_max = below.row_max.copy()
-        ci, pi, vals = scan_grid(s.lattice.util, points[new], costs[new], s.tol_u, row_max)
-        cid = below.contract_id
-        keep = below.agent_u >= tie_floor(row_max, s.tol_u)[cid]
-        parts = [(cid[keep], below.point_id[keep], below.agent_u[keep]), (ci, new[pi], vals)]
-        return (*_merged(parts, len(points)), row_max, evaluations)
-    util = s.lattice.util
-    if concavity := ball_route(s, len(util), len(ids)):
-        return scan_balls(s, ids, mask, concavity)
-    row_max = np.full(len(util), -np.inf)
-    ci, pi, vals = scan_grid(util, points[ids], costs[ids], s.tol_u, row_max)
-    return ci, ids[pi], vals, row_max, len(util) * len(ids)
+    points, costs, util = s.lattice.points, s.lattice.costs, s.lattice.util
+    if running is None:
+        if concavity := ball_route(s, len(util), len(ids)):
+            return scan_balls(s, ids, mask, concavity)
+        running = np.full(len(util), -np.inf)
+    ci, pi, vals = scan_grid(util, points.take(ids, axis=0), costs[ids], s.tol_u, running)
+    return ci, ids[pi], vals, running, len(util) * len(ids)
 
 
 # ---------------------------------------------------------------------------

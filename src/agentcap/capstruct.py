@@ -4,8 +4,8 @@ With output scaled by alpha*, a debt contract with face value F splits output
 into a debt leg, a retained-equity leg, and the agent's residual; a live-or-die
 contract splits it at a threshold. Both decompositions add up to y state by
 state, and sweeping the capacity k traces how alpha* (and with it the
-debt/equity mix) moves: the sweep enumerates the capacities in ascending k,
-each on the one below, solves all their thresholds in one lockstep
+debt/equity mix) moves: the sweep enumerates every capacity in one pass
+(``pareto.capacity_chain``), solves all their thresholds in one lockstep
 bisection (``scaling.alpha_stars``), then reads each capacity's threshold
 with ``alpha_star``.
 """
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AgentcapError, DegenerateScalingError, ValidationError
+from .errors import DegenerateScalingError, ValidationError
 from .model import Contract, OutputFunction, Scenario, check_alpha, validate_scenario
-from .pareto import Enumeration, EvaluationTally
+from .pareto import EvaluationTally, capacity_chain
 from .scaling import alpha_star, alpha_stars
 
 
@@ -120,31 +120,30 @@ def sweep_alpha_star(
     Only the feasibility mask depends on k, so every capacity's scenario is
     ``s.at_capacity(k)``, and they all share ``s``'s lattice: the points
     with their costs and the contracts with their payments and utilities are
-    priced once. Each k is validated as its own scenario would be, so
+    priced once. The lowest k is validated as its own scenario would be,
+    and each higher k for the one check that depends on it alone, so
     ``s``'s own capacity is neither used nor checked, and a failure that
-    depends on the capacity names it. Feasible sets grow with k, so each
-    capacity's enumeration is built on the one below it and scans only the
-    points that became feasible (see ``Enumeration``). Every capacity is
-    then solved, with its own base level, in one lockstep bisection
-    (``alpha_stars``), which keeps each threshold on its enumeration, and
-    each capacity's is read back with ``alpha_star``, one call per k as a
-    sequential sweep makes them (the per-capacity span perfbench's tracer
-    records). The first failure in ascending k wins: a capacity with no
-    selection raises before any k above it that fails to validate or
-    enumerate. ``budget`` caps each k's contracts times feasible points;
-    ``tally`` sums the evaluation counts of the whole chain.
+    depends on the capacity names it. ``capacity_chain`` builds every
+    capacity's enumeration in one pass: the first scans in full, each
+    higher one scans only the points that became feasible, and all are cut
+    from one table of ties. Every capacity is then solved, with its own
+    base level, in one lockstep bisection (``alpha_stars``), which keeps
+    each threshold on its enumeration, and each capacity's is read back
+    with ``alpha_star``, one call per k as a sequential sweep makes them
+    (the per-capacity span perfbench's tracer records). The first failure
+    in ascending k wins: a capacity with no selection raises before any k
+    above it that fails to validate or enumerate. ``budget`` caps each k's
+    contracts times feasible points; ``tally`` sums the evaluation counts
+    of the whole chain.
     """
     ks = sorted(float(k) for k in k_grid)
-    enums: list[Enumeration] = []
-    try:
-        for k in ks:
-            sk = s.at_capacity(k)
-            validate_scenario(sk)
-            enums.append(Enumeration(sk, budget, below=enums[-1] if enums else None))
-            if tally is not None:
-                tally.add(enums[-1])
-    except AgentcapError:
-        alpha_stars(enums)
-        raise
+    if ks:
+        validate_scenario(s.at_capacity(ks[0]))
+    enums, failure = capacity_chain(s, ks, budget)
+    if tally is not None:
+        for enum in enums:
+            tally.add(enum)
     alpha_stars(enums)
+    if failure is not None:
+        raise failure
     return [(k, alpha_star(e.scenario, enum=e).alpha_star) for k, e in zip(ks, enums)]

@@ -347,9 +347,15 @@ def affine_representation_check(s: Scenario, point: PrincipalFocPoint) -> Affine
     """Fit b against {y, 1, curvature term} and score the fit.
 
     The curvature regressor is -phi from the phi identity times the row sums
-    of the cost Hessian. A zero regressor (as at zeta = -1 with a risk-neutral
-    agent) simply gets coefficient zero; only constant output is an error,
-    because then the slope is unidentified.
+    of the cost Hessian. Its factor 1/u'(b) + zeta vanishes for a
+    risk-neutral agent, and the solve pins it only to within the noise of
+    its own residual: Newton's last step is about the square root of the
+    residual it leaves, and the unknowns' error is no larger. So a
+    regressor no larger than the square root of the point's
+    ``system_residual`` counts as zero: its coefficient is 0, and slope and
+    intercept are the least-squares fit of b on (y, 1). A point without a
+    system residual (NaN) keeps its regressor. Only constant output is an
+    error, because then the slope is unidentified.
     """
     y = s.y.as_array()
     if np.ptp(y) <= 1e-12:
@@ -359,11 +365,13 @@ def affine_representation_check(s: Scenario, point: PrincipalFocPoint) -> Affine
     g, h, u, up = _derivative_parts(s, b, p)
     curvature_term = -_phi_identity(p, up, point.zeta) * (h @ np.ones(s.n))
     design = np.column_stack([y, np.ones(s.n), curvature_term])
+    if np.abs(curvature_term).max() <= np.sqrt(point.system_residual):
+        design = design[:, :2]
     coef, _, _, _ = np.linalg.lstsq(design, b, rcond=None)
     fit_residual = float(np.linalg.norm(design @ coef - b))
     return AffineRepresentation(
         slope=float(coef[0]),
         intercept=float(-coef[1]),
-        curvature=float(-coef[2]),
+        curvature=float(-coef[2]) if coef.size == 3 else 0.0,
         fit_residual=fit_residual,
     )

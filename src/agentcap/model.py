@@ -911,6 +911,14 @@ def feasible_mask(costs, capacity: float):
     return costs <= capacity + FEASIBILITY_SLACK
 
 
+def feasible_from(costs: np.ndarray, capacities: Sequence[float]) -> np.ndarray:
+    """``feasible_mask`` at every one of the ascending ``capacities`` at
+    once: for each cost, the index of the first capacity that admits it
+    (``len(capacities)`` when none does). A point is feasible at
+    capacities[i] exactly when i is at least its index."""
+    return np.searchsorted(np.array(capacities, dtype=float) + FEASIBILITY_SLACK, costs, side="left")
+
+
 class PricedLattice:
     """The capacity-independent data of a scenario.
 
@@ -975,6 +983,14 @@ def _cost_dimension(c: CostFunction) -> int | None:
     return None
 
 
+def capacity_failure(k: float) -> str | None:
+    """``validate_scenario``'s failure of a capacity that is not finite,
+    naming it; None for a finite one. It is the only check a capacity sweep
+    repeats above its first capacity: no other check depends on k, and a
+    higher k keeps every point feasible at a lower one."""
+    return None if math.isfinite(k) else f"capacity {k:g}: capacity must be finite"
+
+
 def validate_scenario(s: Scenario) -> None:
     """Check structural invariants; raises one ValidationError joining every
     failure with "; ", where a failure that depends on the capacity names it
@@ -985,8 +1001,8 @@ def validate_scenario(s: Scenario) -> None:
     n = s.n
     if len(s.y.values) != n:
         failures.append("output length must equal the state count")
-    if not math.isfinite(s.capacity):
-        failures.append(f"capacity {s.capacity:g}: capacity must be finite")
+    if (failure := capacity_failure(s.capacity)) is not None:
+        failures.append(failure)
     if not math.isfinite(s.reservation):
         failures.append("reservation must be finite")
     if s.m < 1:

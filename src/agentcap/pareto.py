@@ -20,11 +20,13 @@ then bisects the thresholds of every capacity of a sweep with one pass per
 round. That keeps repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
-which grows with it. An enumeration takes its rows from one call,
-``agent.best_responses``, which chooses the route: built on the enumeration
-at the next lower capacity, it scans only the points that became feasible,
-so a capacity sweep scores each lattice point once. Every route gives the
-same rows and names a point by its index in the scenario's lattice, the
+which grows with it. An enumeration takes its rows from
+``agent.best_responses``, which chooses the route. A capacity sweep builds
+all its capacities in one pass (``capacity_chain``): each band of newly
+feasible points is scanned once, every tie is kept once in one table, and
+each capacity's rows and agent order are cut from that table, so a sweep
+scores each lattice point once and sorts its ties once. Every route gives
+the same rows and names a point by its index in the scenario's lattice, the
 same at every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
@@ -39,15 +41,15 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .agent import best_responses, capacity_binding, feasible_lattice
-from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError
-from .model import Contract, Distribution, Profile, Scenario, check_alpha
+from .agent import _merged, best_responses, capacity_binding, feasible_lattice, tie_floor
+from .errors import BudgetExceededError, ConfigurationError, EmptySelectionError, ValidationError
+from .model import Contract, Distribution, Profile, Scenario, capacity_failure, check_alpha, feasible_from
 from .model import check_payments, check_probabilities
 
 DEFAULT_BUDGET = 10**7
@@ -61,6 +63,15 @@ def check_budget(budget: int | None) -> int:
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
         raise ConfigurationError("budget must be a nonnegative integer")
     return int(budget)
+
+
+def _check_nominal(nominal: int, budget: int) -> None:
+    """Raises BudgetExceededError when an enumeration's nominal count,
+    contracts times feasible points, exceeds the budget."""
+    if nominal > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {nominal} evaluations, budget is {budget}", required=nominal, budget=budget
+        )
 
 
 @dataclass
@@ -147,6 +158,23 @@ def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
     return np.array(levels)
 
 
+def _argsort_stable(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of finite values, from the
+    faster default sort: only runs of equal values are put back in
+    ascending position order."""
+    order = np.argsort(values)
+    v = values.take(order)
+    tied = np.flatnonzero(v[1:] == v[:-1])
+    if tied.size:
+        marked = np.zeros(order.size, bool)
+        marked[tied], marked[tied + 1] = True, True
+        at = np.flatnonzero(marked)
+        run = np.concatenate(([0], np.cumsum(v.take(at[1:]) != v.take(at[:-1]))))
+        inside = order.take(at)
+        order[at] = inside.take(np.argsort(run * order.size + inside))
+    return order
+
+
 class _AgentOrder:
     """The alpha-invariant half of every alpha query, on a stack of K rows.
 
@@ -167,9 +195,10 @@ class _AgentOrder:
     not move when the row loses positions at its start.
 
     ``sort`` makes the one row of every profile of an enumeration
-    (``Enumeration.agent_order``), with its ``cuts`` (see ``stack``); a
-    stack has none. ``stack``, the one stack builder, puts such rows
-    together, each with the reservation it is selected at (``above``,
+    (``Enumeration.agent_order``), with its ``cuts`` (see ``stack``), and
+    ``rows`` the same rows for every capacity of a sweep at once
+    (``capacity_chain``); a stack has none. ``stack``, the one stack builder, puts such
+    rows together, each with the reservation it is selected at (``above``,
     ``near``), so that ``keep`` and ``_selection_level`` answer every row,
     at its own alpha, in one pass. A selection stays in the agent order,
     since the kept agent utilities already ascend, and only the rows chosen
@@ -180,6 +209,9 @@ class _AgentOrder:
     FIELDS = {"order": 0, "agent": np.nan, "weak": 0, "strict": 0,
               "output": 0.0, "payment": np.inf, "binding": False}
     __slots__ = ("tol", "cuts", "above", "near", *FIELDS)
+    # the padding's values in ``rows``' three blocks
+    _PADDING = (np.array([[FIELDS["agent"]], [FIELDS["output"]], [FIELDS["payment"]]]),
+                np.array([[FIELDS["order"]], [FIELDS["weak"]], [FIELDS["strict"]]]), FIELDS["binding"])
 
     def __init__(self, tol, order, agent, weak, strict, output, payment, binding):
         self.tol, self.order, self.agent, self.weak, self.strict = tol, order, agent, weak, strict
@@ -207,6 +239,64 @@ class _AgentOrder:
         wide = (a_s[1:] - a_s[:-1] > tol) & (a_s[1:] - tol > a_s[:-1])
         ao.cuts = np.concatenate(([0], wide.nonzero()[0] + 1))
         return ao
+
+    @classmethod
+    def rows(cls, enums: Sequence[Enumeration], orders: Sequence[np.ndarray]) -> list[_AgentOrder]:
+        """``sort``'s rows for several enumerations that share tol_u at
+        once, each of its profiles in its ``order``, which sorts them by
+        agent utility, ascending and stable (a sweep's cut of one such order
+        of all its ties, ``capacity_chain``). The rows are laid out in one
+        buffer per field kind, each followed by its padding position, so
+        that their tolerance sets and cuts are found in one pass over all of
+        them: the same fields ``sort`` gives each row, in a few passes in
+        place of a few per row."""
+        tol = enums[0].scenario.tol_u
+        lengths = [order.size for order in orders]
+        pads = np.cumsum([n + 1 for n in lengths]) - 1
+        size = int(pads[-1]) + 1
+        # the fields as rows of three blocks, each row with its padding
+        # position; weak[p] and strict[p], which count from the row's end
+        # the first position of p's weak and strict sets, start from p and
+        # p + 1, ramps down to 0 and -1
+        f, i, binding = np.empty((3, size)), np.empty((3, size), np.intp), np.empty((1, size), bool)
+        top = max(lengths)
+        ramp = np.arange(top, -2, -1)
+        rows = []
+        for enum, order, pad, n in zip(enums, orders, pads.tolist(), lengths):
+            at, whole = slice(pad - n, pad), slice(pad - n, pad + 1)
+            for src, out in ((enum.agent_u, f[0, at]), (enum.exp_output, f[1, at]),
+                             (enum.exp_payment, f[2, at]), (enum.binding, binding[0, at])):
+                src.take(order, out=out)
+            i[0, at] = order
+            i[1, whole], i[2, whole] = ramp[top - n:top + 1], ramp[top - n + 1:]
+            rows.append(cls(tol, i[:1, whole], f[:1, whole], i[1:2, whole], i[2:, whole], f[1:2, whole],
+                            f[2:, whole], binding[:, whole]))
+        f[:, pads], i[:, pads], binding[0, pads] = cls._PADDING
+        # Only a profile within tol of its lower (upper) neighbour has its
+        # weak (strict) set start below itself (past that neighbour). A
+        # padding position's NaN fails every test here, so no test crosses
+        # from one row to the next. Those profiles are searched for among
+        # the (row, agent utility) pairs, which complex numbers order
+        # lexicographically, a padding position taking (row, +inf).
+        a = f[0]
+        d = a[1:] - tol
+        apart = d > a[:-1]
+        near = [np.flatnonzero(a[:-1] >= d) + 1]
+        near.append(np.flatnonzero(a[1:] <= np.add(a[:-1], tol, out=d)))
+        # a cut: a profile further than tol above its lower neighbour, whose
+        # weak set leaves that neighbour out; a row's first position is one
+        apart &= np.subtract(a[1:], a[:-1], out=d) > tol
+        wide = np.flatnonzero(apart) + 1
+        if near[0].size or near[1].size:
+            key = np.empty(size, complex)
+            key.real, key.imag = np.repeat(np.arange(len(rows)), [n + 1 for n in lengths]), a
+            key.imag[pads] = np.inf
+            for block, side, shift, at in ((i[1], "left", -tol, near[0]), (i[2], "right", tol, near[1])):
+                block[at] = pads[pads.searchsorted(at)] - key.searchsorted(key[at] + 1j * shift, side=side)
+        ends = wide.searchsorted(pads).tolist()
+        for row, pad, n, lo, hi in zip(rows, pads.tolist(), lengths, [0, *ends], ends):
+            row.cuts = np.concatenate(([0], wide[lo:hi] - (pad - n)))
+        return rows
 
     @classmethod
     def stack(cls, rows: Sequence[tuple[_AgentOrder, float]]) -> _AgentOrder:
@@ -323,63 +413,46 @@ class Enumeration:
 
     ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
     names the same point at every capacity of a sweep. The rows' ids, agent
-    utilities, ``row_max`` and ``evaluations`` come from one call,
-    ``agent.best_responses``, which picks the route; the other fields are
-    derived from the ids after it, ``binding`` by ``agent.capacity_binding``.
-
-    ``below`` is an enumeration, at a capacity no higher than ``s``'s, of a
-    scenario differing from ``s`` only in capacity; building ``s`` with
-    ``below.scenario.at_capacity`` shares the lattice, so it is priced once.
-    Ties, binding flags and ids are those of a fresh enumeration, whichever
-    route ran below. The budget check is on the nominal count, contracts
-    times feasible points, whichever route runs. ``evaluations`` is the
-    number of values computed: contracts times feasible points for a full
-    scan, contracts times newly feasible points for a chained one, and the
-    probes and ball points scored (plus any rows scanned in full) for the
-    ball route; ``nominal_evaluations`` is contracts times feasible points.
-    ``budget`` passes ``check_budget``.
+    utilities, ``row_max`` and ``evaluations`` come from
+    ``agent.best_responses``, which picks the route: one call here, or, for
+    the capacities of a sweep, the band steps of ``capacity_chain``, which
+    cuts each capacity's rows and agent order from one table of all their
+    ties. The other fields are derived from the ids after it, ``binding``
+    by ``agent.capacity_binding``. Ties, binding flags and ids are those of
+    a fresh enumeration whichever route ran. The budget check is on the
+    nominal count, contracts times feasible points, whichever route runs.
+    ``evaluations`` is the number of values computed: contracts times
+    feasible points for a full scan, contracts times the band's points for
+    a sweep's later capacity, and the probes and ball points scored (plus
+    any rows scanned in full) for the ball route; ``nominal_evaluations``
+    is contracts times feasible points. ``budget`` passes ``check_budget``.
     """
 
-    def __init__(
-        self,
-        s: Scenario,
-        budget: int | None = None,
-        below: Enumeration | None = None,
-    ):
+    def __init__(self, s: Scenario, budget: int | None = None):
         budget = check_budget(budget)
-        if below is not None:
-            if replace(below.scenario, capacity=s.capacity) != s:
-                raise ConfigurationError("lower enumeration was built for another scenario")
-            if below.scenario.capacity > s.capacity:
-                raise ConfigurationError("lower enumeration has a higher capacity")
         ids, mask = feasible_lattice(s)
-        points, costs = s.lattice.points, s.lattice.costs
-        labels, payments = s.lattice.contracts
-        n_c, n_p = len(labels), len(ids)
-        if n_c * n_p > budget:
-            raise BudgetExceededError(
-                f"enumeration needs {n_c * n_p} evaluations, budget is {budget}",
-                required=n_c * n_p,
-                budget=budget,
-            )
+        _check_nominal(len(s.lattice.contracts[0]) * len(ids), budget)
+        cid, pid, agent_u, row_max, evaluations = best_responses(s, ids, mask)
+        self._set_rows(s, budget, len(ids), cid, pid, agent_u, _expected_payments(s, cid, pid), row_max,
+                       evaluations)
 
+    def _set_rows(self, s: Scenario, budget: int, n_feasible: int, contract_id, point_id, agent_u,
+                  exp_payment, row_max, evaluations) -> None:
+        """Every field, from the rows' ids, agent utilities and expected
+        payments, each contract's best value and the values computed to
+        find them; the fields that depend on the capacity are derived here."""
         self.scenario = s
         self.budget = budget
-        self.nominal_evaluations = n_c * n_p
-        self.labels = labels
-        self.payments = payments
-        self.points = points
-
-        # row_max: each contract's best value over the feasible points;
-        # evaluations: the values computed to find the ties
-        (self.contract_id, self.point_id, self.agent_u,
-         self.row_max, self.evaluations) = best_responses(s, ids, mask, below)
-        self.cost = costs[self.point_id]
-        self.binding = capacity_binding(s, self.point_id)
-        self.exp_output = points[self.point_id] @ s.y.as_array()
-        self.exp_payment = np.einsum(
-            "ij,ij->i", payments[self.contract_id], points[self.point_id]
-        )
+        self.labels, self.payments = s.lattice.contracts
+        self.nominal_evaluations = len(self.labels) * n_feasible
+        self.points = s.lattice.points
+        self.contract_id, self.point_id, self.agent_u = contract_id, point_id, agent_u
+        self.exp_payment, self.row_max, self.evaluations = exp_payment, row_max, evaluations
+        self.cost = s.lattice.costs[point_id]
+        self.binding = capacity_binding(s, point_id)
+        # a matrix-vector product: BLAS may round a row differently in
+        # another block, so each enumeration takes its own
+        self.exp_output = self.points.take(point_id, axis=0) @ s.y.as_array()
 
     # -- queries ----------------------------------------------------------
 
@@ -472,6 +545,120 @@ class Enumeration:
 
     def profile(self, i: int, alpha: float) -> Profile:
         return self._profiles(np.array([i]), self._principal(alpha, [i]))[0]
+
+
+def _expected_payments(s: Scenario, contract_id: np.ndarray, point_id: np.ndarray) -> np.ndarray:
+    """E_p[b] of each (contract, point) row. einsum sums each row on its
+    own, so a row keeps its bits in any subset of rows."""
+    payments, points = s.lattice.contracts[1], s.lattice.points
+    return np.einsum("ij,ij->i", payments.take(contract_id, axis=0), points.take(point_id, axis=0))
+
+
+def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
+    """The enumerations of ``s.at_capacity(k)`` for the capacities of the
+    ascending ``ks``, all built in one pass, and the error of the first
+    capacity that fails (None when none does): the enumerations below it
+    are returned. ``s`` must pass ``validate_scenario`` at ``ks[0]``, as a
+    sweep checks first.
+
+    The first is a fresh ``Enumeration``. Feasible sets grow with k, so
+    each later capacity adds a band, the lattice points feasible there but
+    not at the capacity below (``feasible_from``), which the band step of
+    ``best_responses`` scans against each contract's best value so far:
+    one ``scan_grid`` of every contract and the band's points. The bands
+    stay apart, since BLAS may round one matmul over several differently.
+    Each tie is kept once, in one table, from its band on; floors only
+    rise with k, so it is live at each capacity from there up to the first
+    whose floor it misses. The table is sorted once by (contract, point),
+    and once, stably, by agent utility. A capacity's rows are then the ties
+    live there in the first order, and its ``agent_order`` those in the
+    second, cut for every capacity at once (``_cut``), so that building a
+    capacity takes no merge, argsort, scenario comparison or pass over the
+    lattice.
+
+    A later k is checked for what depends on it alone, as
+    ``validate_scenario`` and ``Enumeration`` would check it: that it is
+    finite (``capacity_failure``), then the budget, contracts times the
+    points feasible at k.
+    """
+    if not ks:
+        return [], None
+    first = Enumeration(s.at_capacity(ks[0]), budget)
+    n_c, budget = len(first.labels), first.budget
+    failure = None
+    ascending = [first.scenario.capacity]
+    for k in ks[1:]:
+        if (text := capacity_failure(k)) is not None:
+            failure = ValidationError(text)
+            break
+        if k < ascending[-1]:
+            raise ConfigurationError("capacities must ascend")
+        ascending.append(float(k))
+    level = feasible_from(s.lattice.costs, ascending)
+    ends = np.cumsum(np.bincount(level, minlength=len(ascending)))[: len(ascending)].tolist()
+    for i, n_p in enumerate(ends):
+        try:
+            _check_nominal(n_c * n_p, budget)
+        except BudgetExceededError as exc:
+            failure, ascending = exc, ascending[:i]
+            break
+
+    scenarios = [first.scenario, *(s.at_capacity(k) for k in ascending[1:])]
+    running = np.empty((len(scenarios), n_c))
+    running[0] = first.row_max
+    # the tie table: contract ids, point ids, values and the band found in
+    parts = [(first.contract_id, first.point_id, first.agent_u, np.zeros(first.agent_u.size, np.intp))]
+    bands = np.argsort(level, kind="stable")
+    evaluations = [first.evaluations]
+    for i in range(1, len(scenarios)):
+        running[i] = running[i - 1]
+        band = bands[ends[i - 1]:ends[i]]
+        evaluations.append(n_c * band.size)
+        if band.size:
+            ci, pi, vals, _, _ = best_responses(scenarios[i], band, None, running[i])
+            parts.append((ci, pi, vals, np.full(ci.size, i)))
+    enums, orders = _cut(first, scenarios, _merged(parts, len(first.points)), running, evaluations, ends)
+    for enum, order in zip(enums, _AgentOrder.rows(enums, orders)):
+        enum.agent_order = order
+    return enums, failure
+
+
+def _cut(first: Enumeration, scenarios, table, running: np.ndarray, evaluations, ends):
+    """``capacity_chain``'s enumerations, ``first`` and one per later
+    scenario, from the tie ``table`` (contract ids, point ids, values and
+    the band each was found in, ascending in (contract, point)), each
+    capacity's best values (a row of ``running``), its evaluations and its
+    feasible points, and each one's agent order as rows of it."""
+    cid, pid, agent_u, found = table
+    live = np.empty((len(scenarios), cid.size), bool)
+    for i, floor in enumerate(tie_floor(running, first.scenario.tol_u)):
+        np.logical_and(found <= i, agent_u >= floor[cid], out=live[i])
+    # every capacity's rows, capacity by capacity, as flat indices into
+    # ``live``, whose columns are the ties: in (contract, point) order, and
+    # in agent order
+    ties = np.flatnonzero(live)
+    bounds = ties.searchsorted(np.arange(len(scenarios) + 1) * cid.size).tolist()
+    ties %= cid.size
+    by_agent = _argsort_stable(agent_u)
+    ties_a = np.flatnonzero(live.take(by_agent, axis=1))
+    del live
+    ties_a %= cid.size
+    ties_a = by_agent.take(ties_a)
+    fields = [f.take(ties) for f in (cid, pid, agent_u, _expected_payments(first.scenario, cid, pid))]
+    row_of = np.empty(cid.size, np.intp)
+    enums, orders = [], []
+    for i, sk in enumerate(scenarios):
+        rows = slice(bounds[i], bounds[i + 1])
+        if i:
+            enum = Enumeration.__new__(Enumeration)
+            enum._set_rows(sk, first.budget, ends[i], *(f[rows] for f in fields), running[i], evaluations[i])
+        else:
+            enum = first
+        enums.append(enum)
+        # a live tie's row at this capacity
+        row_of[ties[rows]] = np.arange(bounds[i + 1] - bounds[i])
+        orders.append(row_of.take(ties_a[rows]))
+    return enums, orders
 
 
 # ---------------------------------------------------------------------------

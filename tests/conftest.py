@@ -34,6 +34,7 @@ from agentcap.model import (
     TableCost,
     check_alpha,
     cost,
+    feasible_mask,
     simplex_lattice,
 )
 from agentcap.errors import (
@@ -44,8 +45,68 @@ from agentcap.errors import (
     UnsupportedCostError,
     ValidationError,
 )
-from agentcap.pareto import Enumeration, _cluster_levels
+from agentcap.pareto import Enumeration, _cluster_levels, capacity_chain
 from agentcap.scaling import DEFAULT_EPS_ALPHA, AlphaStarResult, InequalitySlacks, alpha_star
+
+
+def chain(s, ks, budget=None):
+    """The enumerations of ``s`` at the sorted ``ks`` from one
+    ``capacity_chain``, as a sweep builds them; every capacity must pass."""
+    enums, failure = capacity_chain(s, sorted(ks), budget)
+    assert failure is None, failure
+    return enums
+
+
+def dyadic_scenario(capacity=10.0):
+    """Three states, payments and coordinates in multiples of 1/8 and an
+    identity Q: every agent value is a multiple of 1/64 and exact, so a tie
+    can sit exactly at its row's best value less tol_u."""
+    payments = (0.0, 0.25, 0.5, 0.875)
+    return Scenario(
+        states=StateSpace(("a", "b", "c")),
+        y=OutputFunction((0.0, 0.5, 1.0)),
+        cost=QuadraticCost(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.375, 0.375, 0.25)),
+        capacity=capacity,
+        family=GridFamily((payments, payments, payments)),
+        utility=AgentUtility("risk_neutral"),
+        reservation=0.0,
+        m=8,
+        tol_u=1.0 / 64,
+    )
+
+
+def replayed_chain(s, ks):
+    """The capacity chain of ``s`` at the sorted ``ks`` replayed link by
+    link, as each capacity was once built on the one below: a fresh
+    enumeration first, then per capacity one ``agent.scan_grid`` of every
+    contract against the points feasible there but not at the capacity
+    below, from the best values carried up, keeping the lower ties that
+    still reach the new floor and sorting the joined ties by (contract,
+    point). Returns (contract ids, point ids, values, row_max, evaluations)
+    per capacity."""
+    util, points, costs = s.lattice.util, s.lattice.points, s.lattice.costs
+    links, below = [], None
+    for k in sorted(ks):
+        sk = s.at_capacity(k)
+        if below is None:
+            e = Enumeration(sk)
+            links.append((e.contract_id, e.point_id, e.agent_u, e.row_max, e.evaluations))
+        else:
+            cid, pid, vals, row_max, _ = links[-1]
+            ids, _ = agent.feasible_lattice(sk)
+            new = ids[~feasible_mask(costs[ids], below)]
+            row_max = row_max.copy()
+            if new.size:
+                ci, pi, v = agent.scan_grid(util, points[new], costs[new], sk.tol_u, row_max)
+                keep = vals >= row_max[cid] - sk.tol_u
+                cid = np.concatenate((cid[keep], ci))
+                pid = np.concatenate((pid[keep], new[pi]))
+                vals = np.concatenate((vals[keep], v))
+                order = np.argsort(cid * len(points) + pid, kind="stable")
+                cid, pid, vals = cid[order], pid[order], vals[order]
+            links.append((cid, pid, vals, row_max, len(util) * new.size))
+        below = k
+    return links
 
 
 def set_scan_block(monkeypatch, values):

@@ -42,6 +42,7 @@ from agentcap.pareto import Enumeration
 
 from conftest import (
     SMOOTH_FAMILY,
+    chain,
     flat_quadratic_case,
     ladder_scenario,
     quadratic_scenario,
@@ -220,9 +221,7 @@ def test_every_binding_flag_comes_from_the_one_rule(case, rule, monkeypatch):
         assert per_contract.tolist() == expect
         flags.update(expect)
 
-    enum = None
-    for k in ks:
-        enum = Enumeration(s.at_capacity(k), below=enum)
+    for enum in chain(s, ks):
         check(enum)
     check(Enumeration(s))
     balls = []

@@ -35,6 +35,7 @@ from agentcap.model import (
 from agentcap.pareto import Enumeration
 
 from conftest import (
+    dyadic_scenario,
     gibbs_reference,
     nearest_counts_reference,
     same_bits,
@@ -141,21 +142,9 @@ def test_ball_route_matches_full_scan(case, monkeypatch):
 
 
 def test_ball_route_dyadic_tie_at_the_cut(monkeypatch):
-    # payoffs and coordinates in multiples of 1/8 and an identity Q: every
-    # value is a multiple of 1/64 and exact, so both routes must agree bit
-    # for bit, including a tie exactly at row max - tol_u
-    payments = (0.0, 0.25, 0.5, 0.875)
-    s = Scenario(
-        states=StateSpace(("a", "b", "c")),
-        y=OutputFunction((0.0, 0.5, 1.0)),
-        cost=QuadraticCost(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.375, 0.375, 0.25)),
-        capacity=10.0,
-        family=GridFamily((payments, payments, payments)),
-        utility=AgentUtility("risk_neutral"),
-        reservation=0.0,
-        m=8,
-        tol_u=1.0 / 64,
-    )
+    # every value is exact, so both routes must agree bit for bit,
+    # including a tie exactly at row max - tol_u
+    s = dyadic_scenario()
     full, ball, _ = both_routes(s, monkeypatch)
     assert np.any(full.agent_u == full.row_max[full.contract_id] - s.tol_u)
     assert np.array_equal(ball.contract_id, full.contract_id)
@@ -322,6 +311,49 @@ def test_lattice_builder_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 36e6
+
+
+def quadratic_row(n, seed=3):
+    """A strictly convex n-state quadratic cost, uniform q0, and one payoff
+    row whose unconstrained optimum leaves the whole simplex."""
+    rng = np.random.default_rng(seed)
+    cost = QuadraticCost(Q=tuple(map(tuple, np.diag(rng.uniform(0.5, 2.0, n)))), q0=tuple(np.full(n, 1.0 / n)))
+    return cost, rng.uniform(0.0, 3.0, (1, n))
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_quadratic_centre_face_tables_agree(n):
+    # with at least 2^n / 64 rows the solver keeps a table over every face,
+    # and one row at a time it keys the faces by their sorted masks; both
+    # reach the same centres and bounds
+    cost, _ = quadratic_row(n)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-1.0, 3.0, ((1 << n) // 64, n))
+    concavity = agent.strong_concavity(cost)
+    together = agent._quadratic_centres(u, cost, 0.05, concavity)
+    apart = [agent._quadratic_centres(row[None], cost, 0.05, concavity) for row in u]
+    for got, want in zip(together, map(np.concatenate, zip(*apart))):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_quadratic_centre_memory_follows_the_faces_visited():
+    """One row at 20 states: the solver keys the faces it solves by the
+    masks in use, so it holds no table over the 2^20 faces (the parent of
+    this rule peaked at 17 MB); at 30 states, where such a table would take
+    gigabytes, it still runs."""
+    cost, u = quadratic_row(20)
+    concavity = agent.strong_concavity(cost)
+    tracemalloc.start()
+    try:
+        mu, centre, ub = agent._quadratic_centres(u, cost, 0.05, concavity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert np.isfinite(ub).all() and abs(centre.sum() - 1.0) <= 1e-9 and (centre >= -1e-12).all()
+    cost, u = quadratic_row(30)
+    mu, centre, ub = agent._quadratic_centres(u, cost, 0.05, agent.strong_concavity(cost))
+    assert np.isfinite(ub).all() and abs(centre.sum() - 1.0) <= 1e-9 and (centre >= -1e-12).all()
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 7), (3, 5), (4, 4), (5, 3)])

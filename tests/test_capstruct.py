@@ -20,10 +20,19 @@ from agentcap.errors import (
     ValidationError,
 )
 from agentcap.model import OutputFunction
-from agentcap.pareto import Enumeration
+from agentcap.model import validate_scenario
+from agentcap.pareto import Enumeration, _AgentOrder, capacity_chain
 from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_star
 
-from conftest import set_scan_block, smooth_scenario, tangent_scenario
+from conftest import (
+    collect_random_scenarios,
+    dyadic_scenario,
+    replayed_chain,
+    set_scan_block,
+    share_scenario,
+    smooth_scenario,
+    tangent_scenario,
+)
 
 Y3 = OutputFunction((0.0, 1.0, 2.0))
 
@@ -227,3 +236,101 @@ def test_sweep_reads_each_capacity_with_alpha_star(monkeypatch):
     solved = {DEFAULT_EPS_ALPHA}
     assert calls == [(k, True, solved) for k in sorted(ks)]
     assert got == [(k, alpha_star(s.at_capacity(k)).alpha_star) for k in sorted(ks)]
+
+
+# -- the one-pass sweep against fresh and replayed enumerations -------------
+
+
+def _quantiles(s, qs):
+    return [float(k) for k in np.quantile(np.unique(s.lattice.costs), qs)]
+
+
+def _referee_cases():
+    tangent = tangent_scenario(0.02, m=400)
+    share = share_scenario(0.2, m=200)
+    cases = {
+        "tangent-generic": (tangent, [0.07, 0.0399, 0.01, 0.05, 0.04, 0.0401, 0.2], None),
+        "tangent-repeated-k": (tangent, [0.05, 0.01, 0.05, 0.05, 0.01], None),
+        "share": (share, _quantiles(share, [0.1, 0.35, 0.6, 0.9]), None),
+        # a small _CHUNK sends the first link of a strictly convex cost down
+        # the ball route; the bands stay full scans
+        "ball-route-first-link": (tangent_scenario(0.04, m=400), [0.04, 0.0401, 0.09, 0.2],
+                                  lambda mp: mp.setattr(agent, "_CHUNK", 64)),
+    }
+    # every value exact, with ties exactly at their floor: a lower tie is
+    # kept when it equals a higher capacity's best value less tol_u
+    dyadic = dyadic_scenario()
+    cases["dyadic-ties-at-the-cut"] = (dyadic, [float(k) for k in np.unique(dyadic.lattice.costs)[::4]], None)
+    for seed, s in collect_random_scenarios(count=4):
+        cases[f"random-{seed}"] = (s, _quantiles(s, [0.15, 0.4, 0.7, 0.95]), None)
+    return cases
+
+
+REFEREE_CASES = _referee_cases()
+
+
+def assert_agent_order_is_the_sort(enum):
+    """``enum.agent_order`` equals ``_AgentOrder.sort`` of ``enum``, field
+    for field."""
+    got, want = enum.agent_order, _AgentOrder.sort(enum)
+    assert got.tol == want.tol
+    for name in (*_AgentOrder.FIELDS, "cuts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+@pytest.mark.parametrize("case", list(REFEREE_CASES))
+def test_one_pass_sweep_matches_fresh_and_replayed_enumerations(case, monkeypatch):
+    # every capacity's enumeration, cut from one table of ties, has a fresh
+    # enumeration's ids and binding flags, and the per-band replay's values
+    # bit for bit, row maxima and evaluation counts; its agent order is the
+    # one a sort of it gives
+    s, ks, patch = REFEREE_CASES[case]
+    if patch is not None:
+        patch(monkeypatch)
+    enums, failure = capacity_chain(s, sorted(ks))
+    assert failure is None
+    assert [e.scenario.capacity for e in enums] == sorted(ks)
+    replay = replayed_chain(s, ks)
+    if patch is not None:
+        assert enums[0].evaluations < enums[0].nominal_evaluations
+    for enum, (cid, pid, vals, row_max, evaluations) in zip(enums, replay, strict=True):
+        fresh = Enumeration(enum.scenario)
+        for name in ("contract_id", "point_id", "binding", "cost"):
+            assert np.array_equal(getattr(enum, name), getattr(fresh, name)), name
+        assert np.array_equal(enum.contract_id, cid) and np.array_equal(enum.point_id, pid)
+        assert enum.agent_u.tobytes() == vals.tobytes()
+        assert enum.row_max.tobytes() == row_max.tobytes()
+        assert enum.evaluations == evaluations
+        assert enum.nominal_evaluations == fresh.nominal_evaluations
+        assert enum.exp_output.tobytes() == fresh.exp_output.tobytes()
+        assert enum.exp_payment.tobytes() == fresh.exp_payment.tobytes()
+        assert_agent_order_is_the_sort(enum)
+
+
+def test_one_pass_sweep_stops_at_the_first_failing_capacity():
+    # the error-order cases of a sweep: the enumerations below the first
+    # capacity that fails, then the error that capacity's own validation or
+    # enumeration raises
+    s = dataclasses.replace(tangent_scenario(0.04, m=200), reservation=0.001)
+    contracts = len(s.family.payment_matrix(s.y.as_array())[0])
+    enums, failure = capacity_chain(s, [0.0, 0.04, math.inf])
+    assert [e.scenario.capacity for e in enums] == [0.0, 0.04]
+    with pytest.raises(ValidationError) as own:
+        validate_scenario(s.at_capacity(math.inf))
+    assert isinstance(failure, ValidationError) and str(failure) == str(own.value)
+    enums, failure = capacity_chain(s, [0.0, 0.04], budget=contracts)
+    assert [e.scenario.capacity for e in enums] == [0.0]
+    with pytest.raises(BudgetExceededError) as own:
+        Enumeration(s.at_capacity(0.04), budget=contracts)
+    assert isinstance(failure, BudgetExceededError) and str(failure) == str(own.value)
+    assert (failure.required, failure.budget) == (own.value.required, own.value.budget)
+    with pytest.raises(BudgetExceededError):
+        capacity_chain(s, [0.04, 0.09], budget=contracts * 10)
+    # c(p) = p_H^2 on the 1/200 lattice: 21 points at k = 0.01
+    enums, failure = capacity_chain(s, [0.0, 0.01, 0.04, 0.09], budget=contracts * 21)
+    assert [e.scenario.capacity for e in enums] == [0.0, 0.01]
+    assert isinstance(failure, BudgetExceededError) and failure.required == contracts * 41
+    for enum, (cid, pid, vals, row_max, evaluations) in zip(enums, replayed_chain(s, [0.0])):
+        assert enum.agent_u.tobytes() == vals.tobytes() and enum.evaluations == evaluations
+        assert_agent_order_is_the_sort(enum)

@@ -44,6 +44,7 @@ from agentcap.model import (
 from agentcap.pareto import Enumeration, select
 
 from conftest import (
+    chain,
     effort_scenario,
     ladder_scenario,
     profile_dict,
@@ -977,9 +978,7 @@ def test_sweep_summary_sums_its_chain(tangent_file, tmp_path):
     doc = read_summary(out)
     s, _ = load_scenario(tangent_file)
     evaluations = nominal = 0
-    enum = None
-    for k in sorted(ks):
-        enum = Enumeration(s.at_capacity(k), below=enum)
+    for enum in chain(s, ks):
         evaluations += enum.evaluations
         nominal += enum.nominal_evaluations
     assert doc["evaluations"] == evaluations

@@ -109,12 +109,15 @@ GOLDEN = {
 # residuals.csv digests, re-recorded when the agent's capacity multiplier mu
 # left the packed point. That dropped the ``mu`` field and moved no value by
 # more than 2e-15 (the tangent ones by at most 5.6e-17), with the b and p
-# columns of residuals.csv byte for byte unchanged.
+# columns of residuals.csv byte for byte unchanged. The ``affine`` blocks were
+# re-recorded when a curvature regressor within the solve's noise began to
+# count as zero: both agents are risk-neutral, so curvature became 0.0 (from
+# -0.0 and -9.3e-14), and on tangent the two-column fit is exact (intercept
+# 0.25, fit residual 0.0); no other field moved.
 SUMMARIES = {
     ("tangent", "kkt"): {
         "active_set": ["participation"],
-        "affine": {"curvature": -0.0, "fit_residual": 3.1401849173675503e-16,
-                   "intercept": 0.24999999999999978, "slope": 1.0},
+        "affine": {"curvature": 0.0, "fit_residual": 0.0, "intercept": 0.25, "slope": 1.0},
         "capacity_gap": -0.21,
         "command": "kkt",
         "converged": True,
@@ -132,7 +135,7 @@ SUMMARIES = {
     },
     ("smooth", "kkt"): {
         "active_set": ["participation"],
-        "affine": {"curvature": -9.324650558446774e-14, "fit_residual": 2.3693543832238953e-13,
+        "affine": {"curvature": 0.0, "fit_residual": 2.3693543832238953e-13,
                    "intercept": 0.729455761746581, "slope": 1.0000000000005707},
         "capacity_gap": 0.23959271140314878,
         "command": "kkt",

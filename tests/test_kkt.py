@@ -259,6 +259,27 @@ def test_affine_readout_three_state_slack():
     assert aff.fit_residual <= 1e-6
 
 
+@pytest.mark.parametrize("zeta_gap", [-1.6e-11, 1.4e-11, -8.5e-13])
+def test_affine_readout_counts_solve_noise_as_no_curvature(zeta_gap):
+    # a risk-neutral agent at zeta = -1 up to the solve's noise, as on three
+    # benchmark kkt solves (zeta + 1 of -1.6e-11, 1.4e-11 and -8.5e-13 at
+    # system residuals of 5e-12 to 2e-13), where least squares gave the noise
+    # regressor an arbitrary coefficient (0.018, 0.92 and -0.36)
+    s = share_scenario3(0.2)
+    b, p = (0.1, 0.45, 1.2), (0.2, 0.3, 0.5)
+    noisy = point(b, p, zeta=-1.0 + zeta_gap, system_residual=5e-12)
+    aff = affine_representation_check(s, noisy)
+    design = np.column_stack([s.y.as_array(), np.ones(3)])
+    coef, *_ = np.linalg.lstsq(design, np.array(b), rcond=None)
+    assert aff.curvature == 0.0
+    assert (aff.slope, aff.intercept) == (float(coef[0]), float(-coef[1]))
+    assert aff.fit_residual == float(np.linalg.norm(design @ coef - np.array(b)))
+    # a point with no system residual, or one far below the regressor's
+    # square, keeps the three-regressor fit, which three states make exact
+    for kept in (point(b, p, zeta=-1.0 + zeta_gap), point(b, p, zeta=-1.0 + zeta_gap, system_residual=1e-30)):
+        assert affine_representation_check(s, kept).curvature != 0.0
+
+
 def test_affine_readout_rejects_constant_output():
     s = share_scenario(0.2)
     flat = Scenario(

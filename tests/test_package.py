@@ -50,11 +50,13 @@ REMOVED = [
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
-# evaluation counts are read off the enumeration it holds
+# evaluation counts are read off the enumeration it holds; and the per-link
+# capacity chain, which ``pareto.capacity_chain`` replaced
 REMOVED_PARAMETERS = [
     (scaling.alpha_star, ("u_bar", "tally")),
     (scaling.verify_theorem, ("r", "tally")),
-    (pareto.Enumeration.__init__, ("tally",)),
+    (pareto.Enumeration.__init__, ("tally", "below")),
+    (agent.best_responses, ("below",)),
     (kkt.make_initial_point, ("beta", "w")),
     (kkt.PrincipalFocPoint, ("mu",)),
     (discounting.DatedSchedule.at_date, ("n",)),

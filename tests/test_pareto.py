@@ -1,6 +1,5 @@
 """Profile enumeration, the Pareto filter, and reservation-level selection."""
 
-import dataclasses
 import gc
 import itertools
 import types
@@ -28,12 +27,14 @@ from agentcap.pareto import (
     _AgentOrder,
     _cluster_levels,
     _selection_level,
+    capacity_chain,
     select,
 )
 from agentcap.scaling import alpha_star
 
 from conftest import (
     brute_pareto_keep,
+    chain,
     frontier_oracle,
     ladder_scenario,
     make_profile,
@@ -95,17 +96,14 @@ def test_budget_must_be_a_nonnegative_integer(budget):
     assert enum.budget == 10**7 and type(enum.budget) is int
 
 
-def test_enumeration_below_guards():
+def test_capacity_chain_guards():
     base = tangent_scenario(0.04, m=400)
-    below = Enumeration(base)
-    with pytest.raises(ConfigurationError, match="higher capacity"):
-        Enumeration(base.at_capacity(0.01), below=below)
-    with pytest.raises(ConfigurationError, match="another scenario"):
-        Enumeration(dataclasses.replace(base, tol_u=1e-6), below=below)
-    with pytest.raises(ConfigurationError, match="another scenario"):
-        Enumeration(tangent_scenario(0.04, m=200), below=below)
-    # a chained enumeration of an at_capacity scenario reads the one lattice
-    above = Enumeration(base.at_capacity(0.09), below=below)
+    with pytest.raises(ConfigurationError, match="capacities must ascend"):
+        capacity_chain(base, [0.04, 0.01])
+    assert capacity_chain(base, []) == ([], None)
+    # every capacity's scenario is an at_capacity scenario of the one lattice
+    below, above = chain(base, [0.04, 0.09])
+    assert [e.scenario.capacity for e in (below, above)] == [0.04, 0.09]
     assert above.scenario.lattice is below.scenario.lattice is base.lattice
 
 
@@ -115,8 +113,7 @@ def test_lattice_is_freed_with_its_scenario():
     gc.disable()
     try:
         s = tangent_scenario(0.04, m=400)
-        enum = Enumeration(s)
-        above = Enumeration(s.at_capacity(0.09), below=enum)
+        enum, above = chain(s, [0.04, 0.09])
         above.selection_ids(0.5, 0.0)
         ref = weakref.ref(s.lattice)
         del s, enum
@@ -138,10 +135,8 @@ def test_rows_ascend_by_contract_then_point():
     fixtures = [ladder_scenario(), tangent_scenario(0.04)]
     fixtures += [smooth_scenario(seed)[0] for seed in range(6)]
     for s in fixtures:
-        enum = Enumeration(s)
-        _assert_rows_ascend(enum)
-        for k in (2 * s.capacity, 4 * s.capacity):
-            enum = Enumeration(s.at_capacity(k), below=enum)
+        _assert_rows_ascend(Enumeration(s))
+        for enum in chain(s, [s.capacity, 2 * s.capacity, 4 * s.capacity]):
             _assert_rows_ascend(enum)
 
 
@@ -152,22 +147,20 @@ def test_rows_ascend_on_the_ball_route(monkeypatch):
     monkeypatch.setattr(agent, "_CHUNK", 64)
     set_scan_block(monkeypatch, 64)
     for s in [tangent_scenario(0.04), *(smooth_scenario(seed)[0] for seed in range(6))]:
-        enum = Enumeration(s)
+        enum, above = chain(s, [s.capacity, 2 * s.capacity])
         assert enum.evaluations < enum.nominal_evaluations
         _assert_rows_ascend(enum)
-        enum = Enumeration(s.at_capacity(2 * s.capacity), below=enum)
-        _assert_rows_ascend(enum)
+        _assert_rows_ascend(above)
 
 
 def test_evaluations_count_full_and_chained_scans():
     s = tangent_scenario(0.04, m=400)
     n_c = len(s.lattice.contracts[0])
-    low = Enumeration(s)
+    low, high, again = chain(s, [0.04, 0.09, 0.09])
     assert low.evaluations == low.nominal_evaluations == n_c * len(agent.feasible_lattice(s)[0])
-    high = Enumeration(s.at_capacity(0.09), below=low)
     # only the points feasible at 0.09 but not at 0.04 are scored
     assert high.evaluations == high.nominal_evaluations - low.nominal_evaluations > 0
-    assert Enumeration(s.at_capacity(0.09), below=high).evaluations == 0
+    assert again.evaluations == 0
 
 
 @pytest.mark.parametrize("chunk", [None, 64])
@@ -185,21 +178,17 @@ def test_point_ids_index_the_lattice(chunk, monkeypatch):
 
 def test_capacity_chain_ids_are_fresh_ids():
     base = tangent_scenario(0.01)
-    enum = None
-    for k in (0.01, 0.04, 0.09):
-        s = base.at_capacity(k)
-        enum = Enumeration(s, below=enum)
-        fresh = Enumeration(s)
+    for enum in chain(base, [0.01, 0.04, 0.09]):
+        fresh = Enumeration(enum.scenario)
         assert enum.points is fresh.points is base.lattice.points
         for name in ("contract_id", "point_id", "binding"):
-            assert np.array_equal(getattr(enum, name), getattr(fresh, name)), (k, name)
+            assert np.array_equal(getattr(enum, name), getattr(fresh, name)), (enum.scenario.capacity, name)
 
 
 def test_surviving_ties_keep_their_point_ids():
     # raising k adds points with a larger p_H, which come first in lattice
     # order; a tie kept from below still names the same lattice point
-    low = Enumeration(tangent_scenario(0.01))
-    high = Enumeration(low.scenario.at_capacity(0.04), below=low)
+    low, high = chain(tangent_scenario(0.01), [0.01, 0.04])
 
     def ids(enum):
         return {(int(c), enum.points[p].tobytes()): int(p)
@@ -373,10 +362,9 @@ def test_pareto_at_matches_the_row_order_oracle_on_the_ball_route_and_a_chain(mo
     monkeypatch.setattr(agent, "_CHUNK", 64)
     set_scan_block(monkeypatch, 64)
     s = tangent_scenario(0.04, m=400)
-    ball = Enumeration(s)
+    ball, link = chain(s, [0.04, 0.09])
     assert ball.evaluations < ball.nominal_evaluations
     assert_frontier_matches_oracle(ball)
-    link = Enumeration(s.at_capacity(0.09), below=ball)
     assert 0 < link.evaluations < link.nominal_evaluations
     assert_frontier_matches_oracle(link)
 

