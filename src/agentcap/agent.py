@@ -414,31 +414,30 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     t = np.zeros(h)
     centre = np.empty((h, n))
     todo = np.arange(h)
-    # faces solved so far, in parts, in the order solved, and each one's row
-    # in the parts joined: a table over all 2^n faces when it holds at most
-    # 64 entries a row, else the masks in use, sorted, then 2^n, which no
-    # face has; so memory grows with the rows and the faces visited, not
-    # with 2^n
-    parts, dense = [], (1 << n) <= 64 * h
-    slot_of = np.full(1 << n, -1) if dense else None
+    # the faces solved so far: their parts, and ``masks`` in the order
+    # solved, so a face's row in the parts joined is its index in ``masks``;
+    # ``solved`` holds the masks sorted, then 2^n, which no face has, and
+    # ``slots`` their indices. Memory grows with the rows and the faces
+    # visited, not with 2^n.
+    parts, masks = [], np.empty(0, np.int64)
     solved, slots = np.array([1 << n]), np.array([-1])
     for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        if dense:
-            new = np.flatnonzero((np.bincount(F, minlength=1 << n) > 0) & (slot_of < 0))
-        else:
-            new = np.sort(F[solved[solved.searchsorted(F)] != F])
+        at = solved.searchsorted(F)
+        unsolved = solved[at] != F
+        if unsolved.any():
+            # the stable argsort, which ``_merged`` runs too: another kind of
+            # sort would page its own code into the process
+            new = F[unsolved]
+            new = new.take(np.argsort(new, kind="stable"))
             new = new[np.concatenate(([True], new[1:] != new[:-1]))]
-        if new.size:
             parts.append(_quadratic_faces(Q, q0, new, flat))
             A, b, w, nu0, Qe, c0_face, null = map(np.concatenate, zip(*parts))
-            if dense:
-                slot_of[new] = slot_of.max() + 1 + np.arange(new.size)
-            else:
-                at = solved.searchsorted(new)
-                slots = np.insert(slots, at, slots.size - 1 + np.arange(new.size))
-                solved = np.insert(solved, at, new)
-        slot = slot_of[F] if dense else slots[solved.searchsorted(F)]
+            masks = np.concatenate((masks, new))
+            order = np.argsort(masks, kind="stable")
+            solved, slots = np.concatenate((masks[order], [1 << n])), np.concatenate((order, [-1]))
+            at = solved.searchsorted(F)
+        slot = slots[at]
         d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
         c2 = np.einsum("ij,ij->i", d, Qd)

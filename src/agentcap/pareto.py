@@ -158,23 +158,6 @@ def _cluster_levels(values: np.ndarray, tol: float) -> np.ndarray:
     return np.array(levels)
 
 
-def _argsort_stable(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` of finite values, from the
-    faster default sort: only runs of equal values are put back in
-    ascending position order."""
-    order = np.argsort(values)
-    v = values.take(order)
-    tied = np.flatnonzero(v[1:] == v[:-1])
-    if tied.size:
-        marked = np.zeros(order.size, bool)
-        marked[tied], marked[tied + 1] = True, True
-        at = np.flatnonzero(marked)
-        run = np.concatenate(([0], np.cumsum(v.take(at[1:]) != v.take(at[:-1]))))
-        inside = order.take(at)
-        order[at] = inside.take(np.argsort(run * order.size + inside))
-    return order
-
-
 class _AgentOrder:
     """The alpha-invariant half of every alpha query, on a stack of K rows.
 
@@ -194,15 +177,16 @@ class _AgentOrder:
     the reversed rows, flattened. Counted from the row's end, an index does
     not move when the row loses positions at its start.
 
-    ``sort`` makes the one row of every profile of an enumeration
-    (``Enumeration.agent_order``), with its ``cuts`` (see ``stack``), and
-    ``rows`` the same rows for every capacity of a sweep at once
-    (``capacity_chain``); a stack has none. ``stack``, the one stack builder, puts such
-    rows together, each with the reservation it is selected at (``above``,
-    ``near``), so that ``keep`` and ``_selection_level`` answer every row,
-    at its own alpha, in one pass. A selection stays in the agent order,
-    since the kept agent utilities already ascend, and only the rows chosen
-    are mapped back to row indices.
+    ``rows`` makes the one row of every profile of each of several
+    enumerations (every capacity of a sweep, ``capacity_chain``), with its
+    ``cuts`` (see ``stack``), and ``sort`` that of one
+    (``Enumeration.agent_order``); a stack has none. ``stack``, the one
+    stack builder, puts such rows together, each with the reservation it is
+    selected at (``above``, ``near``), so that ``keep`` and
+    ``_selection_level`` answer every row, at its own alpha, in one pass. A
+    selection stays in the agent order, since the kept agent utilities
+    already ascend, and only the rows chosen are mapped back to row
+    indices.
     """
 
     # the fields by position, in ``__init__``'s order, with the value padding holds
@@ -220,36 +204,17 @@ class _AgentOrder:
 
     @classmethod
     def sort(cls, enum: Enumeration) -> _AgentOrder:
-        """One row: every profile of ``enum``."""
-        tol = enum.scenario.tol_u
-        order = np.argsort(enum.agent_u, kind="stable")
-        n = order.size
-        # the fields as rows of three blocks, each with its padding position
-        f, i, binding = np.empty((3, n + 1)), np.empty((3, n + 1), np.intp), np.empty((1, n + 1), bool)
-        f[:, n] = [cls.FIELDS[name] for name in ("agent", "output", "payment")]
-        i[:, n], binding[0, n] = cls.FIELDS["order"], cls.FIELDS["binding"]
-        a_s = f[0, :n]
-        for src, out in ((enum.agent_u, a_s), (enum.exp_output, f[1, :n]),
-                         (enum.exp_payment, f[2, :n]), (enum.binding, binding[0, :n])):
-            src.take(order, out=out)
-        i[0, :n] = order
-        np.subtract(n, a_s.searchsorted(a_s - tol, side="left"), out=i[1, :n])
-        np.subtract(n, a_s.searchsorted(a_s + tol, side="right"), out=i[2, :n])
-        ao = cls(tol, i[:1], f[:1], i[1:2], i[2:], f[1:2], f[2:], binding)
-        wide = (a_s[1:] - a_s[:-1] > tol) & (a_s[1:] - tol > a_s[:-1])
-        ao.cuts = np.concatenate(([0], wide.nonzero()[0] + 1))
-        return ao
+        """One row: every profile of ``enum``, ``rows`` of it alone."""
+        return cls.rows([enum], [np.argsort(enum.agent_u, kind="stable")])[0]
 
     @classmethod
     def rows(cls, enums: Sequence[Enumeration], orders: Sequence[np.ndarray]) -> list[_AgentOrder]:
-        """``sort``'s rows for several enumerations that share tol_u at
-        once, each of its profiles in its ``order``, which sorts them by
-        agent utility, ascending and stable (a sweep's cut of one such order
-        of all its ties, ``capacity_chain``). The rows are laid out in one
-        buffer per field kind, each followed by its padding position, so
-        that their tolerance sets and cuts are found in one pass over all of
-        them: the same fields ``sort`` gives each row, in a few passes in
-        place of a few per row."""
+        """The one-row orders of several enumerations that share tol_u, each
+        of its profiles in its ``order``, which sorts them by agent utility,
+        ascending and stable (a sweep's cut of one such order of all its
+        ties, ``capacity_chain``). The rows are laid out in one buffer per
+        field kind, each followed by its padding position, so that their
+        tolerance sets and cuts are found in one pass over all of them."""
         tol = enums[0].scenario.tol_u
         lengths = [order.size for order in orders]
         pads = np.cumsum([n + 1 for n in lengths]) - 1
@@ -275,9 +240,8 @@ class _AgentOrder:
         # Only a profile within tol of its lower (upper) neighbour has its
         # weak (strict) set start below itself (past that neighbour). A
         # padding position's NaN fails every test here, so no test crosses
-        # from one row to the next. Those profiles are searched for among
-        # the (row, agent utility) pairs, which complex numbers order
-        # lexicographically, a padding position taking (row, +inf).
+        # from one row to the next. Those profiles are searched for in their
+        # own rows.
         a = f[0]
         d = a[1:] - tol
         apart = d > a[:-1]
@@ -287,12 +251,12 @@ class _AgentOrder:
         # weak set leaves that neighbour out; a row's first position is one
         apart &= np.subtract(a[1:], a[:-1], out=d) > tol
         wide = np.flatnonzero(apart) + 1
-        if near[0].size or near[1].size:
-            key = np.empty(size, complex)
-            key.real, key.imag = np.repeat(np.arange(len(rows)), [n + 1 for n in lengths]), a
-            key.imag[pads] = np.inf
-            for block, side, shift, at in ((i[1], "left", -tol, near[0]), (i[2], "right", tol, near[1])):
-                block[at] = pads[pads.searchsorted(at)] - key.searchsorted(key[at] + 1j * shift, side=side)
+        for block, side, shift, at in ((i[1], "left", -tol, near[0]), (i[2], "right", tol, near[1])):
+            splits = at.searchsorted(pads).tolist()
+            for pad, n, lo, hi in zip(pads.tolist(), lengths, [0, *splits], splits):
+                if lo < hi:
+                    row, found = a[pad - n:pad], at[lo:hi]
+                    block[found] = n - row.searchsorted(a[found] + shift, side=side)
         ends = wide.searchsorted(pads).tolist()
         for row, pad, n, lo, hi in zip(rows, pads.tolist(), lengths, [0, *ends], ends):
             row.cuts = np.concatenate(([0], wide[lo:hi] - (pad - n)))
@@ -617,7 +581,9 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
         if band.size:
             ci, pi, vals, _, _ = best_responses(scenarios[i], band, None, running[i])
             parts.append((ci, pi, vals, np.full(ci.size, i)))
-    enums, orders = _cut(first, scenarios, _merged(parts, len(first.points)), running, evaluations, ends)
+    table = _merged(parts, len(first.points))
+    del parts
+    enums, orders = _cut(first, scenarios, table, running, evaluations, ends)
     for enum, order in zip(enums, _AgentOrder.rows(enums, orders)):
         enum.agent_order = order
     return enums, failure
@@ -639,7 +605,7 @@ def _cut(first: Enumeration, scenarios, table, running: np.ndarray, evaluations,
     ties = np.flatnonzero(live)
     bounds = ties.searchsorted(np.arange(len(scenarios) + 1) * cid.size).tolist()
     ties %= cid.size
-    by_agent = _argsort_stable(agent_u)
+    by_agent = np.argsort(agent_u, kind="stable")
     ties_a = np.flatnonzero(live.take(by_agent, axis=1))
     del live
     ties_a %= cid.size

@@ -475,6 +475,42 @@ def frontier_oracle(agent, principal, tol):
     return rows, _cluster_levels(agent[keep], tol)
 
 
+def agent_order_oracle(enum):
+    """``enum.agent_order``'s fields the long way, as a dict by name: the
+    stable argsort by agent utility, each field gathered in that order,
+    then the padding position; every position's weak and strict sets from
+    a full search of the sorted utilities, counted from the row's end; and
+    the cuts, positions further than tol above their lower neighbour."""
+    tol = enum.scenario.tol_u
+    order = np.argsort(enum.agent_u, kind="stable")
+    a = enum.agent_u[order]
+    n = a.size
+    pad = {"order": 0, "agent": np.nan, "weak": 0, "strict": 0, "output": 0.0, "payment": np.inf,
+           "binding": False}
+    fields = {
+        "order": order,
+        "agent": a,
+        "weak": n - np.searchsorted(a, a - tol, side="left"),
+        "strict": n - np.searchsorted(a, a + tol, side="right"),
+        "output": enum.exp_output[order],
+        "payment": enum.exp_payment[order],
+        "binding": enum.binding[order],
+    }
+    got = {name: np.append(v, np.array(pad[name], v.dtype))[None] for name, v in fields.items()}
+    got["cuts"] = np.array([0, *(i for i in range(1, n) if a[i] - a[i - 1] > tol and a[i] - tol > a[i - 1])])
+    return got
+
+
+def assert_agent_order_matches_oracle(enum):
+    """``enum.agent_order`` equals ``agent_order_oracle`` of ``enum``, field
+    for field, dtypes included."""
+    got, want = enum.agent_order, agent_order_oracle(enum)
+    assert got.tol == enum.scenario.tol_u
+    for name, value in want.items():
+        assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+        assert getattr(got, name).dtype == value.dtype, name
+
+
 def selection_ids_oracle(enum, alpha, r):
     """``Enumeration.selection_ids`` the long way: the Pareto mask over every
     row, every clustered level of the kept agent utilities, then the lowest

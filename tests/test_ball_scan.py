@@ -322,10 +322,9 @@ def quadratic_row(n, seed=3):
 
 
 @pytest.mark.parametrize("n", [7, 9])
-def test_quadratic_centre_face_tables_agree(n):
-    # with at least 2^n / 64 rows the solver keeps a table over every face,
-    # and one row at a time it keys the faces by their sorted masks; both
-    # reach the same centres and bounds
+def test_quadratic_centres_of_rows_together_and_apart_agree(n):
+    # rows solved together share the faces solved for any of them; each
+    # reaches the centre and bound it reaches alone
     cost, _ = quadratic_row(n)
     rng = np.random.default_rng(n)
     u = rng.uniform(-1.0, 3.0, ((1 << n) // 64, n))
@@ -338,9 +337,9 @@ def test_quadratic_centre_face_tables_agree(n):
 
 def test_quadratic_centre_memory_follows_the_faces_visited():
     """One row at 20 states: the solver keys the faces it solves by the
-    masks in use, so it holds no table over the 2^20 faces (the parent of
-    this rule peaked at 17 MB); at 30 states, where such a table would take
-    gigabytes, it still runs."""
+    masks in use, so it holds no table over the 2^20 faces (one peaks at
+    17 MB); at 30 states, where such a table would take gigabytes, it still
+    runs."""
     cost, u = quadratic_row(20)
     concavity = agent.strong_concavity(cost)
     tracemalloc.start()

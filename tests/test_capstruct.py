@@ -21,10 +21,11 @@ from agentcap.errors import (
 )
 from agentcap.model import OutputFunction
 from agentcap.model import validate_scenario
-from agentcap.pareto import Enumeration, _AgentOrder, capacity_chain
+from agentcap.pareto import Enumeration, capacity_chain
 from agentcap.scaling import DEFAULT_EPS_ALPHA, alpha_star
 
 from conftest import (
+    assert_agent_order_matches_oracle,
     collect_random_scenarios,
     dyadic_scenario,
     replayed_chain,
@@ -269,22 +270,12 @@ def _referee_cases():
 REFEREE_CASES = _referee_cases()
 
 
-def assert_agent_order_is_the_sort(enum):
-    """``enum.agent_order`` equals ``_AgentOrder.sort`` of ``enum``, field
-    for field."""
-    got, want = enum.agent_order, _AgentOrder.sort(enum)
-    assert got.tol == want.tol
-    for name in (*_AgentOrder.FIELDS, "cuts"):
-        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
-
-
 @pytest.mark.parametrize("case", list(REFEREE_CASES))
 def test_one_pass_sweep_matches_fresh_and_replayed_enumerations(case, monkeypatch):
     # every capacity's enumeration, cut from one table of ties, has a fresh
     # enumeration's ids and binding flags, and the per-band replay's values
     # bit for bit, row maxima and evaluation counts; its agent order is the
-    # one a sort of it gives
+    # one a full sort and search of it gives
     s, ks, patch = REFEREE_CASES[case]
     if patch is not None:
         patch(monkeypatch)
@@ -305,7 +296,7 @@ def test_one_pass_sweep_matches_fresh_and_replayed_enumerations(case, monkeypatc
         assert enum.nominal_evaluations == fresh.nominal_evaluations
         assert enum.exp_output.tobytes() == fresh.exp_output.tobytes()
         assert enum.exp_payment.tobytes() == fresh.exp_payment.tobytes()
-        assert_agent_order_is_the_sort(enum)
+        assert_agent_order_matches_oracle(enum)
 
 
 def test_one_pass_sweep_stops_at_the_first_failing_capacity():
@@ -333,4 +324,4 @@ def test_one_pass_sweep_stops_at_the_first_failing_capacity():
     assert isinstance(failure, BudgetExceededError) and failure.required == contracts * 41
     for enum, (cid, pid, vals, row_max, evaluations) in zip(enums, replayed_chain(s, [0.0])):
         assert enum.agent_u.tobytes() == vals.tobytes() and enum.evaluations == evaluations
-        assert_agent_order_is_the_sort(enum)
+        assert_agent_order_matches_oracle(enum)

@@ -274,10 +274,26 @@ def test_affine_readout_counts_solve_noise_as_no_curvature(zeta_gap):
     assert aff.curvature == 0.0
     assert (aff.slope, aff.intercept) == (float(coef[0]), float(-coef[1]))
     assert aff.fit_residual == float(np.linalg.norm(design @ coef - np.array(b)))
-    # a point with no system residual, or one far below the regressor's
-    # square, keeps the three-regressor fit, which three states make exact
-    for kept in (point(b, p, zeta=-1.0 + zeta_gap), point(b, p, zeta=-1.0 + zeta_gap, system_residual=1e-30)):
+    # a point with no system residual, or with a factor more than
+    # CURVATURE_NOISE times its residual, keeps the three-regressor fit,
+    # which three states make exact
+    for kept in (point(b, p, zeta=-1.0 + zeta_gap),
+                 point(b, p, zeta=-1.0 + zeta_gap, system_residual=abs(zeta_gap) / 2e3)):
         assert affine_representation_check(s, kept).curvature != 0.0
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-5, 1e-6])
+def test_affine_readout_keeps_a_mildly_risk_averse_agents_curvature(a):
+    # a CARA agent's factor 1/u'(b) + zeta is about a times the payments'
+    # spread: at a = 1e-6 about 1e-6, below the square root of the solve's
+    # residual (2e-11) but far above the residual itself; its curvature is
+    # real, and the three-state fit is exact with it
+    s = dataclasses.replace(share_scenario3(0.2), utility=AgentUtility("cara", a=a))
+    pt = solve_principal_foc(s, make_initial_point(s))
+    assert pt.converged
+    aff = affine_representation_check(s, pt)
+    assert aff.curvature == pytest.approx(1.0, rel=1e-6)
+    assert aff.fit_residual <= 1e-12
 
 
 def test_affine_readout_rejects_constant_output():

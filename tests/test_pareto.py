@@ -33,6 +33,7 @@ from agentcap.pareto import (
 from agentcap.scaling import alpha_star
 
 from conftest import (
+    assert_agent_order_matches_oracle,
     brute_pareto_keep,
     chain,
     frontier_oracle,
@@ -440,6 +441,7 @@ def test_cached_agent_order_matches_brute_oracle_at_every_alpha():
     for sc in cases:
         enum = Enumeration(sc)
         order = enum.agent_order
+        assert_agent_order_matches_oracle(enum)
         trace = [a for a, _ in alpha_star(sc).predicate_trace]
         for alpha in [*np.linspace(0.0, 1.0, 41), *trace]:
             got = enum.pareto_mask(alpha)
@@ -482,6 +484,7 @@ def test_one_agent_order_serves_every_principal_vector():
             # few distinct values, so duplicates and exact tol gaps are common
             agent = DYADIC_TOL * rng.integers(-4, 5, n)
             order = agent_order(agent, DYADIC_TOL)
+            assert_agent_order_matches_oracle(payoff_enumeration(agent, np.zeros(n), DYADIC_TOL))
             for _ in range(5):
                 principal = DYADIC_TOL * rng.integers(-4, 5, n)
                 want = brute_pareto_keep(agent, principal, DYADIC_TOL)
