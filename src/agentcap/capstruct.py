@@ -125,18 +125,19 @@ def sweep_alpha_star(
     ``s``'s own capacity is neither used nor checked, and a failure that
     depends on the capacity names it. ``capacity_chain`` builds every
     capacity's enumeration in one pass: the first scans in full, each
-    higher one scans only the points that became feasible, and all are cut
-    from one table of ties. Every capacity is then solved, with its own
-    base level, in one lockstep bisection (``alpha_stars``), which keeps
-    each threshold on its enumeration, and each capacity's is read back
-    with ``alpha_star``, one call per k as a sequential sweep makes them
-    (the per-capacity span perfbench's tracer records). The first failure
-    in ascending k wins: a capacity with no selection raises before any k
-    above it that fails to validate or enumerate. ``budget`` caps each k's
-    contracts times feasible points; ``tally`` sums the evaluation counts
-    of the whole chain.
+    higher one scans only the points that became feasible, and each is cut
+    on its own from one table of ties. Every capacity is then solved, with
+    its own base level, in one lockstep bisection (``alpha_stars``), which
+    keeps each threshold on its enumeration, and each capacity's is read
+    back with ``alpha_star``, one call per k as a sequential sweep makes
+    them (the per-capacity span perfbench's tracer records). The grid is
+    sorted stably with NaN last, so the first failure in ascending k wins
+    whatever the grid's order: a capacity with no selection raises before
+    any k above it, or any NaN, that fails to validate or enumerate.
+    ``budget`` caps each k's contracts times feasible points; ``tally``
+    sums the evaluation counts of the whole chain.
     """
-    ks = sorted(float(k) for k in k_grid)
+    ks = np.sort(np.array([float(k) for k in k_grid]), kind="stable").tolist()
     if ks:
         validate_scenario(s.at_capacity(ks[0]))
     enums, failure = capacity_chain(s, ks, budget)

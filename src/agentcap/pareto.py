@@ -24,10 +24,10 @@ which grows with it. An enumeration takes its rows from
 ``agent.best_responses``, which chooses the route. A capacity sweep builds
 all its capacities in one pass (``capacity_chain``): each band of newly
 feasible points is scanned once, every tie is kept once in one table, and
-each capacity's rows and agent order are cut from that table, so a sweep
-scores each lattice point once and sorts its ties once. Every route gives
-the same rows and names a point by its index in the scenario's lattice, the
-same at every capacity.
+each capacity's rows and agent order are cut from that table, one capacity
+at a time, so a sweep scores each lattice point once and sorts its ties
+once. Every route gives the same rows and names a point by its index in the
+scenario's lattice, the same at every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
 frontier order, with their principal payoffs. A row is rendered from one
@@ -177,10 +177,10 @@ class _AgentOrder:
     the reversed rows, flattened. Counted from the row's end, an index does
     not move when the row loses positions at its start.
 
-    ``rows`` makes the one row of every profile of each of several
-    enumerations (every capacity of a sweep, ``capacity_chain``), with its
-    ``cuts`` (see ``stack``), and ``sort`` that of one
-    (``Enumeration.agent_order``); a stack has none. ``stack``, the one
+    ``rows``, the one row builder, makes the one row of every profile of
+    each of several enumerations (every capacity of a sweep,
+    ``capacity_chain``, or one alone, ``Enumeration.agent_order``), with
+    its ``cuts`` (see ``stack``); a stack has none. ``stack``, the one
     stack builder, puts such rows together, each with the reservation it is
     selected at (``above``, ``near``), so that ``keep`` and
     ``_selection_level`` answer every row, at its own alpha, in one pass. A
@@ -203,18 +203,14 @@ class _AgentOrder:
         self.cuts = self.above = self.near = None
 
     @classmethod
-    def sort(cls, enum: Enumeration) -> _AgentOrder:
-        """One row: every profile of ``enum``, ``rows`` of it alone."""
-        return cls.rows([enum], [np.argsort(enum.agent_u, kind="stable")])[0]
-
-    @classmethod
     def rows(cls, enums: Sequence[Enumeration], orders: Sequence[np.ndarray]) -> list[_AgentOrder]:
         """The one-row orders of several enumerations that share tol_u, each
         of its profiles in its ``order``, which sorts them by agent utility,
-        ascending and stable (a sweep's cut of one such order of all its
-        ties, ``capacity_chain``). The rows are laid out in one buffer per
-        field kind, each followed by its padding position, so that their
-        tolerance sets and cuts are found in one pass over all of them."""
+        ascending and stable (for a sweep, each capacity's cut of one such
+        order of all its ties, ``capacity_chain``). The rows are laid out in
+        one buffer per field kind, each followed by its padding position, so
+        that their tolerance sets and cuts are found in one pass over all of
+        them."""
         tol = enums[0].scenario.tol_u
         lengths = [order.size for order in orders]
         pads = np.cumsum([n + 1 for n in lengths]) - 1
@@ -275,7 +271,7 @@ class _AgentOrder:
         0, or one whose gap to its lower neighbour is wider than tol and puts
         that neighbour outside its weak set: nothing below it can be
         selected at r, dominate a profile above it or join a cluster with
-        one. ``sort`` finds a row's cuts."""
+        one. ``rows`` finds a row's cuts."""
         floors = [r - o.tol for o, r in rows]
         firsts = [int(o.agent[0].searchsorted(f, side="left")) for (o, _), f in zip(rows, floors)]
         # at p = 0, or past the last profile, one side is the padding (NaN),
@@ -380,11 +376,12 @@ class Enumeration:
     utilities, ``row_max`` and ``evaluations`` come from
     ``agent.best_responses``, which picks the route: one call here, or, for
     the capacities of a sweep, the band steps of ``capacity_chain``, which
-    cuts each capacity's rows and agent order from one table of all their
-    ties. The other fields are derived from the ids after it, ``binding``
-    by ``agent.capacity_binding``. Ties, binding flags and ids are those of
-    a fresh enumeration whichever route ran. The budget check is on the
-    nominal count, contracts times feasible points, whichever route runs.
+    cuts each capacity's rows and agent order, one capacity at a time, from
+    one table of all their ties. The other fields are derived from the ids
+    after it, ``binding`` by ``agent.capacity_binding``. Ties, binding
+    flags and ids are those of a fresh enumeration whichever route ran. The
+    budget check is on the nominal count, contracts times feasible points,
+    whichever route runs.
     ``evaluations`` is the number of values computed: contracts times
     feasible points for a full scan, contracts times the band's points for
     a sweep's later capacity, and the probes and ball points scored (plus
@@ -435,8 +432,9 @@ class Enumeration:
 
     @cached_property
     def agent_order(self) -> _AgentOrder:
-        """The agent-utility order every alpha query reuses: one row."""
-        return _AgentOrder.sort(self)
+        """The agent-utility order every alpha query reuses: the one row
+        ``_AgentOrder.rows`` makes of this enumeration alone."""
+        return _AgentOrder.rows([self], [np.argsort(self.agent_u, kind="stable")])[0]
 
     def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """The one dominance pass of the frontier and the mask: the mask of
@@ -534,11 +532,13 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
     Each tie is kept once, in one table, from its band on; floors only
     rise with k, so it is live at each capacity from there up to the first
     whose floor it misses. The table is sorted once by (contract, point),
-    and once, stably, by agent utility. A capacity's rows are then the ties
-    live there in the first order, and its ``agent_order`` those in the
-    second, cut for every capacity at once (``_cut``), so that building a
-    capacity takes no merge, argsort, scenario comparison or pass over the
-    lattice.
+    and once, stably, by agent utility. Each capacity is then cut on its
+    own: its rows are the ties live there, a mask over the table, in the
+    first order, and its agent order those in the second, so that building
+    a capacity takes no merge, argsort, scenario comparison or pass over
+    the lattice, and no array spans capacities and ties at once. The table
+    is freed before ``_AgentOrder.rows`` builds every capacity's agent
+    order in one pass.
 
     A later k is checked for what depends on it alone, as
     ``validate_scenario`` and ``Enumeration`` would check it: that it is
@@ -560,7 +560,7 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
         ascending.append(float(k))
     level = feasible_from(s.lattice.costs, ascending)
     ends = np.cumsum(np.bincount(level, minlength=len(ascending)))[: len(ascending)].tolist()
-    for i, n_p in enumerate(ends):
+    for i, n_p in enumerate(ends[1:], 1):
         try:
             _check_nominal(n_c * n_p, budget)
         except BudgetExceededError as exc:
@@ -573,58 +573,32 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
     # the tie table: contract ids, point ids, values and the band found in
     parts = [(first.contract_id, first.point_id, first.agent_u, np.zeros(first.agent_u.size, np.intp))]
     bands = np.argsort(level, kind="stable")
-    evaluations = [first.evaluations]
     for i in range(1, len(scenarios)):
         running[i] = running[i - 1]
-        band = bands[ends[i - 1]:ends[i]]
-        evaluations.append(n_c * band.size)
-        if band.size:
-            ci, pi, vals, _, _ = best_responses(scenarios[i], band, None, running[i])
+        if ends[i] > ends[i - 1]:
+            ci, pi, vals, _, _ = best_responses(scenarios[i], bands[ends[i - 1]:ends[i]], None, running[i])
             parts.append((ci, pi, vals, np.full(ci.size, i)))
-    table = _merged(parts, len(first.points))
+    cid, pid, agent_u, found = _merged(parts, len(first.points))
     del parts
-    enums, orders = _cut(first, scenarios, table, running, evaluations, ends)
+    by_agent = np.argsort(agent_u, kind="stable")
+    columns = (cid, pid, agent_u, _expected_payments(first.scenario, cid, pid))
+    # a live tie's row at the capacity being cut
+    row_of = np.empty(cid.size, np.intp)
+    enums, orders = [first], []
+    for i, floor in enumerate(tie_floor(running, first.scenario.tol_u)):
+        live = (found <= i) & (agent_u >= floor[cid])
+        ties = np.flatnonzero(live)
+        row_of[ties] = np.arange(ties.size)
+        orders.append(row_of.take(by_agent[live.take(by_agent)]))
+        if i:
+            enum = Enumeration.__new__(Enumeration)
+            enum._set_rows(scenarios[i], budget, ends[i], *(c.take(ties) for c in columns), running[i],
+                           n_c * (ends[i] - ends[i - 1]))
+            enums.append(enum)
+    del cid, pid, agent_u, found, columns, by_agent, row_of, live, ties
     for enum, order in zip(enums, _AgentOrder.rows(enums, orders)):
         enum.agent_order = order
     return enums, failure
-
-
-def _cut(first: Enumeration, scenarios, table, running: np.ndarray, evaluations, ends):
-    """``capacity_chain``'s enumerations, ``first`` and one per later
-    scenario, from the tie ``table`` (contract ids, point ids, values and
-    the band each was found in, ascending in (contract, point)), each
-    capacity's best values (a row of ``running``), its evaluations and its
-    feasible points, and each one's agent order as rows of it."""
-    cid, pid, agent_u, found = table
-    live = np.empty((len(scenarios), cid.size), bool)
-    for i, floor in enumerate(tie_floor(running, first.scenario.tol_u)):
-        np.logical_and(found <= i, agent_u >= floor[cid], out=live[i])
-    # every capacity's rows, capacity by capacity, as flat indices into
-    # ``live``, whose columns are the ties: in (contract, point) order, and
-    # in agent order
-    ties = np.flatnonzero(live)
-    bounds = ties.searchsorted(np.arange(len(scenarios) + 1) * cid.size).tolist()
-    ties %= cid.size
-    by_agent = np.argsort(agent_u, kind="stable")
-    ties_a = np.flatnonzero(live.take(by_agent, axis=1))
-    del live
-    ties_a %= cid.size
-    ties_a = by_agent.take(ties_a)
-    fields = [f.take(ties) for f in (cid, pid, agent_u, _expected_payments(first.scenario, cid, pid))]
-    row_of = np.empty(cid.size, np.intp)
-    enums, orders = [], []
-    for i, sk in enumerate(scenarios):
-        rows = slice(bounds[i], bounds[i + 1])
-        if i:
-            enum = Enumeration.__new__(Enumeration)
-            enum._set_rows(sk, first.budget, ends[i], *(f[rows] for f in fields), running[i], evaluations[i])
-        else:
-            enum = first
-        enums.append(enum)
-        # a live tie's row at this capacity
-        row_of[ties[rows]] = np.arange(bounds[i + 1] - bounds[i])
-        orders.append(row_of.take(ties_a[rows]))
-    return enums, orders
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Debt and live-or-die decompositions of scaled output, and capacity sweeps."""
 
+import contextlib
 import dataclasses
+import gc
+import io
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +18,12 @@ from agentcap.capstruct import (
     scaled_debt_contract,
     sweep_alpha_star,
 )
+from agentcap.cli import main, save_scenario
 from agentcap.errors import (
     BudgetExceededError,
     ConfigurationError,
     DegenerateScalingError,
+    EmptySelectionError,
     ValidationError,
 )
 from agentcap.model import OutputFunction
@@ -145,6 +152,22 @@ def test_sweep_validates_each_capacity():
         sweep_alpha_star(s, [math.nan])
 
 
+def test_sweep_failure_does_not_depend_on_the_grid_order(tmp_path):
+    # NaN sorts last, so the lowest capacity's empty selection wins in every
+    # order of the grid, through the library and the CLI
+    s = dataclasses.replace(tangent_scenario(0.04, m=200), reservation=0.001)
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    for ks in itertools.permutations([0.0, 0.04, math.nan]):
+        with pytest.raises(EmptySelectionError, match="^no Pareto profile meets reservation 0.001$"):
+            sweep_alpha_star(s, ks)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", "--scenario", str(path), "--k-grid", ",".join(map(str, ks)),
+                         "--out", str(tmp_path / "out")])
+        assert (code, err.getvalue()) == (5, "agentcap: no Pareto profile meets reservation 0.001\n")
+
+
 def test_sweep_off_lattice_capacities_match_single_solves():
     # tangency capacities (0.01, 0.04) mixed with generic ones, and a
     # scenario capacity that is not the largest k of the grid
@@ -258,6 +281,11 @@ def _referee_cases():
         "ball-route-first-link": (tangent_scenario(0.04, m=400), [0.04, 0.0401, 0.09, 0.2],
                                   lambda mp: mp.setattr(agent, "_CHUNK", 64)),
     }
+    # every lattice breakpoint near a tangency: 40 consecutive distinct costs
+    near = tangent_scenario(0.04, m=400)
+    costs = np.unique(near.lattice.costs)
+    j = int(costs.searchsorted(0.04))
+    cases["tangent-breakpoints"] = (near, costs[j - 20:j + 20].tolist(), None)
     # every value exact, with ties exactly at their floor: a lower tie is
     # kept when it equals a higher capacity's best value less tol_u
     dyadic = dyadic_scenario()
@@ -297,6 +325,25 @@ def test_one_pass_sweep_matches_fresh_and_replayed_enumerations(case, monkeypatc
         assert enum.exp_output.tobytes() == fresh.exp_output.tobytes()
         assert enum.exp_payment.tobytes() == fresh.exp_payment.tobytes()
         assert_agent_order_matches_oracle(enum)
+
+
+def test_one_pass_sweep_memory_does_not_grow_with_capacities_times_ties():
+    # each capacity is cut on its own, so the chain's transient memory stays
+    # a fraction of what its enumerations keep; a capacities x ties mask
+    # (200 x the tie table here) would be most of it again
+    s = tangent_scenario(0.04, m=1000)
+    ks = np.linspace(0.005, 0.1, 200).tolist()
+    capacity_chain(s, ks[:1])  # prices the lattice outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enums, failure = capacity_chain(s, ks)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert failure is None and len(enums) == len(ks)
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 def test_one_pass_sweep_stops_at_the_first_failing_capacity():

@@ -47,6 +47,8 @@ REMOVED = [
     (model.ContractFamily, "size"),
     (cli, "_digest"),
     (kkt, "_DAMPED"),
+    (pareto, "_cut"),
+    (pareto._AgentOrder, "sort"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
