@@ -4,8 +4,9 @@ The enumeration pairs every family contract with every agent best response;
 best responses do not depend on the output scale alpha, so one enumeration
 serves all alpha. Per-alpha principal payoffs are then linear updates. The
 agent utilities do not move with alpha either, so the enumeration sorts its
-rows by agent utility once (``_AgentOrder``), with the two tolerance cut
-positions of every profile and the row's cuts, and every alpha query runs
+rows by agent utility once, when the first alpha query asks
+(``_AgentOrder.row``), with the two tolerance cut positions of every
+profile and the row's cuts, and every alpha query runs
 one dominance pass in that order: the frontier and the mask through
 ``Enumeration._kept``, the selection through a stack of that one row. The
 pass works on a stack of such orders, one row per enumeration, each with its
@@ -24,10 +25,11 @@ which grows with it. An enumeration takes its rows from
 ``agent.best_responses``, which chooses the route. A capacity sweep builds
 all its capacities in one pass (``capacity_chain``): each band of newly
 feasible points is scanned once, every tie is kept once in one table, and
-each capacity's rows and agent order are cut from that table, one capacity
-at a time, so a sweep scores each lattice point once and sorts its ties
-once. Every route gives the same rows and names a point by its index in the
-scenario's lattice, the same at every capacity.
+each capacity's rows are cut from that table, one capacity at a time, so a
+sweep scores each lattice point once; each capacity's enumeration then
+builds its own agent order as any other does. Every route gives the same
+rows and names a point by its index in the scenario's lattice, the same at
+every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
 frontier order, with their principal payoffs. A row is rendered from one
@@ -177,10 +179,9 @@ class _AgentOrder:
     the reversed rows, flattened. Counted from the row's end, an index does
     not move when the row loses positions at its start.
 
-    ``rows``, the one row builder, makes the one row of every profile of
-    each of several enumerations (every capacity of a sweep,
-    ``capacity_chain``, or one alone, ``Enumeration.agent_order``), with
-    its ``cuts`` (see ``stack``); a stack has none. ``stack``, the one
+    ``row``, the one row builder, makes the one row of every profile of an
+    enumeration, for ``Enumeration.agent_order``, with its ``cuts`` (see
+    ``stack``); a stack has none. ``stack``, the one
     stack builder, puts such rows together, each with the reservation it is
     selected at (``above``, ``near``), so that ``keep`` and
     ``_selection_level`` answer every row, at its own alpha, in one pass. A
@@ -193,9 +194,6 @@ class _AgentOrder:
     FIELDS = {"order": 0, "agent": np.nan, "weak": 0, "strict": 0,
               "output": 0.0, "payment": np.inf, "binding": False}
     __slots__ = ("tol", "cuts", "above", "near", *FIELDS)
-    # the padding's values in ``rows``' three blocks
-    _PADDING = (np.array([[FIELDS["agent"]], [FIELDS["output"]], [FIELDS["payment"]]]),
-                np.array([[FIELDS["order"]], [FIELDS["weak"]], [FIELDS["strict"]]]), FIELDS["binding"])
 
     def __init__(self, tol, order, agent, weak, strict, output, payment, binding):
         self.tol, self.order, self.agent, self.weak, self.strict = tol, order, agent, weak, strict
@@ -203,60 +201,38 @@ class _AgentOrder:
         self.cuts = self.above = self.near = None
 
     @classmethod
-    def rows(cls, enums: Sequence[Enumeration], orders: Sequence[np.ndarray]) -> list[_AgentOrder]:
-        """The one-row orders of several enumerations that share tol_u, each
-        of its profiles in its ``order``, which sorts them by agent utility,
-        ascending and stable (for a sweep, each capacity's cut of one such
-        order of all its ties, ``capacity_chain``). The rows are laid out in
-        one buffer per field kind, each followed by its padding position, so
-        that their tolerance sets and cuts are found in one pass over all of
-        them."""
-        tol = enums[0].scenario.tol_u
-        lengths = [order.size for order in orders]
-        pads = np.cumsum([n + 1 for n in lengths]) - 1
-        size = int(pads[-1]) + 1
-        # the fields as rows of three blocks, each row with its padding
-        # position; weak[p] and strict[p], which count from the row's end
-        # the first position of p's weak and strict sets, start from p and
-        # p + 1, ramps down to 0 and -1
-        f, i, binding = np.empty((3, size)), np.empty((3, size), np.intp), np.empty((1, size), bool)
-        top = max(lengths)
-        ramp = np.arange(top, -2, -1)
-        rows = []
-        for enum, order, pad, n in zip(enums, orders, pads.tolist(), lengths):
-            at, whole = slice(pad - n, pad), slice(pad - n, pad + 1)
-            for src, out in ((enum.agent_u, f[0, at]), (enum.exp_output, f[1, at]),
-                             (enum.exp_payment, f[2, at]), (enum.binding, binding[0, at])):
-                src.take(order, out=out)
-            i[0, at] = order
-            i[1, whole], i[2, whole] = ramp[top - n:top + 1], ramp[top - n + 1:]
-            rows.append(cls(tol, i[:1, whole], f[:1, whole], i[1:2, whole], i[2:, whole], f[1:2, whole],
-                            f[2:, whole], binding[:, whole]))
-        f[:, pads], i[:, pads], binding[0, pads] = cls._PADDING
+    def row(cls, enum: Enumeration) -> _AgentOrder:
+        """The one-row order of ``enum``: its profiles sorted by agent
+        utility, ascending and stable, each field followed by its padding
+        position, with the row's tolerance sets and ``cuts``."""
+        tol = enum.scenario.tol_u
+        order = np.argsort(enum.agent_u, kind="stable")
+        n = order.size
+        o = {name: np.full((1, n + 1), pad) for name, pad in cls.FIELDS.items()}
+        o["order"][0, :n] = order
+        for name, src in (("agent", enum.agent_u), ("output", enum.exp_output), ("payment", enum.exp_payment),
+                          ("binding", enum.binding)):
+            src.take(order, out=o[name][0, :n])
+        # weak[p] and strict[p], which count from the row's end the first
+        # position of p's weak and strict sets, start from p and p + 1
+        a, weak, strict = o["agent"][0, :n], o["weak"][0], o["strict"][0]
+        weak[:] = np.arange(n, -1, -1)
+        strict[:n] = weak[1:]
         # Only a profile within tol of its lower (upper) neighbour has its
-        # weak (strict) set start below itself (past that neighbour). A
-        # padding position's NaN fails every test here, so no test crosses
-        # from one row to the next. Those profiles are searched for in their
-        # own rows.
-        a = f[0]
+        # weak (strict) set start below itself (past that neighbour); those
+        # profiles are searched for
         d = a[1:] - tol
         apart = d > a[:-1]
-        near = [np.flatnonzero(a[:-1] >= d) + 1]
-        near.append(np.flatnonzero(a[1:] <= np.add(a[:-1], tol, out=d)))
+        near = np.flatnonzero(a[:-1] >= d) + 1
+        weak[near] = n - a.searchsorted(a[near] - tol, side="left")
+        near = np.flatnonzero(a[1:] <= np.add(a[:-1], tol, out=d))
+        strict[near] = n - a.searchsorted(a[near] + tol, side="right")
+        row = cls(tol, *o.values())
         # a cut: a profile further than tol above its lower neighbour, whose
-        # weak set leaves that neighbour out; a row's first position is one
+        # weak set leaves that neighbour out; the first position is one
         apart &= np.subtract(a[1:], a[:-1], out=d) > tol
-        wide = np.flatnonzero(apart) + 1
-        for block, side, shift, at in ((i[1], "left", -tol, near[0]), (i[2], "right", tol, near[1])):
-            splits = at.searchsorted(pads).tolist()
-            for pad, n, lo, hi in zip(pads.tolist(), lengths, [0, *splits], splits):
-                if lo < hi:
-                    row, found = a[pad - n:pad], at[lo:hi]
-                    block[found] = n - row.searchsorted(a[found] + shift, side=side)
-        ends = wide.searchsorted(pads).tolist()
-        for row, pad, n, lo, hi in zip(rows, pads.tolist(), lengths, [0, *ends], ends):
-            row.cuts = np.concatenate(([0], wide[lo:hi] - (pad - n)))
-        return rows
+        row.cuts = np.concatenate(([0], np.flatnonzero(apart) + 1))
+        return row
 
     @classmethod
     def stack(cls, rows: Sequence[tuple[_AgentOrder, float]]) -> _AgentOrder:
@@ -364,8 +340,9 @@ class Enumeration:
 
     Built once per scenario, with one read side: ``pareto_at``,
     ``pareto_mask`` and ``selection_ids`` each make one dominance pass in
-    the agent order for any alpha, the first two through ``_kept``, the
-    last through a stack of one row, and ``columns`` gathers the
+    the agent order (``agent_order``, built on the first of them) for any
+    alpha, the first two through ``_kept``, the last through a stack of one
+    row, and ``columns`` gathers the
     rendered fields of any rows, so exact (contract, point) identities are
     comparable across alpha. Rows run strictly ascending in (contract_id,
     point_id), and the agent order is stable, so that order is the
@@ -376,8 +353,8 @@ class Enumeration:
     utilities, ``row_max`` and ``evaluations`` come from
     ``agent.best_responses``, which picks the route: one call here, or, for
     the capacities of a sweep, the band steps of ``capacity_chain``, which
-    cuts each capacity's rows and agent order, one capacity at a time, from
-    one table of all their ties. The other fields are derived from the ids
+    cuts each capacity's rows, one capacity at a time, from one table of
+    all their ties. The other fields are derived from the ids
     after it, ``binding`` by ``agent.capacity_binding``. Ties, binding
     flags and ids are those of a fresh enumeration whichever route ran. The
     budget check is on the nominal count, contracts times feasible points,
@@ -432,9 +409,9 @@ class Enumeration:
 
     @cached_property
     def agent_order(self) -> _AgentOrder:
-        """The agent-utility order every alpha query reuses: the one row
-        ``_AgentOrder.rows`` makes of this enumeration alone."""
-        return _AgentOrder.rows([self], [np.argsort(self.agent_u, kind="stable")])[0]
+        """The agent-utility order every alpha query reuses, built by
+        ``_AgentOrder.row`` the first time one asks for it."""
+        return _AgentOrder.row(self)
 
     def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """The one dominance pass of the frontier and the mask: the mask of
@@ -531,14 +508,13 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
     stay apart, since BLAS may round one matmul over several differently.
     Each tie is kept once, in one table, from its band on; floors only
     rise with k, so it is live at each capacity from there up to the first
-    whose floor it misses. The table is sorted once by (contract, point),
-    and once, stably, by agent utility. Each capacity is then cut on its
-    own: its rows are the ties live there, a mask over the table, in the
-    first order, and its agent order those in the second, so that building
-    a capacity takes no merge, argsort, scenario comparison or pass over
-    the lattice, and no array spans capacities and ties at once. The table
-    is freed before ``_AgentOrder.rows`` builds every capacity's agent
-    order in one pass.
+    whose floor it misses. The table is sorted once by (contract, point).
+    Each capacity is then cut on its own: its rows are the ties live there,
+    a mask over the table, in that order, so that building a capacity takes
+    no merge, argsort, scenario comparison or pass over the lattice, and no
+    array spans capacities and ties at once. Each enumeration builds its
+    own agent order when the first alpha query asks for it
+    (``Enumeration.agent_order``).
 
     A later k is checked for what depends on it alone, as
     ``validate_scenario`` and ``Enumeration`` would check it: that it is
@@ -580,24 +556,15 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
             parts.append((ci, pi, vals, np.full(ci.size, i)))
     cid, pid, agent_u, found = _merged(parts, len(first.points))
     del parts
-    by_agent = np.argsort(agent_u, kind="stable")
     columns = (cid, pid, agent_u, _expected_payments(first.scenario, cid, pid))
-    # a live tie's row at the capacity being cut
-    row_of = np.empty(cid.size, np.intp)
-    enums, orders = [first], []
-    for i, floor in enumerate(tie_floor(running, first.scenario.tol_u)):
-        live = (found <= i) & (agent_u >= floor[cid])
-        ties = np.flatnonzero(live)
-        row_of[ties] = np.arange(ties.size)
-        orders.append(row_of.take(by_agent[live.take(by_agent)]))
-        if i:
-            enum = Enumeration.__new__(Enumeration)
-            enum._set_rows(scenarios[i], budget, ends[i], *(c.take(ties) for c in columns), running[i],
-                           n_c * (ends[i] - ends[i - 1]))
-            enums.append(enum)
-    del cid, pid, agent_u, found, columns, by_agent, row_of, live, ties
-    for enum, order in zip(enums, _AgentOrder.rows(enums, orders)):
-        enum.agent_order = order
+    floors = tie_floor(running, first.scenario.tol_u)
+    enums = [first]
+    for i in range(1, len(scenarios)):
+        ties = np.flatnonzero((found <= i) & (agent_u >= floors[i, cid]))
+        enum = Enumeration.__new__(Enumeration)
+        enum._set_rows(scenarios[i], budget, ends[i], *(c.take(ties) for c in columns), running[i],
+                       n_c * (ends[i] - ends[i - 1]))
+        enums.append(enum)
     return enums, failure
 
 

@@ -447,17 +447,31 @@ def test_evaluations_count_ball_route_values(monkeypatch):
 
 
 def test_chunked_ball_route_matches_one_chunk(monkeypatch):
-    # contracts in chunks of a few rows, and ball enumerations in groups,
-    # give the rows of one chunk
-    s = random_case(3, "entropy", 40, True, seed=2)
-    nominal = len(s.lattice.contracts[0]) * len(agent.feasible_lattice(s)[0])
-    with monkeypatch.context() as mp:
-        mp.setattr(agent, "_CHUNK", nominal - 1)
-        one = Enumeration(s)
-    monkeypatch.setattr(agent, "_CHUNK", 200)
-    many = Enumeration(s)
-    for name in ("contract_id", "point_id", "agent_u", "row_max"):
-        assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
+    # contracts in chunks of a few rows or of one, and ball enumerations in
+    # groups or one row at a time, give the rows of one chunk, and no row
+    # falls back to the full scan
+    scans = []
+    scan_grid = agent.scan_grid
+
+    def spy(payoffs, *args):
+        scans.append(len(payoffs))
+        return scan_grid(payoffs, *args)
+
+    monkeypatch.setattr(agent, "scan_grid", spy)
+    for s in (random_case(3, "entropy", 40, True, seed=2), tangent_scenario(0.04, m=400)):
+        nominal = len(s.lattice.contracts[0]) * len(agent.feasible_lattice(s)[0])
+        built = {}
+        for chunk in (nominal - 1, 200, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(agent, "_CHUNK", chunk)
+                built[chunk] = Enumeration(s)
+        one = built.pop(nominal - 1)
+        assert one.evaluations < nominal
+        for chunk, many in built.items():
+            for name in ("contract_id", "point_id", "agent_u", "row_max"):
+                assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), (chunk, name)
+            assert many.evaluations == one.evaluations, chunk
+    assert scans == []
     assert list(itertools.islice(agent._groups(np.array([3.0, 1.0, 5.0, 1.0, 1.0]), 4.0), 5)) == [
         slice(0, 2), slice(2, 3), slice(3, 5)
     ]

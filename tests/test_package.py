@@ -49,6 +49,7 @@ REMOVED = [
     (kkt, "_DAMPED"),
     (pareto, "_cut"),
     (pareto._AgentOrder, "sort"),
+    (pareto._AgentOrder, "rows"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's

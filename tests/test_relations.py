@@ -99,12 +99,14 @@ def thresholds(enums):
 
 def routed(s, route, monkeypatch):
     """``enumerations(s, route)``, the route checked to be the one taken:
-    the ball route forced by a one-value ``agent._CHUNK``, which stays set
-    for the rest of the test, the full scan taken by default, and the chain
-    built of two enumerations."""
+    the ball route forced by an ``agent._CHUNK`` one value below contracts
+    times feasible points, which stays set for the rest of the test, the
+    full scan taken by default, and the chain built of two enumerations.
+    One-row chunks are ``tests/test_ball_scan.py``'s to check."""
     if route == "ball":
-        monkeypatch.setattr(agent, "_CHUNK", 1)
-        assert agent.ball_route(s, len(s.lattice.util), len(agent.feasible_lattice(s)[0]))
+        n_c, n_p = len(s.lattice.util), len(agent.feasible_lattice(s)[0])
+        monkeypatch.setattr(agent, "_CHUNK", n_c * n_p - 1)
+        assert agent.ball_route(s, n_c, n_p)
     enums = enumerations(s, route)
     if route == "full":
         assert enums[0].evaluations == enums[0].nominal_evaluations <= agent._CHUNK
