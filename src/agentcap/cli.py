@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import capstruct, kkt, model, scaling
+from . import model
 from .errors import (
     AgentcapError,
     ConfigurationError,
@@ -392,9 +392,9 @@ def _counts(enum: Enumeration | None = None) -> dict:
     return dataclasses.asdict(tally)
 
 
-def _threshold_fields(res: scaling.AlphaStarResult) -> dict:
-    """The summary fields of a solved threshold, with the evaluation counts
-    of its enumeration."""
+def _threshold_fields(res) -> dict:
+    """The summary fields of a solved threshold (``scaling.AlphaStarResult``),
+    with the evaluation counts of its enumeration."""
     return {
         "alpha_star": res.alpha_star,
         "bracket_low": res.bracket[0],
@@ -424,6 +424,9 @@ def _float_list(text: str, flag: str) -> list[float]:
 # every other command at the file's own, before anything else. It returns its
 # tables, {file name: (header, columns)}, and its summary fields; ``main``
 # writes them.
+# A command imports the modules it runs beyond ``model`` and ``pareto``
+# (``scaling``, ``capstruct``, ``kkt``) when it runs, so a process loads
+# only those.
 
 
 def cmd_solve(args, s: Scenario):
@@ -449,6 +452,8 @@ def cmd_solve(args, s: Scenario):
 
 
 def cmd_alpha_star(args, s: Scenario):
+    from . import scaling
+
     validate_scenario(s)
     res = scaling.alpha_star(s, eps=args.eps, budget=args.budget)
     return {"trace.csv": (["alpha", "all_slack"], zip(*res.predicate_trace))}, {
@@ -460,6 +465,8 @@ def cmd_alpha_star(args, s: Scenario):
 
 
 def cmd_verify(args, s: Scenario):
+    from . import scaling
+
     validate_scenario(s)
     alphas = None
     if args.alpha_grid is not None:
@@ -513,6 +520,8 @@ def cmd_verify(args, s: Scenario):
 
 
 def cmd_sweep(args, s: Scenario):
+    from . import capstruct
+
     ks = _float_list(args.k_grid, "--k-grid")
     tally = EvaluationTally()
     pairs = capstruct.sweep_alpha_star(s, ks, args.budget, tally=tally)
@@ -520,12 +529,14 @@ def cmd_sweep(args, s: Scenario):
     return {"sweep.csv": (["k", "alpha_star"], zip(*pairs))}, {
         "k_grid": [k for k, _ in pairs],
         "alpha_star": stars,
-        "nondecreasing": all(b >= a - scaling.DEFAULT_EPS_ALPHA for a, b in zip(stars, stars[1:])),
+        "nondecreasing": all(b >= a - model.DEFAULT_EPS_ALPHA for a, b in zip(stars, stars[1:])),
         **dataclasses.asdict(tally),
     }
 
 
 def cmd_capstruct(args, s: Scenario):
+    from . import capstruct, scaling
+
     validate_scenario(s)
     astar = None if args.alpha_star_override is None else check_alpha(args.alpha_star_override)
     # the split flag is checked before alpha* is solved, so before its budget;
@@ -558,6 +569,8 @@ def cmd_capstruct(args, s: Scenario):
 def cmd_kkt(args, s: Scenario):
     """The summary's ``converged`` is False when the solve stalled; ``main``
     still writes the point, then fails with ``ConvergenceError``."""
+    from . import kkt
+
     validate_scenario(s)
     tokens = set() if args.active_set == "none" else {t.strip() for t in args.active_set.split(",") if t.strip()}
     if not tokens and args.active_set != "none":
@@ -644,13 +657,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha-star", help="capacity-slack threshold by bisection")
     common(p)
-    p.add_argument("--eps", type=float, default=scaling.DEFAULT_EPS_ALPHA, help="bisection width")
+    p.add_argument("--eps", type=float, default=model.DEFAULT_EPS_ALPHA, help="bisection width")
     p.set_defaults(func=cmd_alpha_star)
 
     p = sub.add_parser("verify", help="frontier inclusion and payoff-chain checks over an alpha grid")
     common(p)
     p.add_argument("--alpha-grid", default=None, help="comma-separated alphas (default 0,0.1,...,1)")
-    p.add_argument("--eps", type=float, default=scaling.DEFAULT_EPS_ALPHA, help="bisection width")
+    p.add_argument("--eps", type=float, default=model.DEFAULT_EPS_ALPHA, help="bisection width")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="capacity-slack threshold across capacity bounds")

@@ -41,6 +41,9 @@ FEASIBILITY_SLACK = 1e-12
 
 DEFAULT_TOL_U = 1e-9
 
+# the default width of the threshold bisection (``scaling.alpha_star``)
+DEFAULT_EPS_ALPHA = 1e-4
+
 _POINT_KEY_SCALE = 1e12
 
 

@@ -210,9 +210,11 @@ class _AgentOrder:
         n = order.size
         o = {name: np.full((1, n + 1), pad) for name, pad in cls.FIELDS.items()}
         o["order"][0, :n] = order
+        # order is a permutation, so "clip" clips nothing; unlike the default
+        # "raise", it lets take write into the row without a buffer
         for name, src in (("agent", enum.agent_u), ("output", enum.exp_output), ("payment", enum.exp_payment),
                           ("binding", enum.binding)):
-            src.take(order, out=o[name][0, :n])
+            src.take(order, out=o[name][0, :n], mode="clip")
         # weak[p] and strict[p], which count from the row's end the first
         # position of p's weak and strict sets, start from p and p + 1
         a, weak, strict = o["agent"][0, :n], o["weak"][0], o["strict"][0]

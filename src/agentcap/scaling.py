@@ -28,10 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, EmptySelectionError
-from .model import Profile, Scenario, check_alpha
+from .model import DEFAULT_EPS_ALPHA, Profile, Scenario, check_alpha
 from .pareto import Enumeration, _AgentOrder, empty_selection
-
-DEFAULT_EPS_ALPHA = 1e-4
 
 
 @dataclass(frozen=True)

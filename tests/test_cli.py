@@ -223,6 +223,20 @@ def test_scenario_digest_is_of_the_bytes_parsed(share_file, tmp_path):
     assert read_summary(out)["scenario_digest"] == hashlib.sha256(data).hexdigest()
 
 
+
+def test_module_run_warns_nothing(tmp_path):
+    # runpy imports the package before it runs agentcap.cli as __main__; a
+    # package that imported agentcap.cli itself made runpy warn (an error
+    # under -W error, exit 1) and the module run twice
+    scenario = Path(__file__).resolve().parent / "scenario_format" / "quadratic-grid-risk_neutral.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["solve", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "agentcap.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert read_summary(tmp_path / "out")["n_frontier"] > 0
+
+
 # -- solve ------------------------------------------------------------------
 
 

@@ -1,9 +1,15 @@
-"""The package's public surface: what ``agentcap`` exports, and what it no
-longer carries."""
+"""The package's public surface: what ``agentcap`` exports, what it no
+longer carries, and which of its modules a process loads."""
 
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import agentcap
 from agentcap import agent, cli, discounting, errors, kkt, model, pareto, scaling
@@ -12,6 +18,7 @@ from agentcap.cli import save_scenario
 from conftest import tangent_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+FORMAT_DIR = Path(__file__).resolve().parent / "scenario_format"
 
 # (module or class, name) of the Profile-list layer that was folded into
 # Enumeration; none may come back under its old name
@@ -128,3 +135,49 @@ def test_readme_exit_codes_are_the_classes_codes():
     named = {int(code) for code in re.findall(r"[:;]\s(\d+)\s", paragraph)}
     carried = {c.exit_code for c in error_classes() if c is not errors.AgentcapError}
     assert named == {0} | carried
+
+
+def loaded_modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout's package; it
+    prints a JSON object, to which the ``agentcap`` modules then loaded are
+    added under "modules"."""
+    env = {**os.environ, "PYTHONPATH": str(Path(agentcap.__file__).resolve().parents[1])}
+    report = ("; import json, sys; doc['modules'] = sorted(m for m in sys.modules"
+              " if m == 'agentcap' or m.startswith('agentcap.')); print(json.dumps(doc))")
+    run = subprocess.run([sys.executable, "-c", code + report], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_only_errors():
+    doc = loaded_modules("import agentcap; doc = {}")
+    assert doc["modules"] == ["agentcap", "agentcap.errors"]
+
+
+# per command: its flags, its scenario fixture, and the submodules it loads
+# beyond the ones every command loads; none loads discounting
+BASE_MODULES = {"agentcap", "agentcap.errors", "agentcap.model", "agentcap.agent", "agentcap.pareto", "agentcap.cli"}
+COMMANDS = {
+    "solve": ([], "quadratic-grid-risk_neutral", set()),
+    "alpha-star": ([], "quadratic-grid-risk_neutral", {"scaling"}),
+    "verify": ([], "quadratic-grid-risk_neutral", {"scaling"}),
+    "sweep": (["--k-grid", "0.04,0.09"], "quadratic-grid-risk_neutral", {"scaling", "capstruct"}),
+    "capstruct": (["--face", "0.5"], "quadratic-grid-risk_neutral", {"scaling", "capstruct"}),
+    "kkt": ([], "entropy-share-cara", {"kkt"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    flags, fixture, extra = COMMANDS[command]
+    argv = [command, "--scenario", str(FORMAT_DIR / f"{fixture}.json"), "--out", str(tmp_path / "out"), *flags]
+    doc = loaded_modules(f"import agentcap.cli; doc = {{'code': agentcap.cli.main({argv!r})}}")
+    assert doc["code"] == 0
+    assert set(doc["modules"]) == BASE_MODULES | {f"agentcap.{m}" for m in extra}
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(agentcap.__all__) <= set(dir(agentcap))
+    ns = {}
+    exec("from agentcap import *", ns)
+    assert set(agentcap.__all__) <= set(ns)
