@@ -433,7 +433,7 @@ class EffortCost(_LookupCost):
             raise ValidationError("effort cost needs at least one effort level")
         _check_finite("effort levels, distributions and costs", self.efforts, self.costs, *self.distributions)
         for d in self.distributions:
-            Distribution(d)  # reuse the invariant checks
+            check_probabilities(d)
 
     def _lookup(self) -> dict:
         # first occurrence wins when two efforts induce the same distribution

@@ -24,11 +24,11 @@ Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration takes its rows from
 ``agent.best_responses``, which chooses the route. A capacity sweep builds
 all its capacities in one pass (``capacity_chain``): each band of newly
-feasible points is scanned once, every tie is kept once in one table, and
-each capacity's rows are cut from that table, one capacity at a time, so a
-sweep scores each lattice point once; each capacity's enumeration then
-builds its own agent order as any other does. Every route gives the same
-rows and names a point by its index in the scenario's lattice, the same at
+feasible points is scanned once, every tie is kept once in one table of
+ties only, and each capacity's ties are cut from it, one capacity at a
+time, so a sweep scores each lattice point once. Every route gives the
+same ties, hands them to ``Enumeration._set_rows``, the one row builder,
+and names a point by its index in the scenario's lattice, the same at
 every capacity.
 
 Frontiers and selections are row indices into the enumeration's arrays, in
@@ -355,12 +355,12 @@ class Enumeration:
     utilities, ``row_max`` and ``evaluations`` come from
     ``agent.best_responses``, which picks the route: one call here, or, for
     the capacities of a sweep, the band steps of ``capacity_chain``, which
-    cuts each capacity's rows, one capacity at a time, from one table of
-    all their ties. The other fields are derived from the ids
-    after it, ``binding`` by ``agent.capacity_binding``. Ties, binding
-    flags and ids are those of a fresh enumeration whichever route ran. The
-    budget check is on the nominal count, contracts times feasible points,
-    whichever route runs.
+    cuts each capacity's ties, one capacity at a time, from one table of
+    all their ties. ``_set_rows``, the one row builder, derives the other
+    fields from the ids, ``binding`` by ``agent.capacity_binding``. Ties,
+    binding flags and ids are those of a fresh enumeration whichever route
+    ran. The budget check is on the nominal count, contracts times feasible
+    points, whichever route runs.
     ``evaluations`` is the number of values computed: contracts times
     feasible points for a full scan, contracts times the band's points for
     a sweep's later capacity, and the probes and ball points scored (plus
@@ -372,27 +372,29 @@ class Enumeration:
         budget = check_budget(budget)
         ids, mask = feasible_lattice(s)
         _check_nominal(len(s.lattice.contracts[0]) * len(ids), budget)
-        cid, pid, agent_u, row_max, evaluations = best_responses(s, ids, mask)
-        self._set_rows(s, budget, len(ids), cid, pid, agent_u, _expected_payments(s, cid, pid), row_max,
-                       evaluations)
+        self._set_rows(s, budget, len(ids), *best_responses(s, ids, mask))
 
-    def _set_rows(self, s: Scenario, budget: int, n_feasible: int, contract_id, point_id, agent_u,
-                  exp_payment, row_max, evaluations) -> None:
-        """Every field, from the rows' ids, agent utilities and expected
-        payments, each contract's best value and the values computed to
-        find them; the fields that depend on the capacity are derived here."""
+    def _set_rows(self, s: Scenario, budget: int, n_feasible: int, contract_id, point_id, agent_u, row_max,
+                  evaluations) -> None:
+        """The one row builder: every field, from the ties' ids and agent
+        utilities, each contract's best value and the values computed;
+        cost, binding flag and expected payment and output are derived here."""
         self.scenario = s
         self.budget = budget
         self.labels, self.payments = s.lattice.contracts
         self.nominal_evaluations = len(self.labels) * n_feasible
         self.points = s.lattice.points
         self.contract_id, self.point_id, self.agent_u = contract_id, point_id, agent_u
-        self.exp_payment, self.row_max, self.evaluations = exp_payment, row_max, evaluations
+        self.row_max, self.evaluations = row_max, evaluations
         self.cost = s.lattice.costs[point_id]
         self.binding = capacity_binding(s, point_id)
+        probs = self.points.take(point_id, axis=0)
+        # einsum sums each row on its own, so a row keeps its bits in any
+        # subset of rows
+        self.exp_payment = np.einsum("ij,ij->i", self.payments.take(contract_id, axis=0), probs)
         # a matrix-vector product: BLAS may round a row differently in
         # another block, so each enumeration takes its own
-        self.exp_output = self.points.take(point_id, axis=0) @ s.y.as_array()
+        self.exp_output = probs @ s.y.as_array()
 
     # -- queries ----------------------------------------------------------
 
@@ -488,13 +490,6 @@ class Enumeration:
         return self._profiles(np.array([i]), self._principal(alpha, [i]))[0]
 
 
-def _expected_payments(s: Scenario, contract_id: np.ndarray, point_id: np.ndarray) -> np.ndarray:
-    """E_p[b] of each (contract, point) row. einsum sums each row on its
-    own, so a row keeps its bits in any subset of rows."""
-    payments, points = s.lattice.contracts[1], s.lattice.points
-    return np.einsum("ij,ij->i", payments.take(contract_id, axis=0), points.take(point_id, axis=0))
-
-
 def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
     """The enumerations of ``s.at_capacity(k)`` for the capacities of the
     ascending ``ks``, all built in one pass, and the error of the first
@@ -508,15 +503,17 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
     ``best_responses`` scans against each contract's best value so far:
     one ``scan_grid`` of every contract and the band's points. The bands
     stay apart, since BLAS may round one matmul over several differently.
-    Each tie is kept once, in one table, from its band on; floors only
-    rise with k, so it is live at each capacity from there up to the first
-    whose floor it misses. The table is sorted once by (contract, point).
-    Each capacity is then cut on its own: its rows are the ties live there,
-    a mask over the table, in that order, so that building a capacity takes
-    no merge, argsort, scenario comparison or pass over the lattice, and no
-    array spans capacities and ties at once. Each enumeration builds its
-    own agent order when the first alpha query asks for it
-    (``Enumeration.agent_order``).
+    A band scan reads only the capacity-independent lattice and tol_u, so
+    it prices against ``s``. Each tie is kept once, in one table of ties
+    only, from its band on; floors only rise with k, so it is live at each
+    capacity from there up to the first whose floor it misses. The table
+    is sorted once by (contract, point). Each capacity is then cut on its
+    own: its ties are those live there, a mask over the table, in that
+    order, so that building a capacity takes no merge, argsort, scenario
+    comparison or pass over the lattice, and no array spans capacities and
+    ties at once; ``Enumeration._set_rows`` derives their other fields at
+    ``s.at_capacity(k)``. Each enumeration builds its own agent order when
+    the first alpha query asks for it (``Enumeration.agent_order``).
 
     A later k is checked for what depends on it alone, as
     ``validate_scenario`` and ``Enumeration`` would check it: that it is
@@ -545,27 +542,25 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
             failure, ascending = exc, ascending[:i]
             break
 
-    scenarios = [first.scenario, *(s.at_capacity(k) for k in ascending[1:])]
-    running = np.empty((len(scenarios), n_c))
+    running = np.empty((len(ascending), n_c))
     running[0] = first.row_max
     # the tie table: contract ids, point ids, values and the band found in
     parts = [(first.contract_id, first.point_id, first.agent_u, np.zeros(first.agent_u.size, np.intp))]
     bands = np.argsort(level, kind="stable")
-    for i in range(1, len(scenarios)):
+    for i in range(1, len(ascending)):
         running[i] = running[i - 1]
         if ends[i] > ends[i - 1]:
-            ci, pi, vals, _, _ = best_responses(scenarios[i], bands[ends[i - 1]:ends[i]], None, running[i])
+            ci, pi, vals, _, _ = best_responses(s, bands[ends[i - 1]:ends[i]], None, running[i])
             parts.append((ci, pi, vals, np.full(ci.size, i)))
     cid, pid, agent_u, found = _merged(parts, len(first.points))
     del parts
-    columns = (cid, pid, agent_u, _expected_payments(first.scenario, cid, pid))
-    floors = tie_floor(running, first.scenario.tol_u)
+    floors = tie_floor(running, s.tol_u)
     enums = [first]
-    for i in range(1, len(scenarios)):
+    for i in range(1, len(ascending)):
         ties = np.flatnonzero((found <= i) & (agent_u >= floors[i, cid]))
         enum = Enumeration.__new__(Enumeration)
-        enum._set_rows(scenarios[i], budget, ends[i], *(c.take(ties) for c in columns), running[i],
-                       n_c * (ends[i] - ends[i - 1]))
+        enum._set_rows(s.at_capacity(ascending[i]), budget, ends[i], cid[ties], pid[ties], agent_u[ties],
+                       running[i], n_c * (ends[i] - ends[i - 1]))
         enums.append(enum)
     return enums, failure
 

@@ -27,6 +27,7 @@ from agentcap.errors import (
 )
 from agentcap.model import (
     AgentUtility,
+    Contract,
     GridFamily,
     OutputFunction,
     QuadraticCost,
@@ -87,6 +88,12 @@ def test_grid_best_response_unconstrained_tangent():
     assert [d.probs for d in br.maximizers] == [(0.8, 0.2)]
     assert br.value == pytest.approx(0.04, abs=1e-12)
     assert br.any_binding  # cost 0.04 sits exactly on the capacity
+
+
+def test_grid_best_response_takes_a_contract():
+    s = tangent_scenario(0.04)
+    br, want = best_response_grid(s, Contract((0.0, 0.4))), best_response_grid(s, (0.0, 0.4))
+    assert (br.maximizers, br.value, br.any_binding) == (want.maximizers, want.value, want.any_binding)
 
 
 def test_grid_best_response_interior_slack():

@@ -586,6 +586,9 @@ def test_exit_code_configuration(ladder_file, tmp_path, capsys):
     rc = main(["sweep", "--scenario", str(ladder_file), "--out", str(out), "--k-grid", "x"])
     assert rc == 3
     assert "--k-grid" in capsys.readouterr().err
+    rc = main(["sweep", "--scenario", str(ladder_file), "--out", str(out), "--k-grid", ","])
+    assert rc == 3
+    assert "--k-grid expects at least one value" in capsys.readouterr().err
     assert not out.exists()
 
 

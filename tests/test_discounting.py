@@ -20,7 +20,7 @@ from agentcap.errors import ConfigurationError, DegenerateDiscountError, Validat
 from agentcap.model import Distribution
 from agentcap.scaling import InequalitySlacks
 
-from conftest import dated_case, tangent_scenario, verify_inequalities
+from conftest import dated_case, effort_scenario, table_scenario, tangent_scenario, verify_inequalities
 from test_scaling import tangent_profile
 
 
@@ -75,6 +75,8 @@ def test_discounted_values_width_guard():
     wide = DatedSchedule(((0.0, 1.0, 2.0), (0.0, 0.0, 0.0)))
     with pytest.raises(ValidationError):
         discounted_values(d, wide, wide, Distribution((0.5, 0.5)))
+    with pytest.raises(ValidationError, match="^schedule width must match the state count$"):
+        dated_best_response(tangent_scenario(0.04, m=100), d, wide)
 
 
 # -- dated best response and reduction --------------------------------------
@@ -108,6 +110,16 @@ def test_reduce_date_one_rescales_cost():
     assert dated.maximizers == static.maximizers
     # objectives differ by the factor delta_A
     assert dated.value == pytest.approx(d.delta_A * static.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [table_scenario, effort_scenario], ids=["table", "effort"])
+def test_reduce_date_one_scales_a_lookup_cost(make):
+    s = make()
+    red = reduce_single_date(s, DiscountPair(1.0, 0.5), 1)
+    assert type(red.cost) is type(s.cost)
+    pts = s.lattice.points
+    assert red.cost.value_many(pts).tolist() == (2.0 * s.cost.value_many(pts)).tolist()
+    assert red.capacity == 2.0 * s.capacity
 
 
 def test_reduce_guards():

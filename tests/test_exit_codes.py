@@ -389,6 +389,15 @@ def test_kkt_skips_a_trial_step_outside_the_crra_domain(tmp_path):
     assert code == 0 and summary["converged"] is True
 
 
+def test_kkt_on_a_constant_output_reports_the_affine_fit_unidentified(tmp_path):
+    d = _format_doc("entropy-share-cara.json")
+    d["output"] = [1.0, 1.0]
+    code, summary = _kkt(tmp_path, d)
+    assert code == 0
+    assert summary["affine_error"] == "constant output leaves the slope unidentified"
+    assert "affine" not in summary
+
+
 def test_kkt_below_reachable_tolerance_stops_without_a_warning(tmp_path, capsys):
     # no iterate reaches tol = 5e-324, and the trial steps on the way overflow
     d = _format_doc("entropy-share-cara.json")

@@ -113,6 +113,18 @@ def test_cost_and_utility_numbers_must_be_finite(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make,text", [
+    (lambda: TableCost((), ()), "table cost needs at least one point"),
+    (lambda: EffortCost((), (), ()), "effort cost needs at least one effort level"),
+    (lambda: LinearShareFamily((), (0.0,)), "linear-share family needs beta and w grids"),
+    (lambda: DebtFamily(()), "debt family needs a face-value grid"),
+    (lambda: LiveOrDieFamily(()), "live-or-die family needs a threshold grid"),
+], ids=["table", "effort", "linear-share", "debt", "live-or-die"])
+def test_empty_constructors_name_what_is_missing(make, text):
+    with pytest.raises(ValidationError, match=f"^{text}$"):
+        make()
+
+
 def test_contract_and_output_reject_nonfinite():
     with pytest.raises(ValidationError):
         Contract((0.0, math.inf))
@@ -382,6 +394,8 @@ def test_utility_domain_and_validation():
         crra.apply(np.array([-0.5]))
     assert crra.domain_violation(np.array([-0.6])) is not None
     assert crra.domain_violation(np.array([0.0])) is None
+    with pytest.raises(ValidationError, match=r"^CRRA utility evaluated outside its domain \(x \+ shift <= 0\)$"):
+        AgentUtility("crra", gamma=2.0).derivative(np.array([-2.0]))
 
 
 # -- families ---------------------------------------------------------------

@@ -57,11 +57,13 @@ REMOVED = [
     (pareto, "_cut"),
     (pareto._AgentOrder, "sort"),
     (pareto._AgentOrder, "rows"),
+    (pareto, "_expected_payments"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
-# evaluation counts are read off the enumeration it holds; and the per-link
-# capacity chain, which ``pareto.capacity_chain`` replaced
+# evaluation counts are read off the enumeration it holds; the per-link
+# capacity chain, which ``pareto.capacity_chain`` replaced; and the expected
+# payments, which ``Enumeration._set_rows`` derives with every other field
 REMOVED_PARAMETERS = [
     (scaling.alpha_star, ("u_bar", "tally")),
     (scaling.verify_theorem, ("r", "tally")),
@@ -73,6 +75,7 @@ REMOVED_PARAMETERS = [
     (discounting.discounted_values, ("s",)),
     (agent.scan_balls, ("payoffs",)),
     (agent._entropy_bound, ("u", "cost")),
+    (pareto.Enumeration._set_rows, ("exp_payment",)),
 ]
 
 

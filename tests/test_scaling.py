@@ -15,7 +15,18 @@ from agentcap.errors import (
     EmptySelectionError,
     ValidationError,
 )
-from agentcap.model import Contract, Distribution, Profile
+from agentcap.model import (
+    AgentUtility,
+    Contract,
+    Distribution,
+    GridFamily,
+    OutputFunction,
+    Profile,
+    Scenario,
+    StateSpace,
+    TableCost,
+    simplex_lattice,
+)
 from agentcap.pareto import Enumeration, _AgentOrder
 from agentcap.scaling import (
     DEFAULT_EPS_ALPHA,
@@ -667,3 +678,22 @@ def test_verify_checks_every_alpha_in_one_pass(random_scenario_panel, monkeypatc
         # the threshold's passes, then one for every alpha past its bracket
         assert passes[len(rep.alpha_result.predicate_trace) + 1:] == [past]
     assert "selection has no capacity-binding member" in reasons
+
+
+def test_verify_theorem_reports_an_empty_selection_between_the_bisection_alphas():
+    # binding at alpha = 1 and at 0, so the bisection selects at no alpha
+    # between them; at 0.3 the one kept agent utility at or above
+    # u_bar - tol_u (-0.054 >= 0.02 - 0.1) joins the cluster of a kept one
+    # below it (-0.1), whose level lies under that floor, so no level qualifies
+    pts = simplex_lattice(2, 4)
+    s = Scenario(
+        states=StateSpace(("L", "H")), y=OutputFunction((0.0, 1.0)),
+        cost=TableCost(tuple(map(tuple, pts)), (0.18, 0.3, 0.44, 0.44, 0.1)), capacity=0.18,
+        family=GridFamily(((0.0, 0.5), (0.2, 0.7))), utility=AgentUtility("cara", a=5.0),
+        reservation=-10.0, m=4, tol_u=0.1,
+    )
+    rep = verify_theorem(s)
+    assert rep.alpha_result.predicate_trace == ((1.0, False), (0.0, False))
+    assert [c.alpha for c in rep.checks if c.reason == "selection empty at this alpha"] == [0.3]
+    assert [(c.tested, c.reason) for c in rep.checks] == _reasons_one_alpha_at_a_time(
+        s, [c.alpha for c in rep.checks])
