@@ -4,8 +4,10 @@ The agent's problem is max E_p[u(b)] - c(p) over the feasible set
 D = {p : c(p) <= k}. On the enumeration grid it is solved exactly by a scan;
 over the whole simplex, for the smooth cost kinds, by the centre solvers
 ``_entropy_centres`` and ``_quadratic_centres``, which ``best_response_convex``
-calls with one payoff row and the ball route with many. The scan is the
-ground truth the continuous response is tested against.
+calls with one payoff row and the ball route with many. The quadratic
+solver's active-set steps each solve the faces their rows are on, once per
+face, and keep no face for the next step. The scan is the ground truth the
+continuous response is tested against.
 
 Every lattice best response of an enumeration comes from one call,
 ``best_responses``, which holds the route rule and returns the same
@@ -346,14 +348,15 @@ def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: boo
     """Per face (support bitmask in ``masks``), the affine solution of the
     face's stationarity system t u_F - 2 (Q (p - q0))_F = nu, sum p = 1:
     p = b + t A u and nu = nu0 + t w.u, zero off the face, with Qe and c0,
-    Q (p - q0) and c(p) at t = 0. Faces of one size are solved as one
-    stacked inverse.
+    Q (p - q0) and c(p) at t = 0. ``_quadratic_centres`` passes one active-set
+    step's distinct faces; faces of one size are solved as one stacked
+    inverse.
 
     For a ``flat`` cost (``strong_concavity`` None), a face's system is
     singular when the face holds a direction d with sum d = 0 and Q d = 0.
     Such faces are solved by pseudo-inverse, which drops the part of u
     along those directions, and ``null`` holds each face's projector onto
-    them: zero on every face of a cost that is not flat."""
+    them; for a cost that is not flat ``null`` is None."""
     n = len(q0)
     member = (masks[:, None] >> np.arange(n)) & 1 == 1
     sizes = member.sum(axis=1)
@@ -361,7 +364,7 @@ def _quadratic_faces(Q: np.ndarray, q0: np.ndarray, masks: np.ndarray, flat: boo
     b = np.zeros((masks.size, n))
     w = np.zeros((masks.size, n))
     nu0 = np.zeros(masks.size)
-    null = np.zeros((masks.size, n, n))
+    null = np.zeros((masks.size, n, n)) if flat else None
     shift = 2.0 * Q @ q0
     for size in sorted(set(sizes.tolist())):
         faces = np.flatnonzero(sizes == size)
@@ -395,7 +398,9 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     ``strong_concavity``.
 
     Primal-dual active-set iterations on the support, from the whole
-    simplex; a face is solved once, the first step a row is on it. On a face,
+    simplex. Each step solves the faces its moving rows are on, each once,
+    and keeps no face for the next step: a row that returns to a face
+    has it solved again, and memory follows one step's faces. On a face,
     the optimum of t u.p - c(p) is affine in t = 1/(1+mu), so its cost is
     a quadratic in t and the t meeting the capacity is a closed-form root.
     On a face with null directions (see ``_quadratic_faces``) the cost is
@@ -414,30 +419,17 @@ def _quadratic_centres(u: np.ndarray, cost, kbar: float, concavity: tuple[int, f
     t = np.zeros(h)
     centre = np.empty((h, n))
     todo = np.arange(h)
-    # the faces solved so far: their parts, and ``masks`` in the order
-    # solved, so a face's row in the parts joined is its index in ``masks``;
-    # ``solved`` holds the masks sorted, then 2^n, which no face has, and
-    # ``slots`` their indices. Memory grows with the rows and the faces
-    # visited, not with 2^n.
-    parts, masks = [], np.empty(0, np.int64)
-    solved, slots = np.array([1 << n]), np.array([-1])
     for step in range(min(1 << n, _FACE_STEPS)):
         F, uu = face[todo], u[todo]
-        at = solved.searchsorted(F)
-        unsolved = solved[at] != F
-        if unsolved.any():
-            # the stable argsort, which ``_merged`` runs too: another kind of
-            # sort would page its own code into the process
-            new = F[unsolved]
-            new = new.take(np.argsort(new, kind="stable"))
-            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
-            parts.append(_quadratic_faces(Q, q0, new, flat))
-            A, b, w, nu0, Qe, c0_face, null = map(np.concatenate, zip(*parts))
-            masks = np.concatenate((masks, new))
-            order = np.argsort(masks, kind="stable")
-            solved, slots = np.concatenate((masks[order], [1 << n])), np.concatenate((order, [-1]))
-            at = solved.searchsorted(F)
-        slot = slots[at]
+        # this step's faces, each once, and each row's slot among them, by
+        # the stable argsort ``_merged`` runs too: another kind of sort
+        # would page its own code into the process
+        order = np.argsort(F, kind="stable")
+        grouped = F[order]
+        first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        A, b, w, nu0, Qe, c0_face, null = _quadratic_faces(Q, q0, grouped[first], flat)
         d = np.einsum("rij,rj->ri", A[slot], uu)
         Qd = d @ Q
         c2 = np.einsum("ij,ij->i", d, Qd)

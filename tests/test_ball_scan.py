@@ -323,8 +323,8 @@ def quadratic_row(n, seed=3):
 
 @pytest.mark.parametrize("n", [7, 9])
 def test_quadratic_centres_of_rows_together_and_apart_agree(n):
-    # rows solved together share the faces solved for any of them; each
-    # reaches the centre and bound it reaches alone
+    # rows solved together share each step's solve of the faces they are
+    # on; each reaches the centre and bound it reaches alone
     cost, _ = quadratic_row(n)
     rng = np.random.default_rng(n)
     u = rng.uniform(-1.0, 3.0, ((1 << n) // 64, n))
@@ -335,9 +335,24 @@ def test_quadratic_centres_of_rows_together_and_apart_agree(n):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 9])
+@pytest.mark.parametrize("kbar", [0.3, 10.0])
+def test_quadratic_centres_of_rows_on_many_faces_agree(n, kbar):
+    # at these capacities the rows leave the whole simplex for tens of
+    # faces at each step, so each row must be solved on its own face among
+    # the step's others; each reaches the centre and bound it reaches alone
+    cost, _ = quadratic_row(n)
+    u = np.random.default_rng(n).uniform(-1.0, 3.0, (64, n))
+    concavity = agent.strong_concavity(cost)
+    together = agent._quadratic_centres(u, cost, kbar, concavity)
+    apart = [agent._quadratic_centres(row[None], cost, kbar, concavity) for row in u]
+    for got, want in zip(together, map(np.concatenate, zip(*apart))):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_quadratic_centre_memory_follows_the_faces_visited():
-    """One row at 20 states: the solver keys the faces it solves by the
-    masks in use, so it holds no table over the 2^20 faces (one peaks at
+    """One row at 20 states: each step solves only the faces its rows are
+    on, so the solver holds no table over the 2^20 faces (one peaks at
     17 MB); at 30 states, where such a table would take gigabytes, it still
     runs."""
     cost, u = quadratic_row(20)
@@ -353,6 +368,24 @@ def test_quadratic_centre_memory_follows_the_faces_visited():
     cost, u = quadratic_row(30)
     mu, centre, ub = agent._quadratic_centres(u, cost, 0.05, agent.strong_concavity(cost))
     assert np.isfinite(ub).all() and abs(centre.sum() - 1.0) <= 1e-9 and (centre >= -1e-12).all()
+
+
+def test_quadratic_centre_memory_follows_one_steps_faces():
+    """2000 rows at 20 states: each step solves the faces its rows are on
+    and keeps none for the next, so the peak (about 17 MB) does not grow
+    with every face the rows have visited (a cache of those peaked at
+    74 MB)."""
+    cost, _ = quadratic_row(20)
+    u = np.random.default_rng(0).uniform(0.0, 3.0, (2000, 20))
+    concavity = agent.strong_concavity(cost)
+    tracemalloc.start()
+    try:
+        mu, centre, ub = agent._quadratic_centres(u, cost, 0.05, concavity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+    assert np.isfinite(ub).all() and np.allclose(centre.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 7), (3, 5), (4, 4), (5, 3)])

@@ -695,5 +695,11 @@ def test_verify_theorem_reports_an_empty_selection_between_the_bisection_alphas(
     rep = verify_theorem(s)
     assert rep.alpha_result.predicate_trace == ((1.0, False), (0.0, False))
     assert [c.alpha for c in rep.checks if c.reason == "selection empty at this alpha"] == [0.3]
+    # the threshold asks only alpha = 1 and 0, so the empty selection at
+    # 0.3 is no error of its: the bracket is (0, 0), and 0.3 is reported
+    # untested
+    assert rep.alpha_result.bracket == (0.0, 0.0)
+    with pytest.raises(EmptySelectionError):
+        Enumeration(s).selection_ids(0.3, rep.alpha_result.u_bar)
     assert [(c.tested, c.reason) for c in rep.checks] == _reasons_one_alpha_at_a_time(
         s, [c.alpha for c in rep.checks])
