@@ -23,8 +23,10 @@ since the capacity below, against each contract's best value carried up
 from there. Values scored apart from a full scan may differ from it in the
 last bit. Every route applies the one tie cut,
 ``tie_floor``, joins tie parts with ``_merged``, and names a point by its
-index in ``s.lattice.points``, which ``Scenario.at_capacity`` shares, so an
-id is the same at every capacity. This module holds the balls' geometry;
+index in ``s.lattice``, which ``Scenario.at_capacity`` shares, so an id is
+the same at every capacity. A route gathers the float coordinates of the
+points it scores, and of no others, through ``PricedLattice.at``; no route
+holds a float copy of the whole lattice. This module holds the balls' geometry;
 the lattice order they walk (ranks, nearest points, one-step moves) is
 ``model``'s.
 """
@@ -61,10 +63,12 @@ from .model import (
     feasible_mask,
 )
 
-# The ball route's threshold (``ball_route``) and its probe chunks and ball
-# groups (``scan_balls``), in values; also the most values one ``scan_grid``
-# block may hold.
+# The ball route's threshold (``ball_route``), in values; also the most
+# values one ``scan_grid`` block may hold. Both fix bits.
 _CHUNK = 1 << 21
+# The ball route's working block (``scan_balls``), in values: its row chunks'
+# probes and its row groups' ball prefixes each stay within it.
+_BALL_BLOCK = 1 << 18
 
 # ``scan_grid``'s block: about this many values (1 MB), so that the matmul,
 # the cost subtraction, the row max and the tie cut each pass over a block
@@ -136,7 +140,7 @@ def feasible_lattice(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 def capacity_binding(s: Scenario, point_ids: np.ndarray) -> np.ndarray:
     """The one lattice binding rule: which points ``point_ids`` of
-    ``s.lattice.points`` cost within tol_u of the capacity. Table and effort
+    ``s.lattice`` cost within tol_u of the capacity. Table and effort
     costs keep it whatever rule the simplex lattice takes: their points are
     listed, so a point has no one-step neighbours to bind against."""
     return np.abs(s.lattice.costs[point_ids] - s.capacity) <= s.tol_u
@@ -206,7 +210,7 @@ def grid_best_response(s: Scenario, payoff: np.ndarray) -> BestResponseSet:
     """Best responses over the feasible grid to a per-state payoff vector
     (the agent's utility of each state's payment)."""
     ids, _ = feasible_lattice(s)
-    points, costs = s.lattice.points[ids], s.lattice.costs[ids]
+    points, costs = s.lattice.at(ids), s.lattice.costs[ids]
     _, idx, values = scan_grid(payoff[None, :], points, costs, s.tol_u)
     return BestResponseSet(
         maximizers=tuple(Distribution(tuple(points[i])) for i in idx),
@@ -567,7 +571,8 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     bound, or when its ball could visit more prefixes than the feasible set
     has points: up to its bounding box's lattice points at each of n - 1
     levels. Chunks of rows keep their probes, and groups of rows their ball
-    enumerations, within one ``_CHUNK`` block.
+    enumerations, within one ``_BALL_BLOCK`` block, and only the points
+    scored are gathered (``PricedLattice.at``).
 
     Values are single matmuls per (row, point) pair and may differ from
     ``scan_grid``'s blocked matmul in the last bit.
@@ -575,9 +580,11 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     norm, sigma0 = concavity
     n, m, tol_u = s.n, s.m, s.tol_u
     kbar = s.capacity + FEASIBILITY_SLACK
-    points, costs, payoffs = s.lattice.points, s.lattice.costs, s.lattice.util
+    lattice = s.lattice
+    costs, payoffs = lattice.costs, lattice.util
     binom = _binomials(m + n, n)
-    cscale = float(np.abs(costs).max()) + abs(kbar)
+    # max |c| without a whole-lattice temporary: costs are finite
+    cscale = float(max(costs.max(), -costs.min())) + abs(kbar)
     centres = _centre_solver(s.cost, concavity)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
@@ -588,7 +595,7 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
         nonlocal evaluations
         keep = mask[rank]
         rows, rank = rows[keep], rank[keep]
-        vals = _pair_values(u[rows], points[rank], costs[rank])
+        vals = _pair_values(u[rows], lattice.at(rank), costs[rank])
         evaluations += vals.size
         if vals.size:
             first = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -599,7 +606,7 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     row_max = np.full(n_c, -np.inf)
     parts, full = [], []
     evaluations = 0
-    per = max(1, _CHUNK // (n * n * (n - 1)))
+    per = max(1, _BALL_BLOCK // (n * n * (n - 1)))
     for start in range(0, n_c, per):
         u = payoffs[start:start + per]
         mu, centre, ub = centres(u, s.cost, kbar)
@@ -622,7 +629,7 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
         ok = np.isfinite(r2) & ((n - 1) * size <= n_p)
         full.append(start + np.flatnonzero(~ok))
         rows = np.flatnonzero(ok)
-        for part in _groups(size[rows], _CHUNK / n):
+        for part in _groups(size[rows], _BALL_BLOCK / n):
             g = rows[part]
             # every row's ball holds its LB point, so each row has a value
             best = np.full(g.size, -np.inf)
@@ -635,11 +642,11 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     fb = np.concatenate(full)
     if fb.size:
         running = np.full(fb.size, -np.inf)
-        ri, pi, vals = scan_grid(payoffs[fb], points[ids], costs[ids], tol_u, running)
+        ri, pi, vals = scan_grid(payoffs[fb], lattice.at(ids), costs[ids], tol_u, running)
         row_max[fb] = running
         ties.append((fb[ri], ids[pi], vals))
         evaluations += fb.size * n_p
-    return (*_merged(ties, len(points)), row_max, evaluations)
+    return (*_merged(ties, len(costs)), row_max, evaluations)
 
 
 def _merged(parts, n_points: int):
@@ -669,12 +676,12 @@ def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, runnin
     ties at its new floor, the band step of ``pareto.capacity_chain``.
     Every route gives the same ties; their values may differ from a fresh
     full scan's in the last bit."""
-    points, costs, util = s.lattice.points, s.lattice.costs, s.lattice.util
+    costs, util = s.lattice.costs, s.lattice.util
     if running is None:
         if concavity := ball_route(s, len(util), len(ids)):
             return scan_balls(s, ids, mask, concavity)
         running = np.full(len(util), -np.inf)
-    ci, pi, vals = scan_grid(util, points.take(ids, axis=0), costs[ids], s.tol_u, running)
+    ci, pi, vals = scan_grid(util, s.lattice.at(ids), costs[ids], s.tol_u, running)
     return ci, ids[pi], vals, running, len(util) * len(ids)
 
 

@@ -23,7 +23,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -225,6 +225,11 @@ class CostFunction:
     def value_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def block_pricer(self):
+        """A function pricing one block of points after another as
+        ``value_many`` does, for ``PricedLattice.costs``."""
+        return self.value_many
+
     def gradient(self, p: np.ndarray) -> np.ndarray:
         raise DifferentiabilityError(f"{self.kind} cost has no gradient")
 
@@ -363,11 +368,17 @@ class RelativeEntropyCost(CostFunction):
 class _LookupCost(CostFunction):
     """Base for the kinds defined only at the points of their ``_lookup``
     table, matched by ``_key``. ``value_many`` builds the table once per
-    call. ``_undefined`` is the error text for any other point, formatted
-    with that point rounded."""
+    call, and ``block_pricer`` once for all its blocks. ``_undefined`` is
+    the error text for any other point, formatted with that point rounded."""
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        table = self._lookup()
+        return self._priced(points, self._lookup())
+
+    def block_pricer(self):
+        """``value_many`` with one table built for every block."""
+        return partial(self._priced, table=self._lookup())
+
+    def _priced(self, points: np.ndarray, table: dict) -> np.ndarray:
         out = np.empty(len(points))
         for i, row in enumerate(points):
             try:
@@ -787,8 +798,8 @@ class Profile:
     """A contract paired with a distribution, with cached payoffs.
 
     ``contract_id`` and ``point_id`` identify the family member and the
-    lattice point (its index in ``Scenario.lattice.points``, the same at
-    every capacity of a sweep) when the profile came out of an enumeration;
+    lattice point (its index in ``Scenario.lattice``, the same at every
+    capacity of a sweep) when the profile came out of an enumeration;
     exact set comparisons use those identities.
     """
 
@@ -836,28 +847,30 @@ def _binomials(top: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _lattice_cached(n: int, m: int) -> np.ndarray:
-    """The rows of ``simplex_lattice(n, m)``, expanded forward: ``_expand``
-    splits each prefix's last count, the units left, into heads 0..left and
-    the rest. Counts are kept a column each in the smallest unsigned type
-    holding m, and divided by m once, into the (L, n) result."""
+    """The lattice as its counts: the read-only (L, n) compositions of m,
+    in the smallest unsigned type holding m, cached per (n, m) and shared by
+    every caller. Expanded forward: ``_expand`` splits each prefix's last
+    count, the units left, into heads 0..left and the rest."""
     cols = [np.full(1, m, np.min_scalar_type(m))]
     for _ in range(n - 1):
         width = cols[-1] + np.intp(1)
         head = _expand(0, width)[1].astype(cols[0].dtype)
         cols = [np.repeat(c, width) for c in cols]
         cols[-1:] = [head, cols[-1] - head]
-    arr = np.divide(np.column_stack(cols), m)
+    arr = np.column_stack(cols)
     arr.setflags(write=False)
     return arr
 
 
 def simplex_lattice(n: int, m: int) -> np.ndarray:
     """All distributions with coordinates in multiples of 1/m, in
-    lexicographic order: a read-only (L, n) array, cached per (n, m) and
-    shared by every caller."""
+    lexicographic order: a read-only (L, n) float array, the counts of
+    ``_lattice_cached`` divided by m, built anew on each call."""
     if n < 1 or m < 1:
         raise ValidationError("lattice needs n >= 1 and m >= 1")
-    return _lattice_cached(n, m)
+    arr = np.divide(_lattice_cached(n, m), m)
+    arr.setflags(write=False)
+    return arr
 
 
 def _lattice_rank(counts: np.ndarray, m: int, binom: np.ndarray) -> np.ndarray:
@@ -922,6 +935,11 @@ def feasible_from(costs: np.ndarray, capacities: Sequence[float]) -> np.ndarray:
     return np.searchsorted(np.array(capacities, dtype=float) + FEASIBILITY_SLACK, costs, side="left")
 
 
+# ``PricedLattice.costs``' block: about this many coordinates, so that no
+# pricing step holds a whole-lattice float array
+_PRICE_BLOCK = 1 << 15
+
+
 class PricedLattice:
     """The capacity-independent data of a scenario.
 
@@ -932,6 +950,14 @@ class PricedLattice:
     built on first use, so errors come in the order the callers ask for
     them. The lattice keeps the scenario's capacity-independent fields
     rather than the scenario, which holds the lattice.
+
+    The simplex lattice is held as its counts (``_lattice_cached``) and
+    never as floats: ``at`` is the one gather of float coordinates, and
+    ``costs`` prices the points in blocks of about ``_PRICE_BLOCK``
+    coordinates. A point id is a row of the counts, or of the listed
+    distributions of the effort cost, the one kind with
+    ``enumerable_points``. ``points``, the float coordinates of every point,
+    is built only when read, by the tests; no step of the program reads it.
     """
 
     def __init__(self, s: Scenario):
@@ -939,15 +965,41 @@ class PricedLattice:
         self.family, self.utility, self.m = s.family, s.utility, s.m
 
     @cached_property
+    def _listed(self) -> np.ndarray | None:
+        return self.cost.enumerable_points()
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        return _lattice_cached(self.states.n, self.m)
+
+    def at(self, ids) -> np.ndarray:
+        """The float coordinates of the points ``ids`` (any index of rows):
+        their counts divided by m, the division ``simplex_lattice`` makes,
+        so every coordinate keeps its bits; or the listed distributions."""
+        if self._listed is not None:
+            return self._listed[ids]
+        return np.divide(self._counts[ids], self.m)
+
+    @cached_property
     def points(self) -> np.ndarray:
-        intrinsic = self.cost.enumerable_points()
-        if intrinsic is not None:
-            return intrinsic
+        """Every point's float coordinates, for the tests."""
+        if self._listed is not None:
+            return self._listed
         return simplex_lattice(self.states.n, self.m)
 
     @cached_property
     def costs(self) -> np.ndarray:
-        return np.asarray(self.cost.value_many(self.points), dtype=float)
+        """c at every point. Every cost kind prices a point from its own row
+        alone, so the blocks' bits are those of one call over every point."""
+        if self._listed is not None:
+            return np.asarray(self.cost.value_many(self._listed), dtype=float)
+        size = len(self._counts)
+        rows = max(1, _PRICE_BLOCK // self.states.n)
+        price = self.cost.block_pricer()
+        out = np.empty(size)
+        for start in range(0, size, rows):
+            out[start:start + rows] = price(self.at(slice(start, start + rows)))
+        return out
 
     @cached_property
     def contracts(self) -> tuple[list[str], np.ndarray]:
@@ -1022,8 +1074,6 @@ def validate_scenario(s: Scenario) -> None:
             costs = s.lattice.costs
         except UndefinedCostPointError:
             failures.append("cost undefined at grid point")
-        except ValidationError as exc:
-            failures.append(str(exc))
         else:
             if not feasible_mask(costs, s.capacity).any():
                 failures.append(f"capacity {s.capacity:g}: feasible distribution set empty")

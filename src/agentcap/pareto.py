@@ -350,8 +350,10 @@ class Enumeration:
     point_id), and the agent order is stable, so that order is the
     frontier's final tie-break.
 
-    ``points`` is ``s.lattice.points``, which ``point_id`` indexes, so an id
-    names the same point at every capacity of a sweep. The rows' ids, agent
+    ``point_id`` indexes ``s.lattice``, so an id names the same point at
+    every capacity of a sweep; the rows' probabilities are gathered from it
+    by ``PricedLattice.at``, and ``points``, the whole lattice as floats, is
+    built only when read. The rows' ids, agent
     utilities, ``row_max`` and ``evaluations`` come from
     ``agent.best_responses``, which picks the route: one call here, or, for
     the capacities of a sweep, the band steps of ``capacity_chain``, which
@@ -383,18 +385,24 @@ class Enumeration:
         self.budget = budget
         self.labels, self.payments = s.lattice.contracts
         self.nominal_evaluations = len(self.labels) * n_feasible
-        self.points = s.lattice.points
         self.contract_id, self.point_id, self.agent_u = contract_id, point_id, agent_u
         self.row_max, self.evaluations = row_max, evaluations
         self.cost = s.lattice.costs[point_id]
         self.binding = capacity_binding(s, point_id)
-        probs = self.points.take(point_id, axis=0)
+        probs = s.lattice.at(point_id)
         # einsum sums each row on its own, so a row keeps its bits in any
         # subset of rows
         self.exp_payment = np.einsum("ij,ij->i", self.payments.take(contract_id, axis=0), probs)
         # a matrix-vector product: BLAS may round a row differently in
         # another block, so each enumeration takes its own
         self.exp_output = probs @ s.y.as_array()
+
+    @property
+    def points(self) -> np.ndarray:
+        """``PricedLattice.points``, the float coordinates of every point
+        ``point_id`` may name, built on first read; no enumeration step
+        reads it."""
+        return self.scenario.lattice.points
 
     # -- queries ----------------------------------------------------------
 
@@ -467,7 +475,7 @@ class Enumeration:
         reads. The payments and probabilities pass ``Contract``'s and
         ``Distribution``'s checks, run once over the gathered block."""
         cid = self.contract_id[rows]
-        payments, probs = self.payments[cid], self.points[self.point_id[rows]]
+        payments, probs = self.payments[cid], self.scenario.lattice.at(self.point_id[rows])
         check_payments(payments)
         check_probabilities(probs)
         return Columns(
@@ -552,7 +560,7 @@ def capacity_chain(s: Scenario, ks: Sequence[float], budget: int | None = None):
         if ends[i] > ends[i - 1]:
             ci, pi, vals, _, _ = best_responses(s, bands[ends[i - 1]:ends[i]], None, running[i])
             parts.append((ci, pi, vals, np.full(ci.size, i)))
-    cid, pid, agent_u, found = _merged(parts, len(first.points))
+    cid, pid, agent_u, found = _merged(parts, len(s.lattice.costs))
     del parts
     floors = tie_floor(running, s.tol_u)
     enums = [first]

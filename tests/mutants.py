@@ -70,6 +70,19 @@ MUTANTS = [
            "c = counts[:, [1, 0, *range(2, n)][j]]\n"
            "        rank += _rank_step(binom, left, c, n - 1 - j)\n        left = left - c",
            ("tests/test_ball_scan.py::test_lattice_rank_is_lattice_order",)),
+    # the lattice as counts: the one gather and the blocked pricing
+    Mutant("at-divides-by-m-minus-one", "agentcap/model.py",
+           "[ids], self.m)", "[ids], self.m - 1)",
+           ("tests/test_model.py::test_at_gathers_the_coordinates_simplex_lattice_holds",)),
+    Mutant("pricing-stride-skips-a-row", "agentcap/model.py",
+           "for start in range(0, size, rows):", "for start in range(0, size, rows + 1):",
+           ("tests/test_model.py::test_blocked_pricing_equals_one_call",)),
+    Mutant("pricing-builds-a-table-per-block", "agentcap/model.py",
+           "return partial(self._priced, table=self._lookup())", "return self.value_many",
+           ("tests/test_model.py::test_blocked_pricing_builds_a_lookup_table_once",)),
+    Mutant("ball-block-is-the-route-chunk", "agentcap/agent.py",
+           "_BALL_BLOCK = 1 << 18", "_BALL_BLOCK = _CHUNK",
+           ("tests/test_ball_scan.py::test_ball_route_working_memory",)),
     # the sweep's one pass
     Mutant("chain-row-max-floored-at-zero", "agentcap/pareto.py",
            "running[0] = first.row_max", "running[0] = np.maximum(first.row_max, 0.0)", SHIFTS),

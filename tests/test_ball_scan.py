@@ -295,22 +295,27 @@ def test_strong_concavity_by_cost_kind():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 12))
 def test_lattice_builder_lists_the_compositions_in_lexicographic_order(n, m):
-    want = np.array([c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m]) / m
+    want = np.array([c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m], dtype=np.uint8)
     got = model._lattice_cached.__wrapped__(n, m)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == want.dtype == np.min_scalar_type(m) and np.array_equal(got, want)
     assert not got.flags.writeable
+    assert simplex_lattice(n, m).tobytes() == (want / m).tobytes()
 
 
 def test_lattice_builder_memory_peak():
-    """The (L, n) float result is 25.4 MB at (5, 60); the counts the
-    builder expands, one small-integer column each, add a few MB more."""
+    """The (L, n) counts are 3.18 MB at (5, 60), one byte a coordinate; the
+    build adds ``_expand``'s three intp arrays of L entries at the last
+    coordinate, 15.2 MB. (The float lattice alone would be 25.4 MB.)"""
+    n, m = 5, 60
+    size = math.comb(m + n - 1, n - 1)
     tracemalloc.start()
     try:
-        model._lattice_cached.__wrapped__(5, 60)
+        counts = model._lattice_cached.__wrapped__(n, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36e6
+    assert counts.nbytes == size * n
+    assert peak <= size * (n + 3 * np.dtype(np.intp).itemsize)
 
 
 def quadratic_row(n, seed=3):
@@ -479,6 +484,31 @@ def test_evaluations_count_ball_route_values(monkeypatch):
     assert enum.evaluations >= enum.agent_u.size
 
 
+def test_ball_route_working_memory():
+    """The ball route over 7776 contracts (a 6^5 grid) and the 99% quantile
+    of the n = 5, m = 40 entropy lattice holds one ``_BALL_BLOCK`` of probes
+    and ball prefixes at a time: under 4.2 MB traced above the priced
+    lattice. Chunks of ``_CHUNK`` values would take every row at once
+    (6.9 MB)."""
+    n, grid = 5, tuple(np.linspace(0.0, 1.0, 6).tolist())
+    s = Scenario(
+        states=StateSpace(tuple(f"s{i}" for i in range(n))), y=OutputFunction(tuple(np.linspace(0.0, 1.0, n))),
+        cost=RelativeEntropyCost(0.5, (1.0 / n,) * n), capacity=0.0, family=GridFamily((grid,) * n),
+        utility=AgentUtility("risk_neutral"), reservation=0.0, m=40,
+    )
+    s = s.at_capacity(float(np.quantile(s.lattice.costs, 0.99)))
+    s.lattice.util
+    ids, mask = agent.feasible_lattice(s)
+    assert agent.ball_route(s, len(s.lattice.util), len(ids))
+    tracemalloc.start()
+    try:
+        agent.best_responses(s, ids, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2e6
+
+
 def test_chunked_ball_route_matches_one_chunk(monkeypatch):
     # contracts in chunks of a few rows or of one, and ball enumerations in
     # groups or one row at a time, give the rows of one chunk, and no row
@@ -496,7 +526,8 @@ def test_chunked_ball_route_matches_one_chunk(monkeypatch):
         built = {}
         for chunk in (nominal - 1, 200, 1):
             with monkeypatch.context() as mp:
-                mp.setattr(agent, "_CHUNK", chunk)
+                mp.setattr(agent, "_CHUNK", nominal - 1)
+                mp.setattr(agent, "_BALL_BLOCK", chunk)
                 built[chunk] = Enumeration(s)
         one = built.pop(nominal - 1)
         assert one.evaluations < nominal

@@ -34,6 +34,7 @@ from agentcap.model import (
     LinearShareFamily,
     MonotoneBoundedSlopeFamily,
     OutputFunction,
+    PricedLattice,
     Profile,
     QuadraticCost,
     RelativeEntropyCost,
@@ -462,20 +463,59 @@ def test_solve_checks_the_written_rows(tmp_path, monkeypatch, capsys):
     longer sum to 1, or a non-finite payment, exits 3 and writes nothing."""
     path = tmp_path / "ladder.json"
     save_scenario(ladder_scenario(), path)
-    init = Enumeration.__init__
-    for field, message in (("points", "sum to 1"), ("payments", "finite")):
-        def tampered(self, *args, _field=field, **kwargs):
-            init(self, *args, **kwargs)
-            bad = getattr(self, _field).copy()
-            bad[:, 0] += np.nan if _field == "payments" else 1e-11
-            setattr(self, _field, bad)
+    init, at = Enumeration.__init__, PricedLattice.at
 
+    def tampered_at(self, ids):
+        bad = at(self, ids)
+        bad[:, 0] += 1e-11
+        return bad
+
+    def tampered_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.payments = self.payments.copy()
+        self.payments[:, 0] += np.nan
+
+    for (owner, name, tampered), message in (((PricedLattice, "at", tampered_at), "sum to 1"),
+                                             ((Enumeration, "__init__", tampered_init), "finite")):
         with monkeypatch.context() as mp:
-            mp.setattr(Enumeration, "__init__", tampered)
-            out = tmp_path / field
+            mp.setattr(owner, name, tampered)
+            out = tmp_path / name
             assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 3
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+
+FORMAT_DIR = Path(__file__).resolve().parent / "scenario_format"
+# the fixtures whose points are the simplex lattice: all but the effort
+# cost's, whose points are its listed distributions
+LATTICE_FIXTURES = [p for p in sorted(FORMAT_DIR.glob("*.json"))
+                    if json.loads(p.read_text())["cost"]["kind"] != "effort"]
+
+
+@pytest.mark.parametrize("path", LATTICE_FIXTURES, ids=[p.stem for p in LATTICE_FIXTURES])
+def test_commands_build_no_float_lattice(path, tmp_path, monkeypatch):
+    """Every command gathers the float coordinates of the points it reads
+    through ``PricedLattice.at``: none builds ``PricedLattice.points``, and
+    each ends with the exit code it has when the property is left alone."""
+    k = json.loads(path.read_text())["capacity"]
+    commands = [["solve"], ["alpha-star"], ["verify"], ["sweep", "--k-grid", f"{k!r},{2 * k!r}"],
+                ["capstruct", "--face", "0.1"], ["capstruct", "--threshold", "0.5"], ["kkt"]]
+
+    def run(tag):
+        return [main([argv[0], "--scenario", str(path), "--out", str(tmp_path / f"{tag}{i}"), *argv[1:]])
+                for i, argv in enumerate(commands)]
+
+    want = run("free")
+    assert want[0] == 0
+    read = []
+
+    def points(self):
+        read.append(self)
+        raise AssertionError("PricedLattice.points was built")
+
+    monkeypatch.setattr(PricedLattice, "points", property(points))
+    assert run("patched") == want
+    assert not read
 
 
 # -- exit codes and stderr --------------------------------------------------

@@ -719,6 +719,91 @@ def test_enumeration_points_prefers_intrinsic_grid():
     assert s2.lattice.points.shape[0] == 2
 
 
+def lattice_scenario(cost, n, m):
+    """A scenario of ``cost`` on the n-state lattice of grid m, for reading
+    its ``PricedLattice``."""
+    return Scenario(
+        states=StateSpace(tuple(f"s{i}" for i in range(n))), y=OutputFunction(tuple(range(n))), cost=cost,
+        capacity=1.0, family=DebtFamily((0.0,)), utility=AgentUtility("risk_neutral"), reservation=0.0, m=m,
+    )
+
+
+def test_at_gathers_the_coordinates_simplex_lattice_holds():
+    for n, m in ((2, 7), (3, 10), (5, 6), (2, 255), (3, 256)):
+        lattice = lattice_scenario(RelativeEntropyCost(1.0, (1.0 / n,) * n), n, m).lattice
+        pts = simplex_lattice(n, m)
+        ids = np.random.default_rng(m).integers(0, len(pts), 20)
+        assert lattice.at(ids).tobytes() == pts[ids].tobytes(), (n, m)
+        assert lattice.at(slice(None)).tobytes() == pts.tobytes(), (n, m)
+        assert "points" not in vars(lattice)
+    # an effort cost's points are its listed distributions
+    eff = EffortCost((0.0, 1.0), ((1.0, 0.0), (0.5, 0.5)), (0.0, 0.3))
+    lattice = lattice_scenario(eff, 2, 10).lattice
+    assert lattice.at(np.array([1, 0])).tolist() == [[1.0, 0.0], [0.5, 0.5]]
+
+
+def random_lattice_cost(kind, n, rng):
+    """A random cost of ``kind``: a dense or diagonal Q, or relative entropy."""
+    q0 = rng.dirichlet(np.ones(n))
+    if kind == "entropy":
+        return RelativeEntropyCost(float(rng.uniform(0.1, 2.0)), tuple(q0))
+    if kind == "dense":
+        a = rng.normal(size=(n, n))
+        Q = a @ a.T
+        Q = (Q + Q.T) / 2
+    else:
+        Q = np.diag(rng.uniform(0.0, 2.0, n))
+    return QuadraticCost(tuple(map(tuple, Q)), tuple(q0))
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "entropy"])
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 12), block=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_blocked_pricing_equals_one_call(kind, n, m, block, seed):
+    # blocks of ``block`` coordinates hold block // n rows (at least one),
+    # which need not divide the lattice: the last block is short
+    cost = random_lattice_cost(kind, n, np.random.default_rng(seed))
+    want = cost.value_many(simplex_lattice(n, m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_PRICE_BLOCK", block)
+        got = lattice_scenario(cost, n, m).lattice.costs
+    assert got.tobytes() == want.tobytes()
+
+
+def test_blocked_pricing_builds_a_lookup_table_once():
+    pts = simplex_lattice(3, 30)
+    table = TableCost(tuple(map(tuple, pts)), tuple(float(v) for v in np.arange(len(pts)) / 7.0))
+    calls = []
+    build = TableCost._lookup
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TableCost, "_lookup", counted)
+        mp.setattr(model, "_PRICE_BLOCK", 30)
+        costs = lattice_scenario(table, 3, 30).lattice.costs
+    assert costs.tolist() == list(table.values) and calls == [1]
+
+
+def test_pricing_holds_no_whole_lattice_float_array():
+    """Pricing the n = 5, m = 40 relative-entropy lattice (135751 points)
+    holds the costs, 1.09 MB, and one block's arrays: under 2.09 MB traced.
+    One (n, L) float array of the whole lattice is 5.43 MB."""
+    n, m = 5, 40
+    s = lattice_scenario(RelativeEntropyCost(0.5, (1.0 / n,) * n), n, m)
+    model._lattice_cached(n, m)  # the counts, shared and cached, are built apart
+    tracemalloc.start()
+    try:
+        costs = s.lattice.costs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert costs.nbytes == 1_086_008
+    assert peak <= costs.nbytes + 1e6
+
+
 # -- evaluation helpers -----------------------------------------------------
 
 
