@@ -583,8 +583,9 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     lattice = s.lattice
     costs, payoffs = lattice.costs, lattice.util
     binom = _binomials(m + n, n)
-    # max |c| without a whole-lattice temporary: costs are finite
-    cscale = float(max(costs.max(), -costs.min())) + abs(kbar)
+    # max |c|: a convex cost is nonnegative and peaks at a vertex, a lattice
+    # point that value_many prices from its own row
+    cscale = float(s.cost.value_many(np.eye(n)).max()) + abs(kbar)
     centres = _centre_solver(s.cost, concavity)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())

@@ -206,11 +206,13 @@ def _pairwise(columns: np.ndarray) -> np.ndarray:
 class CostFunction:
     """Base for the cost kinds.
 
-    Subclasses provide ``value_many`` (the lattice kernel over a point
-    matrix) and, where meaningful, ``gradient`` and ``hessian``. ``value``,
-    ``gradient`` and ``hessian`` take a (..., n) stack of points and answer
-    per point, one point being a stack of one. ``convex_smooth`` marks the
-    kinds eligible for the interior solver.
+    Every kind provides ``value_many(points)``, c at each row of a point
+    matrix (the lattice kernel), and ``scaled(factor)``, the same kind of
+    cost times a positive factor; where meaningful it also overrides
+    ``gradient`` and ``hessian``. ``value``, ``gradient`` and ``hessian``
+    take a (..., n) stack of points and answer per point, one point being a
+    stack of one. ``convex_smooth`` marks the kinds eligible for the
+    interior solver.
     """
 
     kind: str = ""
@@ -222,9 +224,6 @@ class CostFunction:
         p = np.asarray(p, dtype=float)
         return self.value_many(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1])[()]
 
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def block_pricer(self):
         """A function pricing one block of points after another as
         ``value_many`` does, for ``PricedLattice.costs``."""
@@ -235,10 +234,6 @@ class CostFunction:
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         raise DifferentiabilityError(f"{self.kind} cost has no hessian")
-
-    def scaled(self, factor: float) -> "CostFunction":
-        """Return the cost multiplied by a positive factor, same kind."""
-        raise NotImplementedError
 
     def enumerable_points(self) -> np.ndarray | None:
         """Intrinsic point grid for non-lattice kinds, else None."""
@@ -442,6 +437,8 @@ class EffortCost(_LookupCost):
             raise ValidationError("effort grid, distributions, and costs must align")
         if not self.efforts:
             raise ValidationError("effort cost needs at least one effort level")
+        if len({len(d) for d in self.distributions}) != 1:
+            raise ValidationError("effort distributions must all have the same length")
         _check_finite("effort levels, distributions and costs", self.efforts, self.costs, *self.distributions)
         for d in self.distributions:
             check_probabilities(d)
@@ -603,13 +600,12 @@ class ProductLabels(Sequence):
 
 
 class ContractFamily:
-    """Base for the finite contract families."""
+    """Base for the finite contract families.
+
+    Every family provides ``_rows(y)``: each member's label and payment
+    row, in lexicographic order, for ``payment_matrix`` to check."""
 
     kind: str = ""
-
-    def _rows(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
-        """Each member's label and payment row, in lexicographic order."""
-        raise NotImplementedError
 
     def payment_matrix(self, y: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
         """Member labels, a sized sequence indexed by member id, and the
@@ -1028,14 +1024,12 @@ def check_alpha(alpha: float) -> float:
 # Validation
 
 
-def _cost_dimension(c: CostFunction) -> int | None:
-    if isinstance(c, (QuadraticCost, RelativeEntropyCost)):
-        return len(c.q0)
+def _cost_dimension(c: CostFunction) -> int:
     if isinstance(c, TableCost):
         return len(c.points[0])
     if isinstance(c, EffortCost):
         return len(c.distributions[0])
-    return None
+    return len(c.q0)
 
 
 def capacity_failure(k: float) -> str | None:
@@ -1065,8 +1059,7 @@ def validate_scenario(s: Scenario) -> None:
     if not 0 < s.tol_u < math.inf:
         failures.append("tol_u must be positive and finite")
 
-    dim = _cost_dimension(s.cost)
-    if dim is not None and dim != n:
+    if _cost_dimension(s.cost) != n:
         failures.append("cost dimension must equal the state count")
 
     if not failures:

@@ -113,6 +113,31 @@ MUTANTS = [
     Mutant("affine-curvature-noise-never-dropped", "agentcap/kkt.py",
            "<= CURVATURE_NOISE * point.system_residual", "<= 0.0 * point.system_residual",
            ("tests/test_kkt.py::test_affine_readout_counts_solve_noise_as_no_curvature",)),
+    # the scenario's checks and the kinds' interface
+    Mutant("effort-distribution-lengths-unchecked", "agentcap/model.py",
+           "if len({len(d) for d in self.distributions}) != 1:", "if False:",
+           ("tests/test_model.py::test_effort_distributions_must_share_one_length",
+            "tests/test_cli.py::test_exit_code_cost_shape")),
+    Mutant("cost-dimension-unchecked", "agentcap/model.py",
+           "    if _cost_dimension(s.cost) != n:", "    if False:",
+           ("tests/test_cli.py::test_exit_code_cost_shape",)),
+    Mutant("table-hessian-is-zeros", "agentcap/model.py",
+           'raise DifferentiabilityError(f"{self.kind} cost has no hessian")',
+           "return np.zeros(np.shape(p) + np.shape(p)[-1:])",
+           ("tests/test_model.py::test_table_cost_lookup",)),
+    # labels, lattice rounding and the CSV cell rule
+    Mutant("product-labels-first-axis-fastest", "agentcap/model.py",
+           "for axis in reversed(self.axes):", "for axis in self.axes:",
+           ("tests/test_model.py::test_label_of_every_id_is_the_eager_label",)),
+    Mutant("nearest-counts-strict-tie-order", "agentcap/model.py",
+           "ahead = key[i] <= key[j]", "ahead = key[i] < key[j]",
+           ("tests/test_ball_scan.py::test_nearest_counts_match_the_argsort_reference",)),
+    Mutant("csv-empty-record-unquoted", "agentcap/cli.py",
+           "[c or '\"\"' for c in cells[0]]", "list(cells[0])",
+           ("tests/test_cli.py::test_table_writer_matches_csv_writer_on_the_cell_rule",)),
+    Mutant("csv-nan-not-blanked", "agentcap/cli.py",
+           '["" if v != v else c for v, c in zip(values, cells)]', "cells[:len(values)]",
+           ("tests/test_cli.py::test_table_writer_matches_csv_writer_on_the_cell_rule",)),
 ]
 
 

@@ -98,6 +98,14 @@ for _n, _m in ((3, 60), (4, 24), (5, 14)):
 CASES["quadratic-3-flat"] = lambda: random_case(3, "quadratic", 60, True, seed=7, lam_min=1e-3)
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_rounding_scale_is_the_largest_vertex_cost(case):
+    # scan_balls takes max |c| over the lattice from the n simplex vertices
+    s = CASES[case]()
+    costs = s.lattice.costs
+    assert s.cost.value_many(np.eye(s.n)).max() == max(costs.max(), -costs.min())
+
+
 def both_routes(s, monkeypatch):
     """(full-scan enumeration, ball-route enumeration, the row count of each
     ``scan_grid`` call the ball route made) of ``s``: the route flips when

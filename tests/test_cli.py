@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,18 @@ def test_module_run_warns_nothing(tmp_path):
     run = subprocess.run([sys.executable, "-W", "error", "-m", "agentcap.cli", *argv], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    assert read_summary(tmp_path / "out")["n_frontier"] > 0
+
+
+def test_module_entry_line_exits_with_mains_code(tmp_path, monkeypatch):
+    # the `python -m agentcap.cli` entry line, run in this process; runpy
+    # warns (an error here) when the module it runs is already imported
+    scenario = Path(__file__).resolve().parent / "scenario_format" / "quadratic-grid-risk_neutral.json"
+    monkeypatch.delitem(sys.modules, "agentcap.cli")
+    monkeypatch.setattr(sys, "argv", ["agentcap", "solve", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("agentcap.cli", run_name="__main__")
+    assert stop.value.code == 0
     assert read_summary(tmp_path / "out")["n_frontier"] > 0
 
 
@@ -600,6 +613,37 @@ def test_exit_code_infinite_tol_u(tmp_path, capsys, command, flags, tol_u):
     path.write_text(json.dumps(d))
     assert main([command, "--scenario", str(path), "--out", str(out), *flags]) == 3
     assert capsys.readouterr().err == "agentcap: tol_u must be positive and finite\n"
+    assert not out.exists()
+
+
+DIMENSION = "cost dimension must equal the state count"
+# per case: a format fixture, its cost parameters changed, and the error;
+# each kind's parameters are one entry too long where its dimension is read
+# (q0, with Q padded by a zero row and column; every point; every
+# distribution), and "effort-ragged" has distributions of two lengths
+BAD_COST_SHAPES = {
+    "quadratic": ("quadratic-grid-risk_neutral", lambda p: {
+        "Q": [[*row, 0.0] for row in p["Q"]] + [[0.0] * (len(p["Q"]) + 1)], "q0": [*p["q0"], 0.0]}, DIMENSION),
+    "relative-entropy": ("entropy-share-cara", lambda p: {**p, "q0": [*(q / 2 for q in p["q0"]), 0.5]}, DIMENSION),
+    "table": ("table-debt-crra", lambda p: {**p, "points": [[*q, 0.0] for q in p["points"]]}, DIMENSION),
+    "effort": ("effort-live-or-die-crra", lambda p: {**p, "distributions": [[*d, 0.0] for d in p["distributions"]]},
+               DIMENSION),
+    "effort-ragged": ("effort-live-or-die-crra",
+                      lambda p: {**p, "distributions": [p["distributions"][0], [0.2, 0.3, 0.5]]},
+                      "effort distributions must all have the same length"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COST_SHAPES))
+def test_exit_code_cost_shape(case, tmp_path, capsys):
+    fixture, change, text = BAD_COST_SHAPES[case]
+    d = json.loads((FORMAT_DIR / f"{fixture}.json").read_text())
+    assert case.startswith(d["cost"]["kind"])
+    d["cost"]["params"] = change(d["cost"]["params"])
+    path, out = tmp_path / "shape.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"agentcap: {text}\n"
     assert not out.exists()
 
 

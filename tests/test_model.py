@@ -125,6 +125,12 @@ def test_empty_constructors_name_what_is_missing(make, text):
         make()
 
 
+def test_effort_distributions_must_share_one_length():
+    # the cost's dimension is read off its first distribution
+    with pytest.raises(ValidationError, match="^effort distributions must all have the same length$"):
+        EffortCost((0.0, 1.0), ((0.9, 0.1), (0.2, 0.3, 0.5)), (0.0, 0.3))
+
+
 def test_contract_and_output_reject_nonfinite():
     with pytest.raises(ValidationError):
         Contract((0.0, math.inf))
@@ -292,6 +298,8 @@ def test_table_cost_lookup():
         c.value(np.array([0.25, 0.75]))
     with pytest.raises(DifferentiabilityError):
         c.gradient(np.array([0.5, 0.5]))
+    with pytest.raises(DifferentiabilityError, match="^table cost has no hessian$"):
+        c.hessian(np.array([0.5, 0.5]))
     with pytest.raises(UndefinedCostPointError, match=r"cost undefined at grid point \(0\.1, 0\.9\)$"):
         c.value_many(np.array([[0.0, 1.0], [0.1, 0.9]]))
 

@@ -15,6 +15,10 @@ def test_mutant_names_are_distinct():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
 
 
+def test_the_mutant_list_only_grows():
+    assert len(MUTANTS) >= 30
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_text_occurs_once_and_its_tests_exist(mutant):
     assert mutant.text != mutant.replacement

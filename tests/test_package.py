@@ -58,6 +58,11 @@ REMOVED = [
     (pareto._AgentOrder, "sort"),
     (pareto._AgentOrder, "rows"),
     (pareto, "_expected_payments"),
+    # the base classes' NotImplementedError stubs: their docstrings state
+    # the interface each kind provides
+    (model.CostFunction, "value_many"),
+    (model.CostFunction, "scaled"),
+    (model.ContractFamily, "_rows"),
 ]
 
 # parameters no caller set to anything but their defaults; the threshold's
