@@ -17,7 +17,15 @@ the costs that are strictly convex on the simplex (relative entropy, and a
 quadratic whose Q is positive definite on the sum-zero subspace), scores
 only the lattice points inside each contract's strong-concavity ball around
 its continuous optimum, which provably holds every tie; ``ball_route``
-decides when it runs. The band step of a capacity sweep
+decides when it runs. Given the one output scale alpha its caller will
+query, it first drops every contract that cannot reach the frontier
+there: a contract R goes when some contract Q's ties all beat R's by more
+than tol_u for the agent, by the bounds of the centre solve and the
+probes, and all pay the principal at least as much, by the balls' payoff
+ranges. Such a Q is in the weak and strict sets of every row R's ties are
+in, with a payoff at least theirs, so no other row's dominance changes
+and the frontier is the same; a chain of drops ends at a contract that is
+kept. The band step of a capacity sweep
 (``pareto.capacity_chain``) scans only the points that became feasible
 since the capacity below, against each contract's best value carried up
 from there. Values scored apart from a full scan may differ from it in the
@@ -556,23 +564,73 @@ def _groups(sizes: np.ndarray, cap: float):
         i = j
 
 
-def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[int, float]):
+def _payoff_range(v: np.ndarray, centre: np.ndarray, r2: np.ndarray, norm: int, scale: np.ndarray):
+    """(floor, ceiling) per row: bounds on v . p over the points p of the
+    row's ball, |p - centre| <= sqrt(r2) in the l2 (2) or l1 (1) norm.
+    p - centre sums to zero, so v . (p - centre) is at most the radius
+    times the l2 norm of v less its mean, or, in l1, half v's range. The
+    bounds are widened by a rounding allowance relative to ``scale``, which
+    bounds |v| and the terms a payoff is summed from; a row without a finite
+    ball gets (-inf, inf)."""
+    if norm == 2:
+        dev = v - (_fold(np.add, v) / v.shape[1])[:, None]
+        spread = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+    else:
+        spread = 0.5 * (_fold(np.maximum, v) - _fold(np.minimum, v))
+    with np.errstate(invalid="ignore"):
+        reach = np.sqrt(r2) * spread
+    reach += _ROUND * (1.0 + reach + scale)
+    mid = np.einsum("ij,ij->i", v, centre)
+    finite = np.isfinite(reach)
+    return np.where(finite, mid - reach, -np.inf), np.where(finite, mid + reach, np.inf)
+
+
+def _undominated(low: np.ndarray, high: np.ndarray, floor: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
+    """Mask of the contracts R that no contract Q dominates by its bounds,
+    where Q dominates R when low[Q] > high[R] and floor[Q] >= ceiling[R]:
+    the maxima of vectors in two dimensions (Kung, Luccio & Preparata,
+    J. ACM 22(4), 1975). One stable sort on ``low``, the running maximum of
+    ``floor`` from the top down and one ``searchsorted`` answer every R at
+    once. ``floor`` holds no NaN; a NaN ``high`` or ``ceiling`` compares
+    false, so its contract is kept."""
+    order = np.argsort(low, kind="stable")
+    best = np.append(np.maximum.accumulate(floor[order][::-1])[::-1], -np.inf)
+    return ~(best[low[order].searchsorted(high, side="right")] >= ceiling)
+
+
+def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[int, float],
+               alpha: float | None = None):
     """``scan_grid``'s ties of the payoff rows ``s.lattice.util`` over the
     feasible points of ``s``, given as ``feasible_lattice``'s (ids, mask),
     for a cost with ``strong_concavity`` ``concavity``, scoring only the
     lattice points inside each row's certified ball; also returns each
-    row's best value and the number of values computed.
+    row's best value and the number of values computed. With ``alpha``,
+    only the rows that can reach the frontier at that output scale.
 
-    A row gets (mu, centre, UB) from its cost kind's centre solver, and LB
-    from its rounded centre where that is feasible, else from the best
-    feasible of that point's ``_neighbours``. Its ball is sigma/2 |p -
-    centre|^2 <= UB - LB + tol_u + a rounding allowance; every tie lies in
-    it. A row is scanned in full by ``scan_grid`` when it has no finite
-    bound, or when its ball could visit more prefixes than the feasible set
-    has points: up to its bounding box's lattice points at each of n - 1
-    levels. Chunks of rows keep their probes, and groups of rows their ball
-    enumerations, within one ``_BALL_BLOCK`` block, and only the points
-    scored are gathered (``PricedLattice.at``).
+    The first pass gives a row (mu, centre, UB) from its cost kind's centre
+    solver, and LB from its rounded centre where that is feasible, else
+    from the best feasible of that point's ``_neighbours``. Its ball is
+    sigma/2 |p - centre|^2 <= UB - LB + tol_u + margin, a rounding
+    allowance; every tie lies in it. The pass keeps each row's centre and
+    r2, the ball's squared radius, and, with ``alpha``, its bounds: ties
+    score in [LB - tol_u, UB + margin], and pay the principal within
+    ``_payoff_range`` of the ball. A row R is then dropped when some row Q
+    has LB_Q - tol_u > UB_R + margin_R + tol_u and a payoff floor at or
+    above R's ceiling (``_undominated``): each tie of Q beats each tie of R
+    by more than tol_u for the agent and pays the principal at least as
+    much, so every tie of R is dominated, and any weak or strict set of
+    ``pareto._AgentOrder.keep`` that holds one holds Q's ties too, so each
+    set's best payoff, and the frontier, are unchanged. Domination is
+    strict in LB, so a chain of drops ends at a row that is kept. A dropped
+    row has no ties and a NaN best value.
+
+    The second pass scans the rows kept. A row is scanned in full by
+    ``scan_grid`` when it has no finite bound, or when its ball could visit
+    more prefixes than the feasible set has points: up to its bounding
+    box's lattice points at each of n - 1 levels. Chunks of rows keep
+    their probes, and groups of rows their ball enumerations, within one
+    ``_BALL_BLOCK`` block, and only the points scored are gathered
+    (``PricedLattice.at``).
 
     Values are single matmuls per (row, point) pair and may differ from
     ``scan_grid``'s blocked matmul in the last bit.
@@ -583,9 +641,9 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
     lattice = s.lattice
     costs, payoffs = lattice.costs, lattice.util
     binom = _binomials(m + n, n)
-    # max |c|: a convex cost is nonnegative and peaks at a vertex, a lattice
-    # point that value_many prices from its own row
-    cscale = float(s.cost.value_many(np.eye(n)).max()) + abs(kbar)
+    # max |c|: a convex cost is nonnegative and peaks at a vertex, the
+    # lattice point m e_i, priced from its own row
+    cscale = float(costs[_lattice_rank(m * np.eye(n, dtype=np.int64), m, binom)].max()) + abs(kbar)
     centres = _centre_solver(s.cost, concavity)
     if s.cost.kind == "relative-entropy":
         cscale += s.cost.theta * float(np.abs(np.log(s.cost.q0)).max())
@@ -604,14 +662,19 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
         return rows, rank, vals
 
     n_c, n_p = len(payoffs), len(ids)
-    row_max = np.full(n_c, -np.inf)
-    parts, full = [], []
     evaluations = 0
     per = max(1, _BALL_BLOCK // (n * n * (n - 1)))
-    for start in range(0, n_c, per):
-        u = payoffs[start:start + per]
-        mu, centre, ub = centres(u, s.cost, kbar)
-        base = _nearest_counts(centre, m)
+    centre, r2 = np.empty((n_c, n)), np.empty(n_c)
+    # with alpha, each row's LB - tol_u, UB + margin + tol_u and ``_payoff_range``
+    bounds = None if alpha is None else np.empty((4, n_c))
+    y = s.y.as_array()
+
+    def first_pass(rows):
+        """The centres, r2 and any bounds of the rows ``rows``, a slice. A
+        chunk's arrays are freed before the next chunk is solved."""
+        u = payoffs[rows]
+        mu, c, ub = centres(u, s.cost, kbar)
+        base = _nearest_counts(c, m)
         lb = np.full(len(u), -np.inf)
         at = np.flatnonzero(_compositions(base, m))
         scored(u, at, _lattice_rank(base[at], m, binom), lb)
@@ -621,23 +684,45 @@ def scan_balls(s: Scenario, ids: np.ndarray, mask: np.ndarray, concavity: tuple[
         lam = 1.0 + mu
         margin = _ROUND * (1.0 + np.abs(ub) + np.abs(lb) + _fold(np.maximum, np.abs(u)) + lam * cscale)
         with np.errstate(invalid="ignore", over="ignore"):
-            r2 = 2.0 * (ub - lb + tol_u + margin) / (lam * sigma0)
-            reach = np.sqrt(r2) / (2.0 if norm == 1 else 1.0)
-            width = np.floor(m * (centre + reach[:, None])) - np.ceil(m * (centre - reach[:, None])) + 1
-            bound = r2 if norm == 2 else np.sqrt(r2)
+            r2[rows] = 2.0 * (ub - lb + tol_u + margin) / (lam * sigma0)
+        centre[rows] = c
+        if bounds is not None:
+            b = lattice.contracts[1][rows]
+            scale = alpha * float(np.abs(y).max()) + _fold(np.maximum, np.abs(b))
+            bounds[:, rows] = (lb - tol_u, ub + margin + tol_u, *_payoff_range(alpha * y - b, c, r2[rows], norm, scale))
+
+    def second_pass(chunk):
+        """The ball scan of the rows ``chunk``: their ties join ``parts``,
+        and the rows whose balls are too wide join ``full``."""
+        c, rc = centre[chunk], r2[chunk]
+        with np.errstate(invalid="ignore", over="ignore"):
+            reach = np.sqrt(rc) / (2.0 if norm == 1 else 1.0)
+            width = np.floor(m * (c + reach[:, None])) - np.ceil(m * (c - reach[:, None])) + 1
+            bound = rc if norm == 2 else np.sqrt(rc)
         # the product over the first n - 1 columns, left to right as prod multiplies
         size = _fold(np.multiply, np.clip(width[:, :-1], 1, m + 1))
-        ok = np.isfinite(r2) & ((n - 1) * size <= n_p)
-        full.append(start + np.flatnonzero(~ok))
+        ok = np.isfinite(rc) & ((n - 1) * size <= n_p)
+        full.append(chunk[~ok])
         rows = np.flatnonzero(ok)
         for part in _groups(size[rows], _BALL_BLOCK / n):
             g = rows[part]
             # every row's ball holds its LB point, so each row has a value
             best = np.full(g.size, -np.inf)
-            owner, rank, vals = scored(u[g], *_ball_points(centre[g], bound[g], norm, m, binom), best)
+            owner, rank, vals = scored(payoffs[chunk[g]], *_ball_points(c[g], bound[g], norm, m, binom), best)
             tie = vals >= tie_floor(best, tol_u)[owner]
-            row_max[start + g] = best
-            parts.append((start + g[owner[tie]], rank[tie], vals[tie]))
+            row_max[chunk[g]] = best
+            parts.append((chunk[g[owner[tie]]], rank[tie], vals[tie]))
+
+    for start in range(0, n_c, per):
+        first_pass(slice(start, start + per))
+    kept = np.arange(n_c) if bounds is None else np.flatnonzero(_undominated(*bounds))
+    del bounds
+    row_max = np.full(n_c, np.nan)
+    parts, full = [], []
+    for start in range(0, kept.size, per):
+        second_pass(kept[start:start + per])
+    # freed before the full scans, which may take the run's peak
+    del centre, r2
     # the balls' ties come in row order; the full scans' rows join them
     ties = [tuple(np.concatenate(x) for x in zip(*parts))] if parts else []
     fb = np.concatenate(full)
@@ -662,7 +747,8 @@ def _merged(parts, n_points: int):
     return tuple(c[order] for c in columns)
 
 
-def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, running: np.ndarray | None = None):
+def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, running: np.ndarray | None = None,
+                   alpha: float | None = None):
     """The lattice best responses of every contract of ``s`` over the
     points ``ids``: (contract ids, point ids, values) of the ties,
     ascending in (contract, point), each contract's best value, and the
@@ -670,7 +756,9 @@ def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, runnin
 
     The one route rule. Without ``running``, ``ids`` and ``mask`` are
     ``feasible_lattice``'s, and ``ball_route`` picks ``scan_balls`` or a
-    full ``scan_grid``. With ``running``, each contract's best value over
+    full ``scan_grid``; ``scan_balls`` passes ``alpha`` on, to drop the
+    contracts that cannot reach the frontier at that output scale, and a
+    full scan keeps every contract. With ``running``, each contract's best value over
     the points feasible at a lower capacity of a sweep, ``ids`` are the
     points feasible here but not there (a band, ``mask`` unused): a
     ``scan_grid`` of them updates ``running`` in place and returns their
@@ -680,7 +768,7 @@ def best_responses(s: Scenario, ids: np.ndarray, mask: np.ndarray | None, runnin
     costs, util = s.lattice.costs, s.lattice.util
     if running is None:
         if concavity := ball_route(s, len(util), len(ids)):
-            return scan_balls(s, ids, mask, concavity)
+            return scan_balls(s, ids, mask, concavity, alpha)
         running = np.full(len(util), -np.inf)
     ci, pi, vals = scan_grid(util, s.lattice.at(ids), costs[ids], s.tol_u, running)
     return ci, ids[pi], vals, running, len(util) * len(ids)

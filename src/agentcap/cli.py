@@ -432,7 +432,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 def cmd_solve(args, s: Scenario):
     validate_scenario(s)
     alpha = check_alpha(args.alpha)
-    enum = Enumeration(s, budget=args.budget)
+    enum = Enumeration(s, budget=args.budget, alpha=alpha)
     ps = enum.pareto_at(alpha)
     sel = select(ps, s.reservation)
     header = _profile_header(s)

@@ -22,7 +22,13 @@ round. That keeps repeated queries (bisection on alpha) cheap.
 
 Best responses do depend on the capacity, but only through the feasible set,
 which grows with it. An enumeration takes its rows from
-``agent.best_responses``, which chooses the route. A capacity sweep builds
+``agent.best_responses``, which chooses the route. An enumeration built for
+one alpha (``solve``'s) lets the ball route drop the contracts whose every
+row some other contract's rows dominate at that alpha, by more than tol_u
+in agent utility and at least as much principal payoff: those rows are
+never on the frontier, and every weak or strict set that held one holds a
+dominating row with at least its payoff, so every other row keeps its
+status and the frontier and selections at that alpha are unchanged. A capacity sweep builds
 all its capacities in one pass (``capacity_chain``): each band of newly
 feasible points is scanned once, every tie is kept once in one table of
 ties only, and each capacity's ties are cut from it, one capacity at a
@@ -368,13 +374,25 @@ class Enumeration:
     a sweep's later capacity, and the probes and ball points scored (plus
     any rows scanned in full) for the ball route; ``nominal_evaluations``
     is contracts times feasible points. ``budget`` passes ``check_budget``.
+
+    An enumeration built with ``alpha`` is bound to that output scale, the
+    only one ``solve`` queries: the ball route drops every contract that
+    cannot reach the frontier there (``agent.scan_balls``), which then has
+    no rows and a NaN ``row_max``, and the frontier and selections at that
+    alpha are the unbound enumeration's. A query at another alpha raises
+    ConfigurationError.
     """
 
-    def __init__(self, s: Scenario, budget: int | None = None):
+    # the output scale every query must ask for, or None for any
+    alpha: float | None = None
+
+    def __init__(self, s: Scenario, budget: int | None = None, alpha: float | None = None):
         budget = check_budget(budget)
+        if alpha is not None:
+            self.alpha = check_alpha(alpha)
         ids, mask = feasible_lattice(s)
         _check_nominal(len(s.lattice.contracts[0]) * len(ids), budget)
-        self._set_rows(s, budget, len(ids), *best_responses(s, ids, mask))
+        self._set_rows(s, budget, len(ids), *best_responses(s, ids, mask, alpha=self.alpha))
 
     def _set_rows(self, s: Scenario, budget: int, n_feasible: int, contract_id, point_id, agent_u, row_max,
                   evaluations) -> None:
@@ -406,10 +424,18 @@ class Enumeration:
 
     # -- queries ----------------------------------------------------------
 
+    def _query(self, alpha: float) -> float:
+        """``alpha`` as a float; raises ConfigurationError unless it lies in
+        [0, 1] and, on an enumeration bound to one alpha, is that one."""
+        alpha = check_alpha(alpha)
+        if self.alpha is not None and alpha != self.alpha:
+            raise ConfigurationError(f"enumeration is bound to alpha {self.alpha!r}, queried at {alpha!r}")
+        return alpha
+
     def _principal(self, alpha: float, rows) -> np.ndarray:
         """Principal payoffs of ``rows`` (any index) at output scale
-        ``alpha``; raises ConfigurationError unless alpha lies in [0, 1]."""
-        return check_alpha(alpha) * self.exp_output[rows] - self.exp_payment[rows]
+        ``alpha``, which passes ``_query``."""
+        return self._query(alpha) * self.exp_output[rows] - self.exp_payment[rows]
 
     @cached_property
     def thresholds(self) -> dict[float, dict]:
@@ -430,7 +456,7 @@ class Enumeration:
         the undominated positions of ``agent_order``'s row, and every
         profile's principal payoff at ``alpha`` in that order."""
         ao = self.agent_order
-        principal = ao.principal(check_alpha(alpha))
+        principal = ao.principal(self._query(alpha))
         return ao.keep(principal), principal
 
     def pareto_mask(self, alpha: float) -> np.ndarray:
@@ -463,7 +489,7 @@ class Enumeration:
         frontier order, from the stack of ``agent_order`` alone at r: the
         pass and the selection every lockstep round makes."""
         ao = _AgentOrder.stack([(self.agent_order, r)])
-        (level,), at = ao.select(check_alpha(alpha))
+        (level,), at = ao.select(self._query(alpha))
         if math.isnan(level):
             raise empty_selection(r)
         rows = np.sort(ao.order[at])

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 CENTRES = "tests/test_ball_scan.py::test_quadratic_centres_of_rows_on_many_faces_agree"
 FLAT = ("tests/test_agent.py::test_convex_singular_q_panel",)
 SHIFTS = ("tests/test_relations.py::test_shifting_the_payments",)
+BOUND = "tests/test_ball_scan.py::test_bound_enumeration_keeps_the_frontier_and_selections"
 REFEREE = ("tests/test_capstruct.py::test_one_pass_sweep_matches_fresh_and_replayed_enumerations",)
 
 MUTANTS = [
@@ -80,6 +81,15 @@ MUTANTS = [
     Mutant("pricing-builds-a-table-per-block", "agentcap/model.py",
            "return partial(self._priced, table=self._lookup())", "return self.value_many",
            ("tests/test_model.py::test_blocked_pricing_builds_a_lookup_table_once",)),
+    # the bound enumeration's drop step, and the bound it rests on
+    Mutant("drop-without-agent-tol", "agentcap/agent.py",
+           "(lb - tol_u, ub + margin + tol_u,", "(lb, ub + margin,", (BOUND,)),
+    Mutant("payoff-range-without-radius", "agentcap/agent.py",
+           "reach = np.sqrt(r2) * spread", "reach = 0.0 * spread", (BOUND,)),
+    Mutant("quadratic-bound-without-frank-wolfe", "agentcap/agent.py",
+           "return mu, centre, value + np.maximum(fw_gap, 0.0)", "return mu, centre, value",
+           ("tests/test_ball_scan.py::test_ball_route_with_crude_centres",
+            "tests/test_ball_scan.py::test_bound_holds_for_any_multiplier_and_centre")),
     Mutant("ball-block-is-the-route-chunk", "agentcap/agent.py",
            "_BALL_BLOCK = 1 << 18", "_BALL_BLOCK = _CHUNK",
            ("tests/test_ball_scan.py::test_ball_route_working_memory",)),

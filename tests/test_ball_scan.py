@@ -10,6 +10,7 @@ ranks, the nearest point and the one-step moves.
 
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -32,7 +33,8 @@ from agentcap.model import (
     TableCost,
     simplex_lattice,
 )
-from agentcap.pareto import Enumeration
+from agentcap.errors import ConfigurationError, EmptySelectionError
+from agentcap.pareto import Enumeration, select
 
 from conftest import (
     dyadic_scenario,
@@ -100,10 +102,15 @@ CASES["quadratic-3-flat"] = lambda: random_case(3, "quadratic", 60, True, seed=7
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_rounding_scale_is_the_largest_vertex_cost(case):
-    # scan_balls takes max |c| over the lattice from the n simplex vertices
+    # scan_balls takes max |c| over the lattice from the n simplex vertices,
+    # read off the priced lattice at their ranks: the rows value_many prices
+    # alone, bit for bit
     s = CASES[case]()
     costs = s.lattice.costs
     assert s.cost.value_many(np.eye(s.n)).max() == max(costs.max(), -costs.min())
+    vertices = model._lattice_rank(s.m * np.eye(s.n, dtype=np.int64), s.m, model._binomials(s.m + s.n, s.n))
+    assert np.array_equal(s.lattice.at(vertices), np.eye(s.n))
+    assert same_bits(costs[vertices], s.cost.value_many(np.eye(s.n)))
 
 
 def both_routes(s, monkeypatch):
@@ -214,6 +221,149 @@ def test_route_flip_keeps_cli_bytes(tmp_path, monkeypatch):
                 mp.setattr(agent, "_CHUNK", nominal - 1)
                 ball = run(path, command, tmp_path / f"{name}-{command}-ball")
             assert ball == full, (name, command)
+
+
+# -- the bound enumeration --------------------------------------------------
+
+
+def assert_same_rows(got, want, rows, want_rows, principal, want_principal):
+    """Rows ``rows`` of enumeration ``got`` and ``want_rows`` of ``want``
+    are the same (contract, point) pairs, in the same order, with the same
+    agent utilities and principal payoffs to within 1e-12."""
+    for name in ("contract_id", "point_id"):
+        assert np.array_equal(getattr(got, name)[rows], getattr(want, name)[want_rows]), name
+    assert np.allclose(got.agent_u[rows], want.agent_u[want_rows], rtol=0, atol=1e-12)
+    assert np.allclose(principal, want_principal, rtol=0, atol=1e-12)
+
+
+def assert_same_selection(got, want, alpha, r):
+    """The selections at reservation ``r`` of the frontiers ``got`` and
+    ``want``, by ``select`` and by ``selection_ids``, are the same rows, or
+    both raise."""
+    try:
+        sel = select(want, r)
+    except EmptySelectionError:
+        for query in (lambda: select(got, r), lambda: got.enumeration.selection_ids(alpha, r)):
+            with pytest.raises(EmptySelectionError):
+                query()
+        return
+    mine = select(got, r)
+    assert mine.chosen_level == pytest.approx(sel.chosen_level, rel=0, abs=1e-12)
+    assert_same_rows(got.enumeration, want.enumeration, mine.rows, sel.rows, mine.principal, sel.principal)
+    (level, rows, binding), (want_level, want_rows, want_binding) = (
+        ps.enumeration.selection_ids(alpha, r) for ps in (got, want))
+    assert level == pytest.approx(want_level, rel=0, abs=1e-12) and np.array_equal(binding, want_binding)
+    for name in ("contract_id", "point_id"):
+        assert np.array_equal(getattr(got.enumeration, name)[rows], getattr(want.enumeration, name)[want_rows])
+
+
+def assert_bound_matches(s, ref, alphas):
+    """``Enumeration(s, alpha=a)`` for each a of ``alphas`` against the
+    unbound ``ref``, both by the ball route: the bound one holds ref's rows
+    of every contract it keeps and none of one it drops, and its frontier,
+    levels, mask and selections at a are ref's; a query at another alpha
+    raises. Returns how many contracts each a dropped.
+
+    The rows the ball route scans in full are scanned in blocks of fewer
+    rows once contracts are dropped, and BLAS may round a row differently
+    in another block: their values may move in the last bit, so values are
+    compared to within 1e-12 and ids exactly."""
+    drops = []
+    for alpha in alphas:
+        bound = Enumeration(s, alpha=alpha)
+        dropped = np.isnan(bound.row_max)
+        drops.append(int(dropped.sum()))
+        kept = ~dropped[ref.contract_id]
+        for name in ("contract_id", "point_id", "binding"):
+            assert np.array_equal(getattr(bound, name), getattr(ref, name)[kept]), (alpha, name)
+        assert np.abs(bound.agent_u - ref.agent_u[kept]).max() <= 1e-12
+        assert np.abs(bound.row_max[~dropped] - ref.row_max[~dropped]).max() <= 1e-12
+        assert bound.nominal_evaluations == ref.nominal_evaluations
+        assert bound.evaluations < ref.evaluations if dropped.any() else bound.evaluations == ref.evaluations
+        want, got = ref.pareto_at(alpha), bound.pareto_at(alpha)
+        assert_same_rows(bound, ref, got.rows, want.rows, got.principal, want.principal)
+        assert np.allclose(got.agent_utility_levels, want.agent_utility_levels, rtol=0, atol=1e-12)
+        assert np.array_equal(bound.pareto_mask(alpha), ref.pareto_mask(alpha)[kept])
+        for r in (s.reservation, float(np.median(ref.agent_u[want.rows]))):
+            assert_same_selection(got, want, alpha, r)
+        for query in (bound.pareto_at, bound.pareto_mask, lambda a: bound.selection_ids(a, 0.0)):
+            with pytest.raises(ConfigurationError):
+                query(0.5)
+    return drops
+
+
+def stiff_case(kind, seed, factor):
+    """``random_case``'s generic 3-state instance, a CARA agent's, with the
+    cost and the capacity scaled by ``factor`` and tol_u = 0.01: the balls
+    are narrow, and the drop step weighs contracts whose rows lie within
+    2 tol_u of each other."""
+    s = random_case(3, kind, 60, False, seed=seed)
+    return dataclasses.replace(s, cost=s.cost.scaled(factor), capacity=factor * s.capacity, tol_u=0.01)
+
+
+STIFF = {"entropy-3-stiff": lambda: stiff_case("entropy", 5, 3000.0),
+         "quadratic-3-stiff": lambda: stiff_case("quadratic", 6, 1000.0)}
+
+
+@pytest.mark.parametrize("tol_u", [None, 1e-3])
+@pytest.mark.parametrize("case", [*CASES, *STIFF])
+def test_bound_enumeration_keeps_the_frontier_and_selections(case, tol_u, monkeypatch):
+    # an enumeration bound to alpha drops the contracts that cannot reach
+    # its frontier before scanning their balls, and answers at alpha as the
+    # unbound one does; a coarse tol_u puts many rows within it of others
+    s = {**CASES, **STIFF}[case]()
+    if tol_u is not None:
+        s = dataclasses.replace(s, tol_u=tol_u)
+    monkeypatch.setattr(agent, "_CHUNK", Enumeration(s).nominal_evaluations - 1)
+    drops = assert_bound_matches(s, Enumeration(s), (0.0, 0.37, 1.0))
+    if case in ("tangent", "entropy-4-generic", "quadratic-5-generic", *STIFF):
+        assert min(drops) > 0
+
+
+def test_ball_route_with_crude_centres(monkeypatch):
+    # the Frank-Wolfe gap keeps UB a bound on every row at any centre: with
+    # each quadratic centre moved halfway to q0, the balls keep the full
+    # scan's ties and the drop step the frontier
+    solve = agent._quadratic_centres
+
+    def crude(u, cost, kbar, concavity):
+        mu, centre, _ = solve(u, cost, kbar, concavity)
+        return agent._quadratic_bound(u, cost, 1.0 / (1.0 + mu), 0.5 * (centre + np.array(cost.q0)), kbar)
+
+    for case in ("quadratic-4-generic", "quadratic-5-binding", "tangent"):
+        s = CASES[case]()
+        full = Enumeration(s)
+        with monkeypatch.context() as mp:
+            mp.setattr(agent, "_CHUNK", full.nominal_evaluations - 1)
+            mp.setattr(agent, "_quadratic_centres", crude)
+            ball = Enumeration(s)
+            for name in ("contract_id", "point_id", "binding"):
+                assert np.array_equal(getattr(ball, name), getattr(full, name)), (case, name)
+            assert_bound_matches(s, ball, (0.0, 1.0))
+
+
+def test_bound_solve_keeps_cli_bytes(tmp_path, monkeypatch):
+    # solve binds its enumeration to --alpha: by the ball route, which
+    # drops contracts, it writes the full scan's CSV bytes and summary, all
+    # but the values computed
+    s = CASES["quadratic-5-generic"]()
+    path = tmp_path / "scenario.json"
+    save_scenario(s, path)
+    nominal = Enumeration(s).nominal_evaluations
+
+    def run(out):
+        assert main(["solve", "--scenario", str(path), "--out", str(out), "--alpha", "0.37"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, summary
+
+    full, full_summary = run(tmp_path / "full")
+    with monkeypatch.context() as mp:
+        mp.setattr(agent, "_CHUNK", nominal - 1)
+        ball, ball_summary = run(tmp_path / "ball")
+    assert ball == full
+    assert ball_summary.pop("evaluations") < full_summary.pop("evaluations") == nominal
+    del ball_summary["runtime_seconds"], full_summary["runtime_seconds"]
+    assert ball_summary == full_summary
 
 
 # -- the certificate --------------------------------------------------------
@@ -490,6 +640,14 @@ def test_evaluations_count_ball_route_values(monkeypatch):
     enum = Enumeration(s)
     assert enum.evaluations == sum(computed) < n_c * n_p
     assert enum.evaluations >= enum.agent_u.size
+    # bound to alpha = 1, the enumeration scans no ball of a dropped
+    # contract, and counts only the values it computed
+    computed.clear()
+    bound = Enumeration(s, alpha=1.0)
+    dropped = np.isnan(bound.row_max)
+    assert dropped.any() and not dropped[bound.contract_id].any()
+    assert bound.evaluations == sum(computed) < enum.evaluations
+    assert bound.nominal_evaluations == enum.nominal_evaluations == n_c * n_p
 
 
 def test_ball_route_working_memory():
