@@ -294,10 +294,10 @@ def _quoted(cells: list[str]) -> list[str]:
 def _column(values) -> tuple[str, list]:
     """One column as its piece of the row format and the values that piece
     takes, row by row: floats (a float array, or a column of Python floats
-    only) as ``%.12g`` of the floats, or as their cells when one is NaN,
-    written empty; bools (a bool array, or Python bools only) as
-    true/false; anything else through ``.tolist()`` (for an array) and
-    ``_cell``, quoted. Each way gives ``_cell``'s text."""
+    only) with no NaN as ``%.12g`` of the floats; bools (a bool array, or
+    Python bools only) as true/false; anything else, a float column with a
+    NaN included, through ``.tolist()`` (for an array) and ``_cell``,
+    quoted. Each way gives ``_cell``'s text."""
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         values = values.tolist()
@@ -307,9 +307,6 @@ def _column(values) -> tuple[str, list]:
     # a NaN makes the sum NaN (so may infinities of both signs)
     if kind == "f" and not math.isnan(sum(values)):
         return "%.12g", values
-    if kind == "f":
-        cells = ("%.12g\n" * len(values) % tuple(values)).split("\n")
-        return "%s", ["" if v != v else c for v, c in zip(values, cells)]
     if kind == "b":
         return "%s", list(map(("false", "true").__getitem__, values))
     return "%s", _quoted(list(map(_cell, values)))

@@ -23,7 +23,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -224,11 +224,6 @@ class CostFunction:
         p = np.asarray(p, dtype=float)
         return self.value_many(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1])[()]
 
-    def block_pricer(self):
-        """A function pricing one block of points after another as
-        ``value_many`` does, for ``PricedLattice.costs``."""
-        return self.value_many
-
     def gradient(self, p: np.ndarray) -> np.ndarray:
         raise DifferentiabilityError(f"{self.kind} cost has no gradient")
 
@@ -362,18 +357,16 @@ class RelativeEntropyCost(CostFunction):
 
 class _LookupCost(CostFunction):
     """Base for the kinds defined only at the points of their ``_lookup``
-    table, matched by ``_key``. ``value_many`` builds the table once per
-    call, and ``block_pricer`` once for all its blocks. ``_undefined`` is
-    the error text for any other point, formatted with that point rounded."""
+    table, matched by ``_key``. The table is built once per instance, on
+    first use, and every ``value_many`` call reads it. ``_undefined`` is the
+    error text for any other point, formatted with that point rounded."""
+
+    @cached_property
+    def _table(self) -> dict:
+        return self._lookup()
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        return self._priced(points, self._lookup())
-
-    def block_pricer(self):
-        """``value_many`` with one table built for every block."""
-        return partial(self._priced, table=self._lookup())
-
-    def _priced(self, points: np.ndarray, table: dict) -> np.ndarray:
+        table = self._table
         out = np.empty(len(points))
         for i, row in enumerate(points):
             try:
@@ -816,10 +809,11 @@ class Profile:
 
 def _expand(lo: np.ndarray | int, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One coordinate of the lexicographic order: (parent, value) of each
-    child, prefix i's taking the values lo[i], ..., lo[i] + width[i] - 1."""
-    parent = np.repeat(np.arange(len(width)), width)
-    value = np.arange(parent.size)
+    child, prefix i's taking the values lo[i], ..., lo[i] + width[i] - 1.
+    ``parent`` is made last, so at most two child-length arrays are live."""
+    value = np.arange(width.sum())
     value -= np.repeat(np.cumsum(width) - width - lo, width)
+    parent = np.repeat(np.arange(len(width)), width)
     return parent, value
 
 
@@ -947,13 +941,14 @@ class PricedLattice:
     them. The lattice keeps the scenario's capacity-independent fields
     rather than the scenario, which holds the lattice.
 
-    The simplex lattice is held as its counts (``_lattice_cached``) and
-    never as floats: ``at`` is the one gather of float coordinates, and
-    ``costs`` prices the points in blocks of about ``_PRICE_BLOCK``
-    coordinates. A point id is a row of the counts, or of the listed
-    distributions of the effort cost, the one kind with
-    ``enumerable_points``. ``points``, the float coordinates of every point,
-    is built only when read, by the tests; no step of the program reads it.
+    Every point is held as a row and a scale, its coordinates the row over
+    the scale: the simplex lattice's counts (``_lattice_cached``) over m,
+    or, for the effort cost, the one kind with ``enumerable_points``, its
+    listed distributions over 1. A point id is a row. ``at`` is the one
+    gather of float coordinates, and ``costs`` prices the points in blocks
+    of about ``_PRICE_BLOCK`` coordinates. ``points``, the float
+    coordinates of every point, is built only when read, by the tests; no
+    step of the program reads it.
     """
 
     def __init__(self, s: Scenario):
@@ -961,40 +956,38 @@ class PricedLattice:
         self.family, self.utility, self.m = s.family, s.utility, s.m
 
     @cached_property
-    def _listed(self) -> np.ndarray | None:
-        return self.cost.enumerable_points()
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        return _lattice_cached(self.states.n, self.m)
+    def _scaled_rows(self) -> tuple[np.ndarray, int]:
+        listed = self.cost.enumerable_points()
+        if listed is None:
+            return _lattice_cached(self.states.n, self.m), self.m
+        return listed, 1
 
     def at(self, ids) -> np.ndarray:
         """The float coordinates of the points ``ids`` (any index of rows):
-        their counts divided by m, the division ``simplex_lattice`` makes,
-        so every coordinate keeps its bits; or the listed distributions."""
-        if self._listed is not None:
-            return self._listed[ids]
-        return np.divide(self._counts[ids], self.m)
+        their rows divided by the scale. For the lattice that is the
+        division ``simplex_lattice`` makes, so every coordinate keeps its
+        bits, and a listed distribution over 1 is itself."""
+        rows, scale = self._scaled_rows
+        return np.divide(rows[ids], scale)
 
     @cached_property
     def points(self) -> np.ndarray:
-        """Every point's float coordinates, for the tests."""
-        if self._listed is not None:
-            return self._listed
-        return simplex_lattice(self.states.n, self.m)
+        """Every point's float coordinates: the listed distributions, or the
+        lattice's from ``simplex_lattice``, whose calls the benchmark's
+        tracer counts."""
+        if self.cost.enumerable_points() is None:
+            return simplex_lattice(self.states.n, self.m)
+        return self._scaled_rows[0]
 
     @cached_property
     def costs(self) -> np.ndarray:
         """c at every point. Every cost kind prices a point from its own row
         alone, so the blocks' bits are those of one call over every point."""
-        if self._listed is not None:
-            return np.asarray(self.cost.value_many(self._listed), dtype=float)
-        size = len(self._counts)
+        size = len(self._scaled_rows[0])
         rows = max(1, _PRICE_BLOCK // self.states.n)
-        price = self.cost.block_pricer()
         out = np.empty(size)
         for start in range(0, size, rows):
-            out[start:start + rows] = price(self.at(slice(start, start + rows)))
+            out[start:start + rows] = self.cost.value_many(self.at(slice(start, start + rows)))
         return out
 
     @cached_property

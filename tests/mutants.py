@@ -73,14 +73,23 @@ MUTANTS = [
            ("tests/test_ball_scan.py::test_lattice_rank_is_lattice_order",)),
     # the lattice as counts: the one gather and the blocked pricing
     Mutant("at-divides-by-m-minus-one", "agentcap/model.py",
-           "[ids], self.m)", "[ids], self.m - 1)",
+           "return _lattice_cached(self.states.n, self.m), self.m",
+           "return _lattice_cached(self.states.n, self.m), self.m - 1",
            ("tests/test_model.py::test_at_gathers_the_coordinates_simplex_lattice_holds",)),
     Mutant("pricing-stride-skips-a-row", "agentcap/model.py",
            "for start in range(0, size, rows):", "for start in range(0, size, rows + 1):",
            ("tests/test_model.py::test_blocked_pricing_equals_one_call",)),
     Mutant("pricing-builds-a-table-per-block", "agentcap/model.py",
-           "return partial(self._priced, table=self._lookup())", "return self.value_many",
+           "@cached_property\n    def _table(self)", "@property\n    def _table(self)",
            ("tests/test_model.py::test_blocked_pricing_builds_a_lookup_table_once",)),
+    # the lattice builder's and the ball's one coordinate step
+    Mutant("expand-offsets-without-lo", "agentcap/model.py",
+           "np.cumsum(width) - width - lo", "np.cumsum(width) - width",
+           ("tests/test_ball_scan.py::test_ball_route_matches_full_scan",)),
+    Mutant("expand-parent-first", "agentcap/model.py",
+           "    value = np.arange(width.sum())\n",
+           "    parent = np.repeat(np.arange(len(width)), width)\n    value = np.arange(width.sum())\n",
+           ("tests/test_model.py::test_lattice_builder_holds_two_intp_arrays_at_most",)),
     # the bound enumeration's drop step, and the bound it rests on
     Mutant("drop-without-agent-tol", "agentcap/agent.py",
            "(lb - tol_u, ub + margin + tol_u,", "(lb, ub + margin,", (BOUND,)),
@@ -146,8 +155,24 @@ MUTANTS = [
            "[c or '\"\"' for c in cells[0]]", "list(cells[0])",
            ("tests/test_cli.py::test_table_writer_matches_csv_writer_on_the_cell_rule",)),
     Mutant("csv-nan-not-blanked", "agentcap/cli.py",
-           '["" if v != v else c for v, c in zip(values, cells)]', "cells[:len(values)]",
+           'return "" if math.isnan(v) else format(float(v), ".12g")', 'return format(float(v), ".12g")',
            ("tests/test_cli.py::test_table_writer_matches_csv_writer_on_the_cell_rule",)),
+    # the feasibility, binding, budget, dominance and level rules
+    Mutant("feasible-without-slack", "agentcap/model.py",
+           "return costs <= capacity + FEASIBILITY_SLACK", "return costs <= capacity",
+           ("tests/test_agent.py::test_feasible_lattice_filters_by_capacity",)),
+    Mutant("binding-strict", "agentcap/agent.py",
+           "- s.capacity) <= s.tol_u", "- s.capacity) < s.tol_u",
+           ("tests/test_agent.py::test_a_point_exactly_tol_u_from_the_capacity_binds",)),
+    Mutant("budget-exceeded-at-equality", "agentcap/pareto.py",
+           "if nominal > budget:", "if nominal >= budget:",
+           ("tests/test_capstruct.py::test_sweep_budget_applies_to_each_capacity",)),
+    Mutant("cluster-levels-split-at-tol", "agentcap/pareto.py",
+           "if not levels or v - levels[-1] > tol:", "if not levels or v - levels[-1] >= tol:",
+           ("tests/test_pareto.py::test_cluster_levels_match_greedy_loop",)),
+    Mutant("keep-strict-set-at-equality", "agentcap/pareto.py",
+           "(best[self.strict] < principal - self.tol)", "(best[self.strict] <= principal - self.tol)",
+           ("tests/test_pareto.py::test_pareto_at_matches_the_row_order_oracle",)),
 ]
 
 

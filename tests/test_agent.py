@@ -1,5 +1,6 @@
 """Agent best responses (grid and continuous routes) and the agent-side FOC."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -80,6 +81,16 @@ def test_feasible_lattice_filters_by_capacity():
     assert s.lattice.costs[ids].max() <= 0.04 + 1e-12
     with pytest.raises(EmptyFeasibleSetError):
         feasible_lattice(two_state(QuadraticCost(((0, 0), (0, 1)), (0, 0)), -1.0))
+
+
+def test_a_point_exactly_tol_u_from_the_capacity_binds():
+    # c(p) = p_H^2 on the m = 8 lattice, exact in binary, with k = 0.5 and
+    # tol_u = 0.25: the costs 36/64 and 25/64 lie within tol_u of k, and
+    # 16/64 exactly tol_u below it, which the rule's <= keeps binding
+    s = dataclasses.replace(two_state(QuadraticCost(((0, 0), (0, 1)), (0, 0)), 0.5, m=8), tol_u=0.25)
+    costs = s.lattice.costs
+    assert costs[4] == s.capacity - s.tol_u
+    assert np.flatnonzero(agent.capacity_binding(s, np.arange(len(costs)))).tolist() == [2, 3, 4]
 
 
 def test_grid_best_response_unconstrained_tangent():

@@ -329,8 +329,9 @@ def test_lookup_costs_build_one_table_per_call(case, monkeypatch):
     monkeypatch.setattr(kind, "_lookup", counted)
     assert list(c.value_many(pts)) == list(values)
     assert len(calls) == 1
+    # the table is kept: pricing one point at a time builds no other
     assert [c.value(p) for p in pts] == list(values)
-    assert len(calls) == 1 + len(pts)
+    assert len(calls) == 1
     off = np.array([0.1, 0.2, 0.7])
     for price in (c.value, lambda p: c.value_many(p[None, :])):
         with pytest.raises(UndefinedCostPointError, match=text):
@@ -810,6 +811,22 @@ def test_pricing_holds_no_whole_lattice_float_array():
         tracemalloc.stop()
     assert costs.nbytes == 1_086_008
     assert peak <= costs.nbytes + 1e6
+
+
+def test_lattice_builder_holds_two_intp_arrays_at_most():
+    """Building the n = 5, m = 40 counts (135751 points) holds at most two
+    intp arrays of the lattice's length beside the counts: 2.42 MB traced.
+    ``_expand`` making its parent indices before its values holds a third,
+    3.51 MB."""
+    n, m = 5, 40
+    tracemalloc.start()
+    try:
+        counts = model._lattice_cached.__wrapped__(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (135751, n)
+    assert peak <= 2 * np.dtype(np.intp).itemsize * len(counts) + counts.nbytes
 
 
 # -- evaluation helpers -----------------------------------------------------

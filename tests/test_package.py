@@ -58,6 +58,11 @@ REMOVED = [
     (pareto._AgentOrder, "sort"),
     (pareto._AgentOrder, "rows"),
     (pareto, "_expected_payments"),
+    (model.CostFunction, "block_pricer"),
+    (model._LookupCost, "block_pricer"),
+    (model._LookupCost, "_priced"),
+    (model.PricedLattice, "_listed"),
+    (model.PricedLattice, "_counts"),
     # the base classes' NotImplementedError stubs: their docstrings state
     # the interface each kind provides
     (model.CostFunction, "value_many"),
