@@ -609,13 +609,7 @@ def cmd_kkt(args, s: Scenario):
         "converged": point.converged,
     }
     try:
-        fit = kkt.affine_representation_check(s, point)
-        summary["affine"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "curvature": fit.curvature,
-            "fit_residual": fit.fit_residual,
-        }
+        summary["affine"] = dataclasses.asdict(kkt.affine_representation_check(s, point))
     except DegenerateFitError as exc:
         summary["affine_error"] = str(exc)
     return {"residuals.csv": (header, columns)}, summary

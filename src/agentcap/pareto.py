@@ -7,8 +7,8 @@ agent utilities do not move with alpha either, so the enumeration sorts its
 rows by agent utility once, when the first alpha query asks
 (``_AgentOrder.row``), with the two tolerance cut positions of every
 profile and the row's cuts, and every alpha query runs
-one dominance pass in that order: the frontier and the mask through
-``Enumeration._kept``, the selection through a stack of that one row. The
+one dominance pass of that one row: the frontier (``pareto_at``), which
+the mask reads, and the selection through a stack of that one row. The
 pass works on a stack of such orders, one row per enumeration, each with its
 own alpha and reservation, padded to one width by ``_AgentOrder.stack``, the
 one stack builder. The selection rule is said once: a selection at
@@ -349,8 +349,8 @@ class Enumeration:
     Built once per scenario, with one read side: ``pareto_at``,
     ``pareto_mask`` and ``selection_ids`` each make one dominance pass in
     the agent order (``agent_order``, built on the first of them) for any
-    alpha, the first two through ``_kept``, the last through a stack of one
-    row, and ``columns`` gathers the
+    alpha, the mask by reading the frontier's pass, the selection through a
+    stack of one row, and ``columns`` gathers the
     rendered fields of any rows, so exact (contract, point) identities are
     comparable across alpha. Rows run strictly ascending in (contract_id,
     point_id), and the agent order is stable, so that order is the
@@ -451,26 +451,21 @@ class Enumeration:
         ``_AgentOrder.row`` the first time one asks for it."""
         return _AgentOrder.row(self)
 
-    def _kept(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """The one dominance pass of the frontier and the mask: the mask of
-        the undominated positions of ``agent_order``'s row, and every
-        profile's principal payoff at ``alpha`` in that order."""
-        ao = self.agent_order
-        principal = ao.principal(self._query(alpha))
-        return ao.keep(principal), principal
-
     def pareto_mask(self, alpha: float) -> np.ndarray:
-        """The undominated rows at ``alpha``, as a mask by row."""
+        """The undominated rows at ``alpha``, as a mask by row: the rows of
+        ``pareto_at``."""
         keep = np.zeros(self.agent_u.size, dtype=bool)
-        keep[self.agent_order.order[self._kept(alpha)[0]]] = True
+        keep[self.pareto_at(alpha).rows] = True
         return keep
 
     def pareto_at(self, alpha: float) -> ParetoSet:
-        """The frontier at ``alpha``. The kept agent utilities ascend and
-        the agent order is stable, so a stable sort by agent utility, then
-        principal payoff, both descending, leaves exact ties in row order."""
+        """The frontier at ``alpha``, from one dominance pass of
+        ``agent_order``'s row. The kept agent utilities ascend and the agent
+        order is stable, so a stable sort by agent utility, then principal
+        payoff, both descending, leaves exact ties in row order."""
         ao, tol = self.agent_order, self.scenario.tol_u
-        kept, principal = self._kept(alpha)
+        principal = ao.principal(self._query(alpha))
+        kept = ao.keep(principal)
         agent, principal = ao.agent[kept], principal[kept]
         at = np.lexsort((-principal, -agent))
         return ParetoSet(

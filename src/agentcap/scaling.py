@@ -14,8 +14,8 @@ alpha, the bracket ends, the trace and the rows selected where the predicate
 last held; ``_AgentOrder.stack`` builds the stack again only when
 thresholds close, since the rows still bisecting close together.
 ``alpha_star`` solves one enumeration with it, or reads the threshold
-already kept there, and ``verify_theorem`` selects at every tested alpha in
-one more pass over the enumeration repeated, one alpha per row.
+already kept there, and ``verify_theorem`` selects at every tested alpha
+with ``Enumeration.selection_ids``, one pass of the one-row order per alpha.
 """
 
 from __future__ import annotations
@@ -305,9 +305,9 @@ def verify_theorem(
     and when a candidate pins the capacity the base must pin it too with
     vanishing payoff differences (``step2_dev``).
 
-    An alpha below the threshold bracket, or whose selection has no binding
-    member, is reported untested with the reason; the comparisons are only
-    meaningful past the threshold.
+    An alpha below the threshold bracket, or whose selection is empty or
+    has no binding member, is reported untested with the reason; the
+    comparisons are only meaningful past the threshold.
     """
     res = alpha_star(s, eps, budget)
     enum, i_base = res.enumeration, res.base_row
@@ -319,24 +319,16 @@ def verify_theorem(
         alphas = np.round(np.linspace(0.0, 1.0, 11), 12)
 
     alphas = [check_alpha(float(alpha)) for alpha in alphas]
-    # the selections at every alpha past the bracket, from one pass over the
-    # enumeration repeated, one alpha per row
-    past = [alpha for alpha in alphas if alpha >= res.bracket[1]]
-    stack = _AgentOrder.stack([(enum.agent_order, res.u_bar)] * len(past))
-    levels, chosen = stack.select(np.array(past)[:, None])
-    picks = zip(levels.tolist(), stack.order, chosen)
-
     checks: list[AlphaCheck] = []
     for alpha in alphas:
         if alpha < res.bracket[1]:
             checks.append(AlphaCheck(alpha, reason="below the capacity-slack threshold bracket"))
             continue
-        level, order, selected = next(picks)
-        if math.isnan(level):
+        try:
+            _, ids, binding = enum.selection_ids(alpha, res.u_bar)
+        except EmptySelectionError:
             checks.append(AlphaCheck(alpha, reason="selection empty at this alpha"))
             continue
-        ids = np.sort(order[selected])
-        binding = enum.binding[ids]
         if not binding.any():
             checks.append(AlphaCheck(alpha, reason="selection has no capacity-binding member"))
             continue

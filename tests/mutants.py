@@ -129,6 +129,12 @@ MUTANTS = [
     Mutant("agent-order-cuts-at-a-quarter-tol", "agentcap/pareto.py",
            "apart &= np.subtract(a[1:], a[:-1], out=d) > tol", "apart = np.subtract(a[1:], a[:-1], out=d) > tol / 4",
            ("tests/test_pareto.py::test_stacked_selection_is_the_first_clustered_level_above",)),
+    Mutant("verify-tests-at-the-bracket", "agentcap/scaling.py",
+           "if alpha < res.bracket[1]:", "if alpha <= res.bracket[1]:",
+           ("tests/test_scaling.py::test_verify_checks_every_alpha_in_one_pass",)),
+    Mutant("pareto-mask-drops-a-frontier-row", "agentcap/pareto.py",
+           "keep[self.pareto_at(alpha).rows] = True", "keep[self.pareto_at(alpha).rows[1:]] = True",
+           ("tests/test_pareto.py::test_filter_matches_brute_oracle_on_enumerations",)),
     Mutant("affine-curvature-noise-never-dropped", "agentcap/kkt.py",
            "<= CURVATURE_NOISE * point.system_residual", "<= 0.0 * point.system_residual",
            ("tests/test_kkt.py::test_affine_readout_counts_solve_noise_as_no_curvature",)),

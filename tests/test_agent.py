@@ -300,6 +300,7 @@ def scan_at_heights(monkeypatch, payoffs, points, costs, tol_u):
     return got
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("case", sorted(SCAN_REFERENCE_CASES))
 def test_scan_grid_equals_whole_matrix_reference(case, monkeypatch):
     # every value is exact, so every block height gives the reference's bits
@@ -319,6 +320,7 @@ def test_scan_grid_equals_whole_matrix_reference(case, monkeypatch):
         assert got[2].tobytes() == values.tobytes(), height
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_scan_grid_tie_sets_do_not_depend_on_the_block_height(n, monkeypatch):
     # inexact values: a block height may round a value differently in the
@@ -343,6 +345,7 @@ def test_scan_grid_tie_sets_do_not_depend_on_the_block_height(n, monkeypatch):
         assert np.abs(v - values).max() <= 1e-12, height
 
 
+@pytest.mark.blas_bits
 def test_scan_grid_holds_one_cache_sized_block():
     # 2^21 values over 8192 points: the scan's own allocations peak at about
     # one 2^17-value block (1 MB) and its tie mask, not at 2^21 values
@@ -359,6 +362,7 @@ def test_scan_grid_holds_one_cache_sized_block():
     assert peak <= 1.5e6 + sum(a.nbytes for a in got)
 
 
+@pytest.mark.blas_bits
 def test_scan_grid_values_are_each_blocks_matmul(monkeypatch):
     # the value buffer is reused from block to block; each block's values
     # must be that block's own matmul, bit for bit, and the last block is

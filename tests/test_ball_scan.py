@@ -305,6 +305,7 @@ STIFF = {"entropy-3-stiff": lambda: stiff_case("entropy", 5, 3000.0),
          "quadratic-3-stiff": lambda: stiff_case("quadratic", 6, 1000.0)}
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("tol_u", [None, 1e-3])
 @pytest.mark.parametrize("case", [*CASES, *STIFF])
 def test_bound_enumeration_keeps_the_frontier_and_selections(case, tol_u, monkeypatch):
@@ -675,6 +676,7 @@ def test_ball_route_working_memory():
     assert peak <= 4.2e6
 
 
+@pytest.mark.blas_bits
 def test_chunked_ball_route_matches_one_chunk(monkeypatch):
     # contracts in chunks of a few rows or of one, and ball enumerations in
     # groups or one row at a time, give the rows of one chunk, and no row

@@ -298,6 +298,7 @@ def _referee_cases():
 REFEREE_CASES = _referee_cases()
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("case", list(REFEREE_CASES))
 def test_one_pass_sweep_matches_fresh_and_replayed_enumerations(case, monkeypatch):
     # every capacity's enumeration, cut from one table of ties, has a fresh
@@ -350,6 +351,7 @@ def test_one_pass_sweep_memory_does_not_grow_with_capacities_times_ties():
     assert peak <= 1.2 * retained, (peak, retained)
 
 
+@pytest.mark.blas_bits
 def test_one_pass_sweep_stops_at_the_first_failing_capacity():
     # the error-order cases of a sweep: the enumerations below the first
     # capacity that fails, then the error that capacity's own validation or

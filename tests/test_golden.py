@@ -26,6 +26,10 @@ from conftest import (
     tangent_scenario,
 )
 
+# BLAS may round a matmul differently for another block height or thread
+# count, so CI runs these again with BLAS on one thread
+pytestmark = pytest.mark.blas_bits
+
 SCENARIOS = {
     "tangent": lambda: tangent_scenario(0.04, m=400),
     # three states, relative-entropy cost

@@ -63,6 +63,7 @@ REMOVED = [
     (model._LookupCost, "_priced"),
     (model.PricedLattice, "_listed"),
     (model.PricedLattice, "_counts"),
+    (pareto.Enumeration, "_kept"),
     # the base classes' NotImplementedError stubs: their docstrings state
     # the interface each kind provides
     (model.CostFunction, "value_many"),

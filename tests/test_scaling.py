@@ -3,11 +3,12 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from agentcap import agent, capstruct, pareto
+from agentcap import agent, capstruct, pareto, scaling
 from agentcap.cli import main, save_scenario
 from agentcap.errors import (
     BudgetExceededError,
@@ -675,9 +676,29 @@ def test_verify_checks_every_alpha_in_one_pass(random_scenario_panel, monkeypatc
         assert got == want
         reasons.update(r for _, r in got)
         past = sum(c.alpha >= rep.alpha_result.bracket[1] for c in rep.checks)
-        # the threshold's passes, then one for every alpha past its bracket
-        assert passes[len(rep.alpha_result.predicate_trace) + 1:] == [past]
+        # the threshold's passes, then one one-row pass for every alpha past
+        # its bracket
+        assert passes[len(rep.alpha_result.predicate_trace) + 1:] == [1] * past
     assert "selection has no capacity-binding member" in reasons
+
+
+def test_verify_memory_follows_its_rows_not_rows_times_alphas(monkeypatch):
+    # the threshold solved beforehand, so only the checks are traced: 101
+    # alphas, 61 past the bracket, on 902 rows. A one-row copy of the agent
+    # order holds (rows + 1) x 49 bytes (about 44 kB), so a copy per alpha
+    # past the bracket would take about 2.7 MB
+    s = tangent_scenario(0.04, m=1000)
+    res = alpha_star(s)
+    monkeypatch.setattr(scaling, "alpha_star", lambda *args: res)
+    one_copy = (res.enumeration.agent_u.size + 1) * 49
+    tracemalloc.start()
+    try:
+        rep = verify_theorem(s, alphas=np.round(np.linspace(0.0, 1.0, 101), 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c.alpha >= res.bracket[1] for c in rep.checks) > 50
+    assert peak < 3 * one_copy
 
 
 def test_verify_theorem_reports_an_empty_selection_between_the_bisection_alphas():
